@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt-check test test-race race chaos train-smoke obs-smoke commit-smoke sim sim-smoke bench experiments examples profile clean
+.PHONY: all check build vet fmt-check test test-race race chaos train-smoke obs-smoke commit-smoke fuzz-smoke bench-build sim sim-smoke bench experiments examples profile clean
 
 all: check
 
 # The default gate: compile, vet, formatting, full test suite, the race
 # detector over the concurrency-heavy networked packages, a fast
-# scenario-harness smoke, the observability-plane smoke, then the
-# commit-pipeline smoke.
-check: build vet fmt-check test test-race sim-smoke obs-smoke commit-smoke
+# scenario-harness smoke, the observability-plane smoke, the
+# commit-pipeline smoke, a few seconds of fuzzing per wire decoder, and
+# the repository benchmark's own build and unit tests.
+check: build vet fmt-check test test-race sim-smoke obs-smoke commit-smoke fuzz-smoke bench-build
 
 build:
 	$(GO) build ./...
@@ -69,6 +70,21 @@ obs-smoke:
 # pipeline mode-contract unit tests, and the idempotent replay proof.
 commit-smoke:
 	$(GO) test -race -count=1 -timeout 120s -run 'CommitSmoke' ./internal/commit/... ./internal/mds/... ./internal/server/...
+
+# The decoders that read bytes off a socket, against arbitrary input: the
+# MethodBatch frame handler on a scratch shard (never panics; answers every
+# sub-op or rejects the frame with EINVAL), the SDK's response decoder and
+# the batch envelope codec.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchFrame$$' -fuzztime 3s ./internal/mds
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 3s ./internal/rpc
+
+# bench/ is a module of its own, so `go build ./...` at the root cannot
+# see an API break there; this can.
+bench-build:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 # One testing.B benchmark per paper table/figure, plus ablations and
 # kvstore micro-benchmarks.

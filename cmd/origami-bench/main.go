@@ -9,12 +9,11 @@
 // fig9, headline, ablation-cache, ablation-cost, ablation-migcap.
 //
 // With -tcp the command instead benchmarks a live loopback TCP cluster
-// with a closed-loop multi-worker load generator, comparing serial and
-// concurrent RPC dispatch:
+// with a closed-loop multi-worker load generator:
 //
 //	origami-bench -tcp                            # 1 MDS, 1/8/32 workers
 //	origami-bench -tcp -workers 4,16 -duration 5s
-//	origami-bench -tcp -dispatch concurrent -mds 3
+//	origami-bench -tcp -commit-mode all -mds 3
 package main
 
 import (
@@ -36,10 +35,9 @@ import (
 	"origami/internal/trace"
 )
 
-// tcpBenchPoint is one (dispatch mode, worker count) measurement in the
-// machine-readable BENCH_tcp.json report.
+// tcpBenchPoint is one (cache, commit mode, worker count) measurement in
+// the machine-readable BENCH_tcp.json report.
 type tcpBenchPoint struct {
-	Dispatch    string  `json:"dispatch"`
 	Cache       string  `json:"cache"`
 	CommitMode  string  `json:"commit_mode"`
 	Workers     int     `json:"workers"`
@@ -67,17 +65,13 @@ type tcpBenchReport struct {
 	Points      []tcpBenchPoint `json:"points"`
 }
 
-// runTCPBench starts a fresh loopback cluster per (dispatch, cache,
-// commit-mode) combination and drives it with the closed-loop load
-// generator at each worker count, printing an ops/sec matrix plus the
-// concurrent-over-serial speedup. Alongside the text report it writes
+// runTCPBench starts a fresh loopback cluster per (cache, commit-mode)
+// combination and drives it with the closed-loop load generator at each
+// worker count, printing an ops/sec matrix plus the cache and
+// commit-mode speedups. Alongside the text report it writes
 // BENCH_tcp.json (jsonOut) with the per-point throughput and exact
 // p50/p95/p99 latencies.
-func runTCPBench(numMDS int, workerCounts []int, dur time.Duration, dispatch string, syncWAL bool, writePct, readPct int, cacheMode string, commitMode string, batchWindow int, batchDelay time.Duration, clients int, traceSample float64, jsonOut string) error {
-	modes := []string{"serial", "concurrent"}
-	if dispatch != "both" {
-		modes = []string{dispatch}
-	}
+func runTCPBench(numMDS int, workerCounts []int, dur time.Duration, syncWAL bool, writePct, readPct int, cacheMode string, commitMode string, batchWindow int, batchDelay time.Duration, clients int, traceSample float64, jsonOut string) error {
 	cacheModes := []string{cacheMode}
 	if cacheMode == "both" {
 		cacheModes = []string{"off", "leases"}
@@ -94,134 +88,113 @@ func runTCPBench(numMDS int, workerCounts []int, dur time.Duration, dispatch str
 		BatchWindow: batchWindow, Duration: dur.String(), TraceSample: traceSample,
 	}
 	thr := make(map[string]map[int]float64)
-	for _, mode := range modes {
-		for _, cache := range cacheModes {
-			for _, cm := range commitModes {
-				key := mode + "/" + cache + "/" + cm
-				thr[key] = make(map[int]float64)
-				// sync-repl needs a backup to ack to; a single-node run
-				// would silently degrade to the local fsync. async is
-				// meaningful either way: with replication the background
-				// durability wait is the backup ack, without it the local
-				// group-commit fsync.
-				n := numMDS
-				if cm == "sync-repl" && n < 2 {
-					n = 2
-				}
-				dir, err := os.MkdirTemp("", "origami-tcpbench-")
-				if err != nil {
-					return err
-				}
-				cluster, err := server.StartClusterConfig(n, dir, server.ClusterConfig{
-					KvOpts:          kvstore.Options{SyncWAL: syncWAL},
-					TraceSampleRate: traceSample,
-					CommitMode:      cm,
-				})
-				if err != nil {
+	for _, cache := range cacheModes {
+		for _, cm := range commitModes {
+			key := cache + "/" + cm
+			thr[key] = make(map[int]float64)
+			// sync-repl needs a backup to ack to; a single-node run
+			// would silently degrade to the local fsync. async is
+			// meaningful either way: with replication the background
+			// durability wait is the backup ack, without it the local
+			// group-commit fsync.
+			n := numMDS
+			if cm == "sync-repl" && n < 2 {
+				n = 2
+			}
+			dir, err := os.MkdirTemp("", "origami-tcpbench-")
+			if err != nil {
+				return err
+			}
+			cluster, err := server.StartClusterConfig(n, dir, server.ClusterConfig{
+				KvOpts:          kvstore.Options{SyncWAL: syncWAL},
+				TraceSampleRate: traceSample,
+				CommitMode:      cm,
+			})
+			if err != nil {
+				os.RemoveAll(dir)
+				return err
+			}
+			if cm != "sync-fsync" && n >= 2 {
+				if err := cluster.EnableReplication(false, nil); err != nil {
+					cluster.Close()
 					os.RemoveAll(dir)
 					return err
 				}
-				if cm != "sync-fsync" && n >= 2 {
-					if err := cluster.EnableReplication(false, nil); err != nil {
-						cluster.Close()
-						os.RemoveAll(dir)
-						return err
-					}
+			}
+			fmt.Printf("## cache=%s commit=%s (%d MDS, %v per point, syncwal=%v, writepct=%d, clients=%d, batch=%d)\n",
+				cache, cm, n, dur, syncWAL, writePct, clients, batchWindow)
+			var lastPuts, lastSyncs int64
+			for _, w := range workerCounts {
+				res, err := loadgen.Run(loadgen.Config{
+					Addrs:           cluster.Addrs,
+					Workers:         w,
+					Clients:         clients,
+					Duration:        dur,
+					Root:            fmt.Sprintf("bench-%s-%s-w%d", cache, cm, w),
+					Cache:           cache,
+					WritePct:        writePct,
+					ReadPct:         readPct,
+					Seed:            1,
+					TraceSampleRate: traceSample,
+					BatchWindow:     batchWindow,
+					BatchDelay:      batchDelay,
+				})
+				if err != nil {
+					cluster.Close()
+					os.RemoveAll(dir)
+					return err
 				}
+				thr[key][w] = res.Throughput()
+				var puts, syncs int64
 				for _, svc := range cluster.Services {
-					svc.Server().SetSerialDispatch(mode == "serial")
+					st := svc.StoreStats()
+					puts += st.Puts + st.Deletes
+					syncs += st.WALSyncs
 				}
-				fmt.Printf("## dispatch=%s cache=%s commit=%s (%d MDS, %v per point, syncwal=%v, writepct=%d, clients=%d, batch=%d)\n",
-					mode, cache, cm, n, dur, syncWAL, writePct, clients, batchWindow)
-				var lastPuts, lastSyncs int64
-				for _, w := range workerCounts {
-					res, err := loadgen.Run(loadgen.Config{
-						Addrs:           cluster.Addrs,
-						Workers:         w,
-						Clients:         clients,
-						Duration:        dur,
-						Root:            fmt.Sprintf("bench-%s-%s-%s-w%d", mode, cache, cm, w),
-						Cache:           cache,
-						WritePct:        writePct,
-						ReadPct:         readPct,
-						Seed:            1,
-						TraceSampleRate: traceSample,
-						BatchWindow:     batchWindow,
-						BatchDelay:      batchDelay,
-					})
-					if err != nil {
-						cluster.Close()
-						os.RemoveAll(dir)
-						return err
-					}
-					thr[key][w] = res.Throughput()
-					var puts, syncs int64
-					for _, svc := range cluster.Services {
-						st := svc.StoreStats()
-						puts += st.Puts + st.Deletes
-						syncs += st.WALSyncs
-					}
-					batch := "n/a"
-					if d := syncs - lastSyncs; d > 0 {
-						batch = fmt.Sprintf("%.1f", float64(puts-lastPuts)/float64(d))
-					}
-					lastPuts, lastSyncs = puts, syncs
-					frames := ""
-					if res.BatchFrames > 0 {
-						frames = fmt.Sprintf(", %.1f ops/frame", float64(res.BatchedOps)/float64(res.BatchFrames))
-					}
-					fmt.Printf("  workers=%-3d  %9.0f ops/s  (%d ops, %d errors, %.3f rpc/op%s, %v, wal batch %s, p50 %v p95 %v p99 %v)\n",
-						w, res.Throughput(), res.Ops, res.Errors, res.RPCPerOp(), frames, res.Elapsed.Round(time.Millisecond), batch,
-						res.P50.Round(time.Microsecond), res.P95.Round(time.Microsecond), res.P99.Round(time.Microsecond))
-					report.Points = append(report.Points, tcpBenchPoint{
-						Dispatch: mode, Cache: cache, CommitMode: cm, Workers: w,
-						OpsPerSec: res.Throughput(), Ops: res.Ops, Errors: res.Errors, RPCPerOp: res.RPCPerOp(),
-						BatchFrames: res.BatchFrames, BatchedOps: res.BatchedOps,
-						P50Ns: res.P50.Nanoseconds(), P95Ns: res.P95.Nanoseconds(), P99Ns: res.P99.Nanoseconds(),
-					})
+				batch := "n/a"
+				if d := syncs - lastSyncs; d > 0 {
+					batch = fmt.Sprintf("%.1f", float64(puts-lastPuts)/float64(d))
 				}
-				cluster.Close()
-				os.RemoveAll(dir)
+				lastPuts, lastSyncs = puts, syncs
+				frames := ""
+				if res.BatchFrames > 0 {
+					frames = fmt.Sprintf(", %.1f ops/frame", float64(res.BatchedOps)/float64(res.BatchFrames))
+				}
+				fmt.Printf("  workers=%-3d  %9.0f ops/s  (%d ops, %d errors, %.3f rpc/op%s, %v, wal batch %s, p50 %v p95 %v p99 %v)\n",
+					w, res.Throughput(), res.Ops, res.Errors, res.RPCPerOp(), frames, res.Elapsed.Round(time.Millisecond), batch,
+					res.P50.Round(time.Microsecond), res.P95.Round(time.Microsecond), res.P99.Round(time.Microsecond))
+				report.Points = append(report.Points, tcpBenchPoint{
+					Cache: cache, CommitMode: cm, Workers: w,
+					OpsPerSec: res.Throughput(), Ops: res.Ops, Errors: res.Errors, RPCPerOp: res.RPCPerOp(),
+					BatchFrames: res.BatchFrames, BatchedOps: res.BatchedOps,
+					P50Ns: res.P50.Nanoseconds(), P95Ns: res.P95.Nanoseconds(), P99Ns: res.P99.Nanoseconds(),
+				})
 			}
-		}
-	}
-	if dispatch == "both" {
-		fmt.Println("## speedup (concurrent / serial)")
-		for _, cache := range cacheModes {
-			for _, cm := range commitModes {
-				for _, w := range workerCounts {
-					if s := thr["serial/"+cache+"/"+cm][w]; s > 0 {
-						fmt.Printf("  cache=%-6s commit=%-10s workers=%-3d  %.2fx\n", cache, cm, w, thr["concurrent/"+cache+"/"+cm][w]/s)
-					}
-				}
-			}
+			cluster.Close()
+			os.RemoveAll(dir)
 		}
 	}
 	if cacheMode == "both" {
 		fmt.Println("## cache speedup (leases / off)")
-		for _, mode := range modes {
-			for _, cm := range commitModes {
-				for _, w := range workerCounts {
-					if s := thr[mode+"/off/"+cm][w]; s > 0 {
-						fmt.Printf("  dispatch=%-10s commit=%-10s workers=%-3d  %.2fx\n", mode, cm, w, thr[mode+"/leases/"+cm][w]/s)
-					}
+		for _, cm := range commitModes {
+			for _, w := range workerCounts {
+				if s := thr["off/"+cm][w]; s > 0 {
+					fmt.Printf("  commit=%-10s workers=%-3d  %.2fx\n", cm, w, thr["leases/"+cm][w]/s)
 				}
 			}
 		}
 	}
 	if commitMode == "all" {
 		fmt.Println("## commit-mode speedup (vs sync-fsync)")
-		for _, mode := range modes {
-			for _, cache := range cacheModes {
-				for _, w := range workerCounts {
-					base := thr[mode+"/"+cache+"/sync-fsync"][w]
-					if base <= 0 {
-						continue
-					}
-					for _, cm := range []string{"sync-repl", "async"} {
-						fmt.Printf("  dispatch=%-10s cache=%-6s commit=%-10s workers=%-3d  %.2fx\n",
-							mode, cache, cm, w, thr[mode+"/"+cache+"/"+cm][w]/base)
-					}
+		for _, cache := range cacheModes {
+			for _, w := range workerCounts {
+				base := thr[cache+"/sync-fsync"][w]
+				if base <= 0 {
+					continue
+				}
+				for _, cm := range []string{"sync-repl", "async"} {
+					fmt.Printf("  cache=%-6s commit=%-10s workers=%-3d  %.2fx\n",
+						cache, cm, w, thr[cache+"/"+cm][w]/base)
 				}
 			}
 		}
@@ -319,13 +292,12 @@ func main() {
 		tcp        = flag.Bool("tcp", false, "benchmark a live loopback TCP cluster instead of running simulator experiments")
 		workers    = flag.String("workers", "1,8,32", "comma-separated closed-loop worker counts for -tcp")
 		duration   = flag.Duration("duration", 2*time.Second, "measurement time per -tcp point")
-		dispatch   = flag.String("dispatch", "both", "dispatch modes to benchmark with -tcp: both, serial, or concurrent")
 		syncWAL    = flag.Bool("syncwal", true, "make MDS writes durable before acknowledgement (-tcp; group commit)")
 		writePct   = flag.Int("writepct", 100, "percentage of mutating ops in the -tcp workload (default is an mdtest-style create storm)")
 		readPct    = flag.Int("readpct", 0, "specify the -tcp mix from the read side instead: 100 is a pure stat/readdir storm (overrides -writepct)")
 		cacheMode  = flag.String("cache", "leases", "SDK cache mode for -tcp: leases, off, or both (A/B comparison)")
 		commitMode = flag.String("commit-mode", "sync-fsync", "durability policy for -tcp: sync-fsync, sync-repl, async, or all (matrix; replicated modes force >= 2 MDSs)")
-		batchFlag  = flag.Int("batch", 0, "SDK pipelined-submission window for -tcp (sub-ops per MethodBatch frame; 0 disables batching)")
+		batchFlag  = flag.Int("batch", 0, "SDK pipelined-submission window for -tcp (sub-ops per MethodBatch frame; 0 = one frame per op)")
 		batchDelay = flag.Duration("batch-delay", 0, "linger before a partial batch frame flushes (0 = SDK default)")
 		clients    = flag.Int("clients", 0, "simulated SDK clients for -tcp (virtual clients sharing transports; 0 = one shared client)")
 		jsonOut    = flag.String("json-out", "BENCH_tcp.json", "write the -tcp results as JSON to this file (empty disables)")
@@ -346,8 +318,8 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	if *tcp {
-		// The simulator experiments default -mds to 5; the dispatch
-		// benchmark is sharpest on one MDS unless asked otherwise.
+		// The simulator experiments default -mds to 5; the TCP benchmark
+		// is sharpest on one MDS unless asked otherwise.
 		tcpMDS := 1
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "mds" {
@@ -357,10 +329,6 @@ func main() {
 		wc, err := parseWorkerCounts(*workers)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "origami-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if *dispatch != "both" && *dispatch != "serial" && *dispatch != "concurrent" {
-			fmt.Fprintf(os.Stderr, "origami-bench: bad -dispatch %q\n", *dispatch)
 			os.Exit(1)
 		}
 		if *cacheMode != "both" && *cacheMode != "off" && *cacheMode != "leases" {
@@ -373,7 +341,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "origami-bench: bad -commit-mode %q\n", *commitMode)
 			os.Exit(1)
 		}
-		if err := runTCPBench(tcpMDS, wc, *duration, *dispatch, *syncWAL, *writePct, *readPct, *cacheMode, *commitMode, *batchFlag, *batchDelay, *clients, *traceRate, *jsonOut); err != nil {
+		if err := runTCPBench(tcpMDS, wc, *duration, *syncWAL, *writePct, *readPct, *cacheMode, *commitMode, *batchFlag, *batchDelay, *clients, *traceRate, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "origami-bench: %v\n", err)
 			os.Exit(1)
 		}

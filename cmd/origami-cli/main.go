@@ -138,10 +138,10 @@ func runCommand(sdk *client.Client, args []string) error {
 		}
 		_, err = sdk.Setattr(args[1], size, 0o644)
 		return err
-	case "metrics", "rpcstats":
-		// "metrics" (or its pre-telemetry alias "rpcstats") shows the
-		// client-side view; "metrics all" or "metrics <id>" additionally
-		// pulls per-MDS registries over the MethodMetrics RPC.
+	case "metrics":
+		// "metrics" shows the client-side view; "metrics all" or
+		// "metrics <id>" additionally pulls per-MDS registries over the
+		// MethodMetrics RPC.
 		if len(args) < 2 {
 			printClientMetrics(sdk)
 			return nil

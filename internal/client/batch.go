@@ -14,24 +14,26 @@ import (
 	"origami/internal/rpc"
 )
 
-// Pipelined submission: instead of one RPC frame per mutation, the SDK
-// coalesces concurrent small mutations (create, mkdir, remove, setattr)
-// bound for the same owner MDS into one MethodBatch frame. The shard
-// applies the frame as a single atomic WAL batch record, so the commit
-// pipeline charges one ack wait for the whole frame — this is what lets
-// the async commit mode amortise its durability window across many ops.
+// Every namespace mutation leaves the SDK as a sub-op of a MethodBatch
+// frame; the shard applies a frame as a single atomic WAL batch record,
+// so the commit pipeline charges one ack wait for the whole frame. With
+// Config.BatchWindow at 0 or 1 each op is a frame of its own, sent inline
+// on the caller's goroutine. A larger window turns on pipelined
+// submission: concurrent mutations bound for the same owner MDS coalesce
+// into one frame — this is what lets the async commit mode amortise its
+// durability window across many ops.
 //
-// The batcher is self-clocking, the same leader/follower discipline WAL
+// The coalescer is self-clocking, the same leader/follower discipline WAL
 // group commit uses: an op arriving when no frame is in flight for its
 // owner leads a frame immediately (a lone op never lingers), and ops
 // arriving while that frame is on the wire queue up and ride the next
 // one — frame size adapts to load with no linger-delay tuning.
 //
-// Every sub-op carries a (clientID, opID) identity. A frame that dies on
-// the wire is re-sent once — to the map's current owner, which after a
-// failover is the promoted backup — and the shard's replay table (or the
-// namespace itself, via EEXIST + lookup) deduplicates ops the first
-// attempt already applied.
+// Every sub-op carries a (clientID, opID) identity, fixed for the life of
+// the SDK operation. A frame that dies on the wire is re-sent once — to
+// the map's current owner, which after a failover is the promoted backup
+// — and the shard's replay table (or the namespace itself, via EEXIST +
+// lookup) deduplicates ops an earlier attempt already applied.
 
 // DefaultBatchDelay is the safety-net linger: a queued op is flushed
 // after at most this long even if the leader/follower handoff it
@@ -48,6 +50,7 @@ type batchOutcome struct {
 }
 
 type pendingOp struct {
+	ctx    context.Context // the submitting SDK operation's trace context
 	sub    []byte
 	parent namespace.Ino
 	done   chan batchOutcome
@@ -135,9 +138,9 @@ func (b *batcher) nextOpID() uint64 { return b.opSeq.Add(1) }
 // leads one immediately; otherwise it queues and rides the next frame
 // (dispatched by the leader's completion drain). A full window always
 // flushes inline, concurrently with any leader frame.
-func (b *batcher) do(owner int, parent namespace.Ino, sub []byte) batchOutcome {
+func (b *batcher) do(ctx context.Context, owner int, parent namespace.Ino, sub []byte) batchOutcome {
 	op := pendingOpPool.Get().(*pendingOp)
-	op.sub, op.parent = sub, parent
+	op.ctx, op.sub, op.parent = ctx, sub, parent
 	b.mu.Lock()
 	q := append(b.queues[owner], op)
 	switch {
@@ -165,7 +168,7 @@ func (b *batcher) do(owner int, parent namespace.Ino, sub []byte) batchOutcome {
 		b.mu.Unlock()
 	}
 	out := <-op.done
-	op.sub = nil
+	op.ctx, op.sub = nil, nil
 	pendingOpPool.Put(op)
 	return out
 }
@@ -216,16 +219,20 @@ func (b *batcher) flushOwner(owner int) {
 }
 
 // flush sends one MethodBatch frame and fans results out to the waiters.
+// The frame travels under its leading op's context, so that op's trace
+// keeps its server-side children.
 func (b *batcher) flush(owner int, ops []*pendingOp) {
-	subs := make([][]byte, len(ops))
-	for i, op := range ops {
-		subs[i] = op.sub
+	var one [1][]byte // a frame of one stays off the heap
+	subs := one[:0]
+	for _, op := range ops {
+		subs = append(subs, op.sub)
 	}
+	ctx := ops[0].ctx
 	frame := mds.EncodeBatchRequest(b.clientID, subs)
 	b.frames.Add(1)
 	b.ops.Add(int64(len(ops)))
 	b.c.reg.Counter("client.batch.frames").Inc()
-	body, err := b.c.call(context.Background(), owner, mds.MethodBatch, frame)
+	body, err := b.c.call(ctx, owner, mds.MethodBatch, frame)
 	resent := false
 	if err != nil && rpc.IsRetryable(err) {
 		// The owner may be mid-failover. Refresh the map and re-send the
@@ -233,7 +240,7 @@ func (b *batcher) flush(owner int, ops []*pendingOp) {
 		// directory now; the shard's replay table answers any op the
 		// first attempt already applied.
 		time.Sleep(b.c.cfg.RetryBackoff)
-		_ = b.c.RefreshMap()
+		_ = b.c.refreshMap(ctx)
 		target := owner
 		if p, ok := b.c.pinOf(ops[0].parent); ok {
 			target = p
@@ -241,7 +248,7 @@ func (b *batcher) flush(owner int, ops []*pendingOp) {
 		resent = true
 		b.frames.Add(1)
 		b.c.reg.Counter("client.batch.resends").Inc()
-		body, err = b.c.call(context.Background(), target, mds.MethodBatch, frame)
+		body, err = b.c.call(ctx, target, mds.MethodBatch, frame)
 	}
 	if err != nil {
 		for _, op := range ops {
@@ -267,133 +274,56 @@ func (b *batcher) flush(owner int, ops []*pendingOp) {
 	}
 }
 
-// batchCreateOp runs one create through the batcher. handled=false means
-// the caller must run the single-op path instead (batch-conflict EBUSY,
-// whose lock-retry loops live there). transportLost accumulates whether
-// any attempt may have reached the shard before dying.
-func (c *Client) batchCreateOp(ctx context.Context, owner int, parent namespace.Ino, name string, typ namespace.FileType, transportLost *bool) (*namespace.Inode, bool, error) {
-	sub := mds.EncodeBatchCreate(c.batch.nextOpID(), parent, name, typ)
-	out := c.batch.do(owner, parent, sub)
-	if out.resent {
-		*transportLost = true
+// submit sends one encoded sub-op to owner and returns its verdict: the
+// result inode (nil for a remove) and the frame's grants when it applied,
+// otherwise the frame's transport failure or the op's coded error. lost
+// accumulates, across the retries of one SDK operation, whether any
+// attempt may have reached a shard before its connection died — the
+// caller then reads EEXIST/ENOENT as the echo of its own earlier write.
+func (c *Client) submit(ctx context.Context, owner int, parent namespace.Ino, sub []byte, lost *bool) (*namespace.Inode, []lease.Grant, error) {
+	out := c.batch.do(ctx, owner, parent, sub)
+	if out.resent || rpc.IsRetryable(out.err) {
+		*lost = true
 	}
 	if out.err != nil {
-		if rpc.IsRetryable(out.err) {
-			*transportLost = true
-		}
-		return nil, true, out.err
+		return nil, nil, out.err
 	}
-	res := out.res
-	if res.Err != nil {
-		switch mds.ErrCode(res.Err) {
-		case mds.CodeBusy:
-			return nil, false, res.Err
-		case mds.CodeExist:
-			if *transportLost {
-				// An earlier attempt landed (or the promoted backup
-				// replayed it): the entry is ours — fetch it instead of
-				// surfacing a spurious EEXIST.
-				if in, ok := c.lookupOwn(ctx, owner, parent, name); ok {
-					return in, true, nil
-				}
-			}
-		}
-		return nil, true, res.Err
+	if out.res.Err != nil {
+		return nil, nil, out.res.Err
 	}
+	// Adopt our own bump (epoch+1, cache intact).
 	c.observeGrants(out.grants, true)
-	if c.cache != nil && res.Inode != nil {
-		for _, g := range out.grants {
-			if g.Dir == parent {
-				c.cache.Put(g, name, res.Inode)
-			}
-		}
-	}
-	return res.Inode, true, nil
+	return out.res.Inode, out.grants, nil
 }
 
-// batchRemoveOp runs one remove through the batcher; handled=false falls
-// back to the single-op path (EBUSY shape conflicts).
-func (c *Client) batchRemoveOp(owner int, parent namespace.Ino, name string, transportLost *bool) (bool, error) {
-	sub := mds.EncodeBatchRemove(c.batch.nextOpID(), parent, name)
-	out := c.batch.do(owner, parent, sub)
-	if out.resent {
-		*transportLost = true
+// cacheEntry patches (dir, name) in the lease cache under the grant for
+// dir that rode the mutation's response: in when the entry now exists,
+// a negative when in is nil (the name is proven absent).
+func (c *Client) cacheEntry(grants []lease.Grant, dir namespace.Ino, name string, in *namespace.Inode) {
+	if c.cache == nil {
+		return
 	}
-	if out.err != nil {
-		if rpc.IsRetryable(out.err) {
-			*transportLost = true
-		}
-		return true, out.err
-	}
-	res := out.res
-	if res.Err != nil {
-		switch mds.ErrCode(res.Err) {
-		case mds.CodeBusy:
-			return false, res.Err
-		case mds.CodeNoEnt:
-			if *transportLost {
-				// A previous attempt's remove reached the shard; the entry
-				// is gone, which is what the caller asked for.
-				if c.cache != nil {
-					c.cache.DropEntry(parent, name)
-				}
-				return true, nil
-			}
-		}
-		return true, res.Err
-	}
-	c.observeGrants(out.grants, true)
-	if c.cache != nil {
-		c.cache.DropEntry(parent, name)
-		for _, g := range out.grants {
-			if g.Dir == parent {
-				c.cache.PutNegative(g, name)
-			}
+	for _, g := range grants {
+		switch {
+		case g.Dir != dir:
+		case in != nil:
+			c.cache.Put(g, name, in)
+		default:
+			c.cache.PutNegative(g, name)
 		}
 	}
-	return true, nil
 }
 
-// batchSetattrOp runs one setattr through the batcher; handled=false
-// falls back to the single-op path (EBUSY binding conflicts). Setattr is
-// naturally idempotent (absolute size/mode), so replay needs no special
-// casing beyond the shard's dedup table.
-func (c *Client) batchSetattrOp(owner int, ino namespace.Ino, parent namespace.Ino, size int64, mode uint16) (*namespace.Inode, bool, error) {
-	sub := mds.EncodeBatchSetattr(c.batch.nextOpID(), ino, size, mode)
-	out := c.batch.do(owner, parent, sub)
-	if out.err != nil {
-		return nil, true, out.err
-	}
-	res := out.res
-	if res.Err != nil {
-		if mds.ErrCode(res.Err) == mds.CodeBusy {
-			return nil, false, res.Err
-		}
-		return nil, true, res.Err
-	}
-	c.observeGrants(out.grants, true)
-	if c.cache != nil && res.Inode != nil {
-		for _, g := range out.grants {
-			if g.Dir == res.Inode.Parent {
-				c.cache.Put(g, res.Inode.Name, res.Inode)
-			}
-		}
-	}
-	return res.Inode, true, nil
-}
-
-// lookupOwn fetches (parent, name) after a replayed create's EEXIST —
-// the entry is this client's own earlier write.
-func (c *Client) lookupOwn(ctx context.Context, owner int, parent namespace.Ino, name string) (*namespace.Inode, bool) {
+// lookupOwn fetches (parent, name) from its owner: the entry behind a
+// replayed create's EEXIST (this client's own earlier write), or the
+// source inode of a cross-shard rename.
+func (c *Client) lookupOwn(ctx context.Context, owner int, parent namespace.Ino, name string) (*namespace.Inode, error) {
 	var lw rpc.Wire
 	lw.U64(uint64(parent)).Str(name)
-	lbody, lerr := c.callIdem(ctx, owner, mds.MethodLookup, lw.Bytes())
-	if lerr != nil {
-		return nil, false
+	body, err := c.callIdem(ctx, owner, mds.MethodLookup, lw.Bytes())
+	if err != nil {
+		return nil, err
 	}
-	in, _, derr := decodeInodeGrants(lbody)
-	if derr != nil {
-		return nil, false
-	}
-	return in, true
+	in, _, err := decodeInodeGrants(body)
+	return in, err
 }

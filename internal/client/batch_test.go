@@ -2,11 +2,13 @@ package client_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"origami/internal/client"
 	"origami/internal/server"
+	"origami/internal/telemetry"
 )
 
 func startBatched(t *testing.T, window int) (*server.Cluster, *client.Client) {
@@ -141,6 +143,45 @@ func TestBatcherMixedOpsAndErrors(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		if _, err := sdk.Stat(fmt.Sprintf("/mix/ok-%d", w)); err == nil {
 			t.Errorf("ok-%d still present after remove", w)
+		}
+	}
+}
+
+// TestBatchedOpKeepsItsTrace: a frame travels under its leading op's
+// context, so a traced SDK mutation keeps its server-side children —
+// rpc.server.batch → mds.op.batch → kvstore.commit — whether it is sent
+// inline as a frame of one or led by the coalescer's goroutine.
+func TestBatchedOpKeepsItsTrace(t *testing.T) {
+	for _, window := range []int{0, 32} {
+		_, sdk := startBatched(t, window)
+		if _, err := sdk.Mkdir("/tr"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sdk.Create("/tr/f"); err != nil {
+			t.Fatal(err)
+		}
+		spans, err := sdk.GatherTrace(sdk.LastTraceID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := telemetry.AssembleTrace(spans)
+		if len(roots) != 1 || roots[0].Name != "client.op.create" {
+			t.Fatalf("window %d: assembled %d roots (first %+v), want one client.op.create", window, len(roots), roots)
+		}
+		node := roots[0]
+		for _, want := range []string{"rpc.server.batch", "mds.op.batch", "kvstore.commit"} {
+			var next *telemetry.TraceNode
+			for _, c := range node.Children {
+				if c.Name == want {
+					next = c
+				}
+			}
+			if next == nil {
+				var tree strings.Builder
+				telemetry.RenderTraceTree(&tree, roots)
+				t.Fatalf("window %d: span %s has no %s child:\n%s", window, node.Name, want, tree.String())
+			}
+			node = next
 		}
 	}
 }

@@ -58,9 +58,9 @@ type Config struct {
 	// telemetry default; negative disables slow-op capture).
 	SlowOpThreshold time.Duration
 	// BatchWindow enables pipelined submission when > 1: up to this many
-	// concurrent small mutations bound for the same owner MDS coalesce
-	// into one MethodBatch frame (applied there as one atomic WAL batch
-	// record). 0 or 1 keeps the one-frame-per-op wire behaviour.
+	// concurrent mutations bound for the same owner MDS coalesce into one
+	// MethodBatch frame (applied there as one atomic WAL batch record).
+	// 0 or 1 sends every mutation as a frame of its own.
 	BatchWindow int
 	// BatchDelay is how long a partial batch frame lingers for company
 	// before flushing (default DefaultBatchDelay).
@@ -93,9 +93,10 @@ type Client struct {
 	// owner-served responses carry; see internal/lease.
 	cache *lease.ClientCache
 
-	// batch is the pipelined-submission coalescer (nil when BatchWindow
-	// disables batching). Forks share the root's batcher — their ops ride
-	// the same frames — while keeping their own caches.
+	// batch frames every mutation into MethodBatch frames (one op per
+	// frame unless BatchWindow turns coalescing on). Forks share the
+	// root's batcher — their ops ride the same frames — while keeping
+	// their own caches.
 	batch *batcher
 
 	// forked marks a virtual client made by Fork: it shares the parent's
@@ -143,17 +144,14 @@ type Stats struct {
 
 // Stats snapshots the client counters, including the retry budget spend.
 func (c *Client) Stats() Stats {
-	st := Stats{
+	return Stats{
 		RPCs:             c.RPCCount.Load(),
 		Ops:              c.Ops.Load(),
 		Retries:          c.Retries.Load(),
 		RetriesExhausted: c.RetriesExhausted.Load(),
+		BatchFrames:      c.batch.frames.Load(),
+		BatchedOps:       c.batch.ops.Load(),
 	}
-	if c.batch != nil {
-		st.BatchFrames = c.batch.frames.Load()
-		st.BatchedOps = c.batch.ops.Load()
-	}
-	return st
 }
 
 // Dial connects to every MDS in the cluster. Connections redial
@@ -177,9 +175,7 @@ func Dial(cfg Config) (*Client, error) {
 	if cfg.Cache != "off" {
 		c.cache = lease.NewClientCache(reg)
 	}
-	if cfg.BatchWindow > 1 {
-		c.batch = newBatcher(c, cfg.BatchWindow, cfg.BatchDelay)
-	}
+	c.batch = newBatcher(c, cfg.BatchWindow, cfg.BatchDelay)
 	if cfg.TraceSampleRate >= 0 {
 		c.tracer = telemetry.NewTracer("client", telemetry.TracerConfig{
 			SampleRate:    cfg.TraceSampleRate,
@@ -392,8 +388,8 @@ func (c *Client) call(ctx context.Context, mdsID int, m rpc.Method, body []byte)
 
 // callIdem issues an idempotent (read-only) RPC, retrying transport
 // failures — lost connection, expired deadline — with exponential backoff
-// inside the retry budget. Mutating RPCs never come through here: a
-// create retried across a timeout could double-apply.
+// inside the retry budget. Mutations never come through here: they are
+// MethodBatch sub-ops, retried under their replay identity (batch.go).
 func (c *Client) callIdem(ctx context.Context, mdsID int, m rpc.Method, body []byte) ([]byte, error) {
 	out, err := c.call(ctx, mdsID, m, body)
 	if err == nil || !rpc.IsRetryable(err) {
@@ -844,62 +840,33 @@ func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.In
 	}
 	ctx, done := c.op(opName)
 	dir, name := namespace.ParentPath(path)
+	id := c.batch.nextOpID()
 	var out *namespace.Inode
-	transportLost := false
+	lost := false
 	err := c.retryOp(ctx, []string{dir}, func() error {
 		chain, owner, err := c.resolveDir(ctx, dir)
 		if err != nil {
 			return err
 		}
-		parent := chain[len(chain)-1]
-		if c.batch != nil {
-			in, handled, berr := c.batchCreateOp(ctx, owner, parent.Ino, name, typ, &transportLost)
-			if handled {
-				out = in
-				return berr
-			}
-			// EBUSY batch conflict: fall through to the single-op path,
-			// whose lock-retry loops absorb the race.
-		}
-		var w rpc.Wire
-		w.U64(uint64(parent.Ino)).Str(name).U8(uint8(typ))
-		body, err := c.call(ctx, owner, mds.MethodCreate, w.Bytes())
+		parent := chain[len(chain)-1].Ino
+		in, grants, err := c.submit(ctx, owner, parent, mds.EncodeBatchCreate(id, parent, name, typ), &lost)
 		if err != nil {
-			if rpc.IsRetryable(err) {
-				transportLost = true
-				return err
-			}
-			if transportLost && mds.ErrCode(err) == mds.CodeExist {
+			if lost && mds.ErrCode(err) == mds.CodeExist {
 				// The connection died after a previous attempt reached the
 				// shard (or its promoted backup replayed the write): the
 				// entry is ours. Fetch it instead of surfacing a spurious
 				// EEXIST for our own create.
-				var lw rpc.Wire
-				lw.U64(uint64(parent.Ino)).Str(name)
-				lbody, lerr := c.callIdem(ctx, owner, mds.MethodLookup, lw.Bytes())
-				if lerr == nil {
-					if in, _, derr := decodeInodeGrants(lbody); derr == nil {
-						out = in
-						return nil
-					}
+				if own, lerr := c.lookupOwn(ctx, owner, parent, name); lerr == nil {
+					out = own
+					return nil
 				}
 			}
 			return err
 		}
-		in, grants, derr := decodeInodeGrants(body)
-		if derr != nil {
-			return derr
+		if in == nil {
+			return rpc.ErrTruncated
 		}
-		// Adopt our own bump (epoch+1, cache intact) and patch in the
-		// new entry under the fresh grant.
-		c.observeGrants(grants, true)
-		if c.cache != nil {
-			for _, g := range grants {
-				if g.Dir == parent.Ino {
-					c.cache.Put(g, name, in)
-				}
-			}
-		}
+		c.cacheEntry(grants, parent, name, in)
 		out = in
 		return nil
 	})
@@ -915,49 +882,25 @@ func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.In
 func (c *Client) Remove(path string) error {
 	ctx, done := c.op("remove")
 	dir, name := namespace.ParentPath(path)
-	transportLost := false
+	id := c.batch.nextOpID()
+	lost := false
 	err := c.retryOp(ctx, []string{dir}, func() error {
 		chain, owner, err := c.resolveDir(ctx, dir)
 		if err != nil {
 			return err
 		}
-		parent := chain[len(chain)-1]
-		if c.batch != nil {
-			if handled, berr := c.batchRemoveOp(owner, parent.Ino, name, &transportLost); handled {
-				return berr
-			}
-		}
-		var w rpc.Wire
-		w.U64(uint64(parent.Ino)).Str(name)
-		body, err := c.call(ctx, owner, mds.MethodRemove, w.Bytes())
-		if err != nil {
-			if rpc.IsRetryable(err) {
-				transportLost = true
-				return err
-			}
-			if transportLost && mds.ErrCode(err) == mds.CodeNoEnt {
-				// A previous attempt's remove reached the shard before the
-				// connection died; the entry is gone, which is the outcome
-				// the caller asked for.
-				if c.cache != nil {
-					c.cache.DropEntry(parent.Ino, name)
-				}
-				return nil
-			}
+		parent := chain[len(chain)-1].Ino
+		_, grants, err := c.submit(ctx, owner, parent, mds.EncodeBatchRemove(id, parent, name), &lost)
+		if err != nil && !(lost && mds.ErrCode(err) == mds.CodeNoEnt) {
 			return err
 		}
+		// Removed — or, after a lost connection, ENOENT: a previous
+		// attempt's remove reached the shard, which is the outcome the
+		// caller asked for. Either way the name is now absent.
 		if c.cache != nil {
-			// The response body is just the grant trailer. The name is
-			// now proven absent: adopt our bump and cache the negative.
-			grants := lease.DecodeGrants(rpc.NewReader(body))
-			c.observeGrants(grants, true)
-			c.cache.DropEntry(parent.Ino, name)
-			for _, g := range grants {
-				if g.Dir == parent.Ino {
-					c.cache.PutNegative(g, name)
-				}
-			}
+			c.cache.DropEntry(parent, name)
 		}
+		c.cacheEntry(grants, parent, name, nil)
 		return nil
 	})
 	done(err)
@@ -1023,41 +966,28 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 	return out, nil
 }
 
-// Setattr updates size and mode of the entry at path.
+// Setattr updates size and mode of the entry at path. Setattr is
+// naturally idempotent (absolute size/mode), so a retried attempt needs
+// no special casing beyond the shard's replay table.
 func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode, error) {
 	ctx, done := c.op("setattr")
+	id := c.batch.nextOpID()
 	var out *namespace.Inode
+	lost := false
 	err := c.retryOp(ctx, []string{path}, func() error {
 		chain, owner, err := c.resolve(ctx, path)
 		if err != nil {
 			return err
 		}
 		in := chain[len(chain)-1]
-		if c.batch != nil {
-			upd, handled, berr := c.batchSetattrOp(owner, in.Ino, in.Parent, size, mode)
-			if handled {
-				out = upd
-				return berr
-			}
-		}
-		var w rpc.Wire
-		w.U64(uint64(in.Ino)).I64(size).U32(uint32(mode))
-		body, err := c.call(ctx, owner, mds.MethodSetattr, w.Bytes())
+		upd, grants, err := c.submit(ctx, owner, in.Parent, mds.EncodeBatchSetattr(id, in.Ino, size, mode), &lost)
 		if err != nil {
 			return err
 		}
-		upd, grants, derr := decodeInodeGrants(body)
-		if derr != nil {
-			return derr
+		if upd == nil {
+			return rpc.ErrTruncated
 		}
-		c.observeGrants(grants, true)
-		if c.cache != nil {
-			for _, g := range grants {
-				if g.Dir == upd.Parent {
-					c.cache.Put(g, upd.Name, upd)
-				}
-			}
-		}
+		c.cacheEntry(grants, upd.Parent, upd.Name, upd)
 		out = upd
 		return nil
 	})
@@ -1069,14 +999,18 @@ func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode
 	return out, nil
 }
 
-// Rename moves src to dst. A same-shard rename is one RPC; a cross-shard
-// rename is orchestrated as insert-then-remove (not atomic across
-// shards — the coordinator path of a production system would wrap this in
-// the T_coor transaction the cost model prices).
+// Rename moves src to dst. On one shard it is a single rename sub-op,
+// applied atomically. Across shards it is an insert sub-op on the
+// destination's owner followed by a remove sub-op on the source's — two
+// frames, not atomic across shards (the coordinator path of a production
+// system would wrap this in the T_coor transaction the cost model
+// prices).
 func (c *Client) Rename(src, dst string) error {
 	ctx, done := c.op("rename")
 	sdir, sname := namespace.ParentPath(src)
 	ddir, dname := namespace.ParentPath(dst)
+	id, removeID := c.batch.nextOpID(), c.batch.nextOpID()
+	lost := false
 	err := c.retryOp(ctx, []string{sdir, ddir}, func() error {
 		schain, sowner, err := c.resolve(ctx, sdir)
 		if err != nil {
@@ -1086,49 +1020,26 @@ func (c *Client) Rename(src, dst string) error {
 		if err != nil {
 			return err
 		}
-		sparent := schain[len(schain)-1]
-		dparent := dchain[len(dchain)-1]
+		sparent := schain[len(schain)-1].Ino
+		dparent := dchain[len(dchain)-1].Ino
 		if c.cache != nil {
-			defer c.cache.DropEntry(sparent.Ino, sname)
-			defer c.cache.DropEntry(dparent.Ino, dname)
+			defer c.cache.DropEntry(sparent, sname)
+			defer c.cache.DropEntry(dparent, dname)
 		}
 		if sowner == downer {
-			var w rpc.Wire
-			w.U64(uint64(sparent.Ino)).Str(sname).U64(uint64(dparent.Ino)).Str(dname)
-			body, err := c.call(ctx, sowner, mds.MethodRename, w.Bytes())
-			if err != nil {
-				return err
-			}
-			if _, grants, derr := decodeInodeGrants(body); derr == nil {
-				c.observeGrants(grants, true)
-			}
-			return nil
-		}
-		// Cross-shard: read, insert remotely, remove locally.
-		var lw rpc.Wire
-		lw.U64(uint64(sparent.Ino)).Str(sname)
-		body, err := c.callIdem(ctx, sowner, mds.MethodLookup, lw.Bytes())
-		if err != nil {
+			_, _, err := c.submit(ctx, sowner, sparent, mds.EncodeBatchRename(id, sparent, sname, dparent, dname), &lost)
 			return err
 		}
-		in, _, err := decodeInodeGrants(body)
+		in, err := c.lookupOwn(ctx, sowner, sparent, sname)
 		if err != nil {
 			return err
 		}
 		moved := *in
-		moved.Parent = dparent.Ino
-		moved.Name = dname
-		var iw rpc.Wire
-		iw.Blob(namespace.EncodeInode(&moved))
-		if _, err := c.call(ctx, downer, mds.MethodInsert, iw.Bytes()); err != nil {
+		moved.Parent, moved.Name = dparent, dname
+		if _, _, err := c.submit(ctx, downer, dparent, mds.EncodeBatchInsert(id, &moved), &lost); err != nil {
 			return err
 		}
-		var rw rpc.Wire
-		rw.U64(uint64(sparent.Ino)).Str(sname)
-		rbody, err := c.call(ctx, sowner, mds.MethodRemove, rw.Bytes())
-		if err == nil {
-			c.observeGrants(lease.DecodeGrants(rpc.NewReader(rbody)), true)
-		}
+		_, _, err = c.submit(ctx, sowner, sparent, mds.EncodeBatchRemove(removeID, sparent, sname), &lost)
 		return err
 	})
 	done(err)

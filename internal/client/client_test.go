@@ -148,8 +148,8 @@ func TestWarmCacheRPCCounts(t *testing.T) {
 	}
 
 	// Warm create: the parent chain resolves from cache, so only the
-	// MethodCreate frame goes out — and the response's grant keeps the
-	// cache warm (our own epoch bump must not flush it).
+	// one-op MethodBatch frame goes out — and the response's grant keeps
+	// the cache warm (our own epoch bump must not flush it).
 	before = sdk.RPCCount.Load()
 	for i := 0; i < n; i++ {
 		if _, err := sdk.Create(p + "/new" + string(rune('a'+i))); err != nil {

@@ -3,8 +3,7 @@
 // of stat / readdir / create+remove operations through the SDK client as
 // fast as the cluster answers (closed loop: a worker never has more than
 // one operation outstanding). It backs `origami-bench -tcp` and
-// BenchmarkTCPClusterThroughput, whose serial-vs-concurrent dispatch
-// comparison is the headline number for the concurrent MDS request path.
+// BenchmarkTCPClusterThroughput.
 //
 // All workers share one SDK client's transports, so every request to a
 // given MDS multiplexes onto a single TCP connection — exactly the
@@ -88,8 +87,8 @@ type Result struct {
 	Workers int
 	Clients int // simulated clients (0 = one shared SDK)
 
-	// BatchFrames is the number of multi-op MethodBatch frames among
-	// RPCs, and BatchedOps the sub-ops they carried. A frame is ONE wire
+	// BatchFrames is the number of MethodBatch frames among RPCs (every
+	// mutation rides one), and BatchedOps the sub-ops they carried. A frame is ONE wire
 	// RPC no matter how many ops ride it, so RPCs already counts each
 	// frame once — these two expose how much coalescing amortised.
 	BatchFrames int64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,13 +14,14 @@ import (
 	"origami/internal/rpc"
 )
 
-// MethodBatch: client-side pipelined submission. The SDK coalesces small
-// independent mutations (create, mkdir, remove, setattr) into one RPC
-// frame; the shard validates each op, applies every valid one as ONE
-// atomic kvstore batch — one WAL record, one commit-pipeline ack — and
-// answers per-op. Each op carries a (clientID, opID) identity so a frame
-// re-sent after a transport failure or a failover is answered from the
-// replay table instead of double-applying.
+// MethodBatch is the one namespace mutation on the wire. A frame carries
+// one or more independent sub-ops (create, mkdir, remove, setattr,
+// rename, and the insert leg of a cross-shard rename); the shard
+// validates each op, applies every valid one as ONE atomic kvstore batch
+// — one WAL record, one commit-pipeline ack — and answers per-op. Each op
+// carries a (clientID, opID) identity so a frame re-sent after a
+// transport failure or a failover is answered from the replay table
+// instead of double-applying.
 
 // BatchOpKind tags one sub-operation of a MethodBatch frame.
 type BatchOpKind uint8
@@ -31,7 +33,23 @@ const (
 	BatchOpRemove
 	// BatchOpSetattr updates size and mode of an inode.
 	BatchOpSetattr
+	// BatchOpRename moves an entry between two directories of this shard,
+	// replacing a destination that is a file or an empty directory.
+	BatchOpRename
+	// BatchOpInsert installs a caller-supplied inode under the same
+	// replace rules: the destination-shard leg of a cross-shard rename.
+	BatchOpInsert
 )
+
+// batchOpNames names the per-kind service histograms
+// (mds.op.<name>.latency_ns). The insert leg counts as a rename.
+var batchOpNames = [...]string{
+	BatchOpCreate:  "create",
+	BatchOpRemove:  "remove",
+	BatchOpSetattr: "setattr",
+	BatchOpRename:  "rename",
+	BatchOpInsert:  "rename",
+}
 
 // Per-op result statuses on the wire.
 const (
@@ -43,32 +61,52 @@ const (
 // batchMaxOps bounds one frame, mirroring the resolve-path bound.
 const batchMaxOps = 4096
 
+// subOp starts one sub-op encoding, sized so the common op is one
+// allocation.
+func subOp(opID uint64, kind BatchOpKind, extra int) *rpc.Wire {
+	w := rpc.NewWire(32 + extra)
+	return w.U64(opID).U8(uint8(kind))
+}
+
 // EncodeBatchCreate encodes one create/mkdir sub-op.
 func EncodeBatchCreate(opID uint64, parent namespace.Ino, name string, typ namespace.FileType) []byte {
-	w := &rpc.Wire{}
-	w.U64(opID).U8(uint8(BatchOpCreate)).U64(uint64(parent)).Str(name).U8(uint8(typ))
-	return w.Bytes()
+	return subOp(opID, BatchOpCreate, len(name)).U64(uint64(parent)).Str(name).U8(uint8(typ)).Bytes()
 }
 
 // EncodeBatchRemove encodes one remove sub-op.
 func EncodeBatchRemove(opID uint64, parent namespace.Ino, name string) []byte {
-	w := &rpc.Wire{}
-	w.U64(opID).U8(uint8(BatchOpRemove)).U64(uint64(parent)).Str(name)
-	return w.Bytes()
+	return subOp(opID, BatchOpRemove, len(name)).U64(uint64(parent)).Str(name).Bytes()
 }
 
 // EncodeBatchSetattr encodes one setattr sub-op.
 func EncodeBatchSetattr(opID uint64, ino namespace.Ino, size int64, mode uint16) []byte {
-	w := &rpc.Wire{}
-	w.U64(opID).U8(uint8(BatchOpSetattr)).U64(uint64(ino)).I64(size).U32(uint32(mode))
-	return w.Bytes()
+	return subOp(opID, BatchOpSetattr, 0).U64(uint64(ino)).I64(size).U32(uint32(mode)).Bytes()
+}
+
+// EncodeBatchRename encodes one same-shard rename sub-op.
+func EncodeBatchRename(opID uint64, srcParent namespace.Ino, srcName string, dstParent namespace.Ino, dstName string) []byte {
+	return subOp(opID, BatchOpRename, len(srcName)+len(dstName)).
+		U64(uint64(srcParent)).Str(srcName).U64(uint64(dstParent)).Str(dstName).Bytes()
+}
+
+// EncodeBatchInsert encodes one insert sub-op: in lands at (in.Parent,
+// in.Name) on the shard owning in.Parent.
+func EncodeBatchInsert(opID uint64, in *namespace.Inode) []byte {
+	enc := namespace.EncodeInode(in)
+	return subOp(opID, BatchOpInsert, len(enc)).Blob(enc).Bytes()
 }
 
 // EncodeBatchRequest frames sub-ops into one MethodBatch body.
 func EncodeBatchRequest(clientID uint64, subs [][]byte) []byte {
-	w := &rpc.Wire{}
+	size := 16
+	for _, sub := range subs {
+		size += 4 + len(sub)
+	}
+	w := rpc.NewWire(size)
 	w.U64(clientID)
-	w.Blob(rpc.EncodeBatch(subs))
+	env := w.BeginBlob()
+	rpc.AppendBatch(w, subs)
+	w.EndBlob(env)
 	return w.Bytes()
 }
 
@@ -77,7 +115,8 @@ type BatchResult struct {
 	// Replayed marks a duplicate answered from the shard's replay table
 	// (the op had already been applied by an earlier frame).
 	Replayed bool
-	// Inode is the created/updated inode; nil for removes and errors.
+	// Inode is the created/updated/moved inode; nil for removes and
+	// errors.
 	Inode *namespace.Inode
 	// Err is the op's coded failure (nil when it applied).
 	Err error
@@ -103,7 +142,7 @@ func DecodeBatchResponse(body []byte) ([]BatchResult, []lease.Grant, error) {
 		var br BatchResult
 		if status == batchStatusErr {
 			// Re-materialise the coded error so mds.ErrCode works on it
-			// exactly like on a single-op RemoteError.
+			// like on any RemoteError.
 			br.Err = &rpc.RemoteError{Method: MethodBatch, Msg: sr.Str()}
 		} else {
 			br.Replayed = status == batchStatusReplayed
@@ -123,257 +162,381 @@ func DecodeBatchResponse(body []byte) ([]BatchResult, []lease.Grant, error) {
 	return out, grants, nil
 }
 
-func encodeBatchResultOK(status uint8, payload []byte) []byte {
-	w := &rpc.Wire{}
-	w.U8(status).Blob(payload)
-	return w.Bytes()
+// batchOp is one sub-op on its way through the shard: the decoded
+// request, the service's admission verdict, then the outcome the store
+// applier leaves in it.
+type batchOp struct {
+	id   uint64
+	kind BatchOpKind
+
+	// Request. parent/name address an existing entry (the victim of a
+	// remove, the source of a rename); dstParent/dstName is where a
+	// rename lands; in is the inode to install (built by the service for
+	// a create, shipped by the client for an insert) and lands at
+	// (in.Parent, in.Name); now stamps the ctime of a setattr or move.
+	parent, dstParent namespace.Ino
+	name, dstName     string
+	ino               namespace.Ino
+	size              int64
+	mode              uint16
+	now               int64
+	in                *namespace.Inode
+
+	// What the applier's unlocked pre-pass saw and locked for,
+	// re-verified under the locks: the directory at the op's unlink
+	// target (its stripe is held for the emptiness check) and a
+	// setattr's ino binding.
+	emptyDir namespace.Ino
+	ref      inoRef
+
+	// Outcome. An op is resolved once err is set or replayed is true;
+	// the applier skips resolved ops. After a successful apply, in is
+	// the inode now stored (nil for a remove), gone the entry the op
+	// unlinked (a remove's victim, the destination a rename or insert
+	// replaced), and payload the response body (in's encoding).
+	err      error
+	replayed bool
+	gone     *namespace.Inode
+	payload  []byte
 }
 
-func encodeBatchResultErr(err error) []byte {
-	w := &rpc.Wire{}
-	w.U8(batchStatusErr).Str(err.Error())
-	return w.Bytes()
+func (op *batchOp) resolved() bool { return op.err != nil || op.replayed }
+
+// decodeBatchOp parses one sub-op body into op.
+func decodeBatchOp(sub []byte, op *batchOp) error {
+	r := rpc.NewReader(sub)
+	op.id = r.U64()
+	kind := BatchOpKind(r.U8())
+	switch kind {
+	case BatchOpCreate:
+		op.in = &namespace.Inode{Parent: namespace.Ino(r.U64()), Name: r.Str(), Type: namespace.FileType(r.U8())}
+	case BatchOpRemove:
+		op.parent, op.name = namespace.Ino(r.U64()), r.Str()
+	case BatchOpSetattr:
+		op.ino, op.size, op.mode = namespace.Ino(r.U64()), r.I64(), uint16(r.U32())
+	case BatchOpRename:
+		op.parent, op.name = namespace.Ino(r.U64()), r.Str()
+		op.dstParent, op.dstName = namespace.Ino(r.U64()), r.Str()
+	case BatchOpInsert:
+		blob := r.Blob()
+		if r.Err() == nil {
+			in, err := namespace.DecodeInode(blob)
+			if err != nil {
+				return err
+			}
+			op.in = in
+		}
+	default:
+		if err := r.Err(); err != nil {
+			return err
+		}
+		return fmt.Errorf("unknown batch op kind %d", kind)
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	// (dir, "") is no entry: the root's own record lives at such a key.
+	switch {
+	case op.in != nil && op.in.Name == "",
+		(kind == BatchOpRemove || kind == BatchOpRename) && op.name == "",
+		kind == BatchOpRename && op.dstName == "":
+		return errors.New("empty name")
+	}
+	op.kind = kind
+	return nil
 }
 
-// ErrConflict reports a batch op whose target changed shape between the
-// unlocked pre-pass and the stripe locks (e.g. a concurrent rename moved
-// the inode, or a remove victim flipped between file and directory). The
-// op is not applied; the client retries it on the single-op path, whose
-// lock-retry loops absorb such races.
-var ErrConflict = errors.New("mds: entry changed during batch")
-
-// batchStoreOp is one validated-and-ready mutation of an atomic batch.
-type batchStoreOp struct {
-	kind   BatchOpKind
-	create *namespace.Inode // BatchOpCreate: fully built inode
-	parent namespace.Ino    // BatchOpRemove
-	name   string           // BatchOpRemove
-	ino    namespace.Ino    // BatchOpSetattr
-	size   int64            // BatchOpSetattr
-	mode   uint16           // BatchOpSetattr
-	ctime  int64            // BatchOpSetattr
-}
-
-// batchStoreResult pairs one batch op with its outcome: the applied
-// inode (created/updated, or the removed victim) or a sentinel error.
-// enc is the applied inode's encoding, shared between the WAL put and
-// the response payload so the hot path encodes each inode once.
-type batchStoreResult struct {
-	in  *namespace.Inode
-	enc []byte
-	err error
-}
-
-// applyBatchOps applies the ops as ONE atomic kvstore batch under the
-// stripe-lock hierarchy: all stripes the batch touches are taken in
-// index order (the same discipline every multi-directory op uses), each
-// op is validated against a staged view that includes the earlier ops of
-// the same batch, and every valid mutation lands in a single WAL batch
-// record — so the whole frame is either durable together or (after a
-// torn-batch crash) absent together, and the commit pipeline charges one
-// ack wait for the frame instead of one per op.
+// applyBatchOps is the one place a namespace mutation is validated and
+// written. It applies the unresolved ops as ONE atomic kvstore batch
+// under the stripe-lock hierarchy: all stripes the batch touches are
+// taken in index order, each op is validated against a staged view that
+// includes the earlier ops of the same batch, and every valid mutation —
+// all of a rename's included — lands in a single WAL batch record, so
+// the whole frame is either durable together or (after a torn-batch
+// crash) absent together, and the commit pipeline charges one ack wait
+// for the frame instead of one per op.
 //
 // Per-op validation failures (EEXIST, ENOENT, ...) do not poison the
-// batch: the failing op is excluded and reported, the rest commit.
-func (s *Store) applyBatchOps(ctx context.Context, ops []batchStoreOp) []batchStoreResult {
-	res := make([]batchStoreResult, len(ops))
-	// Unlocked pre-pass: gather the stripe set. Directory removes need
-	// the victim's stripe (emptiness check); setattr locks the parent of
-	// the ino's current binding. Both are re-verified under the locks; a
-	// shape change fails that op with ErrConflict instead of looping.
-	dirs := make([]namespace.Ino, 0, len(ops))
-	setattrRef := make([]inoRef, len(ops))
-	removeVictim := make([]namespace.Ino, len(ops))
-	for i, op := range ops {
-		switch op.kind {
-		case BatchOpCreate:
-			dirs = append(dirs, op.create.Parent)
-		case BatchOpRemove:
-			dirs = append(dirs, op.parent)
-			if in, found, _ := s.Lookup(op.parent, op.name); found && in.IsDir() {
-				removeVictim[i] = in.Ino
-				dirs = append(dirs, in.Ino)
-			}
-		case BatchOpSetattr:
-			s.inoMu.RLock()
-			ref, ok := s.byIno[op.ino]
-			s.inoMu.RUnlock()
-			if !ok {
-				res[i].err = ErrNoEnt
-				continue
-			}
-			setattrRef[i] = ref
-			dirs = append(dirs, ref.parent)
-		default:
-			res[i].err = fmt.Errorf("mds: unknown batch op kind %d", op.kind)
-		}
+// batch: the failing op is excluded and reported, the rest commit. An op
+// whose target changed shape between the unlocked pre-pass and the locks
+// is not failed either: the round commits what precedes it and the next
+// round retries from that op with fresh locks, keeping frame order.
+func (s *Store) applyBatchOps(ctx context.Context, ops []batchOp) {
+	for from := 0; from < len(ops); {
+		from = s.applyRound(ctx, ops, from)
 	}
-	if len(dirs) == 0 {
-		return res
-	}
-	unlock := s.lockStripes(dirs...)
-	defer unlock()
+}
 
-	// Staged view: later ops of the batch see earlier ops' effects, so a
-	// double create of one name inside a frame still yields EEXIST.
-	staged := make(map[string]*namespace.Inode)
-	stagedDel := make(map[string]bool)
-	peek := func(parent namespace.Ino, name string) (*namespace.Inode, bool, error) {
-		k := string(namespace.EncodeKey(parent, name))
-		if in, ok := staged[k]; ok {
-			return in, true, nil
-		}
-		if stagedDel[k] {
-			return nil, false, nil
-		}
-		return s.getLocked(parent, name)
-	}
-	type idxOp struct {
-		ino namespace.Ino
-		ref inoRef
-		del bool
-	}
-	var idx []idxOp
-	b := &kvstore.Batch{}
-	applied := make([]int, 0, len(ops))
-	for i, op := range ops {
-		if res[i].err != nil {
+// applyRound applies ops[from:] up to the first op that must wait for a
+// fresh pre-pass and returns that op's index (len(ops) when none).
+func (s *Store) applyRound(ctx context.Context, ops []batchOp, from int) int {
+	// Unlocked pre-pass: gather the stripe set. An unlink target that is
+	// a directory needs its own stripe (no create may slip under it
+	// between the emptiness check and the delete); setattr locks the
+	// parent of the ino's current binding.
+	var set stripeSet
+	for i := from; i < len(ops); i++ {
+		op := &ops[i]
+		if op.resolved() {
 			continue
 		}
 		switch op.kind {
 		case BatchOpCreate:
-			in := op.create
-			s.inoMu.RLock()
-			pref, ok := s.byIno[in.Parent]
-			s.inoMu.RUnlock()
-			if !ok || !pref.isDir {
-				res[i].err = ErrNotDir
-				continue
-			}
-			if _, found, err := peek(in.Parent, in.Name); err != nil {
-				res[i].err = err
-				continue
-			} else if found {
-				res[i].err = ErrExist
-				continue
-			}
-			k := namespace.EncodeKey(in.Parent, in.Name)
-			staged[string(k)] = in
-			delete(stagedDel, string(k))
-			enc := namespace.EncodeInode(in)
-			b.Put(k, enc)
-			idx = append(idx, idxOp{ino: in.Ino, ref: inoRef{parent: in.Parent, name: in.Name, isDir: in.IsDir()}})
-			res[i].in = in
-			res[i].enc = enc
-			applied = append(applied, i)
+			set.add(op.in.Parent)
+		case BatchOpInsert:
+			set.add(op.in.Parent)
+			op.emptyDir = s.dirAt(op.in.Parent, op.in.Name)
 		case BatchOpRemove:
-			in, found, err := peek(op.parent, op.name)
-			if err != nil {
-				res[i].err = err
-				continue
-			}
-			if !found {
-				res[i].err = ErrNoEnt
-				continue
-			}
-			if in.IsDir() {
-				if removeVictim[i] != in.Ino {
-					// Victim changed shape since the pre-pass; its stripe
-					// may not be held.
-					res[i].err = ErrConflict
-					continue
-				}
-				any, err := s.hasChildLocked(in.Ino)
-				if err != nil {
-					res[i].err = err
-					continue
-				}
-				if any {
-					res[i].err = ErrNotEmpty
-					continue
-				}
-			}
-			k := namespace.EncodeKey(op.parent, op.name)
-			stagedDel[string(k)] = true
-			delete(staged, string(k))
-			b.Delete(k)
-			idx = append(idx, idxOp{ino: in.Ino, del: true})
-			res[i].in = in
-			applied = append(applied, i)
+			set.add(op.parent)
+			op.emptyDir = s.dirAt(op.parent, op.name)
+		case BatchOpRename:
+			set.add(op.parent)
+			set.add(op.dstParent)
+			op.emptyDir = s.dirAt(op.dstParent, op.dstName)
 		case BatchOpSetattr:
-			s.inoMu.RLock()
-			cur, ok := s.byIno[op.ino]
-			s.inoMu.RUnlock()
+			ref, ok := s.refOf(op.ino)
 			if !ok {
-				res[i].err = ErrNoEnt
+				op.err = ErrNoEnt
 				continue
 			}
-			if cur != setattrRef[i] {
-				res[i].err = ErrConflict
+			op.ref = ref
+			set.add(ref.parent)
+		default:
+			op.err = fmt.Errorf("mds: unknown batch op kind %d", op.kind)
+			continue
+		}
+		if op.emptyDir != 0 {
+			set.add(op.emptyDir)
+		}
+	}
+	if set == 0 {
+		return len(ops)
+	}
+	s.lockStripes(set)
+	defer s.unlockStripes(set)
+
+	var b kvstore.Batch
+	// Staged view: later ops of the round see earlier ops' effects, so a
+	// double create of one name inside a frame still yields EEXIST. A nil
+	// value is a staged delete. A frame of one op has no later ops.
+	var staged map[string]*namespace.Inode
+	stage := func(k []byte, in *namespace.Inode) {
+		if len(ops) == 1 {
+			return
+		}
+		if staged == nil {
+			staged = make(map[string]*namespace.Inode)
+		}
+		staged[string(k)] = in
+	}
+	get := func(k []byte) (*namespace.Inode, bool, error) {
+		if in, ok := staged[string(k)]; ok {
+			return in, in != nil, nil
+		}
+		return s.getKey(k)
+	}
+	put := func(op *batchOp, k []byte, in *namespace.Inode) {
+		op.in, op.payload = in, namespace.EncodeInode(in)
+		b.Put(k, op.payload)
+		stage(k, in)
+	}
+	liveDir := func(dir namespace.Ino) bool {
+		ref, ok := s.refOf(dir)
+		return ok && ref.isDir
+	}
+	// unlinkable decides whether op may unlink victim. A directory must
+	// be empty, which is only decidable when the pre-pass took its stripe
+	// and nothing staged earlier in the round may have changed what is
+	// under it; otherwise the op waits for a round of its own.
+	unlinkable := func(op *batchOp, victim *namespace.Inode) (wait bool, err error) {
+		if !victim.IsDir() {
+			return false, nil
+		}
+		if op.emptyDir != victim.Ino || b.Len() > 0 {
+			return true, nil
+		}
+		any, err := s.hasChildLocked(victim.Ino)
+		if err == nil && any {
+			err = ErrNotEmpty
+		}
+		return false, err
+	}
+
+	i := from
+round:
+	for ; i < len(ops); i++ {
+		op := &ops[i]
+		if op.resolved() {
+			continue
+		}
+		switch op.kind {
+		case BatchOpCreate:
+			if !liveDir(op.in.Parent) {
+				op.err = ErrNotDir
 				continue
 			}
-			in, found, err := peek(cur.parent, cur.name)
+			k := namespace.EncodeKey(op.in.Parent, op.in.Name)
+			if _, found, err := get(k); err != nil {
+				op.err = err
+			} else if found {
+				op.err = ErrExist
+			} else {
+				put(op, k, op.in)
+			}
+		case BatchOpRemove:
+			k := namespace.EncodeKey(op.parent, op.name)
+			victim, found, err := get(k)
+			if err == nil && !found {
+				err = ErrNoEnt
+			}
+			wait := false
+			if err == nil {
+				wait, err = unlinkable(op, victim)
+			}
+			if wait {
+				break round
+			}
 			if err != nil {
-				res[i].err = err
+				op.err = err
 				continue
 			}
-			if !found || in.Ino != op.ino {
-				res[i].err = ErrNoEnt
+			b.Delete(k)
+			stage(k, nil)
+			op.gone = victim
+		case BatchOpSetattr:
+			cur, ok := s.refOf(op.ino)
+			if !ok {
+				op.err = ErrNoEnt
+				continue
+			}
+			if cur != op.ref {
+				break round // moved while locking; retry against the new home
+			}
+			k := namespace.EncodeKey(cur.parent, cur.name)
+			in, found, err := get(k)
+			if err == nil && (!found || in.Ino != op.ino) {
+				err = ErrNoEnt
+			}
+			if err != nil {
+				op.err = err
 				continue
 			}
 			upd := *in
-			upd.Size = op.size
-			upd.Mode = op.mode
-			upd.Ctime = op.ctime
-			k := namespace.EncodeKey(cur.parent, cur.name)
-			staged[string(k)] = &upd
-			delete(stagedDel, string(k))
-			enc := namespace.EncodeInode(&upd)
-			b.Put(k, enc)
-			idx = append(idx, idxOp{ino: upd.Ino, ref: cur})
-			res[i].in = &upd
-			res[i].enc = enc
-			applied = append(applied, i)
+			upd.Size, upd.Mode, upd.Ctime = op.size, op.mode, op.now
+			put(op, k, &upd)
+		case BatchOpRename, BatchOpInsert:
+			src, dstParent, dstName := op.in, op.dstParent, op.dstName
+			var srcKey []byte
+			if op.kind == BatchOpInsert {
+				dstParent, dstName = src.Parent, src.Name
+			} else {
+				srcKey = namespace.EncodeKey(op.parent, op.name)
+				var found bool
+				var err error
+				if src, found, err = get(srcKey); err != nil || !found {
+					if op.err = err; err == nil {
+						op.err = ErrNoEnt
+					}
+					continue
+				}
+			}
+			if !liveDir(dstParent) {
+				op.err = ErrNotDir
+				continue
+			}
+			dstKey := namespace.EncodeKey(dstParent, dstName)
+			old, found, err := get(dstKey)
+			wait := false
+			if err == nil && found {
+				wait, err = unlinkable(op, old)
+			}
+			if wait {
+				break round
+			}
+			if err != nil {
+				op.err = err
+				continue
+			}
+			if found {
+				op.gone = old // overwritten by the put below
+			}
+			if srcKey != nil {
+				b.Delete(srcKey)
+				stage(srcKey, nil)
+			}
+			moved := *src
+			moved.Parent, moved.Name, moved.Ctime = dstParent, dstName, op.now
+			put(op, dstKey, &moved)
+		}
+		if op.gone != nil && op.gone.IsDir() {
+			// A directory left the namespace: ops after it must not
+			// trust the ino index for it, so they get a later round.
+			i++
+			break
 		}
 	}
 	if b.Len() == 0 {
-		return res
+		return i
 	}
-	if err := s.db.ApplyBatchCtx(ctx, b); err != nil {
-		for _, i := range applied {
-			res[i].in = nil
-			res[i].err = err
-		}
-		return res
-	}
+	err := s.db.ApplyBatchCtx(ctx, &b)
 	s.inoMu.Lock()
-	for _, op := range idx {
-		if op.del {
-			delete(s.byIno, op.ino)
-		} else {
-			s.byIno[op.ino] = op.ref
+	for j := from; j < i; j++ {
+		op := &ops[j]
+		switch {
+		case op.resolved():
+		case err != nil:
+			op.err = err
+		default:
+			if op.gone != nil {
+				delete(s.byIno, op.gone.Ino)
+			}
+			if op.in != nil {
+				s.byIno[op.in.Ino] = inoRef{parent: op.in.Parent, name: op.in.Name, isDir: op.in.IsDir()}
+			}
 		}
 	}
 	s.inoMu.Unlock()
-	return res
+	return i
 }
 
-// replayTableCap bounds the per-shard replay table; old entries evict
-// FIFO. Sized far above any client's in-flight window times the retry
-// horizon, so a legitimate retry always finds its entry.
-const replayTableCap = 8192
+// replayTableCap bounds the per-shard replay table. Sized far above any
+// client's in-flight window times the retry horizon, so a legitimate
+// retry always finds its entry.
+const (
+	replayTableCap = 8192
+	replayWays     = 4
+)
 
-type replayKey struct{ client, op uint64 }
+type replayEntry struct {
+	client, op uint64 // client 0 = empty slot
+	payload    []byte
+}
 
 // replayTable deduplicates re-sent batch ops: applied ops record their
 // response payload under (clientID, opID), and a duplicate is answered
 // from here instead of re-applied. Rebuilt empty on restart/failover —
 // the namespace itself then arbitrates (a replayed create hits EEXIST,
 // which the SDK resolves via lookup).
+//
+// Every write of every client passes through it, so it is a fixed
+// set-associative array, not a map: a third of the footprint and no
+// per-op allocation. A set's newest entry pushes its oldest out, which
+// evicts one client's sequential op IDs exactly FIFO at replayTableCap
+// and interleaved clients nearly so.
 type replayTable struct {
-	mu      sync.Mutex
-	entries map[replayKey][]byte
-	order   []replayKey
+	mu   sync.Mutex
+	sets [][replayWays]replayEntry // allocated by the first store
+}
+
+// find returns the set (client, op) lives in and its way there, or -1.
+func (t *replayTable) find(client, op uint64) (*[replayWays]replayEntry, int) {
+	set := &t.sets[(op+client*0x9e3779b97f4a7c15)%uint64(len(t.sets))]
+	for i := range set {
+		if set[i].client == client && set[i].op == op {
+			return set, i
+		}
+	}
+	return set, -1
 }
 
 func (t *replayTable) lookup(client, op uint64) ([]byte, bool) {
@@ -382,8 +545,14 @@ func (t *replayTable) lookup(client, op uint64) ([]byte, bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	payload, ok := t.entries[replayKey{client, op}]
-	return payload, ok
+	if t.sets == nil {
+		return nil, false
+	}
+	set, way := t.find(client, op)
+	if way < 0 {
+		return nil, false
+	}
+	return set[way].payload, true
 }
 
 func (t *replayTable) store(client, op uint64, payload []byte) {
@@ -392,25 +561,25 @@ func (t *replayTable) store(client, op uint64, payload []byte) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.entries == nil {
-		t.entries = make(map[replayKey][]byte)
+	if t.sets == nil {
+		t.sets = make([][replayWays]replayEntry, replayTableCap/replayWays)
 	}
-	k := replayKey{client, op}
-	if _, dup := t.entries[k]; dup {
-		return
+	set, way := t.find(client, op)
+	if way >= 0 {
+		return // keep the original verdict
 	}
-	t.entries[k] = payload
-	t.order = append(t.order, k)
-	for len(t.order) > replayTableCap {
-		delete(t.entries, t.order[0])
-		t.order = t.order[1:]
-	}
+	copy(set[1:], set[:replayWays-1])
+	set[0] = replayEntry{client, op, payload}
 }
 
-// batchOpError maps the store sentinels onto wire error codes, mirroring
-// the single-op handlers.
-func batchOpError(err error) error {
+// opError maps a failed op's store sentinel onto its wire error code.
+func (s *Service) opError(op *batchOp) error {
+	err := op.err
 	switch {
+	case errors.Is(err, ErrNoEnt) && op.kind == BatchOpSetattr:
+		// The ino is not bound on this shard: not-owner, so the client
+		// refreshes its map and re-resolves.
+		return CodedError(CodeNotOwner, "ino %d not on MDS %d", op.ino, s.ID)
 	case errors.Is(err, ErrNotDir):
 		return CodedError(CodeNotDir, "%v", err)
 	case errors.Is(err, ErrExist):
@@ -419,16 +588,44 @@ func batchOpError(err error) error {
 		return CodedError(CodeNoEnt, "%v", err)
 	case errors.Is(err, ErrNotEmpty):
 		return CodedError(CodeNotEmpty, "%v", err)
-	case errors.Is(err, ErrConflict):
-		return CodedError(CodeBusy, "%v", err)
 	}
 	return err
 }
 
-// handleBatch serves MethodBatch: decode the frame, answer duplicates
-// from the replay table, validate ownership per op, apply everything
-// valid as one atomic WAL batch record, and answer per-op with one
-// grant trailer covering every mutated directory.
+// admit gives a decoded op the service's verdict before it reaches the
+// store: every directory it writes under must be served by this shard,
+// and a create gets its inode built.
+func (s *Service) admit(op *batchOp, owns func(namespace.Ino) bool, now int64) {
+	op.now = now
+	dst := op.dstParent
+	if op.in != nil {
+		dst = op.in.Parent
+	}
+	if dst == op.parent {
+		dst = 0 // a rename within one directory: check it once
+	}
+	for _, dir := range [2]namespace.Ino{op.parent, dst} {
+		if dir != 0 && !owns(dir) {
+			op.err = CodedError(CodeNotOwner, "dir %d not on MDS %d", dir, s.ID)
+			return
+		}
+	}
+	if op.kind == BatchOpCreate {
+		in := op.in
+		in.Ino = s.store.AllocIno()
+		in.Mode, in.Nlink = 0o644, 1
+		if in.Type == namespace.TypeDir {
+			in.Mode, in.Nlink = 0o755, 2
+		}
+		in.Atime, in.Mtime, in.Ctime = now, now, now
+	}
+}
+
+// handleBatch serves MethodBatch, the one mutation handler: decode the
+// frame, answer duplicates from the replay table, check ownership per
+// op, apply everything valid as one atomic WAL batch record, and answer
+// per-op with one grant trailer covering every mutated directory. It
+// runs under the shared side of the migration freeze (see frozen).
 func (s *Service) handleBatch(ctx context.Context, body []byte) ([]byte, error) {
 	start := time.Now()
 	r := rpc.NewReader(body)
@@ -444,138 +641,101 @@ func (s *Service) handleBatch(ctx context.Context, body []byte) ([]byte, error) 
 	if len(subs) == 0 || len(subs) > batchMaxOps {
 		return nil, CodedError(CodeInvalid, "batch of %d ops", len(subs))
 	}
-	results := make([][]byte, len(subs))
-	storeOps := make([]batchStoreOp, 0, len(subs))
-	storeIdx := make([]int, 0, len(subs))
-	opIDs := make([]uint64, len(subs))
-	now := s.now()
-	// Ownership memo: a frame often repeats parents, and ownsEntry costs a
-	// store read — pay it once per distinct directory, not once per op.
-	ownCache := make(map[namespace.Ino]bool, len(subs))
+	// A frame of one — every unbatched SDK write — stays off the heap.
+	var one [1]batchOp
+	ops := one[:]
+	if len(subs) > 1 {
+		ops = make([]batchOp, len(subs))
+	}
+	// Ownership memo: a frame often repeats parents, and ownsEntry costs
+	// a store read — pay it once per distinct directory, not once per op.
+	var owned map[namespace.Ino]bool
 	owns := func(dir namespace.Ino) bool {
-		v, ok := ownCache[dir]
+		if len(ops) == 1 {
+			return s.ownsEntry(dir)
+		}
+		v, ok := owned[dir]
 		if !ok {
+			if owned == nil {
+				owned = make(map[namespace.Ino]bool)
+			}
 			v = s.ownsEntry(dir)
-			ownCache[dir] = v
+			owned[dir] = v
 		}
 		return v
 	}
+	now := s.now()
 	for i, sub := range subs {
-		sr := rpc.NewReader(sub)
-		opID := sr.U64()
-		kind := BatchOpKind(sr.U8())
-		if err := sr.Err(); err != nil {
-			results[i] = encodeBatchResultErr(CodedError(CodeInvalid, "%v", err))
+		op := &ops[i]
+		if err := decodeBatchOp(sub, op); err != nil {
+			op.err = CodedError(CodeInvalid, "bad batch op: %v", err)
 			continue
 		}
-		opIDs[i] = opID
 		// Replay hit: a re-sent frame repeated an op this shard already
 		// applied; answer from the table without touching the store.
-		if payload, ok := s.replays.lookup(clientID, opID); ok {
+		if payload, ok := s.replays.lookup(clientID, op.id); ok {
 			s.reg.Counter("commit.ops.replayed").Inc()
-			results[i] = encodeBatchResultOK(batchStatusReplayed, payload)
+			op.replayed, op.payload = true, payload
 			continue
 		}
-		switch kind {
-		case BatchOpCreate:
-			parent := namespace.Ino(sr.U64())
-			name := sr.Str()
-			typ := namespace.FileType(sr.U8())
-			if err := sr.Err(); err != nil || name == "" {
-				results[i] = encodeBatchResultErr(CodedError(CodeInvalid, "bad create op"))
-				continue
-			}
-			if !owns(parent) {
-				results[i] = encodeBatchResultErr(CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID))
-				continue
-			}
-			in := &namespace.Inode{
-				Ino:    s.store.AllocIno(),
-				Parent: parent,
-				Name:   name,
-				Type:   typ,
-				Mode:   0o644,
-				Nlink:  1,
-				Atime:  now, Mtime: now, Ctime: now,
-			}
-			if typ == namespace.TypeDir {
-				in.Mode = 0o755
-				in.Nlink = 2
-			}
-			storeOps = append(storeOps, batchStoreOp{kind: BatchOpCreate, create: in})
-			storeIdx = append(storeIdx, i)
-		case BatchOpRemove:
-			parent := namespace.Ino(sr.U64())
-			name := sr.Str()
-			if err := sr.Err(); err != nil {
-				results[i] = encodeBatchResultErr(CodedError(CodeInvalid, "bad remove op"))
-				continue
-			}
-			if !owns(parent) {
-				results[i] = encodeBatchResultErr(CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID))
-				continue
-			}
-			storeOps = append(storeOps, batchStoreOp{kind: BatchOpRemove, parent: parent, name: name})
-			storeIdx = append(storeIdx, i)
-		case BatchOpSetattr:
-			ino := namespace.Ino(sr.U64())
-			size := sr.I64()
-			mode := uint16(sr.U32())
-			if err := sr.Err(); err != nil {
-				results[i] = encodeBatchResultErr(CodedError(CodeInvalid, "bad setattr op"))
-				continue
-			}
-			storeOps = append(storeOps, batchStoreOp{kind: BatchOpSetattr, ino: ino, size: size, mode: mode, ctime: now})
-			storeIdx = append(storeIdx, i)
-		default:
-			results[i] = encodeBatchResultErr(CodedError(CodeInvalid, "unknown batch op kind %d", kind))
-		}
+		s.admit(op, owns, now)
 	}
-	applied := s.store.applyBatchOps(ctx, storeOps)
-	// Charge each applied op an equal share of the frame's service time —
-	// the Data Collector sees per-directory write load, not frame counts.
-	perOpNS := time.Since(start).Nanoseconds() / int64(len(subs))
-	var grantDirs []namespace.Ino
-	seenDir := make(map[namespace.Ino]bool)
-	for j, ar := range applied {
-		i := storeIdx[j]
-		op := storeOps[j]
-		if ar.err != nil {
-			// ErrNoEnt on a setattr means the ino is not bound on this
-			// shard — the single-op handler reports that as not-owner so
-			// the client refreshes its map; match it.
-			if op.kind == BatchOpSetattr && errors.Is(ar.err, ErrNoEnt) {
-				results[i] = encodeBatchResultErr(CodedError(CodeNotOwner, "ino %d not on MDS %d", op.ino, s.ID))
-				continue
-			}
-			results[i] = encodeBatchResultErr(batchOpError(ar.err))
+	s.store.applyBatchOps(ctx, ops)
+
+	// Charge each op an equal share of the frame's service time — the
+	// Data Collector and the per-kind histograms see ops, not frames.
+	perOpNS := time.Since(start).Nanoseconds() / int64(len(ops))
+	var dirBuf [2]namespace.Ino
+	grantDirs := dirBuf[:0]
+	resp := rpc.NewWire(64 + 128*len(ops))
+	results := resp.BeginBlob()
+	resp.U32(uint32(len(ops)))
+	for i := range ops {
+		op := &ops[i]
+		if h := s.opHist[op.kind]; h != nil {
+			h.Record(perOpNS)
+		}
+		switch {
+		case op.replayed:
+			resp.U32(uint32(5 + len(op.payload))).U8(batchStatusReplayed).Blob(op.payload)
+			continue
+		case op.err != nil:
+			msg := s.opError(op).Error()
+			resp.U32(uint32(5 + len(msg))).U8(batchStatusErr).Str(msg)
 			continue
 		}
-		var payload []byte
-		var dir namespace.Ino
+		// Applied. dir is the directory the op is charged to; a rename
+		// across directories also touched moved.
+		var dir, moved namespace.Ino
 		switch op.kind {
-		case BatchOpCreate:
-			payload = ar.enc
-			dir = ar.in.Parent
 		case BatchOpRemove:
 			dir = op.parent
-			if ar.in.IsDir() {
-				s.leases.Revoke(ar.in.Ino)
-			}
-		case BatchOpSetattr:
-			payload = ar.enc
-			dir = ar.in.Parent
+		case BatchOpRename:
+			dir, moved = op.parent, op.dstParent
+		default:
+			dir = op.in.Parent
 		}
 		s.recordWrite(dir, perOpNS)
+		// Bump before granting: the trailer then carries the
+		// post-mutation epoch, which the mutating client adopts as its
+		// own bump (+1) without flushing its cache.
 		s.leases.Bump(dir)
-		if !seenDir[dir] {
-			seenDir[dir] = true
-			grantDirs = append(grantDirs, dir)
+		grantDirs = append(grantDirs, dir)
+		if moved != 0 && moved != dir {
+			s.leases.Bump(moved)
+			grantDirs = append(grantDirs, moved)
 		}
-		s.replays.store(clientID, opIDs[i], payload)
-		results[i] = encodeBatchResultOK(batchStatusOK, payload)
+		if op.gone != nil && op.gone.IsDir() {
+			s.leases.Revoke(op.gone.Ino)
+		}
+		s.replays.store(clientID, op.id, op.payload)
+		resp.U32(uint32(5 + len(op.payload))).U8(batchStatusOK).Blob(op.payload)
 	}
-	resp := &rpc.Wire{}
-	resp.Blob(rpc.EncodeBatch(results))
-	return s.withGrants(resp.Bytes(), grantDirs...), nil
+	resp.EndBlob(results)
+	if len(grantDirs) > 1 {
+		slices.Sort(grantDirs)
+		grantDirs = slices.Compact(grantDirs)
+	}
+	s.appendGrants(resp, grantDirs)
+	return resp.Bytes(), nil
 }

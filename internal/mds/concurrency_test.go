@@ -52,14 +52,17 @@ func concurrentCluster(t *testing.T) (services [2]*Service, addrs [2]string) {
 	return services, addrs
 }
 
+// callCreate sends one create over the wire as a MethodBatch frame of one.
 func callCreate(c *rpc.Client, parent namespace.Ino, name string, typ namespace.FileType) (*namespace.Inode, error) {
-	var w rpc.Wire
-	w.U64(uint64(parent)).Str(name).U8(uint8(typ))
-	out, err := c.Call(MethodCreate, w.Bytes())
+	out, err := c.Call(MethodBatch, EncodeBatchRequest(0, [][]byte{EncodeBatchCreate(0, parent, name, typ)}))
 	if err != nil {
 		return nil, err
 	}
-	return DecodeInodeResp(out)
+	res, _, err := DecodeBatchResponse(out)
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Inode, res[0].Err
 }
 
 // TestConcurrentRequestsDuringMigration is the striped-store regression

@@ -54,60 +54,18 @@ func twoServices(t *testing.T) (src, dst *Service) {
 	return services[0], services[1]
 }
 
-func TestMigrateHandlerMovesSubtree(t *testing.T) {
-	src, dst := twoServices(t)
-	d := mustCreate(t, src, namespace.RootIno, "proj", namespace.TypeDir)
-	sub := mustCreate(t, src, d.Ino, "sub", namespace.TypeDir)
-	mustCreate(t, src, d.Ino, "f1", namespace.TypeFile)
-	mustCreate(t, src, sub.Ino, "f2", namespace.TypeFile)
-
-	var w rpc.Wire
-	w.U64(uint64(d.Ino)).U32(1)
-	out, err := src.handleMigrate(w.Bytes())
-	if err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	moved := rpc.NewReader(out).U32()
-	if moved != 4 { // proj, sub, f1, f2
-		t.Errorf("moved = %d inodes, want 4", moved)
-	}
-	// Destination holds the data.
-	for _, check := range []struct {
-		parent namespace.Ino
-		name   string
-	}{{namespace.RootIno, "proj"}, {d.Ino, "sub"}, {d.Ino, "f1"}, {sub.Ino, "f2"}} {
-		in, found, err := dst.store.Lookup(check.parent, check.name)
-		if err != nil || !found {
-			t.Errorf("dst missing (%d, %s): found=%v err=%v", check.parent, check.name, found, err)
-			continue
-		}
-		if in.Type == namespace.TypeFake {
-			t.Errorf("dst holds a fake for %s", check.name)
-		}
-	}
-	// Source holds only the fake boundary dirent.
-	in, found, err := src.store.Lookup(namespace.RootIno, "proj")
-	if err != nil || !found {
-		t.Fatalf("src boundary dirent gone: found=%v err=%v", found, err)
-	}
-	if in.Type != namespace.TypeFake || in.Size != 1 {
-		t.Errorf("src boundary = %+v, want fake with dest 1", in)
-	}
-	if _, found, _ := src.store.Lookup(d.Ino, "f1"); found {
-		t.Error("src still holds migrated child")
-	}
-}
-
-func TestMigrateHandlerMissingSubtree(t *testing.T) {
+func TestMigratePrepareMissingSubtree(t *testing.T) {
 	src, _ := twoServices(t)
 	var w rpc.Wire
 	w.U64(99999).U32(1)
-	if _, err := src.handleMigrate(w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNoEnt) {
-		t.Errorf("migrate of missing subtree err = %v, want ENOENT", err)
+	if _, err := src.handleMigratePrepare(w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNoEnt) {
+		t.Errorf("prepare of missing subtree err = %v, want ENOENT", err)
 	}
+	// The failed prepare released the freeze: the shard still serves.
+	mustCreate(t, src, namespace.RootIno, "after", namespace.TypeFile)
 }
 
-func TestMigrateHandlerNoPeers(t *testing.T) {
+func TestMigratePrepareNoPeers(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), 0, kvstore.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +75,8 @@ func TestMigrateHandlerNoPeers(t *testing.T) {
 	d := mustCreate(t, s, namespace.RootIno, "d", namespace.TypeDir)
 	var w rpc.Wire
 	w.U64(uint64(d.Ino)).U32(1)
-	if _, err := s.handleMigrate(w.Bytes()); err == nil {
-		t.Error("migrate without peer resolver succeeded")
+	if _, err := s.handleMigratePrepare(w.Bytes()); err == nil {
+		t.Error("prepare without peer resolver succeeded")
 	}
 }
 
@@ -187,6 +145,18 @@ func TestMigratePrepareThenCommit(t *testing.T) {
 	if n := rpc.NewReader(out).U32(); n != 4 {
 		t.Errorf("committed %d inodes, want 4", n)
 	}
+	// Destination holds the data, none of it a redirect.
+	for _, check := range []struct {
+		parent namespace.Ino
+		name   string
+	}{{namespace.RootIno, "proj"}, {d.Ino, "sub"}, {d.Ino, "f1"}, {sub.Ino, "f2"}} {
+		in, found, err := dst.store.Lookup(check.parent, check.name)
+		if err != nil || !found {
+			t.Errorf("dst missing (%d, %s): found=%v err=%v", check.parent, check.name, found, err)
+		} else if in.Type == namespace.TypeFake {
+			t.Errorf("dst holds a fake for %s", check.name)
+		}
+	}
 	in, found, _ := src.store.Lookup(namespace.RootIno, "proj")
 	if !found || in.Type != namespace.TypeFake || in.Size != 1 {
 		t.Errorf("source boundary after commit = found=%v %+v, want fake -> 1", found, in)
@@ -200,7 +170,7 @@ func TestMigratePrepareThenCommit(t *testing.T) {
 // shard's lease state for every directory in it — clients still holding
 // those grants re-resolve through the fake redirect (new shard, new
 // lease incarnation) instead of trusting entries the source no longer
-// owns. Covers both the 2PC commit and the one-shot migrate path.
+// owns.
 func TestMigrateRevokesLeases(t *testing.T) {
 	src, _ := twoServices(t)
 	d := mustCreate(t, src, namespace.RootIno, "proj", namespace.TypeDir)
@@ -235,23 +205,6 @@ func TestMigrateRevokesLeases(t *testing.T) {
 		t.Error("post-migration grant reused the revoked lease ID")
 	}
 	if g := src.leases.Grant(sub.Ino); g.ID == gs.ID {
-		t.Error("post-migration grant reused the revoked lease ID")
-	}
-}
-
-func TestOneShotMigrateRevokesLeases(t *testing.T) {
-	src, _ := twoServices(t)
-	d := mustCreate(t, src, namespace.RootIno, "proj", namespace.TypeDir)
-	g := src.leases.Grant(d.Ino)
-	var w rpc.Wire
-	w.U64(uint64(d.Ino)).U32(1)
-	if _, err := src.handleMigrate(w.Bytes()); err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	if _, ok := src.leases.Epoch(d.Ino); ok {
-		t.Error("migrated dir's lease survived the one-shot migrate")
-	}
-	if g2 := src.leases.Grant(d.Ino); g2.ID == g.ID {
 		t.Error("post-migration grant reused the revoked lease ID")
 	}
 }

@@ -14,27 +14,15 @@ const (
 	MethodPing rpc.Method = iota + 1
 	MethodLookup
 	MethodGetattr
-	MethodCreate
-	MethodRemove
-	MethodRename
 	MethodReaddir
-	MethodSetattr
 	MethodStats
 	MethodDump
 	MethodIngest
-	MethodMigrate
 	MethodGetMap
 	MethodSetMap
-	MethodInsert
-	// MethodLookupPath resolves a run of path components server-side in
-	// one RPC, stopping at the first missing entry, fake-inode redirect,
-	// or shard boundary — the batching the Eq.-2 cost model assumes
-	// (one RPC per same-owner run of components).
-	MethodLookupPath
 	// Two-phase migration (coordinator-driven): Prepare freezes the
 	// source subtree and ships it to the destination, Commit swaps it
 	// for a fake-inode redirect, Abort rolls the shipped copy back.
-	// The one-shot MethodMigrate remains for wire compatibility.
 	MethodMigratePrepare
 	MethodMigrateCommit
 	MethodMigrateAbort
@@ -52,18 +40,21 @@ const (
 	// MethodBuildInfo returns the process build info (version, go
 	// runtime, uptime, enabled features) as JSON.
 	MethodBuildInfo
-	// MethodResolvePath is MethodLookupPath's cache-coherent successor:
-	// same request, but the response additionally carries a terminal
-	// negative flag (the first missing component under an owned
+	// MethodResolvePath resolves a run of path components server-side in
+	// one RPC, stopping at the first missing entry, fake-inode redirect,
+	// or shard boundary — the batching the Eq.-2 cost model assumes (one
+	// RPC per same-owner run of components). The response carries a
+	// terminal negative flag (the first missing component under an owned
 	// directory resolves the whole path to "absent" in one round trip,
 	// cacheable as a negative entry) and a lease-grant trailer for every
 	// owned directory the walk traversed, so one warm-up resolve seeds
 	// the client cache for the entire prefix.
 	MethodResolvePath
-	// MethodBatch applies a frame of coalesced small mutations (create,
-	// mkdir, remove, setattr) as one atomic WAL batch record, answering
-	// per-op. Ops carry (clientID, opID) identities for idempotent
-	// replay after transport failures and failover.
+	// MethodBatch is the one namespace mutation: a frame of one or more
+	// sub-ops (create, mkdir, remove, setattr, rename, insert) applied
+	// as one atomic WAL batch record and answered per-op. Ops carry
+	// (clientID, opID) identities for idempotent replay after transport
+	// failures and failover.
 	MethodBatch
 )
 
@@ -91,19 +82,12 @@ var methodNames = map[rpc.Method]string{
 	MethodPing:           "ping",
 	MethodLookup:         "lookup",
 	MethodGetattr:        "getattr",
-	MethodCreate:         "create",
-	MethodRemove:         "remove",
-	MethodRename:         "rename",
 	MethodReaddir:        "readdir",
-	MethodSetattr:        "setattr",
 	MethodStats:          "stats",
 	MethodDump:           "dump",
 	MethodIngest:         "ingest",
-	MethodMigrate:        "migrate",
 	MethodGetMap:         "getmap",
 	MethodSetMap:         "setmap",
-	MethodInsert:         "insert",
-	MethodLookupPath:     "lookup_path",
 	MethodResolvePath:    "resolve_path",
 	MethodBatch:          "batch",
 	MethodMigratePrepare: "migrate_prepare",

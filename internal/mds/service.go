@@ -89,6 +89,10 @@ type Service struct {
 	// SetTracer; nil disables span collection.
 	tracer atomic.Value
 
+	// opHist holds the per-kind service latency histograms handleBatch
+	// records once per sub-op, indexed by BatchOpKind.
+	opHist [len(batchOpNames)]*telemetry.Histogram
+
 	// replays deduplicates re-sent MethodBatch ops by (clientID, opID),
 	// so a frame retried across a transport failure is answered instead
 	// of double-applied.
@@ -174,6 +178,11 @@ func NewService(id int, store *Store, peers func(int) (*rpc.Client, error)) *Ser
 		log: telemetry.L("mds").With("mds", id),
 	}
 	s.leases = lease.NewTable(s.reg, lease.DefaultTTL)
+	for kind, name := range batchOpNames {
+		if name != "" {
+			s.opHist[kind] = s.reg.Histogram("mds.op." + name + ".latency_ns")
+		}
+	}
 	for i := range s.dirAcc {
 		s.dirAcc[i].m = make(map[namespace.Ino]*dirCounters)
 	}
@@ -233,24 +242,19 @@ func (s *Service) Serve(addr string) (string, error) {
 	srv.Handle(MethodPing, s.handlePing)
 	srv.HandleInfo(MethodLookup, s.timed("lookup", s.handleLookup))
 	srv.HandleInfo(MethodGetattr, s.timed("getattr", s.handleGetattr))
-	srv.HandleInfo(MethodCreate, s.timed("create", s.handleCreate))
-	srv.HandleInfo(MethodRemove, s.timed("remove", s.handleRemove))
-	srv.HandleInfo(MethodRename, s.timed("rename", s.handleRename))
 	srv.HandleInfo(MethodReaddir, s.timed("readdir", s.handleReaddir))
-	srv.HandleInfo(MethodSetattr, s.timed("setattr", s.handleSetattr))
-	srv.HandleInfo(MethodBatch, s.timed("batch", s.handleBatch))
+	// A frame's service time is charged to its sub-ops' kinds by
+	// handleBatch, so the frame itself records no histogram.
+	srv.HandleInfo(MethodBatch, s.frozen("batch", nil, s.handleBatch))
 	srv.Handle(MethodStats, s.handleStats)
 	srv.Handle(MethodDump, s.handleDump)
 	srv.Handle(MethodIngest, s.handleIngest)
-	srv.Handle(MethodMigrate, s.handleMigrate)
 	srv.Handle(MethodMigratePrepare, s.handleMigratePrepare)
 	srv.Handle(MethodMigrateCommit, s.handleMigrateCommit)
 	srv.Handle(MethodMigrateAbort, s.handleMigrateAbort)
 	srv.Handle(MethodEvict, s.handleEvict)
 	srv.Handle(MethodGetMap, s.handleGetMap)
 	srv.Handle(MethodSetMap, s.handleSetMap)
-	srv.Handle(MethodInsert, s.handleInsert)
-	srv.HandleInfo(MethodLookupPath, s.timed("lookup_path", s.handleLookupPath))
 	srv.HandleInfo(MethodResolvePath, s.timed("resolve_path", s.handleResolvePath))
 	srv.Handle(MethodMetrics, s.handleMetrics)
 	srv.Handle(MethodTraces, s.handleTraces)
@@ -298,13 +302,19 @@ func (s *Service) SetLeaseTTL(d time.Duration) { s.leases.SetTTL(d) }
 // owner-served response body. Replica-served responses never carry
 // grants: a replica is not authoritative for invalidation.
 func (s *Service) withGrants(resp []byte, dirs ...namespace.Ino) []byte {
-	grants := make([]lease.Grant, len(dirs))
-	for i, d := range dirs {
-		grants[i] = s.leases.Grant(d)
-	}
-	w := &rpc.Wire{}
-	lease.AppendGrants(w, grants)
+	w := rpc.NewWire(4 + 28*len(dirs))
+	s.appendGrants(w, dirs)
 	return append(resp, w.Bytes()...)
+}
+
+// appendGrants writes the lease-grant trailer for dirs onto w.
+func (s *Service) appendGrants(w *rpc.Wire, dirs []namespace.Ino) {
+	var buf [4]lease.Grant // a response rarely vouches for more directories
+	grants := buf[:0]
+	for _, d := range dirs {
+		grants = append(grants, s.leases.Grant(d))
+	}
+	lease.AppendGrants(w, grants)
 }
 
 // dirInos filters a collected subtree down to its directory inos — the
@@ -337,12 +347,17 @@ func (s *Service) MapVersion() uint64 {
 // beneath it.
 type ctxHandler func(ctx context.Context, body []byte) ([]byte, error)
 
-// timed wraps a handler with the migration freeze (shared side),
-// busy-time and RPC accounting, a per-op-type service latency
-// histogram, an "mds.op.<op>" span under the request's propagated
-// trace, and — at debug level — a per-request span log line.
+// timed is frozen with the per-op-type service latency histogram
+// mds.op.<op>.latency_ns.
 func (s *Service) timed(op string, h ctxHandler) rpc.InfoHandler {
-	hist := s.reg.Histogram("mds.op." + op + ".latency_ns")
+	return s.frozen(op, s.reg.Histogram("mds.op."+op+".latency_ns"), h)
+}
+
+// frozen wraps a handler with the migration freeze (shared side),
+// busy-time and RPC accounting, a service latency histogram (nil = none),
+// an "mds.op.<op>" span under the request's propagated trace, and — at
+// debug level — a per-request span log line.
+func (s *Service) frozen(op string, hist *telemetry.Histogram, h ctxHandler) rpc.InfoHandler {
 	spanName := "mds.op." + op
 	return func(info rpc.CallInfo, body []byte) ([]byte, error) {
 		ctx := context.Background()
@@ -367,7 +382,9 @@ func (s *Service) timed(op string, h ctxHandler) rpc.InfoHandler {
 		span.Finish(err)
 		s.rpcs.Add(1)
 		s.serviceNS.Add(el)
-		hist.Record(el)
+		if hist != nil {
+			hist.Record(el)
+		}
 		if s.log.Enabled(telemetry.LevelDebug) {
 			status := "ok"
 			if err != nil {
@@ -513,84 +530,18 @@ func (s *Service) handleLookup(ctx context.Context, body []byte) ([]byte, error)
 	return s.withGrants(encodeInodeResp(in), parent), nil
 }
 
-// handleLookupPath walks as many of the requested components as this
-// shard holds, returning the resolved chain. The walk stops (without
-// error) at a fake-inode — the client follows the redirect — or at the
-// first component this shard cannot serve; a missing entry under a
-// locally served directory is an ENOENT for that component.
-func (s *Service) handleLookupPath(ctx context.Context, body []byte) ([]byte, error) {
-	r := rpc.NewReader(body)
-	parent := namespace.Ino(r.U64())
-	n := int(r.U32())
-	if err := r.Err(); err != nil || n > 4096 {
-		return nil, CodedError(CodeInvalid, "bad lookup-path request")
-	}
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, r.Str())
-	}
-	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	src := s.store
-	if !s.ownsEntry(parent) {
-		// Replica-served path walk: resolve as many components as the
-		// warm replica holds, but report misses as not-owner (the replica
-		// is never authoritative for negatives).
-		rs := s.replicaStore(parent)
-		if rs == nil {
-			return nil, CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
-		}
-		chain, err := s.lookupPathOn(rs, parent, names)
-		if err != nil {
-			return nil, err
-		}
-		s.reg.Counter("replica.read.served").Inc()
-		return encodeInodesResp(chain), nil
-	}
-	cur := parent
-	var chain []*namespace.Inode
-	for i, name := range names {
-		in, found, err := src.Lookup(cur, name)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			// A locally served directory is authoritative for its
-			// children (migrated subtrees leave fakes), so a missing
-			// entry is a true ENOENT.
-			return nil, CodedError(CodeNoEnt, "%q not in dir %d", name, cur)
-		}
-		s.recordLookup(cur)
-		if i == len(names)-1 && in.Type != namespace.TypeFake {
-			// The terminal component is the operation's target: a stat
-			// of /a/b/c is a read against directory /a/b, exactly how the
-			// simulator's Data Collector tallies it. Intermediate hops
-			// stay pure traversals (the Through counter above).
-			s.recordRead(cur, 0)
-		}
-		chain = append(chain, in)
-		if in.Type == namespace.TypeFake || !in.IsDir() {
-			break
-		}
-		cur = in.Ino
-	}
-	if len(chain) == 0 {
-		return nil, CodedError(CodeNoEnt, "%q not in dir %d", names[0], parent)
-	}
-	return encodeInodesResp(chain), nil
-}
-
 // handleResolvePath is the cache-coherent batched walk behind the SDK's
-// lease cache. It shares MethodLookupPath's request and walk rules but
-// differs in two ways. First, a missing component under an owned
-// directory is not an error: the response returns the chain-so-far with
-// a terminal-negative flag set, so the client both learns the answer
-// ("this path does not exist") and may cache it — errors carry no body,
-// and a negative nobody vouches for could never be cached. Second, the
-// response carries a lease grant for every owned directory the walk
-// read under, seeding the client's cache for the whole prefix in one
-// round trip. Replica-served walks carry neither negatives nor grants.
+// lease cache: it walks as many of the requested components as this
+// shard holds, stopping (without error) at a fake-inode — the client
+// follows the redirect — or at the first component this shard cannot
+// serve. A missing component under an owned directory is not an error:
+// the response returns the chain-so-far with a terminal-negative flag
+// set, so the client both learns the answer ("this path does not exist")
+// and may cache it — errors carry no body, and a negative nobody vouches
+// for could never be cached. The response also carries a lease grant for
+// every owned directory the walk read under, seeding the client's cache
+// for the whole prefix in one round trip. Replica-served walks carry
+// neither negatives nor grants.
 func (s *Service) handleResolvePath(ctx context.Context, body []byte) ([]byte, error) {
 	r := rpc.NewReader(body)
 	parent := namespace.Ino(r.U64())
@@ -636,8 +587,10 @@ func (s *Service) handleResolvePath(ctx context.Context, body []byte) ([]byte, e
 		}
 		s.recordLookup(cur)
 		if i == len(names)-1 && in.Type != namespace.TypeFake {
-			// Terminal component: the op's target, tallied as a read on
-			// its parent directory (see handleLookupPath).
+			// The terminal component is the operation's target: a stat
+			// of /a/b/c is a read against directory /a/b, exactly how the
+			// simulator's Data Collector tallies it. Intermediate hops
+			// stay pure traversals (the lookups counter above).
 			s.recordRead(cur, 0)
 		}
 		chain = append(chain, in)
@@ -705,123 +658,6 @@ func (s *Service) handleGetattr(ctx context.Context, body []byte) ([]byte, error
 	return encodeInodeResp(in), nil
 }
 
-func (s *Service) handleCreate(ctx context.Context, body []byte) ([]byte, error) {
-	start := time.Now()
-	r := rpc.NewReader(body)
-	parent := namespace.Ino(r.U64())
-	name := r.Str()
-	typ := namespace.FileType(r.U8())
-	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	if name == "" {
-		return nil, CodedError(CodeInvalid, "empty name")
-	}
-	if !s.ownsEntry(parent) {
-		return nil, CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
-	}
-	now := s.now()
-	in := &namespace.Inode{
-		Ino:    s.store.AllocIno(),
-		Parent: parent,
-		Name:   name,
-		Type:   typ,
-		Mode:   0o644,
-		Nlink:  1,
-		Atime:  now, Mtime: now, Ctime: now,
-	}
-	if typ == namespace.TypeDir {
-		in.Mode = 0o755
-		in.Nlink = 2
-	}
-	// CreateEntry redoes the parent-liveness and exists checks under the
-	// parent's stripe: with concurrent dispatch, two creates of the same
-	// name would otherwise both pass a bare Lookup check and both Put.
-	switch err := s.store.CreateEntryCtx(ctx, in); {
-	case errors.Is(err, ErrNotDir):
-		return nil, CodedError(CodeNotDir, "ino %d", parent)
-	case errors.Is(err, ErrExist):
-		return nil, CodedError(CodeExist, "%q in dir %d", name, parent)
-	case err != nil:
-		return nil, err
-	}
-	s.recordWrite(parent, time.Since(start).Nanoseconds())
-	// Bump before granting: the trailer then carries the post-mutation
-	// epoch, which the creating client adopts as its own bump (+1)
-	// without flushing its cache.
-	s.leases.Bump(parent)
-	return s.withGrants(encodeInodeResp(in), parent), nil
-}
-
-func (s *Service) handleRemove(ctx context.Context, body []byte) ([]byte, error) {
-	start := time.Now()
-	r := rpc.NewReader(body)
-	parent := namespace.Ino(r.U64())
-	name := r.Str()
-	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	if !s.ownsEntry(parent) {
-		return nil, CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
-	}
-	// RemoveEntry holds the parent's stripe (and, for a directory, the
-	// victim's stripe) across the emptiness check and the delete, so a
-	// concurrent create cannot slip a child under a dir being removed.
-	removed, err := s.store.RemoveEntryCtx(ctx, parent, name)
-	switch {
-	case errors.Is(err, ErrNoEnt):
-		return nil, CodedError(CodeNoEnt, "%q in dir %d", name, parent)
-	case errors.Is(err, ErrNotEmpty):
-		return nil, CodedError(CodeNotEmpty, "dir %q in %d not empty", name, parent)
-	case err != nil:
-		return nil, err
-	}
-	s.recordWrite(parent, time.Since(start).Nanoseconds())
-	s.leases.Bump(parent)
-	if removed != nil && removed.IsDir() {
-		s.leases.Revoke(removed.Ino)
-	}
-	return s.withGrants(nil, parent), nil
-}
-
-func (s *Service) handleRename(ctx context.Context, body []byte) ([]byte, error) {
-	start := time.Now()
-	r := rpc.NewReader(body)
-	srcParent := namespace.Ino(r.U64())
-	srcName := r.Str()
-	dstParent := namespace.Ino(r.U64())
-	dstName := r.Str()
-	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	if !s.ownsEntry(srcParent) {
-		return nil, CodedError(CodeNotOwner, "dir %d not on MDS %d", srcParent, s.ID)
-	}
-	if !s.ownsEntry(dstParent) {
-		// Cross-shard rename is orchestrated by the client via
-		// Insert+Remove; the single-shard fast path requires locality.
-		return nil, CodedError(CodeNotOwner, "dst dir %d not on MDS %d", dstParent, s.ID)
-	}
-	// RenameEntry holds both parents' stripes (and a replaced directory's
-	// stripe) for the whole delete-dst / delete-src / put-moved sequence.
-	in, err := s.store.RenameEntryCtx(ctx, srcParent, srcName, dstParent, dstName, s.now())
-	switch {
-	case errors.Is(err, ErrNoEnt):
-		return nil, CodedError(CodeNoEnt, "%q in dir %d", srcName, srcParent)
-	case errors.Is(err, ErrNotEmpty):
-		return nil, CodedError(CodeNotEmpty, "dir %q in %d not empty", dstName, dstParent)
-	case err != nil:
-		return nil, err
-	}
-	s.recordWrite(srcParent, time.Since(start).Nanoseconds())
-	s.leases.Bump(srcParent)
-	if dstParent != srcParent {
-		s.leases.Bump(dstParent)
-		return s.withGrants(encodeInodeResp(in), srcParent, dstParent), nil
-	}
-	return s.withGrants(encodeInodeResp(in), srcParent), nil
-}
-
 func (s *Service) handleReaddir(ctx context.Context, body []byte) ([]byte, error) {
 	start := time.Now()
 	r := rpc.NewReader(body)
@@ -844,35 +680,6 @@ func (s *Service) handleReaddir(ctx context.Context, body []byte) ([]byte, error
 	}
 	s.recordRead(ino, time.Since(start).Nanoseconds())
 	return s.withGrants(encodeInodesResp(children), ino), nil
-}
-
-func (s *Service) handleSetattr(ctx context.Context, body []byte) ([]byte, error) {
-	start := time.Now()
-	r := rpc.NewReader(body)
-	ino := namespace.Ino(r.U64())
-	size := r.I64()
-	mode := uint16(r.U32())
-	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	// UpdateAttr re-verifies the ino → (parent, name) binding under the
-	// parent's stripe: a bare Getattr+Put racing a rename would write
-	// the old dirent back, duplicating the inode under two names.
-	now := s.now()
-	in, err := s.store.UpdateAttrCtx(ctx, ino, func(in *namespace.Inode) {
-		in.Size = size
-		in.Mode = mode
-		in.Ctime = now
-	})
-	if errors.Is(err, ErrNoEnt) {
-		return nil, CodedError(CodeNotOwner, "ino %d not on MDS %d", ino, s.ID)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.recordWrite(in.Parent, time.Since(start).Nanoseconds())
-	s.leases.Bump(in.Parent)
-	return s.withGrants(encodeInodeResp(in), in.Parent), nil
 }
 
 func (s *Service) handleStats(body []byte) ([]byte, error) {
@@ -960,68 +767,6 @@ func (s *Service) handleIngest(body []byte) ([]byte, error) {
 		}
 	}
 	return nil, nil
-}
-
-func (s *Service) handleInsert(body []byte) ([]byte, error) {
-	in, err := DecodeInodeResp(body)
-	if err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	if err := s.store.Put(in); err != nil {
-		return nil, err
-	}
-	s.recordWrite(in.Parent, 0)
-	s.leases.Bump(in.Parent)
-	return nil, nil
-}
-
-// handleMigrate executes a subtree push to another MDS: collect, ship,
-// then delete locally. The coordinator updates the partition map after a
-// successful response.
-func (s *Service) handleMigrate(body []byte) ([]byte, error) {
-	r := rpc.NewReader(body)
-	root := namespace.Ino(r.U64())
-	destID := int(r.U32())
-	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	if s.peers == nil {
-		return nil, errors.New("mds: no peer resolver configured")
-	}
-	// Freeze: no metadata operation may interleave with collect-ship-
-	// swap, or entries created mid-copy would be stranded on the source.
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	inos, err := s.store.CollectSubtree(root)
-	if err != nil {
-		return nil, CodedError(CodeNoEnt, "%v", err)
-	}
-	peer, err := s.peers(destID)
-	if err != nil {
-		return nil, err
-	}
-	if err := shipInodes(peer, MethodIngest, inos); err != nil {
-		return nil, err
-	}
-	if err := s.store.RemoveSubtree(inos); err != nil {
-		return nil, err
-	}
-	// Leave a fake-inode behind (§3.1): the boundary dirent stays
-	// resolvable on the source and records the destination MDS in Size,
-	// so clients with stale maps follow the redirect.
-	fake := *inos[0]
-	fake.Type = namespace.TypeFake
-	fake.Size = int64(destID)
-	if err := s.store.Put(&fake); err != nil {
-		return nil, err
-	}
-	// The subtree left this shard: revoke its directories' leases so
-	// the next grant (wherever it comes from) mints a new ID and every
-	// caching client flushes.
-	s.leases.RevokeSubtree(dirInos(inos))
-	var w rpc.Wire
-	w.U32(uint32(len(inos)))
-	return w.Bytes(), nil
 }
 
 // shipInodes pushes a batch-bounded inode stream to a peer.

@@ -22,19 +22,20 @@ func localService(t *testing.T) *Service {
 	return NewService(0, store, nil)
 }
 
+// applyOne runs one sub-op through handleBatch as a frame of one — what
+// the SDK sends for every unbatched mutation.
+func applyOne(t *testing.T, s *Service, sub []byte) BatchResult {
+	t.Helper()
+	return batchCall(t, s, 0, [][]byte{sub})[0]
+}
+
 func mustCreate(t *testing.T, s *Service, parent namespace.Ino, name string, typ namespace.FileType) *namespace.Inode {
 	t.Helper()
-	var w rpc.Wire
-	w.U64(uint64(parent)).Str(name).U8(uint8(typ))
-	body, err := s.handleCreate(context.Background(), w.Bytes())
-	if err != nil {
-		t.Fatalf("create %q: %v", name, err)
+	res := applyOne(t, s, EncodeBatchCreate(0, parent, name, typ))
+	if res.Err != nil {
+		t.Fatalf("create %q: %v", name, res.Err)
 	}
-	in, err := DecodeInodeResp(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in
+	return res.Inode
 }
 
 func TestHandlersRejectTruncatedBodies(t *testing.T) {
@@ -43,17 +44,15 @@ func TestHandlersRejectTruncatedBodies(t *testing.T) {
 		return func(body []byte) ([]byte, error) { return h(context.Background(), body) }
 	}
 	handlers := map[string]rpc.Handler{
-		"lookup":  noCtx(s.handleLookup),
-		"getattr": noCtx(s.handleGetattr),
-		"create":  noCtx(s.handleCreate),
-		"remove":  noCtx(s.handleRemove),
-		"rename":  noCtx(s.handleRename),
-		"readdir": noCtx(s.handleReaddir),
-		"setattr": noCtx(s.handleSetattr),
-		"migrate": s.handleMigrate,
-		"ingest":  s.handleIngest,
-		"insert":  s.handleInsert,
-		"setmap":  s.handleSetMap,
+		"lookup":          noCtx(s.handleLookup),
+		"getattr":         noCtx(s.handleGetattr),
+		"readdir":         noCtx(s.handleReaddir),
+		"resolve_path":    noCtx(s.handleResolvePath),
+		"batch":           noCtx(s.handleBatch),
+		"migrate_prepare": s.handleMigratePrepare,
+		"migrate_commit":  s.handleMigrateCommit,
+		"ingest":          s.handleIngest,
+		"setmap":          s.handleSetMap,
 	}
 	for name, h := range handlers {
 		for _, body := range [][]byte{nil, {1}, {1, 2, 3}} {
@@ -67,31 +66,23 @@ func TestHandlersRejectTruncatedBodies(t *testing.T) {
 func TestCreateSemantics(t *testing.T) {
 	s := localService(t)
 	d := mustCreate(t, s, namespace.RootIno, "dir", namespace.TypeDir)
-	mustCreate(t, s, d.Ino, "f", namespace.TypeFile)
-	// Duplicate.
-	var w rpc.Wire
-	w.U64(uint64(d.Ino)).Str("f").U8(uint8(namespace.TypeFile))
-	if _, err := s.handleCreate(context.Background(), w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeExist) {
-		t.Errorf("duplicate create err = %v, want EEXIST", err)
-	}
-	// Empty name.
-	var w2 rpc.Wire
-	w2.U64(uint64(d.Ino)).Str("").U8(uint8(namespace.TypeFile))
-	if _, err := s.handleCreate(context.Background(), w2.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
-		t.Errorf("empty-name create err = %v, want EINVAL", err)
-	}
-	// Under a file.
-	f, _, _ := s.store.Lookup(d.Ino, "f")
-	var w3 rpc.Wire
-	w3.U64(uint64(f.Ino)).Str("x").U8(uint8(namespace.TypeFile))
-	if _, err := s.handleCreate(context.Background(), w3.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNotDir) {
-		t.Errorf("create under file err = %v, want ENOTDIR", err)
-	}
-	// Under an unknown dir: not-owner redirect.
-	var w4 rpc.Wire
-	w4.U64(99999).Str("x").U8(uint8(namespace.TypeFile))
-	if _, err := s.handleCreate(context.Background(), w4.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNotOwner) {
-		t.Errorf("create under foreign dir err = %v, want ENOTOWNER", err)
+	f := mustCreate(t, s, d.Ino, "f", namespace.TypeFile)
+	for _, tc := range []struct {
+		what   string
+		parent namespace.Ino
+		name   string
+		want   string
+	}{
+		{"duplicate", d.Ino, "f", CodeExist},
+		{"empty name", d.Ino, "", CodeInvalid},
+		{"under a file", f.Ino, "x", CodeNotDir},
+		// Under an unknown dir: not-owner redirect.
+		{"under a foreign dir", 99999, "x", CodeNotOwner},
+	} {
+		res := applyOne(t, s, EncodeBatchCreate(0, tc.parent, tc.name, namespace.TypeFile))
+		if ErrCode(res.Err) != tc.want {
+			t.Errorf("create %s: err = %v, want %s", tc.what, res.Err, tc.want)
+		}
 	}
 }
 
@@ -99,43 +90,22 @@ func TestRemoveSemantics(t *testing.T) {
 	s := localService(t)
 	d := mustCreate(t, s, namespace.RootIno, "dir", namespace.TypeDir)
 	mustCreate(t, s, d.Ino, "f", namespace.TypeFile)
+	rmdir := EncodeBatchRemove(0, namespace.RootIno, "dir")
+	unlink := EncodeBatchRemove(0, d.Ino, "f")
 	// Non-empty dir refuses.
-	var w rpc.Wire
-	w.U64(uint64(namespace.RootIno)).Str("dir")
-	if _, err := s.handleRemove(context.Background(), w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNotEmpty) {
-		t.Errorf("rmdir non-empty err = %v, want ENOTEMPTY", err)
+	if res := applyOne(t, s, rmdir); ErrCode(res.Err) != CodeNotEmpty {
+		t.Errorf("rmdir non-empty err = %v, want ENOTEMPTY", res.Err)
 	}
 	// Remove file, then dir.
-	var w2 rpc.Wire
-	w2.U64(uint64(d.Ino)).Str("f")
-	if _, err := s.handleRemove(context.Background(), w2.Bytes()); err != nil {
-		t.Fatal(err)
+	if res := applyOne(t, s, unlink); res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	if _, err := s.handleRemove(context.Background(), w.Bytes()); err != nil {
-		t.Fatal(err)
+	if res := applyOne(t, s, rmdir); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	// Missing entry.
-	if _, err := s.handleRemove(context.Background(), w2.Bytes()); err == nil {
+	if res := applyOne(t, s, unlink); res.Err == nil {
 		t.Error("remove of missing entry succeeded")
-	}
-}
-
-func TestRenameReplaceSemantics(t *testing.T) {
-	s := localService(t)
-	d := mustCreate(t, s, namespace.RootIno, "dir", namespace.TypeDir)
-	mustCreate(t, s, d.Ino, "a", namespace.TypeFile)
-	mustCreate(t, s, d.Ino, "b", namespace.TypeFile)
-	var w rpc.Wire
-	w.U64(uint64(d.Ino)).Str("a").U64(uint64(d.Ino)).Str("b")
-	if _, err := s.handleRename(context.Background(), w.Bytes()); err != nil {
-		t.Fatalf("rename over file: %v", err)
-	}
-	if _, found, _ := s.store.Lookup(d.Ino, "a"); found {
-		t.Error("rename source survived")
-	}
-	in, found, _ := s.store.Lookup(d.Ino, "b")
-	if !found || in.Name != "b" {
-		t.Error("rename target wrong")
 	}
 }
 

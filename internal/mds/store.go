@@ -9,9 +9,9 @@
 // takes the stripe of its parent directory (shared for reads, exclusive
 // for mutations), so operations on different directories proceed in
 // parallel while same-directory check-then-act sequences (create's
-// exists check, remove's emptiness check) stay atomic. Compound ops
-// that span directories (RemoveEntry on a directory, RenameEntry)
-// acquire their stripes in index order, which keeps them deadlock-free.
+// exists check, remove's emptiness check) stay atomic. Every mutation
+// goes through applyBatchOps (batch.go), which takes all the stripes its
+// ops touch in index order, keeping multi-directory ops deadlock-free.
 // The lock hierarchy, top to bottom, is:
 //
 //	Service.opMu (migration freeze) → Store stripe(s) → Store.inoMu → kvstore.DB
@@ -20,10 +20,9 @@
 package mds
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -159,28 +158,25 @@ func (s *Store) stripe(parent namespace.Ino) *sync.RWMutex {
 	return &s.stripes[uint64(parent)&(storeStripes-1)]
 }
 
-// lockStripes write-locks the stripes of the given directories in index
-// order (deduplicated) and returns the matching unlock function.
-// Ordered acquisition keeps multi-directory ops deadlock-free against
-// each other and against single-stripe ops.
-func (s *Store) lockStripes(dirs ...namespace.Ino) func() {
-	idx := make([]int, 0, len(dirs))
-	for _, d := range dirs {
-		idx = append(idx, int(uint64(d)&(storeStripes-1)))
+// stripeSet is a set of lock stripes, one bit per stripe index.
+type stripeSet uint64
+
+func (set *stripeSet) add(dir namespace.Ino) {
+	*set |= 1 << (uint64(dir) & (storeStripes - 1))
+}
+
+// lockStripes write-locks the stripes of set in index order. Ordered
+// acquisition keeps multi-directory ops deadlock-free against each other
+// and against single-stripe ops.
+func (s *Store) lockStripes(set stripeSet) {
+	for rest := set; rest != 0; rest &= rest - 1 {
+		s.stripes[bits.TrailingZeros64(uint64(rest))].Lock()
 	}
-	sort.Ints(idx)
-	locked := idx[:0]
-	for i, x := range idx {
-		if i > 0 && x == idx[i-1] {
-			continue
-		}
-		s.stripes[x].Lock()
-		locked = append(locked, x)
-	}
-	return func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			s.stripes[locked[i]].Unlock()
-		}
+}
+
+func (s *Store) unlockStripes(set stripeSet) {
+	for rest := set; rest != 0; rest &= rest - 1 {
+		s.stripes[bits.TrailingZeros64(uint64(rest))].Unlock()
 	}
 }
 
@@ -230,21 +226,14 @@ func (s *Store) AllocIno() namespace.Ino {
 	return namespace.Ino(ino)
 }
 
-// Put installs (or replaces) an inode record unconditionally. Migration
-// ingest and cross-shard inserts use it; the create path goes through
-// CreateEntry for its atomic exists check.
+// Put installs (or replaces) an inode record unconditionally: the
+// migration-ingest path (and the root and fake-inode bootstrap). Client
+// mutations go through applyBatchOps for their atomic checks.
 func (s *Store) Put(in *namespace.Inode) error {
 	mu := s.stripe(in.Parent)
 	mu.Lock()
 	defer mu.Unlock()
-	return s.putLocked(nil, in)
-}
-
-// putLocked writes the record and updates the ino index. Caller holds
-// the parent's stripe exclusively. ctx (nilable) propagates the
-// request's trace into the kvstore commit.
-func (s *Store) putLocked(ctx context.Context, in *namespace.Inode) error {
-	if err := s.db.PutCtx(ctx, namespace.EncodeKey(in.Parent, in.Name), namespace.EncodeInode(in)); err != nil {
+	if err := s.db.Put(namespace.EncodeKey(in.Parent, in.Name), namespace.EncodeInode(in)); err != nil {
 		return err
 	}
 	s.inoMu.Lock()
@@ -256,7 +245,12 @@ func (s *Store) putLocked(ctx context.Context, in *namespace.Inode) error {
 // getLocked fetches (parent, name); caller holds the parent's stripe
 // (shared or exclusive).
 func (s *Store) getLocked(parent namespace.Ino, name string) (*namespace.Inode, bool, error) {
-	v, found, err := s.db.Get(namespace.EncodeKey(parent, name))
+	return s.getKey(namespace.EncodeKey(parent, name))
+}
+
+// getKey is getLocked for an already encoded key.
+func (s *Store) getKey(k []byte) (*namespace.Inode, bool, error) {
+	v, found, err := s.db.Get(k)
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -265,24 +259,6 @@ func (s *Store) getLocked(parent namespace.Ino, name string) (*namespace.Inode, 
 		return nil, false, err
 	}
 	return in, true, nil
-}
-
-// deleteLocked removes (parent, name) and deindexes it; caller holds
-// the parent's stripe exclusively. ctx (nilable) propagates the
-// request's trace into the kvstore commit.
-func (s *Store) deleteLocked(ctx context.Context, parent namespace.Ino, name string) error {
-	v, found, err := s.db.Get(namespace.EncodeKey(parent, name))
-	if err != nil {
-		return err
-	}
-	if found {
-		if in, derr := namespace.DecodeInode(v); derr == nil {
-			s.inoMu.Lock()
-			delete(s.byIno, in.Ino)
-			s.inoMu.Unlock()
-		}
-	}
-	return s.db.DeleteCtx(ctx, namespace.EncodeKey(parent, name))
 }
 
 // hasChildLocked reports whether dir has at least one entry; caller
@@ -299,223 +275,22 @@ func (s *Store) hasChildLocked(dir namespace.Ino) (bool, error) {
 
 // CreateEntry atomically installs a brand-new entry: the parent must be
 // a live directory on this shard and (parent, name) must be absent.
-// Returns ErrNotDir or ErrExist otherwise. This is the only safe create
-// path under concurrent dispatch — a bare exists-check + Put would let
-// two racing creates of the same name both succeed.
+// Returns ErrNotDir or ErrExist otherwise.
 func (s *Store) CreateEntry(in *namespace.Inode) error {
-	return s.CreateEntryCtx(nil, in)
-}
-
-// CreateEntryCtx is CreateEntry carrying the request context for trace
-// propagation.
-func (s *Store) CreateEntryCtx(ctx context.Context, in *namespace.Inode) error {
-	mu := s.stripe(in.Parent)
-	mu.Lock()
-	defer mu.Unlock()
-	s.inoMu.RLock()
-	pref, ok := s.byIno[in.Parent]
-	s.inoMu.RUnlock()
-	if !ok || !pref.isDir {
-		return ErrNotDir
-	}
-	if _, found, err := s.getLocked(in.Parent, in.Name); err != nil {
-		return err
-	} else if found {
-		return ErrExist
-	}
-	return s.putLocked(ctx, in)
+	op := [1]batchOp{{kind: BatchOpCreate, in: in}}
+	s.applyBatchOps(nil, op[:])
+	return op[0].err
 }
 
 // RemoveEntry atomically deletes (parent, name), enforcing that a
-// directory victim is empty. It locks the parent's stripe and — for a
-// directory — the victim's own stripe, so no create can slip a child
-// under the directory between the emptiness check and the delete.
-// Returns the removed inode.
+// directory victim is empty. Returns the removed inode.
 func (s *Store) RemoveEntry(parent namespace.Ino, name string) (*namespace.Inode, error) {
-	return s.RemoveEntryCtx(nil, parent, name)
-}
-
-// RemoveEntryCtx is RemoveEntry carrying the request context for trace
-// propagation.
-func (s *Store) RemoveEntryCtx(ctx context.Context, parent namespace.Ino, name string) (*namespace.Inode, error) {
-	for {
-		mu := s.stripe(parent)
-		mu.RLock()
-		in, found, err := s.getLocked(parent, name)
-		mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return nil, ErrNoEnt
-		}
-		locks := []namespace.Ino{parent}
-		if in.IsDir() {
-			locks = append(locks, in.Ino)
-		}
-		unlock := s.lockStripes(locks...)
-		// Re-verify under the write locks: the entry may have been
-		// removed or replaced while we upgraded.
-		cur, found, err := s.getLocked(parent, name)
-		if err != nil {
-			unlock()
-			return nil, err
-		}
-		if !found {
-			unlock()
-			return nil, ErrNoEnt
-		}
-		if cur.Ino != in.Ino || cur.IsDir() != in.IsDir() {
-			unlock()
-			continue // entry changed shape; retry with fresh locks
-		}
-		if cur.IsDir() {
-			any, err := s.hasChildLocked(cur.Ino)
-			if err != nil {
-				unlock()
-				return nil, err
-			}
-			if any {
-				unlock()
-				return nil, ErrNotEmpty
-			}
-		}
-		err = s.deleteLocked(ctx, parent, name)
-		unlock()
-		if err != nil {
-			return nil, err
-		}
-		return cur, nil
+	op := [1]batchOp{{kind: BatchOpRemove, parent: parent, name: name}}
+	s.applyBatchOps(nil, op[:])
+	if op[0].err != nil {
+		return nil, op[0].err
 	}
-}
-
-// RenameEntry atomically moves (srcParent, srcName) to (dstParent,
-// dstName) on this shard, replacing an existing destination if it is a
-// file or an empty directory. ctime stamps the moved inode. Both parent
-// stripes (and, when replacing a directory, its stripe) are held for
-// the whole move.
-func (s *Store) RenameEntry(srcParent namespace.Ino, srcName string, dstParent namespace.Ino, dstName string, ctime int64) (*namespace.Inode, error) {
-	return s.RenameEntryCtx(nil, srcParent, srcName, dstParent, dstName, ctime)
-}
-
-// RenameEntryCtx is RenameEntry carrying the request context for trace
-// propagation.
-func (s *Store) RenameEntryCtx(ctx context.Context, srcParent namespace.Ino, srcName string, dstParent namespace.Ino, dstName string, ctime int64) (*namespace.Inode, error) {
-	for {
-		// Peek at the destination to learn whether its stripe is needed
-		// for an emptiness check.
-		dmu := s.stripe(dstParent)
-		dmu.RLock()
-		dst, dstFound, err := s.getLocked(dstParent, dstName)
-		dmu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		locks := []namespace.Ino{srcParent, dstParent}
-		if dstFound && dst.IsDir() {
-			locks = append(locks, dst.Ino)
-		}
-		unlock := s.lockStripes(locks...)
-		in, found, err := s.getLocked(srcParent, srcName)
-		if err != nil {
-			unlock()
-			return nil, err
-		}
-		if !found {
-			unlock()
-			return nil, ErrNoEnt
-		}
-		cur, curFound, err := s.getLocked(dstParent, dstName)
-		if err != nil {
-			unlock()
-			return nil, err
-		}
-		if curFound != dstFound || (curFound && (cur.Ino != dst.Ino || cur.IsDir() != dst.IsDir())) {
-			unlock()
-			continue // destination changed while locking; retry
-		}
-		if curFound {
-			if cur.IsDir() {
-				any, err := s.hasChildLocked(cur.Ino)
-				if err != nil {
-					unlock()
-					return nil, err
-				}
-				if any {
-					unlock()
-					return nil, ErrNotEmpty
-				}
-			}
-			if err := s.deleteLocked(ctx, dstParent, dstName); err != nil {
-				unlock()
-				return nil, err
-			}
-		}
-		if err := s.deleteLocked(ctx, srcParent, srcName); err != nil {
-			unlock()
-			return nil, err
-		}
-		moved := *in
-		moved.Parent = dstParent
-		moved.Name = dstName
-		moved.Ctime = ctime
-		err = s.putLocked(ctx, &moved)
-		unlock()
-		if err != nil {
-			return nil, err
-		}
-		return &moved, nil
-	}
-}
-
-// UpdateAttr atomically applies mutate to the inode numbered ino under
-// its parent's stripe, re-verifying that the ino → (parent, name)
-// binding did not move (a concurrent rename) between the index read and
-// the lock. mutate must not change Ino, Parent, or Name.
-func (s *Store) UpdateAttr(ino namespace.Ino, mutate func(in *namespace.Inode)) (*namespace.Inode, error) {
-	return s.UpdateAttrCtx(nil, ino, mutate)
-}
-
-// UpdateAttrCtx is UpdateAttr carrying the request context for trace
-// propagation.
-func (s *Store) UpdateAttrCtx(ctx context.Context, ino namespace.Ino, mutate func(in *namespace.Inode)) (*namespace.Inode, error) {
-	for {
-		s.inoMu.RLock()
-		ref, ok := s.byIno[ino]
-		s.inoMu.RUnlock()
-		if !ok {
-			return nil, ErrNoEnt
-		}
-		mu := s.stripe(ref.parent)
-		mu.Lock()
-		s.inoMu.RLock()
-		cur, ok := s.byIno[ino]
-		s.inoMu.RUnlock()
-		if !ok {
-			mu.Unlock()
-			return nil, ErrNoEnt
-		}
-		if cur != ref {
-			mu.Unlock()
-			continue // moved while locking; retry against the new home
-		}
-		in, found, err := s.getLocked(ref.parent, ref.name)
-		if err != nil {
-			mu.Unlock()
-			return nil, err
-		}
-		if !found || in.Ino != ino {
-			mu.Unlock()
-			return nil, ErrNoEnt
-		}
-		mutate(in)
-		err = s.putLocked(ctx, in)
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return in, nil
-	}
+	return op[0].gone, nil
 }
 
 // Lookup fetches the entry name under parent.
@@ -526,11 +301,26 @@ func (s *Store) Lookup(parent namespace.Ino, name string) (*namespace.Inode, boo
 	return s.getLocked(parent, name)
 }
 
+// dirAt returns the ino of the directory at (parent, name), or 0 when
+// the entry is missing or not a directory.
+func (s *Store) dirAt(parent namespace.Ino, name string) namespace.Ino {
+	if in, found, _ := s.Lookup(parent, name); found && in.IsDir() {
+		return in.Ino
+	}
+	return 0
+}
+
+// refOf returns the (parent, name) binding of an inode held here.
+func (s *Store) refOf(ino namespace.Ino) (inoRef, bool) {
+	s.inoMu.RLock()
+	defer s.inoMu.RUnlock()
+	ref, ok := s.byIno[ino]
+	return ref, ok
+}
+
 // Getattr fetches an inode by number.
 func (s *Store) Getattr(ino namespace.Ino) (*namespace.Inode, bool, error) {
-	s.inoMu.RLock()
-	ref, ok := s.byIno[ino]
-	s.inoMu.RUnlock()
+	ref, ok := s.refOf(ino)
 	if !ok {
 		return nil, false, nil
 	}
@@ -538,12 +328,24 @@ func (s *Store) Getattr(ino namespace.Ino) (*namespace.Inode, bool, error) {
 }
 
 // Delete removes the entry name under parent with no emptiness check
-// (migration rollback/removal path; RemoveEntry is the request path).
+// (migration rollback/removal path; applyBatchOps is the request path).
 func (s *Store) Delete(parent namespace.Ino, name string) error {
 	mu := s.stripe(parent)
 	mu.Lock()
 	defer mu.Unlock()
-	return s.deleteLocked(nil, parent, name)
+	k := namespace.EncodeKey(parent, name)
+	v, found, err := s.db.Get(k)
+	if err != nil {
+		return err
+	}
+	if found {
+		if in, derr := namespace.DecodeInode(v); derr == nil {
+			s.inoMu.Lock()
+			delete(s.byIno, in.Ino)
+			s.inoMu.Unlock()
+		}
+	}
+	return s.db.Delete(k)
 }
 
 // ReadDir lists the direct children of a directory held on this shard.

@@ -15,11 +15,16 @@ const batchMaxOps = 1 << 16
 // EncodeBatch frames the sub-bodies into one batch envelope.
 func EncodeBatch(subs [][]byte) []byte {
 	w := &Wire{}
+	AppendBatch(w, subs)
+	return w.Bytes()
+}
+
+// AppendBatch writes the batch envelope of subs onto w.
+func AppendBatch(w *Wire, subs [][]byte) {
 	w.U32(uint32(len(subs)))
 	for _, s := range subs {
 		w.Blob(s)
 	}
-	return w.Bytes()
 }
 
 // DecodeBatch splits a batch envelope back into its sub-bodies.

@@ -47,3 +47,21 @@ func TestBatchCodecRejectsMalformed(t *testing.T) {
 		t.Error("absurd op count accepted")
 	}
 }
+
+// FuzzDecodeBatch feeds arbitrary bytes to the batch envelope decoder:
+// it must never panic, and whatever it accepts must be exactly what
+// EncodeBatch produces for the decoded sub-bodies.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(EncodeBatch(nil))
+	f.Add(EncodeBatch([][]byte{[]byte("create"), {}, []byte("remove")}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		subs, err := DecodeBatch(body)
+		if err != nil {
+			return
+		}
+		if again := EncodeBatch(subs); !bytes.Equal(again, body) {
+			t.Fatalf("accepted %x but it re-encodes as %x", body, again)
+		}
+	})
+}

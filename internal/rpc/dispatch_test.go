@@ -67,62 +67,6 @@ func TestConcurrentDispatchOvertakes(t *testing.T) {
 	}
 }
 
-// TestSerialDispatchOrders proves the serial-mode flag restores strict
-// per-connection FIFO handler execution.
-func TestSerialDispatchOrders(t *testing.T) {
-	srv := NewServer()
-	srv.SetSerialDispatch(true)
-	var mu sync.Mutex
-	var order []Method
-	record := func(m Method) Handler {
-		return func(body []byte) ([]byte, error) {
-			mu.Lock()
-			order = append(order, m)
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-			return nil, nil
-		}
-	}
-	srv.Handle(methSlow, record(methSlow))
-	srv.Handle(methFast, record(methFast))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var wg sync.WaitGroup
-	const rounds = 20
-	wg.Add(2)
-	done := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			c.Call(methSlow, nil)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			c.Call(methFast, nil)
-		}
-	}()
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("serial calls did not finish")
-	}
-	if len(order) != 2*rounds {
-		t.Fatalf("handled %d requests, want %d", len(order), 2*rounds)
-	}
-}
-
 // TestFaultDelayStallsOnlyRequest injects a server-side receive delay
 // on one method and checks a concurrent call to another method is not
 // held up behind it.

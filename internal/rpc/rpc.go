@@ -163,8 +163,7 @@ type serverTelem struct {
 // Server dispatches incoming requests to registered handlers. Each
 // parsed request runs in its own goroutine (bounded by the worker
 // limit); frame writes on a connection are serialised by a per-
-// connection write mutex. SetSerialDispatch restores the historical
-// one-request-at-a-time mode for deterministic tests.
+// connection write mutex.
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[Method]InfoHandler
@@ -177,9 +176,6 @@ type Server struct {
 	telem    atomic.Value // serverTelem
 	tracer   atomic.Value // tracerBox
 
-	// serial switches request dispatch back to inline execution in the
-	// connection's read loop (per-connection FIFO ordering).
-	serial atomic.Bool
 	// sem bounds in-flight handler goroutines across all connections.
 	sem chan struct{}
 	// BadFrames counts frames dropped because their kind was not a
@@ -207,16 +203,6 @@ func (s *Server) SetConcurrency(n int) {
 		n = 1
 	}
 	s.sem = make(chan struct{}, n)
-}
-
-// SetSerialDispatch switches between concurrent (false, the default)
-// and inline serial (true) request dispatch. Serial mode processes one
-// request at a time per connection in arrival order — the deterministic
-// mode tests and the dispatch-ablation benchmark use. Safe to call
-// while serving; in-flight requests finish under the mode they started
-// with.
-func (s *Server) SetSerialDispatch(serial bool) {
-	s.serial.Store(serial)
 }
 
 // Handle registers a handler; it must be called before Serve.
@@ -340,18 +326,10 @@ func (s *Server) serveConn(conn net.Conn) {
 				"kind", kind, "method", uint16(method), "req", reqID)
 			continue
 		}
-		if s.serial.Load() {
-			// Serial mode: handlers run inline, so ordering per
-			// connection mirrors a strict FIFO dispatch queue.
-			if !s.handleRequest(conn, w, wmu, reqID, method, trace, span, body) {
-				return
-			}
-			continue
-		}
-		// Concurrent mode: each request gets its own goroutine so slow
-		// handlers (or injected delays) stall only themselves. The
-		// semaphore bounds in-flight work across all connections;
-		// acquiring it here applies backpressure to the read loop.
+		// Each request gets its own goroutine so slow handlers (or
+		// injected delays) stall only themselves. The semaphore bounds
+		// in-flight work across all connections; acquiring it here
+		// applies backpressure to the read loop.
 		s.sem <- struct{}{}
 		s.wg.Add(1)
 		go func(reqID uint64, method Method, trace, span uint64, body []byte) {

@@ -11,6 +11,10 @@ type Wire struct {
 	buf []byte
 }
 
+// NewWire returns an encoder whose buffer starts with room for capacity
+// bytes, so a body of known approximate size is built in one allocation.
+func NewWire(capacity int) *Wire { return &Wire{buf: make([]byte, 0, capacity)} }
+
 // Bytes returns the encoded body.
 func (w *Wire) Bytes() []byte { return w.buf }
 
@@ -38,6 +42,20 @@ func (w *Wire) Blob(b []byte) *Wire {
 	w.U32(uint32(len(b)))
 	w.buf = append(w.buf, b...)
 	return w
+}
+
+// BeginBlob opens a length-prefixed blob whose size is not known yet:
+// it reserves the prefix and returns its offset for EndBlob. Nested
+// encoders write straight into w between the two calls instead of
+// building the blob in a buffer of their own.
+func (w *Wire) BeginBlob() int {
+	w.U32(0)
+	return len(w.buf) - 4
+}
+
+// EndBlob closes the blob opened at off by patching its length prefix.
+func (w *Wire) EndBlob(off int) {
+	binary.BigEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
 }
 
 // ErrTruncated reports a short RPC body.

@@ -81,11 +81,17 @@ func TestMDSMetricsOverRPC(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("metrics JSON: %v\n%s", err, body)
 	}
-	if snap.Histograms["mds.op.create.latency_ns"].Count == 0 {
-		t.Error("create latency histogram empty after workload")
+	// Per-kind op histograms count sub-ops (mkdir + create), the rpc
+	// layer counts the frames that carried them, and no per-frame mds.op
+	// histogram exists beside the per-kind ones.
+	if got := snap.Histograms["mds.op.create.latency_ns"].Count; got != 2 {
+		t.Errorf("create latency histogram count = %d after mkdir+create, want 2", got)
 	}
-	if snap.Histograms["rpc.server.create.latency_ns"].Count == 0 {
-		t.Error("rpc server-side create histogram empty")
+	if snap.Histograms["rpc.server.batch.latency_ns"].Count == 0 {
+		t.Error("rpc server-side batch histogram empty")
+	}
+	if h, ok := snap.Histograms["mds.op.batch.latency_ns"]; ok {
+		t.Errorf("per-frame mds.op.batch histogram recorded: %+v", h)
 	}
 	if snap.Gauges["mds.store.inodes"] <= 0 {
 		t.Errorf("store inode gauge = %v", snap.Gauges["mds.store.inodes"])
