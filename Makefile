@@ -9,7 +9,7 @@ all: check
 # The default gate: compile, vet, formatting, full test suite, the race
 # detector over the concurrency-heavy networked packages, a fast
 # scenario-harness smoke, the observability-plane smoke, the
-# commit-pipeline smoke, a few seconds of fuzzing per wire decoder, and
+# commit-pipeline smoke, a few seconds of fuzzing per wire and disk decoder, and
 # the repository benchmark's own build and unit tests.
 check: build vet fmt-check test test-race sim-smoke obs-smoke commit-smoke fuzz-smoke bench-build
 
@@ -71,14 +71,17 @@ obs-smoke:
 commit-smoke:
 	$(GO) test -race -count=1 -timeout 120s -run 'CommitSmoke' ./internal/commit/... ./internal/mds/... ./internal/server/...
 
-# The decoders that read bytes off a socket, against arbitrary input: the
-# MethodBatch frame handler on a scratch shard (never panics; answers every
-# sub-op or rejects the frame with EINVAL), the SDK's response decoder and
-# the batch envelope codec.
+# The decoders that read bytes off a socket or a disk, against arbitrary
+# input: the MethodBatch frame handler on a scratch shard (never panics;
+# answers every sub-op or rejects the frame with EINVAL), the SDK's
+# response decoder, the batch envelope codec, and the kvstore's SSTable
+# reader (open, get, scan) and manifest loader.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchFrame$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 3s ./internal/rpc
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime 3s ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime 3s ./internal/kvstore
 
 # bench/ is a module of its own, so `go build ./...` at the root cannot
 # see an API break there; this can.

@@ -395,8 +395,9 @@ func buildInfoLine(sdk *client.Client, id int) string {
 }
 
 // printTop renders the coordinator's merged cluster snapshot as one row
-// per node: operation volume, errors, inode count, and the slowest p95
-// among the node's latency histograms.
+// per node: operation volume, errors, inode count, the slowest p95 among
+// the node's latency histograms, and the kvstore read path's efficiency
+// (SSTables probed per get, share of probes the bloom filter answered).
 func printTop(body []byte) error {
 	var snap struct {
 		MapVersion uint64                        `json:"map_version"`
@@ -417,7 +418,7 @@ func printTop(body []byte) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Printf("%-20s %10s %8s %8s %10s\n", "NODE", "CALLS", "ERRORS", "INODES", "P95(ms)")
+	fmt.Printf("%-20s %10s %8s %8s %10s %10s %7s\n", "NODE", "CALLS", "ERRORS", "INODES", "P95(ms)", "PROBES/GET", "BLOOM%")
 	for _, name := range names {
 		s := snap.Nodes[name]
 		var calls, errs int64
@@ -437,8 +438,17 @@ func printTop(body []byte) error {
 				p95 = h.P95
 			}
 		}
-		fmt.Printf("%-20s %10d %8d %8.0f %10.3f\n",
-			name, calls, errs, s.Gauges["mds.store.inodes"], float64(p95)/1e6)
+		// 0/0 on nodes without a store (coordinator, replication) prints 0.
+		ratio := func(num, den string) float64 {
+			if s.Gauges[den] == 0 {
+				return 0
+			}
+			return s.Gauges[num] / s.Gauges[den]
+		}
+		fmt.Printf("%-20s %10d %8d %8.0f %10.3f %10.2f %7.1f\n",
+			name, calls, errs, s.Gauges["mds.store.inodes"], float64(p95)/1e6,
+			ratio("kvstore.table.probes", "kvstore.get.calls"),
+			100*ratio("kvstore.bloom.skips", "kvstore.table.probes"))
 	}
 	return nil
 }

@@ -324,6 +324,6 @@ func (c *Client) lookupOwn(ctx context.Context, owner int, parent namespace.Ino,
 	if err != nil {
 		return nil, err
 	}
-	in, _, err := decodeInodeGrants(body)
+	in, err := decodeInode(body)
 	return in, err
 }

@@ -113,6 +113,12 @@ type Client struct {
 	reps       map[namespace.Ino]mds.ReplicaMapEntry
 	mapVersion uint64
 
+	// mapSeen is the newest map version a response trailer announced and
+	// a background refresh was started for; bg counts those refreshes so
+	// Close can wait them out.
+	mapSeen atomic.Uint64
+	bg      sync.WaitGroup
+
 	// repRR round-robins read RPCs across {owner} ∪ replicas of a
 	// replicated subtree.
 	repRR atomic.Uint64
@@ -224,7 +230,7 @@ func (c *Client) Fork() *Client {
 		forked: true,
 	}
 	if c.cache != nil {
-		n.cache = lease.NewClientCache(c.reg)
+		n.cache = c.cache.Fork()
 	}
 	c.mu.Lock()
 	n.mapVersion = c.mapVersion
@@ -362,8 +368,10 @@ func (c *Client) op(name string) (context.Context, func(error)) {
 }
 
 // Close tears down all connections. Closing a Fork leaves the shared
-// transports to the parent.
+// transports to the parent. Either way it returns only after the
+// client's background map refreshes have finished.
 func (c *Client) Close() error {
+	defer c.bg.Wait()
 	if c.forked {
 		return nil
 	}
@@ -488,6 +496,47 @@ func (c *Client) pinOf(ino namespace.Ino) (int, bool) {
 	return m, ok
 }
 
+// decodeTrailer reads what follows the payload of an owner-served read
+// response: the lease grants, then the partition-map version the serving
+// MDS holds (0 when absent — replica-served bodies carry no trailer).
+func decodeTrailer(r *rpc.Reader) (grants []lease.Grant, mapVersion uint64) {
+	grants = lease.DecodeGrants(r)
+	if r.Err() == nil && r.Remaining() >= 8 {
+		mapVersion = r.U64()
+	}
+	return grants, mapVersion
+}
+
+// sawMapVersion reacts to the map version a response announced. A client
+// whose calls keep succeeding on the owners never hits the not-owner or
+// transport errors that force a refresh, so without this it would learn a
+// newly promoted replica set only by accident. When v is ahead of the
+// client's own map, one refresh per version runs off the op's critical
+// path.
+func (c *Client) sawMapVersion(v uint64) {
+	for {
+		seen := c.mapSeen.Load()
+		if v <= seen {
+			return
+		}
+		if c.mapSeen.CompareAndSwap(seen, v) {
+			break
+		}
+	}
+	if v <= c.MapVersion() {
+		return
+	}
+	c.bg.Add(1)
+	go func() {
+		defer c.bg.Done()
+		if err := c.refreshMap(context.Background()); err != nil || c.MapVersion() < v {
+			// MDS 0 unreachable or itself behind: let a later response
+			// with this version try again.
+			c.mapSeen.CompareAndSwap(v, 0)
+		}
+	}()
+}
+
 // observeGrants folds a response's grant trailer into the cache.
 // Replica-served responses never carry grants, so a nil slice is the
 // common no-op.
@@ -504,42 +553,39 @@ func (c *Client) observeGrants(grants []lease.Grant, ownMutation bool) {
 	}
 }
 
-// decodeInodeGrants splits a single-inode response into the inode and
-// its grant trailer.
-func decodeInodeGrants(body []byte) (*namespace.Inode, []lease.Grant, error) {
+// decodeInode extracts the inode of a single-inode response, ignoring
+// whatever trailer follows it.
+func decodeInode(body []byte) (*namespace.Inode, error) {
 	r := rpc.NewReader(body)
 	blob := r.Blob()
 	if err := r.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	in, err := namespace.DecodeInode(blob)
-	if err != nil {
-		return nil, nil, err
-	}
-	return in, lease.DecodeGrants(r), nil
+	return namespace.DecodeInode(blob)
 }
 
-// decodeInodesGrants splits an inode-list response into the list and
-// its grant trailer.
-func decodeInodesGrants(body []byte) ([]*namespace.Inode, []lease.Grant, error) {
+// decodeInodesTrailer splits an inode-list response into the list and
+// its trailer.
+func decodeInodesTrailer(body []byte) ([]*namespace.Inode, []lease.Grant, uint64, error) {
 	r := rpc.NewReader(body)
 	n := int(r.U32())
 	if err := r.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	out := make([]*namespace.Inode, 0, n)
 	for i := 0; i < n; i++ {
 		blob := r.Blob()
 		if err := r.Err(); err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		in, err := namespace.DecodeInode(blob)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		out = append(out, in)
 	}
-	return out, lease.DecodeGrants(r), nil
+	grants, mapVersion := decodeTrailer(r)
+	return out, grants, mapVersion, nil
 }
 
 // resolveResult is one MethodResolvePath response: the resolved chain,
@@ -612,7 +658,9 @@ func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino,
 		if err := r.Err(); err != nil {
 			return resolveResult{}, 0, err
 		}
-		res.grants = lease.DecodeGrants(r)
+		var mapVersion uint64
+		res.grants, mapVersion = decodeTrailer(r)
+		c.sawMapVersion(mapVersion)
 		return res, owner, nil
 	}
 	return resolveResult{}, 0, fmt.Errorf("client: resolve-path under %d: retries exhausted", parent)
@@ -938,10 +986,11 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 		if spread {
 			c.reg.Counter("client.replica.reads").Inc()
 		}
-		children, grants, derr := decodeInodesGrants(body)
+		children, grants, mapVersion, derr := decodeInodesTrailer(body)
 		if derr != nil {
 			return derr
 		}
+		c.sawMapVersion(mapVersion)
 		if c.cache != nil && !spread {
 			// An owner-served listing seeds the whole directory: the
 			// grant vouches every child at once.

@@ -376,3 +376,55 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		t.Fatalf("RefreshMap after recovery: %v", err)
 	}
 }
+
+// A client whose calls keep succeeding on the owners never meets the
+// not-owner or transport error that forces a map refresh. The map version
+// on the read trailer is how it still learns a newer map — within one RPC
+// of its publication.
+func TestSucceedingClientLearnsNewMapVersion(t *testing.T) {
+	cl, sdk := startOne(t, 2, "off") // no cache: every stat is an RPC
+	co := server.NewCoordinator(cl)
+	if _, err := sdk.Mkdir("/stay"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sdk.Create("/stay/f"); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := sdk.Mkdir("/moved")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sdk.RefreshMap(); err != nil {
+		t.Fatal(err)
+	}
+	// Publish a new map that changes nothing on the path the client reads.
+	if err := co.Migrate(moved.Ino, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := co.MapVersion()
+	if got := sdk.MapVersion(); got >= want {
+		t.Fatalf("client already holds map %d (coordinator %d)", got, want)
+	}
+	if _, err := sdk.Stat("/stay/f"); err != nil {
+		t.Fatal(err)
+	}
+	// That one successful stat announced the version; the refresh runs off
+	// the op's critical path.
+	deadline := time.Now().Add(5 * time.Second)
+	for sdk.MapVersion() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("client still on map %d, %d was published one RPC ago", sdk.MapVersion(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// One refresh per version: further stats must not pull the map again.
+	rpcs := sdk.RPCCount.Load()
+	for i := 0; i < 5; i++ {
+		if _, err := sdk.Stat("/stay/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if extra := sdk.RPCCount.Load() - rpcs - 5; extra != 0 {
+		t.Fatalf("5 stats on a current map cost %d extra RPCs", extra)
+	}
+}

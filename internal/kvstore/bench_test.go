@@ -100,3 +100,48 @@ func BenchmarkKVStoreScan(b *testing.B) {
 		}
 	}
 }
+
+// The three read-path layer benchmarks run on the read-path fixture
+// (readpath_test.go): 50 000 keys flushed into overlapping tables.
+
+// BenchmarkSSTableGetHit measures a point read of a present key served
+// from the tables.
+func BenchmarkSSTableGetHit(b *testing.B) {
+	db := openFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, found, err := db.Get(fixtureKey(i * 7919 % fixtureEntries)); err != nil || !found {
+			b.Fatalf("found=%v err=%v", found, err)
+		}
+	}
+}
+
+// BenchmarkSSTableGetMiss measures a point read of an absent key that
+// sorts inside the tables' key ranges — a create's existence check.
+func BenchmarkSSTableGetMiss(b *testing.B) {
+	db := openFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, found, err := db.Get(fixtureAbsentKey(i * 7919 % fixtureEntries)); err != nil || found {
+			b.Fatalf("found=%v err=%v", found, err)
+		}
+	}
+}
+
+// BenchmarkScan100 measures listing one 100-entry directory.
+func BenchmarkScan100(b *testing.B) {
+	db := openFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dir := i * 131 % fixtureDirs
+		n := 0
+		err := db.Scan([]byte(fmt.Sprintf("dir%04d/", dir)), []byte(fmt.Sprintf("dir%04d0", dir)),
+			func(k, v []byte) bool { n++; return true })
+		if err != nil || n != fixturePerDir {
+			b.Fatalf("scanned %d entries, err %v", n, err)
+		}
+	}
+}

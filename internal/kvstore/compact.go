@@ -1,7 +1,5 @@
 package kvstore
 
-import "bytes"
-
 // Compaction in fragmented (PebblesDB) mode never merges with the tables
 // already present in the destination level: the merged output of the source
 // run is split at the destination's guard boundaries and simply prepended
@@ -43,37 +41,62 @@ func (db *DB) maybeCompactLocked() error {
 	}
 }
 
-// mergeTables merges entries of tables (ordered newest first) with
-// newest-wins semantics via streaming cursors, returning entries in
-// ascending key order. Tombstones are retained unless dropTombstones is
-// set.
-func mergeTables(tables []*sstable, dropTombstones bool) ([]walOp, error) {
+// mergeInto streams the newest-wins merge of tables (ordered newest
+// first), restricted to keys in [lo, hi), into one fresh table; nil when
+// nothing survives. Tombstones are retained unless dropTombstones is set.
+// Entries go from the cursors' read buffers straight into the builder, so
+// a compaction holds a few chunks in memory, never the merged run.
+func (db *DB) mergeInto(tables []*sstable, lo, hi []byte, dropTombstones bool) (*sstable, error) {
 	cursors := make([]cursor, 0, len(tables))
 	for _, t := range tables {
-		c, err := newSSTCursor(t, nil, nil)
-		if err != nil {
-			return nil, err
+		if t.overlaps(lo, hi) {
+			cursors = append(cursors, newSSTCursor(t, lo, hi, &db.stats.reads))
 		}
-		cursors = append(cursors, c)
+	}
+	if len(cursors) == 0 {
+		return nil, nil
 	}
 	m, err := newMergeIterator(cursors)
 	if err != nil {
 		return nil, err
 	}
-	var out []walOp
+	defer m.close()
+	var b *tableBuilder // made at the first surviving entry
+	fail := func(err error) (*sstable, error) {
+		if b != nil {
+			b.abort()
+		}
+		return nil, err
+	}
 	for {
 		key, value, tombstone, ok, err := m.next()
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if !ok {
-			return out, nil
+			break
 		}
 		if tombstone && dropTombstones {
 			continue
 		}
-		out = append(out, walOp{key: key, value: value, tombstone: tombstone})
+		if b == nil {
+			if b, err = newTableBuilder(db.newTablePath()); err != nil {
+				return nil, err
+			}
+		}
+		if err := b.add(key, value, tombstone); err != nil {
+			return fail(err)
+		}
 	}
+	if b == nil {
+		return nil, nil
+	}
+	t, err := b.finish()
+	if err != nil {
+		return nil, err
+	}
+	db.stats.bytesCompacted.Add(t.size)
+	return t, nil
 }
 
 // ensureGuardsLocked assigns a guard partition to level li (0-based index
@@ -101,142 +124,48 @@ func (l *dbLevel) populated() bool {
 	return false
 }
 
-// writeEntriesIntoLevel splits entries (ascending key order, newer than
-// everything already in the level) at the level's guard boundaries and
-// installs one table per non-empty segment at the front of its run. In
-// PlainLeveled mode each affected run is instead fully merged and
-// rewritten.
-func (db *DB) writeEntriesIntoLevel(li int, entries []walOp) error {
-	if len(entries) == 0 {
-		return nil
-	}
+// compactInto pushes src (tables newer than everything in level li,
+// ordered newest first) into level li: the merged run is split at the
+// level's guard boundaries and one table per non-empty segment goes to
+// the front of its guard's run. In PlainLeveled mode, and on the last
+// level, a segment is instead merged with the tables already in the run,
+// which is rewritten as a single table; the last level drops tombstones.
+func (db *DB) compactInto(li int, src []*sstable) error {
 	db.ensureGuardsLocked(li)
 	lvl := db.levels[li]
 	lastLevel := li == len(db.levels)-1
-
-	// Partition entries by guard slot.
-	segments := make(map[int][]walOp)
-	for _, e := range entries {
-		gi := guardIndexFor(lvl.guardKeys, e.key)
-		segments[gi] = append(segments[gi], e)
-	}
-	for gi, seg := range segments {
-		run := &lvl.sentinel
+	for gi := -1; gi < len(lvl.guardKeys); gi++ {
+		var lo, hi []byte // guard gi covers [lo, hi)
 		if gi >= 0 {
-			run = &lvl.guards[gi]
+			lo = lvl.guardKeys[gi]
 		}
-		if db.opts.PlainLeveled || (lastLevel && len(run.tables) > 0) {
-			// Merge the incoming segment with the run's existing tables
-			// and rewrite the run as a single table.
-			merged, err := mergeEntriesWithTables(seg, run.tables, lastLevel)
-			if err != nil {
-				return err
-			}
-			if err := db.replaceRun(run, merged); err != nil {
-				return err
-			}
-			continue
+		if gi+1 < len(lvl.guardKeys) {
+			hi = lvl.guardKeys[gi+1]
 		}
-		drop := lastLevel && len(run.tables) == 0
-		if drop {
-			seg = dropTombs(seg)
+		touched := false
+		for _, t := range src {
+			touched = touched || t.overlaps(lo, hi)
 		}
-		t, err := db.buildTable(seg)
+		if !touched {
+			continue // src has nothing for this guard; its run stays as it is
+		}
+		run := lvl.run(gi)
+		inputs, rewrite := src, db.opts.PlainLeveled || (lastLevel && len(run.tables) > 0)
+		if rewrite {
+			inputs = append(append([]*sstable(nil), src...), run.tables...)
+		}
+		t, err := db.mergeInto(inputs, lo, hi, lastLevel)
 		if err != nil {
 			return err
 		}
+		if rewrite {
+			// Also when nothing survived: tombstones cancelled the run out.
+			db.removeTables(run.tables)
+			run.tables = nil
+		}
 		if t != nil {
 			run.tables = append([]*sstable{t}, run.tables...)
-			db.stats.bytesCompacted.Add(t.size)
 		}
-	}
-	return nil
-}
-
-func dropTombs(es []walOp) []walOp {
-	out := es[:0:0]
-	for _, e := range es {
-		if !e.tombstone {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// mergeEntriesWithTables merges already-sorted entries (newest) over the
-// run's tables (older, newest first among themselves).
-func mergeEntriesWithTables(entries []walOp, tables []*sstable, dropTombstones bool) ([]walOp, error) {
-	older, err := mergeTables(tables, false)
-	if err != nil {
-		return nil, err
-	}
-	var out []walOp
-	i, j := 0, 0
-	for i < len(entries) || j < len(older) {
-		var win walOp
-		switch {
-		case i >= len(entries):
-			win = older[j]
-			j++
-		case j >= len(older):
-			win = entries[i]
-			i++
-		default:
-			c := bytes.Compare(entries[i].key, older[j].key)
-			if c < 0 {
-				win = entries[i]
-				i++
-			} else if c > 0 {
-				win = older[j]
-				j++
-			} else {
-				win = entries[i] // newer wins
-				i++
-				j++
-			}
-		}
-		if win.tombstone && dropTombstones {
-			continue
-		}
-		out = append(out, win)
-	}
-	return out, nil
-}
-
-// buildTable writes entries (ascending) to a fresh table; nil when empty.
-func (db *DB) buildTable(entries []walOp) (*sstable, error) {
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	b, err := newTableBuilder(db.newTablePath())
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if err := b.add(e.key, e.value, e.tombstone); err != nil {
-			b.abort()
-			return nil, err
-		}
-	}
-	if b.empty() {
-		b.abort()
-		return nil, nil
-	}
-	return b.finish()
-}
-
-// replaceRun swaps a run's tables for a single table built from entries.
-func (db *DB) replaceRun(run *guardRun, entries []walOp) error {
-	t, err := db.buildTable(entries)
-	if err != nil {
-		return err
-	}
-	db.removeTables(run.tables)
-	if t == nil {
-		run.tables = nil
-	} else {
-		run.tables = []*sstable{t}
-		db.stats.bytesCompacted.Add(t.size)
 	}
 	return nil
 }
@@ -250,40 +179,35 @@ func (db *DB) removeTables(ts []*sstable) {
 
 // compactL0Locked merges every L0 table into L1.
 func (db *DB) compactL0Locked() error {
-	merged, err := mergeTables(db.l0, false)
-	if err != nil {
+	if err := db.compactInto(0, db.l0); err != nil {
 		return err
 	}
-	old := db.l0
-	if err := db.writeEntriesIntoLevel(0, merged); err != nil {
-		return err
-	}
+	db.removeTables(db.l0)
 	db.l0 = nil
-	db.removeTables(old)
 	db.stats.compactions.Add(1)
 	return nil
 }
 
 // compactRunLocked pushes one over-full run of level li into level li+1,
-// or merges it in place when li is the last level.
+// or merges it in place (dropping tombstones) when li is the last level.
 func (db *DB) compactRunLocked(li int, run *guardRun) error {
-	lastLevel := li == len(db.levels)-1
-	merged, err := mergeTables(run.tables, lastLevel)
-	if err != nil {
-		return err
-	}
 	old := run.tables
-	if lastLevel {
-		if err := db.replaceRun(run, merged); err != nil {
-			return err
-		}
-	} else {
-		if err := db.writeEntriesIntoLevel(li+1, merged); err != nil {
+	if li == len(db.levels)-1 {
+		t, err := db.mergeInto(old, nil, nil, true)
+		if err != nil {
 			return err
 		}
 		run.tables = nil
-		db.removeTables(old)
+		if t != nil {
+			run.tables = []*sstable{t}
+		}
+	} else {
+		if err := db.compactInto(li+1, old); err != nil {
+			return err
+		}
+		run.tables = nil
 	}
+	db.removeTables(old)
 	db.stats.compactions.Add(1)
 	return nil
 }

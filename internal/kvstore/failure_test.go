@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +12,7 @@ import (
 // corrupt data) when its on-disk state is damaged, and recover cleanly
 // from partial writes.
 
-func populate(t *testing.T, dir string, n int) {
+func populate(t testing.TB, dir string, n int) {
 	t.Helper()
 	db, err := Open(dir, smallOpts())
 	if err != nil {
@@ -63,8 +64,8 @@ func TestOpenFailsOnCorruptTable(t *testing.T) {
 	if err := os.WriteFile(matches[0], []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, smallOpts()); err == nil {
-		t.Error("open succeeded with a corrupt table")
+	if _, err := Open(dir, smallOpts()); !errors.Is(err, ErrCorruptTable) {
+		t.Errorf("open with a corrupt table: %v, want ErrCorruptTable", err)
 	}
 }
 

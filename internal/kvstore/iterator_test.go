@@ -48,10 +48,8 @@ func TestMemCursorRange(t *testing.T) {
 
 func TestSSTCursorRangeAndSeek(t *testing.T) {
 	tbl := buildTestTable(t, seqEntries(100))
-	c, err := newSSTCursor(tbl, []byte("key00050"), []byte("key00055"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSSTCursor(tbl, []byte("key00050"), []byte("key00055"), &readStats{})
+	defer c.close()
 	var got []string
 	for {
 		k, v, _, ok, err := c.next()
@@ -82,18 +80,12 @@ func TestMergeIteratorNewestWins(t *testing.T) {
 		{key: []byte("b"), value: []byte("old-b")},
 		{key: []byte("c"), value: []byte("old-c")},
 	})
-	cn, err := newSSTCursor(newer, nil, nil)
+	rs := &readStats{}
+	m, err := newMergeIterator([]cursor{newSSTCursor(newer, nil, nil, rs), newSSTCursor(older, nil, nil, rs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := newSSTCursor(older, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := newMergeIterator([]cursor{cn, co})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer m.close()
 	var got []string
 	var vals []string
 	for {
@@ -132,5 +124,58 @@ func TestMergeIteratorEmptySources(t *testing.T) {
 	}
 	if got := drain(t, m); len(got) != 0 {
 		t.Errorf("empty merge yielded %v", got)
+	}
+}
+
+// Table cursors hand out slices of a buffer they overwrite on the next
+// chunk read, so the merge must not touch a source between emitting its
+// entry and the caller's next call. Three tables far larger than a chunk,
+// overlapping key by key, make every cursor reload many times while the
+// others sit on live entries.
+func TestMergeIteratorSlicesSurviveChunkReloads(t *testing.T) {
+	const n = 3000
+	pad := string(make([]byte, 80))
+	table := func(gen, start, step int) *sstable {
+		var es []walOp
+		for i := start; i < n; i += step {
+			es = append(es, walOp{key: []byte(fmt.Sprintf("key%05d", i)), value: []byte(fmt.Sprintf("g%d-%05d%s", gen, i, pad))})
+		}
+		return buildTestTable(t, es)
+	}
+	// Newest first: every 3rd key, every 2nd key, every key.
+	tables := []*sstable{table(0, 0, 3), table(1, 0, 2), table(2, 0, 1)}
+	if tables[0].size < 2*cursorChunkMax/3 || tables[2].size < 2*cursorChunkMax {
+		t.Fatalf("tables of %d and %d bytes do not span several chunks", tables[0].size, tables[2].size)
+	}
+	rs := &readStats{}
+	var cursors []cursor
+	for _, tbl := range tables {
+		cursors = append(cursors, newSSTCursor(tbl, nil, nil, rs))
+	}
+	m, err := newMergeIterator(cursors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.close()
+	for i := 0; i < n; i++ {
+		k, v, _, ok, err := m.next()
+		if err != nil || !ok {
+			t.Fatalf("entry %d: ok=%v err=%v", i, ok, err)
+		}
+		gen := 2
+		if i%3 == 0 {
+			gen = 0
+		} else if i%2 == 0 {
+			gen = 1
+		}
+		if wantK, wantV := fmt.Sprintf("key%05d", i), fmt.Sprintf("g%d-%05d%s", gen, i, pad); string(k) != wantK || string(v) != wantV {
+			t.Fatalf("entry %d = (%q, %q), want (%q, %q)", i, k, v[:9], wantK, wantV[:9])
+		}
+	}
+	if _, _, _, ok, _ := m.next(); ok {
+		t.Fatal("merge yielded more than the union of its sources")
+	}
+	if reads := rs.blockReads.Load(); reads < 6 {
+		t.Fatalf("%d chunk reads: the cursors never reloaded", reads)
 	}
 }

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,6 +28,23 @@ func buildTestTable(t *testing.T, entries []walOp) *sstable {
 	return tbl
 }
 
+// tableGet is a point read the way DB.Get issues it.
+func tableGet(t *sstable, key []byte) (value []byte, found, tombstone bool, err error) {
+	return t.get(key, bloomHash(key), &readStats{})
+}
+
+// tableScan visits the table's entries in [lo, hi) through the cursor.
+func tableScan(t *sstable, lo, hi []byte, fn func(key, value []byte, tombstone bool) bool) error {
+	c := newSSTCursor(t, lo, hi, &readStats{})
+	defer c.close()
+	for {
+		k, v, tomb, ok, err := c.next()
+		if err != nil || !ok || !fn(k, v, tomb) {
+			return err
+		}
+	}
+}
+
 func seqEntries(n int) []walOp {
 	es := make([]walOp, n)
 	for i := range es {
@@ -42,7 +60,7 @@ func TestSSTableGet(t *testing.T) {
 	tbl := buildTestTable(t, seqEntries(1000))
 	for _, i := range []int{0, 1, 15, 16, 17, 500, 998, 999} {
 		k := []byte(fmt.Sprintf("key%05d", i))
-		v, found, tomb, err := tbl.get(k)
+		v, found, tomb, err := tableGet(tbl, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +69,7 @@ func TestSSTableGet(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"key99999", "aaa", "key00500x"} {
-		_, found, _, err := tbl.get([]byte(k))
+		_, found, _, err := tableGet(tbl, []byte(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +84,7 @@ func TestSSTableTombstones(t *testing.T) {
 	es[3].tombstone = true
 	es[3].value = nil
 	tbl := buildTestTable(t, es)
-	_, found, tomb, err := tbl.get(es[3].key)
+	_, found, tomb, err := tableGet(tbl, es[3].key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +96,7 @@ func TestSSTableTombstones(t *testing.T) {
 func TestSSTableScan(t *testing.T) {
 	tbl := buildTestTable(t, seqEntries(100))
 	var got []string
-	err := tbl.scan([]byte("key00010"), []byte("key00015"), func(k, v []byte, tomb bool) bool {
+	err := tableScan(tbl, []byte("key00010"), []byte("key00015"), func(k, v []byte, tomb bool) bool {
 		got = append(got, string(k))
 		return true
 	})
@@ -93,7 +111,7 @@ func TestSSTableScan(t *testing.T) {
 func TestSSTableScanAll(t *testing.T) {
 	tbl := buildTestTable(t, seqEntries(257)) // crosses index restart points
 	n := 0
-	if err := tbl.scan(nil, nil, func(k, v []byte, tomb bool) bool {
+	if err := tableScan(tbl, nil, nil, func(k, v []byte, tomb bool) bool {
 		n++
 		return true
 	}); err != nil {
@@ -154,7 +172,7 @@ func TestSSTableReopenAfterClose(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.close()
-	v, found, _, err := re.get([]byte("key00042"))
+	v, found, _, err := tableGet(re, []byte("key00042"))
 	if err != nil || !found || string(v) != "value42" {
 		t.Errorf("reopened get = (%q, %v, %v)", v, found, err)
 	}
@@ -163,27 +181,111 @@ func TestSSTableReopenAfterClose(t *testing.T) {
 	}
 }
 
+// Every byte of filter block, index and footer is covered by the checksum
+// or the magic: flipping any one of them must fail the open, as must a
+// truncated file.
 func TestSSTableCorruptionDetected(t *testing.T) {
 	tbl := buildTestTable(t, seqEntries(50))
-	path := tbl.path
+	path, dataEnd := tbl.path, int(tbl.dataEnd)
 	tbl.close()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte in the index region (after data, before footer).
-	data[len(data)-footerSize-3] ^= 0xff
+	for off := dataEnd; off < len(data); off++ {
+		bad := append([]byte(nil), data...)
+		bad[off] ^= 0xff
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if re, err := openSSTable(path); !errors.Is(err, ErrCorruptTable) {
+			if err == nil {
+				re.close()
+			}
+			t.Fatalf("flipped byte %d of %d (data ends at %d): open returned %v, want ErrCorruptTable", off, len(data), dataEnd, err)
+		}
+	}
+	for _, n := range []int{0, 10, dataEnd, len(data) - 1} {
+		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := openSSTable(path); !errors.Is(err, ErrCorruptTable) {
+			t.Errorf("table truncated to %d bytes: open returned %v, want ErrCorruptTable", n, err)
+		}
+	}
+}
+
+// Data blocks carry no checksum of their own, so a damaged block is
+// caught structurally: whatever byte is flipped, Get and a full scan
+// return ErrCorruptTable or an answer — they never panic — and damage to
+// a length field or the loss of the file's tail is always an error.
+func TestSSTableDataCorruptionNeverPanics(t *testing.T) {
+	entries := seqEntries(50)
+	tbl := buildTestTable(t, entries)
+	path, dataEnd := tbl.path, int(tbl.dataEnd)
+	tbl.close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll := func(tbl *sstable) (firstErr error) {
+		for _, e := range entries {
+			if _, _, _, err := tableGet(tbl, e.key); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		if err := tableScan(tbl, nil, nil, func(_, _ []byte, _ bool) bool { return true }); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		return firstErr
+	}
+	for off := 0; off < dataEnd; off++ {
+		bad := append([]byte(nil), data...)
+		bad[off] ^= 0xff
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := openSSTable(path)
+		if err != nil {
+			t.Fatalf("flipped data byte %d: open failed (%v); data blocks are not part of the open", off, err)
+		}
+		if err := readAll(re); err != nil && !errors.Is(err, ErrCorruptTable) {
+			t.Errorf("flipped data byte %d: %v, want ErrCorruptTable or no error", off, err)
+		}
+		re.close()
+	}
+
+	// The first entry's key length, blown up past its block.
+	bad := append([]byte(nil), data...)
+	bad[1] = 0x7f
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := openSSTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.close()
+	if _, _, _, err := tableGet(re, entries[3].key); !errors.Is(err, ErrCorruptTable) {
+		t.Errorf("Get through an overlong key length: %v, want ErrCorruptTable", err)
+	}
+	if err := tableScan(re, nil, nil, func(_, _ []byte, _ bool) bool { return true }); !errors.Is(err, ErrCorruptTable) {
+		t.Errorf("scan through an overlong key length: %v, want ErrCorruptTable", err)
+	}
+
+	// The file shrinks under an open table: the block read comes up short.
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openSSTable(path); err == nil {
-		t.Error("corrupt index should fail checksum on open")
-	}
-	// Truncated file must also fail cleanly.
-	if err := os.WriteFile(path, data[:10], 0o644); err != nil {
+	open2, err := openSSTable(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openSSTable(path); err == nil {
-		t.Error("truncated table should fail to open")
+	defer open2.close()
+	if err := os.Truncate(path, int64(dataEnd/2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := readAll(open2); !errors.Is(err, ErrCorruptTable) {
+		t.Errorf("reads past the end of a truncated table: %v, want ErrCorruptTable", err)
 	}
 }

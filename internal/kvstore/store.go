@@ -111,6 +111,14 @@ type Stats struct {
 	// reached the WAL). Each is ONE record and one commit ack no matter
 	// how many ops it carries; Puts and Deletes still count the ops.
 	Batches int64
+	// TableProbes counts the SSTables a Get had to consider (its key
+	// inside the table's key range), BloomSkips the probes the table's
+	// filter answered without I/O, and BlockReads the data ReadAt calls
+	// of point reads, scans and compaction together. Probes per get is
+	// TableProbes/Gets; the filter's hit rate is BloomSkips/TableProbes.
+	TableProbes int64
+	BloomSkips  int64
+	BlockReads  int64
 }
 
 // dbStats is the live counter set behind Stats. The counters are
@@ -122,6 +130,7 @@ type dbStats struct {
 	flushes, compactions         atomic.Int64
 	bytesFlushed, bytesCompacted atomic.Int64
 	walSyncs                     atomic.Int64
+	reads                        readStats
 }
 
 // DB is a fragmented log-structured merge store. All methods are safe
@@ -549,7 +558,10 @@ func (db *DB) ApplyBatchCtx(ctx context.Context, b *Batch) error {
 
 // Get returns the value stored for key. Point reads hold the lock
 // shared, so any number of them run concurrently with each other (and
-// with Scans); a read sees every write that completed before it.
+// with Scans); a read sees every write that completed before it. The
+// memtable answers first, then L0 newest-first, then one run per guarded
+// level; each table is asked only if its key range and its bloom filter
+// admit the key, and answers with a single block read.
 func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -560,29 +572,19 @@ func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
 		}
 		return append([]byte(nil), v...), true, nil
 	}
-	for _, t := range db.l0 {
-		v, f, tomb, err := t.get(key)
-		if err != nil {
-			return nil, false, err
+	h := bloomHash(key)
+	for li := -1; li < len(db.levels); li++ {
+		tables := db.l0
+		if li >= 0 {
+			lvl := db.levels[li]
+			tables = lvl.run(guardIndexFor(lvl.guardKeys, key)).tables
 		}
-		if f {
-			if tomb {
-				return nil, false, nil
-			}
-			return v, true, nil
-		}
-	}
-	for _, lvl := range db.levels {
-		run := lvl.runFor(key)
-		for _, t := range run.tables {
-			v, f, tomb, err := t.get(key)
-			if err != nil {
+		for _, t := range tables {
+			v, f, tomb, err := t.get(key, h, &db.stats.reads)
+			if err != nil || tomb {
 				return nil, false, err
 			}
 			if f {
-				if tomb {
-					return nil, false, nil
-				}
 				return v, true, nil
 			}
 		}
@@ -590,8 +592,8 @@ func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
 	return nil, false, nil
 }
 
-func (l *dbLevel) runFor(key []byte) *guardRun {
-	gi := guardIndexFor(l.guardKeys, key)
+// run returns the run of guard slot gi; -1 is the sentinel.
+func (l *dbLevel) run(gi int) *guardRun {
 	if gi < 0 {
 		return &l.sentinel
 	}
@@ -611,45 +613,41 @@ func (l *dbLevel) allRuns() []*guardRun {
 // Scan visits all live entries with lo <= key < hi in ascending key order
 // until fn returns false. A nil hi scans to the end of the key space. The
 // scan streams through a k-way merge of lazy cursors: memory use is
-// bounded by the number of sources, not the range size. Like Get, a
-// Scan holds the lock shared for its whole run — concurrent with other
-// reads, excluded only by writers — so fn must not call back into a
-// mutating DB method.
+// bounded by the number of sources, not the range size. key and value
+// alias the scan's read buffers and are valid only until fn returns — a
+// consumer that retains them must copy. Like Get, a Scan holds the lock
+// shared for its whole run — concurrent with other reads, excluded only
+// by writers — so fn must not call back into a mutating DB method.
 func (db *DB) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	// Source order encodes recency: memtable, then L0 newest-first, then
 	// the guarded levels top-down.
 	cursors := []cursor{newMemCursor(db.mem, lo, hi)}
-	addTable := func(t *sstable) error {
-		if !t.overlaps(lo, hi) {
-			return nil
-		}
-		c, err := newSSTCursor(t, lo, hi)
-		if err != nil {
-			return err
-		}
-		cursors = append(cursors, c)
-		return nil
-	}
-	for _, t := range db.l0 {
-		if err := addTable(t); err != nil {
-			return err
-		}
-	}
-	for _, lvl := range db.levels {
-		for _, run := range lvl.allRuns() {
-			for _, t := range run.tables {
-				if err := addTable(t); err != nil {
-					return err
-				}
+	addTables := func(tables []*sstable) {
+		for _, t := range tables {
+			if t.overlaps(lo, hi) {
+				cursors = append(cursors, newSSTCursor(t, lo, hi, &db.stats.reads))
 			}
+		}
+	}
+	addTables(db.l0)
+	for _, lvl := range db.levels {
+		// Every table lies wholly inside one guard's run, so only the
+		// runs [lo, hi) covers can hold a key of the range.
+		last := len(lvl.guards) - 1
+		if hi != nil {
+			last = guardIndexFor(lvl.guardKeys, hi)
+		}
+		for gi := guardIndexFor(lvl.guardKeys, lo); gi <= last; gi++ {
+			addTables(lvl.run(gi).tables)
 		}
 	}
 	m, err := newMergeIterator(cursors)
 	if err != nil {
 		return err
 	}
+	defer m.close()
 	for {
 		key, value, tombstone, ok, err := m.next()
 		if err != nil {
@@ -741,7 +739,8 @@ func (db *DB) resetWALLocked() error {
 // over the whole key space: tombstoned keys are skipped, so replaying a
 // snapshot plus the WAL tail that accumulated during the export
 // converges to the source state (mutations are last-writer-wins and
-// deletes of absent keys are no-ops).
+// deletes of absent keys are no-ops). Scan's slice lifetime applies: key
+// and value are valid only until fn returns.
 func (db *DB) Snapshot(fn func(key, value []byte) bool) error {
 	return db.Scan(nil, nil, fn)
 }
@@ -837,6 +836,9 @@ func (db *DB) Stats() Stats {
 		BytesCompacted: db.stats.bytesCompacted.Load(),
 		WALSyncs:       db.stats.walSyncs.Load(),
 		Batches:        db.stats.batches.Load(),
+		TableProbes:    db.stats.reads.tableProbes.Load(),
+		BloomSkips:     db.stats.reads.bloomSkips.Load(),
+		BlockReads:     db.stats.reads.blockReads.Load(),
 	}
 	s.MemtableEntries = db.mem.len()
 	s.WALBytes = db.wal.size

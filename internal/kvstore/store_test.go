@@ -307,58 +307,109 @@ func TestStorePlainLeveledMode(t *testing.T) {
 	}
 }
 
-// TestStoreRandomizedAgainstMap drives a random op mix through flushes and
-// compactions and verifies the DB always agrees with a model map.
+// TestStoreRandomizedAgainstMap drives a seeded random op mix through
+// flushes and compactions, in both compaction modes, and verifies the DB
+// against a model map: every present key and a disjoint set of absent
+// keys through Get, the whole key space and random ranges through Scan,
+// and — a bloom false negative would be silent data loss — that every key
+// a table holds passes that table's filter.
 func TestStoreRandomizedAgainstMap(t *testing.T) {
-	db := openTest(t, smallOpts())
-	model := map[string]string{}
-	rnd := rand.New(rand.NewSource(7))
-	for i := 0; i < 8000; i++ {
-		k := fmt.Sprintf("key%03d", rnd.Intn(400))
-		switch rnd.Intn(10) {
-		case 0:
-			if err := db.Delete([]byte(k)); err != nil {
-				t.Fatal(err)
+	for _, plain := range []bool{false, true} {
+		t.Run(fmt.Sprintf("plainLeveled=%v", plain), func(t *testing.T) {
+			opts := smallOpts()
+			opts.PlainLeveled = plain
+			db := openTest(t, opts)
+			model := map[string]string{}
+			rnd := rand.New(rand.NewSource(7))
+			key := func(i int) string { return fmt.Sprintf("key%03d", i) }
+			for i := 0; i < 8000; i++ {
+				k := key(rnd.Intn(400))
+				switch rnd.Intn(10) {
+				case 0:
+					if err := db.Delete([]byte(k)); err != nil {
+						t.Fatal(err)
+					}
+					delete(model, k)
+				case 1:
+					if rnd.Intn(20) == 0 {
+						if err := db.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				default:
+					v := fmt.Sprintf("v%d", i)
+					if err := db.Put([]byte(k), []byte(v)); err != nil {
+						t.Fatal(err)
+					}
+					model[k] = v
+				}
 			}
-			delete(model, k)
-		case 1:
-			if rnd.Intn(20) == 0 {
-				if err := db.Flush(); err != nil {
+			if st := db.Stats(); st.Flushes == 0 || st.Compactions == 0 {
+				t.Fatalf("the mix never reached the tables: %+v", st)
+			}
+			for i := 0; i < 400; i++ {
+				// key%03d.5 sorts between two model keys and is never written.
+				for _, k := range []string{key(i), key(i) + ".5"} {
+					want, present := model[k]
+					v, found, err := db.Get([]byte(k))
+					if err != nil || found != present || string(v) != want {
+						t.Fatalf("Get(%q) = (%q,%v,%v), want (%q,%v)", k, v, found, err, want, present)
+					}
+				}
+			}
+			scan := func(lo, hi []byte) {
+				t.Helper()
+				want := 0
+				for k := range model {
+					if bytes.Compare([]byte(k), lo) >= 0 && (hi == nil || bytes.Compare([]byte(k), hi) < 0) {
+						want++
+					}
+				}
+				n := 0
+				var prev []byte
+				err := db.Scan(lo, hi, func(k, v []byte) bool {
+					if prev != nil && bytes.Compare(prev, k) >= 0 {
+						t.Fatalf("scan [%q,%q) out of order: %q after %q", lo, hi, k, prev)
+					}
+					prev = append(prev[:0], k...)
+					if model[string(k)] != string(v) {
+						t.Fatalf("scan [%q,%q): %q = %q, model has %q", lo, hi, k, v, model[string(k)])
+					}
+					n++
+					return true
+				})
+				if err != nil || n != want {
+					t.Fatalf("scan [%q,%q) visited %d entries (err %v), model has %d", lo, hi, n, err, want)
+				}
+			}
+			scan(nil, nil)
+			for i := 0; i < 200; i++ {
+				lo := rnd.Intn(400)
+				scan([]byte(key(lo)), []byte(key(lo+rnd.Intn(60))))
+			}
+			scan([]byte(key(390)), nil)
+
+			tables := append([]*sstable(nil), db.l0...)
+			for _, lvl := range db.levels {
+				for _, run := range lvl.allRuns() {
+					tables = append(tables, run.tables...)
+				}
+			}
+			if len(tables) < 2 {
+				t.Fatalf("only %d table(s) on disk", len(tables))
+			}
+			for _, tbl := range tables {
+				err := tableScan(tbl, nil, nil, func(k, _ []byte, _ bool) bool {
+					if !tbl.filter.mayContain(bloomHash(k)) {
+						t.Fatalf("%s: filter rejects its own key %q", tbl.path, k)
+					}
+					return true
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
-		default:
-			v := fmt.Sprintf("v%d", i)
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			model[k] = v
-		}
-	}
-	for k, want := range model {
-		v, found, err := db.Get([]byte(k))
-		if err != nil || !found || string(v) != want {
-			t.Fatalf("Get(%q) = (%q,%v,%v), want %q", k, v, found, err, want)
-		}
-	}
-	// Scan agrees with the model.
-	got := map[string]string{}
-	var prev []byte
-	db.Scan(nil, nil, func(k, v []byte) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			t.Fatalf("scan out of order")
-		}
-		prev = append(prev[:0:0], k...)
-		got[string(k)] = string(v)
-		return true
-	})
-	if len(got) != len(model) {
-		t.Fatalf("scan size %d != model %d", len(got), len(model))
-	}
-	for k, v := range model {
-		if got[k] != v {
-			t.Errorf("scan[%q] = %q, want %q", k, got[k], v)
-		}
+		})
 	}
 }
 
@@ -418,5 +469,44 @@ func TestGuardIndexFor(t *testing.T) {
 		if got := guardIndexFor(guards, []byte(c.key)); got != c.want {
 			t.Errorf("guardIndexFor(%q) = %d, want %d", c.key, got, c.want)
 		}
+	}
+}
+
+// When tombstones cancel a last-level run out completely, the rewrite
+// leaves no table at all — and must still retire the tables it merged,
+// or the deleted keys come back.
+func TestCompactionDropsRunCancelledByTombstones(t *testing.T) {
+	db := openTest(t, Options{MemtableBytes: 1 << 20, MaxL0Tables: 1, MaxLevels: 1})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%03d", i)) }
+	flushed := func(write func(i int) error) {
+		t.Helper()
+		// Two flushes exceed MaxL0Tables, so the second one compacts into
+		// L1, the last level.
+		for half := 0; half < 2; half++ {
+			for i := half * 50; i < half*50+50; i++ {
+				if err := write(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flushed(func(i int) error { return db.Put(key(i), []byte("v")) })
+	if st := db.Stats(); st.TablesPerLevel[0] != 0 || st.TablesPerLevel[1] == 0 {
+		t.Fatalf("puts did not reach L1: %v", st.TablesPerLevel)
+	}
+	flushed(func(i int) error { return db.Delete(key(i)) })
+	if st := db.Stats(); st.TablesPerLevel[0] != 0 || st.TablesPerLevel[1] != 0 {
+		t.Fatalf("tables left after every key was deleted and compacted: %v", st.TablesPerLevel)
+	}
+	for i := 0; i < 100; i++ {
+		if _, found, err := db.Get(key(i)); err != nil || found {
+			t.Fatalf("Get(%s) after delete+compaction: found=%v err=%v", key(i), found, err)
+		}
+	}
+	if files, _ := filepath.Glob(filepath.Join(db.dir, "*.sst")); len(files) != 0 {
+		t.Fatalf("table files left on disk: %v", files)
 	}
 }

@@ -131,35 +131,18 @@ type walOp struct {
 	tombstone bool
 }
 
+// parseOpBody decodes one op body — the layout WAL records and SSTable
+// entries share, hence the one decoder — into an op that owns its bytes.
 func parseOpBody(payload []byte) (op walOp, rest []byte, err error) {
-	if len(payload) < 5 {
+	key, value, tombstone, n, err := decodeEntry(payload)
+	if err != nil {
 		return op, nil, ErrCorruptWAL
 	}
-	kind := payload[0]
-	payload = payload[1:]
-	keyLen := binary.BigEndian.Uint32(payload)
-	payload = payload[4:]
-	if uint32(len(payload)) < keyLen+4 {
-		return op, nil, ErrCorruptWAL
+	op = walOp{key: append([]byte(nil), key...), tombstone: tombstone}
+	if !tombstone {
+		op.value = append([]byte(nil), value...)
 	}
-	op.key = append([]byte(nil), payload[:keyLen]...)
-	payload = payload[keyLen:]
-	valLen := binary.BigEndian.Uint32(payload)
-	payload = payload[4:]
-	if uint32(len(payload)) < valLen {
-		return op, nil, ErrCorruptWAL
-	}
-	op.value = append([]byte(nil), payload[:valLen]...)
-	payload = payload[valLen:]
-	switch kind {
-	case walKindPut:
-	case walKindDelete:
-		op.tombstone = true
-		op.value = nil
-	default:
-		return op, nil, ErrCorruptWAL
-	}
-	return op, payload, nil
+	return op, payload[n:], nil
 }
 
 // replayWAL reads every intact record from the log at path and hands each

@@ -2,6 +2,7 @@ package lease
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"origami/internal/namespace"
@@ -21,6 +22,14 @@ import (
 // out of order (two goroutines sharing one client) therefore cannot
 // seed data the server has already moved past — a stale response's
 // grant is ignored by Observe and its entries are rejected by Put.
+//
+// A cache holds nothing it could no longer serve: a directory whose
+// lease ran out is dropped even if this client never calls again. Lookup
+// does that for the directory it touches; for idle clients the caches
+// made by Fork form a group, and whichever member observes a grant past
+// the group's sweep deadline (one TTL after the previous sweep) sweeps
+// all of them — so an idle fork is empty at most 2×TTL after its last
+// call, as long as any sibling still talks to the cluster.
 type ClientCache struct {
 	mu   sync.Mutex
 	now  func() time.Time
@@ -30,8 +39,11 @@ type ClientCache struct {
 	misses        *telemetry.Counter
 	negHits       *telemetry.Counter
 	invalidations *telemetry.Counter
-	entries       *telemetry.Gauge
-	nEntries      int
+	// entries is shared by every cache on the registry, so each cache
+	// applies deltas and the gauge reads as their sum.
+	entries  *telemetry.Gauge
+	nEntries int
+	group    *sweepGroup
 }
 
 type dirState struct {
@@ -40,6 +52,18 @@ type dirState struct {
 	expires time.Time
 	pos     map[string]*namespace.Inode
 	neg     map[string]struct{}
+}
+
+// sweepGroup is the set of sibling caches (a root and its forks) that
+// sweep each other. Only caches that currently hold a directory are
+// members: a cache joins when it adopts its first grant and leaves when
+// it empties, so the group never keeps an abandoned fork alive for longer
+// than its leases and fork churn does not grow it. Lock order: a cache's
+// mu, then the group's.
+type sweepGroup struct {
+	next    atomic.Int64 // sweep deadline, unix nanoseconds
+	mu      sync.Mutex
+	members map[*ClientCache]struct{}
 }
 
 // NewClientCache builds an empty cache registering its metrics with reg.
@@ -52,6 +76,22 @@ func NewClientCache(reg *telemetry.Registry) *ClientCache {
 		negHits:       reg.Counter("client.cache.negative_hits"),
 		invalidations: reg.Counter("client.cache.invalidations"),
 		entries:       reg.Gauge("cache.entries.active"),
+		group:         &sweepGroup{members: make(map[*ClientCache]struct{})},
+	}
+}
+
+// Fork returns an empty sibling cache: its own entries and clock, the
+// parent's metrics and sweep group.
+func (c *ClientCache) Fork() *ClientCache {
+	return &ClientCache{
+		now:           time.Now,
+		dirs:          make(map[namespace.Ino]*dirState),
+		hits:          c.hits,
+		misses:        c.misses,
+		negHits:       c.negHits,
+		invalidations: c.invalidations,
+		entries:       c.entries,
+		group:         c.group,
 	}
 }
 
@@ -127,15 +167,29 @@ func (c *ClientCache) ObserveMutation(g Grant) {
 
 func (c *ClientCache) observe(g Grant, ownMutation bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	now := c.now()
+	c.adoptLocked(g, ownMutation, now)
+	c.mu.Unlock()
+	// Past the group's deadline one observer (the CAS winner) sweeps every
+	// member, holding no cache lock of its own while it does.
+	if next := c.group.next.Load(); now.UnixNano() >= next &&
+		c.group.next.CompareAndSwap(next, now.Add(g.TTL()).UnixNano()) {
+		c.group.sweep()
+	}
+}
+
+func (c *ClientCache) adoptLocked(g Grant, ownMutation bool, now time.Time) {
 	d := c.dirs[g.Dir]
 	if d == nil {
-		d = &dirState{
-			id: g.ID, epoch: g.Epoch,
+		if len(c.dirs) == 0 {
+			c.group.mu.Lock()
+			c.group.members[c] = struct{}{}
+			c.group.mu.Unlock()
+		}
+		c.dirs[g.Dir] = &dirState{
+			id: g.ID, epoch: g.Epoch, expires: now.Add(g.TTL()),
 			pos: make(map[string]*namespace.Inode), neg: make(map[string]struct{}),
 		}
-		c.dirs[g.Dir] = d
-		d.expires = c.now().Add(g.TTL())
 		return
 	}
 	if d.id == g.ID {
@@ -157,15 +211,44 @@ func (c *ClientCache) observe(g Grant, ownMutation bool) {
 		d.id = g.ID
 		d.epoch = g.Epoch
 	}
-	d.expires = c.now().Add(g.TTL())
+	d.expires = now.Add(g.TTL())
+}
+
+// sweep drops every member's expired directories — by the member's own
+// clock, under the rule Lookup applies.
+func (g *sweepGroup) sweep() {
+	g.mu.Lock()
+	members := make([]*ClientCache, 0, len(g.members))
+	for m := range g.members {
+		members = append(members, m)
+	}
+	g.mu.Unlock()
+	for _, m := range members {
+		m.mu.Lock()
+		now := m.now()
+		for dir, d := range m.dirs {
+			if now.After(d.expires) {
+				m.dropLocked(dir, d)
+			}
+		}
+		m.mu.Unlock()
+	}
+}
+
+// addEntriesLocked moves this cache's entry count, and the shared gauge
+// with it, by delta.
+func (c *ClientCache) addEntriesLocked(delta int) {
+	if delta != 0 {
+		c.nEntries += delta
+		c.entries.Add(float64(delta))
+	}
 }
 
 func (c *ClientCache) flushLocked(d *dirState) {
-	c.nEntries -= len(d.pos) + len(d.neg)
+	c.addEntriesLocked(-(len(d.pos) + len(d.neg)))
 	c.invalidations.Add(int64(len(d.pos) + len(d.neg)))
 	d.pos = make(map[string]*namespace.Inode)
 	d.neg = make(map[string]struct{})
-	c.entries.Set(float64(c.nEntries))
 }
 
 // current returns dir's state if it matches the grant's (ID, epoch)
@@ -188,16 +271,17 @@ func (c *ClientCache) Put(g Grant, name string, in *namespace.Inode) {
 	if d == nil {
 		return
 	}
+	delta := 0
 	if _, ok := d.neg[name]; ok {
 		delete(d.neg, name)
-		c.nEntries--
+		delta--
 	}
 	if _, ok := d.pos[name]; !ok {
-		c.nEntries++
+		delta++
 	}
 	cp := *in
 	d.pos[name] = &cp
-	c.entries.Set(float64(c.nEntries))
+	c.addEntriesLocked(delta)
 }
 
 // PutNegative caches "name is absent", under the same admission rule.
@@ -208,15 +292,16 @@ func (c *ClientCache) PutNegative(g Grant, name string) {
 	if d == nil {
 		return
 	}
+	delta := 0
 	if _, ok := d.pos[name]; ok {
 		delete(d.pos, name)
-		c.nEntries--
+		delta--
 	}
 	if _, ok := d.neg[name]; !ok {
-		c.nEntries++
+		delta++
 	}
 	d.neg[name] = struct{}{}
-	c.entries.Set(float64(c.nEntries))
+	c.addEntriesLocked(delta)
 }
 
 // DropEntry removes one name from dir's cache (both polarities).
@@ -227,15 +312,16 @@ func (c *ClientCache) DropEntry(dir namespace.Ino, name string) {
 	if d == nil {
 		return
 	}
+	delta := 0
 	if _, ok := d.pos[name]; ok {
 		delete(d.pos, name)
-		c.nEntries--
+		delta--
 	}
 	if _, ok := d.neg[name]; ok {
 		delete(d.neg, name)
-		c.nEntries--
+		delta--
 	}
-	c.entries.Set(float64(c.nEntries))
+	c.addEntriesLocked(delta)
 }
 
 // Forget drops dir's lease and every entry under it.
@@ -253,15 +339,19 @@ func (c *ClientCache) Forget(dir namespace.Ino) {
 func (c *ClientCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.dirs = make(map[namespace.Ino]*dirState)
-	c.nEntries = 0
-	c.entries.Set(0)
+	for dir, d := range c.dirs {
+		c.dropLocked(dir, d)
+	}
 }
 
 func (c *ClientCache) dropLocked(dir namespace.Ino, d *dirState) {
-	c.nEntries -= len(d.pos) + len(d.neg)
+	c.addEntriesLocked(-(len(d.pos) + len(d.neg)))
 	delete(c.dirs, dir)
-	c.entries.Set(float64(c.nEntries))
+	if len(c.dirs) == 0 {
+		c.group.mu.Lock()
+		delete(c.group.members, c)
+		c.group.mu.Unlock()
+	}
 }
 
 // Entries reports how many entries (positive + negative) are cached.

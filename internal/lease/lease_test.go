@@ -1,6 +1,8 @@
 package lease
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -180,6 +182,115 @@ func TestClientCacheTTLExpiry(t *testing.T) {
 	cc.Put(g, "b", mkInode(12))
 	if cc.Entries() != 0 {
 		t.Fatalf("entries = %d, want 0 after expiry", cc.Entries())
+	}
+}
+
+// An idle fork must not hold its entries forever: a cache holds nothing
+// it could no longer serve, and it is a sibling's traffic that enforces
+// it. The shared gauge is the sum over the group's caches throughout.
+func TestIdleForkReleasesEntries(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	root := NewClientCache(reg)
+	idle, busy := root.Fork(), root.Fork()
+	now := time.Unix(4000, 0)
+	clock := func() time.Time { return now }
+	for _, c := range []*ClientCache{root, idle, busy} {
+		c.SetNow(clock)
+	}
+	gauge := reg.Gauge("cache.entries.active")
+	const ttl = 2 * time.Second
+
+	// Warm the idle fork: 100 directories x 100 names.
+	for dir := 0; dir < 100; dir++ {
+		g := Grant{Dir: namespace.Ino(10 + dir), ID: 1, TTLms: uint32(ttl / time.Millisecond)}
+		idle.Observe(g)
+		for i := 0; i < 100; i++ {
+			idle.Put(g, fmt.Sprintf("f%03d", i), mkInode(namespace.Ino(1000+i)))
+		}
+	}
+	gBusy := Grant{Dir: 5, ID: 2, TTLms: uint32(ttl / time.Millisecond)}
+	busy.Observe(gBusy)
+	busy.Put(gBusy, "x", mkInode(7))
+	busy.PutNegative(gBusy, "y")
+	if idle.Entries() != 10000 || busy.Entries() != 2 {
+		t.Fatalf("warm: idle %d busy %d entries, want 10000 and 2", idle.Entries(), busy.Entries())
+	}
+	if got := gauge.Value(); got != 10002 {
+		t.Fatalf("gauge = %v after warming, want the sum 10002", got)
+	}
+
+	// Inside the lease a sibling's traffic drops nothing.
+	now = now.Add(ttl / 2)
+	busy.Observe(gBusy)
+	if idle.Entries() != 10000 {
+		t.Fatalf("idle fork lost entries %v after its last call, inside its leases", ttl/2)
+	}
+
+	// 2×TTL after the idle fork's last call, one op on a sibling sweeps it.
+	now = now.Add(ttl + ttl/2)
+	busy.Observe(gBusy)
+	if idle.Entries() != 0 || idle.Dirs() != 0 {
+		t.Fatalf("idle fork still holds %d entries in %d dirs 2×TTL after its last call", idle.Entries(), idle.Dirs())
+	}
+	if busy.Entries() != 2 {
+		t.Fatalf("the live sibling lost entries: %d, want 2", busy.Entries())
+	}
+	if got := gauge.Value(); got != 2 {
+		t.Fatalf("gauge = %v, want the sum over live caches (2)", got)
+	}
+	// Emptied caches left the group, so nothing but the fork's owner
+	// keeps it alive; the busy one is still a member.
+	root.group.mu.Lock()
+	_, idleIn := root.group.members[idle]
+	_, busyIn := root.group.members[busy]
+	root.group.mu.Unlock()
+	if idleIn || !busyIn {
+		t.Fatalf("group membership: idle %v busy %v, want false true", idleIn, busyIn)
+	}
+
+	// A swept cache works again as soon as its owner comes back.
+	g := Grant{Dir: 10, ID: 1, TTLms: uint32(ttl / time.Millisecond)}
+	idle.Observe(g)
+	idle.Put(g, "again", mkInode(1))
+	if _, _, ok := idle.Lookup(10, "again"); !ok {
+		t.Fatal("swept cache did not serve a fresh entry")
+	}
+	if got := gauge.Value(); got != 3 {
+		t.Fatalf("gauge = %v, want 3", got)
+	}
+}
+
+// Forks sweeping each other while their owners use them: run under -race.
+func TestForkGroupConcurrentSweep(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	root := NewClientCache(reg)
+	var wg sync.WaitGroup
+	forks := make([]*ClientCache, 8)
+	for w := range forks {
+		forks[w] = root.Fork()
+		wg.Add(1)
+		go func(c *ClientCache, w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				// A 1 ms TTL keeps leases expiring and sweeps firing mid-run.
+				g := Grant{Dir: namespace.Ino(w*10 + i%10), ID: 1, Epoch: uint64(i / 500), TTLms: 1}
+				c.Observe(g)
+				c.Put(g, "a", mkInode(1))
+				c.PutNegative(g, "b")
+				c.Lookup(g.Dir, "a")
+				if i%700 == 0 {
+					c.Flush()
+				}
+			}
+		}(forks[w], w)
+	}
+	wg.Wait()
+	sum := 0
+	for _, c := range forks {
+		sum += c.Entries()
+	}
+	if got := reg.Gauge("cache.entries.active").Value(); got != float64(sum) {
+		t.Fatalf("gauge = %v, want the sum over caches %d", got, sum)
 	}
 }
 

@@ -30,7 +30,9 @@ func (s *Store) SetCommitter(c kvstore.Committer) {
 // SnapshotPairs streams every live key/value pair of the shard in
 // ascending key order — the full-state export behind replica bootstrap
 // and snapshot catch-up. Metadata keys (0xff prefix) are included so a
-// replica built from the snapshot is byte-identical to the primary.
+// replica built from the snapshot is byte-identical to the primary. key
+// and value alias the store's read buffers and die when fn returns; a
+// consumer that keeps them copies them.
 func (s *Store) SnapshotPairs(fn func(key, value []byte) bool) error {
 	return s.db.Snapshot(fn)
 }

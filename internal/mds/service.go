@@ -40,10 +40,12 @@ type Service struct {
 	// Collector counters deliberately do NOT use it — they are the
 	// atomics and shards below, so concurrent requests never contend
 	// on one mutex just to bump statistics.
-	mu         sync.Mutex
-	mapVersion uint64
-	pins       map[namespace.Ino]int
-	reps       []ReplicaMapEntry
+	mu   sync.Mutex
+	pins map[namespace.Ino]int
+	reps []ReplicaMapEntry
+	// mapVersion is written under mu with the map it names; the read
+	// handlers stamp it on every owner-served response without the lock.
+	mapVersion atomic.Uint64
 
 	// replicaProv, when installed, resolves a directory to a warm local
 	// replica store allowed to serve reads for it (membership and
@@ -200,7 +202,7 @@ func NewService(id int, store *Store, peers func(int) (*rpc.Client, error)) *Ser
 	// map authority survives restarts.
 	if data, err := store.LoadPinMap(); err == nil && data != nil {
 		if version, pins, reps, derr := DecodeMapFull(data); derr == nil {
-			s.mapVersion = version
+			s.mapVersion.Store(version)
 			for _, p := range pins {
 				s.pins[p.Ino] = p.MDS
 			}
@@ -298,12 +300,16 @@ func (s *Service) LeaseTable() *lease.Table { return s.leases }
 // (the -lease-ttl flag). Safe while serving.
 func (s *Service) SetLeaseTTL(d time.Duration) { s.leases.SetTTL(d) }
 
-// withGrants appends the lease-grant trailer for dirs onto an
-// owner-served response body. Replica-served responses never carry
-// grants: a replica is not authoritative for invalidation.
+// withGrants appends the trailer of an owner-served read onto its
+// response body: the lease grants for dirs, then the partition-map
+// version this MDS serves — how a client whose calls keep succeeding
+// learns, within one RPC of its publication, that a newer map (a promoted
+// replica set, say) exists. Replica-served responses carry neither: a
+// replica is not authoritative for invalidation.
 func (s *Service) withGrants(resp []byte, dirs ...namespace.Ino) []byte {
-	w := rpc.NewWire(4 + 28*len(dirs))
+	w := rpc.NewWire(4 + 28*len(dirs) + 8)
 	s.appendGrants(w, dirs)
+	w.U64(s.mapVersion.Load())
 	return append(resp, w.Bytes()...)
 }
 
@@ -336,11 +342,7 @@ func (s *Service) Store() *Store { return s.store }
 func (s *Service) StoreStats() kvstore.Stats { return s.store.DBStats() }
 
 // MapVersion returns the partition-map version this MDS currently serves.
-func (s *Service) MapVersion() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mapVersion
-}
+func (s *Service) MapVersion() uint64 { return s.mapVersion.Load() }
 
 // ctxHandler is a metadata-op handler receiving the request context,
 // which carries the propagated trace/span identity for the store layers
@@ -402,11 +404,24 @@ func (s *Service) frozen(op string, hist *telemetry.Histogram, h ctxHandler) rpc
 // tests).
 func (s *Service) Registry() *telemetry.Registry { return s.reg }
 
+// refreshStoreGauges publishes the shard store's point-in-time numbers:
+// the inode count and the kvstore read path's cumulative attempts vs.
+// useful work (probes per get = kvstore.table.probes / kvstore.get.calls,
+// filter hit rate = kvstore.bloom.skips / kvstore.table.probes).
+func (s *Service) refreshStoreGauges() {
+	st := s.store.DBStats()
+	s.reg.Gauge("mds.store.inodes").Set(float64(s.store.Count()))
+	s.reg.Gauge("kvstore.get.calls").Set(float64(st.Gets))
+	s.reg.Gauge("kvstore.table.probes").Set(float64(st.TableProbes))
+	s.reg.Gauge("kvstore.bloom.skips").Set(float64(st.BloomSkips))
+	s.reg.Gauge("kvstore.block.reads").Set(float64(st.BlockReads))
+}
+
 // handleMetrics serves the registry snapshot as JSON. It deliberately
 // skips the migration freeze: metrics stay readable while a prepared
 // migration holds the shard frozen.
 func (s *Service) handleMetrics(body []byte) ([]byte, error) {
-	s.reg.Gauge("mds.store.inodes").Set(float64(s.store.Count()))
+	s.refreshStoreGauges()
 	var buf bytes.Buffer
 	if err := s.reg.WriteJSON(&buf); err != nil {
 		return nil, err
@@ -689,7 +704,7 @@ func (s *Service) handleStats(body []byte) ([]byte, error) {
 		ServiceNS: s.serviceNS.Load(),
 		Inodes:    int64(s.store.Count()),
 	}
-	s.reg.Gauge("mds.store.inodes").Set(float64(st.Inodes))
+	s.refreshStoreGauges()
 	return EncodeDump(st, nil), nil
 }
 
@@ -717,7 +732,7 @@ func (s *Service) handleDump(body []byte) ([]byte, error) {
 		ServiceNS: s.serviceNS.Swap(0),
 		Inodes:    int64(s.store.Count()),
 	}
-	s.reg.Gauge("mds.store.inodes").Set(float64(st.Inodes))
+	s.refreshStoreGauges()
 
 	// Every directory on the shard appears in the dump (idle ones with
 	// zero counters) so the coordinator can reconstruct parent chains
@@ -952,7 +967,7 @@ func (s *Service) handleGetMap(body []byte) ([]byte, error) {
 	for ino, mds := range s.pins {
 		pins = append(pins, PinEntry{Ino: ino, MDS: mds})
 	}
-	return EncodeMap(s.mapVersion, pins, s.reps...), nil
+	return EncodeMap(s.mapVersion.Load(), pins, s.reps...), nil
 }
 
 // ReplicaEntries returns the replica table of the map this MDS currently
@@ -969,16 +984,16 @@ func (s *Service) handleSetMap(body []byte) ([]byte, error) {
 		return nil, CodedError(CodeInvalid, "%v", err)
 	}
 	s.mu.Lock()
-	if version <= s.mapVersion && s.mapVersion != 0 {
+	if cur := s.mapVersion.Load(); version <= cur && cur != 0 {
 		s.mu.Unlock()
 		return nil, nil // stale push
 	}
-	s.mapVersion = version
 	s.pins = make(map[namespace.Ino]int, len(pins))
 	for _, p := range pins {
 		s.pins[p.Ino] = p.MDS
 	}
 	s.reps = reps
+	s.mapVersion.Store(version)
 	s.mu.Unlock()
 	// Persist so a restarted MDS still serves the latest map.
 	if err := s.store.SavePinMap(body); err != nil {

@@ -25,7 +25,8 @@ type Options struct {
 	// (primary, unit).
 	Unit uint64
 	// Snapshot overrides the bootstrap export (nil = the whole store via
-	// SnapshotPairs). Subtree units export only their subtree.
+	// SnapshotPairs). Subtree units export only their subtree. The slices
+	// handed to emit are only valid until it returns.
 	Snapshot func(emit func(k, v []byte) bool) error
 	// KeepaliveEvery, when > 0, sends an empty Append at this interval
 	// while the stream is idle, refreshing the receiver's view of the
