@@ -75,13 +75,15 @@ commit-smoke:
 # input: the MethodBatch frame handler on a scratch shard (never panics;
 # answers every sub-op or rejects the frame with EINVAL), the SDK's
 # response decoder, the batch envelope codec, and the kvstore's SSTable
-# reader (open, get, scan) and manifest loader.
+# reader (open, get, scan), manifest loader and WAL recovery (replay, then
+# a store opened on the log takes a write that survives the next crash).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchFrame$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 3s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime 3s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime 3s ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 3s ./internal/kvstore
 
 # bench/ is a module of its own, so `go build ./...` at the root cannot
 # see an API break there; this can.
@@ -98,11 +100,15 @@ bench:
 experiments:
 	$(GO) run ./cmd/origami-bench -exp all
 
-# Capture a CPU profile of the headline experiment plus a simulator
-# telemetry snapshot, then explore with `go tool pprof cpu.pprof`.
+# Profile the live durable-create path — SDK, rpc, mds, kvstore, WAL and
+# fsync over loopback TCP, the shape of the repository benchmark's
+# create-storm: a CPU profile, then every allocation site (rate 1, which
+# is why the two are separate runs).
 profile:
-	$(GO) run ./cmd/origami-bench -exp headline -cpuprofile cpu.pprof -metrics-out metrics.json
-	@echo "next: $(GO) tool pprof cpu.pprof"
+	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$' -benchtime 20000x -cpuprofile cpu.pprof ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$' -benchtime 20000x -memprofile allocs.pprof -memprofilerate 1 ./internal/server
+	@echo "next: $(GO) tool pprof -top server.test cpu.pprof"
+	@echo "      $(GO) tool pprof -sample_index=alloc_objects -top server.test allocs.pprof"
 
 examples:
 	$(GO) run ./examples/quickstart

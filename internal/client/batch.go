@@ -12,6 +12,7 @@ import (
 	"origami/internal/mds"
 	"origami/internal/namespace"
 	"origami/internal/rpc"
+	"origami/internal/telemetry"
 )
 
 // Every namespace mutation leaves the SDK as a sub-op of a MethodBatch
@@ -51,15 +52,19 @@ type batchOutcome struct {
 
 type pendingOp struct {
 	ctx    context.Context // the submitting SDK operation's trace context
-	sub    []byte
+	sub    rpc.Wire        // the encoded sub-op
 	parent namespace.Ino
 	done   chan batchOutcome
+	// grants is the waiter's own copy of its frame's grant trailer, so
+	// nothing a waiter reads is shared with the frame or its siblings.
+	grants []lease.Grant
 }
 
-// pendingOpPool recycles ops (and their 1-slot channels): every mutation
-// allocates one, and the closed-loop benchmarks showed the allocator on
-// the hot path. An op is returned only after its outcome was received,
-// so the channel is always drained when reused.
+// pendingOpPool recycles ops — their 1-slot channels and their sub-op and
+// grant buffers: every mutation uses one, and the closed-loop benchmarks
+// showed the allocator on the hot path. An op is returned only after its
+// outcome was received and consumed (submit), so the channel is always
+// drained when reused.
 var pendingOpPool = sync.Pool{
 	New: func() any { return &pendingOp{done: make(chan batchOutcome, 1)} },
 }
@@ -77,8 +82,9 @@ type batcher struct {
 	clientID uint64
 	opSeq    atomic.Uint64
 
-	frames atomic.Int64 // MethodBatch frames sent (incl. re-sends)
-	ops    atomic.Int64 // sub-ops carried by those frames
+	frames  atomic.Int64       // MethodBatch frames sent (incl. re-sends)
+	ops     atomic.Int64       // sub-ops carried by those frames
+	framesC *telemetry.Counter // client.batch.frames
 
 	mu      sync.Mutex
 	queues  map[int][]*pendingOp
@@ -105,6 +111,7 @@ func newBatcher(c *Client, window int, delay time.Duration) *batcher {
 		target:   target,
 		delay:    delay,
 		clientID: newBatchClientID(),
+		framesC:  c.reg.Counter("client.batch.frames"),
 		queues:   make(map[int][]*pendingOp),
 		timers:   make(map[int]*time.Timer),
 		leading:  make(map[int]int),
@@ -133,14 +140,18 @@ func newBatchClientID() uint64 {
 
 func (b *batcher) nextOpID() uint64 { return b.opSeq.Add(1) }
 
-// do submits one encoded sub-op bound for owner and blocks until its
-// frame completes. When no frame is in flight for the owner the op
-// leads one immediately; otherwise it queues and rides the next frame
-// (dispatched by the leader's completion drain). A full window always
-// flushes inline, concurrently with any leader frame.
-func (b *batcher) do(ctx context.Context, owner int, parent namespace.Ino, sub []byte) batchOutcome {
-	op := pendingOpPool.Get().(*pendingOp)
-	op.ctx, op.sub, op.parent = ctx, sub, parent
+// do submits op, bound for owner, and blocks until its frame completes.
+// Without a window every op is a frame of its own, sent inline. With one,
+// an op arriving when no frame is in flight for the owner leads a frame
+// immediately; otherwise it queues and rides the next frame (dispatched
+// by the leader's completion drain). A full window always flushes inline,
+// concurrently with any leader frame.
+func (b *batcher) do(owner int, op *pendingOp) batchOutcome {
+	if b.window <= 1 {
+		one := [1]*pendingOp{op}
+		b.flush(owner, one[:])
+		return <-op.done
+	}
 	b.mu.Lock()
 	q := append(b.queues[owner], op)
 	switch {
@@ -167,10 +178,7 @@ func (b *batcher) do(ctx context.Context, owner int, parent namespace.Ino, sub [
 		}
 		b.mu.Unlock()
 	}
-	out := <-op.done
-	op.ctx, op.sub = nil, nil
-	pendingOpPool.Put(op)
-	return out
+	return <-op.done
 }
 
 // lead sends frames for owner until its queue drains: flush, then take
@@ -220,19 +228,24 @@ func (b *batcher) flushOwner(owner int) {
 
 // flush sends one MethodBatch frame and fans results out to the waiters.
 // The frame travels under its leading op's context, so that op's trace
-// keeps its server-side children.
+// keeps its server-side children. The frame is built in, and answered
+// into, a recycled scratch: the decoded results reference neither.
 func (b *batcher) flush(owner int, ops []*pendingOp) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	var one [1][]byte // a frame of one stays off the heap
 	subs := one[:0]
 	for _, op := range ops {
-		subs = append(subs, op.sub)
+		subs = append(subs, op.sub.Bytes())
 	}
 	ctx := ops[0].ctx
-	frame := mds.EncodeBatchRequest(b.clientID, subs)
+	sc.req.Reset()
+	mds.AppendBatchRequest(&sc.req, b.clientID, subs)
+	frame := sc.req.Bytes()
 	b.frames.Add(1)
 	b.ops.Add(int64(len(ops)))
-	b.c.reg.Counter("client.batch.frames").Inc()
-	body, err := b.c.call(ctx, owner, mds.MethodBatch, frame)
+	b.framesC.Inc()
+	body, err := b.c.call(ctx, owner, mds.MethodBatch, frame, sc.resp[:0])
 	resent := false
 	if err != nil && rpc.IsRetryable(err) {
 		// The owner may be mid-failover. Refresh the map and re-send the
@@ -248,52 +261,70 @@ func (b *batcher) flush(owner int, ops []*pendingOp) {
 		resent = true
 		b.frames.Add(1)
 		b.c.reg.Counter("client.batch.resends").Inc()
-		body, err = b.c.call(ctx, target, mds.MethodBatch, frame)
+		body, err = b.c.call(ctx, target, mds.MethodBatch, frame, sc.resp[:0])
 	}
-	if err != nil {
-		for _, op := range ops {
-			op.done <- batchOutcome{err: err, resent: resent}
+	var oneResult [1]mds.BatchResult
+	var fewGrants [2]lease.Grant
+	results, grants := oneResult[:0], fewGrants[:0]
+	if err == nil {
+		sc.resp = body
+		results, grants, err = mds.DecodeBatchResponseInto(results, grants, body)
+		if err == nil && len(results) != len(ops) {
+			err = rpc.ErrTruncated
 		}
-		return
-	}
-	results, grants, derr := mds.DecodeBatchResponse(body)
-	if derr == nil && len(results) != len(ops) {
-		derr = rpc.ErrTruncated
-	}
-	if derr != nil {
-		for _, op := range ops {
-			op.done <- batchOutcome{err: derr, resent: resent}
-		}
-		return
 	}
 	for i, op := range ops {
+		if err != nil {
+			op.done <- batchOutcome{err: err, resent: resent}
+			continue
+		}
 		if results[i].Replayed {
 			b.c.reg.Counter("client.batch.replays").Inc()
 		}
-		op.done <- batchOutcome{res: results[i], grants: grants, resent: resent}
+		op.grants = append(op.grants[:0], grants...)
+		op.done <- batchOutcome{res: results[i], grants: op.grants, resent: resent}
 	}
 }
 
-// submit sends one encoded sub-op to owner and returns its verdict: the
-// result inode (nil for a remove) and the frame's grants when it applied,
-// otherwise the frame's transport failure or the op's coded error. lost
-// accumulates, across the retries of one SDK operation, whether any
-// attempt may have reached a shard before its connection died — the
-// caller then reads EEXIST/ENOENT as the echo of its own earlier write.
-func (c *Client) submit(ctx context.Context, owner int, parent namespace.Ino, sub []byte, lost *bool) (*namespace.Inode, []lease.Grant, error) {
-	out := c.batch.do(ctx, owner, parent, sub)
+// submit sends one sub-op to owner and returns its verdict: the result
+// inode (nil for a remove) when it applied, otherwise the frame's
+// transport failure or the op's coded error. An applied op also patches
+// the lease cache under the grants that rode its response: the inode the
+// shard now stores under its name, or — nothing stored, a remove — the
+// op's name as a proven negative. lost accumulates, across the retries of
+// one SDK operation, whether any attempt may have reached a shard before
+// its connection died — the caller then reads EEXIST/ENOENT as the echo
+// of its own earlier write.
+func (c *Client) submit(ctx context.Context, owner int, so *mds.SubOp, lost *bool) (*namespace.Inode, error) {
+	op := pendingOpPool.Get().(*pendingOp)
+	op.ctx, op.parent = ctx, so.Dir()
+	op.sub.Reset()
+	so.AppendTo(&op.sub)
+	out := c.batch.do(owner, op)
+	defer func() {
+		op.ctx = nil
+		pendingOpPool.Put(op)
+	}()
 	if out.resent || rpc.IsRetryable(out.err) {
 		*lost = true
 	}
 	if out.err != nil {
-		return nil, nil, out.err
+		return nil, out.err
 	}
 	if out.res.Err != nil {
-		return nil, nil, out.res.Err
+		return nil, out.res.Err
 	}
 	// Adopt our own bump (epoch+1, cache intact).
 	c.observeGrants(out.grants, true)
-	return out.res.Inode, out.grants, nil
+	if in := out.res.Inode; in != nil {
+		c.cacheEntry(out.grants, in.Parent, in.Name, in)
+	} else {
+		if c.cache != nil {
+			c.cache.DropEntry(so.Parent, so.Name)
+		}
+		c.cacheEntry(out.grants, so.Parent, so.Name, nil)
+	}
+	return out.res.Inode, nil
 }
 
 // cacheEntry patches (dir, name) in the lease cache under the grant for
@@ -320,10 +351,9 @@ func (c *Client) cacheEntry(grants []lease.Grant, dir namespace.Ino, name string
 func (c *Client) lookupOwn(ctx context.Context, owner int, parent namespace.Ino, name string) (*namespace.Inode, error) {
 	var lw rpc.Wire
 	lw.U64(uint64(parent)).Str(name)
-	body, err := c.callIdem(ctx, owner, mds.MethodLookup, lw.Bytes())
+	body, err := c.callIdem(ctx, owner, mds.MethodLookup, lw.Bytes(), nil)
 	if err != nil {
 		return nil, err
 	}
-	in, err := decodeInode(body)
-	return in, err
+	return decodeInode(body)
 }

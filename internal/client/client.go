@@ -99,6 +99,10 @@ type Client struct {
 	// their own caches.
 	batch *batcher
 
+	// ops holds the per-operation metric handles, resolved on an
+	// operation's first use and shared with every fork.
+	ops *[numOps]atomic.Pointer[opMetrics]
+
 	// forked marks a virtual client made by Fork: it shares the parent's
 	// transports (Close must not tear them down) but owns its cache,
 	// map view, and counters.
@@ -176,6 +180,7 @@ func Dial(cfg Config) (*Client, error) {
 		cfg:  cfg,
 		reg:  reg,
 		log:  telemetry.L("client"),
+		ops:  new([numOps]atomic.Pointer[opMetrics]),
 		pins: make(map[namespace.Ino]int),
 	}
 	if cfg.Cache != "off" {
@@ -226,6 +231,7 @@ func (c *Client) Fork() *Client {
 		reg:    c.reg,
 		log:    c.log,
 		tracer: c.tracer,
+		ops:    c.ops,
 		batch:  c.batch,
 		forked: true,
 	}
@@ -268,7 +274,7 @@ func (c *Client) NumMDS() int { return len(c.conns) }
 // the MethodMetrics RPC (the transport-level twin of the HTTP admin
 // /metrics endpoint).
 func (c *Client) FetchMetrics(mdsID int) ([]byte, error) {
-	return c.callIdem(context.Background(), mdsID, mds.MethodMetrics, nil)
+	return c.callIdem(context.Background(), mdsID, mds.MethodMetrics, nil, nil)
 }
 
 // FetchTraces pulls one MDS's span store via MethodTraces. A non-zero
@@ -276,7 +282,7 @@ func (c *Client) FetchMetrics(mdsID int) ([]byte, error) {
 func (c *Client) FetchTraces(mdsID int, traceID uint64) (telemetry.TraceDump, error) {
 	var w rpc.Wire
 	w.U64(traceID)
-	body, err := c.callIdem(context.Background(), mdsID, mds.MethodTraces, w.Bytes())
+	body, err := c.callIdem(context.Background(), mdsID, mds.MethodTraces, w.Bytes(), nil)
 	if err != nil {
 		return telemetry.TraceDump{}, err
 	}
@@ -290,14 +296,14 @@ func (c *Client) FetchTraces(mdsID int, traceID uint64) (telemetry.TraceDump, er
 // FetchBuildInfo pulls one MDS's build info (version, go runtime,
 // uptime, enabled features) as JSON via MethodBuildInfo.
 func (c *Client) FetchBuildInfo(mdsID int) ([]byte, error) {
-	return c.callIdem(context.Background(), mdsID, mds.MethodBuildInfo, nil)
+	return c.callIdem(context.Background(), mdsID, mds.MethodBuildInfo, nil, nil)
 }
 
 // FetchClusterMetrics pulls the coordinator's merged cluster snapshot
 // (every live MDS registry plus the coordinator's own) as JSON via
 // MethodClusterMetrics on MDS 0.
 func (c *Client) FetchClusterMetrics() ([]byte, error) {
-	return c.callIdem(context.Background(), 0, mds.MethodClusterMetrics, nil)
+	return c.callIdem(context.Background(), 0, mds.MethodClusterMetrics, nil, nil)
 }
 
 // GatherTrace assembles one distributed trace: the SDK's own spans plus
@@ -328,42 +334,94 @@ func (c *Client) GatherTrace(traceID uint64) ([]telemetry.Span, error) {
 // balancing round and returns its JSON summary. Not idempotent — an
 // epoch migrates subtrees — so it gets exactly one attempt.
 func (c *Client) TriggerEpoch() ([]byte, error) {
-	return c.call(context.Background(), 0, mds.MethodEpochRun, nil)
+	return c.call(context.Background(), 0, mds.MethodEpochRun, nil, nil)
 }
 
 // ModelInfo returns the coordinator's learning-loop status (model
 // version, dataset size, retrain counters) as JSON.
 func (c *Client) ModelInfo() ([]byte, error) {
-	return c.callIdem(context.Background(), 0, mds.MethodModelInfo, nil)
+	return c.callIdem(context.Background(), 0, mds.MethodModelInfo, nil, nil)
+}
+
+// opKind names an SDK operation for its metrics and spans.
+type opKind int
+
+const (
+	opStat opKind = iota
+	opMkdir
+	opCreate
+	opRemove
+	opReaddir
+	opSetattr
+	opRename
+	numOps
+)
+
+var opNames = [numOps]string{"stat", "mkdir", "create", "remove", "readdir", "setattr", "rename"}
+
+// opMetrics are one operation's metric handles and names, built once so
+// an operation does not assemble metric names on every call.
+type opMetrics struct {
+	name, span string
+	calls      *telemetry.Counter
+	latency    *telemetry.Histogram
+	errors     string // counter created by the first error
+}
+
+func (c *Client) opMetrics(k opKind) *opMetrics {
+	if m := c.ops[k].Load(); m != nil {
+		return m
+	}
+	base := "client.op." + opNames[k]
+	m := &opMetrics{
+		name:    opNames[k],
+		span:    base,
+		calls:   c.reg.Counter(base + ".calls"),
+		latency: c.reg.Histogram(base + ".latency_ns"),
+		errors:  base + ".errors",
+	}
+	c.ops[k].Store(m) // a racing first use stores the same handles
+	return m
+}
+
+// opRun is one SDK operation in flight, from op to done.
+type opRun struct {
+	c     *Client
+	m     *opMetrics
+	span  *telemetry.ActiveSpan
+	start time.Time
+	trace uint64
 }
 
 // op starts one SDK operation: it allocates the operation's trace ID
 // (propagated to every MDS the operation touches), opens the root span
-// of the operation's trace tree, and returns the context plus a
-// completion hook recording end-to-end latency and — at debug level —
-// the span.
-func (c *Client) op(name string) (context.Context, func(error)) {
+// of the operation's trace tree, and returns the context plus the run
+// whose done records end-to-end latency and — at debug level — the span.
+func (c *Client) op(k opKind) (context.Context, opRun) {
 	ctx, trace := telemetry.EnsureTraceID(context.Background())
 	c.lastTrace.Store(trace)
-	ctx, span := c.tracer.StartSpan(ctx, "client.op."+name)
-	start := time.Now()
-	return ctx, func(err error) {
-		span.Finish(err)
-		el := time.Since(start).Nanoseconds()
-		c.reg.Counter("client.op." + name + ".calls").Inc()
-		c.reg.Histogram("client.op." + name + ".latency_ns").Record(el)
+	m := c.opMetrics(k)
+	ctx, span := c.tracer.StartSpan(ctx, m.span)
+	return ctx, opRun{c: c, m: m, span: span, start: time.Now(), trace: trace}
+}
+
+func (o *opRun) done(err error) {
+	c := o.c
+	o.span.Finish(err)
+	el := time.Since(o.start).Nanoseconds()
+	o.m.calls.Inc()
+	o.m.latency.Record(el)
+	if err != nil {
+		c.reg.Counter(o.m.errors).Inc()
+	}
+	if c.log.Enabled(telemetry.LevelDebug) {
+		status := "ok"
 		if err != nil {
-			c.reg.Counter("client.op." + name + ".errors").Inc()
+			status = err.Error()
 		}
-		if c.log.Enabled(telemetry.LevelDebug) {
-			status := "ok"
-			if err != nil {
-				status = err.Error()
-			}
-			c.log.Debug("span",
-				"trace", telemetry.FormatTraceID(trace),
-				"op", name, "ns", el, "status", status)
-		}
+		c.log.Debug("span",
+			"trace", telemetry.FormatTraceID(o.trace),
+			"op", o.m.name, "ns", el, "status", status)
 	}
 }
 
@@ -386,20 +444,34 @@ func (c *Client) Close() error {
 	return err
 }
 
-func (c *Client) call(ctx context.Context, mdsID int, m rpc.Method, body []byte) ([]byte, error) {
+// call issues one RPC to an MDS, appending the response to dst (see
+// rpc.CallInto; nil receives it in a buffer of its own).
+func (c *Client) call(ctx context.Context, mdsID int, m rpc.Method, body, dst []byte) ([]byte, error) {
 	if mdsID < 0 || mdsID >= len(c.conns) {
 		return nil, fmt.Errorf("client: MDS id %d out of range", mdsID)
 	}
 	c.RPCCount.Add(1)
-	return c.conns[mdsID].CallCtx(ctx, m, body)
+	return c.conns[mdsID].CallInto(ctx, m, body, dst)
 }
+
+// scratch is the pair of buffers one RPC of the hot paths is built in and
+// answered into. A request body handed to the transport escapes, so it
+// cannot live on the stack; recycled, it costs nothing either. Whoever
+// takes a scratch decodes the response (no decoder keeps a reference into
+// it) before putting it back.
+type scratch struct {
+	req  rpc.Wire
+	resp []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // callIdem issues an idempotent (read-only) RPC, retrying transport
 // failures — lost connection, expired deadline — with exponential backoff
 // inside the retry budget. Mutations never come through here: they are
 // MethodBatch sub-ops, retried under their replay identity (batch.go).
-func (c *Client) callIdem(ctx context.Context, mdsID int, m rpc.Method, body []byte) ([]byte, error) {
-	out, err := c.call(ctx, mdsID, m, body)
+func (c *Client) callIdem(ctx context.Context, mdsID int, m rpc.Method, body, dst []byte) ([]byte, error) {
+	out, err := c.call(ctx, mdsID, m, body, dst)
 	if err == nil || !rpc.IsRetryable(err) {
 		return out, err
 	}
@@ -409,7 +481,7 @@ func (c *Client) callIdem(ctx context.Context, mdsID int, m rpc.Method, body []b
 		backoff *= 2
 		c.Retries.Add(1)
 		c.reg.Counter("client.retry.attempts").Inc()
-		out, err = c.call(ctx, mdsID, m, body)
+		out, err = c.call(ctx, mdsID, m, body, dst)
 		if err == nil || !rpc.IsRetryable(err) {
 			return out, err
 		}
@@ -424,7 +496,7 @@ func (c *Client) callIdem(ctx context.Context, mdsID int, m rpc.Method, body []b
 func (c *Client) RefreshMap() error { return c.refreshMap(context.Background()) }
 
 func (c *Client) refreshMap(ctx context.Context) error {
-	body, err := c.callIdem(ctx, 0, mds.MethodGetMap, nil)
+	body, err := c.callIdem(ctx, 0, mds.MethodGetMap, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -500,7 +572,7 @@ func (c *Client) pinOf(ino namespace.Ino) (int, bool) {
 // response: the lease grants, then the partition-map version the serving
 // MDS holds (0 when absent — replica-served bodies carry no trailer).
 func decodeTrailer(r *rpc.Reader) (grants []lease.Grant, mapVersion uint64) {
-	grants = lease.DecodeGrants(r)
+	grants = lease.DecodeGrants(r, nil)
 	if r.Err() == nil && r.Remaining() >= 8 {
 		mapVersion = r.U64()
 	}
@@ -564,28 +636,31 @@ func decodeInode(body []byte) (*namespace.Inode, error) {
 	return namespace.DecodeInode(blob)
 }
 
-// decodeInodesTrailer splits an inode-list response into the list and
-// its trailer.
-func decodeInodesTrailer(body []byte) ([]*namespace.Inode, []lease.Grant, uint64, error) {
-	r := rpc.NewReader(body)
+// decodeInodes reads an inode list — a count, then one record blob each —
+// into inodes that share one allocation.
+func decodeInodes(r *rpc.Reader) ([]*namespace.Inode, error) {
 	n := int(r.U32())
 	if err := r.Err(); err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	out := make([]*namespace.Inode, 0, n)
-	for i := 0; i < n; i++ {
+	if n > r.Remaining()/4 { // every inode costs at least its blob prefix
+		return nil, rpc.ErrTruncated
+	}
+	slab := make([]namespace.Inode, n)
+	out := make([]*namespace.Inode, n)
+	for i := range slab {
 		blob := r.Blob()
 		if err := r.Err(); err != nil {
-			return nil, nil, 0, err
+			return nil, err
 		}
-		in, err := namespace.DecodeInode(blob)
+		name, err := namespace.DecodeInodeInto(&slab[i], blob)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, err
 		}
-		out = append(out, in)
+		slab[i].Name = string(name)
+		out[i] = &slab[i]
 	}
-	grants, mapVersion := decodeTrailer(r)
-	return out, grants, mapVersion, nil
+	return out, nil
 }
 
 // resolveResult is one MethodResolvePath response: the resolved chain,
@@ -600,21 +675,33 @@ type resolveResult struct {
 	spread   bool
 }
 
-// resolveAt resolves a run of components in one RPC, following
-// not-owner redirects by refreshing the partition map.
-func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino, names []string) (resolveResult, int, error) {
-	var w rpc.Wire
-	w.U64(uint64(parent)).U32(uint32(len(names)))
-	for _, n := range names {
-		w.Str(n)
+// resolveAt resolves the components of rest — a run of them under parent
+// — in one RPC, following not-owner redirects by refreshing the partition
+// map.
+func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino, rest string) (resolveResult, int, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	w := &sc.req
+	w.Reset()
+	w.U64(uint64(parent))
+	count := w.BeginBlob() // patched into the component count below
+	n := uint32(0)
+	for off := 0; ; n++ {
+		name, end, ok := namespace.NextComponent(rest, off)
+		if !ok {
+			break
+		}
+		w.Str(name)
+		off = end
 	}
+	w.PatchU32(count, n)
 	// Reads under a replicated hot directory spread across its warm
 	// replicas; any error from a replica (stale, dropped, plain missing)
 	// falls straight back to the write owner — replicas never speak
 	// authoritatively, least of all about absence.
 	target, spread := c.readTarget(parent, owner)
 	for attempt := 0; attempt < 4; attempt++ {
-		body, err := c.callIdem(ctx, target, mds.MethodResolvePath, w.Bytes())
+		body, err := c.callIdem(ctx, target, mds.MethodResolvePath, w.Bytes(), sc.resp[:0])
 		if err != nil {
 			if spread {
 				c.reg.Counter("client.replica.fallbacks").Inc()
@@ -634,25 +721,14 @@ func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino,
 			}
 			return resolveResult{}, 0, err
 		}
+		sc.resp = body
 		if spread {
 			c.reg.Counter("client.replica.reads").Inc()
 		}
 		r := rpc.NewReader(body)
-		n := int(r.U32())
-		if err := r.Err(); err != nil {
+		res := resolveResult{spread: spread}
+		if res.chain, err = decodeInodes(r); err != nil {
 			return resolveResult{}, 0, err
-		}
-		res := resolveResult{spread: spread, chain: make([]*namespace.Inode, 0, n)}
-		for i := 0; i < n; i++ {
-			blob := r.Blob()
-			if err := r.Err(); err != nil {
-				return resolveResult{}, 0, err
-			}
-			in, derr := namespace.DecodeInode(blob)
-			if derr != nil {
-				return resolveResult{}, 0, derr
-			}
-			res.chain = append(res.chain, in)
 		}
 		res.negative = r.U8() == 1
 		if err := r.Err(); err != nil {
@@ -673,70 +749,81 @@ func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino,
 // one per component — and zero RPCs when the lease cache holds the whole
 // chain.
 func (c *Client) Resolve(path string) ([]*namespace.Inode, int, error) {
-	return c.resolve(context.Background(), path)
+	var chain []*namespace.Inode
+	_, owner, err := c.resolvePath(context.Background(), path, &chain)
+	return chain, owner, err
 }
 
-func (c *Client) resolve(ctx context.Context, path string) ([]*namespace.Inode, int, error) {
-	return c.resolvePath(ctx, path)
-}
+// rootInode is where every walk starts. It is shared and never handed
+// out: a walk that ends at the root returns a copy.
+var rootInode = &namespace.Inode{Ino: namespace.RootIno, Type: namespace.TypeDir}
 
-// resolveDir resolves a directory that only needs to be located; with
-// the lease cache keeping every component coherent it is now a plain
-// resolve, kept as a named entry point for the operations whose
-// follow-up RPC is authoritative anyway (create, remove, readdir).
-func (c *Client) resolveDir(ctx context.Context, path string) ([]*namespace.Inode, int, error) {
-	return c.resolvePath(ctx, path)
-}
-
-func (c *Client) resolvePath(ctx context.Context, path string) ([]*namespace.Inode, int, error) {
-	comps := namespace.SplitPath(path)
+// resolvePath walks path and returns its last inode and that inode's
+// owner; chain, when non-nil, also collects every inode on the way (root
+// first). The path is walked in place, component by component.
+func (c *Client) resolvePath(ctx context.Context, path string, chain *[]*namespace.Inode) (*namespace.Inode, int, error) {
 	owner := 0
 	if p, ok := c.pinOf(namespace.RootIno); ok {
 		owner = p
 	}
-	root := &namespace.Inode{Ino: namespace.RootIno, Type: namespace.TypeDir, Name: ""}
-	chain := []*namespace.Inode{root}
-	cur := root
-	i := 0
+	cur := rootInode
+	step := func(in *namespace.Inode) {
+		if chain != nil {
+			*chain = append(*chain, in)
+		}
+		cur = in
+	}
+	if chain != nil {
+		root := *rootInode
+		*chain = append(*chain, &root)
+	}
+	// name is the next unresolved component, ending at byte end of path.
+	name, end, more := namespace.NextComponent(path, 0)
 	// Cached prefix — including the final component: the lease protocol
 	// keeps these entries coherent (within the TTL staleness bound), so
 	// a fully warm path costs zero RPCs, negatives included.
-	for c.cache != nil && i < len(comps) {
-		in, negative, ok := c.cache.Lookup(cur.Ino, comps[i])
+	for c.cache != nil && more {
+		in, negative, ok := c.cache.Lookup(cur.Ino, name)
 		if !ok {
 			break
 		}
 		if negative {
 			return nil, 0, fmt.Errorf("client: resolve %q at %q: %s",
-				path, comps[i], mds.CodedError(mds.CodeNoEnt, "%q not in dir %d (cached)", comps[i], cur.Ino))
+				path, name, mds.CodedError(mds.CodeNoEnt, "%q not in dir %d (cached)", name, cur.Ino))
 		}
-		chain = append(chain, in)
+		step(in)
 		if p, ok := c.pinOf(in.Ino); ok {
 			owner = p
 		}
-		cur = in
-		i++
+		name, end, more = namespace.NextComponent(path, end)
 	}
-	for i < len(comps) {
+	for more {
 		if p, ok := c.pinOf(cur.Ino); ok {
 			owner = p
 		}
-		res, newOwner, err := c.resolveAt(ctx, owner, cur.Ino, comps[i:])
+		res, newOwner, err := c.resolveAt(ctx, owner, cur.Ino, path[end-len(name):])
 		if err != nil {
-			return nil, 0, fmt.Errorf("client: resolve %q at %q: %w", path, comps[i], err)
+			return nil, 0, fmt.Errorf("client: resolve %q at %q: %w", path, name, err)
 		}
 		owner = newOwner
 		// Fold the grants in before seeding: each Put below is vouched
 		// by the grant that rode this same response.
 		c.observeGrants(res.grants, false)
-		grantOf := make(map[namespace.Ino]lease.Grant, len(res.grants))
-		for _, g := range res.grants {
-			grantOf[g.Dir] = g
+		grantOf := func(dir namespace.Ino) (lease.Grant, bool) {
+			for _, g := range res.grants {
+				if g.Dir == dir {
+					return g, true
+				}
+			}
+			return lease.Grant{}, false
 		}
 		if len(res.chain) == 0 && !res.negative {
-			return nil, 0, fmt.Errorf("client: resolve %q: empty chain at %q", path, comps[i])
+			return nil, 0, fmt.Errorf("client: resolve %q: empty chain at %q", path, name)
 		}
 		for _, in := range res.chain {
+			if !more {
+				return nil, 0, fmt.Errorf("client: resolve %q: chain longer than the path", path)
+			}
 			if in.Type == namespace.TypeFake {
 				// Follow the migration redirect for this component. The
 				// partition map wins over the redirect payload when both
@@ -748,11 +835,11 @@ func (c *Client) resolvePath(ctx context.Context, path string) ([]*namespace.Ino
 				}
 				var gw rpc.Wire
 				gw.U64(uint64(in.Ino))
-				gbody, gerr := c.callIdem(ctx, dest, mds.MethodGetattr, gw.Bytes())
+				gbody, gerr := c.callIdem(ctx, dest, mds.MethodGetattr, gw.Bytes(), nil)
 				if gerr != nil {
 					return nil, 0, fmt.Errorf("client: resolve %q: redirect for %q: %w", path, in.Name, gerr)
 				}
-				real, derr := mds.DecodeInodeResp(gbody)
+				real, derr := decodeInode(gbody)
 				if derr != nil {
 					return nil, 0, derr
 				}
@@ -766,31 +853,34 @@ func (c *Client) resolvePath(ctx context.Context, path string) ([]*namespace.Ino
 				// name→inode binding is the parent owner's to revoke
 				// (remove/rename execute there), and attribute staleness
 				// is bounded by the lease TTL like any cross-shard entry.
-				if g, ok := grantOf[cur.Ino]; ok {
-					c.cache.Put(g, comps[i], in)
+				if g, ok := grantOf(cur.Ino); ok {
+					c.cache.Put(g, name, in)
 				}
 			}
-			chain = append(chain, in)
-			cur = in
-			i++
+			step(in)
+			name, end, more = namespace.NextComponent(path, end)
 		}
 		if res.negative {
 			// The owner proved the next component absent: cache the
 			// negative (vouched by the same response's grant) and fail
 			// the resolution like a server ENOENT would have.
 			if c.cache != nil {
-				if g, ok := grantOf[cur.Ino]; ok {
-					c.cache.PutNegative(g, comps[i])
+				if g, ok := grantOf(cur.Ino); ok {
+					c.cache.PutNegative(g, name)
 				}
 			}
 			return nil, 0, fmt.Errorf("client: resolve %q at %q: %s",
-				path, comps[i], mds.CodedError(mds.CodeNoEnt, "%q not in dir %d", comps[i], cur.Ino))
+				path, name, mds.CodedError(mds.CodeNoEnt, "%q not in dir %d", name, cur.Ino))
 		}
 		if p, ok := c.pinOf(cur.Ino); ok {
 			owner = p
 		}
 	}
-	return chain, owner, nil
+	if cur == rootInode {
+		root := *rootInode
+		cur = &root
+	}
+	return cur, owner, nil
 }
 
 // dropPathCache forgets every directory along path (entries and lease
@@ -801,13 +891,17 @@ func (c *Client) dropPathCache(path string) {
 		return
 	}
 	cur := namespace.RootIno
-	for _, name := range namespace.SplitPath(path) {
+	for off := 0; ; {
+		name, end, more := namespace.NextComponent(path, off)
+		if !more {
+			break
+		}
 		in, ok := c.cache.Peek(cur, name)
 		c.cache.Forget(cur)
 		if !ok {
 			return
 		}
-		cur = in.Ino
+		cur, off = in.Ino, end
 	}
 	c.cache.Forget(cur)
 }
@@ -853,17 +947,13 @@ func (c *Client) retryOp(ctx context.Context, paths []string, fn func() error) e
 
 // Stat returns the inode at path.
 func (c *Client) Stat(path string) (*namespace.Inode, error) {
-	ctx, done := c.op("stat")
+	ctx, op := c.op(opStat)
 	var out *namespace.Inode
-	err := c.retryOp(ctx, []string{path}, func() error {
-		chain, _, err := c.resolve(ctx, path)
-		if err != nil {
-			return err
-		}
-		out = chain[len(chain)-1]
-		return nil
+	err := c.retryOp(ctx, []string{path}, func() (err error) {
+		out, _, err = c.resolvePath(ctx, path, nil)
+		return err
 	})
-	done(err)
+	op.done(err)
 	if err != nil {
 		return nil, err
 	}
@@ -882,29 +972,29 @@ func (c *Client) Create(path string) (*namespace.Inode, error) {
 }
 
 func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.Inode, error) {
-	opName := "create"
+	kind := opCreate
 	if typ == namespace.TypeDir {
-		opName = "mkdir"
+		kind = opMkdir
 	}
-	ctx, done := c.op(opName)
+	ctx, op := c.op(kind)
 	dir, name := namespace.ParentPath(path)
-	id := c.batch.nextOpID()
+	so := mds.SubOp{ID: c.batch.nextOpID(), Kind: mds.BatchOpCreate, Name: name, Type: typ}
 	var out *namespace.Inode
 	lost := false
 	err := c.retryOp(ctx, []string{dir}, func() error {
-		chain, owner, err := c.resolveDir(ctx, dir)
+		parent, owner, err := c.resolvePath(ctx, dir, nil)
 		if err != nil {
 			return err
 		}
-		parent := chain[len(chain)-1].Ino
-		in, grants, err := c.submit(ctx, owner, parent, mds.EncodeBatchCreate(id, parent, name, typ), &lost)
+		so.Parent = parent.Ino
+		in, err := c.submit(ctx, owner, &so, &lost)
 		if err != nil {
 			if lost && mds.ErrCode(err) == mds.CodeExist {
 				// The connection died after a previous attempt reached the
 				// shard (or its promoted backup replayed the write): the
 				// entry is ours. Fetch it instead of surfacing a spurious
 				// EEXIST for our own create.
-				if own, lerr := c.lookupOwn(ctx, owner, parent, name); lerr == nil {
+				if own, lerr := c.lookupOwn(ctx, owner, so.Parent, name); lerr == nil {
 					out = own
 					return nil
 				}
@@ -914,11 +1004,10 @@ func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.In
 		if in == nil {
 			return rpc.ErrTruncated
 		}
-		c.cacheEntry(grants, parent, name, in)
 		out = in
 		return nil
 	})
-	done(err)
+	op.done(err)
 	if err != nil {
 		return nil, fmt.Errorf("client: create %q: %w", path, err)
 	}
@@ -928,30 +1017,29 @@ func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.In
 
 // Remove unlinks a file or removes an empty directory.
 func (c *Client) Remove(path string) error {
-	ctx, done := c.op("remove")
+	ctx, op := c.op(opRemove)
 	dir, name := namespace.ParentPath(path)
-	id := c.batch.nextOpID()
+	so := mds.SubOp{ID: c.batch.nextOpID(), Kind: mds.BatchOpRemove, Name: name}
 	lost := false
 	err := c.retryOp(ctx, []string{dir}, func() error {
-		chain, owner, err := c.resolveDir(ctx, dir)
+		parent, owner, err := c.resolvePath(ctx, dir, nil)
 		if err != nil {
 			return err
 		}
-		parent := chain[len(chain)-1].Ino
-		_, grants, err := c.submit(ctx, owner, parent, mds.EncodeBatchRemove(id, parent, name), &lost)
-		if err != nil && !(lost && mds.ErrCode(err) == mds.CodeNoEnt) {
-			return err
+		so.Parent = parent.Ino
+		_, err = c.submit(ctx, owner, &so, &lost)
+		if err != nil && lost && mds.ErrCode(err) == mds.CodeNoEnt {
+			// ENOENT after a lost connection: a previous attempt's remove
+			// reached the shard, which is the outcome the caller asked for.
+			// The name is absent, though no grant says so.
+			if c.cache != nil {
+				c.cache.DropEntry(so.Parent, name)
+			}
+			return nil
 		}
-		// Removed — or, after a lost connection, ENOENT: a previous
-		// attempt's remove reached the shard, which is the outcome the
-		// caller asked for. Either way the name is now absent.
-		if c.cache != nil {
-			c.cache.DropEntry(parent, name)
-		}
-		c.cacheEntry(grants, parent, name, nil)
-		return nil
+		return err
 	})
-	done(err)
+	op.done(err)
 	if err != nil {
 		return fmt.Errorf("client: remove %q: %w", path, err)
 	}
@@ -961,35 +1049,39 @@ func (c *Client) Remove(path string) error {
 
 // Readdir lists a directory.
 func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
-	ctx, done := c.op("readdir")
+	ctx, op := c.op(opReaddir)
 	var out []*namespace.Inode
 	err := c.retryOp(ctx, []string{path}, func() error {
-		chain, owner, err := c.resolveDir(ctx, path)
+		dir, owner, err := c.resolvePath(ctx, path, nil)
 		if err != nil {
 			return err
 		}
-		dir := chain[len(chain)-1]
-		var w rpc.Wire
-		w.U64(uint64(dir.Ino))
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		sc.req.Reset()
+		req := sc.req.U64(uint64(dir.Ino)).Bytes()
 		target, spread := c.readTarget(dir.Ino, owner)
-		body, err := c.callIdem(ctx, target, mds.MethodReaddir, w.Bytes())
+		body, err := c.callIdem(ctx, target, mds.MethodReaddir, req, sc.resp[:0])
 		if err != nil && spread {
 			// The replica could not serve (stale or dropped); the owner is
 			// always authoritative.
 			c.reg.Counter("client.replica.fallbacks").Inc()
-			body, err = c.callIdem(ctx, owner, mds.MethodReaddir, w.Bytes())
+			body, err = c.callIdem(ctx, owner, mds.MethodReaddir, req, sc.resp[:0])
 			spread = false
 		}
 		if err != nil {
 			return err
 		}
+		sc.resp = body
 		if spread {
 			c.reg.Counter("client.replica.reads").Inc()
 		}
-		children, grants, mapVersion, derr := decodeInodesTrailer(body)
+		r := rpc.NewReader(body)
+		children, derr := decodeInodes(r)
 		if derr != nil {
 			return derr
 		}
+		grants, mapVersion := decodeTrailer(r)
 		c.sawMapVersion(mapVersion)
 		if c.cache != nil && !spread {
 			// An owner-served listing seeds the whole directory: the
@@ -1007,7 +1099,7 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 		out = children
 		return nil
 	})
-	done(err)
+	op.done(err)
 	if err != nil {
 		return nil, fmt.Errorf("client: readdir %q: %w", path, err)
 	}
@@ -1019,28 +1111,27 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 // naturally idempotent (absolute size/mode), so a retried attempt needs
 // no special casing beyond the shard's replay table.
 func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode, error) {
-	ctx, done := c.op("setattr")
-	id := c.batch.nextOpID()
+	ctx, op := c.op(opSetattr)
+	so := mds.SubOp{ID: c.batch.nextOpID(), Kind: mds.BatchOpSetattr, Size: size, Mode: mode}
 	var out *namespace.Inode
 	lost := false
 	err := c.retryOp(ctx, []string{path}, func() error {
-		chain, owner, err := c.resolve(ctx, path)
+		in, owner, err := c.resolvePath(ctx, path, nil)
 		if err != nil {
 			return err
 		}
-		in := chain[len(chain)-1]
-		upd, grants, err := c.submit(ctx, owner, in.Parent, mds.EncodeBatchSetattr(id, in.Ino, size, mode), &lost)
+		so.Ino, so.Parent = in.Ino, in.Parent
+		upd, err := c.submit(ctx, owner, &so, &lost)
 		if err != nil {
 			return err
 		}
 		if upd == nil {
 			return rpc.ErrTruncated
 		}
-		c.cacheEntry(grants, upd.Parent, upd.Name, upd)
 		out = upd
 		return nil
 	})
-	done(err)
+	op.done(err)
 	if err != nil {
 		return nil, fmt.Errorf("client: setattr %q: %w", path, err)
 	}
@@ -1055,28 +1146,30 @@ func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode
 // system would wrap this in the T_coor transaction the cost model
 // prices).
 func (c *Client) Rename(src, dst string) error {
-	ctx, done := c.op("rename")
+	ctx, op := c.op(opRename)
 	sdir, sname := namespace.ParentPath(src)
 	ddir, dname := namespace.ParentPath(dst)
 	id, removeID := c.batch.nextOpID(), c.batch.nextOpID()
 	lost := false
 	err := c.retryOp(ctx, []string{sdir, ddir}, func() error {
-		schain, sowner, err := c.resolve(ctx, sdir)
+		sin, sowner, err := c.resolvePath(ctx, sdir, nil)
 		if err != nil {
 			return err
 		}
-		dchain, downer, err := c.resolve(ctx, ddir)
+		din, downer, err := c.resolvePath(ctx, ddir, nil)
 		if err != nil {
 			return err
 		}
-		sparent := schain[len(schain)-1].Ino
-		dparent := dchain[len(dchain)-1].Ino
+		sparent, dparent := sin.Ino, din.Ino
 		if c.cache != nil {
+			// What submit caches for the moved names is dropped again:
+			// after a rename both bindings are re-read from their owners.
 			defer c.cache.DropEntry(sparent, sname)
 			defer c.cache.DropEntry(dparent, dname)
 		}
 		if sowner == downer {
-			_, _, err := c.submit(ctx, sowner, sparent, mds.EncodeBatchRename(id, sparent, sname, dparent, dname), &lost)
+			_, err := c.submit(ctx, sowner, &mds.SubOp{ID: id, Kind: mds.BatchOpRename,
+				Parent: sparent, Name: sname, DstParent: dparent, DstName: dname}, &lost)
 			return err
 		}
 		in, err := c.lookupOwn(ctx, sowner, sparent, sname)
@@ -1085,13 +1178,13 @@ func (c *Client) Rename(src, dst string) error {
 		}
 		moved := *in
 		moved.Parent, moved.Name = dparent, dname
-		if _, _, err := c.submit(ctx, downer, dparent, mds.EncodeBatchInsert(id, &moved), &lost); err != nil {
+		if _, err := c.submit(ctx, downer, &mds.SubOp{ID: id, Kind: mds.BatchOpInsert, Inode: &moved}, &lost); err != nil {
 			return err
 		}
-		_, _, err = c.submit(ctx, sowner, sparent, mds.EncodeBatchRemove(removeID, sparent, sname), &lost)
+		_, err = c.submit(ctx, sowner, &mds.SubOp{ID: removeID, Kind: mds.BatchOpRemove, Parent: sparent, Name: sname}, &lost)
 		return err
 	})
-	done(err)
+	op.done(err)
 	if err != nil {
 		return fmt.Errorf("client: rename %q -> %q: %w", src, dst, err)
 	}

@@ -145,3 +145,24 @@ func BenchmarkScan100(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWALAppendSync is one durable single-writer commit: a one-put
+// batch the size of a file inode through the WAL and its fsync (-benchmem
+// shows what the write path allocates on the way).
+func BenchmarkWALAppendSync(b *testing.B) {
+	db, err := Open(b.TempDir(), Options{SyncWAL: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	val := make([]byte, 80)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var batch Batch
+		batch.Put([]byte(fmt.Sprintf("\x00\x00\x00\x00\x00\x00\x00\x02file%08d", i)), val)
+		if err := db.ApplyBatch(&batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

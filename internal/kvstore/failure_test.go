@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -76,7 +77,6 @@ func TestCorruptWALRecordStopsReplayCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Put([]byte("before"), []byte("1"))
-	db.wal.w.Flush()
 	db.wal.f.Close() // crash without flushing to a table
 	// Flip a byte inside the record payload.
 	path := filepath.Join(dir, "wal.log")
@@ -84,7 +84,7 @@ func TestCorruptWALRecordStopsReplayCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xff
+	data[db.wal.size-1] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +115,12 @@ func TestHalfWrittenBatchDroppedAtomically(t *testing.T) {
 	if err := db.ApplyBatch(&b); err != nil {
 		t.Fatal(err)
 	}
-	db.wal.w.Flush()
 	db.wal.f.Close()
 	// Truncate mid-batch-record: the whole batch must vanish on replay,
 	// never half of it.
 	path := filepath.Join(dir, "wal.log")
 	data, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+	if err := os.WriteFile(path, data[:db.wal.size-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(dir, Options{})
@@ -151,14 +150,7 @@ func TestTornBatchRecordEveryOffset(t *testing.T) {
 	if err := db.Put([]byte("before"), []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.wal.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(filepath.Join(src, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchStart := st.Size()
+	batchStart := db.wal.size
 
 	var b Batch
 	batchKeys := [][]byte{[]byte("bx"), []byte("by"), []byte("bz")}
@@ -169,9 +161,6 @@ func TestTornBatchRecordEveryOffset(t *testing.T) {
 	if err := db.ApplyBatch(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.wal.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.wal.f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +168,7 @@ func TestTornBatchRecordEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wal = wal[:db.wal.size] // the file's size is set ahead of the log's end
 	if int64(len(wal)) <= batchStart {
 		t.Fatalf("batch record did not grow the WAL (size %d, batch at %d)", len(wal), batchStart)
 	}
@@ -224,8 +214,106 @@ func TestTornBatchRecordEveryOffset(t *testing.T) {
 		if _, found, _ := re.Get([]byte("post")); !found {
 			t.Fatalf("cut %d: write after reopen not visible", cut)
 		}
-		if err := re.Close(); err != nil {
+		// A second crash: what was written behind the tear must be in
+		// front of whatever the next replay stops at.
+		if err := re.wal.f.Close(); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		re2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("cut %d: second reopen: %v", cut, err)
+		}
+		for _, k := range []string{"before", "post"} {
+			if _, found, err := re2.Get([]byte(k)); err != nil || !found {
+				t.Fatalf("cut %d: %q lost by the second crash (found=%v err=%v)", cut, k, found, err)
+			}
+		}
+		if err := re2.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
 		}
+	}
+}
+
+// TestTornTailThenAppendSurvivesSecondCrash: a write acknowledged after a
+// recovery that found a torn tail must survive the next crash. It did not
+// while the log was reopened in append mode: the new record landed behind
+// the torn bytes, exactly where the next replay stops.
+func TestTornTailThenAppendSurvivesSecondCrash(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("first"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("torn"), []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	db.wal.f.Close() // crash
+	path := filepath.Join(dir, "wal.log")
+	if err := os.Truncate(path, db.wal.size-5); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, found, _ := re.Get([]byte("torn")); found {
+		t.Fatal("the torn record was replayed")
+	}
+	if err := re.Put([]byte("after"), []byte("3")); err != nil { // acked after its fsync
+		t.Fatal(err)
+	}
+	re.wal.f.Close() // second crash
+	re2, err := Open(dir, Options{SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	for _, k := range []string{"first", "after"} {
+		if _, found, err := re2.Get([]byte(k)); err != nil || !found {
+			t.Errorf("%q lost by the second crash (found=%v err=%v)", k, found, err)
+		}
+	}
+}
+
+// TestReplayBoundsRecordLength: the length in a record header is whatever
+// the disk says. Replay must not size a buffer by it before knowing the
+// file holds that many bytes.
+func TestReplayBoundsRecordLength(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("kept"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	db.wal.f.Close() // crash
+	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5}, db.wal.size); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	re, err := Open(dir, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("recovery allocated %d MiB on a header claiming 4 GiB", grew>>20)
+	}
+	if _, found, _ := re.Get([]byte("kept")); !found {
+		t.Error("record before the lying header lost")
+	}
+	if got, want := re.Stats().WALBytes, db.wal.size; got != want {
+		t.Errorf("log resumed at %d, want %d (the last intact record's end)", got, want)
 	}
 }

@@ -71,11 +71,11 @@ func TestSSTCursorRangeAndSeek(t *testing.T) {
 
 func TestMergeIteratorNewestWins(t *testing.T) {
 	// Two tables with overlapping keys: the first (newer) must win.
-	newer := buildTestTable(t, []walOp{
+	newer := buildTestTable(t, []testEntry{
 		{key: []byte("a"), value: []byte("new-a")},
 		{key: []byte("c"), value: nil, tombstone: true},
 	})
-	older := buildTestTable(t, []walOp{
+	older := buildTestTable(t, []testEntry{
 		{key: []byte("a"), value: []byte("old-a")},
 		{key: []byte("b"), value: []byte("old-b")},
 		{key: []byte("c"), value: []byte("old-c")},
@@ -136,9 +136,9 @@ func TestMergeIteratorSlicesSurviveChunkReloads(t *testing.T) {
 	const n = 3000
 	pad := string(make([]byte, 80))
 	table := func(gen, start, step int) *sstable {
-		var es []walOp
+		var es []testEntry
 		for i := start; i < n; i += step {
-			es = append(es, walOp{key: []byte(fmt.Sprintf("key%05d", i)), value: []byte(fmt.Sprintf("g%d-%05d%s", gen, i, pad))})
+			es = append(es, testEntry{key: []byte(fmt.Sprintf("key%05d", i)), value: []byte(fmt.Sprintf("g%d-%05d%s", gen, i, pad))})
 		}
 		return buildTestTable(t, es)
 	}

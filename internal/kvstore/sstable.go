@@ -388,9 +388,9 @@ func (t *sstable) readData(buf []byte, off int64, rs *readStats) error {
 
 // get performs a point lookup; h is bloomHash(target). Key range, then
 // filter, then exactly one block read: a present key costs one ReadAt
-// per probed table, an absent one almost always none. The returned value
-// is the caller's own copy.
-func (t *sstable) get(target []byte, h uint64, rs *readStats) (value []byte, found, tombstone bool, err error) {
+// per probed table, an absent one almost always none. A found value is
+// appended to dst.
+func (t *sstable) get(target []byte, h uint64, dst []byte, rs *readStats) (value []byte, found, tombstone bool, err error) {
 	if t.entries == 0 || bytes.Compare(target, t.minKey) < 0 || bytes.Compare(target, t.maxKey) > 0 {
 		return nil, false, false, nil
 	}
@@ -413,7 +413,7 @@ func (t *sstable) get(target []byte, h uint64, rs *readStats) (value []byte, fou
 		}
 		switch bytes.Compare(key, target) {
 		case 0:
-			return append([]byte(nil), val...), true, tomb, nil
+			return append(dst, val...), true, tomb, nil
 		case 1:
 			return nil, false, false, nil
 		}

@@ -8,7 +8,13 @@ import (
 	"testing"
 )
 
-func buildTestTable(t *testing.T, entries []walOp) *sstable {
+// testEntry is one entry of a table under test.
+type testEntry struct {
+	key, value []byte
+	tombstone  bool
+}
+
+func buildTestTable(t *testing.T, entries []testEntry) *sstable {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "t.sst")
 	b, err := newTableBuilder(path)
@@ -30,7 +36,7 @@ func buildTestTable(t *testing.T, entries []walOp) *sstable {
 
 // tableGet is a point read the way DB.Get issues it.
 func tableGet(t *sstable, key []byte) (value []byte, found, tombstone bool, err error) {
-	return t.get(key, bloomHash(key), &readStats{})
+	return t.get(key, bloomHash(key), nil, &readStats{})
 }
 
 // tableScan visits the table's entries in [lo, hi) through the cursor.
@@ -45,10 +51,10 @@ func tableScan(t *sstable, lo, hi []byte, fn func(key, value []byte, tombstone b
 	}
 }
 
-func seqEntries(n int) []walOp {
-	es := make([]walOp, n)
+func seqEntries(n int) []testEntry {
+	es := make([]testEntry, n)
 	for i := range es {
-		es[i] = walOp{
+		es[i] = testEntry{
 			key:   []byte(fmt.Sprintf("key%05d", i)),
 			value: []byte(fmt.Sprintf("value%d", i)),
 		}

@@ -276,16 +276,15 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := db.loadManifest(); err != nil {
 		return nil, err
 	}
-	// Replay mutations that were logged but never flushed.
-	if err := replayWAL(db.walPath(), func(op walOp) {
-		db.mem.put(op.key, op.value, op.tombstone)
-	}); err != nil {
+	// Replay mutations that were logged but never flushed, then resume the
+	// log where the intact records end.
+	end, err := replayWAL(db.walPath(), func(ops []byte, n int) {
+		forEachOp(ops, n, db.mem.put)
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Per-record fsync stays off even under SyncWAL: durability comes
-	// from the group-commit path, which batches concurrent writers onto
-	// shared fsyncs.
-	w, err := openWAL(db.walPath(), false)
+	w, err := openWAL(db.walPath(), end)
 	if err != nil {
 		return nil, err
 	}
@@ -301,24 +300,25 @@ func (db *DB) newTablePath() string {
 	return filepath.Join(db.dir, fmt.Sprintf("%08d.sst", db.nextFileNum))
 }
 
-// applyWrite runs one logical mutation through the write path: append
-// to the WAL (logFn) and insert into the memtable (memFn) in a globally
+// write runs n mutations — op bodies in WAL layout, back to back in ops —
+// through the write path as one logical write: one WAL record (a batch
+// record when batch is set), then the memtable inserts, in a globally
 // consistent order under writeMu, taking mu exclusively only for the
-// memtable insert (and an inline flush when the memtable is full). With
-// SyncWAL, the writer then waits on the group-commit fsync covering its
-// record — unless a flush already made it durable via the SSTable sync.
-// muts lazily materialises the mutations for the commit hook; it is only
-// invoked when a hook is installed. ctx (nilable) carries the request's
-// trace: traced writes record a "kvstore.commit" span spanning the whole
-// path, including the durability and commit-hook waits.
-func (db *DB) applyWrite(ctx context.Context, logFn func(*wal) error, memFn func(), muts func() []Mutation) error {
+// inserts (and an inline flush when the memtable is full). The memtable
+// keeps slices of ops, so the caller hands ops over. With SyncWAL, the
+// writer then waits on the group-commit fsync covering its record —
+// unless a flush already made it durable via the SSTable sync. ctx
+// (nilable) carries the request's trace: traced writes record a
+// "kvstore.commit" span spanning the whole path, including the durability
+// and commit-hook waits.
+func (db *DB) write(ctx context.Context, ops []byte, n int, batch bool) error {
 	ctx, span := db.spanTracer().StartSpan(ctx, "kvstore.commit")
-	err := db.applyWriteInner(ctx, logFn, memFn, muts)
+	err := db.writeInner(ctx, ops, n, batch)
 	span.Finish(err)
 	return err
 }
 
-func (db *DB) applyWriteInner(ctx context.Context, logFn func(*wal) error, memFn func(), muts func() []Mutation) error {
+func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) error {
 	db.writeMu.Lock()
 	if db.closed {
 		db.writeMu.Unlock()
@@ -329,13 +329,20 @@ func (db *DB) applyWriteInner(ctx context.Context, logFn func(*wal) error, memFn
 			time.Sleep(d) // injected slow disk: stall the append path
 		}
 	}
-	if err := logFn(db.wal); err != nil {
+	if err := db.wal.append(ops, n, batch); err != nil {
 		db.writeMu.Unlock()
 		return err
 	}
 	seq := db.walSeq.Add(1)
 	db.mu.Lock()
-	memFn()
+	forEachOp(ops, n, func(key, value []byte, tombstone bool) {
+		if tombstone {
+			db.stats.deletes.Add(1)
+		} else {
+			db.stats.puts.Add(1)
+		}
+		db.mem.put(key, value, tombstone)
+	})
 	var ferr error
 	flushed := false
 	if db.mem.sizeBytes() >= db.opts.MemtableBytes {
@@ -348,7 +355,11 @@ func (db *DB) applyWriteInner(ctx context.Context, logFn func(*wal) error, memFn
 	// released and the local durability wait is done.
 	var wait func() error
 	if db.hook != nil {
-		wait = db.hook(ctx, muts())
+		muts := make([]Mutation, 0, n)
+		forEachOp(ops, n, func(key, value []byte, tombstone bool) {
+			muts = append(muts, Mutation{Key: key, Value: value, Tombstone: tombstone})
+		})
+		wait = db.hook(ctx, muts)
 	}
 	committer := db.committer
 	db.writeMu.Unlock()
@@ -470,15 +481,7 @@ func (db *DB) Put(key, value []byte) error {
 
 // PutCtx is Put carrying the request context for trace propagation.
 func (db *DB) PutCtx(ctx context.Context, key, value []byte) error {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
-	return db.applyWrite(ctx,
-		func(w *wal) error { return w.logPut(key, value) },
-		func() {
-			db.stats.puts.Add(1)
-			db.mem.put(k, v, false)
-		},
-		func() []Mutation { return []Mutation{{Key: k, Value: v}} })
+	return db.write(ctx, appendOpBody(nil, walKindPut, key, value), 1, false)
 }
 
 // Delete removes key. Deleting an absent key is not an error.
@@ -488,42 +491,35 @@ func (db *DB) Delete(key []byte) error {
 
 // DeleteCtx is Delete carrying the request context for trace propagation.
 func (db *DB) DeleteCtx(ctx context.Context, key []byte) error {
-	k := append([]byte(nil), key...)
-	return db.applyWrite(ctx,
-		func(w *wal) error { return w.logDelete(key) },
-		func() {
-			db.stats.deletes.Add(1)
-			db.mem.put(k, nil, true)
-		},
-		func() []Mutation { return []Mutation{{Key: k, Tombstone: true}} })
+	return db.write(ctx, appendOpBody(nil, walKindDelete, key, nil), 1, false)
 }
 
-// Batch collects mutations to be applied atomically by ApplyBatch.
+// Batch collects mutations to be applied atomically by ApplyBatch. It
+// keeps them the way the log and the memtable will: already encoded, back
+// to back, copied once from the caller's slices.
 type Batch struct {
-	ops         []walOp
-	approxBytes int
+	ops []byte
+	n   int
 }
 
 // Put adds an insert/replace to the batch.
 func (b *Batch) Put(key, value []byte) {
-	b.ops = append(b.ops, walOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
-	b.approxBytes += len(key) + len(value) + 16
+	b.ops = appendOpBody(b.ops, walKindPut, key, value)
+	b.n++
 }
 
 // Delete adds a deletion to the batch.
 func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, walOp{key: append([]byte(nil), key...), tombstone: true})
-	b.approxBytes += len(key) + 16
+	b.ops = appendOpBody(b.ops, walKindDelete, key, nil)
+	b.n++
 }
 
 // Len returns the number of mutations in the batch.
-func (b *Batch) Len() int { return len(b.ops) }
+func (b *Batch) Len() int { return b.n }
 
 // ApplyBatch applies every mutation in b atomically: either all of them
-// survive a crash or none do.
+// survive a crash or none do. The store keeps the batch's bytes, so b is
+// left empty.
 func (db *DB) ApplyBatch(b *Batch) error {
 	return db.ApplyBatchCtx(nil, b)
 }
@@ -535,34 +531,24 @@ func (db *DB) ApplyBatchCtx(ctx context.Context, b *Batch) error {
 		return nil
 	}
 	db.stats.batches.Add(1)
-	return db.applyWrite(ctx,
-		func(w *wal) error { return w.logBatch(b) },
-		func() {
-			for _, op := range b.ops {
-				if op.tombstone {
-					db.stats.deletes.Add(1)
-				} else {
-					db.stats.puts.Add(1)
-				}
-				db.mem.put(op.key, op.value, op.tombstone)
-			}
-		},
-		func() []Mutation {
-			muts := make([]Mutation, len(b.ops))
-			for i, op := range b.ops {
-				muts[i] = Mutation{Key: op.key, Value: op.value, Tombstone: op.tombstone}
-			}
-			return muts
-		})
+	ops, n := b.ops, b.n
+	*b = Batch{}
+	return db.write(ctx, ops, n, true)
 }
 
-// Get returns the value stored for key. Point reads hold the lock
-// shared, so any number of them run concurrently with each other (and
-// with Scans); a read sees every write that completed before it. The
-// memtable answers first, then L0 newest-first, then one run per guarded
-// level; each table is asked only if its key range and its bloom filter
-// admit the key, and answers with a single block read.
+// Get returns the value stored for key in a buffer of its own.
 func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
+	return db.GetInto(key, nil)
+}
+
+// GetInto is Get appending the value to dst (and returning the extended
+// slice), so a caller with a scratch buffer reads without allocating.
+// Point reads hold the lock shared, so any number of them run concurrently
+// with each other (and with Scans); a read sees every write that completed
+// before it. The memtable answers first, then L0 newest-first, then one
+// run per guarded level; each table is asked only if its key range and its
+// bloom filter admit the key, and answers with a single block read.
+func (db *DB) GetInto(key, dst []byte) (value []byte, found bool, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.stats.gets.Add(1)
@@ -570,7 +556,7 @@ func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
 		if deleted {
 			return nil, false, nil
 		}
-		return append([]byte(nil), v...), true, nil
+		return append(dst, v...), true, nil
 	}
 	h := bloomHash(key)
 	for li := -1; li < len(db.levels); li++ {
@@ -580,7 +566,7 @@ func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
 			tables = lvl.run(guardIndexFor(lvl.guardKeys, key)).tables
 		}
 		for _, t := range tables {
-			v, f, tomb, err := t.get(key, h, &db.stats.reads)
+			v, f, tomb, err := t.get(key, h, dst, &db.stats.reads)
 			if err != nil || tomb {
 				return nil, false, err
 			}
@@ -725,7 +711,7 @@ func (db *DB) resetWALLocked() error {
 	if err := os.Remove(db.walPath()); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	w, err := openWAL(db.walPath(), false)
+	w, err := openWAL(db.walPath(), 0)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"origami/internal/racedetect"
 )
 
 // smallOpts forces frequent flushes and compactions so tests exercise the
@@ -188,7 +190,6 @@ func TestStoreRecoveryFromWAL(t *testing.T) {
 	db.Put([]byte("gone"), []byte("1"))
 	db.Delete([]byte("gone"))
 	// Simulate a crash: do NOT flush or close cleanly; reopen from disk.
-	db.wal.w.Flush()
 	db.wal.f.Close()
 	re, err := Open(dir, Options{})
 	if err != nil {
@@ -215,7 +216,6 @@ func TestStoreRecoveryAfterFlushAndMore(t *testing.T) {
 	}
 	db.Flush()
 	db.Put([]byte("post-flush"), []byte("1"))
-	db.wal.w.Flush()
 	db.wal.f.Close() // crash
 	re, err := Open(dir, smallOpts())
 	if err != nil {
@@ -236,11 +236,10 @@ func TestStoreTornWALTailIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Put([]byte("good"), []byte("1"))
-	db.wal.w.Flush()
 	db.wal.f.Close()
-	// Append garbage simulating a torn write.
-	f, _ := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
-	f.Write([]byte{9, 9, 9})
+	// Garbage right behind the last record simulates a torn write.
+	f, _ := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY, 0o644)
+	f.WriteAt([]byte{9, 9, 9}, db.wal.size)
 	f.Close()
 	re, err := Open(dir, Options{})
 	if err != nil {
@@ -508,5 +507,37 @@ func TestCompactionDropsRunCancelledByTombstones(t *testing.T) {
 	}
 	if files, _ := filepath.Glob(filepath.Join(db.dir, "*.sst")); len(files) != 0 {
 		t.Fatalf("table files left on disk: %v", files)
+	}
+}
+
+// TestApplyBatchAllocBudget pins what one durable one-put batch on a warm
+// store may allocate: the batch's op bytes (which the memtable keeps), the
+// skiplist node and its tower, and the durability-wait closure handed to
+// the commit policy. The WAL record itself is assembled in the log's
+// scratch buffer.
+func TestApplyBatchAllocBudget(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	const budget = 4
+	db := openTest(t, Options{SyncWAL: true})
+	const runs = 200
+	keys := make([][]byte, runs+2)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("\x00\x00\x00\x00\x00\x00\x00\x02file%08d", i))
+	}
+	val := make([]byte, 80)
+	i := 0
+	put := func() {
+		var b Batch
+		b.Put(keys[i], val)
+		i++
+		if err := db.ApplyBatch(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put() // warm: the first record sizes the log's scratch buffer
+	if got := testing.AllocsPerRun(runs, put); got > budget {
+		t.Errorf("one-put ApplyBatch allocates %.1f objects, budget %d", got, budget)
 	}
 }

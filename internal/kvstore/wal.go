@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // The write-ahead log is a sequence of CRC-framed records. Each record is
@@ -18,41 +19,75 @@ import (
 // payload = [1B kind][4B keyLen][key][4B valLen][value]  for single ops
 // payload = [1B kindBatch][4B count] followed by count single-op bodies
 //
-// Replay stops cleanly at the first torn or corrupt record, which is the
-// standard crash-recovery contract: everything before the tear was
-// acknowledged, everything after never was.
+// The file's size is set ahead of the log's tail: it grows by
+// walExtendStep at a time (a sparse ftruncate — no block is written, so
+// none is charged to the device), and records are written positionally at
+// the logical end inside it. An fsync of an append that moves the file
+// size has to commit the inode as well as the data; with the size already
+// past the tail it commits the data alone, which is most of what a durable
+// write costs. The tail past the logical end reads as zeros, and a zero
+// header ends the log. (Zero-FILLING the tail instead dirties whole large
+// folios per commit on current kernels; the sparse tail costs nothing.)
+//
+// Replay stops at the first zero, torn or corrupt record — the standard
+// crash-recovery contract: everything before it was acknowledged, nothing
+// after it ever was — and reports where that is. The log is reopened AT
+// that offset with everything past it cut, so a record acknowledged after
+// recovery can never sit behind bytes the next replay stops at.
 
 const (
 	walKindPut    byte = 1
 	walKindDelete byte = 2
 	walKindBatch  byte = 3
+
+	walHeaderSize = 8
+
+	// walExtendStep is how far ahead of the tail the file size is set.
+	walExtendStep = 1 << 20
 )
 
-// ErrCorruptWAL reports a record that failed its checksum; replay treats
-// it as end-of-log.
-var ErrCorruptWAL = errors.New("kvstore: corrupt WAL record")
-
 type wal struct {
-	f    *os.File
-	w    *bufio.Writer
-	sync bool
-	size int64
+	f *os.File
+	// size is the logical end of the log, where the next record goes;
+	// alloc the file size, kept ahead of it.
+	size, alloc int64
+	// rec is the scratch one record (header + payload) is assembled in.
+	// Like every field it is guarded by the DB's writeMu.
+	rec []byte
 }
 
-func openWAL(path string, sync bool) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openWAL opens (or creates) the log at path and resumes it at end — the
+// offset replayWAL returned, 0 for a new log. Whatever the file holds
+// past end is cut off before the size is set ahead again.
+func openWAL(path string, end int64) (*wal, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open wal: %w", err)
 	}
-	st, err := f.Stat()
+	w := &wal{f: f, size: end}
+	if err := f.Truncate(end); err == nil {
+		err = w.extend(end)
+	}
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("kvstore: stat wal: %w", err)
+		return nil, fmt.Errorf("kvstore: size wal: %w", err)
 	}
-	return &wal{f: f, w: bufio.NewWriter(f), sync: sync, size: st.Size()}, nil
+	return w, nil
 }
 
+// extend sets the file size one step past the step boundary below need.
+func (w *wal) extend(need int64) error {
+	alloc := (need/walExtendStep + 1) * walExtendStep
+	if err := w.f.Truncate(alloc); err != nil {
+		return err
+	}
+	w.alloc = alloc
+	return nil
+}
+
+// appendOpBody appends one op body to buf, growing it at most once.
 func appendOpBody(buf []byte, kind byte, key, value []byte) []byte {
+	buf = slices.Grow(buf, 9+len(key)+len(value))
 	buf = append(buf, kind)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
 	buf = append(buf, key...)
@@ -61,54 +96,38 @@ func appendOpBody(buf []byte, kind byte, key, value []byte) []byte {
 	return buf
 }
 
-func (w *wal) writeRecord(payload []byte) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("kvstore: wal write: %w", err)
+// append writes one record at the logical end: n op bodies laid out back
+// to back in ops. One op is a record of its own kind; more (or an explicit
+// batch of one) are wrapped in a batch record. The record reaches the OS
+// before append returns; making it durable is the group-commit layer's
+// call (syncFile), on a handle pinned while appends continue.
+func (w *wal) append(ops []byte, n int, batch bool) error {
+	rec := append(w.rec[:0], make([]byte, walHeaderSize)...)
+	if batch {
+		rec = append(rec, walKindBatch)
+		rec = binary.BigEndian.AppendUint32(rec, uint32(n))
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		return fmt.Errorf("kvstore: wal write: %w", err)
+	rec = append(rec, ops...)
+	binary.BigEndian.PutUint32(rec[0:], uint32(len(rec)-walHeaderSize))
+	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[walHeaderSize:]))
+	if cap(rec) <= walExtendStep {
+		w.rec = rec // an outsized record's scratch is not worth keeping
 	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("kvstore: wal flush: %w", err)
-	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("kvstore: wal sync: %w", err)
+	end := w.size + int64(len(rec))
+	if end > w.alloc {
+		if err := w.extend(end); err != nil {
+			return fmt.Errorf("kvstore: wal extend: %w", err)
 		}
 	}
-	w.size += int64(8 + len(payload))
+	if _, err := w.f.WriteAt(rec, w.size); err != nil {
+		return fmt.Errorf("kvstore: wal write: %w", err)
+	}
+	w.size = end
 	return nil
 }
 
-func (w *wal) logPut(key, value []byte) error {
-	return w.writeRecord(appendOpBody(nil, walKindPut, key, value))
-}
-
-func (w *wal) logDelete(key []byte) error {
-	return w.writeRecord(appendOpBody(nil, walKindDelete, key, nil))
-}
-
-func (w *wal) logBatch(b *Batch) error {
-	payload := make([]byte, 0, 5+b.approxBytes)
-	payload = append(payload, walKindBatch)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(b.ops)))
-	for _, op := range b.ops {
-		kind := walKindPut
-		if op.tombstone {
-			kind = walKindDelete
-		}
-		payload = appendOpBody(payload, kind, op.key, op.value)
-	}
-	return w.writeRecord(payload)
-}
-
-// syncFile fsyncs a log file handle. Records already flushed to the OS
-// (writeRecord flushes the buffered writer) become durable; the group
-// commit layer in DB decides when to call it, on a handle pinned while
-// appends continue.
+// syncFile fsyncs a log file handle, making every record written so far
+// durable.
 func syncFile(f *os.File) error {
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("kvstore: wal sync: %w", err)
@@ -116,95 +135,98 @@ func syncFile(f *os.File) error {
 	return nil
 }
 
+// close gives the size-ahead tail back and closes the file.
 func (w *wal) close() error {
-	if err := w.w.Flush(); err != nil {
+	if err := w.f.Truncate(w.size); err != nil {
 		w.f.Close()
 		return err
 	}
 	return w.f.Close()
 }
 
-// walOp is a single replayed mutation.
-type walOp struct {
-	key       []byte
-	value     []byte
-	tombstone bool
+// forEachOp walks n op bodies laid out back to back in ops — the layout
+// WAL records, batches and SSTable entries share, hence decodeEntry — and
+// reports whether they parse and fill ops exactly. key and value alias
+// ops.
+func forEachOp(ops []byte, n int, fn func(key, value []byte, tombstone bool)) bool {
+	for ; n > 0; n-- {
+		key, value, tombstone, size, err := decodeEntry(ops)
+		if err != nil {
+			return false
+		}
+		if fn != nil {
+			fn(key, value, tombstone)
+		}
+		ops = ops[size:]
+	}
+	return len(ops) == 0
 }
 
-// parseOpBody decodes one op body — the layout WAL records and SSTable
-// entries share, hence the one decoder — into an op that owns its bytes.
-func parseOpBody(payload []byte) (op walOp, rest []byte, err error) {
-	key, value, tombstone, n, err := decodeEntry(payload)
-	if err != nil {
-		return op, nil, ErrCorruptWAL
+// recordOps splits a record payload into its op bodies and their count.
+func recordOps(payload []byte) (ops []byte, n int, ok bool) {
+	if len(payload) == 0 {
+		return nil, 0, false
 	}
-	op = walOp{key: append([]byte(nil), key...), tombstone: tombstone}
-	if !tombstone {
-		op.value = append([]byte(nil), value...)
+	if payload[0] != walKindBatch {
+		return payload, 1, true
 	}
-	return op, payload[n:], nil
+	if len(payload) < 5 {
+		return nil, 0, false
+	}
+	count := binary.BigEndian.Uint32(payload[1:])
+	if uint64(count) > uint64(len(payload)) { // every op body is >= 9 bytes
+		return nil, 0, false
+	}
+	return payload[5:], int(count), true
 }
 
-// replayWAL reads every intact record from the log at path and hands each
-// mutation to apply, in order. A missing file is an empty log. Torn or
-// corrupt tails are ignored.
-func replayWAL(path string, apply func(walOp)) error {
+// replayWAL hands the op bodies of every intact record of the log at path
+// to apply, in order, and returns the offset just past the last of them —
+// where the log resumes. A missing file is an empty log. The walk ends at
+// the first record that is zero (the size-ahead tail), torn, corrupt, or
+// does not parse whole: a batch is applied entirely or not at all. ops is
+// a buffer of the record's own; apply may keep it.
+func replayWAL(path string, apply func(ops []byte, n int)) (end int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("kvstore: open wal for replay: %w", err)
+		return 0, fmt.Errorf("kvstore: open wal for replay: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("kvstore: stat wal for replay: %w", err)
+	}
 	r := bufio.NewReader(f)
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil // clean EOF or torn header: stop
+	for left := st.Size(); left >= walHeaderSize; {
+		hdr, err := r.Peek(walHeaderSize)
+		if err != nil {
+			break
 		}
-		n := binary.BigEndian.Uint32(hdr[0:])
-		want := binary.BigEndian.Uint32(hdr[4:])
+		n := int64(binary.BigEndian.Uint32(hdr[0:]))
+		sum := binary.BigEndian.Uint32(hdr[4:])
+		// The length is whatever the disk says: believe it only as far as
+		// the file goes. Zero is the tail (no writer logs an empty record).
+		if n == 0 || n > left-walHeaderSize {
+			break
+		}
+		r.Discard(walHeaderSize)
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil // torn payload
+			break
 		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return nil // corrupt record: treat as end of log
+		if crc32.ChecksumIEEE(payload) != sum {
+			break
 		}
-		if len(payload) == 0 {
-			continue
+		ops, count, ok := recordOps(payload)
+		if !ok || !forEachOp(ops, count, nil) {
+			break
 		}
-		if payload[0] == walKindBatch {
-			if len(payload) < 5 {
-				return nil
-			}
-			count := binary.BigEndian.Uint32(payload[1:])
-			rest := payload[5:]
-			ops := make([]walOp, 0, count)
-			ok := true
-			for i := uint32(0); i < count; i++ {
-				var op walOp
-				var err error
-				op, rest, err = parseOpBody(rest)
-				if err != nil {
-					ok = false
-					break
-				}
-				ops = append(ops, op)
-			}
-			if !ok {
-				return nil // half-parsed batch: drop it entirely (atomicity)
-			}
-			for _, op := range ops {
-				apply(op)
-			}
-			continue
-		}
-		op, _, err := parseOpBody(payload)
-		if err != nil {
-			return nil
-		}
-		apply(op)
+		apply(ops, count)
+		end += walHeaderSize + n
+		left -= walHeaderSize + n
 	}
+	return end, nil
 }

@@ -307,7 +307,7 @@ func TestGrantTrailerRoundTrip(t *testing.T) {
 	if string(r.Blob()) != "payload" {
 		t.Fatal("payload mangled")
 	}
-	got := DecodeGrants(r)
+	got := DecodeGrants(r, nil)
 	if len(got) != 2 || got[0] != grants[0] || got[1] != grants[1] {
 		t.Fatalf("decoded grants = %+v", got)
 	}
@@ -315,7 +315,7 @@ func TestGrantTrailerRoundTrip(t *testing.T) {
 	// A body with no trailer decodes as no grants.
 	r2 := rpc.NewReader((&rpc.Wire{}).Blob([]byte("payload")).Bytes())
 	r2.Blob()
-	if g := DecodeGrants(r2); g != nil {
+	if g := DecodeGrants(r2, nil); g != nil {
 		t.Fatalf("grants from trailer-less body = %+v", g)
 	}
 }

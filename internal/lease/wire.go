@@ -19,17 +19,18 @@ func AppendGrants(w *rpc.Wire, grants []Grant) {
 	}
 }
 
-// DecodeGrants reads a grant trailer from r's current position. A
-// response with no trailer (or one from an error path) yields nil.
-func DecodeGrants(r *rpc.Reader) []Grant {
+// DecodeGrants reads a grant trailer from r's current position, appending
+// the grants to dst. A response with no trailer (or one from an error
+// path) yields dst as it came.
+func DecodeGrants(r *rpc.Reader, dst []Grant) []Grant {
 	if r.Err() != nil || r.Remaining() == 0 {
-		return nil
+		return dst
 	}
 	n := int(r.U32())
 	if r.Err() != nil || n > 4096 {
-		return nil
+		return dst
 	}
-	grants := make([]Grant, 0, n)
+	grants := dst
 	for i := 0; i < n; i++ {
 		g := Grant{}
 		g.Dir = namespace.Ino(r.U64())
@@ -39,7 +40,7 @@ func DecodeGrants(r *rpc.Reader) []Grant {
 		grants = append(grants, g)
 	}
 	if r.Err() != nil {
-		return nil
+		return dst
 	}
 	return grants
 }

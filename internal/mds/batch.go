@@ -61,52 +61,71 @@ const (
 // batchMaxOps bounds one frame, mirroring the resolve-path bound.
 const batchMaxOps = 4096
 
-// subOp starts one sub-op encoding, sized so the common op is one
-// allocation.
-func subOp(opID uint64, kind BatchOpKind, extra int) *rpc.Wire {
-	w := rpc.NewWire(32 + extra)
-	return w.U64(opID).U8(uint8(kind))
+// SubOp is one sub-operation as a client states it; AppendTo is the one
+// encoder of the sub-op wire form (decodeBatchOp its decoder). Which
+// fields matter depends on Kind: a create names (Parent, Name) and Type; a
+// remove (Parent, Name); a setattr Ino, Size and Mode; a rename moves
+// (Parent, Name) to (DstParent, DstName); an insert ships Inode, which
+// lands at (Inode.Parent, Inode.Name) on the shard owning that parent.
+type SubOp struct {
+	ID        uint64
+	Kind      BatchOpKind
+	Parent    namespace.Ino
+	Name      string
+	Type      namespace.FileType
+	Ino       namespace.Ino
+	Size      int64
+	Mode      uint16
+	DstParent namespace.Ino
+	DstName   string
+	Inode     *namespace.Inode
+}
+
+// Dir is the directory the op writes under — what routes it to a shard.
+// (A setattr's Parent is that routing hint alone; it is not encoded.)
+func (o *SubOp) Dir() namespace.Ino {
+	if o.Kind == BatchOpInsert {
+		return o.Inode.Parent
+	}
+	return o.Parent
+}
+
+// AppendTo appends the sub-op's encoding to w.
+func (o *SubOp) AppendTo(w *rpc.Wire) {
+	w.U64(o.ID).U8(uint8(o.Kind))
+	switch o.Kind {
+	case BatchOpCreate:
+		w.U64(uint64(o.Parent)).Str(o.Name).U8(uint8(o.Type))
+	case BatchOpRemove:
+		w.U64(uint64(o.Parent)).Str(o.Name)
+	case BatchOpSetattr:
+		w.U64(uint64(o.Ino)).I64(o.Size).U32(uint32(o.Mode))
+	case BatchOpRename:
+		w.U64(uint64(o.Parent)).Str(o.Name).U64(uint64(o.DstParent)).Str(o.DstName)
+	case BatchOpInsert:
+		appendInodeBlob(w, o.Inode)
+	}
 }
 
 // EncodeBatchCreate encodes one create/mkdir sub-op.
 func EncodeBatchCreate(opID uint64, parent namespace.Ino, name string, typ namespace.FileType) []byte {
-	return subOp(opID, BatchOpCreate, len(name)).U64(uint64(parent)).Str(name).U8(uint8(typ)).Bytes()
+	var w rpc.Wire
+	(&SubOp{ID: opID, Kind: BatchOpCreate, Parent: parent, Name: name, Type: typ}).AppendTo(&w)
+	return w.Bytes()
 }
 
-// EncodeBatchRemove encodes one remove sub-op.
-func EncodeBatchRemove(opID uint64, parent namespace.Ino, name string) []byte {
-	return subOp(opID, BatchOpRemove, len(name)).U64(uint64(parent)).Str(name).Bytes()
-}
-
-// EncodeBatchSetattr encodes one setattr sub-op.
-func EncodeBatchSetattr(opID uint64, ino namespace.Ino, size int64, mode uint16) []byte {
-	return subOp(opID, BatchOpSetattr, 0).U64(uint64(ino)).I64(size).U32(uint32(mode)).Bytes()
-}
-
-// EncodeBatchRename encodes one same-shard rename sub-op.
-func EncodeBatchRename(opID uint64, srcParent namespace.Ino, srcName string, dstParent namespace.Ino, dstName string) []byte {
-	return subOp(opID, BatchOpRename, len(srcName)+len(dstName)).
-		U64(uint64(srcParent)).Str(srcName).U64(uint64(dstParent)).Str(dstName).Bytes()
-}
-
-// EncodeBatchInsert encodes one insert sub-op: in lands at (in.Parent,
-// in.Name) on the shard owning in.Parent.
-func EncodeBatchInsert(opID uint64, in *namespace.Inode) []byte {
-	enc := namespace.EncodeInode(in)
-	return subOp(opID, BatchOpInsert, len(enc)).Blob(enc).Bytes()
-}
-
-// EncodeBatchRequest frames sub-ops into one MethodBatch body.
-func EncodeBatchRequest(clientID uint64, subs [][]byte) []byte {
-	size := 16
-	for _, sub := range subs {
-		size += 4 + len(sub)
-	}
-	w := rpc.NewWire(size)
+// AppendBatchRequest appends a MethodBatch body framing subs to w.
+func AppendBatchRequest(w *rpc.Wire, clientID uint64, subs [][]byte) {
 	w.U64(clientID)
 	env := w.BeginBlob()
 	rpc.AppendBatch(w, subs)
 	w.EndBlob(env)
+}
+
+// EncodeBatchRequest frames sub-ops into one MethodBatch body.
+func EncodeBatchRequest(clientID uint64, subs [][]byte) []byte {
+	var w rpc.Wire
+	AppendBatchRequest(&w, clientID, subs)
 	return w.Bytes()
 }
 
@@ -125,17 +144,24 @@ type BatchResult struct {
 // DecodeBatchResponse splits a MethodBatch response into per-op results
 // (in request order) and the lease-grant trailer.
 func DecodeBatchResponse(body []byte) ([]BatchResult, []lease.Grant, error) {
+	return DecodeBatchResponseInto(nil, nil, body)
+}
+
+// DecodeBatchResponseInto is DecodeBatchResponse appending to the
+// caller's results and grants. Nothing it returns aliases body.
+func DecodeBatchResponseInto(results []BatchResult, grants []lease.Grant, body []byte) ([]BatchResult, []lease.Grant, error) {
 	r := rpc.NewReader(body)
 	env := r.Blob()
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
-	grants := lease.DecodeGrants(r)
-	subs, err := rpc.DecodeBatch(env)
+	grants = lease.DecodeGrants(r, grants)
+	var subBuf [1][]byte
+	subs, err := rpc.DecodeBatchInto(subBuf[:0], env)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]BatchResult, 0, len(subs))
+	results = slices.Grow(results, len(subs))
 	for _, sub := range subs {
 		sr := rpc.NewReader(sub)
 		status := sr.U8()
@@ -157,9 +183,9 @@ func DecodeBatchResponse(body []byte) ([]BatchResult, []lease.Grant, error) {
 		if err := sr.Err(); err != nil {
 			return nil, nil, err
 		}
-		out = append(out, br)
+		results = append(results, br)
 	}
-	return out, grants, nil
+	return results, grants, nil
 }
 
 // batchOp is one sub-op on its way through the shard: the decoded
@@ -180,7 +206,8 @@ type batchOp struct {
 	size              int64
 	mode              uint16
 	now               int64
-	in                *namespace.Inode
+	in                namespace.Inode
+	hasIn             bool // in is set: there is an inode to install, or one was stored
 
 	// What the applier's unlocked pre-pass saw and locked for,
 	// re-verified under the locks: the directory at the op's unlink
@@ -191,25 +218,28 @@ type batchOp struct {
 
 	// Outcome. An op is resolved once err is set or replayed is true;
 	// the applier skips resolved ops. After a successful apply, in is
-	// the inode now stored (nil for a remove), gone the entry the op
+	// the inode now stored (hasIn false for a remove) and gone the entry the op
 	// unlinked (a remove's victim, the destination a rename or insert
-	// replaced), and payload the response body (in's encoding).
+	// replaced; Ino 0 when there was none). payload is a replayed op's
+	// recorded response.
 	err      error
 	replayed bool
-	gone     *namespace.Inode
+	gone     namespace.Inode
 	payload  []byte
 }
 
 func (op *batchOp) resolved() bool { return op.err != nil || op.replayed }
 
-// decodeBatchOp parses one sub-op body into op.
+// decodeBatchOp parses one sub-op body into op. The names are copied out
+// of sub — the ino index keeps them, and sub is a recycled request buffer.
 func decodeBatchOp(sub []byte, op *batchOp) error {
 	r := rpc.NewReader(sub)
 	op.id = r.U64()
 	kind := BatchOpKind(r.U8())
 	switch kind {
 	case BatchOpCreate:
-		op.in = &namespace.Inode{Parent: namespace.Ino(r.U64()), Name: r.Str(), Type: namespace.FileType(r.U8())}
+		op.in = namespace.Inode{Parent: namespace.Ino(r.U64()), Name: r.Str(), Type: namespace.FileType(r.U8())}
+		op.hasIn = true
 	case BatchOpRemove:
 		op.parent, op.name = namespace.Ino(r.U64()), r.Str()
 	case BatchOpSetattr:
@@ -220,11 +250,12 @@ func decodeBatchOp(sub []byte, op *batchOp) error {
 	case BatchOpInsert:
 		blob := r.Blob()
 		if r.Err() == nil {
-			in, err := namespace.DecodeInode(blob)
+			name, err := namespace.DecodeInodeInto(&op.in, blob)
 			if err != nil {
 				return err
 			}
-			op.in = in
+			op.in.Name = string(name)
+			op.hasIn = true
 		}
 	default:
 		if err := r.Err(); err != nil {
@@ -237,7 +268,7 @@ func decodeBatchOp(sub []byte, op *batchOp) error {
 	}
 	// (dir, "") is no entry: the root's own record lives at such a key.
 	switch {
-	case op.in != nil && op.in.Name == "",
+	case op.hasIn && op.in.Name == "",
 		(kind == BatchOpRemove || kind == BatchOpRename) && op.name == "",
 		kind == BatchOpRename && op.dstName == "":
 		return errors.New("empty name")
@@ -265,6 +296,90 @@ func (s *Store) applyBatchOps(ctx context.Context, ops []batchOp) {
 	for from := 0; from < len(ops); {
 		from = s.applyRound(ctx, ops, from)
 	}
+}
+
+// round is the state of one applyRound: the kvstore batch under
+// construction and the staged view over it. A plain struct with methods
+// rather than closures over locals, so a frame of one runs on the stack.
+type round struct {
+	s *Store
+	b kvstore.Batch
+	// staged lets later ops of the round see earlier ops' effects, so a
+	// double create of one name inside a frame still yields EEXIST. A nil
+	// value is a staged delete. A frame of one op has no later ops and
+	// stages nothing.
+	staged map[string]*namespace.Inode
+	single bool
+}
+
+func (r *round) stage(k []byte, in *namespace.Inode) {
+	if r.single {
+		return
+	}
+	if r.staged == nil {
+		r.staged = make(map[string]*namespace.Inode)
+	}
+	var view *namespace.Inode
+	if in != nil {
+		cp := *in // a copy: the view must not pin the op to the heap
+		view = &cp
+	}
+	r.staged[string(k)] = view
+}
+
+// get reads (parent, name) through the staged view.
+func (r *round) get(parent namespace.Ino, name string) (namespace.Inode, bool, error) {
+	if r.staged != nil {
+		var kb [keyScratch]byte
+		if in, ok := r.staged[string(namespace.AppendKey(kb[:0], parent, name))]; ok {
+			if in == nil {
+				return namespace.Inode{}, false, nil
+			}
+			return *in, true, nil
+		}
+	}
+	return r.s.getLocked(parent, name)
+}
+
+// put adds the write of op.in at (op.in.Parent, op.in.Name).
+func (r *round) put(op *batchOp) {
+	var kb [keyScratch]byte
+	var vb [recordScratch]byte
+	k := namespace.AppendKey(kb[:0], op.in.Parent, op.in.Name)
+	r.b.Put(k, namespace.AppendInode(vb[:0], &op.in))
+	r.stage(k, &op.in)
+	op.hasIn = true
+}
+
+// del adds the delete of (parent, name).
+func (r *round) del(parent namespace.Ino, name string) {
+	var kb [keyScratch]byte
+	k := namespace.AppendKey(kb[:0], parent, name)
+	r.b.Delete(k)
+	r.stage(k, nil)
+}
+
+func (s *Store) liveDir(dir namespace.Ino) bool {
+	ref, ok := s.refOf(dir)
+	return ok && ref.isDir
+}
+
+// unlinkable decides whether op may unlink victim. A directory must be
+// empty, which is only decidable when the pre-pass took its stripe and
+// nothing staged earlier in the round may have changed what is under it;
+// otherwise the op waits for a round of its own.
+func (r *round) unlinkable(op *batchOp, victim *namespace.Inode) (wait bool, err error) {
+	if !victim.IsDir() {
+		return false, nil
+	}
+	if op.emptyDir != victim.Ino || r.b.Len() > 0 {
+		return true, nil
+	}
+	any, err := r.s.hasChildLocked(victim.Ino)
+	if err == nil && any {
+		err = ErrNotEmpty
+	}
+	return false, err
 }
 
 // applyRound applies ops[from:] up to the first op that must wait for a
@@ -315,53 +430,7 @@ func (s *Store) applyRound(ctx context.Context, ops []batchOp, from int) int {
 	s.lockStripes(set)
 	defer s.unlockStripes(set)
 
-	var b kvstore.Batch
-	// Staged view: later ops of the round see earlier ops' effects, so a
-	// double create of one name inside a frame still yields EEXIST. A nil
-	// value is a staged delete. A frame of one op has no later ops.
-	var staged map[string]*namespace.Inode
-	stage := func(k []byte, in *namespace.Inode) {
-		if len(ops) == 1 {
-			return
-		}
-		if staged == nil {
-			staged = make(map[string]*namespace.Inode)
-		}
-		staged[string(k)] = in
-	}
-	get := func(k []byte) (*namespace.Inode, bool, error) {
-		if in, ok := staged[string(k)]; ok {
-			return in, in != nil, nil
-		}
-		return s.getKey(k)
-	}
-	put := func(op *batchOp, k []byte, in *namespace.Inode) {
-		op.in, op.payload = in, namespace.EncodeInode(in)
-		b.Put(k, op.payload)
-		stage(k, in)
-	}
-	liveDir := func(dir namespace.Ino) bool {
-		ref, ok := s.refOf(dir)
-		return ok && ref.isDir
-	}
-	// unlinkable decides whether op may unlink victim. A directory must
-	// be empty, which is only decidable when the pre-pass took its stripe
-	// and nothing staged earlier in the round may have changed what is
-	// under it; otherwise the op waits for a round of its own.
-	unlinkable := func(op *batchOp, victim *namespace.Inode) (wait bool, err error) {
-		if !victim.IsDir() {
-			return false, nil
-		}
-		if op.emptyDir != victim.Ino || b.Len() > 0 {
-			return true, nil
-		}
-		any, err := s.hasChildLocked(victim.Ino)
-		if err == nil && any {
-			err = ErrNotEmpty
-		}
-		return false, err
-	}
-
+	r := round{s: s, single: len(ops) == 1}
 	i := from
 round:
 	for ; i < len(ops); i++ {
@@ -371,27 +440,25 @@ round:
 		}
 		switch op.kind {
 		case BatchOpCreate:
-			if !liveDir(op.in.Parent) {
+			if !s.liveDir(op.in.Parent) {
 				op.err = ErrNotDir
 				continue
 			}
-			k := namespace.EncodeKey(op.in.Parent, op.in.Name)
-			if _, found, err := get(k); err != nil {
+			if _, found, err := r.get(op.in.Parent, op.in.Name); err != nil {
 				op.err = err
 			} else if found {
 				op.err = ErrExist
 			} else {
-				put(op, k, op.in)
+				r.put(op)
 			}
 		case BatchOpRemove:
-			k := namespace.EncodeKey(op.parent, op.name)
-			victim, found, err := get(k)
+			victim, found, err := r.get(op.parent, op.name)
 			if err == nil && !found {
 				err = ErrNoEnt
 			}
 			wait := false
 			if err == nil {
-				wait, err = unlinkable(op, victim)
+				wait, err = r.unlinkable(op, &victim)
 			}
 			if wait {
 				break round
@@ -400,8 +467,7 @@ round:
 				op.err = err
 				continue
 			}
-			b.Delete(k)
-			stage(k, nil)
+			r.del(op.parent, op.name)
 			op.gone = victim
 		case BatchOpSetattr:
 			cur, ok := s.refOf(op.ino)
@@ -412,8 +478,7 @@ round:
 			if cur != op.ref {
 				break round // moved while locking; retry against the new home
 			}
-			k := namespace.EncodeKey(cur.parent, cur.name)
-			in, found, err := get(k)
+			in, found, err := r.get(cur.parent, cur.name)
 			if err == nil && (!found || in.Ino != op.ino) {
 				err = ErrNoEnt
 			}
@@ -421,34 +486,31 @@ round:
 				op.err = err
 				continue
 			}
-			upd := *in
-			upd.Size, upd.Mode, upd.Ctime = op.size, op.mode, op.now
-			put(op, k, &upd)
+			in.Size, in.Mode, in.Ctime = op.size, op.mode, op.now
+			op.in = in
+			r.put(op)
 		case BatchOpRename, BatchOpInsert:
-			src, dstParent, dstName := op.in, op.dstParent, op.dstName
-			var srcKey []byte
+			dstParent, dstName := op.dstParent, op.dstName
 			if op.kind == BatchOpInsert {
-				dstParent, dstName = src.Parent, src.Name
+				dstParent, dstName = op.in.Parent, op.in.Name
 			} else {
-				srcKey = namespace.EncodeKey(op.parent, op.name)
-				var found bool
-				var err error
-				if src, found, err = get(srcKey); err != nil || !found {
+				src, found, err := r.get(op.parent, op.name)
+				if err != nil || !found {
 					if op.err = err; err == nil {
 						op.err = ErrNoEnt
 					}
 					continue
 				}
+				op.in = src
 			}
-			if !liveDir(dstParent) {
+			if !s.liveDir(dstParent) {
 				op.err = ErrNotDir
 				continue
 			}
-			dstKey := namespace.EncodeKey(dstParent, dstName)
-			old, found, err := get(dstKey)
+			old, found, err := r.get(dstParent, dstName)
 			wait := false
 			if err == nil && found {
-				wait, err = unlinkable(op, old)
+				wait, err = r.unlinkable(op, &old)
 			}
 			if wait {
 				break round
@@ -460,25 +522,23 @@ round:
 			if found {
 				op.gone = old // overwritten by the put below
 			}
-			if srcKey != nil {
-				b.Delete(srcKey)
-				stage(srcKey, nil)
+			if op.kind == BatchOpRename {
+				r.del(op.parent, op.name)
 			}
-			moved := *src
-			moved.Parent, moved.Name, moved.Ctime = dstParent, dstName, op.now
-			put(op, dstKey, &moved)
+			op.in.Parent, op.in.Name, op.in.Ctime = dstParent, dstName, op.now
+			r.put(op)
 		}
-		if op.gone != nil && op.gone.IsDir() {
+		if op.gone.Ino != 0 && op.gone.IsDir() {
 			// A directory left the namespace: ops after it must not
 			// trust the ino index for it, so they get a later round.
 			i++
 			break
 		}
 	}
-	if b.Len() == 0 {
+	if r.b.Len() == 0 {
 		return i
 	}
-	err := s.db.ApplyBatchCtx(ctx, &b)
+	err := s.db.ApplyBatchCtx(ctx, &r.b)
 	s.inoMu.Lock()
 	for j := from; j < i; j++ {
 		op := &ops[j]
@@ -487,10 +547,10 @@ round:
 		case err != nil:
 			op.err = err
 		default:
-			if op.gone != nil {
+			if op.gone.Ino != 0 {
 				delete(s.byIno, op.gone.Ino)
 			}
-			if op.in != nil {
+			if op.hasIn {
 				s.byIno[op.in.Ino] = inoRef{parent: op.in.Parent, name: op.in.Name, isDir: op.in.IsDir()}
 			}
 		}
@@ -539,6 +599,8 @@ func (t *replayTable) find(client, op uint64) (*[replayWays]replayEntry, int) {
 	return set, -1
 }
 
+// lookup returns a copy of the response recorded for (client, op). A
+// copy, because store reuses the buffers of the entries it pushes out.
 func (t *replayTable) lookup(client, op uint64) ([]byte, bool) {
 	if client == 0 {
 		return nil, false
@@ -552,10 +614,14 @@ func (t *replayTable) lookup(client, op uint64) ([]byte, bool) {
 	if way < 0 {
 		return nil, false
 	}
-	return set[way].payload, true
+	return append([]byte(nil), set[way].payload...), true
 }
 
-func (t *replayTable) store(client, op uint64, payload []byte) {
+// store records the response of an applied op: the record of the inode it
+// left stored, empty (in == nil) for a remove. The record is encoded into
+// the buffer of the entry this one pushes out, so a table that has filled
+// once records without allocating.
+func (t *replayTable) store(client, op uint64, in *namespace.Inode) {
 	if client == 0 {
 		return
 	}
@@ -567,6 +633,10 @@ func (t *replayTable) store(client, op uint64, payload []byte) {
 	set, way := t.find(client, op)
 	if way >= 0 {
 		return // keep the original verdict
+	}
+	payload := set[replayWays-1].payload[:0]
+	if in != nil {
+		payload = namespace.AppendInode(slices.Grow(payload, namespace.RecordSize(in)), in)
 	}
 	copy(set[1:], set[:replayWays-1])
 	set[0] = replayEntry{client, op, payload}
@@ -598,7 +668,7 @@ func (s *Service) opError(op *batchOp) error {
 func (s *Service) admit(op *batchOp, owns func(namespace.Ino) bool, now int64) {
 	op.now = now
 	dst := op.dstParent
-	if op.in != nil {
+	if op.hasIn {
 		dst = op.in.Parent
 	}
 	if dst == op.parent {
@@ -611,7 +681,7 @@ func (s *Service) admit(op *batchOp, owns func(namespace.Ino) bool, now int64) {
 		}
 	}
 	if op.kind == BatchOpCreate {
-		in := op.in
+		in := &op.in
 		in.Ino = s.store.AllocIno()
 		in.Mode, in.Nlink = 0o644, 1
 		if in.Type == namespace.TypeDir {
@@ -626,22 +696,23 @@ func (s *Service) admit(op *batchOp, owns func(namespace.Ino) bool, now int64) {
 // op, apply everything valid as one atomic WAL batch record, and answer
 // per-op with one grant trailer covering every mutated directory. It
 // runs under the shared side of the migration freeze (see frozen).
-func (s *Service) handleBatch(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Service) handleBatch(ctx context.Context, body []byte, resp *rpc.Wire) error {
 	start := time.Now()
 	r := rpc.NewReader(body)
 	clientID := r.U64()
 	env := r.Blob()
 	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	subs, err := rpc.DecodeBatch(env)
-	if err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	if len(subs) == 0 || len(subs) > batchMaxOps {
-		return nil, CodedError(CodeInvalid, "batch of %d ops", len(subs))
+		return CodedError(CodeInvalid, "%v", err)
 	}
 	// A frame of one — every unbatched SDK write — stays off the heap.
+	var oneSub [1][]byte
+	subs, err := rpc.DecodeBatchInto(oneSub[:0], env)
+	if err != nil {
+		return CodedError(CodeInvalid, "%v", err)
+	}
+	if len(subs) == 0 || len(subs) > batchMaxOps {
+		return CodedError(CodeInvalid, "batch of %d ops", len(subs))
+	}
 	var one [1]batchOp
 	ops := one[:]
 	if len(subs) > 1 {
@@ -687,7 +758,6 @@ func (s *Service) handleBatch(ctx context.Context, body []byte) ([]byte, error) 
 	perOpNS := time.Since(start).Nanoseconds() / int64(len(ops))
 	var dirBuf [2]namespace.Ino
 	grantDirs := dirBuf[:0]
-	resp := rpc.NewWire(64 + 128*len(ops))
 	results := resp.BeginBlob()
 	resp.U32(uint32(len(ops)))
 	for i := range ops {
@@ -695,41 +765,47 @@ func (s *Service) handleBatch(ctx context.Context, body []byte) ([]byte, error) 
 		if h := s.opHist[op.kind]; h != nil {
 			h.Record(perOpNS)
 		}
+		// One result: a status byte, then the payload as a blob.
+		result := resp.BeginBlob()
 		switch {
 		case op.replayed:
-			resp.U32(uint32(5 + len(op.payload))).U8(batchStatusReplayed).Blob(op.payload)
-			continue
+			resp.U8(batchStatusReplayed).Blob(op.payload)
 		case op.err != nil:
-			msg := s.opError(op).Error()
-			resp.U32(uint32(5 + len(msg))).U8(batchStatusErr).Str(msg)
-			continue
-		}
-		// Applied. dir is the directory the op is charged to; a rename
-		// across directories also touched moved.
-		var dir, moved namespace.Ino
-		switch op.kind {
-		case BatchOpRemove:
-			dir = op.parent
-		case BatchOpRename:
-			dir, moved = op.parent, op.dstParent
+			resp.U8(batchStatusErr).Str(s.opError(op).Error())
 		default:
-			dir = op.in.Parent
+			// Applied. dir is the directory the op is charged to; a rename
+			// across directories also touched moved.
+			var dir, moved namespace.Ino
+			switch op.kind {
+			case BatchOpRemove:
+				dir = op.parent
+			case BatchOpRename:
+				dir, moved = op.parent, op.dstParent
+			default:
+				dir = op.in.Parent
+			}
+			s.recordWrite(dir, perOpNS)
+			// Bump before granting: the trailer then carries the
+			// post-mutation epoch, which the mutating client adopts as its
+			// own bump (+1) without flushing its cache.
+			s.leases.Bump(dir)
+			grantDirs = append(grantDirs, dir)
+			if moved != 0 && moved != dir {
+				s.leases.Bump(moved)
+				grantDirs = append(grantDirs, moved)
+			}
+			if op.gone.Ino != 0 && op.gone.IsDir() {
+				s.leases.Revoke(op.gone.Ino)
+			}
+			var stored *namespace.Inode // nil: a remove leaves nothing
+			if op.hasIn {
+				stored = &op.in
+			}
+			s.replays.store(clientID, op.id, stored)
+			resp.U8(batchStatusOK)
+			appendInodeBlob(resp, stored)
 		}
-		s.recordWrite(dir, perOpNS)
-		// Bump before granting: the trailer then carries the
-		// post-mutation epoch, which the mutating client adopts as its
-		// own bump (+1) without flushing its cache.
-		s.leases.Bump(dir)
-		grantDirs = append(grantDirs, dir)
-		if moved != 0 && moved != dir {
-			s.leases.Bump(moved)
-			grantDirs = append(grantDirs, moved)
-		}
-		if op.gone != nil && op.gone.IsDir() {
-			s.leases.Revoke(op.gone.Ino)
-		}
-		s.replays.store(clientID, op.id, op.payload)
-		resp.U32(uint32(5 + len(op.payload))).U8(batchStatusOK).Blob(op.payload)
+		resp.EndBlob(result)
 	}
 	resp.EndBlob(results)
 	if len(grantDirs) > 1 {
@@ -737,5 +813,5 @@ func (s *Service) handleBatch(ctx context.Context, body []byte) ([]byte, error) 
 		grantDirs = slices.Compact(grantDirs)
 	}
 	s.appendGrants(resp, grantDirs)
-	return resp.Bytes(), nil
+	return nil
 }

@@ -1,7 +1,7 @@
 package mds
 
 import (
-	"context"
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,7 +20,7 @@ import (
 
 func batchCall(t *testing.T, s *Service, clientID uint64, subs [][]byte) []BatchResult {
 	t.Helper()
-	body, err := s.handleBatch(context.Background(), EncodeBatchRequest(clientID, subs))
+	body, err := callCtx(s.handleBatch, EncodeBatchRequest(clientID, subs))
 	if err != nil {
 		t.Fatalf("handleBatch: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestCommitSmokeBatchReplayIdempotent(t *testing.T) {
 func TestReplayTableEvictsFIFO(t *testing.T) {
 	tab := &replayTable{}
 	for i := 0; i < replayTableCap+10; i++ {
-		tab.store(1, uint64(i), []byte{byte(i)})
+		tab.store(1, uint64(i), &namespace.Inode{Ino: namespace.Ino(i + 2)})
 	}
 	if _, ok := tab.lookup(1, 0); ok {
 		t.Error("oldest entry survived past the cap")
@@ -161,13 +161,21 @@ func TestReplayTableEvictsFIFO(t *testing.T) {
 	if held != replayTableCap {
 		t.Errorf("table holds %d entries, cap %d", held, replayTableCap)
 	}
+	// Every surviving entry still holds its own record, although stores
+	// recycle the buffers of the entries they push out.
+	for i := 10; i < replayTableCap+10; i++ {
+		p, _ := tab.lookup(1, uint64(i))
+		if in, err := namespace.DecodeInode(p); err != nil || in.Ino != namespace.Ino(i+2) {
+			t.Fatalf("entry %d holds %v (%v), want ino %d", i, in, err, i+2)
+		}
+	}
 	// A re-store keeps the original verdict.
-	tab.store(1, replayTableCap+9, []byte("again"))
-	if p, _ := tab.lookup(1, replayTableCap+9); string(p) == "again" {
+	tab.store(1, replayTableCap+9, &namespace.Inode{Ino: 1})
+	if p, _ := tab.lookup(1, replayTableCap+9); !bytes.Equal(p, namespace.EncodeInode(&namespace.Inode{Ino: replayTableCap + 11})) {
 		t.Error("duplicate store replaced the original payload")
 	}
 	// Client 0 is the "no identity" sentinel: never stored, never found.
-	tab.store(0, 1, []byte("x"))
+	tab.store(0, 1, &namespace.Inode{Ino: 1})
 	if _, ok := tab.lookup(0, 1); ok {
 		t.Error("client 0 must not participate in replay")
 	}
@@ -181,10 +189,10 @@ func TestBatchRejectsOversizedFrame(t *testing.T) {
 	}
 	// Handler errors are coded strings on this side of the wire (ErrCode
 	// only decodes RemoteErrors, which the RPC layer materialises).
-	if _, err := s.handleBatch(context.Background(), EncodeBatchRequest(1, subs)); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
+	if _, err := callCtx(s.handleBatch, EncodeBatchRequest(1, subs)); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
 		t.Errorf("oversized frame: %v, want %s", err, CodeInvalid)
 	}
-	if _, err := s.handleBatch(context.Background(), EncodeBatchRequest(1, nil)); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
+	if _, err := callCtx(s.handleBatch, EncodeBatchRequest(1, nil)); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
 		t.Errorf("empty frame: %v, want %s", err, CodeInvalid)
 	}
 }
@@ -392,21 +400,18 @@ func TestTornRenameRecordRecoversOldXorNew(t *testing.T) {
 	if err := s.CreateEntry(f); err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(src, "wal.log")
-	st, err := os.Stat(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordStart := st.Size()
+	// The log's logical size: the file's own is set ahead of it.
+	recordStart := s.DBStats().WALBytes
 	op := [1]batchOp{{kind: BatchOpRename, parent: d.Ino, name: "old", dstParent: d.Ino, dstName: "new"}}
 	s.applyBatchOps(nil, op[:])
 	if op[0].err != nil {
 		t.Fatal(op[0].err)
 	}
-	wal, err := os.ReadFile(walPath)
+	wal, err := os.ReadFile(filepath.Join(src, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	wal = wal[:s.DBStats().WALBytes]
 	if int64(len(wal)) <= recordStart {
 		t.Fatalf("rename did not grow the WAL (size %d, record at %d)", len(wal), recordStart)
 	}
@@ -451,7 +456,7 @@ func TestBatchShapeChangeRetriesInsideStore(t *testing.T) {
 	run := func(subs func(i int) [][]byte) func() error {
 		return func() error {
 			for i := 0; i < rounds; i++ {
-				body, err := s.handleBatch(context.Background(), EncodeBatchRequest(0, subs(i)))
+				body, err := callCtx(s.handleBatch, EncodeBatchRequest(0, subs(i)))
 				if err != nil {
 					return err
 				}

@@ -145,29 +145,24 @@ func IsNotOwner(err error) bool { return ErrCode(err) == CodeNotOwner }
 // IsNotFound reports whether the error is a missing-entry failure.
 func IsNotFound(err error) bool { return ErrCode(err) == CodeNoEnt }
 
-// encodeInodeResp writes one inode as a response body.
-func encodeInodeResp(in *namespace.Inode) []byte {
-	var w rpc.Wire
-	w.Blob(namespace.EncodeInode(in))
-	return w.Bytes()
-}
-
-// DecodeInodeResp parses a single-inode response.
-func DecodeInodeResp(body []byte) (*namespace.Inode, error) {
-	r := rpc.NewReader(body)
-	blob := r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, err
+// appendInodeBlob appends in's record to w as a blob — a single-inode
+// response body, or one element of a list. nil is the empty blob.
+func appendInodeBlob(w *rpc.Wire, in *namespace.Inode) {
+	if in == nil {
+		w.U32(0)
+		return
 	}
-	return namespace.DecodeInode(blob)
+	w.U32(uint32(namespace.RecordSize(in)))
+	w.Set(namespace.AppendInode(w.Bytes(), in))
 }
 
-// encodeInodesResp writes a list of inodes as a response body.
+// encodeInodesResp writes a list of inodes as a request body (migration
+// ingest and evict ship subtrees this way).
 func encodeInodesResp(ins []*namespace.Inode) []byte {
 	var w rpc.Wire
 	w.U32(uint32(len(ins)))
 	for _, in := range ins {
-		w.Blob(namespace.EncodeInode(in))
+		appendInodeBlob(&w, in)
 	}
 	return w.Bytes()
 }

@@ -300,17 +300,15 @@ func (s *Service) LeaseTable() *lease.Table { return s.leases }
 // (the -lease-ttl flag). Safe while serving.
 func (s *Service) SetLeaseTTL(d time.Duration) { s.leases.SetTTL(d) }
 
-// withGrants appends the trailer of an owner-served read onto its
+// appendTrailer appends the trailer of an owner-served read onto its
 // response body: the lease grants for dirs, then the partition-map
 // version this MDS serves — how a client whose calls keep succeeding
 // learns, within one RPC of its publication, that a newer map (a promoted
 // replica set, say) exists. Replica-served responses carry neither: a
 // replica is not authoritative for invalidation.
-func (s *Service) withGrants(resp []byte, dirs ...namespace.Ino) []byte {
-	w := rpc.NewWire(4 + 28*len(dirs) + 8)
-	s.appendGrants(w, dirs)
-	w.U64(s.mapVersion.Load())
-	return append(resp, w.Bytes()...)
+func (s *Service) appendTrailer(resp *rpc.Wire, dirs ...namespace.Ino) {
+	s.appendGrants(resp, dirs)
+	resp.U64(s.mapVersion.Load())
 }
 
 // appendGrants writes the lease-grant trailer for dirs onto w.
@@ -346,8 +344,9 @@ func (s *Service) MapVersion() uint64 { return s.mapVersion.Load() }
 
 // ctxHandler is a metadata-op handler receiving the request context,
 // which carries the propagated trace/span identity for the store layers
-// beneath it.
-type ctxHandler func(ctx context.Context, body []byte) ([]byte, error)
+// beneath it. Like the rpc.InfoHandler it runs inside, it appends its
+// response to resp and keeps neither body nor resp.
+type ctxHandler func(ctx context.Context, body []byte, resp *rpc.Wire) error
 
 // timed is frozen with the per-op-type service latency histogram
 // mds.op.<op>.latency_ns.
@@ -361,7 +360,7 @@ func (s *Service) timed(op string, h ctxHandler) rpc.InfoHandler {
 // debug level — a per-request span log line.
 func (s *Service) frozen(op string, hist *telemetry.Histogram, h ctxHandler) rpc.InfoHandler {
 	spanName := "mds.op." + op
-	return func(info rpc.CallInfo, body []byte) ([]byte, error) {
+	return func(info rpc.CallInfo, body []byte, resp *rpc.Wire) error {
 		ctx := context.Background()
 		var span *telemetry.ActiveSpan
 		if info.TraceID != 0 {
@@ -378,7 +377,7 @@ func (s *Service) frozen(op string, hist *telemetry.Histogram, h ctxHandler) rpc
 		}
 		s.opMu.RLock()
 		start := time.Now()
-		out, err := h(ctx, body)
+		err := h(ctx, body, resp)
 		el := time.Since(start).Nanoseconds()
 		s.opMu.RUnlock()
 		span.Finish(err)
@@ -396,7 +395,7 @@ func (s *Service) frozen(op string, hist *telemetry.Histogram, h ctxHandler) rpc
 				"trace", telemetry.FormatTraceID(info.TraceID),
 				"op", op, "ns", el, "status", status)
 		}
-		return out, err
+		return err
 	}
 }
 
@@ -491,58 +490,52 @@ func (s *Service) recordLookup(dir namespace.Ino) {
 	s.dirAccum(dir).lookups.Add(1)
 }
 
-// localDir fetches a directory this shard authoritatively serves. A
-// missing inode or a fake-inode left by a migration yields a not-owner
-// redirect so the client refreshes its partition map.
-func (s *Service) localDir(ino namespace.Ino) (*namespace.Inode, error) {
-	in, found, err := s.store.Getattr(ino)
-	if err != nil {
-		return nil, err
-	}
-	if !found || in.Type == namespace.TypeFake {
-		return nil, CodedError(CodeNotOwner, "dir %d not on MDS %d", ino, s.ID)
-	}
-	return in, nil
-}
-
-// ownsEntry reports whether this shard should serve entries under parent.
+// ownsEntry reports whether this shard should serve entries under parent:
+// parent is a directory it authoritatively holds. A missing inode or a
+// fake-inode left by a migration is not — the caller answers with a
+// not-owner redirect so the client refreshes its partition map.
 func (s *Service) ownsEntry(parent namespace.Ino) bool {
-	_, err := s.localDir(parent)
-	return err == nil
+	in, found, err := s.store.getattr(parent)
+	return err == nil && found && in.Type != namespace.TypeFake
 }
 
 func (s *Service) handlePing(body []byte) ([]byte, error) {
 	return []byte("pong"), nil
 }
 
-func (s *Service) handleLookup(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Service) handleLookup(ctx context.Context, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
 	parent := namespace.Ino(r.U64())
-	name := r.Str()
+	name := r.Blob()
 	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
+		return CodedError(CodeInvalid, "%v", err)
 	}
-	if !s.ownsEntry(parent) {
+	st, owner := s.store, s.ownsEntry(parent)
+	if !owner {
 		// A warm replica may serve the lookup, but never a negative: a
 		// miss inside the staleness window could be an entry the stream
 		// has not applied yet, so it redirects to the owner instead.
-		if rs := s.replicaStore(parent); rs != nil {
-			if in, found, err := rs.Lookup(parent, name); err == nil && found {
-				s.reg.Counter("replica.read.served").Inc()
-				return encodeInodeResp(in), nil
-			}
+		if st = s.replicaStore(parent); st == nil {
+			return CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
 		}
-		return nil, CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
 	}
-	in, found, err := s.store.Lookup(parent, name)
+	_, found, err := st.lookupRaw(parent, name, resp)
+	if !owner {
+		if err != nil || !found {
+			return CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
+		}
+		s.reg.Counter("replica.read.served").Inc()
+		return nil
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !found {
-		return nil, CodedError(CodeNoEnt, "%q not in dir %d", name, parent)
+		return CodedError(CodeNoEnt, "%q not in dir %d", name, parent)
 	}
 	s.recordLookup(parent)
-	return s.withGrants(encodeInodeResp(in), parent), nil
+	s.appendTrailer(resp, parent)
+	return nil
 }
 
 // handleResolvePath is the cache-coherent batched walk behind the SDK's
@@ -556,145 +549,128 @@ func (s *Service) handleLookup(ctx context.Context, body []byte) ([]byte, error)
 // for could never be cached. The response also carries a lease grant for
 // every owned directory the walk read under, seeding the client's cache
 // for the whole prefix in one round trip. Replica-served walks carry
-// neither negatives nor grants.
-func (s *Service) handleResolvePath(ctx context.Context, body []byte) ([]byte, error) {
+// neither negatives nor grants: a miss on a warm replica's first
+// component maps to not-owner — within the staleness bound the entry may
+// exist on the owner but not here yet — and a later miss truncates the
+// chain so the client resumes at the owner.
+func (s *Service) handleResolvePath(ctx context.Context, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
 	parent := namespace.Ino(r.U64())
 	n := int(r.U32())
 	if err := r.Err(); err != nil || n == 0 || n > 4096 {
-		return nil, CodedError(CodeInvalid, "bad resolve-path request")
+		return CodedError(CodeInvalid, "bad resolve-path request")
 	}
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, r.Str())
-	}
-	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	if !s.ownsEntry(parent) {
-		rs := s.replicaStore(parent)
-		if rs == nil {
-			return nil, CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
+	st, owner := s.store, s.ownsEntry(parent)
+	if !owner {
+		if st = s.replicaStore(parent); st == nil {
+			return CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
 		}
-		chain, err := s.lookupPathOn(rs, parent, names)
+	}
+	cur := parent
+	var dirBuf [8]namespace.Ino
+	grantDirs := dirBuf[:0]
+	negative := false
+	count := resp.BeginBlob() // patched into the chain length below
+	chain := uint32(0)
+	for i := 0; i < n; i++ {
+		name := r.Blob()
+		if err := r.Err(); err != nil {
+			return CodedError(CodeInvalid, "%v", err)
+		}
+		in, found, err := st.lookupRaw(cur, name, resp)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if !found {
+			// On the owner an authoritative miss (migrated subtrees leave
+			// fakes, so an owned directory is the truth about its
+			// children): the whole remaining path is absent.
+			negative = owner
+			break
+		}
+		chain++
+		if owner {
+			grantDirs = append(grantDirs, cur)
+			s.recordLookup(cur)
+			if i == n-1 && in.Type != namespace.TypeFake {
+				// The terminal component is the operation's target: a stat
+				// of /a/b/c is a read against directory /a/b, exactly how the
+				// simulator's Data Collector tallies it. Intermediate hops
+				// stay pure traversals (the lookups counter above).
+				s.recordRead(cur, 0)
+			}
+		}
+		if in.Type == namespace.TypeFake || !in.IsDir() {
+			break
+		}
+		cur = in.Ino
+	}
+	resp.PatchU32(count, chain)
+	if !owner {
+		if chain == 0 {
+			return CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
 		}
 		s.reg.Counter("replica.read.served").Inc()
-		return append(encodeInodesResp(chain), 0), nil
+		resp.U8(0)
+		return nil
 	}
-	cur := parent
-	var chain []*namespace.Inode
-	var grantDirs []namespace.Ino
-	negative := false
-	for i, name := range names {
-		grantDirs = append(grantDirs, cur)
-		in, found, err := s.store.Lookup(cur, name)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			// Authoritative miss (migrated subtrees leave fakes, so an
-			// owned directory is the truth about its children): the
-			// whole remaining path is absent.
-			negative = true
-			break
-		}
-		s.recordLookup(cur)
-		if i == len(names)-1 && in.Type != namespace.TypeFake {
-			// The terminal component is the operation's target: a stat
-			// of /a/b/c is a read against directory /a/b, exactly how the
-			// simulator's Data Collector tallies it. Intermediate hops
-			// stay pure traversals (the lookups counter above).
-			s.recordRead(cur, 0)
-		}
-		chain = append(chain, in)
-		if in.Type == namespace.TypeFake || !in.IsDir() {
-			break
-		}
-		cur = in.Ino
-	}
-	resp := encodeInodesResp(chain)
 	if negative {
-		resp = append(resp, 1)
+		grantDirs = append(grantDirs, cur) // the directory proven not to hold the name
+		resp.U8(1)
 	} else {
-		resp = append(resp, 0)
+		resp.U8(0)
 	}
-	return s.withGrants(resp, grantDirs...), nil
+	s.appendTrailer(resp, grantDirs...)
+	return nil
 }
 
-// lookupPathOn walks names on a warm replica store. A miss on the first
-// component maps to not-owner — within the staleness bound the entry may
-// exist on the owner but not here yet — and a later miss truncates the
-// chain so the client resumes at the owner.
-func (s *Service) lookupPathOn(rs *Store, parent namespace.Ino, names []string) ([]*namespace.Inode, error) {
-	cur := parent
-	var chain []*namespace.Inode
-	for _, name := range names {
-		in, found, err := rs.Lookup(cur, name)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			break
-		}
-		chain = append(chain, in)
-		if in.Type == namespace.TypeFake || !in.IsDir() {
-			break
-		}
-		cur = in.Ino
-	}
-	if len(chain) == 0 {
-		return nil, CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
-	}
-	return chain, nil
-}
-
-func (s *Service) handleGetattr(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Service) handleGetattr(ctx context.Context, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
 	ino := namespace.Ino(r.U64())
 	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
+		return CodedError(CodeInvalid, "%v", err)
 	}
-	in, found, err := s.store.Getattr(ino)
+	in, found, err := s.store.getattr(ino)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !found {
 		if rs := s.replicaStore(ino); rs != nil {
-			if rin, rfound, rerr := rs.Getattr(ino); rerr == nil && rfound {
+			if rin, rfound, rerr := rs.getattr(ino); rerr == nil && rfound {
 				s.reg.Counter("replica.read.served").Inc()
-				return encodeInodeResp(rin), nil
+				appendInodeBlob(resp, &rin)
+				return nil
 			}
 		}
-		return nil, CodedError(CodeNotOwner, "ino %d not on MDS %d", ino, s.ID)
+		return CodedError(CodeNotOwner, "ino %d not on MDS %d", ino, s.ID)
 	}
 	s.recordRead(in.Parent, 0)
-	return encodeInodeResp(in), nil
+	appendInodeBlob(resp, &in)
+	return nil
 }
 
-func (s *Service) handleReaddir(ctx context.Context, body []byte) ([]byte, error) {
+func (s *Service) handleReaddir(ctx context.Context, body []byte, resp *rpc.Wire) error {
 	start := time.Now()
 	r := rpc.NewReader(body)
 	ino := namespace.Ino(r.U64())
 	if err := r.Err(); err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
+		return CodedError(CodeInvalid, "%v", err)
 	}
 	if !s.ownsEntry(ino) {
 		if rs := s.replicaStore(ino); rs != nil {
-			if children, rerr := rs.ReadDir(ino); rerr == nil {
+			if rerr := rs.readDirRaw(ino, resp); rerr == nil {
 				s.reg.Counter("replica.read.served").Inc()
-				return encodeInodesResp(children), nil
+				return nil
 			}
 		}
-		return nil, CodedError(CodeNotOwner, "dir %d not on MDS %d", ino, s.ID)
+		return CodedError(CodeNotOwner, "dir %d not on MDS %d", ino, s.ID)
 	}
-	children, err := s.store.ReadDir(ino)
-	if err != nil {
-		return nil, err
+	if err := s.store.readDirRaw(ino, resp); err != nil {
+		return err
 	}
 	s.recordRead(ino, time.Since(start).Nanoseconds())
-	return s.withGrants(encodeInodesResp(children), ino), nil
+	s.appendTrailer(resp, ino)
+	return nil
 }
 
 func (s *Service) handleStats(body []byte) ([]byte, error) {

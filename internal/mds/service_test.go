@@ -22,6 +22,46 @@ func localService(t *testing.T) *Service {
 	return NewService(0, store, nil)
 }
 
+// callCtx runs a handler the way the rpc layer does — appending to a
+// response Wire — and returns the body it built.
+func callCtx(h ctxHandler, body []byte) ([]byte, error) {
+	var resp rpc.Wire
+	if err := h(context.Background(), body, &resp); err != nil {
+		return nil, err
+	}
+	return resp.Bytes(), nil
+}
+
+// Shorthands for the sub-ops the tests send; the SDK states them as SubOp
+// values.
+
+func encodeSubOp(o SubOp) []byte {
+	var w rpc.Wire
+	o.AppendTo(&w)
+	return w.Bytes()
+}
+
+// EncodeBatchRemove encodes one remove sub-op.
+func EncodeBatchRemove(opID uint64, parent namespace.Ino, name string) []byte {
+	return encodeSubOp(SubOp{ID: opID, Kind: BatchOpRemove, Parent: parent, Name: name})
+}
+
+// EncodeBatchSetattr encodes one setattr sub-op.
+func EncodeBatchSetattr(opID uint64, ino namespace.Ino, size int64, mode uint16) []byte {
+	return encodeSubOp(SubOp{ID: opID, Kind: BatchOpSetattr, Ino: ino, Size: size, Mode: mode})
+}
+
+// EncodeBatchRename encodes one same-shard rename sub-op.
+func EncodeBatchRename(opID uint64, srcParent namespace.Ino, srcName string, dstParent namespace.Ino, dstName string) []byte {
+	return encodeSubOp(SubOp{ID: opID, Kind: BatchOpRename, Parent: srcParent, Name: srcName, DstParent: dstParent, DstName: dstName})
+}
+
+// EncodeBatchInsert encodes one insert sub-op: in lands at (in.Parent,
+// in.Name) on the shard owning in.Parent.
+func EncodeBatchInsert(opID uint64, in *namespace.Inode) []byte {
+	return encodeSubOp(SubOp{ID: opID, Kind: BatchOpInsert, Inode: in})
+}
+
 // applyOne runs one sub-op through handleBatch as a frame of one — what
 // the SDK sends for every unbatched mutation.
 func applyOne(t *testing.T, s *Service, sub []byte) BatchResult {
@@ -41,7 +81,7 @@ func mustCreate(t *testing.T, s *Service, parent namespace.Ino, name string, typ
 func TestHandlersRejectTruncatedBodies(t *testing.T) {
 	s := localService(t)
 	noCtx := func(h ctxHandler) rpc.Handler {
-		return func(body []byte) ([]byte, error) { return h(context.Background(), body) }
+		return func(body []byte) ([]byte, error) { return callCtx(h, body) }
 	}
 	handlers := map[string]rpc.Handler{
 		"lookup":          noCtx(s.handleLookup),
@@ -114,7 +154,7 @@ func TestDumpResetsCounters(t *testing.T) {
 	d := mustCreate(t, s, namespace.RootIno, "dir", namespace.TypeDir)
 	var w rpc.Wire
 	w.U64(uint64(d.Ino))
-	if _, err := s.handleReaddir(context.Background(), w.Bytes()); err != nil {
+	if _, err := callCtx(s.handleReaddir, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	body, err := s.handleDump(nil)
@@ -183,18 +223,18 @@ func TestLookupOnFakeRedirects(t *testing.T) {
 	// follows the redirect).
 	var w rpc.Wire
 	w.U64(uint64(namespace.RootIno)).Str("moved")
-	body, err := s.handleLookup(context.Background(), w.Bytes())
+	body, err := callCtx(s.handleLookup, w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, _ := DecodeInodeResp(body)
+	in, _ := namespace.DecodeInode(rpc.NewReader(body).Blob())
 	if in.Type != namespace.TypeFake || in.Size != 2 {
 		t.Errorf("lookup of migrated dir = %+v, want fake with dest 2", in)
 	}
 	// Lookups *under* the moved dir must yield not-owner, not ENOENT.
 	var w2 rpc.Wire
 	w2.U64(uint64(d.Ino)).Str("f")
-	if _, err := s.handleLookup(context.Background(), w2.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNotOwner) {
+	if _, err := callCtx(s.handleLookup, w2.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNotOwner) {
 		t.Errorf("lookup under fake err = %v, want ENOTOWNER", err)
 	}
 }

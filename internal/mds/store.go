@@ -28,6 +28,7 @@ import (
 
 	"origami/internal/kvstore"
 	"origami/internal/namespace"
+	"origami/internal/rpc"
 	"origami/internal/telemetry"
 )
 
@@ -124,8 +125,8 @@ func OpenStore(dir string, mdsID int, opts kvstore.Options) (*Store, error) {
 		if kerr != nil {
 			return true
 		}
-		in, derr := namespace.DecodeInode(v)
-		if derr != nil {
+		var in namespace.Inode
+		if _, derr := namespace.DecodeInodeInto(&in, v); derr != nil {
 			return true
 		}
 		s.byIno[in.Ino] = inoRef{parent: parent, name: name, isDir: in.IsDir()}
@@ -233,7 +234,9 @@ func (s *Store) Put(in *namespace.Inode) error {
 	mu := s.stripe(in.Parent)
 	mu.Lock()
 	defer mu.Unlock()
-	if err := s.db.Put(namespace.EncodeKey(in.Parent, in.Name), namespace.EncodeInode(in)); err != nil {
+	var kb [keyScratch]byte
+	var vb [recordScratch]byte
+	if err := s.db.Put(namespace.AppendKey(kb[:0], in.Parent, in.Name), namespace.AppendInode(vb[:0], in)); err != nil {
 		return err
 	}
 	s.inoMu.Lock()
@@ -242,31 +245,51 @@ func (s *Store) Put(in *namespace.Inode) error {
 	return nil
 }
 
-// getLocked fetches (parent, name); caller holds the parent's stripe
-// (shared or exclusive).
-func (s *Store) getLocked(parent namespace.Ino, name string) (*namespace.Inode, bool, error) {
-	return s.getKey(namespace.EncodeKey(parent, name))
+// keyScratch and recordScratch size the stack buffers keys and inode
+// records are built and read in: a name of up to 64 bytes (records: 96)
+// stays off the heap, a longer one simply spills.
+const (
+	keyScratch    = 8 + 64
+	recordScratch = 160
+)
+
+// getRaw appends the stored record of (parent, name) to dst. Caller holds
+// the parent's stripe (shared or exclusive). The stored record is the
+// inode's wire form, so a read handler passes it through undecoded.
+func getRaw[S ~string | ~[]byte](s *Store, parent namespace.Ino, name S, dst []byte) ([]byte, bool, error) {
+	var kb [keyScratch]byte
+	return s.db.GetInto(namespace.AppendKey(kb[:0], parent, name), dst)
 }
 
-// getKey is getLocked for an already encoded key.
-func (s *Store) getKey(k []byte) (*namespace.Inode, bool, error) {
-	v, found, err := s.db.Get(k)
+// getLocked fetches (parent, name) by value, on the caller's stack; caller
+// holds the parent's stripe (shared or exclusive).
+func (s *Store) getLocked(parent namespace.Ino, name string) (in namespace.Inode, found bool, err error) {
+	var vb [recordScratch]byte
+	v, found, err := getRaw(s, parent, name, vb[:0])
 	if err != nil || !found {
-		return nil, false, err
+		return in, false, err
 	}
-	in, err := namespace.DecodeInode(v)
-	if err != nil {
-		return nil, false, err
+	if _, err = namespace.DecodeInodeInto(&in, v); err != nil {
+		return in, false, err
 	}
+	in.Name = name // the record repeats the key's name
 	return in, true, nil
+}
+
+// scanDir visits the stored records of dir's entries in name order until
+// fn returns false; v is valid until fn returns. Caller holds dir's
+// stripe.
+func (s *Store) scanDir(dir namespace.Ino, fn func(v []byte) bool) error {
+	var lo, hi [8]byte
+	return s.db.Scan(namespace.AppendKey(lo[:0], dir, ""), namespace.AppendKey(hi[:0], dir+1, ""),
+		func(_, v []byte) bool { return fn(v) })
 }
 
 // hasChildLocked reports whether dir has at least one entry; caller
 // holds dir's stripe (blocking concurrent creates under it).
 func (s *Store) hasChildLocked(dir namespace.Ino) (bool, error) {
-	lo, hi := namespace.DirKeyRange(dir)
 	any := false
-	err := s.db.Scan(lo, hi, func(k, v []byte) bool {
+	err := s.scanDir(dir, func([]byte) bool {
 		any = true
 		return false
 	})
@@ -277,7 +300,7 @@ func (s *Store) hasChildLocked(dir namespace.Ino) (bool, error) {
 // a live directory on this shard and (parent, name) must be absent.
 // Returns ErrNotDir or ErrExist otherwise.
 func (s *Store) CreateEntry(in *namespace.Inode) error {
-	op := [1]batchOp{{kind: BatchOpCreate, in: in}}
+	op := [1]batchOp{{kind: BatchOpCreate, in: *in, hasIn: true}}
 	s.applyBatchOps(nil, op[:])
 	return op[0].err
 }
@@ -290,21 +313,52 @@ func (s *Store) RemoveEntry(parent namespace.Ino, name string) (*namespace.Inode
 	if op[0].err != nil {
 		return nil, op[0].err
 	}
-	return op[0].gone, nil
+	gone := op[0].gone
+	return &gone, nil
 }
 
-// Lookup fetches the entry name under parent.
-func (s *Store) Lookup(parent namespace.Ino, name string) (*namespace.Inode, bool, error) {
+// lookup fetches the entry name under parent by value.
+func (s *Store) lookup(parent namespace.Ino, name string) (namespace.Inode, bool, error) {
 	mu := s.stripe(parent)
 	mu.RLock()
 	defer mu.RUnlock()
 	return s.getLocked(parent, name)
 }
 
+// lookupRaw is lookup for a read handler, one component of a server-side
+// walk: it appends the stored record of (parent, name) to w as a blob —
+// the record is the inode's wire form — and decodes only what a walk
+// decides on, every field but the name. A miss or an error leaves w
+// untouched.
+func (s *Store) lookupRaw(parent namespace.Ino, name []byte, w *rpc.Wire) (in namespace.Inode, found bool, err error) {
+	var vb [recordScratch]byte
+	mu := s.stripe(parent)
+	mu.RLock()
+	v, found, err := getRaw(s, parent, name, vb[:0])
+	mu.RUnlock()
+	if err != nil || !found {
+		return in, false, err
+	}
+	if _, err = namespace.DecodeInodeInto(&in, v); err != nil {
+		return in, false, err
+	}
+	w.Blob(v)
+	return in, true, nil
+}
+
+// Lookup fetches the entry name under parent.
+func (s *Store) Lookup(parent namespace.Ino, name string) (*namespace.Inode, bool, error) {
+	in, found, err := s.lookup(parent, name)
+	if !found {
+		return nil, false, err
+	}
+	return &in, true, nil
+}
+
 // dirAt returns the ino of the directory at (parent, name), or 0 when
 // the entry is missing or not a directory.
 func (s *Store) dirAt(parent namespace.Ino, name string) namespace.Ino {
-	if in, found, _ := s.Lookup(parent, name); found && in.IsDir() {
+	if in, found, _ := s.lookup(parent, name); found && in.IsDir() {
 		return in.Ino
 	}
 	return 0
@@ -318,13 +372,22 @@ func (s *Store) refOf(ino namespace.Ino) (inoRef, bool) {
 	return ref, ok
 }
 
-// Getattr fetches an inode by number.
-func (s *Store) Getattr(ino namespace.Ino) (*namespace.Inode, bool, error) {
+// getattr fetches an inode by number, by value.
+func (s *Store) getattr(ino namespace.Ino) (namespace.Inode, bool, error) {
 	ref, ok := s.refOf(ino)
 	if !ok {
-		return nil, false, nil
+		return namespace.Inode{}, false, nil
 	}
-	return s.Lookup(ref.parent, ref.name)
+	return s.lookup(ref.parent, ref.name)
+}
+
+// Getattr fetches an inode by number.
+func (s *Store) Getattr(ino namespace.Ino) (*namespace.Inode, bool, error) {
+	in, found, err := s.getattr(ino)
+	if !found {
+		return nil, false, err
+	}
+	return &in, true, nil
 }
 
 // Delete removes the entry name under parent with no emptiness check
@@ -333,19 +396,35 @@ func (s *Store) Delete(parent namespace.Ino, name string) error {
 	mu := s.stripe(parent)
 	mu.Lock()
 	defer mu.Unlock()
-	k := namespace.EncodeKey(parent, name)
-	v, found, err := s.db.Get(k)
+	in, found, err := s.getLocked(parent, name)
 	if err != nil {
 		return err
 	}
 	if found {
-		if in, derr := namespace.DecodeInode(v); derr == nil {
-			s.inoMu.Lock()
-			delete(s.byIno, in.Ino)
-			s.inoMu.Unlock()
-		}
+		s.inoMu.Lock()
+		delete(s.byIno, in.Ino)
+		s.inoMu.Unlock()
 	}
-	return s.db.Delete(k)
+	var kb [keyScratch]byte
+	return s.db.Delete(namespace.AppendKey(kb[:0], parent, name))
+}
+
+// readDirRaw appends dir's listing to w the way an inode-list response
+// carries it — a count, then every child's stored record as a blob —
+// without decoding a single one: what the store keeps IS the wire record.
+func (s *Store) readDirRaw(dir namespace.Ino, w *rpc.Wire) error {
+	mu := s.stripe(dir)
+	mu.RLock()
+	defer mu.RUnlock()
+	count := w.BeginBlob() // patched into the entry count below
+	n := uint32(0)
+	err := s.scanDir(dir, func(v []byte) bool {
+		w.Blob(v)
+		n++
+		return true
+	})
+	w.PatchU32(count, n)
+	return err
 }
 
 // ReadDir lists the direct children of a directory held on this shard.
@@ -353,9 +432,8 @@ func (s *Store) ReadDir(parent namespace.Ino) ([]*namespace.Inode, error) {
 	mu := s.stripe(parent)
 	mu.RLock()
 	defer mu.RUnlock()
-	lo, hi := namespace.DirKeyRange(parent)
 	var out []*namespace.Inode
-	err := s.db.Scan(lo, hi, func(k, v []byte) bool {
+	err := s.scanDir(parent, func(v []byte) bool {
 		if in, derr := namespace.DecodeInode(v); derr == nil {
 			out = append(out, in)
 		}

@@ -9,14 +9,19 @@ import (
 // Inode records are persisted in each MDS's local key-value store keyed by
 // the parent inode number combined with the entry name, following InfiniFS
 // and CFS (paper §4.2). The big-endian parent prefix keeps all children of
-// one directory contiguous, so a directory scan is a single range scan.
+// one directory contiguous, so a directory scan is a single range scan
+// over [key(dir, ""), key(dir+1, "")).
+
+// AppendKey appends the KV key for the entry name under directory parent
+// to dst. The name may still be bytes off the wire.
+func AppendKey[S ~string | ~[]byte](dst []byte, parent Ino, name S) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(parent))
+	return append(dst, name...)
+}
 
 // EncodeKey builds the KV key for the entry name under directory parent.
 func EncodeKey(parent Ino, name string) []byte {
-	k := make([]byte, 8+len(name))
-	binary.BigEndian.PutUint64(k, uint64(parent))
-	copy(k[8:], name)
-	return k
+	return AppendKey(make([]byte, 0, 8+len(name)), parent, name)
 }
 
 // DecodeKey splits a KV key back into (parent, name).
@@ -27,59 +32,47 @@ func DecodeKey(k []byte) (Ino, string, error) {
 	return Ino(binary.BigEndian.Uint64(k)), string(k[8:]), nil
 }
 
-// DirKeyRange returns the [lo, hi) key range that covers every child entry
-// of the directory parent.
-func DirKeyRange(parent Ino) (lo, hi []byte) {
-	lo = EncodeKey(parent, "")
-	hi = EncodeKey(parent+1, "")
-	return lo, hi
-}
-
 const inodeRecordSize = 8 + 8 + 1 + 2 + 4 + 4 + 8 + 4 + 8 + 8 + 8 // fixed part
 
-// EncodeInode serialises an inode to the compact binary record stored as
-// the KV value. The name is carried in the key, not duplicated in the
-// value, except that we keep it for self-describing dumps.
+// AppendInode appends the compact binary record of an inode — the KV
+// value, and the inode's form on the wire — to dst. The name is carried in
+// the key, not duplicated in the value, except that we keep it for
+// self-describing dumps.
+func AppendInode(dst []byte, in *Inode) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(in.Ino))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(in.Parent))
+	dst = append(dst, byte(in.Type))
+	dst = binary.BigEndian.AppendUint16(dst, in.Mode)
+	dst = binary.BigEndian.AppendUint32(dst, in.Uid)
+	dst = binary.BigEndian.AppendUint32(dst, in.Gid)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(in.Size))
+	dst = binary.BigEndian.AppendUint32(dst, in.Nlink)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(in.Atime))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(in.Mtime))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(in.Ctime))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(in.Name)))
+	return append(dst, in.Name...)
+}
+
+// RecordSize is the length of the record AppendInode writes for in.
+func RecordSize(in *Inode) int { return inodeRecordSize + 2 + len(in.Name) }
+
+// EncodeInode serialises an inode into a record of its own.
 func EncodeInode(in *Inode) []byte {
-	buf := make([]byte, inodeRecordSize+2+len(in.Name))
-	o := 0
-	binary.BigEndian.PutUint64(buf[o:], uint64(in.Ino))
-	o += 8
-	binary.BigEndian.PutUint64(buf[o:], uint64(in.Parent))
-	o += 8
-	buf[o] = byte(in.Type)
-	o++
-	binary.BigEndian.PutUint16(buf[o:], in.Mode)
-	o += 2
-	binary.BigEndian.PutUint32(buf[o:], in.Uid)
-	o += 4
-	binary.BigEndian.PutUint32(buf[o:], in.Gid)
-	o += 4
-	binary.BigEndian.PutUint64(buf[o:], uint64(in.Size))
-	o += 8
-	binary.BigEndian.PutUint32(buf[o:], in.Nlink)
-	o += 4
-	binary.BigEndian.PutUint64(buf[o:], uint64(in.Atime))
-	o += 8
-	binary.BigEndian.PutUint64(buf[o:], uint64(in.Mtime))
-	o += 8
-	binary.BigEndian.PutUint64(buf[o:], uint64(in.Ctime))
-	o += 8
-	binary.BigEndian.PutUint16(buf[o:], uint16(len(in.Name)))
-	o += 2
-	copy(buf[o:], in.Name)
-	return buf
+	return AppendInode(make([]byte, 0, RecordSize(in)), in)
 }
 
 // ErrBadRecord reports a corrupt or truncated serialised inode.
 var ErrBadRecord = errors.New("namespace: bad inode record")
 
-// DecodeInode parses a record produced by EncodeInode.
-func DecodeInode(buf []byte) (*Inode, error) {
+// DecodeInodeInto parses a record produced by AppendInode into *in without
+// allocating: every field but Name, whose bytes it returns still aliasing
+// buf. A caller that already holds the name — it addressed the record by
+// (parent, name) — assigns its own string; DecodeInode copies.
+func DecodeInodeInto(in *Inode, buf []byte) (name []byte, err error) {
 	if len(buf) < inodeRecordSize+2 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadRecord, len(buf))
 	}
-	in := &Inode{}
 	o := 0
 	in.Ino = Ino(binary.BigEndian.Uint64(buf[o:]))
 	o += 8
@@ -108,6 +101,16 @@ func DecodeInode(buf []byte) (*Inode, error) {
 	if len(buf) < o+nameLen {
 		return nil, fmt.Errorf("%w: truncated name", ErrBadRecord)
 	}
-	in.Name = string(buf[o : o+nameLen])
+	return buf[o : o+nameLen], nil
+}
+
+// DecodeInode parses a record produced by AppendInode into a new inode.
+func DecodeInode(buf []byte) (*Inode, error) {
+	in := &Inode{}
+	name, err := DecodeInodeInto(in, buf)
+	if err != nil {
+		return nil, err
+	}
+	in.Name = string(name)
 	return in, nil
 }

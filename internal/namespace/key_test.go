@@ -24,8 +24,8 @@ func TestDecodeKeyTooShort(t *testing.T) {
 }
 
 func TestKeyOrderingGroupsSiblings(t *testing.T) {
-	// All children of dir 5 must sort between DirKeyRange(5).
-	lo, hi := DirKeyRange(5)
+	// All children of dir 5 must sort inside the directory's scan range.
+	lo, hi := EncodeKey(5, ""), EncodeKey(6, "")
 	for _, name := range []string{"", "a", "zzzz", "\xff\xff"} {
 		k := EncodeKey(5, name)
 		if bytes.Compare(k, lo) < 0 || bytes.Compare(k, hi) >= 0 {

@@ -45,6 +45,14 @@ func TestParentPath(t *testing.T) {
 		{"/a/b/c", "/a/b", "c"},
 		{"/a", "/", "a"},
 		{"/", "/", ""},
+		{"", "/", ""},
+		// Paths not in JoinPath's form are normalised like SplitPath does.
+		{"/a/b/", "/a", "b"},
+		{"/a//b", "/a", "b"},
+		{"//a", "/", "a"},
+		{"a/b", "/a", "b"},
+		{"/a/./b", "/a", "b"},
+		{"/./a", "/", "a"},
 	}
 	for _, c := range cases {
 		dir, name := ParentPath(c.in)

@@ -1,6 +1,9 @@
 package rpc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Multi-op batch framing: one RPC frame carrying several independent
 // sub-operations. The envelope is deliberately dumb — a count followed
@@ -29,6 +32,12 @@ func AppendBatch(w *Wire, subs [][]byte) {
 
 // DecodeBatch splits a batch envelope back into its sub-bodies.
 func DecodeBatch(body []byte) ([][]byte, error) {
+	return DecodeBatchInto(nil, body)
+}
+
+// DecodeBatchInto is DecodeBatch appending the sub-bodies (which alias
+// body) to dst, so a frame of a few ops decodes into the caller's array.
+func DecodeBatchInto(dst [][]byte, body []byte) ([][]byte, error) {
 	r := NewReader(body)
 	n := r.U32()
 	if err := r.Err(); err != nil {
@@ -37,9 +46,12 @@ func DecodeBatch(body []byte) ([][]byte, error) {
 	if n > batchMaxOps {
 		return nil, fmt.Errorf("rpc: batch of %d ops exceeds limit %d", n, batchMaxOps)
 	}
-	subs := make([][]byte, 0, n)
+	if int(n) > r.Remaining()/4 { // every sub-body costs its length prefix
+		return nil, fmt.Errorf("rpc: batch body: %w", ErrTruncated)
+	}
+	dst = slices.Grow(dst, int(n))
 	for i := uint32(0); i < n; i++ {
-		subs = append(subs, r.Blob())
+		dst = append(dst, r.Blob())
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("rpc: batch body: %w", err)
@@ -47,5 +59,5 @@ func DecodeBatch(body []byte) ([][]byte, error) {
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("rpc: %d trailing bytes after batch", r.Remaining())
 	}
-	return subs, nil
+	return dst, nil
 }

@@ -174,20 +174,24 @@ func TestBadFrameCountedAndLogged(t *testing.T) {
 	defer conn.Close()
 	w := bufio.NewWriter(conn)
 	// A response frame has no business arriving at a server.
-	if err := writeFrame(w, 1, kindResponse, methFast, 0, 0, nil); err != nil {
+	if err := writeFrame(w, frameHeader{reqID: 1, kind: kindResponse, method: methFast}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A real request must still be served afterwards.
-	if err := writeFrame(w, 2, kindRequest, methFast, 0, 0, nil); err != nil {
+	if err := writeFrame(w, frameHeader{reqID: 2, kind: kindRequest, method: methFast}, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)
-	reqID, kind, _, _, _, body, err := readFrame(r)
+	h, err := readFrameHeader(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reqID != 2 || kind != kindResponse || len(body) == 0 || body[0] != 0 {
-		t.Fatalf("unexpected response: id=%d kind=%d body=%q", reqID, kind, body)
+	body, err := readBody(r, nil, h.bodyLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.reqID != 2 || h.kind != kindResponse || len(body) == 0 || body[0] != 0 {
+		t.Fatalf("unexpected response: id=%d kind=%d body=%q", h.reqID, h.kind, body)
 	}
 	if got := srv.BadFrames.Load(); got != 1 {
 		t.Fatalf("BadFrames = %d, want 1", got)

@@ -38,8 +38,9 @@ func TestCallTimeoutOnDroppedRequest(t *testing.T) {
 		t.Fatalf("timeout took %v", time.Since(start))
 	}
 	// The timed-out call must not leak its pending entry.
-	n := 0
-	c.pending.Range(func(k, v interface{}) bool { n++; return true })
+	c.pmu.Lock()
+	n := len(c.pending)
+	c.pmu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d pending entries leaked after timeout", n)
 	}
@@ -188,8 +189,9 @@ func TestNoPendingLeakAfterReadLoopDeath(t *testing.T) {
 			t.Fatalf("late call %d returned %v, want ErrClosed", i, err)
 		}
 	}
-	n := 0
-	c.pending.Range(func(k, v interface{}) bool { n++; return true })
+	c.pmu.Lock()
+	n := len(c.pending)
+	c.pmu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d pending entries leaked after connection death", n)
 	}

@@ -29,6 +29,20 @@
 // telemetry.Registry and every call is counted and timed per method
 // (rpc.client.<method>.* / rpc.server.<method>.*), with reconnects,
 // timeouts, and injected faults tallied alongside.
+//
+// Buffer ownership. The steady-state request path allocates nothing in
+// this package, because every buffer on it is recycled — which makes who
+// may hold one a rule, not a convention:
+//
+//   - A handler's body is valid until the handler returns. The buffer is
+//     reused for another request afterwards; whatever a handler keeps
+//     (names, payloads, replay records) it copies.
+//   - A handler appends its response to the Wire it is given and keeps no
+//     reference to it; the buffer is recycled once the response frame has
+//     been written to the connection.
+//   - Client.CallInto appends the response body to the caller's buffer,
+//     which the read loop owns from the moment the request is sent until
+//     the call returns.
 package rpc
 
 import (
@@ -40,6 +54,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,19 +107,47 @@ func IsRetryable(err error) bool {
 	return errors.Is(err, ErrClosed) || errors.Is(err, ErrTimeout)
 }
 
-func writeFrame(w *bufio.Writer, reqID uint64, kind byte, method Method, trace, span uint64, body []byte) error {
-	frameLen := frameOverhead + len(body)
-	if frameLen > MaxFrame {
-		return fmt.Errorf("rpc: frame too large (%d bytes)", frameLen)
+// frameHeaderSize is the length prefix plus the fixed header.
+const frameHeaderSize = 4 + frameOverhead
+
+// maxPooledBuffer bounds the buffers kept for reuse; one outsized frame
+// must not pin its megabytes to a pool forever.
+const maxPooledBuffer = 64 << 10
+
+// frameHeader is the fixed header of one frame; bodyLen is what follows.
+type frameHeader struct {
+	reqID       uint64
+	kind        byte
+	method      Method
+	trace, span uint64
+	bodyLen     int
+}
+
+// put writes the header (length prefix included) over b[:frameHeaderSize].
+func (h *frameHeader) put(b []byte) {
+	binary.BigEndian.PutUint32(b[0:], uint32(frameOverhead+h.bodyLen))
+	binary.BigEndian.PutUint64(b[4:], h.reqID)
+	b[12] = h.kind
+	binary.BigEndian.PutUint16(b[13:], uint16(h.method))
+	binary.BigEndian.PutUint64(b[15:], h.trace)
+	binary.BigEndian.PutUint64(b[23:], h.span)
+}
+
+// writeFrame sends one frame: the header goes straight into the writer's
+// own buffer (empty here — every frame ends in a flush), the body behind
+// it, one flush. The caller serialises writers.
+func writeFrame(w *bufio.Writer, h frameHeader, body []byte) error {
+	h.bodyLen = len(body)
+	if frameOverhead+h.bodyLen > MaxFrame {
+		return fmt.Errorf("rpc: frame too large (%d bytes)", frameOverhead+h.bodyLen)
 	}
-	var hdr [4 + frameOverhead]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(frameLen))
-	binary.BigEndian.PutUint64(hdr[4:], reqID)
-	hdr[12] = kind
-	binary.BigEndian.PutUint16(hdr[13:], uint16(method))
-	binary.BigEndian.PutUint64(hdr[15:], trace)
-	binary.BigEndian.PutUint64(hdr[23:], span)
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := w.AvailableBuffer()
+	if cap(hdr) < frameHeaderSize {
+		hdr = make([]byte, 0, frameHeaderSize)
+	}
+	hdr = hdr[:frameHeaderSize]
+	h.put(hdr)
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.Write(body); err != nil {
@@ -113,25 +156,35 @@ func writeFrame(w *bufio.Writer, reqID uint64, kind byte, method Method, trace, 
 	return w.Flush()
 }
 
-func readFrame(r *bufio.Reader) (reqID uint64, kind byte, method Method, trace, span uint64, body []byte, err error) {
-	var lenBuf [4]byte
-	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, 0, 0, 0, 0, nil, err
+// readFrameHeader reads one frame's header out of the reader's buffer,
+// leaving the body unread.
+func readFrameHeader(r *bufio.Reader) (h frameHeader, err error) {
+	b, err := r.Peek(frameHeaderSize)
+	if err != nil {
+		return h, err
 	}
-	frameLen := binary.BigEndian.Uint32(lenBuf[:])
+	frameLen := binary.BigEndian.Uint32(b)
 	if frameLen < frameOverhead || frameLen > MaxFrame {
-		return 0, 0, 0, 0, 0, nil, fmt.Errorf("rpc: bad frame length %d", frameLen)
+		return h, fmt.Errorf("rpc: bad frame length %d", frameLen)
 	}
-	buf := make([]byte, frameLen)
-	if _, err = io.ReadFull(r, buf); err != nil {
-		return 0, 0, 0, 0, 0, nil, err
+	h = frameHeader{
+		reqID:   binary.BigEndian.Uint64(b[4:]),
+		kind:    b[12],
+		method:  Method(binary.BigEndian.Uint16(b[13:])),
+		trace:   binary.BigEndian.Uint64(b[15:]),
+		span:    binary.BigEndian.Uint64(b[23:]),
+		bodyLen: int(frameLen) - frameOverhead,
 	}
-	reqID = binary.BigEndian.Uint64(buf[0:])
-	kind = buf[8]
-	method = Method(binary.BigEndian.Uint16(buf[9:]))
-	trace = binary.BigEndian.Uint64(buf[11:])
-	span = binary.BigEndian.Uint64(buf[19:])
-	return reqID, kind, method, trace, span, buf[frameOverhead:], nil
+	_, err = r.Discard(frameHeaderSize)
+	return h, err
+}
+
+// readBody reads n body bytes onto the end of dst.
+func readBody(r *bufio.Reader, dst []byte, n int) ([]byte, error) {
+	dst = slices.Grow(dst, n)
+	dst = dst[:len(dst)+n]
+	_, err := io.ReadFull(r, dst[len(dst)-n:])
+	return dst, err
 }
 
 // CallInfo carries per-request wire metadata into a handler.
@@ -147,17 +200,73 @@ type CallInfo struct {
 }
 
 // Handler serves one method. The returned bytes become the OK response
-// body; a returned error is transported as a RemoteError.
+// body; a returned error is transported as a RemoteError. body is valid
+// until the handler returns.
 type Handler func(body []byte) ([]byte, error)
 
-// InfoHandler is a Handler that also receives the request's CallInfo
-// (trace ID propagation, method-aware middleware).
-type InfoHandler func(info CallInfo, body []byte) ([]byte, error)
+// InfoHandler serves one method with the request's CallInfo (trace ID
+// propagation, method-aware middleware), appending the OK response body
+// to resp; a returned error is transported as a RemoteError and whatever
+// was appended is dropped. body is valid until the handler returns, resp
+// until then as well: both buffers are recycled.
+type InfoHandler func(info CallInfo, body []byte, resp *Wire) error
 
-// serverTelem is the swappable observability configuration of a Server.
-type serverTelem struct {
-	reg   *telemetry.Registry
-	namer func(Method) string
+// methodMetrics are one method's metric handles on one end of the wire.
+type methodMetrics struct {
+	span    string // dispatch span name (server side)
+	calls   *telemetry.Counter
+	latency *telemetry.Histogram
+	errors  string // counter name: it is created by the first error
+}
+
+// methodTable resolves a method's metric handles once, so the per-call
+// path builds no metric names. A nil table means no telemetry.
+type methodTable struct {
+	reg          *telemetry.Registry
+	namer        func(Method) string
+	side, counts string // "rpc.server", "requests" | "rpc.client", "calls"
+
+	mu sync.RWMutex
+	m  map[Method]*methodMetrics
+}
+
+func newMethodTable(reg *telemetry.Registry, namer func(Method) string, side, counts string) *methodTable {
+	if reg == nil {
+		return nil
+	}
+	return &methodTable{reg: reg, namer: namer, side: side, counts: counts, m: make(map[Method]*methodMetrics)}
+}
+
+func (t *methodTable) get(m Method) *methodMetrics {
+	t.mu.RLock()
+	mm := t.m[m]
+	t.mu.RUnlock()
+	if mm != nil {
+		return mm
+	}
+	base := t.side + "." + methodLabel(t.namer, m)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if mm = t.m[m]; mm == nil {
+		mm = &methodMetrics{
+			span:    base,
+			calls:   t.reg.Counter(base + "." + t.counts),
+			latency: t.reg.Histogram(base + ".latency_ns"),
+			errors:  base + ".errors",
+		}
+		t.m[m] = mm
+	}
+	return mm
+}
+
+// record tallies one finished call.
+func (t *methodTable) record(m Method, start time.Time, failed bool) {
+	mm := t.get(m)
+	mm.calls.Inc()
+	mm.latency.Record(time.Since(start).Nanoseconds())
+	if failed {
+		t.reg.Counter(mm.errors).Inc()
+	}
 }
 
 // Server dispatches incoming requests to registered handlers. Each
@@ -173,7 +282,7 @@ type Server struct {
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{}
 	injector atomic.Value // injectorBox
-	telem    atomic.Value // serverTelem
+	telem    atomic.Pointer[methodTable]
 	tracer   atomic.Value // tracerBox
 
 	// sem bounds in-flight handler goroutines across all connections.
@@ -207,7 +316,11 @@ func (s *Server) SetConcurrency(n int) {
 
 // Handle registers a handler; it must be called before Serve.
 func (s *Server) Handle(m Method, h Handler) {
-	s.HandleInfo(m, func(_ CallInfo, body []byte) ([]byte, error) { return h(body) })
+	s.HandleInfo(m, func(_ CallInfo, body []byte, resp *Wire) error {
+		out, err := h(body)
+		resp.Raw(out)
+		return err
+	})
 }
 
 // HandleInfo registers a handler that receives the request's CallInfo.
@@ -236,14 +349,7 @@ func (s *Server) faultInjector() FaultInjector {
 // maps method numbers to metric-name segments (nil falls back to "m<N>").
 // Safe to call while serving.
 func (s *Server) SetTelemetry(reg *telemetry.Registry, namer func(Method) string) {
-	s.telem.Store(serverTelem{reg: reg, namer: namer})
-}
-
-func (s *Server) telemetry() serverTelem {
-	if t, ok := s.telem.Load().(serverTelem); ok {
-		return t
-	}
-	return serverTelem{}
+	s.telem.Store(newMethodTable(reg, namer, "rpc.server", "requests"))
 }
 
 // SetTracer installs the server's span tracer: every traced request
@@ -295,6 +401,39 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serverConn is one accepted connection: response frames from concurrent
+// handlers are serialised on wmu.
+type serverConn struct {
+	conn net.Conn
+	wmu  sync.Mutex
+}
+
+// request is one in-flight server request: its header, the buffer its
+// body was read into, the buffer its response frame is built in, and the
+// connection to answer on. Requests — buffers included — are recycled
+// through requestPool once the response frame is written, which is why a
+// handler may keep neither body nor resp.
+type request struct {
+	s    *Server
+	c    *serverConn
+	hdr  frameHeader
+	body []byte
+	resp Wire
+	// run is serve bound once at construction: `go r.run()` then starts
+	// the handler goroutine without allocating a closure per request.
+	run func()
+}
+
+var requestPool sync.Pool
+
+func init() {
+	requestPool.New = func() any {
+		r := &request{}
+		r.run = r.serve
+		return r
+	}
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -307,53 +446,77 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.connMu.Unlock()
 	}()
 	r := bufio.NewReaderSize(conn, 64<<10)
-	w := bufio.NewWriterSize(conn, 64<<10)
-	wmu := &sync.Mutex{}
+	c := &serverConn{conn: conn}
 	for {
-		reqID, kind, method, trace, span, body, err := readFrame(r)
+		hdr, err := readFrameHeader(r)
 		if err != nil {
 			return
 		}
-		if kind != kindRequest {
+		if hdr.kind != kindRequest {
 			// A response-kind frame arriving at a server is a framing
 			// bug on the peer, not a transient condition — count and
 			// log it instead of silently skipping.
+			if _, err := r.Discard(hdr.bodyLen); err != nil {
+				return
+			}
 			s.BadFrames.Add(1)
-			if tl := s.telemetry(); tl.reg != nil {
+			if tl := s.telem.Load(); tl != nil {
 				tl.reg.Counter("rpc.server.bad_frames").Inc()
 			}
 			serverLog().Warn("dropping non-request frame",
-				"kind", kind, "method", uint16(method), "req", reqID)
+				"kind", hdr.kind, "method", uint16(hdr.method), "req", hdr.reqID)
 			continue
 		}
 		// Each request gets its own goroutine so slow handlers (or
 		// injected delays) stall only themselves. The semaphore bounds
 		// in-flight work across all connections; acquiring it here
 		// applies backpressure to the read loop.
+		req := requestPool.Get().(*request)
+		if req.body, err = readBody(r, req.body[:0], hdr.bodyLen); err != nil {
+			return
+		}
+		req.s, req.c, req.hdr = s, c, hdr
 		s.sem <- struct{}{}
 		s.wg.Add(1)
-		go func(reqID uint64, method Method, trace, span uint64, body []byte) {
-			defer s.wg.Done()
-			defer func() { <-s.sem }()
-			if !s.handleRequest(conn, w, wmu, reqID, method, trace, span, body) {
-				// A disconnect fault (or write failure) severs the
-				// connection; the read loop exits on its next read.
-				conn.Close()
-			}
-		}(reqID, method, trace, span, body)
+		go req.run()
 	}
 }
 
+// serve runs the request on its own goroutine and recycles it.
+func (r *request) serve() {
+	s, c := r.s, r.c
+	if !s.handleRequest(r) {
+		// A disconnect fault (or write failure) severs the
+		// connection; the read loop exits on its next read.
+		c.conn.Close()
+	}
+	r.s, r.c = nil, nil
+	if cap(r.body) > maxPooledBuffer {
+		r.body = nil
+	}
+	if cap(r.resp.buf) > maxPooledBuffer {
+		r.resp.buf = nil
+	}
+	requestPool.Put(r)
+	<-s.sem
+	s.wg.Done()
+}
+
+// respStatus is where a response frame's status byte sits in the buffer
+// the frame is built in; the handler's body follows it.
+const respStatus = frameHeaderSize
+
 // handleRequest runs one request end to end: server-side fault
 // injection, handler dispatch, telemetry, and the response write
-// (serialised on wmu). It reports false when the connection must be
-// severed (disconnect fault or failed write).
-func (s *Server) handleRequest(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, reqID uint64, method Method, trace, span uint64, body []byte) bool {
-	tl := s.telemetry()
+// (serialised on the connection's wmu). It reports false when the
+// connection must be severed (disconnect fault or failed write).
+func (s *Server) handleRequest(r *request) bool {
+	method := r.hdr.method
+	tl := s.telem.Load()
 	var injectedErr error
 	if fi := s.faultInjector(); fi != nil {
 		delay, f, fired := resolveFaults(faultsFor(fi, PointServerRecv, method))
-		if fired > 0 && tl.reg != nil {
+		if fired > 0 && tl != nil {
 			tl.reg.Counter("rpc.server.faults_injected").Add(int64(fired))
 		}
 		if delay > 0 {
@@ -376,44 +539,43 @@ func (s *Server) handleRequest(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, 
 	s.mu.RUnlock()
 	// Open the dispatch span: it brackets the handler (not the response
 	// write) and becomes the parent for every span the handler starts.
-	info := CallInfo{Method: method, TraceID: trace, SpanID: span}
+	info := CallInfo{Method: method, TraceID: r.hdr.trace, SpanID: r.hdr.span}
 	var dispatch *telemetry.ActiveSpan
-	if tr := s.spanTracer(); tr != nil && trace != 0 {
-		dispatch = tr.StartSpanFrom(telemetry.SpanContext{TraceID: trace, SpanID: span},
-			"rpc.server."+methodLabel(tl.namer, method))
+	if tr := s.spanTracer(); tr != nil && info.TraceID != 0 {
+		var name string
+		if tl != nil {
+			name = tl.get(method).span
+		} else {
+			name = "rpc.server." + methodLabel(nil, method)
+		}
+		dispatch = tr.StartSpanFrom(telemetry.SpanContext{TraceID: info.TraceID, SpanID: info.SpanID}, name)
 		if id := dispatch.ID(); id != 0 {
 			info.SpanID = id
 		}
 	}
-	var resp []byte
-	isErr := true
+	// The whole response frame is built in place: room for the header,
+	// the OK status byte, then whatever the handler appends.
+	resp := &r.resp
+	resp.buf = append(resp.buf[:0], make([]byte, respStatus+1)...)
 	start := time.Now()
-	if injectedErr != nil {
-		resp = errorBody(injectedErr.Error())
-		dispatch.Finish(injectedErr)
-	} else if h == nil {
-		err := fmt.Errorf("unknown method %d", method)
-		resp = errorBody(err.Error())
-		dispatch.Finish(err)
-	} else if out, err := safeCall(h, info, body); err != nil {
-		resp = errorBody(err.Error())
-		dispatch.Finish(err)
-	} else {
-		resp = append([]byte{0}, out...)
-		isErr = false
-		dispatch.Finish(nil)
+	err := injectedErr
+	switch {
+	case err != nil:
+	case h == nil:
+		err = fmt.Errorf("unknown method %d", method)
+	default:
+		err = safeCall(h, info, r.body, resp)
 	}
-	if tl.reg != nil {
-		name := methodLabel(tl.namer, method)
-		tl.reg.Counter("rpc.server." + name + ".requests").Inc()
-		tl.reg.Histogram("rpc.server." + name + ".latency_ns").Record(time.Since(start).Nanoseconds())
-		if isErr {
-			tl.reg.Counter("rpc.server." + name + ".errors").Inc()
-		}
+	if err != nil {
+		resp.setError(err)
+	}
+	dispatch.Finish(err)
+	if tl != nil {
+		tl.record(method, start, err != nil)
 	}
 	if fi := s.faultInjector(); fi != nil {
 		delay, f, fired := resolveFaults(faultsFor(fi, PointServerSend, method))
-		if fired > 0 && tl.reg != nil {
+		if fired > 0 && tl != nil {
 			tl.reg.Counter("rpc.server.faults_injected").Add(int64(fired))
 		}
 		if delay > 0 {
@@ -427,15 +589,29 @@ func (s *Server) handleRequest(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, 
 			if errResp == nil {
 				errResp = ErrInjected
 			}
-			resp = errorBody(errResp.Error())
+			resp.setError(errResp)
 		case FaultDisconnect:
 			return false
 		}
 	}
-	wmu.Lock()
-	err := writeFrame(w, reqID, kindResponse, method, trace, span, resp)
-	wmu.Unlock()
-	return err == nil
+	hdr := r.hdr
+	hdr.kind, hdr.bodyLen = kindResponse, len(resp.buf)-frameHeaderSize
+	if frameOverhead+hdr.bodyLen > MaxFrame {
+		resp.setError(fmt.Errorf("rpc: response too large (%d bytes)", hdr.bodyLen))
+		hdr.bodyLen = len(resp.buf) - frameHeaderSize
+	}
+	hdr.put(resp.buf)
+	r.c.wmu.Lock()
+	_, werr := r.c.conn.Write(resp.buf)
+	r.c.wmu.Unlock()
+	return werr == nil
+}
+
+// setError turns the response frame under construction into an error
+// response carrying err's message.
+func (w *Wire) setError(err error) {
+	w.buf = append(w.buf[:respStatus], 1)
+	w.buf = append(w.buf, err.Error()...)
 }
 
 // serverLog is the package logger for server-side wire anomalies.
@@ -449,21 +625,16 @@ func serverLog() *telemetry.Logger {
 	return serverLogger.l
 }
 
-func errorBody(msg string) []byte {
-	return append([]byte{1}, msg...)
-}
-
 // safeCall shields the connection from a panicking handler: one bad
 // request becomes an error response instead of tearing down every client
 // multiplexed on the connection.
-func safeCall(h InfoHandler, info CallInfo, body []byte) (out []byte, err error) {
+func safeCall(h InfoHandler, info CallInfo, body []byte, resp *Wire) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = nil
 			err = fmt.Errorf("handler panic: %v", r)
 		}
 	}()
-	return h(info, body)
+	return h(info, body, resp)
 }
 
 // Close stops the listener, force-closes active connections, and waits
@@ -552,9 +723,17 @@ type Client struct {
 	w    *bufio.Writer
 	gen  *connGen
 
-	nextID  atomic.Uint64
-	pending sync.Map // reqID -> *pendingCall
-	closed  atomic.Bool
+	nextID atomic.Uint64
+	closed atomic.Bool
+
+	// pending holds the calls awaiting a response. Whoever removes a
+	// call's record — the read loop delivering (or failing) it, or the
+	// caller giving up — owns its completion; see take.
+	pmu     sync.Mutex
+	pending map[uint64]*pendingCall
+
+	// stats resolves per-method metric handles (nil without a Registry).
+	stats *methodTable
 
 	// injector is the swappable fault injector (injectorBox), seeded
 	// from opts.Injector; SetFaultInjector replaces it while running.
@@ -567,16 +746,36 @@ type Client struct {
 	Reconnects atomic.Int64
 }
 
-// pendingCall is one in-flight request: the response channel plus the
-// trace ID the request carried, for response-echo verification.
+// pendingCall is one in-flight request: the channel its outcome arrives
+// on, the trace ID the request carried (for response-echo verification),
+// the caller's buffer the read loop appends the response body to, and the
+// deadline timer. Records are recycled, channel and timer included.
 type pendingCall struct {
 	ch    chan response
 	trace uint64
+	dst   []byte
+	timer *time.Timer
 }
+
+var pendingPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan response, 1)} }}
 
 type response struct {
 	body []byte
 	err  error
+}
+
+// take removes and returns the pending record of a request, nil when it
+// is gone already. Taking a record is taking the duty to finish it: the
+// read loop sends exactly one response on the channel of every record it
+// takes, and a caller that gives up waits for that response if its record
+// was taken from under it. So a record is referenced by one party at a
+// time, which is what lets it be recycled.
+func (c *Client) take(id uint64) *pendingCall {
+	c.pmu.Lock()
+	pc := c.pending[id]
+	delete(c.pending, id)
+	c.pmu.Unlock()
+	return pc
 }
 
 // Dial connects to a server with default (zero) options.
@@ -591,17 +790,23 @@ func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}
 	opts = opts.withDefaults()
-	c := &Client{
-		addr: addr,
-		opts: opts,
-		conn: conn,
-		w:    bufio.NewWriterSize(conn, 64<<10),
-		gen:  &connGen{done: make(chan struct{})},
-		rnd:  rand.New(rand.NewSource(opts.Seed)),
-	}
-	c.injector.Store(injectorBox{opts.Injector})
+	c := newClient(addr, opts, &connGen{done: make(chan struct{})})
+	c.conn, c.w = conn, bufio.NewWriterSize(conn, 64<<10)
 	go c.readLoop(conn, c.gen)
 	return c, nil
+}
+
+func newClient(addr string, opts ClientOptions, gen *connGen) *Client {
+	c := &Client{
+		addr:    addr,
+		opts:    opts,
+		gen:     gen,
+		pending: make(map[uint64]*pendingCall),
+		stats:   newMethodTable(opts.Registry, opts.MethodName, "rpc.client", "calls"),
+		rnd:     rand.New(rand.NewSource(opts.Seed)),
+	}
+	c.injector.Store(injectorBox{opts.Injector})
+	return c
 }
 
 // DialLazyOptions is DialOptions for servers that may be down right now:
@@ -618,13 +823,7 @@ func DialLazyOptions(addr string, opts ClientOptions) (*Client, error) {
 	opts = opts.withDefaults()
 	gen := &connGen{done: make(chan struct{}), err: ErrClosed}
 	close(gen.done)
-	c := &Client{
-		addr: addr,
-		opts: opts,
-		gen:  gen,
-		rnd:  rand.New(rand.NewSource(opts.Seed)),
-	}
-	c.injector.Store(injectorBox{opts.Injector})
+	c := newClient(addr, opts, gen)
 	if c.opts.Logger != nil {
 		c.opts.Logger.Warn("initial dial failed; starting disconnected", "addr", addr, "err", err)
 	}
@@ -673,79 +872,105 @@ func (c *Client) counter(name string) *telemetry.Counter {
 func (c *Client) readLoop(conn net.Conn, gen *connGen) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		reqID, kind, method, trace, _, body, err := readFrame(r)
-		if err != nil {
-			gen.err = err
-			// Fail the calls in flight, then close done so a Call that
-			// raced its pending entry past this drain wakes up and
-			// removes it itself (no leak, no hang).
-			c.pending.Range(func(k, v interface{}) bool {
-				c.pending.Delete(k)
-				v.(*pendingCall).ch <- response{err: ErrClosed}
-				return true
-			})
-			close(gen.done)
-			conn.Close()
-			if c.opts.Logger != nil && !c.closed.Load() {
-				c.opts.Logger.Warn("connection lost", "addr", c.addr, "err", err)
-			}
-			if c.opts.Reconnect && !c.closed.Load() {
-				go c.redial()
-			}
-			return
-		}
-		if kind != kindResponse {
+		err := c.readResponse(conn, r)
+		if err == nil {
 			continue
 		}
-		if fi := c.faultInjector(); fi != nil {
-			delay, f, fired := resolveFaults(faultsFor(fi, PointClientRecv, method))
-			if fired > 0 {
-				if ctr := c.counter("rpc.client.faults_injected"); ctr != nil {
-					ctr.Add(int64(fired))
-				}
-			}
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			switch f.Action {
-			case FaultDrop:
-				continue // response vanishes; the call times out
-			case FaultError:
-				if pc, ok := c.pending.LoadAndDelete(reqID); ok {
-					ferr := f.Err
-					if ferr == nil {
-						ferr = ErrInjected
-					}
-					pc.(*pendingCall).ch <- response{err: ferr}
-				}
-				continue
-			case FaultDisconnect:
-				conn.Close()
-				continue // next readFrame fails and runs the drop path
-			}
+		gen.err = err
+		// Fail the calls in flight, then close done so a Call that
+		// raced its pending entry past this drain wakes up and
+		// removes it itself (no leak, no hang).
+		c.pmu.Lock()
+		for id, pc := range c.pending {
+			delete(c.pending, id)
+			pc.ch <- response{err: ErrClosed}
 		}
-		v, ok := c.pending.LoadAndDelete(reqID)
-		if !ok {
-			continue // late response to a timed-out call
+		c.pmu.Unlock()
+		close(gen.done)
+		conn.Close()
+		if c.opts.Logger != nil && !c.closed.Load() {
+			c.opts.Logger.Warn("connection lost", "addr", c.addr, "err", err)
 		}
-		pc := v.(*pendingCall)
-		if pc.trace != 0 && trace != pc.trace {
-			// The server must echo the request's trace ID; a mismatch
-			// means a framing bug, not a user error — count it loudly.
-			if ctr := c.counter("rpc.client.trace_mismatch"); ctr != nil {
-				ctr.Inc()
-			}
+		if c.opts.Reconnect && !c.closed.Load() {
+			go c.redial()
 		}
-		if len(body) == 0 {
-			pc.ch <- response{err: &RemoteError{Method: method, Msg: "empty response"}}
-			continue
-		}
-		if body[0] != 0 {
-			pc.ch <- response{err: &RemoteError{Method: method, Msg: string(body[1:])}}
-			continue
-		}
-		pc.ch <- response{body: body[1:]}
+		return
 	}
+}
+
+// readResponse reads one frame and delivers it to the call awaiting it,
+// reading the body straight into that call's buffer. An error means the
+// connection is lost.
+func (c *Client) readResponse(conn net.Conn, r *bufio.Reader) error {
+	h, err := readFrameHeader(r)
+	if err != nil {
+		return err
+	}
+	skip := func() error {
+		_, err := r.Discard(h.bodyLen)
+		return err
+	}
+	if h.kind != kindResponse {
+		return skip()
+	}
+	var injected error
+	if fi := c.faultInjector(); fi != nil {
+		delay, f, fired := resolveFaults(faultsFor(fi, PointClientRecv, h.method))
+		if fired > 0 {
+			if ctr := c.counter("rpc.client.faults_injected"); ctr != nil {
+				ctr.Add(int64(fired))
+			}
+		}
+		if delay > 0 {
+			time.Sleep(delay)
+		}
+		switch f.Action {
+		case FaultDrop:
+			return skip() // response vanishes; the call times out
+		case FaultError:
+			if injected = f.Err; injected == nil {
+				injected = ErrInjected
+			}
+		case FaultDisconnect:
+			conn.Close()
+			return skip() // the next read fails and runs the drop path
+		}
+	}
+	pc := c.take(h.reqID)
+	if pc == nil {
+		return skip() // late response to a call that gave up
+	}
+	// The record is ours: its caller now waits for exactly one send.
+	if injected != nil {
+		pc.ch <- response{err: injected}
+		return skip()
+	}
+	if pc.trace != 0 && h.trace != pc.trace {
+		// The server must echo the request's trace ID; a mismatch
+		// means a framing bug, not a user error — count it loudly.
+		if ctr := c.counter("rpc.client.trace_mismatch"); ctr != nil {
+			ctr.Inc()
+		}
+	}
+	if h.bodyLen == 0 {
+		pc.ch <- response{err: &RemoteError{Method: h.method, Msg: "empty response"}}
+		return nil
+	}
+	status, err := r.ReadByte()
+	if err != nil {
+		pc.ch <- response{err: ErrClosed}
+		return err
+	}
+	body, err := readBody(r, pc.dst, h.bodyLen-1)
+	switch {
+	case err != nil:
+		pc.ch <- response{err: ErrClosed}
+	case status != 0:
+		pc.ch <- response{err: &RemoteError{Method: h.method, Msg: string(body[len(pc.dst):])}}
+	default:
+		pc.ch <- response{body: body}
+	}
+	return err
 }
 
 // redial re-establishes the connection with exponential backoff plus
@@ -805,7 +1030,7 @@ func (c *Client) redial() {
 // client's CallTimeout. The request carries no trace ID; use CallCtx
 // with telemetry.WithTraceID to propagate one.
 func (c *Client) Call(m Method, body []byte) ([]byte, error) {
-	return c.call(nil, m, body)
+	return c.CallInto(nil, m, body, nil)
 }
 
 // CallCtx is Call with an explicit context: the call fails with the
@@ -813,29 +1038,28 @@ func (c *Client) Call(m Method, body []byte) ([]byte, error) {
 // telemetry.WithTraceID rides the request frame to the server. The
 // client CallTimeout still applies as an upper bound.
 func (c *Client) CallCtx(ctx context.Context, m Method, body []byte) ([]byte, error) {
-	return c.call(ctx, m, body)
+	return c.CallInto(ctx, m, body, nil)
 }
 
-func (c *Client) call(ctx context.Context, m Method, body []byte) ([]byte, error) {
-	reg := c.opts.Registry
-	if reg == nil {
-		return c.doCall(ctx, m, body)
+// CallInto is CallCtx appending the response body to dst and returning
+// the extended slice, so a caller that is done with the previous response
+// receives the next one in the same buffer. ctx may be nil. dst belongs
+// to the client until CallInto returns; after an error its contents are
+// unspecified.
+func (c *Client) CallInto(ctx context.Context, m Method, body, dst []byte) ([]byte, error) {
+	if c.stats == nil {
+		return c.doCall(ctx, m, body, dst)
 	}
 	start := time.Now()
-	out, err := c.doCall(ctx, m, body)
-	name := methodLabel(c.opts.MethodName, m)
-	reg.Counter("rpc.client." + name + ".calls").Inc()
-	reg.Histogram("rpc.client." + name + ".latency_ns").Record(time.Since(start).Nanoseconds())
-	if err != nil {
-		reg.Counter("rpc.client." + name + ".errors").Inc()
-		if errors.Is(err, ErrTimeout) {
-			reg.Counter("rpc.client.timeouts").Inc()
-		}
+	out, err := c.doCall(ctx, m, body, dst)
+	c.stats.record(m, start, err != nil)
+	if errors.Is(err, ErrTimeout) {
+		c.stats.reg.Counter("rpc.client.timeouts").Inc()
 	}
 	return out, err
 }
 
-func (c *Client) doCall(ctx context.Context, m Method, body []byte) ([]byte, error) {
+func (c *Client) doCall(ctx context.Context, m Method, body, dst []byte) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -873,41 +1097,72 @@ func (c *Client) doCall(ctx context.Context, m Method, body []byte) ([]byte, err
 		}
 	}
 	sc := telemetry.SpanContextFrom(ctx)
-	trace := sc.TraceID
 	id := c.nextID.Add(1)
-	pc := &pendingCall{ch: make(chan response, 1), trace: trace}
-	c.pending.Store(id, pc)
+	pc := pendingPool.Get().(*pendingCall)
+	pc.trace, pc.dst = sc.TraceID, dst
+	c.pmu.Lock()
+	c.pending[id] = pc
+	c.pmu.Unlock()
+	out, err := c.await(ctx, gen, w, dropped, id, pc,
+		frameHeader{reqID: id, kind: kindRequest, method: m, trace: sc.TraceID, span: sc.SpanID}, body)
+	// Whichever way the call ended, nobody else holds the record now.
+	pc.dst = nil
+	pendingPool.Put(pc)
+	return out, err
+}
+
+// await sends the request and waits for the record's outcome. Every exit
+// either received the one response the read loop sends for a record it
+// took, or took the record back itself.
+func (c *Client) await(ctx context.Context, gen *connGen, w *bufio.Writer, dropped bool, id uint64, pc *pendingCall, h frameHeader, body []byte) ([]byte, error) {
+	// giveUp ends the wait with err — unless the read loop has taken the
+	// record already, in which case its response is imminent and wins.
+	giveUp := func(err error) ([]byte, error) {
+		if c.take(id) == nil {
+			resp := <-pc.ch
+			return resp.body, resp.err
+		}
+		return nil, err
+	}
 	if !dropped {
 		c.wmu.Lock()
-		err := writeFrame(w, id, kindRequest, m, trace, sc.SpanID, body)
+		err := writeFrame(w, h, body)
 		c.wmu.Unlock()
 		if err != nil {
-			c.pending.Delete(id)
-			return nil, fmt.Errorf("rpc: send: %v: %w", err, ErrClosed)
+			return giveUp(fmt.Errorf("rpc: send: %v: %w", err, ErrClosed))
 		}
 	}
 	var deadline <-chan time.Time
-	if c.opts.CallTimeout > 0 {
-		timer := time.NewTimer(c.opts.CallTimeout)
-		defer timer.Stop()
-		deadline = timer.C
+	var start time.Time
+	timeout := c.opts.CallTimeout
+	if timeout > 0 {
+		start = time.Now()
+		if pc.timer == nil {
+			pc.timer = time.NewTimer(timeout)
+		} else {
+			pc.timer.Reset(timeout)
+		}
+		defer pc.timer.Stop()
+		deadline = pc.timer.C
 	}
 	var ctxDone <-chan struct{}
 	if ctx != nil {
 		ctxDone = ctx.Done()
 	}
-	select {
-	case resp := <-pc.ch:
-		return resp.body, resp.err
-	case <-gen.done:
-		c.pending.Delete(id)
-		return nil, ErrClosed
-	case <-deadline:
-		c.pending.Delete(id)
-		return nil, fmt.Errorf("%w: method %d after %v", ErrTimeout, m, c.opts.CallTimeout)
-	case <-ctxDone:
-		c.pending.Delete(id)
-		return nil, ctx.Err()
+	for {
+		select {
+		case resp := <-pc.ch:
+			return resp.body, resp.err
+		case <-gen.done:
+			return giveUp(ErrClosed)
+		case <-deadline:
+			if time.Since(start) < timeout {
+				continue // a tick the record's previous call left behind
+			}
+			return giveUp(fmt.Errorf("%w: method %d after %v", ErrTimeout, h.method, timeout))
+		case <-ctxDone:
+			return giveUp(ctx.Err())
+		}
 	}
 }
 

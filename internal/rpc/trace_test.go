@@ -16,9 +16,10 @@ import (
 func TestTracePropagation(t *testing.T) {
 	srv := NewServer()
 	seen := make(chan uint64, 1)
-	srv.HandleInfo(7, func(info CallInfo, body []byte) ([]byte, error) {
+	srv.HandleInfo(7, func(info CallInfo, body []byte, resp *Wire) error {
 		seen <- info.TraceID
-		return body, nil
+		resp.Raw(body)
+		return nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

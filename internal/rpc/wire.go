@@ -6,14 +6,18 @@ import (
 	"fmt"
 )
 
-// Wire is a tiny append-only encoder for RPC bodies.
+// Wire is a tiny append-only encoder for RPC bodies. The zero value is an
+// empty body.
 type Wire struct {
 	buf []byte
 }
 
-// NewWire returns an encoder whose buffer starts with room for capacity
-// bytes, so a body of known approximate size is built in one allocation.
-func NewWire(capacity int) *Wire { return &Wire{buf: make([]byte, 0, capacity)} }
+// Reset empties the encoder, keeping its buffer for the next body.
+func (w *Wire) Reset() { w.buf = w.buf[:0] }
+
+// Set replaces the body with b — Bytes() as an append-style encoder of
+// another package extended it.
+func (w *Wire) Set(b []byte) { w.buf = b }
 
 // Bytes returns the encoded body.
 func (w *Wire) Bytes() []byte { return w.buf }
@@ -37,6 +41,9 @@ func (w *Wire) Str(s string) *Wire {
 	return w
 }
 
+// Raw appends bytes as they are, with no length prefix.
+func (w *Wire) Raw(b []byte) *Wire { w.buf = append(w.buf, b...); return w }
+
 // Blob appends length-prefixed bytes.
 func (w *Wire) Blob(b []byte) *Wire {
 	w.U32(uint32(len(b)))
@@ -56,6 +63,12 @@ func (w *Wire) BeginBlob() int {
 // EndBlob closes the blob opened at off by patching its length prefix.
 func (w *Wire) EndBlob(off int) {
 	binary.BigEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
+}
+
+// PatchU32 overwrites the four bytes at off — a count or length written
+// as a placeholder (BeginBlob reserves one) before its value was known.
+func (w *Wire) PatchU32(off int, v uint32) {
+	binary.BigEndian.PutUint32(w.buf[off:], v)
 }
 
 // ErrTruncated reports a short RPC body.
