@@ -7,7 +7,8 @@ GO ?= go
 all: check
 
 # The default gate: compile, vet, formatting, full test suite, the race
-# detector over the concurrency-heavy networked packages, a fast
+# detector over the concurrency-heavy networked packages and the GBDT
+# trainer's split-search pool (ml, and balancer, which fits in-line), a fast
 # scenario-harness smoke, the observability-plane smoke, the
 # commit-pipeline smoke, a few seconds of fuzzing per wire and disk decoder, and
 # the repository benchmark's own build and unit tests.
@@ -30,7 +31,7 @@ race:
 	$(GO) test -race ./...
 
 test-race:
-	$(GO) test -race ./internal/telemetry/... ./internal/rpc/... ./internal/kvstore/... ./internal/lease/... ./internal/mds/... ./internal/replication/... ./internal/server/... ./internal/client/...
+	$(GO) test -race ./internal/telemetry/... ./internal/rpc/... ./internal/kvstore/... ./internal/lease/... ./internal/mds/... ./internal/replication/... ./internal/server/... ./internal/client/... ./internal/ml/... ./internal/balancer/...
 
 # The failure-injection suites: primary kills mid-write-storm, failover
 # promotion, replication gap/overflow resyncs, and the scenario harness
@@ -103,12 +104,18 @@ experiments:
 # Profile the live durable-create path — SDK, rpc, mds, kvstore, WAL and
 # fsync over loopback TCP, the shape of the repository benchmark's
 # create-storm: a CPU profile, then every allocation site (rate 1, which
-# is why the two are separate runs).
+# is why the two are separate runs). Then the same pair for the control
+# plane: Origami balancing epochs on a 5-MDS cluster taking Trace-RW
+# traffic, the shape of trace-rw-balance.
 profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$' -benchtime 20000x -cpuprofile cpu.pprof ./internal/server
 	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$' -benchtime 20000x -memprofile allocs.pprof -memprofilerate 1 ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkBalancingEpoch$$' -benchtime 60x -cpuprofile epoch-cpu.pprof ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkBalancingEpoch$$' -benchtime 60x -memprofile epoch-allocs.pprof -memprofilerate 1 ./internal/server
 	@echo "next: $(GO) tool pprof -top server.test cpu.pprof"
 	@echo "      $(GO) tool pprof -sample_index=alloc_objects -top server.test allocs.pprof"
+	@echo "      $(GO) tool pprof -tagfocus plane=control -top server.test epoch-cpu.pprof"
+	@echo "      $(GO) tool pprof -sample_index=alloc_objects -focus 'RunEpoch|handleDump' -top server.test epoch-allocs.pprof"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -23,8 +23,9 @@ import (
 //     (the paper's workflow — train offline on collected dumps, validate
 //     online).
 //   - Online self-training: leave Model nil. Each epoch the strategy
-//     labels its own dump with Meta-OPT, folds it into a growing dataset,
-//     and refreshes the model; until enough data accumulates it uses the
+//     labels its own dump with Meta-OPT into a window of the most recent
+//     ml.DefaultMaxRows rows; each epoch that rebalances refits the model
+//     on that window first. Until enough data accumulates it uses the
 //     Meta-OPT benefits directly.
 type Origami struct {
 	// Model is an optional pre-trained benefit predictor (GBDT or MLP).
@@ -107,10 +108,9 @@ func (s *Origami) ModelVersion() uint64 {
 	return s.modelVersion
 }
 
-// activeModel returns the predictor to use this epoch, or nil for the
-// Meta-OPT bootstrap. Hot-swapped models take precedence over the
-// statically configured one, which beats the self-trained fallback.
-func (s *Origami) activeModel() ml.Predictor {
+// configuredModel returns the hot-swapped predictor, else the statically
+// configured one, else nil; either beats the self-trained fallback.
+func (s *Origami) configuredModel() ml.Predictor {
 	s.modelMu.RLock()
 	swapped := s.swapped
 	s.modelMu.RUnlock()
@@ -120,9 +120,6 @@ func (s *Origami) activeModel() ml.Predictor {
 	if s.Model != nil {
 		return s.Model
 	}
-	if s.trained != nil {
-		return s.trained
-	}
 	return nil
 }
 
@@ -130,22 +127,20 @@ func (s *Origami) activeModel() ml.Predictor {
 func (s *Origami) Rebalance(es *cluster.EpochStats, t *namespace.Tree, pm *cluster.PartitionMap) []cluster.Decision {
 	s.epochs++
 	cfg := metaopt.Config{CacheDepth: s.CacheDepth, Delta: s.Delta}
-	// Label generation is cheap; in online mode it doubles as training
-	// data (the §4.3 loop folded into the run).
-	benefits := metaopt.Benefits(es, pm, cfg)
-	if s.Model == nil && !s.DisableOnline {
-		m := features.Extract(es)
+	online := s.Model == nil && !s.DisableOnline
+	// In online mode every epoch, balanced or not, is labelled into the
+	// training window (the §4.3 loop folded into the run); label
+	// generation is cheap next to fitting.
+	var benefits map[namespace.Ino]metaopt.Candidate
+	var m *features.Matrix
+	if online {
+		benefits = metaopt.Benefits(es, pm, cfg)
+		m = features.Extract(es)
 		labels := features.LabelsFromBenefits(m, es, benefits)
 		for i := range m.X {
 			s.dataset.Append(m.X[i], labels[i])
 		}
-		if s.dataset.Len() >= 200 {
-			if model, err := ml.TrainGBDT(s.dataset, ml.GBDTConfig{
-				Rounds: 80, NumLeaves: 16, EarlyStopRounds: 10,
-			}); err == nil {
-				s.trained = model
-			}
-		}
+		s.dataset.TrimFront(ml.DefaultMaxRows)
 	}
 	if !shouldRebalance(es, s.Trigger) {
 		return nil
@@ -154,20 +149,38 @@ func (s *Origami) Rebalance(es *cluster.EpochStats, t *namespace.Tree, pm *clust
 	minBenefit := time.Duration(s.BenefitThreshold * float64(jct))
 
 	// Predicted benefit per subtree: model when available, Meta-OPT
-	// bootstrap otherwise.
+	// bootstrap otherwise. The self-trained model is refitted only here,
+	// where it is about to be used, and synchronously, so a simulated run
+	// stays deterministic.
+	model := s.configuredModel()
+	if model == nil && online && s.dataset.Len() >= 200 {
+		if fitted, err := ml.TrainGBDT(s.dataset, ml.GBDTConfig{
+			Rounds: 80, NumLeaves: 16, EarlyStopRounds: 10,
+		}); err == nil {
+			s.trained = fitted
+		}
+	}
+	if model == nil && s.trained != nil {
+		model = s.trained
+	}
 	type scored struct {
 		ino     namespace.Ino
 		benefit time.Duration
 	}
 	var candidates []scored
-	if model := s.activeModel(); model != nil {
-		m := features.Extract(es)
+	if model != nil {
+		if m == nil {
+			m = features.Extract(es)
+		}
 		preds := model.PredictBatch(m.X)
 		for i, ino := range m.Inos {
 			b := time.Duration(preds[i] * float64(jct))
 			candidates = append(candidates, scored{ino, b})
 		}
 	} else {
+		if benefits == nil {
+			benefits = metaopt.Benefits(es, pm, cfg)
+		}
 		for ino, c := range benefits {
 			candidates = append(candidates, scored{ino, c.Benefit})
 		}

@@ -548,7 +548,7 @@ round:
 			op.err = err
 		default:
 			if op.gone.Ino != 0 {
-				delete(s.byIno, op.gone.Ino)
+				s.unindexLocked(op.gone.Ino, op.gone.Parent, op.gone.Name)
 			}
 			if op.hasIn {
 				s.byIno[op.in.Ino] = inoRef{parent: op.in.Parent, name: op.in.Name, isDir: op.in.IsDir()}

@@ -95,12 +95,13 @@ func (s *Store) ApplyReplicated(muts []kvstore.Mutation) error {
 				continue
 			}
 			// Deindex whatever ino currently sits at the key.
+			gone := inoRef{parent: parent, name: name}
 			if ino, ok := pending[string(m.Key)]; ok {
 				delete(pending, string(m.Key))
-				idx = append(idx, indexOp{ino: ino, del: true})
+				idx = append(idx, indexOp{ino: ino, ref: gone, del: true})
 			} else if v, found, err := s.db.Get(m.Key); err == nil && found {
 				if in, derr := namespace.DecodeInode(v); derr == nil {
-					idx = append(idx, indexOp{ino: in.Ino, del: true})
+					idx = append(idx, indexOp{ino: in.Ino, ref: gone, del: true})
 				}
 			}
 			continue
@@ -123,7 +124,7 @@ func (s *Store) ApplyReplicated(muts []kvstore.Mutation) error {
 	s.inoMu.Lock()
 	for _, op := range idx {
 		if op.del {
-			delete(s.byIno, op.ino)
+			s.unindexLocked(op.ino, op.ref.parent, op.ref.name)
 		} else {
 			s.byIno[op.ino] = op.ref
 		}

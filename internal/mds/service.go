@@ -691,16 +691,13 @@ func (s *Service) handleDump(body []byte) ([]byte, error) {
 	// Swap each shard's map out and zero the scalar counters. Requests
 	// racing the dump land their increments in either the old epoch or
 	// the new one — never lost, at worst attributed one epoch late.
-	acc := make(map[namespace.Ino]*dirCounters)
+	var acc [dirAccShards]map[namespace.Ino]*dirCounters
 	for i := range s.dirAcc {
 		sh := &s.dirAcc[i]
 		sh.mu.Lock()
-		m := sh.m
+		acc[i] = sh.m
 		sh.m = make(map[namespace.Ino]*dirCounters)
 		sh.mu.Unlock()
-		for ino, c := range m {
-			acc[ino] = c
-		}
 	}
 	st := StatsSnapshot{
 		Ops:       s.ops.Swap(0),
@@ -712,37 +709,16 @@ func (s *Service) handleDump(body []byte) ([]byte, error) {
 
 	// Every directory on the shard appears in the dump (idle ones with
 	// zero counters) so the coordinator can reconstruct parent chains
-	// and subtree aggregates.
-	dirInos := s.store.DirInos()
-	rows := make([]DumpRow, 0, len(dirInos))
-	for _, ino := range dirInos {
-		in, found, err := s.store.Getattr(ino)
-		if err != nil || !found || !in.IsDir() {
-			continue
+	// and subtree aggregates. The rows come from the inode index.
+	rows := s.store.dirRows()
+	for i := range rows {
+		r := &rows[i]
+		if c := acc[uint64(r.Ino)%dirAccShards][r.Ino]; c != nil {
+			r.Reads = c.reads.Load()
+			r.Writes = c.writes.Load()
+			r.Lookups = c.lookups.Load()
+			r.ServiceNS = c.serviceNS.Load()
 		}
-		c := acc[ino]
-		if c == nil {
-			c = &dirCounters{}
-		}
-		row := DumpRow{
-			Ino:       ino,
-			Parent:    in.Parent,
-			Reads:     c.reads.Load(),
-			Writes:    c.writes.Load(),
-			Lookups:   c.lookups.Load(),
-			ServiceNS: c.serviceNS.Load(),
-		}
-		children, err := s.store.ReadDir(ino)
-		if err == nil {
-			for _, ch := range children {
-				if ch.IsDir() {
-					row.ChildDirs++
-				} else {
-					row.ChildFiles++
-				}
-			}
-		}
-		rows = append(rows, row)
 	}
 	return EncodeDump(st, rows), nil
 }

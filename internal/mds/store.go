@@ -402,11 +402,23 @@ func (s *Store) Delete(parent namespace.Ino, name string) error {
 	}
 	if found {
 		s.inoMu.Lock()
-		delete(s.byIno, in.Ino)
+		s.unindexLocked(in.Ino, parent, name)
 		s.inoMu.Unlock()
 	}
 	var kb [keyScratch]byte
 	return s.db.Delete(namespace.AppendKey(kb[:0], parent, name))
+}
+
+// unindexLocked drops ino from the index if it is still bound to
+// (parent, name). An ino bound elsewhere since keeps that live binding:
+// when a cross-shard rename's destination directory migrates onto the
+// source's shard between the rename's insert and its remove, the remove
+// deletes the old key of an ino the migration already bound at the new
+// one. Caller holds inoMu.
+func (s *Store) unindexLocked(ino, parent namespace.Ino, name string) {
+	if ref, ok := s.byIno[ino]; ok && ref.parent == parent && ref.name == name {
+		delete(s.byIno, ino)
+	}
 }
 
 // readDirRaw appends dir's listing to w the way an inode-list response
@@ -457,14 +469,40 @@ func (s *Store) Count() int {
 	return len(s.byIno)
 }
 
-// DirInos returns every directory inode number held on this shard.
-func (s *Store) DirInos() []namespace.Ino {
+// dirRows returns one Data Collector row per directory held on this
+// shard — its ino, its parent and its child file and directory counts,
+// access counters zero — built in one pass over the inode index under
+// inoMu: no kvstore read and no decode, so a dump costs a walk of the
+// index rather than a scan of every directory's records. An entry counts
+// toward its parent only when the parent is a directory here too.
+func (s *Store) dirRows() []DumpRow {
 	s.inoMu.RLock()
 	defer s.inoMu.RUnlock()
-	var out []namespace.Ino
+	var rows []DumpRow
+	at := make(map[namespace.Ino]int)
+	slot := func(ino namespace.Ino) *DumpRow {
+		i, ok := at[ino]
+		if !ok {
+			i = len(rows)
+			at[ino] = i
+			rows = append(rows, DumpRow{})
+		}
+		return &rows[i]
+	}
 	for ino, ref := range s.byIno {
 		if ref.isDir {
-			out = append(out, ino)
+			slot(ref.parent).ChildDirs++
+			r := slot(ino)
+			r.Ino, r.Parent = ino, ref.parent
+		} else {
+			slot(ref.parent).ChildFiles++
+		}
+	}
+	// A slot opened for a parent that is not a directory here has no Ino.
+	out := rows[:0]
+	for _, r := range rows {
+		if r.Ino != 0 {
+			out = append(out, r)
 		}
 	}
 	return out

@@ -138,16 +138,6 @@ func TestStoreCollectSubtreeMissing(t *testing.T) {
 	}
 }
 
-func TestStoreDirInos(t *testing.T) {
-	s := openTestStore(t, 0)
-	s.Put(&namespace.Inode{Ino: 2, Parent: 1, Name: "d", Type: namespace.TypeDir})
-	s.Put(&namespace.Inode{Ino: 3, Parent: 2, Name: "f", Type: namespace.TypeFile})
-	dirs := s.DirInos()
-	if len(dirs) != 1 || dirs[0] != 2 {
-		t.Errorf("DirInos = %v", dirs)
-	}
-}
-
 func TestErrCodeParsing(t *testing.T) {
 	err := CodedError(CodeNoEnt, "missing %q", "x")
 	if err.Error() != `ENOENT: missing "x"` {

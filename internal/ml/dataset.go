@@ -64,15 +64,27 @@ func (d *Dataset) Append(x []float64, y float64) {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.X) }
 
+// DefaultMaxRows is the training window of a self-training host: the
+// live dataset keeps its most recent DefaultMaxRows rows, so each fit
+// costs the same late in a run as early on and the model tracks the
+// current workload rather than history.
+const DefaultMaxRows = 8192
+
 // TrimFront bounds the dataset to its most recent max rows, evicting the
-// oldest — the retention policy of a live dataset that grows forever.
+// oldest — the retention policy of a live dataset that grows forever. It
+// shifts the kept rows down in place: once the slices have grown past
+// max, trimming and the appends between trims allocate nothing. A Clone
+// taken before the trim is unaffected.
 func (d *Dataset) TrimFront(max int) {
 	if max <= 0 || len(d.X) <= max {
 		return
 	}
 	n := len(d.X) - max
-	d.X = append([][]float64(nil), d.X[n:]...)
-	d.Y = append([]float64(nil), d.Y[n:]...)
+	copy(d.X, d.X[n:])
+	clear(d.X[max:]) // drop the evicted rows
+	d.X = d.X[:max]
+	copy(d.Y, d.Y[n:])
+	d.Y = d.Y[:max]
 }
 
 // Clone deep-copies the row slices (not the rows themselves — feature
@@ -91,6 +103,8 @@ func (d *Dataset) Split(testFrac float64, seed int64) (train, test Dataset) {
 	rnd := rand.New(rand.NewSource(seed))
 	perm := rnd.Perm(len(d.X))
 	nTest := int(float64(len(d.X)) * testFrac)
+	test = Dataset{X: make([][]float64, 0, nTest), Y: make([]float64, 0, nTest)}
+	train = Dataset{X: make([][]float64, 0, len(d.X)-nTest), Y: make([]float64, 0, len(d.X)-nTest)}
 	for i, pi := range perm {
 		if i < nTest {
 			test.Append(d.X[pi], d.Y[pi])

@@ -77,7 +77,9 @@ type GBDT struct {
 	NumFeats int       `json:"num_feats"`
 }
 
-// TrainGBDT fits an ensemble to the dataset.
+// TrainGBDT fits an ensemble to the dataset. Its cost is linear in the
+// rows and its allocations are not: every per-row buffer is sized once
+// per call and reused by every tree (see grower).
 func TrainGBDT(ds Dataset, cfg GBDTConfig) (*GBDT, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -89,7 +91,6 @@ func TrainGBDT(ds Dataset, cfg GBDTConfig) (*GBDT, error) {
 	}
 	nf := ds.NumFeatures()
 	b := newBinner(ds.X, cfg.Bins)
-	xq := b.quantise(ds.X)
 
 	var base float64
 	for _, y := range ds.Y {
@@ -100,6 +101,7 @@ func TrainGBDT(ds Dataset, cfg GBDTConfig) (*GBDT, error) {
 	model := &GBDT{
 		Base:     base,
 		LR:       cfg.LearningRate,
+		Trees:    make([]*tree, 0, cfg.Rounds),
 		Gain:     make([]float64, nf),
 		Splits:   make([]int, nf),
 		NumFeats: nf,
@@ -113,30 +115,17 @@ func TrainGBDT(ds Dataset, cfg GBDTConfig) (*GBDT, error) {
 	for i := range valPred {
 		valPred[i] = base
 	}
+	g := newGrower(b, ds.X, grads, cfg, model)
+	defer g.stop()
 	bestMSE := -1.0
 	sinceBest := 0
 	for round := 0; round < cfg.Rounds; round++ {
 		for i := range grads {
 			grads[i] = ds.Y[i] - pred[i] // negative gradient of squared loss
 		}
-		spec := &growSpec{
-			Xq:        xq,
-			grads:     grads,
-			binEdges:  b.edges,
-			numLeaves: cfg.NumLeaves,
-			maxDepth:  cfg.MaxDepth,
-			depthWise: cfg.DepthWise,
-			minLeaf:   cfg.MinLeafSamples,
-			lambda:    cfg.Lambda,
-			workers:   cfg.Workers,
-			gainAcc:   model.Gain,
-			splitAcc:  model.Splits,
-		}
-		t := growTree(spec)
+		t := g.grow()
 		model.Trees = append(model.Trees, t)
-		for i := range pred {
-			pred[i] += cfg.LearningRate * t.predict(ds.X[i])
-		}
+		g.addLeaves(t, pred, cfg.LearningRate)
 		if cfg.EarlyStopRounds > 0 && val.Len() > 0 {
 			for i := range valPred {
 				valPred[i] += cfg.LearningRate * t.predict(val.X[i])

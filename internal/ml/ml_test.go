@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"origami/internal/racedetect"
 )
 
 // synth builds a nonlinear regression problem: y = 3x0 + x1² − 2·𝟙(x2>0.5)
@@ -177,6 +179,7 @@ func TestGBDTConstantTarget(t *testing.T) {
 }
 
 func TestMLPLearnsNonlinear(t *testing.T) {
+	skipSlowUnderRace(t)
 	train := synth(2000, 1, 0.05)
 	test := synth(400, 2, 0.05)
 	m, err := TrainMLP(train, MLPConfig{Epochs: 60, Hidden: []int{32, 32, 16, 8}})
@@ -206,6 +209,7 @@ func TestMLPDeterministic(t *testing.T) {
 }
 
 func TestModelsAgreeOnRanking(t *testing.T) {
+	skipSlowUnderRace(t)
 	// The paper's observation (§4.3): different model families produce
 	// near-identical migration decisions because all of them rank the
 	// high-benefit subtrees on top. Check rank agreement between GBDT
@@ -249,5 +253,14 @@ func TestBinnerConsistency(t *testing.T) {
 			t.Errorf("bin %d out of range", bin)
 		}
 		prevBin = bin
+	}
+}
+
+// skipSlowUnderRace skips a single-goroutine MLP test in a -race build:
+// it has nothing for the detector to find and takes most of a minute
+// under its instrumentation. The GBDT worker-pool tests still run.
+func skipSlowUnderRace(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("single-goroutine MLP training; slow under the race detector")
 	}
 }

@@ -29,7 +29,7 @@ func newBinner(X [][]float64, bins int) *binner {
 			vals[i] = X[i][f]
 		}
 		sort.Float64s(vals)
-		var edges []float64
+		edges := make([]float64, 0, bins-1)
 		for q := 1; q < bins; q++ {
 			v := vals[q*len(vals)/bins]
 			if len(edges) == 0 || v > edges[len(edges)-1] {
@@ -41,33 +41,41 @@ func newBinner(X [][]float64, bins int) *binner {
 	return b
 }
 
-// binOf maps a raw value to its bin index in [0, len(edges)].
+// binOf maps a raw value to its bin index in [0, len(edges)]: the number
+// of edges <= v, found with one upper-bound search. A value equal to an
+// edge lands in the bin to its right, so the split predicate "v < edge"
+// agrees between training and prediction; NaN compares false against
+// every edge and lands in the last bin, as it goes right at every split.
 func (b *binner) binOf(f int, v float64) int {
 	edges := b.edges[f]
-	return sort.SearchFloat64s(edges, v) + boundAdjust(edges, v)
-}
-
-// boundAdjust places values equal to an edge in the bin to its right, so
-// the split predicate "v < edge" is consistent between train and predict.
-func boundAdjust(edges []float64, v float64) int {
-	i := sort.SearchFloat64s(edges, v)
-	if i < len(edges) && edges[i] == v {
-		return 1
-	}
-	return 0
-}
-
-// quantise converts the full matrix to bin indices.
-func (b *binner) quantise(X [][]float64) [][]uint8 {
-	out := make([][]uint8, len(X))
-	for i, row := range X {
-		q := make([]uint8, len(row))
-		for f, v := range row {
-			q[f] = uint8(b.binOf(f, v))
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v < edges[m] {
+			hi = m
+		} else {
+			lo = m + 1
 		}
-		out[i] = q
 	}
-	return out
+	return lo
+}
+
+// quantise converts the matrix to bin indices in one column-major slab:
+// cols[f][i] is row i's bin for feature f, so a histogram scan and a
+// split's partition each read one contiguous column.
+func (b *binner) quantise(X [][]float64) [][]uint8 {
+	nf := len(b.edges)
+	slab := make([]uint8, nf*len(X))
+	cols := make([][]uint8, nf)
+	for f := range cols {
+		cols[f] = slab[f*len(X) : (f+1)*len(X)]
+	}
+	for i, row := range X {
+		for f, v := range row {
+			cols[f][i] = uint8(b.binOf(f, v))
+		}
+	}
+	return cols
 }
 
 // treeNode is one node of a fitted regression tree.
@@ -99,9 +107,19 @@ func (t *tree) predict(x []float64) float64 {
 	}
 }
 
-// growSpec bundles what the grower needs.
-type growSpec struct {
-	Xq        [][]uint8
+// grower fits the trees of one training run. Everything it works in is
+// sized once from the dataset and reused by every tree of the run: the
+// quantised columns, the sample-index array each tree partitions in
+// place, and the split search's per-worker histogram scratch.
+//
+// Two rules keep the fitted model independent of this layout, bit for
+// bit (TestGBDTGoldenModels). A partition is stable, so every leaf
+// visits its samples in ascending row order and every gradient sum adds
+// the same terms in the same order. Each leaf's histograms are built
+// from its own samples — never derived from a sibling by subtraction,
+// which would reorder the sums.
+type grower struct {
+	cols      [][]uint8 // quantised features, column-major
 	grads     []float64 // gradient per sample (residual for MSE)
 	binEdges  [][]float64
 	numLeaves int
@@ -109,102 +127,201 @@ type growSpec struct {
 	depthWise bool // growth order
 	minLeaf   int
 	lambda    float64
-	workers   int       // split-search parallelism (<=1 = inline)
 	gainAcc   []float64 // per-feature cumulative split gain (importance)
 	splitAcc  []int     // per-feature split counts
+
+	idx    []int32 // sample indices; every leaf owns a contiguous range
+	spill  []int32 // right-hand samples of the partition in progress
+	leaves []leafCand
+	cands  []featSplit   // per-feature best split of the leaf in search
+	hist   []histScratch // one per split-search worker; hist[0] is the caller's
+
+	// The split-search pool: len(hist)-1 helpers, each woken by one token
+	// on work per leaf. job and cursor are written only while the helpers
+	// are parked; cands only at disjoint features.
+	work    chan struct{}
+	wg      sync.WaitGroup // tokens of the leaf in search
+	helpers sync.WaitGroup // running helpers
+	cursor  atomic.Int64
+	job     splitJob
+}
+
+// histScratch is one worker's per-bin gradient sums and counts.
+type histScratch struct {
+	sums   []float64
+	counts []int
+}
+
+// splitJob is the leaf the split search is scanning.
+type splitJob struct {
+	samples           []int32
+	gTot, parentScore float64
 }
 
 // leafCand is a grown-but-unsplit leaf and its best available split.
 type leafCand struct {
-	node     int   // index into tree.Nodes
-	samples  []int // sample indices reaching this leaf
+	node     int     // index into tree.Nodes
+	samples  []int32 // the leaf's range of grower.idx, in row order
+	gSum     float64 // gradient sum over samples
 	depth    int
 	gain     float64
 	feature  int
 	binSplit int // split before this bin: left bins < binSplit
 }
 
-// growTree fits one regression tree to the negative gradients.
-func growTree(spec *growSpec) *tree {
-	t := &tree{}
-	all := make([]int, len(spec.Xq))
-	for i := range all {
-		all[i] = i
+// newGrower quantises X and sizes every buffer of a training run;
+// workers > 1 starts the split-search helpers, which stop must release.
+func newGrower(b *binner, X [][]float64, grads []float64, cfg GBDTConfig, model *GBDT) *grower {
+	nf := len(b.edges)
+	g := &grower{
+		cols:      b.quantise(X),
+		grads:     grads,
+		binEdges:  b.edges,
+		numLeaves: cfg.NumLeaves,
+		maxDepth:  cfg.MaxDepth,
+		depthWise: cfg.DepthWise,
+		minLeaf:   cfg.MinLeafSamples,
+		lambda:    cfg.Lambda,
+		gainAcc:   model.Gain,
+		splitAcc:  model.Splits,
+		idx:       make([]int32, len(X)),
+		spill:     make([]int32, 0, len(X)),
+		leaves:    make([]leafCand, 0, cfg.NumLeaves+1),
+		cands:     make([]featSplit, nf),
 	}
-	root := leafCand{node: 0, samples: all, depth: 0}
-	t.Nodes = append(t.Nodes, treeNode{Left: -1, Right: -1, Value: leafValue(spec, all)})
-	findBest(spec, &root)
-	leaves := []leafCand{root}
+	maxBins := 0
+	for _, e := range b.edges {
+		maxBins = max(maxBins, len(e)+1)
+	}
+	workers := max(min(cfg.Workers, nf), 1)
+	g.hist = make([]histScratch, workers)
+	for w := range g.hist {
+		g.hist[w] = histScratch{sums: make([]float64, maxBins), counts: make([]int, maxBins)}
+	}
+	if workers > 1 {
+		g.work = make(chan struct{})
+		g.helpers.Add(workers - 1)
+		for w := 1; w < workers; w++ {
+			go g.helper(w)
+		}
+	}
+	return g
+}
+
+// stop releases the split-search helpers and returns once they exited.
+func (g *grower) stop() {
+	if g.work != nil {
+		close(g.work)
+		g.helpers.Wait()
+	}
+}
+
+func (g *grower) helper(w int) {
+	defer g.helpers.Done()
+	for range g.work {
+		g.scan(w)
+		g.wg.Done()
+	}
+}
+
+// grow fits one regression tree to the current gradients. Its final
+// leaves are left in g.leaves, each with the samples that reach it.
+func (g *grower) grow() *tree {
+	for i := range g.idx {
+		g.idx[i] = int32(i)
+	}
+	t := &tree{Nodes: make([]treeNode, 0, 2*g.numLeaves-1)}
+	g.leaves = append(g.leaves[:0], g.newLeaf(t, g.idx, 0))
 	numLeaves := 1
 	for {
 		// Pick the next leaf to split.
 		best := -1
-		if spec.depthWise {
+		if g.depthWise {
 			// Depth-wise: split in FIFO order while depth allows.
-			for i := range leaves {
-				if leaves[i].gain > 0 && leaves[i].depth < spec.maxDepth {
+			for i := range g.leaves {
+				if g.leaves[i].gain > 0 && g.leaves[i].depth < g.maxDepth {
 					best = i
 					break
 				}
 			}
 		} else {
 			// Leaf-wise: split the highest-gain leaf.
-			for i := range leaves {
-				if leaves[i].gain <= 0 {
+			for i := range g.leaves {
+				if g.leaves[i].gain <= 0 {
 					continue
 				}
-				if best == -1 || leaves[i].gain > leaves[best].gain {
+				if best == -1 || g.leaves[i].gain > g.leaves[best].gain {
 					best = i
 				}
 			}
 		}
-		if best == -1 || numLeaves >= spec.numLeaves {
+		if best == -1 || numLeaves >= g.numLeaves {
 			break
 		}
-		lc := leaves[best]
-		leaves = append(leaves[:best], leaves[best+1:]...)
+		lc := g.leaves[best]
+		g.leaves = append(g.leaves[:best], g.leaves[best+1:]...)
 		// Materialise the split.
-		edges := spec.binEdges[lc.feature]
-		thr := edges[lc.binSplit-1]
-		var left, right []int
-		for _, si := range lc.samples {
-			if int(spec.Xq[si][lc.feature]) < lc.binSplit {
-				left = append(left, si)
-			} else {
-				right = append(right, si)
-			}
-		}
-		spec.gainAcc[lc.feature] += lc.gain
-		spec.splitAcc[lc.feature]++
-		li := len(t.Nodes)
-		t.Nodes = append(t.Nodes, treeNode{Left: -1, Right: -1, Value: leafValue(spec, left)})
-		ri := len(t.Nodes)
-		t.Nodes = append(t.Nodes, treeNode{Left: -1, Right: -1, Value: leafValue(spec, right)})
-		t.Nodes[lc.node].Feature = lc.feature
-		t.Nodes[lc.node].Threshold = thr
-		t.Nodes[lc.node].Left = li
-		t.Nodes[lc.node].Right = ri
+		nl := g.partition(lc.samples, lc.feature, lc.binSplit)
+		g.gainAcc[lc.feature] += lc.gain
+		g.splitAcc[lc.feature]++
+		left := g.newLeaf(t, lc.samples[:nl], lc.depth+1)
+		right := g.newLeaf(t, lc.samples[nl:], lc.depth+1)
+		n := &t.Nodes[lc.node]
+		n.Feature = lc.feature
+		n.Threshold = g.binEdges[lc.feature][lc.binSplit-1]
+		n.Left = left.node
+		n.Right = right.node
 		numLeaves++
-		lcl := leafCand{node: li, samples: left, depth: lc.depth + 1}
-		lcr := leafCand{node: ri, samples: right, depth: lc.depth + 1}
-		findBest(spec, &lcl)
-		findBest(spec, &lcr)
-		leaves = append(leaves, lcl, lcr)
+		g.leaves = append(g.leaves, left, right)
 	}
 	return t
 }
 
-// leafValue is the optimal MSE leaf output: mean residual with L2
-// shrinkage.
-func leafValue(spec *growSpec, samples []int) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var g float64
+// partition reorders samples so those going left (bin < binSplit) come
+// first, each side keeping its row order, and returns the left count.
+func (g *grower) partition(samples []int32, f, binSplit int) int {
+	col := g.cols[f]
+	spill := g.spill[:0]
+	nl := 0
 	for _, si := range samples {
-		g += spec.grads[si]
+		if int(col[si]) < binSplit {
+			samples[nl] = si
+			nl++
+		} else {
+			spill = append(spill, si)
+		}
 	}
-	return g / (float64(len(samples)) + spec.lambda)
+	copy(samples[nl:], spill)
+	return nl
+}
+
+// newLeaf appends a leaf node over samples to t — its value is the optimal
+// MSE output, the mean residual with L2 shrinkage — and finds its best
+// split.
+func (g *grower) newLeaf(t *tree, samples []int32, depth int) leafCand {
+	lc := leafCand{node: len(t.Nodes), samples: samples, depth: depth}
+	for _, si := range samples {
+		lc.gSum += g.grads[si]
+	}
+	var v float64
+	if len(samples) > 0 {
+		v = lc.gSum / (float64(len(samples)) + g.lambda)
+	}
+	t.Nodes = append(t.Nodes, treeNode{Left: -1, Right: -1, Value: v})
+	g.findBest(&lc)
+	return lc
+}
+
+// addLeaves adds lr times each final leaf's value to the predictions of
+// the samples that reached it — the tree's prediction for every training
+// row, read off the partition instead of walking the tree per row.
+func (g *grower) addLeaves(t *tree, pred []float64, lr float64) {
+	for i := range g.leaves {
+		v := t.Nodes[g.leaves[i].node].Value
+		for _, si := range g.leaves[i].samples {
+			pred[si] += lr * v
+		}
+	}
 }
 
 // parallelMinSamples is the leaf size below which fanning the split
@@ -218,87 +335,84 @@ type featSplit struct {
 }
 
 // findBest computes the leaf's best split via per-bin histograms. With
-// spec.workers > 1 the per-feature histogram scans run on a worker pool;
-// each feature's scan is self-contained and the final reduction walks
-// features in ascending order with the same strict-greater tie-break as
-// the inline loop, so the chosen split (and hence the fitted tree) is
-// bit-identical to the sequential result.
-func findBest(spec *growSpec, lc *leafCand) {
+// helpers running, the per-feature histogram scans are shared out over
+// the pool; each feature's scan is self-contained and the final reduction
+// walks features in ascending order with the same strict-greater
+// tie-break as the inline loop, so the chosen split (and hence the fitted
+// tree) is bit-identical to the sequential result.
+func (g *grower) findBest(lc *leafCand) {
 	lc.gain = 0
-	if len(lc.samples) < 2*spec.minLeaf {
+	if len(lc.samples) < 2*g.minLeaf {
 		return
 	}
-	nf := len(spec.binEdges)
-	var gTot float64
-	for _, si := range lc.samples {
-		gTot += spec.grads[si]
-	}
 	nTot := float64(len(lc.samples))
-	parentScore := gTot * gTot / (nTot + spec.lambda)
-	cands := make([]featSplit, nf)
-	if w := spec.workers; w > 1 && len(lc.samples) >= parallelMinSamples {
-		if w > nf {
-			w = nf
+	g.job = splitJob{samples: lc.samples, gTot: lc.gSum, parentScore: lc.gSum * lc.gSum / (nTot + g.lambda)}
+	g.cursor.Store(0)
+	if helpers := len(g.hist) - 1; helpers > 0 && len(lc.samples) >= parallelMinSamples {
+		g.wg.Add(helpers)
+		for i := 0; i < helpers; i++ {
+			g.work <- struct{}{}
 		}
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for g := 0; g < w; g++ {
-			go func() {
-				defer wg.Done()
-				for {
-					f := int(cursor.Add(1)) - 1
-					if f >= nf {
-						return
-					}
-					cands[f] = bestSplitOn(spec, lc.samples, gTot, parentScore, f)
-				}
-			}()
-		}
-		wg.Wait()
+		g.scan(0)
+		g.wg.Wait()
 	} else {
-		for f := 0; f < nf; f++ {
-			cands[f] = bestSplitOn(spec, lc.samples, gTot, parentScore, f)
-		}
+		g.scan(0)
 	}
-	for f := 0; f < nf; f++ {
-		if cands[f].gain > lc.gain {
-			lc.gain = cands[f].gain
+	for f, c := range g.cands {
+		if c.gain > lc.gain {
+			lc.gain = c.gain
 			lc.feature = f
-			lc.binSplit = cands[f].binSplit
+			lc.binSplit = c.binSplit
 		}
 	}
 }
 
-// bestSplitOn scans one feature's bin histogram for the best split of a
-// leaf. The arithmetic and scan order match the historical inline loop
-// exactly — parallel and sequential training must produce identical
+// scan claims features off the shared cursor until none is left and
+// records each one's best split, using worker w's histogram scratch.
+func (g *grower) scan(w int) {
+	h := &g.hist[w]
+	for {
+		f := int(g.cursor.Add(1)) - 1
+		if f >= len(g.cands) {
+			return
+		}
+		g.cands[f] = g.bestSplitOn(h, f)
+	}
+}
+
+// bestSplitOn scans one feature's bin histogram for the best split of the
+// job's leaf. The arithmetic and scan order match the historical inline
+// loop exactly — parallel and sequential training must produce identical
 // models.
-func bestSplitOn(spec *growSpec, samples []int, gTot, parentScore float64, f int) featSplit {
+func (g *grower) bestSplitOn(h *histScratch, f int) featSplit {
 	var best featSplit
-	nbins := len(spec.binEdges[f]) + 1
+	nbins := len(g.binEdges[f]) + 1
 	if nbins < 2 {
 		return best
 	}
-	sums := make([]float64, nbins)
-	counts := make([]int, nbins)
+	sums, counts := h.sums[:nbins], h.counts[:nbins]
+	clear(sums)
+	clear(counts)
+	col := g.cols[f]
+	samples := g.job.samples
 	for _, si := range samples {
-		b := spec.Xq[si][f]
-		sums[b] += spec.grads[si]
+		b := col[si]
+		sums[b] += g.grads[si]
 		counts[b]++
 	}
+	gTot, parentScore := g.job.gTot, g.job.parentScore
 	var gl float64
 	nl := 0
 	for b := 1; b < nbins; b++ {
 		gl += sums[b-1]
 		nl += counts[b-1]
 		nr := len(samples) - nl
-		if nl < spec.minLeaf || nr < spec.minLeaf {
+		if nl < g.minLeaf || nr < g.minLeaf {
 			continue
 		}
 		gr := gTot - gl
-		gain := gl*gl/(float64(nl)+spec.lambda) +
-			gr*gr/(float64(nr)+spec.lambda) - parentScore
+		gain := gl*gl/(float64(nl)+g.lambda) +
+			gr*gr/(float64(nr)+g.lambda) - parentScore
 		if gain > best.gain && !math.IsNaN(gain) {
 			best.gain = gain
 			best.binSplit = b

@@ -1,13 +1,19 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"testing"
 
+	"origami/internal/balancer"
 	"origami/internal/client"
+	"origami/internal/costmodel"
 	"origami/internal/kvstore"
 	"origami/internal/loadgen"
+	"origami/internal/trace"
+	"origami/internal/workload"
 )
 
 // BenchmarkTCPClusterThroughput measures closed-loop metadata throughput
@@ -102,4 +108,76 @@ func BenchmarkDurableCreate(b *testing.B) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// BenchmarkBalancingEpoch is the control plane under the profiler (`make
+// profile`): a 5-MDS loopback cluster takes Trace-RW traffic, and every
+// iteration is one Origami balancing epoch — dumps, merge, labelling, the
+// self-trained fit, planning and the 2PC migrations — after about as
+// many ops as one round of the repository benchmark's trace-rw-balance
+// replays. Only the epoch is timed, and the traffic is quiesced while it
+// runs, so allocs/op counts what one epoch allocates across the whole
+// process. The epoch runs under the pprof label plane=control: a CPU
+// profile narrows to it with -tagfocus plane=control.
+func BenchmarkBalancingEpoch(b *testing.B) {
+	const opsPerEpoch = 11000
+	cl, err := StartClusterConfig(5, b.TempDir(), ClusterConfig{CommitMode: "async", TraceSampleRate: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	sdk, err := client.Dial(client.Config{Addrs: cl.Addrs, TraceSampleRate: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sdk.Close()
+	cfg := workload.DefaultRW()
+	cfg.NumOps = b.N * opsPerEpoch
+	tr := workload.TraceRW(cfg)
+	for _, o := range tr.Setup {
+		if err := replayTraceOp(sdk, o); err != nil {
+			b.Fatalf("setup %v: %v", o, err)
+		}
+	}
+	co := NewCoordinator(cl)
+	co.SetStrategy(&balancer.Origami{})
+	ctx := pprof.WithLabels(context.Background(), pprof.Labels("plane", "control"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, o := range tr.Ops[i*opsPerEpoch : (i+1)*opsPerEpoch] {
+			if err := replayTraceOp(sdk, o); err != nil {
+				b.Fatalf("%v: %v", o, err)
+			}
+		}
+		b.StartTimer()
+		pprof.SetGoroutineLabels(ctx)
+		if _, err := co.RunEpoch(); err != nil {
+			b.Fatal(err)
+		}
+		pprof.SetGoroutineLabels(context.Background())
+	}
+}
+
+// replayTraceOp issues one trace operation through the SDK.
+func replayTraceOp(c *client.Client, o trace.Op) error {
+	var err error
+	switch o.Type {
+	case costmodel.OpMkdir:
+		_, err = c.Mkdir(o.Path)
+	case costmodel.OpCreate:
+		_, err = c.Create(o.Path)
+	case costmodel.OpLsdir:
+		_, err = c.Readdir(o.Path)
+	case costmodel.OpSetattr:
+		_, err = c.Setattr(o.Path, 1<<12, 0o644)
+	case costmodel.OpRename:
+		err = c.Rename(o.Path, o.Dst)
+	case costmodel.OpUnlink, costmodel.OpRmdir:
+		err = c.Remove(o.Path)
+	default: // stat, open
+		_, err = c.Stat(o.Path)
+	}
+	return err
 }

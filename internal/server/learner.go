@@ -34,7 +34,8 @@ type LearnerConfig struct {
 	// MinRows is the smallest dataset worth training on (default 64).
 	MinRows int
 	// MaxRows bounds the live dataset; the oldest rows are evicted so
-	// the model tracks the current workload (default 8192).
+	// the model tracks the current workload (default ml.DefaultMaxRows,
+	// the window balancer.Origami self-trains on).
 	MaxRows int
 	// ModelDir receives versioned checkpoints; the latest one is loaded
 	// at EnableOnlineLearning for a warm start ("" = in-memory only).
@@ -59,7 +60,7 @@ func (c LearnerConfig) withDefaults() LearnerConfig {
 		c.MinRows = 64
 	}
 	if c.MaxRows <= 0 {
-		c.MaxRows = 8192
+		c.MaxRows = ml.DefaultMaxRows
 	}
 	if c.CacheDepth <= 0 {
 		c.CacheDepth = 3
