@@ -75,12 +75,15 @@ commit-smoke:
 # The decoders that read bytes off a socket or a disk, against arbitrary
 # input: the MethodBatch frame handler on a scratch shard (never panics;
 # answers every sub-op or rejects the frame with EINVAL), the SDK's
-# response decoder, the batch envelope codec, and the kvstore's SSTable
-# reader (open, get, scan), manifest loader and WAL recovery (replay, then
-# a store opened on the log takes a write that survives the next crash).
+# response decoder, the record list every replication append, snapshot
+# chunk and migration ingest carries (never panics; a refused body applies
+# nothing), the batch envelope codec, and the kvstore's SSTable reader
+# (open, get, scan), manifest loader and WAL recovery (replay, then a
+# store opened on the log takes a write that survives the next crash).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchFrame$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
+	$(GO) test -run '^$$' -fuzz '^FuzzReceiverFrames$$' -fuzztime 3s ./internal/replication
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 3s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime 3s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime 3s ./internal/kvstore
@@ -103,13 +106,14 @@ experiments:
 
 # Profile the live durable-create path — SDK, rpc, mds, kvstore, WAL and
 # fsync over loopback TCP, the shape of the repository benchmark's
-# create-storm: a CPU profile, then every allocation site (rate 1, which
-# is why the two are separate runs). Then the same pair for the control
-# plane: Origami balancing epochs on a 5-MDS cluster taking Trace-RW
-# traffic, the shape of trace-rw-balance.
+# create-storm (the sync-fsync half of BenchmarkDurableCreate): a CPU
+# profile, then every allocation site (rate 1, which is why the two are
+# separate runs). Then the same pair for the control plane: Origami
+# balancing epochs on a 5-MDS cluster taking Trace-RW traffic, the shape
+# of trace-rw-balance.
 profile:
-	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$' -benchtime 20000x -cpuprofile cpu.pprof ./internal/server
-	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$' -benchtime 20000x -memprofile allocs.pprof -memprofilerate 1 ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$/^sync-fsync$$' -benchtime 20000x -cpuprofile cpu.pprof ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$/^sync-fsync$$' -benchtime 20000x -memprofile allocs.pprof -memprofilerate 1 ./internal/server
 	$(GO) test -run '^$$' -bench '^BenchmarkBalancingEpoch$$' -benchtime 60x -cpuprofile epoch-cpu.pprof ./internal/server
 	$(GO) test -run '^$$' -bench '^BenchmarkBalancingEpoch$$' -benchtime 60x -memprofile epoch-allocs.pprof -memprofilerate 1 ./internal/server
 	@echo "next: $(GO) tool pprof -top server.test cpu.pprof"

@@ -115,7 +115,7 @@ func runTCPBench(numMDS int, workerCounts []int, dur time.Duration, syncWAL bool
 				return err
 			}
 			if cm != "sync-fsync" && n >= 2 {
-				if err := cluster.EnableReplication(false, nil); err != nil {
+				if err := cluster.EnableReplication(nil); err != nil {
 					cluster.Close()
 					os.RemoveAll(dir)
 					return err

@@ -10,14 +10,14 @@
 //
 //	origami-mds -cluster 5 -data /tmp/origami -epoch 10s -admin 127.0.0.1:7301
 //
-// Replicated cluster (ring WAL shipping + heartbeat-driven failover; add
-// -repl-sync to ack writes only after the backup applied them):
+// Replicated cluster (ring WAL shipping + heartbeat-driven failover):
 //
 //	origami-mds -cluster 3 -repl -heartbeat 1s -data /tmp/origami -admin 127.0.0.1:7301
 //
 // Durability is picked with -commit-mode {sync-fsync,sync-repl,async};
-// async acks from the memtable and bounds the crash-loss tail to
-// -commit-window acknowledged ops per shard (see DESIGN.md §15):
+// sync-repl acks a write only after the backup applied it, async acks
+// from the memtable and bounds the crash-loss tail to -commit-window
+// acknowledged ops per shard (see DESIGN.md §15):
 //
 //	origami-mds -cluster 3 -repl -commit-mode async -commit-window 128 -data /tmp/origami
 //
@@ -63,9 +63,8 @@ func main() {
 		autoBal   = flag.Bool("auto-balance", true, "run the background balance loop every -epoch in -cluster mode (off: epochs only via 'origami-cli epoch')")
 		modelDir  = flag.String("model-dir", "", "directory for online-learning model checkpoints; the newest one warm-starts the balancer")
 		retrain   = flag.Int("retrain-every", 256, "retrain the online model after this many newly harvested rows")
-		repl      = flag.Bool("repl", false, "enable ring replication between the MDSs in -cluster mode (async WAL shipping)")
-		replSync  = flag.Bool("repl-sync", false, "replication acks each write only after the backup applied it (implies -repl)")
-		readReps  = flag.Int("read-replicas", 0, "fan-out of the subtree read-replica sweep in -cluster mode (0 disables; needs -repl/-repl-sync)")
+		repl      = flag.Bool("repl", false, "enable ring replication between the MDSs in -cluster mode (WAL shipping; -commit-mode sync-repl acks after the backup applied)")
+		readReps  = flag.Int("read-replicas", 0, "fan-out of the subtree read-replica sweep in -cluster mode (0 disables; needs -repl)")
 		promReads = flag.Int64("promote-reads", 0, "subtree reads per epoch that promote a directory to replicated (0 = library default 1500)")
 		heartbeat = flag.Duration("heartbeat", 2*time.Second, "health-probe interval of the auto-failover loop when replication is on")
 		adminAddr = flag.String("admin", "", "HTTP admin address serving /metrics, /traces, /buildinfo, and /healthz (consecutive ports per MDS in -cluster mode; empty disables)")
@@ -74,7 +73,7 @@ func main() {
 		traceRate = flag.Float64("trace-sample", 1.0, "span head-sampling rate in [0,1] (slow ops always kept; negative disables tracing)")
 		slowOp    = flag.Duration("slow-op", 0, "slow-operation span threshold (0 = 50ms default; negative disables slow capture)")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "directory-lease TTL bounding client cache staleness (0 = 2s default)")
-		commitMd  = flag.String("commit-mode", "", "durability policy: sync-fsync (default), sync-repl (needs -repl), or async; empty keeps the default but lets -repl-sync upgrade it")
+		commitMd  = flag.String("commit-mode", "", "durability policy: sync-fsync (default), sync-repl (needs -repl), or async")
 		commitWin = flag.Int("commit-window", 0, "async mode's bound on acknowledged-but-not-yet-durable ops (0 = library default)")
 	)
 	flag.Parse()
@@ -84,13 +83,13 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *commitMd == "sync-repl" && !*repl && !*replSync {
+	if *commitMd == "sync-repl" && !*repl {
 		fmt.Fprintln(os.Stderr, "origami-mds: -commit-mode sync-repl needs -repl (the ack rides the backup)")
 		os.Exit(2)
 	}
 	telemetry.SetLogLevel(parseLevel(*logLevel))
-	if *readReps > 0 && !*repl && !*replSync {
-		fmt.Fprintln(os.Stderr, "origami-mds: -read-replicas needs -repl or -repl-sync (the fan-out rides the replication plane)")
+	if *readReps > 0 && !*repl {
+		fmt.Fprintln(os.Stderr, "origami-mds: -read-replicas needs -repl (the fan-out rides the replication plane)")
 		os.Exit(2)
 	}
 	if *clusterN > 0 {
@@ -104,8 +103,7 @@ func main() {
 			autoBalance:  *autoBal,
 			adminAddr:    *adminAddr,
 			pprofOn:      *pprofOn,
-			replOn:       *repl || *replSync,
-			replSync:     *replSync,
+			replOn:       *repl,
 			readReplicas: *readReps,
 			promoteReads: *promReads,
 			heartbeat:    *heartbeat,
@@ -117,8 +115,8 @@ func main() {
 		})
 		return
 	}
-	if *repl || *replSync {
-		fmt.Fprintln(os.Stderr, "origami-mds: -repl/-repl-sync need -cluster (replication is wired by the in-process cluster)")
+	if *repl {
+		fmt.Fprintln(os.Stderr, "origami-mds: -repl needs -cluster (replication is wired by the in-process cluster)")
 		os.Exit(2)
 	}
 	if *commitMd != "" {
@@ -253,7 +251,6 @@ type clusterOpts struct {
 	adminAddr    string
 	pprofOn      bool
 	replOn       bool
-	replSync     bool
 	readReplicas int
 	promoteReads int64
 	heartbeat    time.Duration
@@ -280,13 +277,13 @@ func runCluster(o clusterOpts) {
 	defer cl.Close()
 	co := server.NewCoordinator(cl)
 	if o.replOn {
-		if err := cl.EnableReplication(o.replSync, nil); err != nil {
+		if err := cl.EnableReplication(nil); err != nil {
 			log.Error("enable replication failed", "err", err)
 			os.Exit(1)
 		}
 		stopFailover := co.StartAutoFailover(o.heartbeat)
 		defer stopFailover()
-		log.Info("replication on", "sync", o.replSync, "heartbeat", o.heartbeat)
+		log.Info("replication on", "commit_mode", cl.CommitMode().String(), "heartbeat", o.heartbeat)
 		if o.readReplicas > 0 {
 			co.EnableReadReplicas(server.ReplicaPolicy{
 				Fanout:       o.readReplicas,
@@ -333,9 +330,6 @@ func runCluster(o clusterOpts) {
 	features := []string{"cluster"}
 	if o.replOn {
 		features = append(features, "replication")
-	}
-	if o.replSync {
-		features = append(features, "replication-sync")
 	}
 	features = append(features, "commit-"+cl.CommitMode().String())
 	if o.modelPath == "" {

@@ -187,7 +187,7 @@ func FuzzReplayWAL(f *testing.F) {
 		records := 0
 		apply := func(ops []byte, n int) {
 			seen := 0
-			whole := forEachOp(ops, n, func(key, value []byte, tombstone bool) {
+			whole := ForEachOp(ops, n, func(key, value []byte, tombstone bool) {
 				seen++
 				if tombstone {
 					value = nil

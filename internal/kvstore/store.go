@@ -193,30 +193,22 @@ func (db *DB) spanTracer() *telemetry.Tracer {
 	return nil
 }
 
-// Mutation is one committed logical mutation, as observed by a
-// CommitHook: a put of Key=Value, or — when Tombstone is set — a delete
-// of Key. The slices are the DB's own copies; observers must treat them
-// as read-only but may retain them.
-type Mutation struct {
-	Key       []byte
-	Value     []byte
-	Tombstone bool
-}
+// CommitHook observes every committed WAL record in WAL order: ops is the
+// record's n op bodies, back to back in WAL layout (ForEachOp walks
+// them). It is called under the DB's write lock — immediately after the
+// record is logged and applied to the memtable, before the next write can
+// start — so the sequence of hook invocations is exactly the WAL sequence.
+// ops is the memtable's own copy, which nothing ever writes to again: the
+// hook may keep it without copying, but must not modify it. The hook must
+// be fast and must not call back into the DB. It may return a non-nil
+// wait func, which the writer runs after releasing the DB locks (and
+// after its own durability wait): this is where a synchronous replication
+// ack blocks without stalling other writers. ctx is the writer's request
+// context (trace/span propagation); it may be nil for untraced writes and
+// must not be retained past the wait func.
+type CommitHook func(ctx context.Context, ops []byte, n int) (wait func() error)
 
-// CommitHook observes every committed mutation in WAL order. It is
-// called under the DB's write lock — immediately after the record is
-// logged and applied to the memtable, before the next write can start —
-// so the sequence of hook invocations is exactly the WAL sequence. The
-// hook must be fast and must not call back into the DB. It may return a
-// non-nil wait func, which the writer runs after releasing the DB locks
-// (and after its own durability wait): this is where a synchronous
-// replication ack blocks without stalling other writers. ctx is the
-// writer's request context (trace/span propagation); it may be nil for
-// untraced writes and must not be retained past the wait func.
-type CommitHook func(ctx context.Context, muts []Mutation) (wait func() error)
-
-// SetCommitHook installs (or, with nil, removes) the commit hook. A
-// batch delivers all its mutations in one call.
+// SetCommitHook installs (or, with nil, removes) the commit hook.
 func (db *DB) SetCommitHook(h CommitHook) {
 	db.writeMu.Lock()
 	db.hook = h
@@ -279,7 +271,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	// Replay mutations that were logged but never flushed, then resume the
 	// log where the intact records end.
 	end, err := replayWAL(db.walPath(), func(ops []byte, n int) {
-		forEachOp(ops, n, db.mem.put)
+		ForEachOp(ops, n, db.mem.put)
 	})
 	if err != nil {
 		return nil, err
@@ -335,7 +327,7 @@ func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) err
 	}
 	seq := db.walSeq.Add(1)
 	db.mu.Lock()
-	forEachOp(ops, n, func(key, value []byte, tombstone bool) {
+	ForEachOp(ops, n, func(key, value []byte, tombstone bool) {
 		if tombstone {
 			db.stats.deletes.Add(1)
 		} else {
@@ -355,11 +347,7 @@ func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) err
 	// released and the local durability wait is done.
 	var wait func() error
 	if db.hook != nil {
-		muts := make([]Mutation, 0, n)
-		forEachOp(ops, n, func(key, value []byte, tombstone bool) {
-			muts = append(muts, Mutation{Key: key, Value: value, Tombstone: tombstone})
-		})
-		wait = db.hook(ctx, muts)
+		wait = db.hook(ctx, ops, n)
 	}
 	committer := db.committer
 	db.writeMu.Unlock()
@@ -516,6 +504,23 @@ func (b *Batch) Delete(key []byte) {
 
 // Len returns the number of mutations in the batch.
 func (b *Batch) Len() int { return b.n }
+
+// Ops returns the batch as the record it will be: its n op bodies in WAL
+// layout, aliasing the batch.
+func (b *Batch) Ops() (ops []byte, n int) { return b.ops, b.n }
+
+// AppendOps adds a record received from elsewhere — n op bodies in WAL
+// layout, bytes off a socket as far as the batch knows — after checking
+// that they parse and fill ops exactly, and that there is at least one.
+// ops is copied; a record that fails the check adds nothing.
+func (b *Batch) AppendOps(ops []byte, n int) error {
+	if n < 1 || !ForEachOp(ops, n, nil) {
+		return fmt.Errorf("kvstore: malformed record of %d ops in %d bytes", n, len(ops))
+	}
+	b.ops = append(b.ops, ops...)
+	b.n += n
+	return nil
+}
 
 // ApplyBatch applies every mutation in b atomically: either all of them
 // survive a crash or none do. The store keeps the batch's bytes, so b is

@@ -144,11 +144,13 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// forEachOp walks n op bodies laid out back to back in ops — the layout
-// WAL records, batches and SSTable entries share, hence decodeEntry — and
-// reports whether they parse and fill ops exactly. key and value alias
-// ops.
-func forEachOp(ops []byte, n int, fn func(key, value []byte, tombstone bool)) bool {
+// ForEachOp walks n op bodies laid out back to back in ops — the layout
+// WAL records, batches, commit-hook records and SSTable entries share,
+// hence decodeEntry — and reports whether they parse and fill ops
+// exactly. key and value alias ops; fn may be nil (a pure check). It is
+// the one op decoder: replay, the memtable insert, replication and
+// migration all read records through it.
+func ForEachOp(ops []byte, n int, fn func(key, value []byte, tombstone bool)) bool {
 	for ; n > 0; n-- {
 		key, value, tombstone, size, err := decodeEntry(ops)
 		if err != nil {
@@ -221,7 +223,7 @@ func replayWAL(path string, apply func(ops []byte, n int)) (end int64, err error
 			break
 		}
 		ops, count, ok := recordOps(payload)
-		if !ok || !forEachOp(ops, count, nil) {
+		if !ok || !ForEachOp(ops, count, nil) {
 			break
 		}
 		apply(ops, count)

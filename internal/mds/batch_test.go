@@ -44,6 +44,7 @@ func TestBatchApplyPerOpValidation(t *testing.T) {
 		EncodeBatchRemove(4, root, "missing"), // never existed
 		EncodeBatchCreate(5, root, "d", namespace.TypeDir),
 	}
+	before := s.store.db.Stats().Batches
 	res := batchCall(t, s, 7, subs)
 	if res[0].Err != nil || res[0].Inode == nil || res[0].Inode.Name != "a" {
 		t.Errorf("op 0: %+v", res[0])
@@ -67,7 +68,7 @@ func TestBatchApplyPerOpValidation(t *testing.T) {
 		}
 	}
 	// The whole frame was one atomic kvstore record.
-	if batches := s.store.db.Stats().Batches; batches != 1 {
+	if batches := s.store.db.Stats().Batches - before; batches != 1 {
 		t.Errorf("%d kvstore batch records for one frame, want 1", batches)
 	}
 }

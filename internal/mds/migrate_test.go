@@ -285,6 +285,62 @@ func TestMigratePrepareTimeoutAutoAborts(t *testing.T) {
 	}
 }
 
+// TestMigrateCommitIsOneWALRecord pins the source's crash atomicity: the
+// commit deletes every key of the subtree and puts the fake-inode in ONE
+// WAL batch record, so a crash keeps the whole subtree or only the
+// redirect, never part of a subtree with no redirect to its new home.
+func TestMigrateCommitIsOneWALRecord(t *testing.T) {
+	src, _ := twoServices(t)
+	d := mustCreate(t, src, namespace.RootIno, "proj", namespace.TypeDir)
+	sub := mustCreate(t, src, d.Ino, "sub", namespace.TypeDir)
+	mustCreate(t, src, d.Ino, "f1", namespace.TypeFile)
+	mustCreate(t, src, sub.Ino, "f2", namespace.TypeFile)
+	var w rpc.Wire
+	w.U64(uint64(d.Ino)).U32(1)
+	if _, err := src.handleMigratePrepare(w.Bytes()); err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	before := src.store.DBStats()
+	var cw rpc.Wire
+	cw.U64(uint64(d.Ino))
+	if _, err := src.handleMigrateCommit(cw.Bytes()); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	after := src.store.DBStats()
+	if n := after.Batches - before.Batches; n != 1 {
+		t.Errorf("commit wrote %d batch records, want 1", n)
+	}
+	if puts, dels := after.Puts-before.Puts, after.Deletes-before.Deletes; puts != 1 || dels != 4 {
+		t.Errorf("commit wrote %d puts and %d deletes, want the fake and the 4 keys of the subtree", puts, dels)
+	}
+	if in, found, _ := src.store.Getattr(d.Ino); !found || in.Type != namespace.TypeFake {
+		t.Errorf("root ino after commit = %+v (found=%v), want the fake", in, found)
+	}
+}
+
+// TestIngestRefusesMetadataKeys: a migration record may carry only
+// namespace entries; one holding a metadata key (which would clobber the
+// destination's ino watermark or partition map) is refused before any of
+// it applies.
+func TestIngestRefusesMetadataKeys(t *testing.T) {
+	s := localService(t)
+	in := &namespace.Inode{Ino: 77, Parent: namespace.RootIno, Name: "f", Type: namespace.TypeFile}
+	var b kvstore.Batch
+	addSubtree(&b, []*namespace.Inode{in}, true)
+	b.Put(metaNextInoKey, []byte{0, 0, 0, 0, 0, 0, 0, 1})
+	var w rpc.Wire
+	ops, n := b.Ops()
+	AppendRecordList(&w, 1)
+	AppendRecord(&w, ops, n)
+	before := s.store.DBStats().Batches
+	if _, err := callCtx(infoCtx(s.handleIngest), w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
+		t.Fatalf("ingest of a metadata key: err = %v, want EINVAL", err)
+	}
+	if got := s.store.DBStats().Batches; got != before || s.store.HasIno(77) {
+		t.Errorf("a refused record applied: batches %d -> %d, ino indexed %v", before, got, s.store.HasIno(77))
+	}
+}
+
 func TestMigrateCommitWithoutPrepare(t *testing.T) {
 	src, _ := twoServices(t)
 	d := mustCreate(t, src, namespace.RootIno, "proj", namespace.TypeDir)

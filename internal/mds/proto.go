@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"origami/internal/kvstore"
 	"origami/internal/namespace"
 	"origami/internal/rpc"
 )
@@ -17,6 +18,8 @@ const (
 	MethodReaddir
 	MethodStats
 	MethodDump
+	// MethodIngest carries a record list of puts: the copy a migration
+	// prepare ships to its destination.
 	MethodIngest
 	MethodGetMap
 	MethodSetMap
@@ -26,8 +29,9 @@ const (
 	MethodMigratePrepare
 	MethodMigrateCommit
 	MethodMigrateAbort
-	// MethodEvict removes a shipped-but-uncommitted subtree copy from a
-	// migration destination (the rollback half of MethodMigrateAbort).
+	// MethodEvict carries a record list of deletes that removes a
+	// shipped-but-uncommitted subtree copy from a migration destination
+	// (the rollback half of MethodMigrateAbort).
 	MethodEvict
 	// MethodMetrics returns the MDS's telemetry registry snapshot as
 	// JSON (the RPC twin of the HTTP /metrics admin endpoint, for
@@ -156,15 +160,40 @@ func appendInodeBlob(w *rpc.Wire, in *namespace.Inode) {
 	w.Set(namespace.AppendInode(w.Bytes(), in))
 }
 
-// encodeInodesResp writes a list of inodes as a request body (migration
-// ingest and evict ship subtrees this way).
-func encodeInodesResp(ins []*namespace.Inode) []byte {
-	var w rpc.Wire
-	w.U32(uint32(len(ins)))
-	for _, in := range ins {
-		appendInodeBlob(&w, in)
+// A record list is the one wire form of store state — replication
+// appends and snapshot chunks, migration ingest and evict: a count, then
+// per record its op count and its op bodies (WAL layout) as a blob.
+//
+//	[4B records] records × ([4B ops][4B len][op bodies])
+
+// AppendRecordList opens a record list of count records on w; each
+// record then follows as an AppendRecord.
+func AppendRecordList(w *rpc.Wire, count int) { w.U32(uint32(count)) }
+
+// AppendRecord appends one record of n op bodies to w.
+func AppendRecord(w *rpc.Wire, ops []byte, n int) { w.U32(uint32(n)).Blob(ops) }
+
+// DecodeRecords reads the record list that ends r's body into b, checking
+// every record (kvstore.Batch.AppendOps, which copies) and that nothing
+// trails the list, and returns how many records it held. On error b may
+// hold a prefix of the list and must be discarded.
+func DecodeRecords(r *rpc.Reader, b *kvstore.Batch) (int, error) {
+	count := int(r.U32())
+	for i := 0; i < count && r.Err() == nil; i++ {
+		n := int(r.U32())
+		if ops := r.Blob(); r.Err() == nil {
+			if err := b.AppendOps(ops, n); err != nil {
+				return 0, err
+			}
+		}
 	}
-	return w.Bytes()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if r.Remaining() != 0 {
+		return 0, fmt.Errorf("%d bytes trail the record list", r.Remaining())
+	}
+	return count, nil
 }
 
 // DecodeInodesResp parses a multi-inode response.

@@ -1,20 +1,26 @@
 package mds
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+
 	"origami/internal/kvstore"
 	"origami/internal/namespace"
 )
 
-// Replication-facing Store methods. A backup MDS keeps a warm replica
-// Store per primary it protects: the shipper on the primary taps the
-// kvstore commit hook and streams every mutation here, where
-// ApplyReplicated replays it. On failover the promotee absorbs the
-// replica into its own serving store and starts answering for the dead
-// primary's subtrees.
+// State leaves a store only as WAL records: the commit hook hands every
+// committed record to the replication shipper, snapshot chunks and
+// migration copies are records of puts, a migration's eviction and its
+// commit are records of deletes. Whatever arrives, from a socket or from
+// a replica being promoted, is applied by ApplyRecord — one atomic batch
+// with the ino index kept in step.
 
 // SetCommitHook installs h on the underlying kvstore so every committed
-// mutation (creates, removes, renames, attr updates, meta records) is
-// observed in WAL order. Used by the replication shipper.
+// record (creates, removes, renames, attr updates, meta records) is
+// observed in WAL order. Used by the replication fan-out.
 func (s *Store) SetCommitHook(h kvstore.CommitHook) {
 	s.db.SetCommitHook(h)
 }
@@ -46,131 +52,143 @@ func (s *Store) WipeForInstall() error {
 	return s.db.Wipe()
 }
 
-// applyReplicatedChunk is the batch stride of ApplyReplicated callers
-// that stream large pair sets (snapshot install, promotion absorb): one
-// WAL record — and in sync-replication mode one downstream ack wait —
-// per chunk instead of per pair.
-const applyReplicatedChunk = 512
+// ErrBadRecord reports a record ApplyRecord refused whole: an op whose
+// key is neither a metadata key nor a (parent, name) key, or a put whose
+// value is not the inode that key names.
+var ErrBadRecord = errors.New("mds: bad record")
 
-// ApplyReplicated applies a batch of replicated mutations: one atomic
-// kvstore batch plus the ino-index maintenance the normal request path
-// does inline. Metadata keys (0xff prefix) are applied to the store
-// verbatim, keeping replicas byte-identical to their primary, but are
-// never indexed. Replay is idempotent — puts are last-writer-wins and
-// deletes of absent keys are no-ops — so a resync may double-apply
-// safely.
+// isMetaKey reports whether key is a store-internal metadata key.
+func isMetaKey(key []byte) bool { return len(key) > 0 && key[0] == 0xff }
+
+// binding is one inode's entry in the ino index.
+type binding struct {
+	ino namespace.Ino
+	ref inoRef
+}
+
+// ApplyRecord applies b — whole WAL records from another store — as ONE
+// atomic kvstore batch, keeping the ino index in step. Every op is
+// checked before anything is applied: a key is a metadata key (0xff
+// prefix; written verbatim and never indexed, which keeps replicas
+// byte-identical to their primary) or a (parent, name) key, and a put
+// under a (parent, name) key must carry the inode that key names.
+// Otherwise nothing applies and the error wraps ErrBadRecord.
 //
-// It takes no stripe locks: the callers are replica stores with no
-// request traffic, and promotion absorbs, whose directories are not yet
-// served (the cluster map still points at the dead primary until the
-// coordinator publishes the post-failover map).
-func (s *Store) ApplyReplicated(muts []kvstore.Mutation) error {
-	if len(muts) == 0 {
-		return nil
-	}
-	type indexOp struct {
-		ino namespace.Ino
-		ref inoRef
-		del bool
-	}
-	var idx []indexOp
-	// pending tracks puts earlier in this same batch so a later delete of
-	// the key deindexes the right ino (the db read below only sees
-	// pre-batch state).
-	pending := make(map[string]namespace.Ino)
-	b := &kvstore.Batch{}
-	for _, m := range muts {
-		if len(m.Key) > 0 && m.Key[0] == 0xff { // metadata keys: store only
-			if m.Tombstone {
-				b.Delete(m.Key)
-			} else {
-				b.Put(m.Key, m.Value)
+// It takes the stripes of every parent the record touches, so it runs
+// beside request traffic (a migration destination keeps serving). The
+// index follows the keys: what each held before the record is unbound,
+// what each holds after it is bound — so a put over an entry unbinds the
+// ino it replaced, and a put then a delete of one key leaves nothing
+// bound. Replay is idempotent (puts are last-writer-wins, deletes of
+// absent keys no-ops), so a resync may double-apply safely. Once the
+// checks pass the store keeps b's bytes, and b is left empty.
+func (s *Store) ApplyRecord(ctx context.Context, b *kvstore.Batch) error {
+	ops, n := b.Ops()
+	var set stripeSet
+	var bad error
+	kvstore.ForEachOp(ops, n, func(key, value []byte, tombstone bool) {
+		if bad != nil || isMetaKey(key) {
+			return
+		}
+		if len(key) < 8 {
+			bad = fmt.Errorf("%w: key %x is not a (parent, name) key", ErrBadRecord, key)
+			return
+		}
+		parent := namespace.Ino(binary.BigEndian.Uint64(key))
+		if !tombstone {
+			var in namespace.Inode
+			name, err := namespace.DecodeInodeInto(&in, value)
+			if err == nil && (in.Parent != parent || !bytes.Equal(name, key[8:])) {
+				err = fmt.Errorf("inode %d at (%d, %q)", in.Ino, in.Parent, name)
 			}
-			continue
-		}
-		parent, name, kerr := namespace.DecodeKey(m.Key)
-		if m.Tombstone {
-			b.Delete(m.Key)
-			if kerr != nil {
-				continue
+			if err != nil {
+				bad = fmt.Errorf("%w: value under (%d, %q): %v", ErrBadRecord, parent, key[8:], err)
+				return
 			}
-			// Deindex whatever ino currently sits at the key.
-			gone := inoRef{parent: parent, name: name}
-			if ino, ok := pending[string(m.Key)]; ok {
-				delete(pending, string(m.Key))
-				idx = append(idx, indexOp{ino: ino, ref: gone, del: true})
-			} else if v, found, err := s.db.Get(m.Key); err == nil && found {
-				if in, derr := namespace.DecodeInode(v); derr == nil {
-					idx = append(idx, indexOp{ino: in.Ino, ref: gone, del: true})
-				}
-			}
-			continue
 		}
-		b.Put(m.Key, m.Value)
-		if kerr != nil {
-			continue
-		}
-		if in, derr := namespace.DecodeInode(m.Value); derr == nil {
-			pending[string(m.Key)] = in.Ino
-			idx = append(idx, indexOp{
-				ino: in.Ino,
-				ref: inoRef{parent: parent, name: name, isDir: in.IsDir()},
-			})
-		}
+		set.add(parent)
+	})
+	if bad != nil {
+		return bad
 	}
-	if err := s.db.ApplyBatch(b); err != nil {
+	s.lockStripes(set)
+	defer s.unlockStripes(set)
+	var beforeBuf, afterBuf [2]binding
+	before, err := s.bindingsAt(ops, n, beforeBuf[:0])
+	if err == nil {
+		err = s.db.ApplyBatchCtx(ctx, b)
+	}
+	var after []binding
+	if err == nil {
+		after, err = s.bindingsAt(ops, n, afterBuf[:0])
+	}
+	if err != nil {
 		return err
 	}
 	s.inoMu.Lock()
-	for _, op := range idx {
-		if op.del {
-			s.unindexLocked(op.ino, op.ref.parent, op.ref.name)
-		} else {
-			s.byIno[op.ino] = op.ref
-		}
+	for _, g := range before {
+		s.unindexLocked(g.ino, g.ref.parent, g.ref.name)
+	}
+	for _, g := range after {
+		s.byIno[g.ino] = g.ref
 	}
 	s.inoMu.Unlock()
 	return nil
 }
 
-// AbsorbFrom merges every inode record of src into this serving store —
-// the promotion step that turns a warm replica into served metadata.
-// Metadata keys are skipped: the promotee keeps its own allocation
-// watermark and pin map, and ino ranges are disjoint per MDS (id << 48)
-// so absorbed inodes can never collide with locally allocated ones.
-// Returns the number of inode records absorbed.
-func (s *Store) AbsorbFrom(src *Store) (int, error) {
-	absorbed := 0
-	chunk := make([]kvstore.Mutation, 0, applyReplicatedChunk)
-	var applyErr error
-	err := src.SnapshotPairs(func(k, v []byte) bool {
-		if len(k) > 0 && k[0] == 0xff {
-			return true
+// bindingsAt appends to dst the binding of the inode each (parent, name)
+// key of a record holds in the store now. Caller holds the keys' stripes.
+func (s *Store) bindingsAt(ops []byte, n int, dst []binding) ([]binding, error) {
+	var err error
+	kvstore.ForEachOp(ops, n, func(key, _ []byte, _ bool) {
+		if err != nil || isMetaKey(key) {
+			return
 		}
-		chunk = append(chunk, kvstore.Mutation{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-		if len(chunk) >= applyReplicatedChunk {
-			if applyErr = s.ApplyReplicated(chunk); applyErr != nil {
-				return false
+		var vb [recordScratch]byte
+		var v []byte
+		var found bool
+		var in namespace.Inode
+		if v, found, err = s.db.GetInto(key, vb[:0]); found {
+			if _, derr := namespace.DecodeInodeInto(&in, v); derr == nil {
+				ref := inoRef{parent: namespace.Ino(binary.BigEndian.Uint64(key)), name: string(key[8:]), isDir: in.IsDir()}
+				dst = append(dst, binding{ino: in.Ino, ref: ref})
 			}
-			absorbed += len(chunk)
-			chunk = chunk[:0]
 		}
-		return true
 	})
-	if err == nil {
-		err = applyErr
+	return dst, err
+}
+
+// absorbChunk is the record size of a promotion: one WAL record — and in
+// sync-replication mode one downstream ack wait — per chunk of puts.
+const absorbChunk = 512
+
+// AbsorbFrom merges every inode record of src into this serving store —
+// the promotion step that turns a warm replica into served metadata — as
+// records of absorbChunk puts through ApplyRecord. Metadata keys are
+// skipped: the promotee keeps its own allocation watermark and pin map,
+// and ino ranges are disjoint per MDS (id << 48) so absorbed inodes can
+// never collide with locally allocated ones. Returns the number of inode
+// records absorbed.
+func (s *Store) AbsorbFrom(src *Store) (absorbed int, err error) {
+	var b kvstore.Batch
+	apply := func() {
+		absorbed += b.Len()
+		err = s.ApplyRecord(nil, &b)
 	}
-	if err != nil {
-		return absorbed, err
-	}
-	if len(chunk) > 0 {
-		if err := s.ApplyReplicated(chunk); err != nil {
-			return absorbed, err
+	scanErr := src.SnapshotPairs(func(k, v []byte) bool {
+		if !isMetaKey(k) {
+			b.Put(k, v)
 		}
-		absorbed += len(chunk)
+		if b.Len() == absorbChunk {
+			apply()
+		}
+		return err == nil
+	})
+	if err == nil && b.Len() > 0 {
+		apply()
 	}
-	return absorbed, nil
+	if scanErr != nil {
+		return absorbed, scanErr
+	}
+	return absorbed, err
 }

@@ -129,7 +129,7 @@ func (s *Service) spanTracer() *telemetry.Tracer {
 // Tracer returns the shard's span tracer (nil when none installed).
 func (s *Service) Tracer() *telemetry.Tracer { return s.spanTracer() }
 
-// AddBuildFeature records an enabled feature flag ("replication-sync",
+// AddBuildFeature records an enabled feature flag ("replication",
 // "online-learning") for the MethodBuildInfo report.
 func (s *Service) AddBuildFeature(f string) {
 	s.featMu.Lock()
@@ -250,11 +250,11 @@ func (s *Service) Serve(addr string) (string, error) {
 	srv.HandleInfo(MethodBatch, s.frozen("batch", nil, s.handleBatch))
 	srv.Handle(MethodStats, s.handleStats)
 	srv.Handle(MethodDump, s.handleDump)
-	srv.Handle(MethodIngest, s.handleIngest)
+	srv.HandleInfo(MethodIngest, s.handleIngest)
 	srv.Handle(MethodMigratePrepare, s.handleMigratePrepare)
 	srv.Handle(MethodMigrateCommit, s.handleMigrateCommit)
 	srv.Handle(MethodMigrateAbort, s.handleMigrateAbort)
-	srv.Handle(MethodEvict, s.handleEvict)
+	srv.HandleInfo(MethodEvict, s.handleIngest)
 	srv.Handle(MethodGetMap, s.handleGetMap)
 	srv.Handle(MethodSetMap, s.handleSetMap)
 	srv.HandleInfo(MethodResolvePath, s.timed("resolve_path", s.handleResolvePath))
@@ -723,32 +723,66 @@ func (s *Service) handleDump(body []byte) ([]byte, error) {
 	return EncodeDump(st, rows), nil
 }
 
-func (s *Service) handleIngest(body []byte) ([]byte, error) {
-	ins, err := DecodeInodesResp(body)
-	if err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
+// handleIngest serves both halves of a migration's data movement: the
+// record list of MethodIngest (a prepare's copy, puts) and of MethodEvict
+// (its rollback, deletes) goes through the store's one record apply. A
+// migration moves namespace entries only, so a record holding a metadata
+// key is refused whole before anything applies — a shipped copy can never
+// overwrite the destination's ino watermark or partition map. ApplyRecord
+// checks every other op.
+func (s *Service) handleIngest(_ rpc.CallInfo, body []byte, _ *rpc.Wire) error {
+	var b kvstore.Batch
+	if _, err := DecodeRecords(rpc.NewReader(body), &b); err != nil {
+		return CodedError(CodeInvalid, "%v", err)
 	}
-	for _, in := range ins {
-		if err := s.store.Put(in); err != nil {
-			return nil, err
-		}
+	meta := false
+	ops, n := b.Ops()
+	kvstore.ForEachOp(ops, n, func(key, _ []byte, _ bool) { meta = meta || isMetaKey(key) })
+	if meta {
+		return CodedError(CodeInvalid, "migration record holds a metadata key")
 	}
-	return nil, nil
+	err := s.store.ApplyRecord(nil, &b)
+	if errors.Is(err, ErrBadRecord) {
+		return CodedError(CodeInvalid, "%v", err)
+	}
+	return err
 }
 
-// shipInodes pushes a batch-bounded inode stream to a peer.
-func shipInodes(peer *rpc.Client, method rpc.Method, inos []*namespace.Inode) error {
-	const batch = 512
-	for i := 0; i < len(inos); i += batch {
-		end := i + batch
-		if end > len(inos) {
-			end = len(inos)
-		}
-		if _, err := peer.Call(method, encodeInodesResp(inos[i:end])); err != nil {
+// migrateChunk bounds a migration record: a prepare ships its subtree,
+// and a rollback evicts it, in records of at most this many ops.
+const migrateChunk = 512
+
+// shipSubtree sends a collected subtree to a peer as records of at most
+// migrateChunk ops: puts of every inode for MethodIngest, deletes of
+// every key for MethodEvict.
+func shipSubtree(peer *rpc.Client, method rpc.Method, inos []*namespace.Inode) error {
+	for i := 0; i < len(inos); i += migrateChunk {
+		var b kvstore.Batch
+		addSubtree(&b, inos[i:min(i+migrateChunk, len(inos))], method == MethodIngest)
+		var w rpc.Wire
+		ops, n := b.Ops()
+		AppendRecordList(&w, 1)
+		AppendRecord(&w, ops, n)
+		if _, err := peer.Call(method, w.Bytes()); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// addSubtree adds to b a put of every inode of a collected subtree, or —
+// put false — a delete of every one's key.
+func addSubtree(b *kvstore.Batch, inos []*namespace.Inode, put bool) {
+	var kb [keyScratch]byte
+	var vb [recordScratch]byte
+	for _, in := range inos {
+		k := namespace.AppendKey(kb[:0], in.Parent, in.Name)
+		if put {
+			b.Put(k, namespace.AppendInode(vb[:0], in))
+		} else {
+			b.Delete(k)
+		}
+	}
 }
 
 // handleMigratePrepare is phase one of a two-phase migration: freeze the
@@ -788,7 +822,7 @@ func (s *Service) handleMigratePrepare(body []byte) ([]byte, error) {
 	}
 	peer, err := s.peers(destID)
 	if err == nil {
-		err = shipInodes(peer, MethodIngest, inos)
+		err = shipSubtree(peer, MethodIngest, inos)
 	}
 	if err != nil {
 		// Roll back whatever partial copy landed on the destination.
@@ -839,16 +873,18 @@ func (s *Service) handleMigrateCommit(body []byte) ([]byte, error) {
 		return nil, CodedError(CodeInvalid, "no prepared migration for subtree %d on MDS %d", root, s.ID)
 	}
 	defer s.opMu.Unlock()
-	if err := s.store.RemoveSubtree(p.inos); err != nil {
-		return nil, err
-	}
-	// Leave a fake-inode behind (§3.1): the boundary dirent stays
-	// resolvable on the source and records the destination MDS in Size,
-	// so clients with stale maps follow the redirect.
+	// One record deletes every key of the subtree and leaves a fake-inode
+	// behind (§3.1): the boundary dirent stays resolvable on the source
+	// and records the destination MDS in Size, so clients with stale maps
+	// follow the redirect. A crash keeps the whole subtree or only the
+	// redirect, never half a subtree without one.
 	fake := *p.inos[0]
 	fake.Type = namespace.TypeFake
 	fake.Size = int64(p.dest)
-	if err := s.store.Put(&fake); err != nil {
+	var b kvstore.Batch
+	addSubtree(&b, p.inos, false)
+	addSubtree(&b, []*namespace.Inode{&fake}, true)
+	if err := s.store.ApplyRecord(nil, &b); err != nil {
 		return nil, err
 	}
 	// Commit point: the subtree now lives on the destination, so its
@@ -897,19 +933,7 @@ func (s *Service) abortPrepared(root namespace.Ino) {
 // (best-effort rollback; the destination never served them, because the
 // partition map was never repointed).
 func (s *Service) evictFrom(peer *rpc.Client, inos []*namespace.Inode) {
-	_ = shipInodes(peer, MethodEvict, inos)
-}
-
-// handleEvict removes a shipped-but-uncommitted subtree copy.
-func (s *Service) handleEvict(body []byte) ([]byte, error) {
-	ins, err := DecodeInodesResp(body)
-	if err != nil {
-		return nil, CodedError(CodeInvalid, "%v", err)
-	}
-	if err := s.store.RemoveSubtree(ins); err != nil {
-		return nil, err
-	}
-	return nil, nil
+	_ = shipSubtree(peer, MethodEvict, inos)
 }
 
 func (s *Service) handleGetMap(body []byte) ([]byte, error) {

@@ -32,6 +32,28 @@ func callCtx(h ctxHandler, body []byte) ([]byte, error) {
 	return resp.Bytes(), nil
 }
 
+// infoCtx adapts an rpc.InfoHandler to callCtx.
+func infoCtx(h rpc.InfoHandler) ctxHandler {
+	return func(_ context.Context, body []byte, resp *rpc.Wire) error {
+		return h(rpc.CallInfo{}, body, resp)
+	}
+}
+
+// commitRecord applies, through the store's one record apply, what a
+// migration commit writes: a delete of every key of a collected subtree
+// and, when fake is set, the fake-inode redirect at its root.
+func commitRecord(t *testing.T, st *Store, inos []*namespace.Inode, fake *namespace.Inode) {
+	t.Helper()
+	var b kvstore.Batch
+	addSubtree(&b, inos, false)
+	if fake != nil {
+		addSubtree(&b, []*namespace.Inode{fake}, true)
+	}
+	if err := st.ApplyRecord(nil, &b); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Shorthands for the sub-ops the tests send; the SDK states them as SubOp
 // values.
 
@@ -91,7 +113,7 @@ func TestHandlersRejectTruncatedBodies(t *testing.T) {
 		"batch":           noCtx(s.handleBatch),
 		"migrate_prepare": s.handleMigratePrepare,
 		"migrate_commit":  s.handleMigrateCommit,
-		"ingest":          s.handleIngest,
+		"ingest":          noCtx(infoCtx(s.handleIngest)),
 		"setmap":          s.handleSetMap,
 	}
 	for name, h := range handlers {
@@ -210,15 +232,10 @@ func TestLookupOnFakeRedirects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.store.RemoveSubtree(inos); err != nil {
-		t.Fatal(err)
-	}
 	fake := *inos[0]
 	fake.Type = namespace.TypeFake
 	fake.Size = 2 // destination MDS
-	if err := s.store.Put(&fake); err != nil {
-		t.Fatal(err)
-	}
+	commitRecord(t, s.store, inos, &fake)
 	// Lookup of the moved dir itself returns the fake (the client
 	// follows the redirect).
 	var w rpc.Wire

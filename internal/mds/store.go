@@ -227,22 +227,13 @@ func (s *Store) AllocIno() namespace.Ino {
 	return namespace.Ino(ino)
 }
 
-// Put installs (or replaces) an inode record unconditionally: the
-// migration-ingest path (and the root and fake-inode bootstrap). Client
+// Put installs (or replaces) an inode record unconditionally — the root's
+// bootstrap — as a record of one put through ApplyRecord. Client
 // mutations go through applyBatchOps for their atomic checks.
 func (s *Store) Put(in *namespace.Inode) error {
-	mu := s.stripe(in.Parent)
-	mu.Lock()
-	defer mu.Unlock()
-	var kb [keyScratch]byte
-	var vb [recordScratch]byte
-	if err := s.db.Put(namespace.AppendKey(kb[:0], in.Parent, in.Name), namespace.AppendInode(vb[:0], in)); err != nil {
-		return err
-	}
-	s.inoMu.Lock()
-	s.byIno[in.Ino] = inoRef{parent: in.Parent, name: in.Name, isDir: in.IsDir()}
-	s.inoMu.Unlock()
-	return nil
+	var b kvstore.Batch
+	addSubtree(&b, []*namespace.Inode{in}, true)
+	return s.ApplyRecord(nil, &b)
 }
 
 // keyScratch and recordScratch size the stack buffers keys and inode
@@ -390,25 +381,6 @@ func (s *Store) Getattr(ino namespace.Ino) (*namespace.Inode, bool, error) {
 	return &in, true, nil
 }
 
-// Delete removes the entry name under parent with no emptiness check
-// (migration rollback/removal path; applyBatchOps is the request path).
-func (s *Store) Delete(parent namespace.Ino, name string) error {
-	mu := s.stripe(parent)
-	mu.Lock()
-	defer mu.Unlock()
-	in, found, err := s.getLocked(parent, name)
-	if err != nil {
-		return err
-	}
-	if found {
-		s.inoMu.Lock()
-		s.unindexLocked(in.Ino, parent, name)
-		s.inoMu.Unlock()
-	}
-	var kb [keyScratch]byte
-	return s.db.Delete(namespace.AppendKey(kb[:0], parent, name))
-}
-
 // unindexLocked drops ino from the index if it is still bound to
 // (parent, name). An ino bound elsewhere since keeps that live binding:
 // when a cross-shard rename's destination directory migrates onto the
@@ -510,8 +482,8 @@ func (s *Store) dirRows() []DumpRow {
 
 // CollectSubtree gathers every inode in the subtree rooted at root that
 // this shard holds, in breadth-first order — the migration source's copy
-// set. Callers run under the Service's exclusive migration freeze, so
-// the walk sees a quiesced shard.
+// set (collected under the Service's exclusive migration freeze, so the
+// walk sees a quiesced shard) and a subtree replica's snapshot.
 func (s *Store) CollectSubtree(root namespace.Ino) ([]*namespace.Inode, error) {
 	rootIn, ok, err := s.Getattr(root)
 	if err != nil {
@@ -539,54 +511,21 @@ func (s *Store) CollectSubtree(root namespace.Ino) ([]*namespace.Inode, error) {
 	return out, nil
 }
 
-// SnapshotSubtree streams the encoded (key, value) pairs of the subtree
-// rooted at root to emit, in breadth-first order — the bootstrap export
-// of a subtree replication unit. Unlike CollectSubtree it does not
-// require a quiesced shard: each directory is read under its stripe, and
-// mutations racing the walk are caught by the replication tail (replay
-// is idempotent, and the shipper buffers the tail across the export).
-// Returning false from emit aborts the walk.
+// SnapshotSubtree hands emit the encoded (key, value) pair of every inode
+// of the subtree rooted at root, in CollectSubtree's order — the
+// bootstrap export of a subtree replication unit. It needs no quiesced
+// shard: each directory is read under its stripe, and mutations racing
+// the walk are caught by the replication tail (replay is idempotent, and
+// the shipper buffers the tail across the export). Returning false from
+// emit stops it.
 func (s *Store) SnapshotSubtree(root namespace.Ino, emit func(k, v []byte) bool) error {
-	rootIn, ok, err := s.Getattr(root)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("mds: subtree root %d not on this shard", root)
-	}
-	if !emit(namespace.EncodeKey(rootIn.Parent, rootIn.Name), namespace.EncodeInode(rootIn)) {
-		return nil
-	}
-	queue := []namespace.Ino{root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		children, err := s.ReadDir(cur)
-		if err != nil {
-			return err
-		}
-		for _, in := range children {
-			if !emit(namespace.EncodeKey(in.Parent, in.Name), namespace.EncodeInode(in)) {
-				return nil
-			}
-			if in.IsDir() {
-				queue = append(queue, in.Ino)
-			}
-		}
-	}
-	return nil
-}
-
-// RemoveSubtree deletes every inode of the subtree from this shard (after
-// a successful migration hand-off). The subtree root's own dirent is
-// removed as well.
-func (s *Store) RemoveSubtree(inos []*namespace.Inode) error {
+	inos, err := s.CollectSubtree(root)
 	for _, in := range inos {
-		if err := s.Delete(in.Parent, in.Name); err != nil {
-			return err
+		if !emit(namespace.EncodeKey(in.Parent, in.Name), namespace.EncodeInode(in)) {
+			break
 		}
 	}
-	return nil
+	return err
 }
 
 // SavePinMap durably records the serialised partition map (MDS 0 is the

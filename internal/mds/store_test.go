@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestStoreReadDir(t *testing.T) {
 func TestStoreDelete(t *testing.T) {
 	s := openTestStore(t, 0)
 	s.Put(&namespace.Inode{Ino: 7, Parent: 1, Name: "x", Type: namespace.TypeFile})
-	if err := s.Delete(1, "x"); err != nil {
+	if _, err := s.RemoveEntry(1, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if _, found, _ := s.Lookup(1, "x"); found {
@@ -121,13 +122,100 @@ func TestStoreCollectSubtree(t *testing.T) {
 	if inos[0].Ino != 2 {
 		t.Errorf("first collected = %d, want subtree root", inos[0].Ino)
 	}
-	if err := s.RemoveSubtree(inos); err != nil {
-		t.Fatal(err)
-	}
+	commitRecord(t, s, inos, nil)
 	for _, in := range []namespace.Ino{2, 3, 4, 5} {
 		if s.HasIno(in) {
-			t.Errorf("ino %d survived RemoveSubtree", in)
+			t.Errorf("ino %d survived the subtree's delete record", in)
 		}
+	}
+}
+
+// record builds a kvstore batch from puts (an inode) and deletes (a
+// (parent, name) key) — a record as another store would ship it.
+func record(ops ...any) *kvstore.Batch {
+	var b kvstore.Batch
+	for _, op := range ops {
+		switch op := op.(type) {
+		case *namespace.Inode:
+			b.Put(namespace.EncodeKey(op.Parent, op.Name), namespace.EncodeInode(op))
+		case []byte:
+			b.Delete(op)
+		}
+	}
+	return &b
+}
+
+// TestApplyRecordKeepsIndexInStep: the ino index follows each key's last
+// op in record order, and a put over an entry unbinds the ino it replaced.
+func TestApplyRecordKeepsIndexInStep(t *testing.T) {
+	s := openTestStore(t, 0)
+	f := &namespace.Inode{Ino: 10, Parent: 1, Name: "f", Type: namespace.TypeFile}
+	g := &namespace.Inode{Ino: 11, Parent: 1, Name: "g", Type: namespace.TypeFile}
+	d := &namespace.Inode{Ino: 12, Parent: 1, Name: "d", Type: namespace.TypeDir}
+	apply := func(b *kvstore.Batch) {
+		t.Helper()
+		if err := s.ApplyRecord(nil, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(record(f, g, d))
+	// A rename of f over g: delete the source, put the moved inode at the
+	// destination, replacing g.
+	moved := *f
+	moved.Name = "g"
+	apply(record(namespace.EncodeKey(1, "f"), &moved))
+	if got, found, _ := s.Getattr(10); !found || got.Name != "g" {
+		t.Errorf("renamed ino = %+v (found=%v), want it at (1, g)", got, found)
+	}
+	if s.HasIno(11) {
+		t.Error("the replaced ino is still indexed")
+	}
+	// A put then a delete of one key inside a record leaves it unbound; a
+	// delete then a put leaves it bound.
+	h := &namespace.Inode{Ino: 13, Parent: d.Ino, Name: "h", Type: namespace.TypeFile}
+	apply(record(h, namespace.EncodeKey(d.Ino, "h")))
+	if s.HasIno(13) {
+		t.Error("a put and a delete of one key left its ino indexed")
+	}
+	apply(record(namespace.EncodeKey(1, "d"), d))
+	if got, found, _ := s.Getattr(12); !found || !got.IsDir() {
+		t.Errorf("a delete then a put of one key: ino = %+v (found=%v), want the directory", got, found)
+	}
+	if s.Count() != 2 {
+		t.Errorf("index holds %d inodes, want 2 (g, d)", s.Count())
+	}
+}
+
+// TestApplyRecordRefusesBadRecords: a record with a key that is neither a
+// metadata key nor a (parent, name) key, or with a put whose inode does
+// not sit at its key, applies nothing at all.
+func TestApplyRecordRefusesBadRecords(t *testing.T) {
+	s := openTestStore(t, 0)
+	good := &namespace.Inode{Ino: 20, Parent: 1, Name: "ok", Type: namespace.TypeFile}
+	misplaced := &namespace.Inode{Ino: 21, Parent: 1, Name: "x", Type: namespace.TypeFile}
+	misplacedRec := record(good)
+	misplacedRec.Put(namespace.EncodeKey(1, "y"), namespace.EncodeInode(misplaced))
+	shortKey := record(good)
+	shortKey.Delete([]byte{1, 2})
+	garbage := record(good)
+	garbage.Put(namespace.EncodeKey(1, "z"), []byte("not an inode"))
+	for name, b := range map[string]*kvstore.Batch{"misplaced inode": misplacedRec, "short key": shortKey, "garbage value": garbage} {
+		before := s.DBStats().Batches
+		if err := s.ApplyRecord(nil, b); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s: err = %v, want ErrBadRecord", name, err)
+		}
+		if got := s.DBStats().Batches; got != before || s.HasIno(20) {
+			t.Errorf("%s: a refused record applied", name)
+		}
+	}
+	// Metadata keys travel verbatim and are never indexed.
+	meta := record(good)
+	meta.Put(metaPinMapKey, []byte("map"))
+	if err := s.ApplyRecord(nil, meta); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := s.LoadPinMap(); string(data) != "map" || s.Count() != 1 {
+		t.Errorf("metadata key applied as %q, index holds %d", data, s.Count())
 	}
 }
 

@@ -3,6 +3,7 @@ package replication
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -15,10 +16,11 @@ import (
 // Fanout multiplexes a store's single kvstore commit-hook slot across
 // replication units: the whole-store ring backup (unit 0) plus any
 // number of subtree read units, each fanning out to its own set of
-// replica streams. The hook observes every committed batch once, in WAL
-// order, and hands each unit the slice of it that falls inside the
-// unit's subtree; per-unit Shippers then buffer and ship independently,
-// so a slow read replica never stalls the ring backup (or vice versa).
+// replica streams. The hook observes every committed WAL record once, in
+// WAL order; the ring shipper gets it as it is, and each subtree unit the
+// part of it that falls inside the unit's subtree, still as one record.
+// Per-unit Shippers then buffer and ship independently, so a slow read
+// replica never stalls the ring backup (or vice versa).
 type Fanout struct {
 	store *mds.Store
 
@@ -70,21 +72,20 @@ func (f *Fanout) Stop() {
 
 // AttachRing registers the whole-store shipper as unit 0 and starts its
 // sender. The shipper must have been created with Unit 0; it keeps its
-// repl.shipper.* metric names and promote semantics, so ring behavior is
-// unchanged from the pre-fan-out hook-owning mode.
+// repl.shipper.* metric names and promote semantics.
 func (f *Fanout) AttachRing(sh *Shipper) {
 	f.mu.Lock()
 	f.ring = sh
 	f.mu.Unlock()
-	sh.StartFed()
+	sh.start()
 }
 
 // AttachSubtree adds one replica stream for the subtree rooted at root,
 // shipping to opts.Backup. The unit's membership filter is seeded before
 // the stream starts: first the root alone (so the live hook immediately
-// captures mutations anywhere a racing create could land only after its
-// parent directory's own record passed the filter), then a subtree walk
-// merges every existing directory. Mutations committed before the walk
+// captures ops anywhere a racing create could land only after its
+// parent directory's own op passed the filter), then a subtree walk
+// merges every existing directory. Ops committed before the walk
 // reaches their directory are covered by the snapshot each stream
 // bootstraps from — the walk and the snapshot run after registration, so
 // nothing falls between filter and snapshot.
@@ -151,7 +152,7 @@ func (f *Fanout) AttachSubtree(root namespace.Ino, opts Options) (*Shipper, erro
 	if old != nil {
 		old.Stop()
 	}
-	sh.StartFed()
+	sh.start()
 	return sh, nil
 }
 
@@ -216,31 +217,28 @@ func (f *Fanout) UnitStatuses() []Status {
 // hook is the store commit hook: runs under the DB write lock, so it
 // must not take store locks. Unit filtering and shipper feeds only touch
 // their own mutexes.
-func (f *Fanout) hook(ctx context.Context, muts []kvstore.Mutation) func() error {
+func (f *Fanout) hook(ctx context.Context, ops []byte, n int) func() error {
 	f.mu.RLock()
-	var waits []func() error
+	var ringWait func() error
 	if f.ring != nil {
-		if w := f.ring.Feed(ctx, muts); w != nil {
-			waits = append(waits, w)
-		}
+		ringWait = f.ring.Feed(ctx, ops, n)
 	}
+	var waits []func() error // subtree units' waits; a ring-only hook allocates none
 	for _, u := range f.units {
-		sub := u.filter.apply(muts)
-		if len(sub) == 0 {
-			continue
-		}
-		for _, sh := range u.shippers {
-			if w := sh.Feed(ctx, sub); w != nil {
-				waits = append(waits, w)
+		if sub, subN := u.filter.apply(ops, n); subN > 0 {
+			for _, sh := range u.shippers {
+				if w := sh.Feed(ctx, sub, subN); w != nil {
+					waits = append(waits, w)
+				}
 			}
 		}
 	}
 	f.mu.RUnlock()
-	switch len(waits) {
-	case 0:
-		return nil
-	case 1:
-		return waits[0]
+	if len(waits) == 0 {
+		return ringWait
+	}
+	if ringWait != nil {
+		waits = append(waits, ringWait)
 	}
 	return func() error {
 		var err error
@@ -253,48 +251,62 @@ func (f *Fanout) hook(ctx context.Context, muts []kvstore.Mutation) func() error
 	}
 }
 
-// subtreeFilter decides, lock-free with respect to the store, which
-// mutations of a commit batch belong to one subtree: a (parent, name)
-// record is a member when its parent directory is in the set, or it is
-// the subtree root's own record. Directory creates under a member parent
-// grow the set in WAL order, so descendants created after attachment are
-// tracked without ever walking the store from the hook. Inode numbers
-// are never reused, so entries for since-deleted directories are
-// harmless. Known limitation: a directory renamed *into* the subtree
-// brings only itself — children it already had are missed until the next
-// session; replica membership probes fail for them and reads fall back
-// to the owner, so correctness is preserved.
+// subtreeFilter decides, lock-free with respect to the store, which ops
+// of a WAL record belong to one subtree: a (parent, name) op is a member
+// when its parent directory is in the set, or it is the subtree root's
+// own entry. Directory creates under a member parent grow the set in WAL
+// order, so descendants created after attachment are tracked without
+// ever walking the store from the hook. Inode numbers are never reused,
+// so entries for since-deleted directories are harmless. Known
+// limitation: a directory renamed *into* the subtree brings only itself
+// — children it already had are missed until the next session; replica
+// membership probes fail for them and reads fall back to the owner, so
+// correctness is preserved.
 type subtreeFilter struct {
 	mu      sync.Mutex
 	dirs    map[namespace.Ino]bool
 	rootKey []byte
 }
 
-// apply returns the sub-batch inside the subtree, updating the directory
-// set as directory records stream past.
-func (f *subtreeFilter) apply(muts []kvstore.Mutation) []kvstore.Mutation {
+// apply returns the part of a record inside the subtree — still one
+// record, so the stream never splits one across frames — updating the
+// directory set as directory entries stream past. A record wholly inside
+// comes back as it is.
+func (f *subtreeFilter) apply(ops []byte, n int) ([]byte, int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []kvstore.Mutation
-	for _, m := range muts {
-		if len(m.Key) > 0 && m.Key[0] == 0xff { // store-internal metadata
-			continue
+	var b kvstore.Batch
+	kvstore.ForEachOp(ops, n, func(key, value []byte, tombstone bool) {
+		switch {
+		case !f.admit(key, value, tombstone):
+		case tombstone:
+			b.Delete(key)
+		default:
+			b.Put(key, value)
 		}
-		parent, _, err := namespace.DecodeKey(m.Key)
-		if err != nil {
-			continue
-		}
-		if !f.dirs[parent] && !bytes.Equal(m.Key, f.rootKey) {
-			continue
-		}
-		out = append(out, m)
-		if !m.Tombstone {
-			if in, derr := namespace.DecodeInode(m.Value); derr == nil && in.IsDir() {
-				f.dirs[in.Ino] = true
-			}
+	})
+	if b.Len() == n {
+		return ops, n
+	}
+	return b.Ops()
+}
+
+// admit reports whether one op is inside the subtree, adding a member
+// directory it creates to the set. Caller holds mu.
+func (f *subtreeFilter) admit(key, value []byte, tombstone bool) bool {
+	if len(key) < 8 || key[0] == 0xff { // store-internal metadata, not a (parent, name) key
+		return false
+	}
+	if !f.dirs[namespace.Ino(binary.BigEndian.Uint64(key))] && !bytes.Equal(key, f.rootKey) {
+		return false
+	}
+	if !tombstone {
+		var in namespace.Inode
+		if _, err := namespace.DecodeInodeInto(&in, value); err == nil && in.IsDir() {
+			f.dirs[in.Ino] = true
 		}
 	}
-	return out
+	return true
 }
 
 // addDirs merges a walked directory set (attachment backfill).

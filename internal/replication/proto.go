@@ -2,31 +2,32 @@
 // OrigamiFS metadata servers. The granularity of replication is a
 // *unit*: unit 0 is the whole shard store (the ring backup every MDS
 // ships to its neighbour — the failover path), and any other unit id is
-// the root inode of a subtree whose mutations are fanned out to N read
+// the root inode of a subtree whose records are fanned out to N read
 // replicas (the hot-directory mitigation path). A unit's primary streams
-// its kvstore WAL records to each replica host over the existing RPC
-// layer, where a Receiver replays them into a warm replica mds.Store. A
-// fresh or lagging replica first catches up from a snapshot of the
-// unit's state, then switches to tail streaming. On failover the
-// coordinator promotes a unit-0 backup: the replica is absorbed into the
-// promotee's serving store and the cluster map is repointed at it.
-// Subtree units are never promoted — they only serve bounded-staleness
-// reads.
+// its kvstore WAL records — the op bodies the commit hook hands out,
+// unchanged — to each replica host over the existing RPC layer, where a
+// Receiver applies them whole into a warm replica mds.Store. A fresh or
+// lagging replica first catches up from a snapshot of the unit's state,
+// shipped as records of puts, then switches to tail streaming. On
+// failover the coordinator promotes a unit-0 backup: the replica is
+// absorbed into the promotee's serving store and the cluster map is
+// repointed at it. Subtree units are never promoted — they only serve
+// bounded-staleness reads.
 //
 // The shipping protocol is a single-writer stream identified by a
 // (primary, unit, session) tuple. Sessions restart from scratch — a new
 // session always begins with a snapshot — and records within a session
 // carry densely increasing sequence numbers, so the receiver can detect
-// any gap and force a resync. Replay is idempotent (last-writer-wins
-// puts, no-op deletes of absent keys), which lets a snapshot overlap the
-// tail that accumulated while it was exported. Appends additionally
-// carry the primary's head sequence (and double as keepalives when
-// empty), giving the receiver the lag and age bounds its staleness check
-// needs.
+// any gap and force a resync. A frame carries whole records only, and the
+// receiver applies a frame as one atomic batch, so a replica never holds
+// part of a record. Replay is idempotent (last-writer-wins puts, no-op
+// deletes of absent keys), which lets a snapshot overlap the tail that
+// accumulated while it was exported. Appends additionally carry the
+// primary's head sequence (and double as keepalives when empty), giving
+// the receiver the lag and age bounds its staleness check needs.
 package replication
 
 import (
-	"origami/internal/kvstore"
 	"origami/internal/mds"
 	"origami/internal/rpc"
 )
@@ -37,12 +38,13 @@ const (
 	// MethodSnapBegin opens a new session: the receiver discards any
 	// previous replica state for the primary and prepares a fresh store.
 	MethodSnapBegin rpc.Method = iota + 100
-	// MethodSnapChunk delivers one chunk of full-state snapshot pairs.
+	// MethodSnapChunk delivers one chunk of the snapshot: a record of
+	// puts.
 	MethodSnapChunk
 	// MethodSnapEnd seals the snapshot: the replica is live and tail
 	// appends resume from the carried base sequence number.
 	MethodSnapEnd
-	// MethodAppend delivers a batch of tail WAL records.
+	// MethodAppend delivers consecutive tail WAL records, whole.
 	MethodAppend
 	// MethodPromote absorbs the replica into the backup's serving store
 	// (coordinator failover).
@@ -72,13 +74,6 @@ const CodeGap = "EREPLGAP"
 // IsGap reports whether err is a receiver gap/session-mismatch error.
 func IsGap(err error) bool { return mds.ErrCode(err) == CodeGap }
 
-// Record is one shipped WAL record: a session-scoped sequence number and
-// the mutation it carries.
-type Record struct {
-	Seq uint64
-	Mut kvstore.Mutation
-}
-
 // streamID names one replication stream on the wire: the shipping MDS
 // and the unit it ships (0 = whole store, else the subtree root inode).
 type streamID struct {
@@ -86,111 +81,25 @@ type streamID struct {
 	Unit    uint64
 }
 
-func (w2 *streamID) encode(w *rpc.Wire) { w.U32(uint32(w2.Primary)).U64(w2.Unit) }
-
-func decodeStreamID(r *rpc.Reader) streamID {
-	return streamID{Primary: int(r.U32()), Unit: r.U64()}
+// Every replication body opens with the stream and its session:
+//
+//	SnapBegin  [stream][session]
+//	SnapChunk  [stream][session][record list of one record of puts]
+//	SnapEnd    [stream][session][base seq]
+//	Append     [stream][session][head][from seq][record list]
+//
+// where [stream] is [4B primary][8B unit] and a record list is the
+// mds.DecodeRecords form shared with migration. An Append's records carry
+// sequence numbers from, from+1, ...; an empty Append is a keepalive
+// that refreshes the receiver's head/age view without extending the
+// stream.
+func appendHeader(w *rpc.Wire, id streamID, session uint64) {
+	w.U32(uint32(id.Primary)).U64(id.Unit).U64(session)
 }
 
-func encodeSnapBegin(id streamID, session uint64) []byte {
-	var w rpc.Wire
-	id.encode(&w)
-	w.U64(session)
-	return w.Bytes()
-}
-
-func decodeSnapBegin(body []byte) (id streamID, session uint64, err error) {
-	r := rpc.NewReader(body)
-	id = decodeStreamID(r)
-	session = r.U64()
-	return id, session, r.Err()
-}
-
-func encodeSnapChunk(id streamID, session uint64, pairs []kvstore.Mutation) []byte {
-	var w rpc.Wire
-	id.encode(&w)
-	w.U64(session).U32(uint32(len(pairs)))
-	for _, p := range pairs {
-		w.Blob(p.Key)
-		w.Blob(p.Value)
-	}
-	return w.Bytes()
-}
-
-func decodeSnapChunk(body []byte) (id streamID, session uint64, pairs []kvstore.Mutation, err error) {
-	r := rpc.NewReader(body)
-	id = decodeStreamID(r)
-	session = r.U64()
-	n := int(r.U32())
-	pairs = make([]kvstore.Mutation, 0, n)
-	for i := 0; i < n; i++ {
-		k := r.Blob()
-		v := r.Blob()
-		pairs = append(pairs, kvstore.Mutation{Key: k, Value: v})
-	}
-	return id, session, pairs, r.Err()
-}
-
-func encodeSnapEnd(id streamID, session, baseSeq uint64) []byte {
-	var w rpc.Wire
-	id.encode(&w)
-	w.U64(session).U64(baseSeq)
-	return w.Bytes()
-}
-
-func decodeSnapEnd(body []byte) (id streamID, session, baseSeq uint64, err error) {
-	r := rpc.NewReader(body)
-	id = decodeStreamID(r)
-	session = r.U64()
-	baseSeq = r.U64()
-	return id, session, baseSeq, r.Err()
-}
-
-// encodeAppend carries a (possibly empty) record batch plus the
-// primary's head sequence. An empty batch is a keepalive: it refreshes
-// the receiver's head/age view without extending the stream.
-func encodeAppend(id streamID, session, head, fromSeq uint64, recs []Record) []byte {
-	var w rpc.Wire
-	id.encode(&w)
-	w.U64(session).U64(head)
-	w.U64(fromSeq)
-	w.U32(uint32(len(recs)))
-	for _, rec := range recs {
-		if rec.Mut.Tombstone {
-			w.U8(1)
-		} else {
-			w.U8(0)
-		}
-		w.Blob(rec.Mut.Key)
-		w.Blob(rec.Mut.Value)
-	}
-	return w.Bytes()
-}
-
-func decodeAppend(body []byte) (id streamID, session, head, fromSeq uint64, muts []kvstore.Mutation, err error) {
-	r := rpc.NewReader(body)
-	id = decodeStreamID(r)
-	session = r.U64()
-	head = r.U64()
-	fromSeq = r.U64()
-	n := int(r.U32())
-	muts = make([]kvstore.Mutation, 0, n)
-	for i := 0; i < n; i++ {
-		tomb := r.U8() != 0
-		k := r.Blob()
-		v := r.Blob()
-		if tomb {
-			v = nil
-		}
-		muts = append(muts, kvstore.Mutation{Key: k, Value: v, Tombstone: tomb})
-	}
-	return id, session, head, fromSeq, muts, r.Err()
-}
-
-func encodeAppliedResp(applied uint64) []byte {
-	var w rpc.Wire
-	w.U64(applied)
-	return w.Bytes()
+func readHeader(r *rpc.Reader) (id streamID, session uint64) {
+	id = streamID{Primary: int(r.U32()), Unit: r.U64()}
+	return id, r.U64()
 }
 
 func decodeAppliedResp(body []byte) (uint64, error) {

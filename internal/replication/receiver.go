@@ -15,15 +15,19 @@ import (
 )
 
 // Receiver is the replica side of replication: it hosts one warm replica
-// mds.Store per (primary, unit) stream it protects, replays shipped
-// snapshot chunks and WAL records into it, and — on coordinator failover
-// — absorbs a whole-store (unit 0) replica into the host MDS's own
-// serving store (promotion). Subtree units are never promoted; they
-// exist to serve bounded-staleness reads via ReadReplica.
+// mds.Store per (primary, unit) stream it protects, applies shipped
+// snapshot chunks and WAL records into it — each frame as one atomic
+// batch through mds.Store.ApplyRecord — and, on coordinator failover,
+// absorbs a whole-store (unit 0) replica into the host MDS's own serving
+// store (promotion). Subtree units are never promoted; they exist to
+// serve bounded-staleness reads via ReadReplica.
 //
 // A receiver registers its handlers on the host MDS's RPC server, so
 // replication shares the data-plane connections, fault injection, and
-// telemetry of the metadata protocol.
+// telemetry of the metadata protocol. The handlers follow the server's
+// buffer rule: a frame's records are decoded into a kvstore.Batch — the
+// one copy of their bytes, which the replica's memtable then keeps — and
+// neither the request body nor the response buffer outlives the call.
 type Receiver struct {
 	hostID  int
 	dir     string // replica stores live at dir/replica-<primary>[-u<unit>]
@@ -92,12 +96,12 @@ func NewReceiver(hostID int, dir string, serving *mds.Store, kvOpts kvstore.Opti
 
 // Register installs the replication handlers on the host's RPC server.
 func (rc *Receiver) Register(srv *rpc.Server) {
-	srv.Handle(MethodSnapBegin, rc.handleSnapBegin)
-	srv.Handle(MethodSnapChunk, rc.handleSnapChunk)
-	srv.Handle(MethodSnapEnd, rc.handleSnapEnd)
-	srv.Handle(MethodAppend, rc.handleAppend)
-	srv.Handle(MethodPromote, rc.handlePromote)
-	srv.Handle(MethodReplStatus, rc.handleReplStatus)
+	srv.HandleInfo(MethodSnapBegin, rc.handleSnapBegin)
+	srv.HandleInfo(MethodSnapChunk, rc.handleSnapChunk)
+	srv.HandleInfo(MethodSnapEnd, rc.handleSnapEnd)
+	srv.HandleInfo(MethodAppend, rc.handleAppend)
+	srv.HandleInfo(MethodPromote, rc.handlePromote)
+	srv.HandleInfo(MethodReplStatus, rc.handleReplStatus)
 }
 
 func (rc *Receiver) appliedGauge(id streamID) *telemetry.Gauge {
@@ -116,32 +120,41 @@ func replicaDirName(id streamID) string {
 	return fmt.Sprintf("replica-%d-u%d", id.Primary, id.Unit)
 }
 
-func (rc *Receiver) handleSnapBegin(body []byte) ([]byte, error) {
-	id, session, err := decodeSnapBegin(body)
-	if err != nil {
-		return nil, err
+// invalid reports an undecodable request body: the frame is refused
+// whole, before anything applies.
+func invalid(err error) error { return mds.CodedError(mds.CodeInvalid, "%v", err) }
+
+func noSnapshot(id streamID, session uint64) error {
+	return mds.CodedError(CodeGap, "no open snapshot for primary %d unit %d session %d", id.Primary, id.Unit, session)
+}
+
+func (rc *Receiver) handleSnapBegin(_ rpc.CallInfo, body []byte, _ *rpc.Wire) error {
+	r := rpc.NewReader(body)
+	id, session := readHeader(r)
+	if err := r.Err(); err != nil {
+		return invalid(err)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.closed {
-		return nil, fmt.Errorf("replication: receiver closed")
+		return fmt.Errorf("replication: receiver closed")
 	}
 	rep, ok := rc.replicas[id]
 	if ok {
 		// Resync: reuse the open store, dropping its contents.
 		if err := rep.store.WipeForInstall(); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		dir := filepath.Join(rc.dir, replicaDirName(id))
 		// Leftovers from a previous process are stale — a new session
 		// always starts from an empty replica.
 		if err := os.RemoveAll(dir); err != nil {
-			return nil, err
+			return err
 		}
 		st, err := mds.OpenStore(dir, id.Primary, rc.kvOpts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rep = &replica{store: st, dir: dir}
 		rc.replicas[id] = rep
@@ -152,38 +165,39 @@ func (rc *Receiver) handleSnapBegin(body []byte) ([]byte, error) {
 	rep.live = false
 	rc.appliedGauge(id).Set(0)
 	rc.log.Info("replica session started", "primary", id.Primary, "unit", id.Unit, "session", session)
-	return nil, nil
+	return nil
 }
 
-func (rc *Receiver) handleSnapChunk(body []byte) ([]byte, error) {
-	id, session, pairs, err := decodeSnapChunk(body)
-	if err != nil {
-		return nil, err
+func (rc *Receiver) handleSnapChunk(_ rpc.CallInfo, body []byte, _ *rpc.Wire) error {
+	r := rpc.NewReader(body)
+	id, session := readHeader(r)
+	var b kvstore.Batch
+	if _, err := mds.DecodeRecords(r, &b); err != nil {
+		return invalid(err)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rep, ok := rc.replicas[id]
 	if !ok || rep.session != session || rep.live {
 		rc.gapsC.Inc()
-		return nil, mds.CodedError(CodeGap, "no open snapshot for primary %d unit %d session %d", id.Primary, id.Unit, session)
+		return noSnapshot(id, session)
 	}
-	if err := rep.store.ApplyReplicated(pairs); err != nil {
-		return nil, err
-	}
-	return nil, nil
+	return rep.store.ApplyRecord(nil, &b)
 }
 
-func (rc *Receiver) handleSnapEnd(body []byte) ([]byte, error) {
-	id, session, baseSeq, err := decodeSnapEnd(body)
-	if err != nil {
-		return nil, err
+func (rc *Receiver) handleSnapEnd(_ rpc.CallInfo, body []byte, resp *rpc.Wire) error {
+	r := rpc.NewReader(body)
+	id, session := readHeader(r)
+	baseSeq := r.U64()
+	if err := r.Err(); err != nil {
+		return invalid(err)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rep, ok := rc.replicas[id]
 	if !ok || rep.session != session || rep.live {
 		rc.gapsC.Inc()
-		return nil, mds.CodedError(CodeGap, "no open snapshot for primary %d unit %d session %d", id.Primary, id.Unit, session)
+		return noSnapshot(id, session)
 	}
 	rep.live = true
 	rep.applied = baseSeq
@@ -192,62 +206,65 @@ func (rc *Receiver) handleSnapEnd(body []byte) ([]byte, error) {
 	rc.snapshotsC.Inc()
 	rc.appliedGauge(id).Set(float64(baseSeq))
 	rc.log.Info("replica snapshot sealed", "primary", id.Primary, "unit", id.Unit, "base_seq", baseSeq)
-	return encodeAppliedResp(rep.applied), nil
+	resp.U64(rep.applied)
+	return nil
 }
 
-func (rc *Receiver) handleAppend(body []byte) ([]byte, error) {
-	id, session, head, fromSeq, muts, err := decodeAppend(body)
+// handleAppend applies one frame of consecutive whole records as one
+// atomic batch: the replica holds all of the frame or none of it, so it
+// never holds part of a record.
+func (rc *Receiver) handleAppend(_ rpc.CallInfo, body []byte, resp *rpc.Wire) error {
+	r := rpc.NewReader(body)
+	id, session := readHeader(r)
+	head := r.U64()
+	fromSeq := r.U64()
+	var b kvstore.Batch
+	records, err := mds.DecodeRecords(r, &b)
 	if err != nil {
-		return nil, err
+		return invalid(err)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rep, ok := rc.replicas[id]
-	if !ok || !rep.live || rep.session != session {
+	if !ok || !rep.live || rep.session != session || (records > 0 && fromSeq != rep.applied+1) {
 		rc.gapsC.Inc()
-		return nil, mds.CodedError(CodeGap, "append does not extend replica of primary %d unit %d (session %d from %d)", id.Primary, id.Unit, session, fromSeq)
+		return mds.CodedError(CodeGap, "append does not extend replica of primary %d unit %d (session %d from %d)", id.Primary, id.Unit, session, fromSeq)
 	}
-	if len(muts) == 0 {
-		// Keepalive: refresh the head/age view without extending the
-		// stream (no contiguity demanded of an empty batch).
-		rep.head = head
-		rep.lastAppend = time.Now()
-		return encodeAppliedResp(rep.applied), nil
+	// An empty append is a keepalive: it refreshes the head/age view
+	// without extending the stream.
+	if records > 0 {
+		if err := rep.store.ApplyRecord(nil, &b); err != nil {
+			return err
+		}
+		rep.applied += uint64(records)
+		rc.recordsC.Add(int64(records))
+		rc.appliedGauge(id).Set(float64(rep.applied))
 	}
-	if fromSeq != rep.applied+1 {
-		rc.gapsC.Inc()
-		return nil, mds.CodedError(CodeGap, "append does not extend replica of primary %d unit %d (session %d from %d)", id.Primary, id.Unit, session, fromSeq)
-	}
-	if err := rep.store.ApplyReplicated(muts); err != nil {
-		return nil, err
-	}
-	rep.applied += uint64(len(muts))
 	rep.head = head
 	rep.lastAppend = time.Now()
-	rc.recordsC.Add(int64(len(muts)))
-	rc.appliedGauge(id).Set(float64(rep.applied))
-	return encodeAppliedResp(rep.applied), nil
+	resp.U64(rep.applied)
+	return nil
 }
 
-func (rc *Receiver) handlePromote(body []byte) ([]byte, error) {
+func (rc *Receiver) handlePromote(_ rpc.CallInfo, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
 	primary := int(r.U32())
 	if err := r.Err(); err != nil {
-		return nil, err
+		return invalid(err)
 	}
 	id := streamID{Primary: primary} // only whole-store units promote
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rep, ok := rc.replicas[id]
 	if !ok {
-		return nil, mds.CodedError(mds.CodeInvalid, "no replica of primary %d on mds %d", primary, rc.hostID)
+		return mds.CodedError(mds.CodeInvalid, "no replica of primary %d on mds %d", primary, rc.hostID)
 	}
 	if !rep.live {
-		return nil, mds.CodedError(mds.CodeBusy, "replica of primary %d still bootstrapping", primary)
+		return mds.CodedError(mds.CodeBusy, "replica of primary %d still bootstrapping", primary)
 	}
 	absorbed, err := rc.serving.AbsorbFrom(rep.store)
 	if err != nil {
-		return nil, fmt.Errorf("replication: absorb replica of %d: %w", primary, err)
+		return fmt.Errorf("replication: absorb replica of %d: %w", primary, err)
 	}
 	delete(rc.replicas, id)
 	rep.store.Close()
@@ -255,31 +272,29 @@ func (rc *Receiver) handlePromote(body []byte) ([]byte, error) {
 	rc.promotionsC.Inc()
 	rc.appliedGauge(id).Set(0)
 	rc.log.Info("replica promoted", "primary", primary, "absorbed", absorbed, "applied_seq", rep.applied)
-	var w rpc.Wire
-	w.U64(uint64(absorbed))
-	return w.Bytes(), nil
+	resp.U64(uint64(absorbed))
+	return nil
 }
 
-func (rc *Receiver) handleReplStatus(body []byte) ([]byte, error) {
+func (rc *Receiver) handleReplStatus(_ rpc.CallInfo, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
 	primary := int(r.U32())
 	if err := r.Err(); err != nil {
-		return nil, err
+		return invalid(err)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	var w rpc.Wire
 	rep, ok := rc.replicas[streamID{Primary: primary}]
 	if !ok {
-		w.U8(0).U8(0).U64(0).U64(0)
-		return w.Bytes(), nil
+		resp.U8(0).U8(0).U64(0).U64(0)
+		return nil
 	}
 	live := uint8(0)
 	if rep.live {
 		live = 1
 	}
-	w.U8(1).U8(live).U64(rep.session).U64(rep.applied)
-	return w.Bytes(), nil
+	resp.U8(1).U8(live).U64(rep.session).U64(rep.applied)
+	return nil
 }
 
 // ReadReplica returns the warm store of a subtree replica cleared to

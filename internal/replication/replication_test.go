@@ -24,7 +24,7 @@ type backupNode struct {
 	addr  string
 }
 
-func startBackup(t *testing.T, id int) *backupNode {
+func startBackup(t testing.TB, id int) *backupNode {
 	t.Helper()
 	store, err := mds.OpenStore(t.TempDir(), id, kvstore.Options{})
 	if err != nil {
@@ -47,7 +47,7 @@ func startBackup(t *testing.T, id int) *backupNode {
 // dialerTo returns a Dial option resolving every id to the node's
 // address, caching the client. down, when non-nil, simulates an
 // unreachable backup while set.
-func dialerTo(t *testing.T, node *backupNode, down *atomic.Bool) func(int) (*rpc.Client, error) {
+func dialerTo(t testing.TB, node *backupNode, down *atomic.Bool) func(int) (*rpc.Client, error) {
 	t.Helper()
 	var mu sync.Mutex
 	var cli *rpc.Client
@@ -69,7 +69,19 @@ func dialerTo(t *testing.T, node *backupNode, down *atomic.Bool) func(int) (*rpc
 	}
 }
 
-func openPrimary(t *testing.T, id int) *mds.Store {
+// shipRing streams primary's whole store the way a cluster does: a
+// Fanout holds the commit hook and the shipper rides it as unit 0.
+func shipRing(t testing.TB, primary *mds.Store, opts Options) *Shipper {
+	t.Helper()
+	sh := NewShipper(primary, opts)
+	fan := NewFanout(primary)
+	fan.Start()
+	fan.AttachRing(sh)
+	t.Cleanup(fan.Stop)
+	return sh
+}
+
+func openPrimary(t testing.TB, id int) *mds.Store {
 	t.Helper()
 	store, err := mds.OpenStore(t.TempDir(), id, kvstore.Options{})
 	if err != nil {
@@ -148,20 +160,18 @@ func TestSnapshotInstallThenTailReplay(t *testing.T) {
 		putFile(t, primary, base+namespace.Ino(i), fmt.Sprintf("pre%03d", i))
 	}
 
-	sh := NewShipper(primary, Options{
+	sh := shipRing(t, primary, Options{
 		Primary: 1, Backup: 2,
 		RetryBackoff: 5 * time.Millisecond,
 		SnapChunk:    16, // several chunks even at test scale
 		Dial:         dialerTo(t, node, nil),
 	})
-	sh.Start()
-	t.Cleanup(sh.Stop)
 
 	for i := 100; i < 250; i++ {
 		putFile(t, primary, base+namespace.Ino(i), fmt.Sprintf("tail%03d", i))
 	}
 	for i := 0; i < 250; i += 5 { // deletes replay as tombstones
-		if err := primary.Delete(namespace.RootIno, entryName(i)); err != nil {
+		if _, err := primary.RemoveEntry(namespace.RootIno, entryName(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,19 +192,17 @@ func entryName(i int) string {
 	return fmt.Sprintf("tail%03d", i)
 }
 
-// TestSyncModeAcksAfterBackupApply verifies -repl-sync semantics: by the
+// TestSyncModeAcksAfterBackupApply verifies sync-mode semantics: by the
 // time a write returns, its record is applied on the backup replica.
 func TestSyncModeAcksAfterBackupApply(t *testing.T) {
 	primary := openPrimary(t, 1)
 	node := startBackup(t, 2)
-	sh := NewShipper(primary, Options{
+	shipRing(t, primary, Options{
 		Primary: 1, Backup: 2, Sync: true,
 		RetryBackoff: 5 * time.Millisecond,
 		SyncTimeout:  5 * time.Second,
 		Dial:         dialerTo(t, node, nil),
 	})
-	sh.Start()
-	t.Cleanup(sh.Stop)
 
 	base := namespace.Ino(1) << 48
 	for i := 0; i < 50; i++ {
@@ -220,14 +228,12 @@ func TestOverflowTriggersSnapshotResync(t *testing.T) {
 	node := startBackup(t, 2)
 	var down atomic.Bool
 	down.Store(true)
-	sh := NewShipper(primary, Options{
+	sh := shipRing(t, primary, Options{
 		Primary: 1, Backup: 2,
 		MaxBacklog:   8,
 		RetryBackoff: 2 * time.Millisecond,
 		Dial:         dialerTo(t, node, &down),
 	})
-	sh.Start()
-	t.Cleanup(sh.Stop)
 
 	base := namespace.Ino(1) << 48
 	for i := 0; i < 200; i++ {
@@ -246,13 +252,11 @@ func TestOverflowTriggersSnapshotResync(t *testing.T) {
 func TestReceiverRestartCausesGapResync(t *testing.T) {
 	primary := openPrimary(t, 1)
 	node := startBackup(t, 2)
-	sh := NewShipper(primary, Options{
+	sh := shipRing(t, primary, Options{
 		Primary: 1, Backup: 2,
 		RetryBackoff: 5 * time.Millisecond,
 		Dial:         dialerTo(t, node, nil),
 	})
-	sh.Start()
-	t.Cleanup(sh.Stop)
 
 	base := namespace.Ino(1) << 48
 	for i := 0; i < 50; i++ {
@@ -269,4 +273,154 @@ func TestReceiverRestartCausesGapResync(t *testing.T) {
 		putFile(t, primary, base+namespace.Ino(i), fmt.Sprintf("b%03d", i))
 	}
 	requireConverged(t, sh, primary, node)
+}
+
+// TestReplicaNeverHoldsHalfARecord ships a rename — one WAL record of two
+// ops, delete old and put new — with Window 1 through a link on which
+// every Append after the first fails. A frame carries whole records, so
+// the one Append that gets through carries the whole rename: the replica
+// holds exactly one of the names. Shipping ops instead of records would
+// leave it holding the delete alone — neither name — which a backup
+// promoted at that moment would serve as a lost, acknowledged rename.
+func TestReplicaNeverHoldsHalfARecord(t *testing.T) {
+	// MDS 0 serves the root, so the rename takes the real request path:
+	// one MethodBatch sub-op, one WAL record.
+	primary := openPrimary(t, 0)
+	svc := mds.NewService(0, primary, nil)
+	addr, err := svc.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	cli, err := rpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	apply := func(op mds.SubOp) {
+		t.Helper()
+		var w rpc.Wire
+		op.AppendTo(&w)
+		body, err := cli.Call(mds.MethodBatch, mds.EncodeBatchRequest(1, [][]byte{w.Bytes()}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := mds.DecodeBatchResponse(body)
+		if err == nil {
+			err = res[0].Err
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", op, err)
+		}
+	}
+	// "old" exists before the stream starts: it reaches the backup in the
+	// bootstrap snapshot, so the rename is the first thing appended.
+	apply(mds.SubOp{ID: 1, Kind: mds.BatchOpCreate, Parent: namespace.RootIno, Name: "old", Type: namespace.TypeFile})
+
+	node := startBackup(t, 2)
+	dial := dialerTo(t, node, nil)
+	appendsFail := rpc.NewRuleInjector(1, rpc.Rule{
+		Point: rpc.PointClientSend, Method: MethodAppend, Skip: 1, Action: rpc.FaultError,
+	})
+	sh := shipRing(t, primary, Options{
+		Primary: 0, Backup: 2, Window: 1,
+		RetryBackoff: 5 * time.Millisecond,
+		Dial: func(id int) (*rpc.Client, error) {
+			c, err := dial(id)
+			if err == nil {
+				c.SetFaultInjector(appendsFail)
+			}
+			return c, err
+		},
+	})
+	waitStatus(t, sh, func(st Status) bool { return !st.Syncing && st.Session != 0 })
+
+	apply(mds.SubOp{ID: 2, Kind: mds.BatchOpRename, Parent: namespace.RootIno, Name: "old",
+		DstParent: namespace.RootIno, DstName: "new"})
+	waitStatus(t, sh, func(st Status) bool { return st.AckedSeq >= 1 })
+	rep := node.rcv.ReplicaStore(0)
+	_, hasOld, _ := rep.Lookup(namespace.RootIno, "old")
+	_, hasNew, _ := rep.Lookup(namespace.RootIno, "new")
+	if hasOld == hasNew {
+		t.Fatalf("replica holds old=%v new=%v after the one Append that got through (%+v): a rename arrives whole or not at all",
+			hasOld, hasNew, sh.Status())
+	}
+}
+
+// waitStatus polls the stream until cond holds (10 s at most).
+func waitStatus(t *testing.T, sh *Shipper, cond func(Status) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond(sh.Status()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stream never reached the awaited state: %+v", sh.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestSubtreeFilterKeepsRecordsWhole: a subtree unit gets the part of a
+// record inside its subtree as ONE record — never split, never reordered —
+// the whole record when all of it is inside, and nothing when none is.
+func TestSubtreeFilterKeepsRecordsWhole(t *testing.T) {
+	const dir, other = namespace.Ino(50), namespace.Ino(60)
+	flt := &subtreeFilter{dirs: map[namespace.Ino]bool{dir: true}, rootKey: namespace.EncodeKey(1, "d")}
+	sub := &namespace.Inode{Ino: 51, Parent: dir, Name: "sub", Type: namespace.TypeDir}
+	var b kvstore.Batch
+	b.Put(namespace.EncodeKey(dir, "sub"), namespace.EncodeInode(sub))
+	b.Delete(namespace.EncodeKey(other, "x"))
+	b.Delete(namespace.EncodeKey(sub.Ino, "y")) // under a directory the record itself created
+	ops, n := b.Ops()
+	got, gotN := flt.apply(ops, n)
+	var keys []string
+	kvstore.ForEachOp(got, gotN, func(key, _ []byte, _ bool) { keys = append(keys, fmt.Sprintf("%x", key)) })
+	want := []string{fmt.Sprintf("%x", namespace.EncodeKey(dir, "sub")), fmt.Sprintf("%x", namespace.EncodeKey(sub.Ino, "y"))}
+	if fmt.Sprint(keys) != fmt.Sprint(want) {
+		t.Errorf("filtered record keys %v, want %v", keys, want)
+	}
+	var inside kvstore.Batch
+	inside.Delete(namespace.EncodeKey(dir, "a"))
+	inside.Delete(namespace.EncodeKey(1, "d"))
+	ops, n = inside.Ops()
+	if got, gotN := flt.apply(ops, n); gotN != n || &got[0] != &ops[0] {
+		t.Errorf("a record wholly inside came back as %d ops of a copy, want itself", gotN)
+	}
+	var outside kvstore.Batch
+	outside.Delete(namespace.EncodeKey(other, "a"))
+	ops, n = outside.Ops()
+	if _, gotN := flt.apply(ops, n); gotN != 0 {
+		t.Errorf("a record wholly outside kept %d ops", gotN)
+	}
+}
+
+// BenchmarkReplicationAppend is one shipped record on the sync-repl ack
+// path: a one-put record fed to a Sync shipper, framed, sent over
+// loopback, decoded and applied on the backup, and acked back. ns/op and
+// allocs/op are per record, both ends together; the primary's own write
+// is not in it.
+func BenchmarkReplicationAppend(b *testing.B) {
+	primary := openPrimary(b, 1)
+	node := startBackup(b, 2)
+	sh := shipRing(b, primary, Options{
+		Primary: 1, Backup: 2, Sync: true,
+		SyncTimeout: 10 * time.Second,
+		Dial:        dialerTo(b, node, nil),
+	})
+	for sh.Status().Syncing {
+		time.Sleep(time.Millisecond)
+	}
+	recs := make([][]byte, b.N)
+	for i := range recs {
+		in := &namespace.Inode{Ino: namespace.Ino(1<<48 + i), Parent: namespace.RootIno, Name: fmt.Sprintf("f%08d", i), Type: namespace.TypeFile}
+		var rec kvstore.Batch
+		rec.Put(namespace.EncodeKey(in.Parent, in.Name), namespace.EncodeInode(in))
+		recs[i], _ = rec.Ops()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, ops := range recs {
+		if err := sh.Feed(nil, ops, 1)(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -33,23 +33,24 @@ type Options struct {
 	// primary's head (its staleness age bound). Subtree read units need
 	// it; the ring backup does not.
 	KeepaliveEvery time.Duration
-	// Sync makes Feed hand every write an ack wait that blocks until its
+	// Sync makes Feed hand every record an ack wait that blocks until the
 	// record is applied on the backup. Whether the writer actually blocks
 	// on it before acknowledging is the commit pipeline's decision, not
-	// the shipper's: sync-repl mode awaits it inline (the -repl-sync
-	// guarantee — zero acknowledged-write loss across a primary crash),
-	// async mode completes it in the background under a bounded window.
-	// Default false — fire-and-forget shipping with a bounded backlog,
-	// no per-write ack tracking.
+	// the shipper's: sync-repl mode awaits it inline (zero acknowledged-
+	// write loss across a primary crash), async mode completes it in the
+	// background under a bounded window. Default false — fire-and-forget
+	// shipping with a bounded backlog, no per-record ack tracking.
 	Sync bool
-	// Window is the max records per Append RPC. Default DefaultWindow.
+	// Window is the op budget of one Append frame. A frame carries whole
+	// records only: it closes on the record that reaches Window, and a
+	// record larger than Window travels alone. Default DefaultWindow.
 	Window int
-	// MaxBacklog is the max buffered unshipped records; past it the
-	// buffer is dropped and the backup is resynced by snapshot. This
-	// bounds both shipper memory and the async-mode loss window.
-	// Default DefaultMaxBacklog.
+	// MaxBacklog is the max ops buffered unshipped; past it the buffer is
+	// dropped and the backup is resynced by snapshot. This bounds both
+	// shipper memory and the async-mode loss window. Default
+	// DefaultMaxBacklog.
 	MaxBacklog int
-	// SnapChunk is the max pairs per snapshot chunk RPC. Default 512.
+	// SnapChunk is the max puts per snapshot chunk record. Default 512.
 	SnapChunk int
 	// SyncTimeout bounds a sync-mode ack wait; past it the write is
 	// reported failed to its issuer (it is still applied locally — the
@@ -68,7 +69,7 @@ type Options struct {
 }
 
 // DefaultWindow and DefaultMaxBacklog are the shipper's batching and
-// buffering defaults. Exported because the scenario harness's
+// buffering defaults, in ops. Exported because the scenario harness's
 // loss-window assertion derives the async unshipped-tail budget
 // (MaxBacklog + Window) from them when a fleet leaves them unset.
 const (
@@ -98,27 +99,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// record is one WAL record awaiting shipment: its stream sequence number
+// and its n op bodies (the primary memtable's immutable copy, kept as is).
+type record struct {
+	seq uint64
+	ops []byte
+	n   int
+}
+
 // Shipper is the primary side of one replication stream: the records of
-// one unit flowing to one replica host. It observes the unit's mutations
-// in WAL order — either by tapping the store's kvstore commit hook
-// directly (Start; the classic whole-store ring backup) or by being fed
-// pre-filtered batches from a Fanout (StartFed; one stream per
-// (unit, replica)) — buffers them, and a background sender streams them
-// to the backup in bounded batches. A new (or retargeted, or gapped, or
-// overflowed) stream starts with a snapshot: the shipper exports the
-// unit's state, ships it chunk-wise under a fresh session, and resumes
-// tail appends from the sequence number the snapshot covers. In Sync
-// mode the hook hands each writer a wait that blocks until the backup
-// has applied its record (or SyncTimeout).
+// one unit flowing to one replica host. Its Fanout feeds it the unit's
+// WAL records in WAL order; it buffers them, and a background sender
+// streams them to the backup in frames of whole records. A new (or
+// retargeted, or gapped, or overflowed) stream starts with a snapshot:
+// the shipper exports the unit's state, ships it as records of puts under
+// a fresh session, and resumes tail appends from the sequence number the
+// snapshot covers. In Sync mode Feed hands each writer a wait that blocks
+// until the backup has applied its record (or SyncTimeout).
 type Shipper struct {
-	store *mds.Store
-	opts  Options
-	log   *telemetry.Logger
+	opts Options
+	log  *telemetry.Logger
 
 	mu       sync.Mutex
 	cond     *sync.Cond    // wakes the sender: work or state change
 	ackCh    chan struct{} // closed and replaced whenever acked advances
-	buf      []Record      // unshipped tail, seq-ordered
+	buf      []record      // unshipped tail, seq-ordered
+	bufOps   int           // ops in buf
 	lastSeq  uint64        // last assigned record seq
 	acked    uint64        // highest seq known applied on the backup
 	session  uint64
@@ -128,7 +134,11 @@ type Shipper struct {
 	pingDue  bool // keepalive timer fired; send an empty append when idle
 	stopped  bool
 	dropped  uint64 // records dropped to overflow (async loss exposure)
-	ownsHook bool   // Start installed the store's commit hook (vs Fanout-fed)
+
+	// wire and resp are the sender's frame and response buffers, reused
+	// across calls; only the sender goroutine touches them.
+	wire rpc.Wire
+	resp []byte
 
 	wg     sync.WaitGroup
 	stopCh chan struct{}
@@ -144,8 +154,8 @@ type Shipper struct {
 	droppedC     *telemetry.Counter
 }
 
-// NewShipper creates a shipper for store. Call Start to install the
-// commit hook and begin streaming, or StartFed when a Fanout feeds it.
+// NewShipper creates a shipper for store. A Fanout starts it
+// (AttachRing, AttachSubtree) and feeds it.
 func NewShipper(store *mds.Store, opts Options) *Shipper {
 	opts = opts.withDefaults()
 	if opts.Snapshot == nil {
@@ -162,7 +172,6 @@ func NewShipper(store *mds.Store, opts Options) *Shipper {
 		return fmt.Sprintf("replica.stream.%s.u%d.b%d", leaf, opts.Unit, opts.Backup)
 	}
 	sh := &Shipper{
-		store:        store,
 		opts:         opts,
 		log:          telemetry.L("repl").With("mds", opts.Primary),
 		ackCh:        make(chan struct{}),
@@ -186,22 +195,10 @@ func NewShipper(store *mds.Store, opts Options) *Shipper {
 	return sh
 }
 
-// Start installs the commit hook and launches the sender. The first
-// thing the sender does is bootstrap the backup with a snapshot.
-func (sh *Shipper) Start() {
-	sh.mu.Lock()
-	sh.ownsHook = true
-	sh.mu.Unlock()
-	sh.store.SetCommitHook(sh.tap)
-	sh.startSender()
-}
-
-// StartFed launches the sender without touching the store's commit-hook
-// slot: the owning Fanout holds the hook and feeds this shipper
-// pre-filtered batches via Feed.
-func (sh *Shipper) StartFed() { sh.startSender() }
-
-func (sh *Shipper) startSender() {
+// start launches the sender (and the keepalive ticker, when configured).
+// The first thing the sender does is bootstrap the backup with a
+// snapshot.
+func (sh *Shipper) start() {
 	sh.wg.Add(1)
 	go sh.run()
 	if sh.opts.KeepaliveEvery > 0 {
@@ -229,15 +226,9 @@ func (sh *Shipper) keepaliveLoop() {
 	}
 }
 
-// Stop uninstalls the hook (when this shipper owns it), releases any
-// sync waiters (with an error), and waits for the sender to exit.
+// Stop releases any sync waiters (with an error) and waits for the
+// sender to exit. Idempotent.
 func (sh *Shipper) Stop() {
-	sh.mu.Lock()
-	owns := sh.ownsHook
-	sh.mu.Unlock()
-	if owns {
-		sh.store.SetCommitHook(nil)
-	}
 	sh.mu.Lock()
 	if sh.stopped {
 		sh.mu.Unlock()
@@ -264,6 +255,7 @@ func (sh *Shipper) Retarget(newBackup int) {
 }
 
 // Status is a point-in-time view of the stream (admin /healthz, tests).
+// Sequence numbers, lag and drops count records; the backlog counts ops.
 type Status struct {
 	Primary  int    `json:"primary"`
 	Unit     uint64 `json:"unit,omitempty"`
@@ -291,49 +283,43 @@ func (sh *Shipper) Status() Status {
 		LastSeq:  sh.lastSeq,
 		AckedSeq: sh.acked,
 		Lag:      sh.lastSeq - sh.acked,
-		Backlog:  len(sh.buf),
+		Backlog:  sh.bufOps,
 		Dropped:  sh.dropped,
 		Syncing:  sh.needSnap,
 	}
 }
 
-// tap is the kvstore commit hook of a Start-ed (hook-owning) shipper.
-func (sh *Shipper) tap(ctx context.Context, muts []kvstore.Mutation) func() error {
-	return sh.Feed(ctx, muts)
-}
-
-// Feed ingests one committed batch in WAL order. It is called either as
-// the store's commit hook (whole-store shipper) or by the Fanout with
-// the batch already filtered to this unit's subtree — in both cases
-// under the DB write lock, so it must not take store locks. It assigns
-// sequence numbers, buffers the records, and in Sync mode returns the
-// per-write ack wait, which the commit pipeline either awaits inline
-// (sync-repl) or drives to completion in the background (async).
-func (sh *Shipper) Feed(ctx context.Context, muts []kvstore.Mutation) func() error {
+// Feed ingests one committed WAL record — n op bodies in ops — in WAL
+// order. The Fanout calls it from the store's commit hook, under the DB
+// write lock, so it must not take store locks. It keeps ops (the
+// memtable's immutable copy, or a sub-record the unit filter built),
+// assigns the record its sequence number, and in Sync mode returns its
+// ack wait, which the commit pipeline either awaits inline (sync-repl)
+// or drives to completion in the background (async).
+func (sh *Shipper) Feed(ctx context.Context, ops []byte, n int) func() error {
 	sh.mu.Lock()
 	if sh.stopped {
 		sh.mu.Unlock()
 		return nil
 	}
-	for _, m := range muts {
-		sh.lastSeq++
-		sh.buf = append(sh.buf, Record{Seq: sh.lastSeq, Mut: m})
-	}
-	last := sh.lastSeq
-	sh.lastSeqG.Set(float64(last))
-	if len(sh.buf) > sh.opts.MaxBacklog {
+	sh.lastSeq++
+	seq := sh.lastSeq
+	sh.buf = append(sh.buf, record{seq: seq, ops: ops, n: n})
+	sh.bufOps += n
+	sh.lastSeqG.Set(float64(seq))
+	if sh.bufOps > sh.opts.MaxBacklog {
 		// Overflow: drop the buffer and resync by snapshot. The store
-		// itself still holds every dropped mutation, so the snapshot
-		// covers them; only the stream restarts.
+		// itself still holds every dropped record, so the snapshot covers
+		// them; only the stream restarts.
 		sh.dropped += uint64(len(sh.buf))
 		sh.droppedC.Add(int64(len(sh.buf)))
-		sh.buf = nil
+		sh.buf, sh.bufOps = nil, 0
 		if !sh.needSnap {
 			sh.needSnap = true
 			sh.resyncC.Inc()
 		}
 	}
-	sh.backlogG.Set(float64(len(sh.buf)))
+	sh.backlogG.Set(float64(sh.bufOps))
 	sh.lagG.Set(float64(sh.lastSeq - sh.acked))
 	sh.cond.Signal()
 	sh.mu.Unlock()
@@ -344,17 +330,31 @@ func (sh *Shipper) Feed(ctx context.Context, muts []kvstore.Mutation) func() err
 		// The ack wait is where sync-mode latency hides; give it its own
 		// span under the writer's kvstore.commit span.
 		_, span := sh.opts.Tracer.StartSpan(ctx, "repl.sync_ack")
-		err := sh.waitAcked(last)
+		err := sh.waitAcked(seq)
 		span.Finish(err)
 		return err
 	}
 }
 
+// ackTimers recycles waitAcked's timeout timers: every sync-mode write
+// waits once, and a fresh timer per wait is three allocations.
+var ackTimers sync.Pool
+
 // waitAcked blocks until the backup has applied seq, the shipper stops,
 // or SyncTimeout passes.
 func (sh *Shipper) waitAcked(seq uint64) error {
-	timer := time.NewTimer(sh.opts.SyncTimeout)
-	defer timer.Stop()
+	timeout := sh.opts.SyncTimeout
+	timer, _ := ackTimers.Get().(*time.Timer)
+	if timer == nil {
+		timer = time.NewTimer(timeout)
+	} else {
+		timer.Reset(timeout)
+	}
+	start := time.Now()
+	defer func() {
+		timer.Stop()
+		ackTimers.Put(timer)
+	}()
 	for {
 		sh.mu.Lock()
 		if sh.acked >= seq {
@@ -370,6 +370,9 @@ func (sh *Shipper) waitAcked(seq uint64) error {
 		select {
 		case <-ch:
 		case <-timer.C:
+			if time.Since(start) < timeout {
+				continue // a tick the timer's previous wait left behind
+			}
 			sh.syncTimeoutC.Inc()
 			return fmt.Errorf("replication: sync ack timeout at seq %d (backup %d unreachable or lagging)", seq, sh.backup)
 		}
@@ -396,8 +399,26 @@ func (sh *Shipper) sleep() {
 	}
 }
 
+// frame returns the records of the next Append frame — whole records from
+// the head of the buffer, closing on the one that reaches Window; a
+// record larger than Window goes alone — and the ops they carry. The
+// slice aliases buf: the sender reads it after releasing mu, which is
+// safe because until the sender pops these records, Feed only appends
+// past them. Caller holds mu; buf is not empty.
+func (sh *Shipper) frame() ([]record, int) {
+	k, ops := 0, 0
+	for k < len(sh.buf) && ops < sh.opts.Window {
+		if k > 0 && sh.buf[k].n > sh.opts.Window {
+			break
+		}
+		ops += sh.buf[k].n
+		k++
+	}
+	return sh.buf[:k:k], ops
+}
+
 // run is the sender loop: bootstrap by snapshot whenever the stream
-// needs one, otherwise ship the buffered tail in Window-sized batches.
+// needs one, otherwise ship the buffered tail in frames of whole records.
 func (sh *Shipper) run() {
 	defer sh.wg.Done()
 	for {
@@ -434,7 +455,7 @@ func (sh *Shipper) run() {
 			sh.needSnap = false
 			sh.sessGen++
 			sh.session = sh.sessGen
-			sh.buf = nil
+			sh.buf, sh.bufOps = nil, 0
 			base := sh.lastSeq
 			session := sh.session
 			backup := sh.backup
@@ -458,28 +479,29 @@ func (sh *Shipper) run() {
 			sh.log.Info("replica bootstrapped", "backup", backup, "session", session, "base_seq", base)
 			continue
 		}
-		n := len(sh.buf)
-		if n > sh.opts.Window {
-			n = sh.opts.Window
-		}
-		recs := make([]Record, n)
-		copy(recs, sh.buf[:n])
+		recs, ops := sh.frame()
 		session := sh.session
 		backup := sh.backup
 		head := sh.lastSeq
 		sh.mu.Unlock()
 
-		applied, err := sh.ship(backup, session, head, recs[0].Seq, recs)
+		applied, err := sh.ship(backup, session, head, recs[0].seq, recs)
 		sh.mu.Lock()
 		if err == nil && sh.session == session {
 			// Pop exactly what we shipped — unless an overflow reset the
-			// buffer underneath us.
-			if len(sh.buf) >= n && sh.buf[0].Seq == recs[0].Seq {
-				sh.buf = sh.buf[n:]
+			// buffer underneath us. A drained buffer restarts at the front
+			// of its array, so a stream that keeps up appends in place.
+			if len(sh.buf) >= len(recs) && sh.buf[0].seq == recs[0].seq {
+				if len(sh.buf) == len(recs) {
+					sh.buf = sh.buf[:0]
+				} else {
+					sh.buf = sh.buf[len(recs):]
+				}
+				sh.bufOps -= ops
 			}
 			sh.advanceAcked(applied)
-			sh.shippedC.Add(int64(n))
-			sh.backlogG.Set(float64(len(sh.buf)))
+			sh.shippedC.Add(int64(len(recs)))
+			sh.backlogG.Set(float64(sh.bufOps))
 			sh.mu.Unlock()
 			continue
 		}
@@ -504,53 +526,70 @@ func (sh *Shipper) streamID() streamID {
 	return streamID{Primary: sh.opts.Primary, Unit: sh.opts.Unit}
 }
 
-// ship sends one Append batch and returns the backup's applied frontier.
-func (sh *Shipper) ship(backup int, session, head, fromSeq uint64, recs []Record) (uint64, error) {
+// call sends the body built in sh.wire and returns the response, which
+// lives in sh.resp until the next call. Sender goroutine only.
+func (sh *Shipper) call(backup int, m rpc.Method) ([]byte, error) {
 	cli, err := sh.opts.Dial(backup)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	resp, err := cli.Call(MethodAppend, encodeAppend(sh.streamID(), session, head, fromSeq, recs))
+	resp, err := cli.CallInto(context.Background(), m, sh.wire.Bytes(), sh.resp[:0])
+	if err == nil {
+		sh.resp = resp
+	}
+	return resp, err
+}
+
+// ship sends one Append frame of whole records (none: a keepalive) and
+// returns the backup's applied frontier.
+func (sh *Shipper) ship(backup int, session, head, fromSeq uint64, recs []record) (uint64, error) {
+	w := sh.body(session).U64(head).U64(fromSeq)
+	mds.AppendRecordList(w, len(recs))
+	for _, rec := range recs {
+		mds.AppendRecord(w, rec.ops, rec.n)
+	}
+	resp, err := sh.call(backup, MethodAppend)
 	if err != nil {
 		return 0, err
 	}
 	return decodeAppliedResp(resp)
 }
 
-// bootstrap ships a unit snapshot under a fresh session: SnapBegin,
-// chunked pairs, SnapEnd carrying the base seq the tail resumes from.
-// The export is copied out under the store's read lock before any
-// network send, so writers are never blocked behind the backup.
+// body starts the next request body in sh.wire with the stream header.
+func (sh *Shipper) body(session uint64) *rpc.Wire {
+	sh.wire.Reset()
+	appendHeader(&sh.wire, sh.streamID(), session)
+	return &sh.wire
+}
+
+// bootstrap ships a unit snapshot under a fresh session: SnapBegin, the
+// unit's pairs as records of at most SnapChunk puts, SnapEnd carrying the
+// base seq the tail resumes from. The export is copied into those records
+// under the store's read lock before the first chunk is sent, so writers
+// are never blocked behind the backup.
 func (sh *Shipper) bootstrap(backup int, session uint64, base uint64) error {
-	cli, err := sh.opts.Dial(backup)
-	if err != nil {
+	sh.body(session)
+	if _, err := sh.call(backup, MethodSnapBegin); err != nil {
 		return err
 	}
-	if _, err := cli.Call(MethodSnapBegin, encodeSnapBegin(sh.streamID(), session)); err != nil {
-		return err
-	}
-	var pairs []kvstore.Mutation
-	err = sh.opts.Snapshot(func(k, v []byte) bool {
-		pairs = append(pairs, kvstore.Mutation{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
+	chunks := make([]kvstore.Batch, 1)
+	err := sh.opts.Snapshot(func(k, v []byte) bool {
+		if chunks[len(chunks)-1].Len() == sh.opts.SnapChunk {
+			chunks = append(chunks, kvstore.Batch{})
+		}
+		chunks[len(chunks)-1].Put(k, v)
 		return true
 	})
-	if err != nil {
-		return err
+	for i := 0; err == nil && i < len(chunks) && chunks[i].Len() > 0; i++ {
+		ops, n := chunks[i].Ops()
+		w := sh.body(session)
+		mds.AppendRecordList(w, 1)
+		mds.AppendRecord(w, ops, n)
+		_, err = sh.call(backup, MethodSnapChunk)
 	}
-	for off := 0; off < len(pairs); off += sh.opts.SnapChunk {
-		end := off + sh.opts.SnapChunk
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		if _, err := cli.Call(MethodSnapChunk, encodeSnapChunk(sh.streamID(), session, pairs[off:end])); err != nil {
-			return err
-		}
+	if err == nil {
+		sh.body(session).U64(base)
+		_, err = sh.call(backup, MethodSnapEnd)
 	}
-	if _, err := cli.Call(MethodSnapEnd, encodeSnapEnd(sh.streamID(), session, base)); err != nil {
-		return err
-	}
-	return nil
+	return err
 }

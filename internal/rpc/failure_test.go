@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"net"
 	"testing"
+	"time"
 )
 
 func TestHandlerPanicBecomesError(t *testing.T) {
@@ -52,5 +54,51 @@ func TestOversizedFrameRejected(t *testing.T) {
 	// client-side, before hitting the wire).
 	if _, err := c.Call(1, []byte("ok")); err != nil {
 		t.Errorf("connection unusable after oversized frame: %v", err)
+	}
+}
+
+// TestServerCloseRacingAccept closes servers while a client keeps
+// dialing them: a connection accepted as Close runs must not be left
+// open, or Close waits on its reader forever.
+func TestServerCloseRacingAccept(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		srv := NewServer()
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var conns []net.Conn
+		stop, dialing, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				if conn, err := net.Dial("tcp", addr); err == nil {
+					if conns = append(conns, conn); len(conns) == 1 {
+						close(dialing)
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+		<-dialing
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close hung on a connection accepted while it ran", i)
+		}
+		close(stop)
+		<-done
+		for _, c := range conns {
+			c.Close()
+		}
 	}
 }

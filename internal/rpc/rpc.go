@@ -259,10 +259,11 @@ func (t *methodTable) get(m Method) *methodMetrics {
 	return mm
 }
 
-// record tallies one finished call.
-func (t *methodTable) record(m Method, start time.Time, failed bool) {
-	mm := t.get(m)
-	mm.calls.Inc()
+// record tallies the latency and outcome of a finished call. Both ends
+// count a call when it starts, so a request is in the registry snapshot
+// its own handler takes: a scraped node never looks like one that has
+// served nothing.
+func (t *methodTable) record(mm *methodMetrics, start time.Time, failed bool) {
 	mm.latency.Record(time.Since(start).Nanoseconds())
 	if failed {
 		t.reg.Counter(mm.errors).Inc()
@@ -438,6 +439,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	s.connMu.Lock()
+	if s.closed.Load() {
+		// Accepted as Close ran: Close has already force-closed the
+		// connections it could see, and would wait forever on this one.
+		s.connMu.Unlock()
+		return
+	}
 	s.conns[conn] = struct{}{}
 	s.connMu.Unlock()
 	defer func() {
@@ -537,14 +544,19 @@ func (s *Server) handleRequest(r *request) bool {
 	s.mu.RLock()
 	h := s.handlers[method]
 	s.mu.RUnlock()
+	var mm *methodMetrics
+	if tl != nil {
+		mm = tl.get(method)
+		mm.calls.Inc()
+	}
 	// Open the dispatch span: it brackets the handler (not the response
 	// write) and becomes the parent for every span the handler starts.
 	info := CallInfo{Method: method, TraceID: r.hdr.trace, SpanID: r.hdr.span}
 	var dispatch *telemetry.ActiveSpan
 	if tr := s.spanTracer(); tr != nil && info.TraceID != 0 {
 		var name string
-		if tl != nil {
-			name = tl.get(method).span
+		if mm != nil {
+			name = mm.span
 		} else {
 			name = "rpc.server." + methodLabel(nil, method)
 		}
@@ -571,7 +583,7 @@ func (s *Server) handleRequest(r *request) bool {
 	}
 	dispatch.Finish(err)
 	if tl != nil {
-		tl.record(method, start, err != nil)
+		tl.record(mm, start, err != nil)
 	}
 	if fi := s.faultInjector(); fi != nil {
 		delay, f, fired := resolveFaults(faultsFor(fi, PointServerSend, method))
@@ -1050,9 +1062,11 @@ func (c *Client) CallInto(ctx context.Context, m Method, body, dst []byte) ([]by
 	if c.stats == nil {
 		return c.doCall(ctx, m, body, dst)
 	}
+	mm := c.stats.get(m)
+	mm.calls.Inc()
 	start := time.Now()
 	out, err := c.doCall(ctx, m, body, dst)
-	c.stats.record(m, start, err != nil)
+	c.stats.record(mm, start, err != nil)
 	if errors.Is(err, ErrTimeout) {
 		c.stats.reg.Counter("rpc.client.timeouts").Inc()
 	}

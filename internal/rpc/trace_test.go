@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,10 @@ func TestClientServerMetrics(t *testing.T) {
 		return nil, &RemoteError{Method: 2, Msg: "boom"}
 	})
 	sreg := telemetry.NewRegistry()
+	// A handler sees its own request counted: a scrape reports itself.
+	srv.Handle(3, func([]byte) ([]byte, error) {
+		return []byte(fmt.Sprint(sreg.Counter("rpc.server.m3.requests").Value())), nil
+	})
 	srv.SetTelemetry(sreg, func(m Method) string {
 		if m == 1 {
 			return "echo"
@@ -98,6 +103,9 @@ func TestClientServerMetrics(t *testing.T) {
 	}
 	if _, err := c.Call(2, nil); err == nil {
 		t.Fatal("error method succeeded")
+	}
+	if out, err := c.Call(3, nil); err != nil || string(out) != "1" {
+		t.Errorf("handler saw its own request counted %q times (err %v), want 1", out, err)
 	}
 
 	if n := creg.Counter("rpc.client.echo.calls").Value(); n != 3 {

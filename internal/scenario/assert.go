@@ -131,6 +131,14 @@ func evaluateAssertions(sc *Scenario, res *RunResult, cl *server.Cluster, co *se
 // "sync" and "off" add nothing: sync acks waited for the backup, and
 // with replication off a kill/restart revives the primary's own
 // (fsynced or torn-tail-recovered) WAL.
+//
+// The shipper frames whole records, but the budget still holds in ops:
+// MaxBacklog and Window both count ops, an in-flight frame stays in the
+// buffer until the backup acks it, and the buffer is dropped (for a
+// snapshot resync that carries everything) the moment it holds more than
+// MaxBacklog ops — so at most MaxBacklog acked ops are ever unshipped,
+// however a frame's last record overshoots Window. A backup applies a
+// frame whole, so a kill can only lose whole records, never part of one.
 func lossWindowBound(sc *Scenario) int {
 	bound := 0
 	if sc.Fleet.CommitMode == "async" {
@@ -153,7 +161,9 @@ func lossWindowBound(sc *Scenario) int {
 	return bound
 }
 
-// commitModeName names the fleet's effective commit mode for reporting.
+// commitModeName is the fleet's effective commit mode: its commit-mode,
+// else sync-repl under "replication: sync", else sync-fsync. The runner
+// starts the cluster with it, and the loss-window verdict reports it.
 func commitModeName(sc *Scenario) string {
 	if sc.Fleet.CommitMode != "" {
 		return sc.Fleet.CommitMode

@@ -187,9 +187,10 @@ func runCluster(sc *Scenario, seed int64, opts Options, logf func(string, ...int
 	}
 
 	cl, err := server.StartClusterConfig(sc.Fleet.MDS, baseDir, server.ClusterConfig{
-		CallTimeout:  sc.Fleet.CallTimeout,
-		FaultSeed:    seed,
-		CommitMode:   sc.Fleet.CommitMode,
+		CallTimeout: sc.Fleet.CallTimeout,
+		FaultSeed:   seed,
+		// "replication: sync" with no commit-mode means sync-repl.
+		CommitMode:   commitModeName(sc),
 		CommitWindow: sc.Fleet.CommitWindow,
 	})
 	if err != nil {
@@ -198,8 +199,7 @@ func runCluster(sc *Scenario, seed int64, opts Options, logf func(string, ...int
 	defer cl.Close()
 
 	if sc.Fleet.Replication != "off" {
-		syncMode := sc.Fleet.Replication == "sync"
-		err := cl.EnableReplication(syncMode, func(o *replication.Options) {
+		err := cl.EnableReplication(func(o *replication.Options) {
 			o.RetryBackoff = 5 * time.Millisecond
 			if sc.Fleet.Backlog > 0 {
 				o.MaxBacklog = sc.Fleet.Backlog

@@ -54,16 +54,28 @@ func BenchmarkTCPClusterThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkDurableCreate is the live durable-mutation path under the
-// profiler (`make profile`): two closed-loop SDK forks over loopback TCP
-// against one sync-fsync shard, each creating in its own directory with
-// a remove trailing every create once 16 files are live — the shape of
-// the repository benchmark's create-storm, so a profile of this is a
-// profile of that.
+// BenchmarkDurableCreate is the live durable-mutation path: two
+// closed-loop SDK forks over loopback TCP, each creating in its own
+// directory with a remove trailing every create once 16 files are live.
+// sync-fsync is one shard acking after its WAL fsync — the shape of the
+// repository benchmark's create-storm, so a profile of it (`make
+// profile`) is a profile of that. sync-repl is the same storm on two
+// shards acking after the ring backup applied each record, the path no
+// repository workload covers: allocs/op counts both ends.
 func BenchmarkDurableCreate(b *testing.B) {
+	for _, mode := range []string{"sync-fsync", "sync-repl"} {
+		b.Run(mode, func(b *testing.B) { benchDurableCreate(b, mode) })
+	}
+}
+
+func benchDurableCreate(b *testing.B, mode string) {
 	const workers, live = 2, 16
-	cl, err := StartClusterConfig(1, b.TempDir(), ClusterConfig{
-		CommitMode:      "sync-fsync",
+	n := 1
+	if mode == "sync-repl" {
+		n = 2 // the ack rides the backup
+	}
+	cl, err := StartClusterConfig(n, b.TempDir(), ClusterConfig{
+		CommitMode:      mode,
 		KvOpts:          kvstore.Options{SyncWAL: true, MemtableBytes: 1 << 20},
 		TraceSampleRate: -1,
 	})
@@ -71,6 +83,11 @@ func BenchmarkDurableCreate(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cl.Close()
+	if n > 1 {
+		if err := cl.EnableReplication(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 	root, err := client.Dial(client.Config{Addrs: cl.Addrs, TraceSampleRate: -1})
 	if err != nil {
 		b.Fatal(err)

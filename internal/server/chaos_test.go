@@ -3,13 +3,116 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"origami/internal/client"
 	"origami/internal/namespace"
+	"origami/internal/replication"
 	"origami/internal/rpc"
 )
+
+// TestChaosFailoverRenameStormKeepsRecordsWhole kills a primary in the
+// middle of a rename storm and promotes its backup. Replication ships
+// with Window 1, and the backup refuses every Append after the storm's
+// first, so the promoted replica ends exactly one frame into the storm —
+// a cut that falls inside the first rename's record if frames can split
+// records. A rename is one record (delete old, put new), and frames carry
+// whole records, so on the promoted node every file — every acknowledged
+// rename's included — shows exactly one of its two names.
+func TestChaosFailoverRenameStormKeepsRecordsWhole(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos test")
+	}
+	const primary, backup, files, workers = 1, 2, 64, 4
+	cl, err := StartCluster(3, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.EnableReplication(func(o *replication.Options) {
+		o.Window = 1
+		o.RetryBackoff = 5 * time.Millisecond
+	}); err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(cl)
+	sdk, err := client.Dial(client.Config{Addrs: cl.Addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdk.Close()
+	dir, err := sdk.Mkdir("/storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Migrate(dir.Ino, 0, primary); err != nil {
+		t.Fatal(err)
+	}
+	if err := sdk.RefreshMap(); err != nil {
+		t.Fatal(err)
+	}
+	name := func(prefix string, i int) string { return fmt.Sprintf("%s%03d", prefix, i) }
+	for i := 0; i < files; i++ {
+		if _, err := sdk.Create("/storm/" + name("f", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	converged := func() bool {
+		st := cl.ShipperOf(primary).Status()
+		return !st.Syncing && st.Lag == 0
+	}
+	for deadline := time.Now().Add(10 * time.Second); !converged(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("backup never caught up: %+v", cl.ShipperOf(primary).Status())
+		}
+	}
+	cl.Services[backup].Server().SetFaultInjector(rpc.NewRuleInjector(1, rpc.Rule{
+		Point: rpc.PointServerRecv, Method: replication.MethodAppend, Skip: 1, Action: rpc.FaultError,
+	}))
+
+	// The storm: every worker renames its share of f* to g*; the primary
+	// dies once a few renames are acknowledged.
+	var acked atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < files && !stop.Load(); i += workers {
+				if sdk.Rename("/storm/"+name("f", i), "/storm/"+name("g", i)) == nil {
+					acked.Add(1)
+				}
+			}
+		}(w)
+	}
+	for deadline := time.Now().Add(10 * time.Second); acked.Load() < 8; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the storm acknowledged no renames")
+		}
+	}
+	if err := cl.StopMDS(primary); err != nil {
+		t.Fatal(err)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err := co.Failover(primary); err != nil {
+		t.Fatal(err)
+	}
+
+	promoted := cl.Services[backup].Store()
+	for i := 0; i < files; i++ {
+		_, hasOld, _ := promoted.Lookup(dir.Ino, name("f", i))
+		_, hasNew, _ := promoted.Lookup(dir.Ino, name("g", i))
+		if hasOld == hasNew {
+			t.Errorf("file %d on the promoted node: old name %v, new name %v — a rename record arrived in part", i, hasOld, hasNew)
+		}
+	}
+	t.Logf("%d renames acknowledged before the kill", acked.Load())
+}
 
 // TestChaosOpsMigrationsRestarts interleaves random namespace mutations,
 // random subtree migrations, and full-cluster restarts, cross-checking

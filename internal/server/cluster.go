@@ -52,8 +52,8 @@ type ClusterConfig struct {
 	// pipeline: "sync-fsync" (default — ack after the local WAL fsync),
 	// "sync-repl" (ack after the backup replica applied; requires
 	// EnableReplication, else it degrades to the local fsync), or
-	// "async" (ack from the memtable under CommitWindow). An explicit
-	// mode overrides EnableReplication's legacy syncMode mapping.
+	// "async" (ack from the memtable under CommitWindow). It is the one
+	// durability setting: EnableReplication never changes it.
 	CommitMode string
 	// CommitWindow bounds the async mode's acknowledged-but-not-durable
 	// in-flight set (0 = commit.DefaultWindow). It is the loss window a
@@ -92,14 +92,10 @@ type Cluster struct {
 	leaseTTL   time.Duration
 
 	// commitMode/commitWindow are the cluster-wide durability policy;
-	// pipelines[i] is MDS i's installed commit pipeline. commitModeSet
-	// records whether the mode was configured explicitly — when it was
-	// not, EnableReplication(syncMode=true) upgrades the cluster to
-	// sync-repl (the legacy -repl-sync mapping).
-	commitMode    commit.Mode
-	commitWindow  int
-	commitModeSet bool
-	pipelines     []*commit.Pipeline
+	// pipelines[i] is MDS i's installed commit pipeline.
+	commitMode   commit.Mode
+	commitWindow int
+	pipelines    []*commit.Pipeline
 
 	// repl is the replication wiring, nil until EnableReplication. Like
 	// Services it is mutated only by single-threaded admin operations.
@@ -137,20 +133,19 @@ func StartClusterConfig(n int, baseDir string, cfg ClusterConfig) (*Cluster, err
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	c := &Cluster{
-		dir:           baseDir,
-		peerConns:     make([][]*rpc.Client, n),
-		timeout:       cfg.CallTimeout,
-		kvOpts:        cfg.KvOpts,
-		faults:        NewLinkFaults(cfg.FaultSeed),
-		throttles:     make([]*kvstore.Throttle, n),
-		tracers:       make([]*telemetry.Tracer, n),
-		traceRate:     cfg.TraceSampleRate,
-		slowThresh:    cfg.SlowOpThreshold,
-		leaseTTL:      cfg.LeaseTTL,
-		commitMode:    mode,
-		commitWindow:  cfg.CommitWindow,
-		commitModeSet: cfg.CommitMode != "",
-		pipelines:     make([]*commit.Pipeline, n),
+		dir:          baseDir,
+		peerConns:    make([][]*rpc.Client, n),
+		timeout:      cfg.CallTimeout,
+		kvOpts:       cfg.KvOpts,
+		faults:       NewLinkFaults(cfg.FaultSeed),
+		throttles:    make([]*kvstore.Throttle, n),
+		tracers:      make([]*telemetry.Tracer, n),
+		traceRate:    cfg.TraceSampleRate,
+		slowThresh:   cfg.SlowOpThreshold,
+		leaseTTL:     cfg.LeaseTTL,
+		commitMode:   mode,
+		commitWindow: cfg.CommitWindow,
+		pipelines:    make([]*commit.Pipeline, n),
 	}
 	for i := range c.peerConns {
 		c.peerConns[i] = make([]*rpc.Client, n)

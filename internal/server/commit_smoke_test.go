@@ -7,7 +7,6 @@ import (
 
 	"origami/internal/client"
 	"origami/internal/commit"
-	"origami/internal/replication"
 )
 
 // TestCommitSmokeClusterModes is the end-to-end commit-pipeline smoke
@@ -37,7 +36,7 @@ func TestCommitSmokeClusterModes(t *testing.T) {
 			}
 			defer cl.Close()
 			if n >= 2 {
-				if err := cl.EnableReplication(false, nil); err != nil {
+				if err := cl.EnableReplication(nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -115,23 +114,25 @@ func TestCommitSmokeClusterModes(t *testing.T) {
 	}
 }
 
-// TestCommitSmokeSyncReplLegacyFlag pins the legacy mapping: enabling
-// replication with syncMode=true on a cluster that never set an explicit
-// commit mode must upgrade the policy to sync-repl — the -repl-sync flag
-// keeps meaning what it always meant.
-func TestCommitSmokeSyncReplLegacyFlag(t *testing.T) {
-	cl, err := StartCluster(2, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if got := cl.CommitMode(); got != commit.SyncFsync {
-		t.Fatalf("fresh cluster mode %s, want sync-fsync", got)
-	}
-	if err := cl.EnableReplication(true, func(o *replication.Options) {}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cl.CommitMode(); got != commit.SyncRepl {
-		t.Errorf("after -repl-sync: mode %s, want sync-repl", got)
+// TestCommitSmokeReplicationKeepsCommitMode pins the one durability
+// spelling: the commit mode is the cluster's configuration alone.
+// Enabling replication leaves it as configured: a sync-fsync cluster
+// ships fire-and-forget, a sync-repl one hands its writers ack waits.
+func TestCommitSmokeReplicationKeepsCommitMode(t *testing.T) {
+	for mode, want := range map[string]commit.Mode{"": commit.SyncFsync, "sync-repl": commit.SyncRepl} {
+		cl, err := StartClusterConfig(2, t.TempDir(), ClusterConfig{CommitMode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := cl.EnableReplication(nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := cl.CommitMode(); got != want {
+			t.Errorf("CommitMode %q: mode %s after EnableReplication, want %s", mode, got, want)
+		}
+		if got := cl.ShipperOf(0).Status().Sync; got != (want == commit.SyncRepl) {
+			t.Errorf("CommitMode %q: shipper Sync = %v", mode, got)
+		}
 	}
 }

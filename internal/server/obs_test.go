@@ -21,12 +21,12 @@ import (
 // mode puts the repl.sync_ack wait on the write path).
 func startObsCluster(t *testing.T, n int) (*Cluster, *client.Client) {
 	t.Helper()
-	cl, err := StartCluster(n, t.TempDir())
+	cl, err := StartClusterConfig(n, t.TempDir(), ClusterConfig{CommitMode: "sync-repl"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	if err := cl.EnableReplication(true, nil); err != nil {
+	if err := cl.EnableReplication(nil); err != nil {
 		t.Fatal(err)
 	}
 	sdk, err := client.Dial(client.Config{Addrs: cl.Addrs, Cache: "leases"})

@@ -24,7 +24,8 @@ import (
 // operations (Enable/Stop/Restart/Retarget/Close), like Services itself.
 type replGroup struct {
 	sync      bool
-	backups   []int // backups[i] = backup MDS of primary i
+	tweak     func(*replication.Options) // EnableReplication's, reapplied on restart
+	backups   []int                      // backups[i] = backup MDS of primary i
 	shippers  []*replication.Shipper
 	fanouts   []*replication.Fanout
 	receivers []*replication.Receiver
@@ -33,14 +34,12 @@ type replGroup struct {
 
 // EnableReplication wires ring replication into a running cluster:
 // every MDS gets a Receiver registered on its RPC server and a Shipper
-// streaming its shard to the next MDS. syncMode is the legacy
-// -repl-sync switch: unless the cluster was given an explicit
-// CommitMode, syncMode=true upgrades the durability policy to
-// sync-repl (acks gated on the backup ack) — the decision now lives in
-// the commit pipeline, not in ad-hoc shipper plumbing. tweak, when
-// non-nil, is applied to each shipper's options before start (tests
+// streaming its shard to the next MDS. What an acknowledgement waits for
+// is the cluster's commit mode alone (ClusterConfig.CommitMode:
+// sync-repl gates acks on the backup's). tweak, when non-nil, is applied
+// to each shipper's options before start, restarts included (tests
 // shrink windows and timeouts with it).
-func (c *Cluster) EnableReplication(syncMode bool, tweak func(*replication.Options)) error {
+func (c *Cluster) EnableReplication(tweak func(*replication.Options)) error {
 	n := len(c.Services)
 	if n < 2 {
 		return fmt.Errorf("server: replication needs >= 2 MDSs, have %d", n)
@@ -48,60 +47,63 @@ func (c *Cluster) EnableReplication(syncMode bool, tweak func(*replication.Optio
 	if c.repl != nil {
 		return fmt.Errorf("server: replication already enabled")
 	}
-	if syncMode && !c.commitModeSet {
-		// Legacy mapping: -repl-sync means the sync-repl commit policy.
-		// Re-install every pipeline under the upgraded mode.
-		c.commitMode = commit.SyncRepl
-		for i, svc := range c.Services {
-			if svc != nil {
-				c.installCommit(i, svc)
-			}
-		}
-	}
-	g := &replGroup{
+	c.repl = &replGroup{
 		sync:      c.commitMode == commit.SyncRepl,
+		tweak:     tweak,
 		backups:   make([]int, n),
 		shippers:  make([]*replication.Shipper, n),
 		fanouts:   make([]*replication.Fanout, n),
 		receivers: make([]*replication.Receiver, n),
 		regs:      make([]*telemetry.Registry, n),
 	}
-	for i, svc := range c.Services {
-		g.regs[i] = telemetry.NewRegistry()
-		rcv := replication.NewReceiver(i, c.replicaDir(i), svc.Store(), c.kvOpts, g.regs[i])
-		rcv.Register(svc.Server())
-		g.receivers[i] = rcv
-		svc.SetReplicaProvider(rcv.ReadReplica)
+	// Every receiver is up before the first shipper bootstraps to it.
+	for i := range c.Services {
+		c.repl.regs[i] = telemetry.NewRegistry()
+		c.startReceiver(i)
 	}
-	for i, svc := range c.Services {
-		g.backups[i] = (i + 1) % n
-		opts := replication.Options{
-			Primary: i,
-			Backup:  g.backups[i],
-			// The shipper must surface per-record ack waits whenever the
-			// commit policy consumes them: sync-repl awaits them inline,
-			// async retires them in the background. Only sync-fsync ships
-			// fire-and-forget.
-			Sync:     c.commitMode != commit.SyncFsync,
-			Registry: g.regs[i],
-			Dial:     c.peerResolverFor(i),
-			Tracer:   c.Tracer(i),
-		}
-		if tweak != nil {
-			tweak(&opts)
-		}
-		// The commit hook belongs to a Fanout; the ring shipper rides it
-		// as unit 0, leaving room for subtree read units on the same shard.
-		sh := replication.NewShipper(svc.Store(), opts)
-		g.shippers[i] = sh
-		fan := replication.NewFanout(svc.Store())
-		g.fanouts[i] = fan
-		fan.Start()
-		fan.AttachRing(sh)
-		svc.AddBuildFeature("replication")
+	for i := range c.Services {
+		c.repl.backups[i] = (i + 1) % n
+		c.startShipper(i)
 	}
-	c.repl = g
 	return nil
+}
+
+// startReceiver registers MDS id's receiver on its server.
+func (c *Cluster) startReceiver(id int) {
+	svc := c.Services[id]
+	rcv := replication.NewReceiver(id, c.replicaDir(id), svc.Store(), c.kvOpts, c.repl.regs[id])
+	rcv.Register(svc.Server())
+	c.repl.receivers[id] = rcv
+	svc.SetReplicaProvider(rcv.ReadReplica)
+}
+
+// startShipper takes MDS id's commit hook with a Fanout and attaches the
+// ring shipper to it as unit 0, leaving room for subtree read units on
+// the same shard. The shipper bootstraps its backup from a snapshot.
+func (c *Cluster) startShipper(id int) {
+	svc := c.Services[id]
+	opts := replication.Options{
+		Primary: id,
+		Backup:  c.repl.backups[id],
+		// The shipper must surface per-record ack waits whenever the
+		// commit policy consumes them: sync-repl awaits them inline,
+		// async retires them in the background. Only sync-fsync ships
+		// fire-and-forget.
+		Sync:     c.commitMode != commit.SyncFsync,
+		Registry: c.repl.regs[id],
+		Dial:     c.peerResolverFor(id),
+		Tracer:   c.Tracer(id),
+	}
+	if c.repl.tweak != nil {
+		c.repl.tweak(&opts)
+	}
+	sh := replication.NewShipper(svc.Store(), opts)
+	c.repl.shippers[id] = sh
+	fan := replication.NewFanout(svc.Store())
+	c.repl.fanouts[id] = fan
+	fan.Start()
+	fan.AttachRing(sh)
+	svc.AddBuildFeature("replication")
 }
 
 func (c *Cluster) replicaDir(id int) string {
@@ -236,27 +238,8 @@ func (c *Cluster) startReplicationFor(id int) {
 	if c.repl == nil {
 		return
 	}
-	svc := c.Services[id]
-	reg := c.repl.regs[id]
-	rcv := replication.NewReceiver(id, c.replicaDir(id), svc.Store(), c.kvOpts, reg)
-	rcv.Register(svc.Server())
-	c.repl.receivers[id] = rcv
-	svc.SetReplicaProvider(rcv.ReadReplica)
-	opts := replication.Options{
-		Primary:  id,
-		Backup:   c.repl.backups[id],
-		Sync:     c.commitMode != commit.SyncFsync,
-		Registry: reg,
-		Dial:     c.peerResolverFor(id),
-		Tracer:   c.Tracer(id),
-	}
-	sh := replication.NewShipper(svc.Store(), opts)
-	c.repl.shippers[id] = sh
-	fan := replication.NewFanout(svc.Store())
-	c.repl.fanouts[id] = fan
-	fan.Start()
-	fan.AttachRing(sh)
-	svc.AddBuildFeature("replication")
+	c.startReceiver(id)
+	c.startShipper(id)
 }
 
 // FanoutOf returns a primary's replication fanout (tests, status), or
