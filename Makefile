@@ -75,14 +75,17 @@ commit-smoke:
 # The decoders that read bytes off a socket or a disk, against arbitrary
 # input: the MethodBatch frame handler on a scratch shard (never panics;
 # answers every sub-op or rejects the frame with EINVAL), the SDK's
-# response decoder, the record list every replication append, snapshot
-# chunk and migration ingest carries (never panics; a refused body applies
-# nothing), the batch envelope codec, and the kvstore's SSTable reader
-# (open, get, scan), manifest loader and WAL recovery (replay, then a
-# store opened on the log takes a write that survives the next crash).
+# response decoder, the partition map (SetMap, GetMap and the persisted
+# pin map; never allocates past its body), the record list every
+# replication append, snapshot chunk and migration ingest carries (never
+# panics; a refused body applies nothing), the batch envelope codec, and
+# the kvstore's SSTable reader (open, get, scan), manifest loader and WAL
+# recovery (replay, then a store opened on the log takes a write that
+# survives the next crash).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchFrame$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMap$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzReceiverFrames$$' -fuzztime 3s ./internal/replication
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 3s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime 3s ./internal/kvstore

@@ -73,7 +73,7 @@ func runCommand(sdk *client.Client, args []string) error {
 	}
 	switch cmd {
 	case "help":
-		fmt.Println("commands: mkdir <p> | create <p> | stat <p> | ls <p> | rm <p> | mv <src> <dst> | setattr <p> <size> | metrics [mds|all] | trace <id|last> | top | epoch | model | replicas | leases | quit")
+		fmt.Println("commands: mkdir <p> | create <p> | stat <p> | ls <p> | rm <p> | mv <src> <dst> | setattr <p> <size> | metrics [mds|all] | trace <id|last> | top | epoch | model | leases | quit")
 		return nil
 	case "mkdir":
 		if err := need(1); err != nil {
@@ -217,30 +217,6 @@ func runCommand(sdk *client.Client, args []string) error {
 		}
 		printJSON(body)
 		return nil
-	case "replicas":
-		// The read-replica table from the published partition map, joined
-		// with each hosting MDS's applied stream position from the
-		// coordinator's cluster-metrics scrape.
-		if err := sdk.RefreshMap(); err != nil {
-			return fmt.Errorf("replicas: refresh map: %w", err)
-		}
-		sets := sdk.ReplicaSets()
-		if len(sets) == 0 {
-			fmt.Println("no replicated subtrees")
-			return nil
-		}
-		applied := scrapeAppliedSeqs(sdk)
-		fmt.Printf("%-12s %6s %6s %8s %12s\n", "UNIT(INO)", "OWNER", "EPOCH", "REPLICA", "APPLIED")
-		for _, e := range sets {
-			for _, host := range e.Replicas {
-				seq := "-"
-				if v, ok := applied[appliedKey{host, uint64(e.Ino)}]; ok {
-					seq = strconv.FormatInt(int64(v), 10)
-				}
-				fmt.Printf("%-12d %6d %6d %8d %12s\n", e.Ino, e.Owner, e.Epoch, host, seq)
-			}
-		}
-		return nil
 	case "leases":
 		// The lease plane: per-MDS grant/bump/expiry counters and live
 		// table size from the coordinator scrape, plus the local SDK
@@ -283,43 +259,6 @@ func runCommand(sdk *client.Client, args []string) error {
 	default:
 		return fmt.Errorf("unknown command %q (try help)", cmd)
 	}
-}
-
-// appliedKey addresses one (replica host, unit) applied-sequence gauge.
-type appliedKey struct {
-	host int
-	unit uint64
-}
-
-// scrapeAppliedSeqs pulls the cluster-metrics snapshot and extracts every
-// replica.receiver.applied_seq.u<unit> gauge per host. A failed scrape
-// yields an empty map — the table still renders from the partition map,
-// just without stream positions.
-func scrapeAppliedSeqs(sdk *client.Client) map[appliedKey]float64 {
-	out := make(map[appliedKey]float64)
-	body, err := sdk.FetchClusterMetrics()
-	if err != nil {
-		return out
-	}
-	var snap struct {
-		Nodes map[string]telemetry.Snapshot `json:"nodes"`
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return out
-	}
-	for name, s := range snap.Nodes {
-		var host int
-		if _, err := fmt.Sscanf(name, "mds%d.replication", &host); err != nil {
-			continue
-		}
-		for gname, v := range s.Gauges {
-			var unit uint64
-			if _, err := fmt.Sscanf(gname, "replica.receiver.applied_seq.u%d", &unit); err == nil {
-				out[appliedKey{host, unit}] = v
-			}
-		}
-	}
-	return out
 }
 
 // printJSON pretty-prints a JSON RPC response as sorted key = value

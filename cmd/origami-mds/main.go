@@ -64,8 +64,6 @@ func main() {
 		modelDir  = flag.String("model-dir", "", "directory for online-learning model checkpoints; the newest one warm-starts the balancer")
 		retrain   = flag.Int("retrain-every", 256, "retrain the online model after this many newly harvested rows")
 		repl      = flag.Bool("repl", false, "enable ring replication between the MDSs in -cluster mode (WAL shipping; -commit-mode sync-repl acks after the backup applied)")
-		readReps  = flag.Int("read-replicas", 0, "fan-out of the subtree read-replica sweep in -cluster mode (0 disables; needs -repl)")
-		promReads = flag.Int64("promote-reads", 0, "subtree reads per epoch that promote a directory to replicated (0 = library default 1500)")
 		heartbeat = flag.Duration("heartbeat", 2*time.Second, "health-probe interval of the auto-failover loop when replication is on")
 		adminAddr = flag.String("admin", "", "HTTP admin address serving /metrics, /traces, /buildinfo, and /healthz (consecutive ports per MDS in -cluster mode; empty disables)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof on the admin endpoint (requires -admin)")
@@ -88,10 +86,6 @@ func main() {
 		os.Exit(2)
 	}
 	telemetry.SetLogLevel(parseLevel(*logLevel))
-	if *readReps > 0 && !*repl {
-		fmt.Fprintln(os.Stderr, "origami-mds: -read-replicas needs -repl (the fan-out rides the replication plane)")
-		os.Exit(2)
-	}
 	if *clusterN > 0 {
 		runCluster(clusterOpts{
 			n:            *clusterN,
@@ -104,8 +98,6 @@ func main() {
 			adminAddr:    *adminAddr,
 			pprofOn:      *pprofOn,
 			replOn:       *repl,
-			readReplicas: *readReps,
-			promoteReads: *promReads,
 			heartbeat:    *heartbeat,
 			traceRate:    *traceRate,
 			slowOp:       *slowOp,
@@ -251,8 +243,6 @@ type clusterOpts struct {
 	adminAddr    string
 	pprofOn      bool
 	replOn       bool
-	readReplicas int
-	promoteReads int64
 	heartbeat    time.Duration
 	traceRate    float64
 	slowOp       time.Duration
@@ -284,13 +274,6 @@ func runCluster(o clusterOpts) {
 		stopFailover := co.StartAutoFailover(o.heartbeat)
 		defer stopFailover()
 		log.Info("replication on", "commit_mode", cl.CommitMode().String(), "heartbeat", o.heartbeat)
-		if o.readReplicas > 0 {
-			co.EnableReadReplicas(server.ReplicaPolicy{
-				Fanout:       o.readReplicas,
-				PromoteReads: o.promoteReads,
-			})
-			log.Info("read-replica sweep on", "fanout", o.readReplicas, "promote_reads", o.promoteReads)
-		}
 	}
 	if o.modelPath != "" {
 		// Frozen model: no online learning, the checkpointed (or

@@ -345,15 +345,24 @@ func (c *Client) cacheEntry(grants []lease.Grant, dir namespace.Ino, name string
 	}
 }
 
-// lookupOwn fetches (parent, name) from its owner: the entry behind a
-// replayed create's EEXIST (this client's own earlier write), or the
-// source inode of a cross-shard rename.
+// lookupOwn fetches (parent, name) from its owner with a one-component
+// resolve: the entry behind a replayed create's EEXIST (this client's own
+// earlier write), or the source inode of a cross-shard rename. A name the
+// owner proves absent fails with ENOENT, as the owner's own error would.
 func (c *Client) lookupOwn(ctx context.Context, owner int, parent namespace.Ino, name string) (*namespace.Inode, error) {
 	var lw rpc.Wire
-	lw.U64(uint64(parent)).Str(name)
-	body, err := c.callIdem(ctx, owner, mds.MethodLookup, lw.Bytes(), nil)
+	lw.U64(uint64(parent)).U32(1).Str(name)
+	body, err := c.callIdem(ctx, owner, mds.MethodResolvePath, lw.Bytes(), nil)
 	if err != nil {
 		return nil, err
 	}
-	return decodeInode(body)
+	chain, err := decodeInodes(rpc.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if len(chain) == 0 {
+		return nil, &rpc.RemoteError{Method: mds.MethodResolvePath,
+			Msg: mds.CodedError(mds.CodeNoEnt, "%q not in dir %d", name, parent).Error()}
+	}
+	return chain[0], nil
 }

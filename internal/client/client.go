@@ -114,7 +114,6 @@ type Client struct {
 
 	mu         sync.Mutex
 	pins       map[namespace.Ino]int
-	reps       map[namespace.Ino]mds.ReplicaMapEntry
 	mapVersion uint64
 
 	// mapSeen is the newest map version a response trailer announced and
@@ -122,10 +121,6 @@ type Client struct {
 	// Close can wait them out.
 	mapSeen atomic.Uint64
 	bg      sync.WaitGroup
-
-	// repRR round-robins read RPCs across {owner} ∪ replicas of a
-	// replicated subtree.
-	repRR atomic.Uint64
 
 	// RPCCount tallies issued metadata RPCs (for RPC-per-op metrics).
 	RPCCount atomic.Int64
@@ -243,12 +238,6 @@ func (c *Client) Fork() *Client {
 	n.pins = make(map[namespace.Ino]int, len(c.pins))
 	for k, v := range c.pins {
 		n.pins[k] = v
-	}
-	if c.reps != nil {
-		n.reps = make(map[namespace.Ino]mds.ReplicaMapEntry, len(c.reps))
-		for k, v := range c.reps {
-			n.reps[k] = v
-		}
 	}
 	c.mu.Unlock()
 	return n
@@ -500,7 +489,7 @@ func (c *Client) refreshMap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	version, pins, reps, err := mds.DecodeMapFull(body)
+	version, pins, err := mds.DecodeMap(body)
 	if err != nil {
 		return err
 	}
@@ -511,47 +500,7 @@ func (c *Client) refreshMap(ctx context.Context) error {
 	for _, p := range pins {
 		c.pins[p.Ino] = p.MDS
 	}
-	c.reps = make(map[namespace.Ino]mds.ReplicaMapEntry, len(reps))
-	for _, re := range reps {
-		c.reps[re.Ino] = re
-	}
 	return nil
-}
-
-// ReplicaSets returns the replica table of the partition map the client
-// holds (origami-cli replicas).
-func (c *Client) ReplicaSets() []mds.ReplicaMapEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]mds.ReplicaMapEntry, 0, len(c.reps))
-	for _, re := range c.reps {
-		out = append(out, re)
-	}
-	return out
-}
-
-// readTarget picks the MDS a read under dir should try first: the write
-// owner when dir heads no replicated subtree, otherwise round-robin over
-// the owner and its read replicas. The second return says a non-owner
-// was picked — the caller falls back to owner on any error, because a
-// replica's answers (including negatives) are never authoritative.
-func (c *Client) readTarget(dir namespace.Ino, owner int) (int, bool) {
-	c.mu.Lock()
-	re, ok := c.reps[dir]
-	c.mu.Unlock()
-	if !ok || len(re.Replicas) == 0 {
-		return owner, false
-	}
-	n := len(re.Replicas) + 1 // owner takes one slot of the rotation
-	pick := int(c.repRR.Add(1) % uint64(n))
-	if pick == 0 {
-		return owner, false
-	}
-	t := re.Replicas[pick-1]
-	if t < 0 || t >= len(c.conns) || t == owner {
-		return owner, false
-	}
-	return t, true
 }
 
 // MapVersion returns the version of the partition map the client holds.
@@ -568,9 +517,9 @@ func (c *Client) pinOf(ino namespace.Ino) (int, bool) {
 	return m, ok
 }
 
-// decodeTrailer reads what follows the payload of an owner-served read
-// response: the lease grants, then the partition-map version the serving
-// MDS holds (0 when absent — replica-served bodies carry no trailer).
+// decodeTrailer reads what follows the payload of a read response: the
+// lease grants, then the partition-map version the serving MDS holds (0
+// when absent).
 func decodeTrailer(r *rpc.Reader) (grants []lease.Grant, mapVersion uint64) {
 	grants = lease.DecodeGrants(r, nil)
 	if r.Err() == nil && r.Remaining() >= 8 {
@@ -579,12 +528,13 @@ func decodeTrailer(r *rpc.Reader) (grants []lease.Grant, mapVersion uint64) {
 	return grants, mapVersion
 }
 
-// sawMapVersion reacts to the map version a response announced. A client
-// whose calls keep succeeding on the owners never hits the not-owner or
-// transport errors that force a refresh, so without this it would learn a
-// newly promoted replica set only by accident. When v is ahead of the
-// client's own map, one refresh per version runs off the op's critical
-// path.
+// sawMapVersion reacts to the map version a response announced. A
+// migration publishes a new map, but a client whose calls keep succeeding
+// on the old owners — the fake-inode redirects keep answering — never
+// hits the not-owner or transport errors that force a refresh, so without
+// this it would learn the new owners only by accident. When v is ahead of
+// the client's own map, one refresh per version runs off the op's
+// critical path.
 func (c *Client) sawMapVersion(v uint64) {
 	for {
 		seen := c.mapSeen.Load()
@@ -610,8 +560,6 @@ func (c *Client) sawMapVersion(v uint64) {
 }
 
 // observeGrants folds a response's grant trailer into the cache.
-// Replica-served responses never carry grants, so a nil slice is the
-// common no-op.
 func (c *Client) observeGrants(grants []lease.Grant, ownMutation bool) {
 	if c.cache == nil {
 		return
@@ -665,14 +613,11 @@ func decodeInodes(r *rpc.Reader) ([]*namespace.Inode, error) {
 
 // resolveResult is one MethodResolvePath response: the resolved chain,
 // whether the walk ended at an authoritative miss (the remaining path
-// does not exist), the lease grants that rode along, and whether a
-// replica served it (replica results are never cached — they may be
-// older than the client's lease epoch).
+// does not exist), and the lease grants that rode along.
 type resolveResult struct {
 	chain    []*namespace.Inode
 	negative bool
 	grants   []lease.Grant
-	spread   bool
 }
 
 // resolveAt resolves the components of rest — a run of them under parent
@@ -695,38 +640,23 @@ func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino,
 		off = end
 	}
 	w.PatchU32(count, n)
-	// Reads under a replicated hot directory spread across its warm
-	// replicas; any error from a replica (stale, dropped, plain missing)
-	// falls straight back to the write owner — replicas never speak
-	// authoritatively, least of all about absence.
-	target, spread := c.readTarget(parent, owner)
 	for attempt := 0; attempt < 4; attempt++ {
-		body, err := c.callIdem(ctx, target, mds.MethodResolvePath, w.Bytes(), sc.resp[:0])
+		body, err := c.callIdem(ctx, owner, mds.MethodResolvePath, w.Bytes(), sc.resp[:0])
 		if err != nil {
-			if spread {
-				c.reg.Counter("client.replica.fallbacks").Inc()
-				target = owner
-				spread = false
-				continue
-			}
 			if mds.IsNotOwner(err) {
 				if rerr := c.refreshMap(ctx); rerr != nil {
 					return resolveResult{}, 0, rerr
 				}
 				if p, ok := c.pinOf(parent); ok && p != owner {
 					owner = p
-					target = owner
 					continue
 				}
 			}
 			return resolveResult{}, 0, err
 		}
 		sc.resp = body
-		if spread {
-			c.reg.Counter("client.replica.reads").Inc()
-		}
 		r := rpc.NewReader(body)
-		res := resolveResult{spread: spread}
+		var res resolveResult
 		if res.chain, err = decodeInodes(r); err != nil {
 			return resolveResult{}, 0, err
 		}
@@ -1060,22 +990,11 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 		defer scratchPool.Put(sc)
 		sc.req.Reset()
 		req := sc.req.U64(uint64(dir.Ino)).Bytes()
-		target, spread := c.readTarget(dir.Ino, owner)
-		body, err := c.callIdem(ctx, target, mds.MethodReaddir, req, sc.resp[:0])
-		if err != nil && spread {
-			// The replica could not serve (stale or dropped); the owner is
-			// always authoritative.
-			c.reg.Counter("client.replica.fallbacks").Inc()
-			body, err = c.callIdem(ctx, owner, mds.MethodReaddir, req, sc.resp[:0])
-			spread = false
-		}
+		body, err := c.callIdem(ctx, owner, mds.MethodReaddir, req, sc.resp[:0])
 		if err != nil {
 			return err
 		}
 		sc.resp = body
-		if spread {
-			c.reg.Counter("client.replica.reads").Inc()
-		}
 		r := rpc.NewReader(body)
 		children, derr := decodeInodes(r)
 		if derr != nil {
@@ -1083,9 +1002,9 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 		}
 		grants, mapVersion := decodeTrailer(r)
 		c.sawMapVersion(mapVersion)
-		if c.cache != nil && !spread {
-			// An owner-served listing seeds the whole directory: the
-			// grant vouches every child at once.
+		if c.cache != nil {
+			// A listing seeds the whole directory: the grant vouches every
+			// child at once.
 			c.observeGrants(grants, false)
 			for _, g := range grants {
 				if g.Dir != dir.Ino {

@@ -21,26 +21,9 @@ type MDSID int
 // its nearest explicitly pinned ancestor (dynamic subtree partitioning);
 // regular files are always co-located with their parent directory. The
 // root is implicitly pinned to MDS 0.
-//
-// Hot read-mostly subtrees may additionally carry a ReplicaSet: the write
-// owner stays unique, but N other MDSs hold warm read-only replicas of the
-// subtree and may answer reads within a bounded staleness window. Replica
-// entries never change write ownership — OwnerOf/OwnerBelow are oblivious
-// to them.
 type PartitionMap struct {
-	n        int
-	pins     map[namespace.Ino]MDSID
-	replicas map[namespace.Ino]ReplicaSet
-}
-
-// ReplicaSet is the read-replica fan-out for one replicated subtree: the
-// unique write owner, the MDSs serving reads, and an epoch bumped on every
-// membership change so clients and replicas can discard stale fan-out
-// state after promote/demote churn.
-type ReplicaSet struct {
-	Owner    MDSID
-	Replicas []MDSID
-	Epoch    uint64
+	n    int
+	pins map[namespace.Ino]MDSID
 }
 
 // NewPartitionMap creates a map over n MDSs with everything on MDS 0.
@@ -48,11 +31,7 @@ func NewPartitionMap(n int) *PartitionMap {
 	if n < 1 {
 		n = 1
 	}
-	return &PartitionMap{
-		n:        n,
-		pins:     make(map[namespace.Ino]MDSID),
-		replicas: make(map[namespace.Ino]ReplicaSet),
-	}
+	return &PartitionMap{n: n, pins: make(map[namespace.Ino]MDSID)}
 }
 
 // NumMDS returns the cluster size.
@@ -100,66 +79,6 @@ func (pm *PartitionMap) Pins() []struct {
 	return out
 }
 
-// SetReplicas installs (or replaces) the read-replica set for the subtree
-// rooted at ino. The owner must not appear among the replicas, replicas
-// must be distinct, and every MDS must be in range. epoch is the caller's
-// membership epoch (monotonic per subtree; the coordinator bumps it on
-// every promote/demote).
-func (pm *PartitionMap) SetReplicas(ino namespace.Ino, owner MDSID, replicas []MDSID, epoch uint64) error {
-	if owner < 0 || int(owner) >= pm.n {
-		return fmt.Errorf("cluster: replicate %d: invalid owner MDS %d (cluster size %d)", ino, owner, pm.n)
-	}
-	seen := make(map[MDSID]bool, len(replicas))
-	for _, r := range replicas {
-		if r < 0 || int(r) >= pm.n {
-			return fmt.Errorf("cluster: replicate %d: invalid replica MDS %d (cluster size %d)", ino, r, pm.n)
-		}
-		if r == owner {
-			return fmt.Errorf("cluster: replicate %d: replica %d is the write owner", ino, r)
-		}
-		if seen[r] {
-			return fmt.Errorf("cluster: replicate %d: duplicate replica MDS %d", ino, r)
-		}
-		seen[r] = true
-	}
-	pm.replicas[ino] = ReplicaSet{
-		Owner:    owner,
-		Replicas: append([]MDSID(nil), replicas...),
-		Epoch:    epoch,
-	}
-	return nil
-}
-
-// DropReplicas removes the replica set for ino, if any. Reads fall back
-// to the write owner alone.
-func (pm *PartitionMap) DropReplicas(ino namespace.Ino) { delete(pm.replicas, ino) }
-
-// ReplicasOf returns the replica set for ino, if one is installed.
-func (pm *PartitionMap) ReplicasOf(ino namespace.Ino) (ReplicaSet, bool) {
-	rs, ok := pm.replicas[ino]
-	return rs, ok
-}
-
-// NumReplicaSets returns the number of replicated subtrees.
-func (pm *PartitionMap) NumReplicaSets() int { return len(pm.replicas) }
-
-// ReplicaEntry is one replicated subtree in publishable form.
-type ReplicaEntry struct {
-	Ino namespace.Ino
-	Set ReplicaSet
-}
-
-// ReplicaEntries returns the replicated subtrees sorted by inode number —
-// the canonical order EncodeMap publishes them in.
-func (pm *PartitionMap) ReplicaEntries() []ReplicaEntry {
-	out := make([]ReplicaEntry, 0, len(pm.replicas))
-	for ino, rs := range pm.replicas {
-		out = append(out, ReplicaEntry{Ino: ino, Set: rs})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ino < out[j].Ino })
-	return out
-}
-
 // OwnerOf resolves the owning MDS of ino by walking up the ancestor chain
 // to the nearest pin. O(depth); prefer OwnerBelow during top-down path
 // resolution, which is O(1) per component.
@@ -188,20 +107,12 @@ func (pm *PartitionMap) OwnerBelow(parentOwner MDSID, child namespace.Ino) MDSID
 	return parentOwner
 }
 
-// Clone returns an independent copy of the partition map, replica sets
-// included. Meta-OPT explores candidate migrations on clones.
+// Clone returns an independent copy of the partition map. Meta-OPT
+// explores candidate migrations on clones.
 func (pm *PartitionMap) Clone() *PartitionMap {
-	c := &PartitionMap{
-		n:        pm.n,
-		pins:     make(map[namespace.Ino]MDSID, len(pm.pins)),
-		replicas: make(map[namespace.Ino]ReplicaSet, len(pm.replicas)),
-	}
+	c := &PartitionMap{n: pm.n, pins: make(map[namespace.Ino]MDSID, len(pm.pins))}
 	for k, v := range pm.pins {
 		c.pins[k] = v
-	}
-	for k, v := range pm.replicas {
-		v.Replicas = append([]MDSID(nil), v.Replicas...)
-		c.replicas[k] = v
 	}
 	return c
 }

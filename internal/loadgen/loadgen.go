@@ -59,8 +59,8 @@ type Config struct {
 	WritePct int
 	// ReadPct, when > 0, specifies the mix from the read side instead:
 	// WritePct becomes 100-ReadPct, and ReadPct=100 yields a pure
-	// stat/readdir storm — the hot-directory shape subtree read replicas
-	// absorb. ReadPct wins over WritePct when both are set.
+	// stat/readdir storm — the hot-directory shape the lease cache
+	// absorbs. ReadPct wins over WritePct when both are set.
 	ReadPct int
 	// Seed seeds the per-worker op-target choice.
 	Seed int64

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -93,6 +94,31 @@ func FuzzDecodeBatchResponse(f *testing.F) {
 			if r.Err != nil && r.Inode != nil {
 				t.Fatalf("result carries both an error and an inode: %+v", r)
 			}
+		}
+	})
+}
+
+// FuzzDecodeMap feeds arbitrary bytes to the partition-map decoder, which
+// reads SetMap frames, GetMap responses and the pin map persisted on
+// disk. It must never panic, never decode more pins than the body has
+// bytes for, and every body it accepts must be exactly what EncodeMap
+// writes for the decoded map.
+func FuzzDecodeMap(f *testing.F) {
+	for _, pins := range [][]PinEntry{nil, {{Ino: 5, MDS: 2}}, {{Ino: 1, MDS: 0}, {Ino: 1<<48 + 7, MDS: 4}}} {
+		body := EncodeMap(9, pins)
+		f.Add(body)
+		f.Add(body[:len(body)-1])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		version, pins, err := DecodeMap(body)
+		if err != nil {
+			return
+		}
+		if len(pins)*pinEntrySize > len(body) {
+			t.Fatalf("%d pins from a %d-byte body", len(pins), len(body))
+		}
+		if again := EncodeMap(version, pins); !bytes.Equal(again, body) {
+			t.Fatalf("accepted body %x re-encodes as %x", body, again)
 		}
 	})
 }

@@ -13,7 +13,6 @@ import (
 // RPC method numbers of the OrigamiFS metadata protocol.
 const (
 	MethodPing rpc.Method = iota + 1
-	MethodLookup
 	MethodGetattr
 	MethodReaddir
 	MethodStats
@@ -84,7 +83,6 @@ const (
 // (rpc.client.<name>.calls, rpc.server.<name>.latency_ns, ...).
 var methodNames = map[rpc.Method]string{
 	MethodPing:           "ping",
-	MethodLookup:         "lookup",
 	MethodGetattr:        "getattr",
 	MethodReaddir:        "readdir",
 	MethodStats:          "stats",
@@ -224,23 +222,11 @@ type PinEntry struct {
 	MDS int
 }
 
-// ReplicaMapEntry is one replicated subtree in the published map: the
-// unique write owner, the MDSs holding warm read replicas, and the
-// membership epoch (bumped by the coordinator on every promote/demote so
-// stale fan-out state is discardable).
-type ReplicaMapEntry struct {
-	Ino      namespace.Ino
-	Owner    int
-	Epoch    uint64
-	Replicas []int
-}
+// pinEntrySize is one pin's wire size: an ino and an MDS id.
+const pinEntrySize = 8 + 4
 
-// EncodeMap serialises a partition map version, its pins, and (optionally)
-// its replica table. The replica section trails the pin section so
-// pre-replica map bodies (persisted pin maps from older stores) still
-// decode: DecodeMap treats a body that ends after the pins as having no
-// replicated subtrees.
-func EncodeMap(version uint64, pins []PinEntry, reps ...ReplicaMapEntry) []byte {
+// EncodeMap serialises a partition-map version and its pins.
+func EncodeMap(version uint64, pins []PinEntry) []byte {
 	var w rpc.Wire
 	w.U64(version)
 	w.U32(uint32(len(pins)))
@@ -248,54 +234,31 @@ func EncodeMap(version uint64, pins []PinEntry, reps ...ReplicaMapEntry) []byte 
 		w.U64(uint64(p.Ino))
 		w.U32(uint32(p.MDS))
 	}
-	w.U32(uint32(len(reps)))
-	for _, re := range reps {
-		w.U64(uint64(re.Ino))
-		w.U32(uint32(re.Owner))
-		w.U64(re.Epoch)
-		w.U32(uint32(len(re.Replicas)))
-		for _, id := range re.Replicas {
-			w.U32(uint32(id))
-		}
-	}
 	return w.Bytes()
 }
 
-// DecodeMap parses EncodeMap output, dropping the replica table.
+// DecodeMap parses EncodeMap output. The body arrives from a socket
+// (SetMap, a GetMap response) or from disk (the persisted pin map), so
+// the pin count is checked against the bytes that follow it before
+// anything is allocated.
 func DecodeMap(body []byte) (version uint64, pins []PinEntry, err error) {
-	version, pins, _, err = DecodeMapFull(body)
-	return version, pins, err
-}
-
-// DecodeMapFull parses EncodeMap output including the replica table. A
-// body with no trailing replica section (pre-replica encoders, persisted
-// pin maps) decodes with reps == nil.
-func DecodeMapFull(body []byte) (version uint64, pins []PinEntry, reps []ReplicaMapEntry, err error) {
 	r := rpc.NewReader(body)
 	version = r.U64()
 	n := int(r.U32())
-	for i := 0; i < n; i++ {
-		ino := namespace.Ino(r.U64())
-		mds := int(r.U32())
-		pins = append(pins, PinEntry{Ino: ino, MDS: mds})
+	if err := r.Err(); err != nil {
+		return 0, nil, err
 	}
-	if r.Err() != nil || r.Remaining() == 0 {
-		return version, pins, nil, r.Err()
+	if n > r.Remaining()/pinEntrySize {
+		return 0, nil, fmt.Errorf("mds: map claims %d pins in %d bytes", n, r.Remaining())
 	}
-	nr := int(r.U32())
-	for i := 0; i < nr; i++ {
-		re := ReplicaMapEntry{
-			Ino:   namespace.Ino(r.U64()),
-			Owner: int(r.U32()),
-			Epoch: r.U64(),
-		}
-		k := int(r.U32())
-		for j := 0; j < k; j++ {
-			re.Replicas = append(re.Replicas, int(r.U32()))
-		}
-		reps = append(reps, re)
+	pins = make([]PinEntry, n)
+	for i := range pins {
+		pins[i] = PinEntry{Ino: namespace.Ino(r.U64()), MDS: int(r.U32())}
 	}
-	return version, pins, reps, r.Err()
+	if r.Remaining() != 0 {
+		return 0, nil, fmt.Errorf("mds: %d bytes trail the map", r.Remaining())
+	}
+	return version, pins, r.Err()
 }
 
 // DumpRow is one directory's Data Collector record in a networked dump.

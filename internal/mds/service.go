@@ -42,17 +42,9 @@ type Service struct {
 	// on one mutex just to bump statistics.
 	mu   sync.Mutex
 	pins map[namespace.Ino]int
-	reps []ReplicaMapEntry
 	// mapVersion is written under mu with the map it names; the read
 	// handlers stamp it on every owner-served response without the lock.
 	mapVersion atomic.Uint64
-
-	// replicaProv, when installed, resolves a directory to a warm local
-	// replica store allowed to serve reads for it (membership and
-	// staleness already checked by the provider). Read handlers consult
-	// it after the ownership gate fails, so a replica MDS answers
-	// stat/lookup/readdir instead of bouncing the client to the owner.
-	replicaProv atomic.Value // of replicaProvBox
 
 	// Data Collector epoch counters (dumped and reset by handleDump).
 	ops       atomic.Int64
@@ -201,39 +193,14 @@ func NewService(id int, store *Store, peers func(int) (*rpc.Client, error)) *Ser
 	// Recover the partition map persisted by the last SetMap push, so the
 	// map authority survives restarts.
 	if data, err := store.LoadPinMap(); err == nil && data != nil {
-		if version, pins, reps, derr := DecodeMapFull(data); derr == nil {
+		if version, pins, derr := DecodeMap(data); derr == nil {
 			s.mapVersion.Store(version)
 			for _, p := range pins {
 				s.pins[p.Ino] = p.MDS
 			}
-			s.reps = reps
 		}
 	}
 	return s
-}
-
-// ReplicaProvider resolves a directory to a warm local replica store
-// cleared to serve reads for it: the provider checks both subtree
-// membership and the bounded-staleness window, returning nil when no
-// fresh replica covers the directory.
-type ReplicaProvider func(ino namespace.Ino) *Store
-
-type replicaProvBox struct{ p ReplicaProvider }
-
-// SetReplicaProvider installs the replica read source (the server wires
-// it to the replication receiver). Safe while serving; nil disables
-// replica reads.
-func (s *Service) SetReplicaProvider(p ReplicaProvider) {
-	s.replicaProv.Store(replicaProvBox{p})
-}
-
-// replicaStore returns a fresh warm replica store covering ino, or nil.
-func (s *Service) replicaStore(ino namespace.Ino) *Store {
-	box, ok := s.replicaProv.Load().(replicaProvBox)
-	if !ok || box.p == nil {
-		return nil
-	}
-	return box.p(ino)
 }
 
 // Serve registers handlers and starts listening; it returns the bound
@@ -242,7 +209,6 @@ func (s *Service) Serve(addr string) (string, error) {
 	srv := rpc.NewServer()
 	srv.SetTelemetry(s.reg, MethodName)
 	srv.Handle(MethodPing, s.handlePing)
-	srv.HandleInfo(MethodLookup, s.timed("lookup", s.handleLookup))
 	srv.HandleInfo(MethodGetattr, s.timed("getattr", s.handleGetattr))
 	srv.HandleInfo(MethodReaddir, s.timed("readdir", s.handleReaddir))
 	// A frame's service time is charged to its sub-ops' kinds by
@@ -303,9 +269,8 @@ func (s *Service) SetLeaseTTL(d time.Duration) { s.leases.SetTTL(d) }
 // appendTrailer appends the trailer of an owner-served read onto its
 // response body: the lease grants for dirs, then the partition-map
 // version this MDS serves — how a client whose calls keep succeeding
-// learns, within one RPC of its publication, that a newer map (a promoted
-// replica set, say) exists. Replica-served responses carry neither: a
-// replica is not authoritative for invalidation.
+// learns, within one RPC of its publication, that a migration has
+// published a newer map.
 func (s *Service) appendTrailer(resp *rpc.Wire, dirs ...namespace.Ino) {
 	s.appendGrants(resp, dirs)
 	resp.U64(s.mapVersion.Load())
@@ -503,41 +468,6 @@ func (s *Service) handlePing(body []byte) ([]byte, error) {
 	return []byte("pong"), nil
 }
 
-func (s *Service) handleLookup(ctx context.Context, body []byte, resp *rpc.Wire) error {
-	r := rpc.NewReader(body)
-	parent := namespace.Ino(r.U64())
-	name := r.Blob()
-	if err := r.Err(); err != nil {
-		return CodedError(CodeInvalid, "%v", err)
-	}
-	st, owner := s.store, s.ownsEntry(parent)
-	if !owner {
-		// A warm replica may serve the lookup, but never a negative: a
-		// miss inside the staleness window could be an entry the stream
-		// has not applied yet, so it redirects to the owner instead.
-		if st = s.replicaStore(parent); st == nil {
-			return CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
-		}
-	}
-	_, found, err := st.lookupRaw(parent, name, resp)
-	if !owner {
-		if err != nil || !found {
-			return CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
-		}
-		s.reg.Counter("replica.read.served").Inc()
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if !found {
-		return CodedError(CodeNoEnt, "%q not in dir %d", name, parent)
-	}
-	s.recordLookup(parent)
-	s.appendTrailer(resp, parent)
-	return nil
-}
-
 // handleResolvePath is the cache-coherent batched walk behind the SDK's
 // lease cache: it walks as many of the requested components as this
 // shard holds, stopping (without error) at a fake-inode — the client
@@ -548,11 +478,7 @@ func (s *Service) handleLookup(ctx context.Context, body []byte, resp *rpc.Wire)
 // and may cache it — errors carry no body, and a negative nobody vouches
 // for could never be cached. The response also carries a lease grant for
 // every owned directory the walk read under, seeding the client's cache
-// for the whole prefix in one round trip. Replica-served walks carry
-// neither negatives nor grants: a miss on a warm replica's first
-// component maps to not-owner — within the staleness bound the entry may
-// exist on the owner but not here yet — and a later miss truncates the
-// chain so the client resumes at the owner.
+// for the whole prefix in one round trip.
 func (s *Service) handleResolvePath(ctx context.Context, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
 	parent := namespace.Ino(r.U64())
@@ -560,11 +486,8 @@ func (s *Service) handleResolvePath(ctx context.Context, body []byte, resp *rpc.
 	if err := r.Err(); err != nil || n == 0 || n > 4096 {
 		return CodedError(CodeInvalid, "bad resolve-path request")
 	}
-	st, owner := s.store, s.ownsEntry(parent)
-	if !owner {
-		if st = s.replicaStore(parent); st == nil {
-			return CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
-		}
+	if !s.ownsEntry(parent) {
+		return CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
 	}
 	cur := parent
 	var dirBuf [8]namespace.Ino
@@ -577,28 +500,26 @@ func (s *Service) handleResolvePath(ctx context.Context, body []byte, resp *rpc.
 		if err := r.Err(); err != nil {
 			return CodedError(CodeInvalid, "%v", err)
 		}
-		in, found, err := st.lookupRaw(cur, name, resp)
+		in, found, err := s.store.lookupRaw(cur, name, resp)
 		if err != nil {
 			return err
 		}
 		if !found {
-			// On the owner an authoritative miss (migrated subtrees leave
-			// fakes, so an owned directory is the truth about its
-			// children): the whole remaining path is absent.
-			negative = owner
+			// An authoritative miss (migrated subtrees leave fakes, so an
+			// owned directory is the truth about its children): the whole
+			// remaining path is absent.
+			negative = true
 			break
 		}
 		chain++
-		if owner {
-			grantDirs = append(grantDirs, cur)
-			s.recordLookup(cur)
-			if i == n-1 && in.Type != namespace.TypeFake {
-				// The terminal component is the operation's target: a stat
-				// of /a/b/c is a read against directory /a/b, exactly how the
-				// simulator's Data Collector tallies it. Intermediate hops
-				// stay pure traversals (the lookups counter above).
-				s.recordRead(cur, 0)
-			}
+		grantDirs = append(grantDirs, cur)
+		s.recordLookup(cur)
+		if i == n-1 && in.Type != namespace.TypeFake {
+			// The terminal component is the operation's target: a stat of
+			// /a/b/c is a read against directory /a/b, exactly how the
+			// simulator's Data Collector tallies it. Intermediate hops stay
+			// pure traversals (the lookups counter above).
+			s.recordRead(cur, 0)
 		}
 		if in.Type == namespace.TypeFake || !in.IsDir() {
 			break
@@ -606,14 +527,6 @@ func (s *Service) handleResolvePath(ctx context.Context, body []byte, resp *rpc.
 		cur = in.Ino
 	}
 	resp.PatchU32(count, chain)
-	if !owner {
-		if chain == 0 {
-			return CodedError(CodeNotOwner, "dir %d not on MDS %d", parent, s.ID)
-		}
-		s.reg.Counter("replica.read.served").Inc()
-		resp.U8(0)
-		return nil
-	}
 	if negative {
 		grantDirs = append(grantDirs, cur) // the directory proven not to hold the name
 		resp.U8(1)
@@ -635,13 +548,6 @@ func (s *Service) handleGetattr(ctx context.Context, body []byte, resp *rpc.Wire
 		return err
 	}
 	if !found {
-		if rs := s.replicaStore(ino); rs != nil {
-			if rin, rfound, rerr := rs.getattr(ino); rerr == nil && rfound {
-				s.reg.Counter("replica.read.served").Inc()
-				appendInodeBlob(resp, &rin)
-				return nil
-			}
-		}
 		return CodedError(CodeNotOwner, "ino %d not on MDS %d", ino, s.ID)
 	}
 	s.recordRead(in.Parent, 0)
@@ -657,12 +563,6 @@ func (s *Service) handleReaddir(ctx context.Context, body []byte, resp *rpc.Wire
 		return CodedError(CodeInvalid, "%v", err)
 	}
 	if !s.ownsEntry(ino) {
-		if rs := s.replicaStore(ino); rs != nil {
-			if rerr := rs.readDirRaw(ino, resp); rerr == nil {
-				s.reg.Counter("replica.read.served").Inc()
-				return nil
-			}
-		}
 		return CodedError(CodeNotOwner, "dir %d not on MDS %d", ino, s.ID)
 	}
 	if err := s.store.readDirRaw(ino, resp); err != nil {
@@ -943,19 +843,11 @@ func (s *Service) handleGetMap(body []byte) ([]byte, error) {
 	for ino, mds := range s.pins {
 		pins = append(pins, PinEntry{Ino: ino, MDS: mds})
 	}
-	return EncodeMap(s.mapVersion.Load(), pins, s.reps...), nil
-}
-
-// ReplicaEntries returns the replica table of the map this MDS currently
-// serves (server wiring reconciles receiver-side units against it).
-func (s *Service) ReplicaEntries() []ReplicaMapEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]ReplicaMapEntry(nil), s.reps...)
+	return EncodeMap(s.mapVersion.Load(), pins), nil
 }
 
 func (s *Service) handleSetMap(body []byte) ([]byte, error) {
-	version, pins, reps, err := DecodeMapFull(body)
+	version, pins, err := DecodeMap(body)
 	if err != nil {
 		return nil, CodedError(CodeInvalid, "%v", err)
 	}
@@ -968,7 +860,6 @@ func (s *Service) handleSetMap(body []byte) ([]byte, error) {
 	for _, p := range pins {
 		s.pins[p.Ino] = p.MDS
 	}
-	s.reps = reps
 	s.mapVersion.Store(version)
 	s.mu.Unlock()
 	// Persist so a restarted MDS still serves the latest map.

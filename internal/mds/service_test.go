@@ -106,7 +106,6 @@ func TestHandlersRejectTruncatedBodies(t *testing.T) {
 		return func(body []byte) ([]byte, error) { return callCtx(h, body) }
 	}
 	handlers := map[string]rpc.Handler{
-		"lookup":          noCtx(s.handleLookup),
 		"getattr":         noCtx(s.handleGetattr),
 		"readdir":         noCtx(s.handleReaddir),
 		"resolve_path":    noCtx(s.handleResolvePath),
@@ -236,22 +235,27 @@ func TestLookupOnFakeRedirects(t *testing.T) {
 	fake.Type = namespace.TypeFake
 	fake.Size = 2 // destination MDS
 	commitRecord(t, s.store, inos, &fake)
-	// Lookup of the moved dir itself returns the fake (the client
-	// follows the redirect).
-	var w rpc.Wire
-	w.U64(uint64(namespace.RootIno)).Str("moved")
-	body, err := callCtx(s.handleLookup, w.Bytes())
+	// A one-component resolve of the moved dir itself returns the fake
+	// (the client follows the redirect).
+	resolveOne := func(parent namespace.Ino, name string) ([]byte, error) {
+		var w rpc.Wire
+		w.U64(uint64(parent)).U32(1).Str(name)
+		return callCtx(s.handleResolvePath, w.Bytes())
+	}
+	body, err := resolveOne(namespace.RootIno, "moved")
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, _ := namespace.DecodeInode(rpc.NewReader(body).Blob())
+	r := rpc.NewReader(body)
+	if n := r.U32(); n != 1 {
+		t.Fatalf("resolve of migrated dir returned a chain of %d", n)
+	}
+	in, _ := namespace.DecodeInode(r.Blob())
 	if in.Type != namespace.TypeFake || in.Size != 2 {
 		t.Errorf("lookup of migrated dir = %+v, want fake with dest 2", in)
 	}
 	// Lookups *under* the moved dir must yield not-owner, not ENOENT.
-	var w2 rpc.Wire
-	w2.U64(uint64(d.Ino)).Str("f")
-	if _, err := callCtx(s.handleLookup, w2.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNotOwner) {
+	if _, err := resolveOne(d.Ino, "f"); err == nil || !strings.HasPrefix(err.Error(), CodeNotOwner) {
 		t.Errorf("lookup under fake err = %v, want ENOTOWNER", err)
 	}
 }

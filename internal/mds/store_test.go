@@ -3,10 +3,12 @@ package mds
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"origami/internal/kvstore"
 	"origami/internal/namespace"
+	"origami/internal/rpc"
 )
 
 func openTestStore(t *testing.T, id int) *Store {
@@ -262,5 +264,23 @@ func TestMapRoundTrip(t *testing.T) {
 	}
 	if v != 7 || len(got) != 2 || got[0] != pins[0] || got[1] != pins[1] {
 		t.Errorf("map round trip: v=%d pins=%v", v, got)
+	}
+}
+
+// TestDecodeMapRejectsOversizedCount: a map body whose pin count promises
+// more pins than it carries bytes for is refused before the decoder
+// allocates for the count.
+func TestDecodeMapRejectsOversizedCount(t *testing.T) {
+	var w rpc.Wire
+	w.U64(3).U32(0x00ffffff) // 12 bytes claiming 16M pins
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, pins, err := DecodeMap(w.Bytes())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("oversized count decoded into %d pins", len(pins))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing a 12-byte map allocated %d bytes", grew)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"time"
 
 	"origami/internal/kvstore"
 	"origami/internal/mds"
@@ -15,12 +14,12 @@ import (
 
 // Fanout multiplexes a store's single kvstore commit-hook slot across
 // replication units: the whole-store ring backup (unit 0) plus any
-// number of subtree read units, each fanning out to its own set of
-// replica streams. The hook observes every committed WAL record once, in
+// number of subtree units, each fanning out to its own set of replica
+// streams. The hook observes every committed WAL record once, in
 // WAL order; the ring shipper gets it as it is, and each subtree unit the
 // part of it that falls inside the unit's subtree, still as one record.
-// Per-unit Shippers then buffer and ship independently, so a slow read
-// replica never stalls the ring backup (or vice versa).
+// Per-unit Shippers then buffer and ship independently, so a slow
+// subtree stream never stalls the ring backup (or vice versa).
 type Fanout struct {
 	store *mds.Store
 
@@ -139,11 +138,6 @@ func (f *Fanout) AttachSubtree(root namespace.Ino, opts Options) (*Shipper, erro
 			return f.store.SnapshotSubtree(root, emit)
 		}
 	}
-	if opts.KeepaliveEvery <= 0 {
-		// Read units must keep the receiver's age bound fresh while the
-		// subtree is write-idle — exactly when read replicas matter most.
-		opts.KeepaliveEvery = 500 * time.Millisecond
-	}
 	sh := NewShipper(f.store, opts)
 	f.mu.Lock()
 	old := u.shippers[opts.Backup]
@@ -156,27 +150,7 @@ func (f *Fanout) AttachSubtree(root namespace.Ino, opts Options) (*Shipper, erro
 	return sh, nil
 }
 
-// DetachReplica stops the unit's stream to one replica host; the last
-// stream removes the unit (and its filter) entirely.
-func (f *Fanout) DetachReplica(root namespace.Ino, backup int) {
-	f.mu.Lock()
-	u := f.units[uint64(root)]
-	var sh *Shipper
-	if u != nil {
-		sh = u.shippers[backup]
-		delete(u.shippers, backup)
-		if len(u.shippers) == 0 {
-			delete(f.units, uint64(root))
-		}
-	}
-	f.mu.Unlock()
-	if sh != nil {
-		sh.Stop()
-	}
-}
-
-// DropSubtree stops every stream of the unit and removes it — demotion,
-// or a subtree about to migrate away.
+// DropSubtree stops every stream of the unit and removes it.
 func (f *Fanout) DropSubtree(root namespace.Ino) {
 	f.mu.Lock()
 	u := f.units[uint64(root)]
@@ -197,19 +171,6 @@ func (f *Fanout) Units() []namespace.Ino {
 	out := make([]namespace.Ino, 0, len(f.units))
 	for _, u := range f.units {
 		out = append(out, u.root)
-	}
-	return out
-}
-
-// UnitStatuses reports every subtree stream's state (admin surface).
-func (f *Fanout) UnitStatuses() []Status {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	var out []Status
-	for _, u := range f.units {
-		for _, sh := range u.shippers {
-			out = append(out, sh.Status())
-		}
 	}
 	return out
 }

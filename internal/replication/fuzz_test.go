@@ -37,7 +37,7 @@ func fuzzRecordList(w *rpc.Wire, recs ...*kvstore.Batch) []byte {
 }
 
 // fuzzSeeds are well-formed bodies of the three methods — a rename
-// record, a create, a snapshot chunk, a migration copy, a keepalive —
+// record, a create, a snapshot chunk, a migration copy, an empty append —
 // plus a migration record holding a metadata key.
 func fuzzSeeds() map[int][][]byte {
 	put := func(b *kvstore.Batch, in *namespace.Inode) {

@@ -2,8 +2,9 @@
 // OrigamiFS metadata servers. The granularity of replication is a
 // *unit*: unit 0 is the whole shard store (the ring backup every MDS
 // ships to its neighbour — the failover path), and any other unit id is
-// the root inode of a subtree whose records are fanned out to N read
-// replicas (the hot-directory mitigation path). A unit's primary streams
+// the root inode of a subtree whose records are fanned out to warm
+// copies on other MDSs (what a migration will stream ahead of its
+// freeze). A unit's primary streams
 // its kvstore WAL records — the op bodies the commit hook hands out,
 // unchanged — to each replica host over the existing RPC layer, where a
 // Receiver applies them whole into a warm replica mds.Store. A fresh or
@@ -11,8 +12,7 @@
 // shipped as records of puts, then switches to tail streaming. On
 // failover the coordinator promotes a unit-0 backup: the replica is
 // absorbed into the promotee's serving store and the cluster map is
-// repointed at it. Subtree units are never promoted — they only serve
-// bounded-staleness reads.
+// repointed at it. Subtree units are not promoted yet.
 //
 // The shipping protocol is a single-writer stream identified by a
 // (primary, unit, session) tuple. Sessions restart from scratch — a new
@@ -23,8 +23,7 @@
 // part of a record. Replay is idempotent (last-writer-wins puts, no-op
 // deletes of absent keys), which lets a snapshot overlap the tail that
 // accumulated while it was exported. Appends additionally carry the
-// primary's head sequence (and double as keepalives when empty), giving
-// the receiver the lag and age bounds its staleness check needs.
+// primary's head sequence, which the receiver reports as its lag.
 package replication
 
 import (
@@ -90,9 +89,8 @@ type streamID struct {
 //
 // where [stream] is [4B primary][8B unit] and a record list is the
 // mds.DecodeRecords form shared with migration. An Append's records carry
-// sequence numbers from, from+1, ...; an empty Append is a keepalive
-// that refreshes the receiver's head/age view without extending the
-// stream.
+// sequence numbers from, from+1, ...; an empty Append only updates the
+// head.
 func appendHeader(w *rpc.Wire, id streamID, session uint64) {
 	w.U32(uint32(id.Primary)).U64(id.Unit).U64(session)
 }

@@ -5,11 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"origami/internal/kvstore"
 	"origami/internal/mds"
-	"origami/internal/namespace"
 	"origami/internal/rpc"
 	"origami/internal/telemetry"
 )
@@ -19,8 +17,8 @@ import (
 // snapshot chunks and WAL records into it — each frame as one atomic
 // batch through mds.Store.ApplyRecord — and, on coordinator failover,
 // absorbs a whole-store (unit 0) replica into the host MDS's own serving
-// store (promotion). Subtree units are never promoted; they exist to
-// serve bounded-staleness reads via ReadReplica.
+// store (promotion). Subtree units are warm copies of one subtree; they
+// are never promoted yet.
 //
 // A receiver registers its handlers on the host MDS's RPC server, so
 // replication shares the data-plane connections, fault injection, and
@@ -36,14 +34,6 @@ type Receiver struct {
 	reg     *telemetry.Registry
 	log     *telemetry.Logger
 
-	// MaxReadLag and MaxReadAge bound the staleness a subtree replica may
-	// serve reads at: the replica must be within MaxReadLag records of
-	// the primary's head AND have heard from the primary (append or
-	// keepalive) within MaxReadAge. Outside either bound ReadReplica
-	// returns nil and the client falls back to the owner.
-	MaxReadLag uint64
-	MaxReadAge time.Duration
-
 	mu       sync.Mutex
 	replicas map[streamID]*replica
 	closed   bool
@@ -52,20 +42,18 @@ type Receiver struct {
 	snapshotsC  *telemetry.Counter
 	promotionsC *telemetry.Counter
 	gapsC       *telemetry.Counter
-	staleC      *telemetry.Counter
 }
 
 // replica is the state of one protected stream. All fields are guarded
 // by the receiver mutex; the shipper serialises its stream, so holding
 // it across the store apply costs nothing in the common case.
 type replica struct {
-	store      *mds.Store
-	dir        string
-	session    uint64
-	applied    uint64 // highest contiguous shipped seq applied
-	head       uint64 // primary's last assigned seq, per latest append
-	lastAppend time.Time
-	live       bool // snapshot sealed; tail appends accepted
+	store   *mds.Store
+	dir     string
+	session uint64
+	applied uint64 // highest contiguous shipped seq applied
+	head    uint64 // primary's last assigned seq, per latest append
+	live    bool   // snapshot sealed; tail appends accepted
 }
 
 // NewReceiver creates a receiver for the MDS hostID whose serving store
@@ -83,14 +71,11 @@ func NewReceiver(hostID int, dir string, serving *mds.Store, kvOpts kvstore.Opti
 		kvOpts:      kvOpts,
 		reg:         reg,
 		log:         telemetry.L("repl").With("mds", hostID),
-		MaxReadLag:  1024,
-		MaxReadAge:  2 * time.Second,
 		replicas:    make(map[streamID]*replica),
 		recordsC:    reg.Counter("repl.receiver.records_applied"),
 		snapshotsC:  reg.Counter("repl.receiver.snapshots_installed"),
 		promotionsC: reg.Counter("repl.receiver.promotions"),
 		gapsC:       reg.Counter("repl.receiver.gaps"),
-		staleC:      reg.Counter("replica.read.stale_rejects"),
 	}
 }
 
@@ -202,7 +187,6 @@ func (rc *Receiver) handleSnapEnd(_ rpc.CallInfo, body []byte, resp *rpc.Wire) e
 	rep.live = true
 	rep.applied = baseSeq
 	rep.head = baseSeq
-	rep.lastAppend = time.Now()
 	rc.snapshotsC.Inc()
 	rc.appliedGauge(id).Set(float64(baseSeq))
 	rc.log.Info("replica snapshot sealed", "primary", id.Primary, "unit", id.Unit, "base_seq", baseSeq)
@@ -230,8 +214,7 @@ func (rc *Receiver) handleAppend(_ rpc.CallInfo, body []byte, resp *rpc.Wire) er
 		rc.gapsC.Inc()
 		return mds.CodedError(CodeGap, "append does not extend replica of primary %d unit %d (session %d from %d)", id.Primary, id.Unit, session, fromSeq)
 	}
-	// An empty append is a keepalive: it refreshes the head/age view
-	// without extending the stream.
+	// An empty append extends nothing; it only updates the head.
 	if records > 0 {
 		if err := rep.store.ApplyRecord(nil, &b); err != nil {
 			return err
@@ -241,7 +224,6 @@ func (rc *Receiver) handleAppend(_ rpc.CallInfo, body []byte, resp *rpc.Wire) er
 		rc.appliedGauge(id).Set(float64(rep.applied))
 	}
 	rep.head = head
-	rep.lastAppend = time.Now()
 	resp.U64(rep.applied)
 	return nil
 }
@@ -297,44 +279,7 @@ func (rc *Receiver) handleReplStatus(_ rpc.CallInfo, body []byte, resp *rpc.Wire
 	return nil
 }
 
-// ReadReplica returns the warm store of a subtree replica cleared to
-// serve a read of ino: the replica is live, contains ino, is within
-// MaxReadLag records of the primary's head, and heard from the primary
-// within MaxReadAge. Returns nil when no hosted unit qualifies — the
-// caller then redirects the client to the owner.
-func (rc *Receiver) ReadReplica(ino namespace.Ino) *mds.Store {
-	now := time.Now()
-	rc.mu.Lock()
-	var fresh []*mds.Store
-	stale := false
-	for id, rep := range rc.replicas {
-		if id.Unit == 0 || !rep.live {
-			continue
-		}
-		if rep.head-rep.applied > rc.MaxReadLag || now.Sub(rep.lastAppend) > rc.MaxReadAge {
-			stale = true
-			continue
-		}
-		fresh = append(fresh, rep.store)
-	}
-	rc.mu.Unlock()
-	// Membership probes happen off the receiver lock: HasIno takes the
-	// replica store's own index lock, which a concurrent apply also
-	// takes, and holding both here would serialise reads behind the
-	// stream.
-	for _, st := range fresh {
-		if st.HasIno(ino) {
-			return st
-		}
-	}
-	if stale {
-		rc.staleC.Inc()
-	}
-	return nil
-}
-
-// DropUnit closes and removes the replica of one subtree unit (demotion
-// or migration of the subtree). Unknown units are a no-op. The next
+// DropUnit closes and removes the replica of one subtree unit. Unknown units are a no-op. The next
 // session for the unit bootstraps from scratch.
 func (rc *Receiver) DropUnit(primary int, unit uint64) {
 	id := streamID{Primary: primary, Unit: unit}
@@ -364,8 +309,7 @@ type ReplicaStatus struct {
 	Inodes  int    `json:"inodes"`
 }
 
-// Status reports every hosted replica (admin /healthz, origami-cli
-// replicas).
+// Status reports every hosted replica (admin /healthz).
 func (rc *Receiver) Status() []ReplicaStatus {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()

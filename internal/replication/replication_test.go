@@ -359,6 +359,66 @@ func waitStatus(t *testing.T, sh *Shipper, cond func(Status) bool) {
 	}
 }
 
+// TestAttachSubtreeStreamsUnit: a subtree unit bootstraps its warm store
+// on the host from a snapshot of the subtree alone, then tails only the
+// records inside the subtree; dropping the unit on both ends removes the
+// stream and the host's store.
+func TestAttachSubtreeStreamsUnit(t *testing.T) {
+	primary := openPrimary(t, 1)
+	node := startBackup(t, 2)
+	base := namespace.Ino(1) << 48
+	put := func(ino, parent namespace.Ino, name string, typ namespace.FileType) {
+		t.Helper()
+		if err := primary.Put(&namespace.Inode{Ino: ino, Parent: parent, Name: name, Type: typ}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hot := base + 1
+	put(hot, namespace.RootIno, "hot", namespace.TypeDir)
+	put(base+2, hot, "pre", namespace.TypeFile)
+	put(base+3, namespace.RootIno, "out", namespace.TypeFile)
+
+	fan := NewFanout(primary)
+	fan.Start()
+	t.Cleanup(fan.Stop)
+	sh, err := fan.AttachSubtree(hot, Options{
+		Primary: 1, Backup: 2,
+		RetryBackoff: 5 * time.Millisecond,
+		Dial:         dialerTo(t, node, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, sh, func(st Status) bool { return !st.Syncing && st.Session != 0 })
+	boot := sh.Status().LastSeq
+	put(base+4, hot, "tail", namespace.TypeFile)
+	put(base+5, namespace.RootIno, "out2", namespace.TypeFile)
+	waitStatus(t, sh, func(st Status) bool { return st.AckedSeq > boot && st.Lag == 0 })
+
+	unit := node.rcv.UnitStore(1, uint64(hot))
+	if unit == nil {
+		t.Fatal("no unit store on the host")
+	}
+	for _, e := range []struct {
+		dir  namespace.Ino
+		name string
+		want bool
+	}{{hot, "pre", true}, {hot, "tail", true}, {namespace.RootIno, "out", false}, {namespace.RootIno, "out2", false}} {
+		if _, found, err := unit.Lookup(e.dir, e.name); err != nil || found != e.want {
+			t.Errorf("unit store has %q = %v (err %v), want %v", e.name, found, err, e.want)
+		}
+	}
+
+	fan.DropSubtree(hot)
+	node.rcv.DropUnit(1, uint64(hot))
+	if units := fan.Units(); len(units) != 0 {
+		t.Errorf("fanout still holds units %v", units)
+	}
+	if node.rcv.UnitStore(1, uint64(hot)) != nil {
+		t.Error("host still holds the dropped unit's store")
+	}
+}
+
 // TestSubtreeFilterKeepsRecordsWhole: a subtree unit gets the part of a
 // record inside its subtree as ONE record — never split, never reordered —
 // the whole record when all of it is inside, and nothing when none is.

@@ -20,19 +20,14 @@ type Options struct {
 	// Backup is the MDS id hosting the replica.
 	Backup int
 	// Unit identifies what is shipped: 0 replicates the whole store (the
-	// ring backup), any other value is the root inode of a subtree
-	// replicated for reads. The receiver keys its replica stores by
+	// ring backup), any other value is the root inode of a streamed
+	// subtree. The receiver keys its replica stores by
 	// (primary, unit).
 	Unit uint64
 	// Snapshot overrides the bootstrap export (nil = the whole store via
 	// SnapshotPairs). Subtree units export only their subtree. The slices
 	// handed to emit are only valid until it returns.
 	Snapshot func(emit func(k, v []byte) bool) error
-	// KeepaliveEvery, when > 0, sends an empty Append at this interval
-	// while the stream is idle, refreshing the receiver's view of the
-	// primary's head (its staleness age bound). Subtree read units need
-	// it; the ring backup does not.
-	KeepaliveEvery time.Duration
 	// Sync makes Feed hand every record an ack wait that blocks until the
 	// record is applied on the backup. Whether the writer actually blocks
 	// on it before acknowledging is the commit pipeline's decision, not
@@ -131,7 +126,6 @@ type Shipper struct {
 	sessGen  uint64 // feeds session ids
 	backup   int
 	needSnap bool
-	pingDue  bool // keepalive timer fired; send an empty append when idle
 	stopped  bool
 	dropped  uint64 // records dropped to overflow (async loss exposure)
 
@@ -163,7 +157,7 @@ func NewShipper(store *mds.Store, opts Options) *Shipper {
 	}
 	reg := opts.Registry
 	// The ring backup (unit 0) keeps its historical repl.shipper.* metric
-	// names; subtree read units get per-unit replica.stream.* names so
+	// names; subtree units get per-unit replica.stream.* names so
 	// several streams can share one registry.
 	name := func(leaf string) string {
 		if opts.Unit == 0 {
@@ -195,35 +189,11 @@ func NewShipper(store *mds.Store, opts Options) *Shipper {
 	return sh
 }
 
-// start launches the sender (and the keepalive ticker, when configured).
-// The first thing the sender does is bootstrap the backup with a
-// snapshot.
+// start launches the sender. The first thing the sender does is
+// bootstrap the backup with a snapshot.
 func (sh *Shipper) start() {
 	sh.wg.Add(1)
 	go sh.run()
-	if sh.opts.KeepaliveEvery > 0 {
-		sh.wg.Add(1)
-		go sh.keepaliveLoop()
-	}
-}
-
-// keepaliveLoop marks an idle-stream ping due at each tick; the sender
-// turns it into an empty Append carrying the current head.
-func (sh *Shipper) keepaliveLoop() {
-	defer sh.wg.Done()
-	t := time.NewTicker(sh.opts.KeepaliveEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-sh.stopCh:
-			return
-		case <-t.C:
-			sh.mu.Lock()
-			sh.pingDue = true
-			sh.cond.Signal()
-			sh.mu.Unlock()
-		}
-	}
 }
 
 // Stop releases any sync waiters (with an error) and waits for the
@@ -423,29 +393,13 @@ func (sh *Shipper) run() {
 	defer sh.wg.Done()
 	for {
 		sh.mu.Lock()
-		for !sh.stopped && !sh.needSnap && len(sh.buf) == 0 && !sh.pingDue {
+		for !sh.stopped && !sh.needSnap && len(sh.buf) == 0 {
 			sh.cond.Wait()
 		}
 		if sh.stopped {
 			sh.mu.Unlock()
 			return
 		}
-		if sh.pingDue && !sh.needSnap && len(sh.buf) == 0 {
-			// Idle keepalive: an empty append refreshing the receiver's
-			// head/age view. Errors are ignored — the next tick retries,
-			// and a gap answer just means a resync is already pending.
-			sh.pingDue = false
-			session := sh.session
-			backup := sh.backup
-			head := sh.lastSeq
-			from := sh.acked + 1
-			sh.mu.Unlock()
-			if session != 0 {
-				_, _ = sh.ship(backup, session, head, from, nil)
-			}
-			continue
-		}
-		sh.pingDue = false
 		if sh.needSnap {
 			// Open a fresh session. Everything assigned so far is in the
 			// store and therefore covered by the snapshot; the buffer
@@ -540,7 +494,7 @@ func (sh *Shipper) call(backup int, m rpc.Method) ([]byte, error) {
 	return resp, err
 }
 
-// ship sends one Append frame of whole records (none: a keepalive) and
+// ship sends one Append frame of whole records and
 // returns the backup's applied frontier.
 func (sh *Shipper) ship(backup int, session, head, fromSeq uint64, recs []record) (uint64, error) {
 	w := sh.body(session).U64(head).U64(fromSeq)

@@ -83,24 +83,6 @@ func evaluateAssertions(sc *Scenario, res *RunResult, cl *server.Cluster, co *se
 		case AssertP95LE:
 			r.Passed = res.Workload.P95 <= a.Dur
 			r.Detail = fmt.Sprintf("p95 %s (ceiling %s)", res.Workload.P95.Round(time.Microsecond), a.Dur)
-		case AssertReplicaSpread:
-			// Full read-replica lifecycle: the crowd must have promoted at
-			// least one unit and the replica hosts must have served >= Value
-			// reads; once the workload stops, the still-running balance loop
-			// must demote the cooled-off subtree within the deadline.
-			promoted := co.Registry().Counter("replica.units.promoted").Value()
-			served := int64(0)
-			for _, svc := range cl.Services {
-				if svc != nil {
-					served += svc.Registry().Counter("replica.read.served").Value()
-				}
-			}
-			demoted := WaitUntil(a.Within, func() bool {
-				return co.Registry().Counter("replica.units.demoted").Value() >= promoted
-			})
-			r.Passed = promoted >= 1 && float64(served) >= a.Value && demoted
-			r.Detail = fmt.Sprintf("%d unit(s) promoted, %d replica-served reads (want >= %s), demoted within %s: %v",
-				promoted, served, trimFloat(a.Value), a.Within, demoted)
 		case AssertRPCPerOp:
 			// Frames the SDK put on the wire per completed op, including the
 			// cold setup pass — a warm lease cache amortises that to ~0.

@@ -198,9 +198,8 @@ func (d *driver) worker(w int) {
 			} else {
 				// Stat files *inside* the hot dir, not the dir itself: the
 				// read then counts against the hot subtree (a stat of /hot/f
-				// is a read on /hot) and, once the dir is replicated, the
-				// client can spread it — the parent resolves from cache and
-				// only the terminal lookup picks a read target.
+				// is a read on /hot), and a warm lease on /hot answers it
+				// from the client cache.
 				_, err := d.sdk.Stat(hotPrePath(fc.path, rnd.Intn(hotPreFiles)))
 				record(start, err)
 			}

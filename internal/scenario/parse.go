@@ -31,7 +31,7 @@ func Parse(src string) (*Scenario, error) {
 	sc.Seed = d.i64(m, "seed")
 	sc.Duration = d.dur(m, "duration")
 	if fm := d.child(m, "fleet"); fm != nil {
-		d.strict(fm, "mds", "replication", "heartbeat", "balance-every", "call-timeout", "retrain-every", "backlog", "window", "commit-mode", "commit-window", "read-replicas", "promote-reads")
+		d.strict(fm, "mds", "replication", "heartbeat", "balance-every", "call-timeout", "retrain-every", "backlog", "window", "commit-mode", "commit-window")
 		sc.Fleet = FleetSpec{
 			MDS:          d.num(fm, "mds"),
 			Replication:  d.str(fm, "replication"),
@@ -43,8 +43,6 @@ func Parse(src string) (*Scenario, error) {
 			Window:       d.num(fm, "window"),
 			CommitMode:   d.str(fm, "commit-mode"),
 			CommitWindow: d.num(fm, "commit-window"),
-			ReadReplicas: d.num(fm, "read-replicas"),
-			PromoteReads: d.num(fm, "promote-reads"),
 		}
 	}
 	if wm := d.child(m, "workload"); wm != nil {

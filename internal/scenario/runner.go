@@ -214,12 +214,6 @@ func runCluster(sc *Scenario, seed int64, opts Options, logf func(string, ...int
 	}
 
 	co := server.NewCoordinator(cl)
-	if sc.Fleet.ReadReplicas > 0 {
-		co.EnableReadReplicas(server.ReplicaPolicy{
-			Fanout:       sc.Fleet.ReadReplicas,
-			PromoteReads: int64(sc.Fleet.PromoteReads),
-		})
-	}
 	if sc.Fleet.Heartbeat > 0 {
 		stop := co.StartAutoFailover(sc.Fleet.Heartbeat)
 		defer stop()

@@ -67,14 +67,6 @@ type FleetSpec struct {
 	// commit-mode async; it is the budget the loss-window assertion
 	// charges against.
 	CommitWindow int
-	// ReadReplicas > 0 enables the coordinator's subtree read-replica
-	// sweep with that fan-out (requires replication on: the fan-out rides
-	// the replication plane).
-	ReadReplicas int
-	// PromoteReads is the per-epoch subtree read count that promotes a
-	// directory (0 = library default, far too high for a short scenario —
-	// set it explicitly alongside ReadReplicas).
-	PromoteReads int
 }
 
 // WorkloadSpec describes the load offered while the timeline plays.
@@ -171,7 +163,6 @@ const (
 	AssertReplConverged = "repl-converged"   // every live shipper drains (Lag == 0) within Within
 	AssertP95LE         = "p95-le"           // workload p95 latency <= Dur
 	AssertAvailMin      = "availability-min" // acked/attempted >= Value (0..1; stress mode)
-	AssertReplicaSpread = "replica-spread"   // >= 1 unit promoted, replicas served >= Value reads, demoted again within Within
 	AssertRPCPerOp      = "rpc-per-op"       // workload RPC frames per completed op <= Value (warm-cache bound)
 )
 
@@ -208,7 +199,7 @@ var knownAsserts = map[string]bool{
 	AssertErrorsMax: true, AssertErrRateLE: true, AssertFailoversMin: true,
 	AssertFailoversMax: true, AssertMigrationsMin: true,
 	AssertMapConverged: true, AssertReplConverged: true, AssertP95LE: true,
-	AssertAvailMin: true, AssertReplicaSpread: true, AssertRPCPerOp: true,
+	AssertAvailMin: true, AssertRPCPerOp: true,
 }
 
 func (f *FleetSpec) withDefaults() {
@@ -331,12 +322,6 @@ func (sc *Scenario) Validate() error {
 	if f.CommitWindow < 0 {
 		return fmt.Errorf("scenario %s: commit-window %d", sc.Name, f.CommitWindow)
 	}
-	if f.ReadReplicas > 0 && f.Replication == "off" {
-		return fmt.Errorf("scenario %s: read-replicas needs replication on (the fan-out rides the replication plane)", sc.Name)
-	}
-	if f.ReadReplicas > 0 && f.ReadReplicas >= f.MDS {
-		return fmt.Errorf("scenario %s: read-replicas %d needs a fleet larger than fanout+owner", sc.Name, f.ReadReplicas)
-	}
 	switch sc.Workload.Kind {
 	case "mix", "stat", "trace-rw", "trace-ro", "trace-wi", "none":
 	default:
@@ -364,9 +349,6 @@ func (sc *Scenario) Validate() error {
 		}
 		if (a.Kind == AssertNoAckedLoss || a.Kind == AssertBoundedLoss || a.Kind == AssertLossWindow) && sc.Workload.Kind != "mix" {
 			return fmt.Errorf("scenario %s: %s needs the mix workload (it tracks acked creates)", sc.Name, a.Kind)
-		}
-		if a.Kind == AssertReplicaSpread && sc.Fleet.ReadReplicas == 0 {
-			return fmt.Errorf("scenario %s: replica-spread needs fleet read-replicas > 0", sc.Name)
 		}
 	}
 	return nil
@@ -441,7 +423,7 @@ func (a Assertion) validate(name string) error {
 		return fmt.Errorf("scenario %s: unknown assertion %q", name, a.Kind)
 	}
 	switch a.Kind {
-	case AssertMapConverged, AssertReplConverged, AssertReplicaSpread:
+	case AssertMapConverged, AssertReplConverged:
 		if a.Within <= 0 {
 			return fmt.Errorf("scenario %s: %s needs within > 0", name, a.Kind)
 		}
@@ -582,12 +564,6 @@ func (sc *Scenario) Encode() string {
 		}
 		if sc.Fleet.CommitWindow > 0 {
 			w("  commit-window: %d", sc.Fleet.CommitWindow)
-		}
-		if sc.Fleet.ReadReplicas > 0 {
-			w("  read-replicas: %d", sc.Fleet.ReadReplicas)
-		}
-		if sc.Fleet.PromoteReads > 0 {
-			w("  promote-reads: %d", sc.Fleet.PromoteReads)
 		}
 		w("workload:")
 		w("  kind: %s", sc.Workload.Kind)

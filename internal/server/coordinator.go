@@ -57,13 +57,6 @@ type Coordinator struct {
 	staleMaps     map[int]bool // MDSs that missed a publish
 	failedOver    map[int]bool // primaries already failed over this outage
 
-	// reps is the replica table: subtrees fanned out to read replicas.
-	// repPolicy (nil = sweep disabled) drives the per-epoch promote/demote
-	// pass; repEpochGen feeds the per-set membership epochs.
-	reps        map[namespace.Ino]*repSet
-	repPolicy   *ReplicaPolicy
-	repEpochGen uint64
-
 	// learner, when non-nil, closes the §4.3 loop on the live cluster:
 	// every epoch it harvests labeled rows from the dump, and in the
 	// background retrains and hot-swaps the strategy's benefit model.
@@ -122,25 +115,15 @@ func NewCoordinator(c *Cluster) *Coordinator {
 		PublishBackoff: 10 * time.Millisecond,
 		staleMaps:      make(map[int]bool),
 		failedOver:     make(map[int]bool),
-		reps:           make(map[namespace.Ino]*repSet),
 		reg:            telemetry.NewRegistry(),
 		log:            telemetry.L("coordinator"),
 	}
 	co.tracer = c.newTracer("coordinator", co.reg)
 	if body, err := c.Conn(0).Call(mds.MethodGetMap, nil); err == nil {
-		if version, pins, reps, derr := mds.DecodeMapFull(body); derr == nil {
+		if version, pins, derr := mds.DecodeMap(body); derr == nil {
 			co.version = version
 			for _, p := range pins {
 				co.pins[p.Ino] = p.MDS
-			}
-			// Inherit the published replica table so a restarted
-			// coordinator demotes (rather than leaks) sets whose fan-out
-			// streams died with its predecessor's process.
-			for _, re := range reps {
-				co.reps[re.Ino] = &repSet{owner: re.Owner, hosts: append([]int(nil), re.Replicas...), epoch: re.Epoch}
-				if re.Epoch > co.repEpochGen {
-					co.repEpochGen = re.Epoch
-				}
 			}
 		}
 	}
@@ -578,7 +561,6 @@ func (co *Coordinator) RunEpoch() (*EpochResult, error) {
 			MaxDecisions: co.MaxMigrations,
 		})
 	}
-	repsChanged := false
 	for _, d := range plan {
 		// A down shard can neither source nor absorb a migration; the
 		// planner saw zeroed stats for it, so drop those decisions.
@@ -586,9 +568,6 @@ func (co *Coordinator) RunEpoch() (*EpochResult, error) {
 			res.Rejected = append(res.Rejected, d)
 			continue
 		}
-		// A subtree being migrated drops its read replicas first: 2PC must
-		// not race fan-out streams shipping the very records it moves.
-		repsChanged = co.dropReplicasForMigration(d.Subtree, es) || repsChanged
 		if err := co.migrate2PC(d.Subtree, int(d.From), int(d.To)); err != nil {
 			res.Rejected = append(res.Rejected, d)
 			continue
@@ -596,8 +575,7 @@ func (co *Coordinator) RunEpoch() (*EpochResult, error) {
 		co.pins[d.Subtree] = int(d.To)
 		res.Applied = append(res.Applied, d)
 	}
-	repsChanged = co.replicaSweepLocked(es, reachable) || repsChanged
-	if len(res.Applied) > 0 || repsChanged {
+	if len(res.Applied) > 0 {
 		res.StaleMDS = co.publish()
 	}
 	res.MapVersion = co.version
@@ -614,7 +592,6 @@ func (co *Coordinator) RunEpoch() (*EpochResult, error) {
 func (co *Coordinator) Migrate(subtree namespace.Ino, from, to int) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.dropReplicasForMigration(subtree, nil)
 	if err := co.migrate2PC(subtree, from, to); err != nil {
 		return err
 	}
@@ -634,7 +611,7 @@ func (co *Coordinator) publish() (stale []int) {
 	for ino, m := range co.pins {
 		pins = append(pins, mds.PinEntry{Ino: ino, MDS: m})
 	}
-	body := mds.EncodeMap(co.version, pins, co.replicaEntriesLocked()...)
+	body := mds.EncodeMap(co.version, pins)
 	for i := range co.cluster.Addrs {
 		if err := co.publishOne(i, body); err != nil {
 			co.log.Warn("map publish missed", "mds", i, "version", co.version, "err", err)
@@ -684,7 +661,7 @@ func (co *Coordinator) reconcileLocked() []int {
 	for ino, m := range co.pins {
 		pins = append(pins, mds.PinEntry{Ino: ino, MDS: m})
 	}
-	body := mds.EncodeMap(co.version, pins, co.replicaEntriesLocked()...)
+	body := mds.EncodeMap(co.version, pins)
 	var updated []int
 	for i := range co.cluster.Addrs {
 		vbody, err := co.cluster.Conn(i).Call(mds.MethodGetMap, nil)

@@ -74,12 +74,11 @@ func (c *Cluster) startReceiver(id int) {
 	rcv := replication.NewReceiver(id, c.replicaDir(id), svc.Store(), c.kvOpts, c.repl.regs[id])
 	rcv.Register(svc.Server())
 	c.repl.receivers[id] = rcv
-	svc.SetReplicaProvider(rcv.ReadReplica)
 }
 
 // startShipper takes MDS id's commit hook with a Fanout and attaches the
-// ring shipper to it as unit 0, leaving room for subtree read units on
-// the same shard. The shipper bootstraps its backup from a snapshot.
+// ring shipper to it as unit 0, leaving room for subtree units on the
+// same shard. The shipper bootstraps its backup from a snapshot.
 func (c *Cluster) startShipper(id int) {
 	svc := c.Services[id]
 	opts := replication.Options{
@@ -187,11 +186,6 @@ func (c *Cluster) ReplicationStatus(id int) map[string]interface{} {
 		role = "primary"
 		doc["shipper"] = sh.Status()
 	}
-	if fan := c.repl.fanouts[id]; fan != nil {
-		if units := fan.UnitStatuses(); len(units) > 0 {
-			doc["read_units"] = units
-		}
-	}
 	if rc := c.repl.receivers[id]; rc != nil {
 		replicas := rc.Status()
 		if len(replicas) > 0 {
@@ -251,47 +245,6 @@ func (c *Cluster) FanoutOf(id int) *replication.Fanout {
 	return c.repl.fanouts[id]
 }
 
-// AddReadReplica attaches one read-replica stream: the subtree rooted at
-// root, owned by MDS owner, fans out to a warm replica on MDS host. The
-// stream bootstraps from a subtree snapshot and then tails the owner's
-// WAL; host serves bounded-staleness reads from it once live.
-func (c *Cluster) AddReadReplica(owner int, root namespace.Ino, host int) error {
-	if c.repl == nil {
-		return fmt.Errorf("server: replication not enabled")
-	}
-	fan := c.repl.fanouts[owner]
-	if fan == nil {
-		return fmt.Errorf("server: MDS %d has no replication fanout (stopped?)", owner)
-	}
-	if c.repl.receivers[host] == nil {
-		return fmt.Errorf("server: MDS %d has no receiver (stopped?)", host)
-	}
-	_, err := fan.AttachSubtree(root, replication.Options{
-		Primary:  owner,
-		Backup:   host,
-		Registry: c.repl.regs[owner],
-		Dial:     c.peerResolverFor(owner),
-		Tracer:   c.Tracer(owner),
-	})
-	return err
-}
-
-// DropReadReplica tears one read-replica stream down on both ends:
-// detach the owner's fan-out stream and discard the host's warm store.
-// Either side already being gone (stopped MDS) is fine — the other side
-// is still cleaned up.
-func (c *Cluster) DropReadReplica(owner int, root namespace.Ino, host int) {
-	if c.repl == nil {
-		return
-	}
-	if fan := c.repl.fanouts[owner]; fan != nil {
-		fan.DetachReplica(root, host)
-	}
-	if rcv := c.repl.receivers[host]; rcv != nil {
-		rcv.DropUnit(owner, uint64(root))
-	}
-}
-
 // Failover handles a confirmed-dead primary: promote its backup (the
 // replica is absorbed into the backup's serving store), repoint every
 // subtree the dead MDS owned at the promotee, re-replicate around the
@@ -334,7 +287,6 @@ func (co *Coordinator) failoverLocked(dead int) error {
 		moved++
 	}
 	co.cluster.RetargetReplication(dead)
-	co.dropReplicasForFailoverLocked(dead)
 	stale := co.publish()
 	co.failedOver[dead] = true
 	co.reg.Counter("coordinator.failover.completed").Inc()
