@@ -35,8 +35,9 @@ test-race:
 
 # The failure-injection suites: primary kills mid-write-storm, failover
 # promotion, replication gap/overflow resyncs, and the scenario harness
-# itself — all under the race detector. The failover tests are thin
-# wrappers over scenarios/kill-primary-{sync,async}.yaml.
+# itself — all under the race detector, plus the live online learning
+# loop. The failover tests are thin wrappers over
+# scenarios/kill-primary-{sync,async}.yaml.
 chaos:
 	$(GO) test -race -run 'Chaos|Failover|Resync|OnlineLoop' ./internal/server/... ./internal/replication/...
 	$(GO) test -race ./internal/scenario/...
@@ -52,9 +53,9 @@ sim-smoke:
 	$(GO) run ./cmd/origami-sim run -q scenarios/stress-1000.yaml scenarios/kill-primary-sync.yaml
 
 # Seconds-long live-cluster smoke of the online learning loop under the
-# race detector: skewed load → harvested labels → background retrain →
-# hot-swapped model → loadable checkpoint, plus the admin RPCs and the
-# warm-start path.
+# race detector: skewed load → the self-training Origami balancer's
+# labelled window → a fit inside a rebalancing epoch → loadable
+# checkpoint, plus the admin RPCs and the warm-start path.
 train-smoke:
 	$(GO) test -race -count=1 -timeout 120s -run 'OnlineLoop|AdminRPC|WarmStart' ./internal/server/...
 
@@ -76,9 +77,10 @@ commit-smoke:
 # input: the MethodBatch frame handler on a scratch shard (never panics;
 # answers every sub-op or rejects the frame with EINVAL), the SDK's
 # response decoder, the partition map (SetMap, GetMap and the persisted
-# pin map; never allocates past its body), the record list every
-# replication append, snapshot chunk and migration ingest carries (never
-# panics; a refused body applies nothing), the batch envelope codec, and
+# pin map) and the coordinator's per-shard dump (neither allocates past
+# its body), the record list every replication append, snapshot chunk
+# and migration ingest carries (never panics; a refused body applies
+# nothing), the batch envelope codec, and
 # the kvstore's SSTable reader (open, get, scan), manifest loader and WAL
 # recovery (replay, then a store opened on the log takes a write that
 # survives the next crash).
@@ -86,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchFrame$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMap$$' -fuzztime 3s ./internal/mds
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDump$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzReceiverFrames$$' -fuzztime 3s ./internal/replication
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 3s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime 3s ./internal/kvstore

@@ -209,8 +209,8 @@ func runCommand(sdk *client.Client, args []string) error {
 		printJSON(body)
 		return nil
 	case "model":
-		// The coordinator's learning-loop status: model version, dataset
-		// size, retrain counters — or the frozen strategy in use.
+		// The planner in use and its model: source, version, training
+		// window rows and fits.
 		body, err := sdk.ModelInfo()
 		if err != nil {
 			return fmt.Errorf("model: %w", err)

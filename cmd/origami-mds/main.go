@@ -1,6 +1,8 @@
 // Command origami-mds runs one OrigamiFS metadata server, or, with
 // -cluster, a whole multi-MDS development cluster in a single process
-// (plus the coordinator balancing it every epoch).
+// (plus the coordinator balancing it every epoch). Without -model the
+// coordinator plans with the self-training Origami balancer, the same
+// loop the simulator runs; -model-dir checkpoints its model.
 //
 // Single server:
 //
@@ -59,10 +61,9 @@ func main() {
 		dataDir   = flag.String("data", "./origami-data", "storage directory")
 		clusterN  = flag.Int("cluster", 0, "run an n-MDS development cluster in-process")
 		epoch     = flag.Duration("epoch", 10*time.Second, "rebalance epoch for -cluster mode")
-		model     = flag.String("model", "", "trained benefit model (origami-train output) driving the balancer in -cluster mode; without it the coordinator learns online")
+		model     = flag.String("model", "", "trained benefit model (origami-train output) driving the balancer in -cluster mode; without it the balancer trains its own")
 		autoBal   = flag.Bool("auto-balance", true, "run the background balance loop every -epoch in -cluster mode (off: epochs only via 'origami-cli epoch')")
-		modelDir  = flag.String("model-dir", "", "directory for online-learning model checkpoints; the newest one warm-starts the balancer")
-		retrain   = flag.Int("retrain-every", 256, "retrain the online model after this many newly harvested rows")
+		modelDir  = flag.String("model-dir", "", "directory for the self-trained model's checkpoints (the newest two are kept); the newest one warm-starts the balancer")
 		repl      = flag.Bool("repl", false, "enable ring replication between the MDSs in -cluster mode (WAL shipping; -commit-mode sync-repl acks after the backup applied)")
 		heartbeat = flag.Duration("heartbeat", 2*time.Second, "health-probe interval of the auto-failover loop when replication is on")
 		adminAddr = flag.String("admin", "", "HTTP admin address serving /metrics, /traces, /buildinfo, and /healthz (consecutive ports per MDS in -cluster mode; empty disables)")
@@ -93,7 +94,6 @@ func main() {
 			epoch:        *epoch,
 			modelPath:    *model,
 			modelDir:     *modelDir,
-			retrainEvery: *retrain,
 			autoBalance:  *autoBal,
 			adminAddr:    *adminAddr,
 			pprofOn:      *pprofOn,
@@ -238,7 +238,6 @@ type clusterOpts struct {
 	epoch        time.Duration
 	modelPath    string
 	modelDir     string
-	retrainEvery int
 	autoBalance  bool
 	adminAddr    string
 	pprofOn      bool
@@ -296,16 +295,15 @@ func runCluster(o clusterOpts) {
 		co.SetStrategy(&balancer.Origami{Model: m})
 		log.Info("balancer using trained model", "path", o.modelPath, "trees", len(m.Trees))
 	} else {
-		// No model: close the §4.3 loop on the live cluster — harvest
-		// every epoch, retrain in the background, hot-swap, checkpoint.
-		if err := co.EnableOnlineLearning(server.LearnerConfig{
-			RetrainEvery: o.retrainEvery,
-			ModelDir:     o.modelDir,
-		}); err != nil {
-			log.Error("enable online learning failed", "err", err)
+		// No model: the §4.3 loop on the live cluster. Set up now so a
+		// checkpoint the balancer cannot use fails the start.
+		og := &balancer.Origami{ModelDir: o.modelDir}
+		if err := og.Setup(nil, nil); err != nil {
+			log.Error("balancer setup failed", "model_dir", o.modelDir, "err", err)
 			os.Exit(1)
 		}
-		log.Info("online learning on", "model_dir", o.modelDir, "retrain_every", o.retrainEvery)
+		co.SetStrategy(og)
+		log.Info("self-training balancer on", "model_dir", o.modelDir)
 	}
 	// Coordinator admin protocol (origami-cli epoch / model) rides on
 	// MDS 0's RPC server.
@@ -341,9 +339,7 @@ func runCluster(o clusterOpts) {
 					"map_version": s.MapVersion(),
 				}
 				if id == 0 {
-					if st := co.LearnerStatus(); st != nil {
-						h["learner"] = st
-					}
+					h["model"] = co.ModelInfo()
 				}
 				return h
 			}, replFn, features)

@@ -1,7 +1,7 @@
 package balancer
 
 import (
-	"sync"
+	"fmt"
 	"time"
 
 	"origami/internal/cluster"
@@ -10,6 +10,7 @@ import (
 	"origami/internal/metaopt"
 	"origami/internal/ml"
 	"origami/internal/namespace"
+	"origami/internal/telemetry"
 )
 
 // Origami is the paper's strategy (§4.2): a model trained on Meta-OPT
@@ -26,7 +27,8 @@ import (
 //     labels its own dump with Meta-OPT into a window of the most recent
 //     ml.DefaultMaxRows rows; each epoch that rebalances refits the model
 //     on that window first. Until enough data accumulates it uses the
-//     Meta-OPT benefits directly.
+//     Meta-OPT benefits directly. The simulator and the live coordinator
+//     run this same loop; ModelDir makes it survive a restart.
 type Origami struct {
 	// Model is an optional pre-trained benefit predictor (GBDT or MLP).
 	Model ml.Predictor
@@ -35,24 +37,22 @@ type Origami struct {
 	// BenefitThreshold stops migration when the predicted benefit falls
 	// below this fraction of the epoch JCT (default 0.01).
 	BenefitThreshold float64
-	// MaxMigrations bounds decisions per epoch (default 4).
+	// MaxMigrations bounds decisions per epoch (default 8).
 	MaxMigrations int
 	// CacheDepth tells the benefit model which boundaries the client
 	// cache absorbs (default 3, matching the experiments).
 	CacheDepth int
 	// Delta is Meta-OPT's imbalance bound (default: epoch mean load).
 	Delta time.Duration
-	// Online enables self-training when Model is nil (default on).
-	DisableOnline bool
-
-	// modelMu guards the hot-swap slot: SetModel runs on a retrainer's
-	// goroutine while the coordinator (or simulator) drives Rebalance.
-	modelMu      sync.RWMutex
-	swapped      ml.Predictor
-	modelVersion uint64
+	// ModelDir, when set, checkpoints the self-trained model: Setup
+	// starts from the newest checkpoint there, and every fit writes the
+	// next version ("" = in memory only).
+	ModelDir string
 
 	dataset  ml.Dataset
 	trained  *ml.GBDT
+	version  uint64 // of trained: the checkpoint's, then +1 per fit
+	fits     int
 	epochs   int
 	cooldown map[namespace.Ino]int
 }
@@ -60,7 +60,9 @@ type Origami struct {
 // Name implements cluster.Strategy.
 func (s *Origami) Name() string { return "Origami" }
 
-// Setup implements cluster.Strategy.
+// Setup implements cluster.Strategy. With ModelDir set it warm-starts
+// from the newest checkpoint there; one trained under another feature
+// schema is an error — refusing to start beats mispredicting.
 func (s *Origami) Setup(*namespace.Tree, *cluster.PartitionMap) error {
 	s.cooldown = make(map[namespace.Ino]int)
 	if s.Trigger == 0 {
@@ -75,6 +77,20 @@ func (s *Origami) Setup(*namespace.Tree, *cluster.PartitionMap) error {
 	if s.CacheDepth == 0 {
 		s.CacheDepth = 3
 	}
+	if s.ModelDir == "" {
+		return nil
+	}
+	path, _, err := ml.LatestCheckpoint(s.ModelDir)
+	if err != nil || path == "" {
+		return err
+	}
+	ck, err := ml.LoadCheckpoint(path, features.NumFeatures)
+	if err != nil {
+		return fmt.Errorf("balancer: warm start: %w", err)
+	}
+	s.trained, s.version = ck.Model, ck.Version
+	telemetry.L("balancer").Info("warm-started from checkpoint",
+		"path", path, "model_version", ck.Version, "rows", ck.Rows)
 	return nil
 }
 
@@ -82,52 +98,68 @@ func (s *Origami) Setup(*namespace.Tree, *cluster.PartitionMap) error {
 // migrates subtrees afterwards.
 func (s *Origami) PinPolicy() cluster.PinPolicy { return nil }
 
-// SetModel atomically hot-swaps the benefit predictor: the next
-// Rebalance uses the new model, whatever epoch the host is in. The swap
-// is rejected when the model's feature schema does not match the host's
-// extractor — a mismatched model must fail here, not mispredict later.
-// version tags the swap for observability (ModelVersion).
-func (s *Origami) SetModel(p ml.Predictor, version uint64) error {
-	if c, ok := p.(interface{ CheckCompatible(int) error }); ok && p != nil {
-		if err := c.CheckCompatible(features.NumFeatures); err != nil {
-			return err
-		}
-	}
-	s.modelMu.Lock()
-	s.swapped = p
-	s.modelVersion = version
-	s.modelMu.Unlock()
-	return nil
+// ModelStatus describes the benefit model an Origami plans with.
+type ModelStatus struct {
+	// Source is "configured" (Model), "checkpoint" (warm-started, not
+	// yet refitted), "self-trained", or "meta-opt" (no model yet: the
+	// bootstrap plans on Meta-OPT benefits).
+	Source   string `json:"source"`
+	Version  uint64 `json:"version"`
+	Rows     int    `json:"rows"`
+	Fits     int    `json:"fits"`
+	ModelDir string `json:"model_dir,omitempty"`
 }
 
-// ModelVersion returns the version tag of the last SetModel (0 before
-// any swap).
-func (s *Origami) ModelVersion() uint64 {
-	s.modelMu.RLock()
-	defer s.modelMu.RUnlock()
-	return s.modelVersion
+// Status reports the strategy's model. Like Rebalance, it must not run
+// concurrently with another call on the strategy.
+func (s *Origami) Status() ModelStatus {
+	st := ModelStatus{Version: s.version, Rows: s.dataset.Len(), Fits: s.fits, ModelDir: s.ModelDir}
+	switch {
+	case s.Model != nil:
+		st.Source = "configured"
+	case s.trained == nil:
+		st.Source = "meta-opt"
+	case s.fits == 0:
+		st.Source = "checkpoint"
+	default:
+		st.Source = "self-trained"
+	}
+	return st
 }
 
-// configuredModel returns the hot-swapped predictor, else the statically
-// configured one, else nil; either beats the self-trained fallback.
-func (s *Origami) configuredModel() ml.Predictor {
-	s.modelMu.RLock()
-	swapped := s.swapped
-	s.modelMu.RUnlock()
-	if swapped != nil {
-		return swapped
+// fit refits the self-trained model on the window and, with ModelDir
+// set, checkpoints it. A failed write costs the checkpoint, not the fit.
+func (s *Origami) fit() {
+	fitted, err := ml.TrainGBDT(s.dataset, ml.GBDTConfig{
+		Rounds: 80, NumLeaves: 16, EarlyStopRounds: 10,
+	})
+	if err != nil {
+		return
 	}
-	if s.Model != nil {
-		return s.Model
+	s.trained = fitted
+	s.version++
+	s.fits++
+	if s.ModelDir == "" {
+		return
 	}
-	return nil
+	if _, err := ml.SaveCheckpoint(s.ModelDir, &ml.Checkpoint{
+		Format:       ml.CheckpointFormat,
+		Version:      s.version,
+		NumFeatures:  features.NumFeatures,
+		FeatureNames: features.Names[:],
+		Rows:         s.dataset.Len(),
+		UnixNanos:    time.Now().UnixNano(),
+		Model:        fitted,
+	}); err != nil {
+		telemetry.L("balancer").Warn("checkpoint write failed", "model_version", s.version, "err", err)
+	}
 }
 
 // Rebalance implements cluster.Strategy.
 func (s *Origami) Rebalance(es *cluster.EpochStats, t *namespace.Tree, pm *cluster.PartitionMap) []cluster.Decision {
 	s.epochs++
 	cfg := metaopt.Config{CacheDepth: s.CacheDepth, Delta: s.Delta}
-	online := s.Model == nil && !s.DisableOnline
+	online := s.Model == nil
 	// In online mode every epoch, balanced or not, is labelled into the
 	// training window (the §4.3 loop folded into the run); label
 	// generation is cheap next to fitting.
@@ -152,13 +184,9 @@ func (s *Origami) Rebalance(es *cluster.EpochStats, t *namespace.Tree, pm *clust
 	// bootstrap otherwise. The self-trained model is refitted only here,
 	// where it is about to be used, and synchronously, so a simulated run
 	// stays deterministic.
-	model := s.configuredModel()
-	if model == nil && online && s.dataset.Len() >= 200 {
-		if fitted, err := ml.TrainGBDT(s.dataset, ml.GBDTConfig{
-			Rounds: 80, NumLeaves: 16, EarlyStopRounds: 10,
-		}); err == nil {
-			s.trained = fitted
-		}
+	model := s.Model
+	if online && s.dataset.Len() >= 200 {
+		s.fit()
 	}
 	if model == nil && s.trained != nil {
 		model = s.trained

@@ -326,8 +326,8 @@ func (c *Client) TriggerEpoch() ([]byte, error) {
 	return c.call(context.Background(), 0, mds.MethodEpochRun, nil, nil)
 }
 
-// ModelInfo returns the coordinator's learning-loop status (model
-// version, dataset size, retrain counters) as JSON.
+// ModelInfo returns the coordinator's planner and its model status
+// (source, version, window rows, fits) as JSON.
 func (c *Client) ModelInfo() ([]byte, error) {
 	return c.callIdem(context.Background(), 0, mds.MethodModelInfo, nil, nil)
 }

@@ -138,7 +138,7 @@ func TestConcurrentRequestsDuringMigration(t *testing.T) {
 					t.Errorf("worker %d readdir: %v", w, err)
 					return
 				}
-				if ents, err := DecodeInodesResp(out); err != nil || len(ents) < i+1 {
+				if ents, err := decodeInodesResp(out); err != nil || len(ents) < i+1 {
 					t.Errorf("worker %d readdir saw %d entries after %d creates (err=%v)", w, len(ents), i+1, err)
 					return
 				}
@@ -256,4 +256,20 @@ func TestConcurrentDuplicateCreates(t *testing.T) {
 			t.Errorf("name n%03d: %d acknowledged creates, want exactly 1", n, got)
 		}
 	}
+}
+
+// decodeInodesResp parses the inode list that opens a readdir response
+// (the lease trailer after it is ignored).
+func decodeInodesResp(body []byte) ([]*namespace.Inode, error) {
+	r := rpc.NewReader(body)
+	n := int(r.U32())
+	var out []*namespace.Inode
+	for i := 0; i < n && r.Err() == nil; i++ {
+		in, err := namespace.DecodeInode(r.Blob())
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, in)
+	}
+	return out, r.Err()
 }

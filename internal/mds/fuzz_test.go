@@ -122,3 +122,27 @@ func FuzzDecodeMap(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeDump feeds arbitrary bytes to the dump decoder, which reads
+// every MDS's MethodDump response each balancing epoch. It must never
+// panic, never decode more rows than the body has bytes for, and every
+// body it accepts must be exactly what EncodeDump writes for the result.
+func FuzzDecodeDump(f *testing.F) {
+	for _, rows := range [][]DumpRow{nil, {{Ino: 5, Parent: 1, Reads: 3, ServiceNS: 900, ChildFiles: 2}}, {{Ino: 1}, {Ino: 1<<48 + 7, Parent: 1, Lookups: -1, ChildDirs: 4}}} {
+		body := EncodeDump(StatsSnapshot{Ops: 10, RPCs: 12, ServiceNS: 5000, Inodes: 3}, rows)
+		f.Add(body)
+		f.Add(body[:len(body)-1])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		st, rows, err := DecodeDump(body)
+		if err != nil {
+			return
+		}
+		if len(rows)*dumpRowSize > len(body) {
+			t.Fatalf("%d rows from a %d-byte body", len(rows), len(body))
+		}
+		if again := EncodeDump(st, rows); !bytes.Equal(again, body) {
+			t.Fatalf("accepted body %x re-encodes as %x", body, again)
+		}
+	})
+}

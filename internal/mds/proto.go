@@ -70,8 +70,8 @@ const (
 	// MethodEpochRun asks the coordinator for one balancing round and
 	// returns the EpochResult summary as JSON.
 	MethodEpochRun rpc.Method = iota + 200
-	// MethodModelInfo returns the coordinator's learning-loop status
-	// (model version, dataset size, retrain counters) as JSON.
+	// MethodModelInfo returns the coordinator's planner and its model
+	// status (source, version, window rows, fits) as JSON.
 	MethodModelInfo
 	// MethodClusterMetrics returns the coordinator's merged cluster
 	// snapshot — every live MDS's registry plus the coordinator's own —
@@ -194,28 +194,6 @@ func DecodeRecords(r *rpc.Reader, b *kvstore.Batch) (int, error) {
 	return count, nil
 }
 
-// DecodeInodesResp parses a multi-inode response.
-func DecodeInodesResp(body []byte) ([]*namespace.Inode, error) {
-	r := rpc.NewReader(body)
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]*namespace.Inode, 0, n)
-	for i := 0; i < n; i++ {
-		blob := r.Blob()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		in, err := namespace.DecodeInode(blob)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, in)
-	}
-	return out, nil
-}
-
 // PinEntry is one partition-map assignment on the wire.
 type PinEntry struct {
 	Ino namespace.Ino
@@ -294,16 +272,28 @@ func EncodeDump(st StatsSnapshot, rows []DumpRow) []byte {
 	return w.Bytes()
 }
 
-// DecodeDump parses EncodeDump output.
+// dumpRowSize is one DumpRow's wire size: two inos, four int64
+// tallies and two uint32 child counts.
+const dumpRowSize = 2*8 + 4*8 + 2*4
+
+// DecodeDump parses EncodeDump output. The coordinator decodes one dump
+// from every MDS each epoch, so the row count is checked against the
+// bytes that follow it before anything is allocated, as in DecodeMap.
 func DecodeDump(body []byte) (StatsSnapshot, []DumpRow, error) {
 	r := rpc.NewReader(body)
 	st := StatsSnapshot{
 		Ops: r.I64(), RPCs: r.I64(), ServiceNS: r.I64(), Inodes: r.I64(),
 	}
 	n := int(r.U32())
-	rows := make([]DumpRow, 0, n)
-	for i := 0; i < n; i++ {
-		rows = append(rows, DumpRow{
+	if err := r.Err(); err != nil {
+		return StatsSnapshot{}, nil, err
+	}
+	if n > r.Remaining()/dumpRowSize {
+		return StatsSnapshot{}, nil, fmt.Errorf("mds: dump claims %d rows in %d bytes", n, r.Remaining())
+	}
+	rows := make([]DumpRow, n)
+	for i := range rows {
+		rows[i] = DumpRow{
 			Ino:        namespace.Ino(r.U64()),
 			Parent:     namespace.Ino(r.U64()),
 			Reads:      r.I64(),
@@ -312,7 +302,10 @@ func DecodeDump(body []byte) (StatsSnapshot, []DumpRow, error) {
 			ServiceNS:  r.I64(),
 			ChildFiles: int32(r.U32()),
 			ChildDirs:  int32(r.U32()),
-		})
+		}
+	}
+	if r.Remaining() != 0 {
+		return StatsSnapshot{}, nil, fmt.Errorf("mds: %d bytes trail the dump", r.Remaining())
 	}
 	return st, rows, r.Err()
 }

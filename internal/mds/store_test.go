@@ -284,3 +284,25 @@ func TestDecodeMapRejectsOversizedCount(t *testing.T) {
 		t.Errorf("refusing a 12-byte map allocated %d bytes", grew)
 	}
 }
+
+// TestDecodeDumpRejectsOversizedCount: a dump whose row count promises
+// more rows than it carries bytes for is refused before the decoder
+// allocates for the count, and so is a dump with bytes after its rows.
+func TestDecodeDumpRejectsOversizedCount(t *testing.T) {
+	var w rpc.Wire
+	w.I64(1).I64(2).I64(3).I64(4).U32(1 << 20) // 36 bytes claiming 1M rows
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, rows, err := DecodeDump(w.Bytes())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("oversized count decoded into %d rows", len(rows))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing a 36-byte dump allocated %d bytes", grew)
+	}
+	body := append(EncodeDump(StatsSnapshot{Ops: 1}, []DumpRow{{Ino: 5, Parent: 1}}), 0)
+	if _, _, err := DecodeDump(body); err == nil {
+		t.Error("dump with a trailing byte accepted")
+	}
+}

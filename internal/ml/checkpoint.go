@@ -99,9 +99,14 @@ func checkpointName(version uint64) string {
 	return fmt.Sprintf("model-v%08d.json", version)
 }
 
-// SaveCheckpoint persists a checkpoint under dir atomically (temp file +
-// rename, so a crashed writer never leaves a half-model a restart could
-// load) and returns the final path.
+// keepCheckpoints is how many model files SaveCheckpoint leaves in a
+// directory: the one just written and the one before it.
+const keepCheckpoints = 2
+
+// SaveCheckpoint persists a checkpoint under dir atomically and durably
+// (temp file, fsync, rename, directory fsync: a crash leaves the old
+// model or the new one, never an empty file a restart would load),
+// prunes all but the newest keepCheckpoints, and returns the final path.
 func SaveCheckpoint(dir string, c *Checkpoint) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("ml: save checkpoint: %w", err)
@@ -110,49 +115,76 @@ func SaveCheckpoint(dir string, c *Checkpoint) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("ml: save checkpoint: %w", err)
 	}
-	if err := WriteCheckpoint(tmp, c); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", err
+	err = WriteCheckpoint(tmp, c)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("ml: save checkpoint: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
 	path := filepath.Join(dir, checkpointName(c.Version))
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return "", fmt.Errorf("ml: save checkpoint: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		return "", fmt.Errorf("ml: save checkpoint: %w", err)
+	}
+	names, err := checkpointNames(dir)
+	if err != nil {
+		return "", err
+	}
+	for len(names) > keepCheckpoints {
+		os.Remove(filepath.Join(dir, names[0])) //nolint:errcheck // the next save retries
+		names = names[1:]
 	}
 	return path, nil
 }
 
-// LatestCheckpoint scans a model directory for the highest-version
-// checkpoint file. It returns ("", 0, nil) when the directory is empty
-// or absent — a cold start, not an error.
-func LatestCheckpoint(dir string) (path string, version uint64, err error) {
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// checkpointNames lists a model directory's checkpoint files, oldest
+// version first.
+func checkpointNames(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
-		return "", 0, nil
+		return nil, nil
 	}
 	if err != nil {
-		return "", 0, fmt.Errorf("ml: scan checkpoints: %w", err)
+		return nil, fmt.Errorf("ml: scan checkpoints: %w", err)
 	}
-	names := make([]string, 0, len(ents))
+	var names []string
 	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
 		var v uint64
-		if _, serr := fmt.Sscanf(e.Name(), "model-v%d.json", &v); serr != nil {
-			continue
+		if _, serr := fmt.Sscanf(e.Name(), "model-v%d.json", &v); serr == nil && !e.IsDir() {
+			names = append(names, e.Name())
 		}
-		names = append(names, e.Name())
-	}
-	if len(names) == 0 {
-		return "", 0, nil
 	}
 	sort.Strings(names)
+	return names, nil
+}
+
+// LatestCheckpoint returns the highest-version checkpoint file in a
+// model directory, or ("", 0, nil) when the directory is empty or
+// absent — a cold start, not an error.
+func LatestCheckpoint(dir string) (path string, version uint64, err error) {
+	names, err := checkpointNames(dir)
+	if err != nil || len(names) == 0 {
+		return "", 0, err
+	}
 	last := names[len(names)-1]
 	fmt.Sscanf(last, "model-v%d.json", &version) //nolint:errcheck // filtered above
 	return filepath.Join(dir, last), version, nil

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +83,34 @@ func TestLatestCheckpointPicksHighestVersion(t *testing.T) {
 	}
 	if v != 12 || !strings.Contains(path, "model-v00000012.json") {
 		t.Errorf("latest = %q v%d, want v12", path, v)
+	}
+}
+
+// TestSaveCheckpointKeepsNewestTwo: a self-training loop saves a model
+// per fit, so the directory must not grow with the run.
+func TestSaveCheckpointKeepsNewestTwo(t *testing.T) {
+	dir := t.TempDir()
+	m := trainedTestModel(t, 7)
+	for v := uint64(1); v <= 5; v++ {
+		if _, err := SaveCheckpoint(dir, &Checkpoint{
+			Format: CheckpointFormat, Version: v, NumFeatures: 7, Rows: 10, Model: m,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || names[0] != "model-v00000004.json" || names[1] != "model-v00000005.json" {
+		t.Errorf("five saves left %v, want v4 and v5", names)
+	}
+	if _, v, err := LatestCheckpoint(dir); err != nil || v != 5 {
+		t.Errorf("latest = v%d (err %v), want v5", v, err)
 	}
 }
 

@@ -73,8 +73,7 @@ const DefaultMaxRows = 8192
 // TrimFront bounds the dataset to its most recent max rows, evicting the
 // oldest — the retention policy of a live dataset that grows forever. It
 // shifts the kept rows down in place: once the slices have grown past
-// max, trimming and the appends between trims allocate nothing. A Clone
-// taken before the trim is unaffected.
+// max, trimming and the appends between trims allocate nothing.
 func (d *Dataset) TrimFront(max int) {
 	if max <= 0 || len(d.X) <= max {
 		return
@@ -85,16 +84,6 @@ func (d *Dataset) TrimFront(max int) {
 	d.X = d.X[:max]
 	copy(d.Y, d.Y[n:])
 	d.Y = d.Y[:max]
-}
-
-// Clone deep-copies the row slices (not the rows themselves — feature
-// vectors are never mutated after Append), so a trainer can work on a
-// stable snapshot while the owner keeps appending.
-func (d *Dataset) Clone() Dataset {
-	return Dataset{
-		X: append([][]float64(nil), d.X...),
-		Y: append([]float64(nil), d.Y...),
-	}
 }
 
 // Split partitions the dataset into train and test deterministically by

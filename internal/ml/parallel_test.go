@@ -70,8 +70,8 @@ func TestParallelSmallLeafFallback(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainGBDTWorkers measures the split-search parallelism the
-// online retrain path relies on. The fixed seed keeps runs comparable;
+// BenchmarkTrainGBDTWorkers measures the split-search parallelism every
+// fit, offline or self-trained, relies on. The fixed seed keeps runs comparable;
 // determinism is asserted by TestParallelTrainingDeterminism.
 func BenchmarkTrainGBDTWorkers(b *testing.B) {
 	ds := synthDataset(20000, 8, 1)

@@ -11,8 +11,7 @@ import (
 // HarvestRows extracts one epoch's labeled training rows from a dump:
 // Table-1 features per subtree, labeled with the Meta-OPT migration
 // benefit normalised by the epoch JCT. This is the label-capture stage
-// of §4.3 as a pure function, shared by the simulator harvester below
-// and the networked coordinator's online learner.
+// of §4.3 as a pure function, used by the harvester below.
 func HarvestRows(es *cluster.EpochStats, pm *cluster.PartitionMap, cacheDepth int) (*features.Matrix, []float64) {
 	benefits := metaopt.Benefits(es, pm, metaopt.Config{CacheDepth: cacheDepth})
 	m := features.Extract(es)

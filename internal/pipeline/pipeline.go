@@ -35,8 +35,7 @@ type Config struct {
 }
 
 // GenerateDataset runs label generation over a workload and returns the
-// training set. It is the simulator host of the Harvester; the networked
-// coordinator hosts the same capture logic through its online learner.
+// training set: the simulator host of the Harvester.
 func GenerateDataset(tr *trace.Trace, cfg Config) (ml.Dataset, error) {
 	var ds ml.Dataset
 	h := &Harvester{

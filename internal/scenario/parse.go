@@ -31,14 +31,13 @@ func Parse(src string) (*Scenario, error) {
 	sc.Seed = d.i64(m, "seed")
 	sc.Duration = d.dur(m, "duration")
 	if fm := d.child(m, "fleet"); fm != nil {
-		d.strict(fm, "mds", "replication", "heartbeat", "balance-every", "call-timeout", "retrain-every", "backlog", "window", "commit-mode", "commit-window")
+		d.strict(fm, "mds", "replication", "heartbeat", "balance-every", "call-timeout", "backlog", "window", "commit-mode", "commit-window")
 		sc.Fleet = FleetSpec{
 			MDS:          d.num(fm, "mds"),
 			Replication:  d.str(fm, "replication"),
 			Heartbeat:    d.dur(fm, "heartbeat"),
 			BalanceEvery: d.dur(fm, "balance-every"),
 			CallTimeout:  d.dur(fm, "call-timeout"),
-			RetrainEvery: d.num(fm, "retrain-every"),
 			Backlog:      d.num(fm, "backlog"),
 			Window:       d.num(fm, "window"),
 			CommitMode:   d.str(fm, "commit-mode"),

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"origami/internal/balancer"
 	"origami/internal/replication"
 	"origami/internal/server"
 	"origami/internal/telemetry"
@@ -219,14 +220,10 @@ func runCluster(sc *Scenario, seed int64, opts Options, logf func(string, ...int
 		defer stop()
 	}
 	if sc.Fleet.BalanceEvery > 0 {
+		// The balancer origami-mds -cluster runs: self-training Origami.
+		co.SetStrategy(&balancer.Origami{})
 		stop := co.StartAutoBalance(sc.Fleet.BalanceEvery)
 		defer stop()
-	}
-	if sc.Fleet.RetrainEvery > 0 {
-		cfg := server.LearnerConfig{RetrainEvery: sc.Fleet.RetrainEvery, MinRows: 32}
-		if err := co.EnableOnlineLearning(cfg); err != nil {
-			return nil, fmt.Errorf("scenario %s: online learning: %w", sc.Name, err)
-		}
 	}
 
 	drv, err := newDriver(sc, cl, seed)

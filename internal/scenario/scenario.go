@@ -46,14 +46,12 @@ type FleetSpec struct {
 	// probe interval.
 	Heartbeat time.Duration
 	// BalanceEvery > 0 starts the auto-balance loop (collect → plan →
-	// migrate → publish) at that interval.
+	// migrate → publish) at that interval, planning with the
+	// self-training Origami balancer.
 	BalanceEvery time.Duration
 	// CallTimeout bounds every RPC (default server.DefaultCallTimeout;
 	// chaos scenarios shrink it so injected failures resolve fast).
 	CallTimeout time.Duration
-	// RetrainEvery > 0 enables the online learner, retraining after that
-	// many harvested rows.
-	RetrainEvery int
 	// Backlog / Window tune the async shipper (0 = library defaults).
 	Backlog int
 	Window  int
@@ -549,9 +547,6 @@ func (sc *Scenario) Encode() string {
 		}
 		if sc.Fleet.CallTimeout > 0 {
 			w("  call-timeout: %s", sc.Fleet.CallTimeout)
-		}
-		if sc.Fleet.RetrainEvery > 0 {
-			w("  retrain-every: %d", sc.Fleet.RetrainEvery)
 		}
 		if sc.Fleet.Backlog > 0 {
 			w("  backlog: %d", sc.Fleet.Backlog)

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 
+	"origami/internal/balancer"
 	"origami/internal/cluster"
 	"origami/internal/mds"
 	"origami/internal/rpc"
@@ -55,16 +56,30 @@ func (co *Coordinator) RegisterAdmin(srv *rpc.Server) {
 		return json.Marshal(co.ClusterMetrics())
 	})
 	srv.Handle(mds.MethodModelInfo, func([]byte) ([]byte, error) {
-		if st := co.LearnerStatus(); st != nil {
-			return json.Marshal(st)
-		}
-		name := "metaopt"
-		if s := co.StrategyInUse(); s != nil {
-			name = s.Name()
-		}
-		return json.Marshal(map[string]interface{}{
-			"online_learning": false,
-			"strategy":        name,
-		})
+		return json.Marshal(co.ModelInfo())
 	})
+}
+
+// ModelInfo is the JSON shape of a MethodModelInfo response and of MDS
+// 0's /healthz "model" block: the planner in use and, when it is
+// Origami, its model's source, version, window rows and fits.
+type ModelInfo struct {
+	Strategy string `json:"strategy"`
+	*balancer.ModelStatus
+}
+
+// ModelInfo reports the planner's model. It serialises against RunEpoch,
+// which owns the strategy while it plans.
+func (co *Coordinator) ModelInfo() ModelInfo {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	info := ModelInfo{Strategy: "metaopt"}
+	if co.strategy != nil {
+		info.Strategy = co.strategy.Name()
+	}
+	if o, ok := co.strategy.(*balancer.Origami); ok {
+		st := o.Status()
+		info.ModelStatus = &st
+	}
+	return info
 }

@@ -4,15 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"origami/internal/cluster"
+	"origami/internal/costmodel"
 	"origami/internal/mds"
 	"origami/internal/metaopt"
 	"origami/internal/namespace"
 	"origami/internal/rpc"
+	"origami/internal/stats"
 	"origami/internal/telemetry"
 )
 
@@ -57,10 +60,11 @@ type Coordinator struct {
 	staleMaps     map[int]bool // MDSs that missed a publish
 	failedOver    map[int]bool // primaries already failed over this outage
 
-	// learner, when non-nil, closes the §4.3 loop on the live cluster:
-	// every epoch it harvests labeled rows from the dump, and in the
-	// background retrains and hot-swaps the strategy's benefit model.
-	learner *onlineLearner
+	// pending holds the last epoch's applied migrations' predicted
+	// benefits, as fractions of that epoch's JCT (prevJCT), until the
+	// next dump realizes them.
+	pending []float64
+	prevJCT time.Duration
 
 	// reg holds the balancer's telemetry: epoch durations, migration
 	// outcome counters, and per-MDS health-state gauges
@@ -579,10 +583,54 @@ func (co *Coordinator) RunEpoch() (*EpochResult, error) {
 		res.StaleMDS = co.publish()
 	}
 	res.MapVersion = co.version
-	if co.learner != nil {
-		co.learner.observe(es, pm, res)
-	}
+	co.recordBenefit(es, res.Applied)
 	return res, nil
+}
+
+// recordBenefit scores the last epoch's applied migrations against this
+// epoch's dump, whatever strategy planned them: the JCT delta between
+// the two dumps, clamped to ±1, is split across those migrations by
+// predicted share. Negative realized benefits (the epoch got worse) are
+// counted in realized_negative. Then it arms this epoch's migrations.
+func (co *Coordinator) recordBenefit(es *cluster.EpochStats, applied []cluster.Decision) {
+	jct := costmodel.JCT(es.Service)
+	if len(co.pending) > 0 && co.prevJCT > 0 && jct > 0 {
+		realized := math.Max(-1, math.Min(1, float64(co.prevJCT-jct)/float64(co.prevJCT)))
+		var sumPred float64
+		for _, p := range co.pending {
+			sumPred += p
+		}
+		for _, p := range co.pending {
+			share := realized / float64(len(co.pending))
+			if sumPred > 0 {
+				share = realized * (p / sumPred)
+			}
+			recordBenefitBP(co.reg, "coordinator.benefit.predicted_bp", p)
+			recordBenefitBP(co.reg, "coordinator.benefit.realized_bp", share)
+			if share < 0 {
+				co.reg.Counter("coordinator.benefit.realized_negative").Inc()
+			}
+		}
+	}
+	co.pending = co.pending[:0]
+	if jct > 0 {
+		for _, d := range applied {
+			co.pending = append(co.pending, float64(d.PredictedBenefit)/float64(jct))
+		}
+	}
+	co.prevJCT = jct
+	loads := make([]float64, len(es.Service))
+	for i, s := range es.Service {
+		loads[i] = float64(s)
+	}
+	co.reg.Gauge("coordinator.balance.imbalance").Set(stats.ImbalanceFactor(loads))
+}
+
+// recordBenefitBP records a benefit fraction as basis points in a
+// histogram (log2 buckets hold non-negative ints; negative benefits are
+// tracked by the realized_negative counter instead).
+func recordBenefitBP(reg *telemetry.Registry, name string, frac float64) {
+	reg.Histogram(name).Record(int64(math.Max(frac, 0) * 1e4))
 }
 
 // Migrate executes one explicit migration (the pluggable Migrator
