@@ -83,7 +83,9 @@ commit-smoke:
 # nothing), the batch envelope codec, and
 # the kvstore's SSTable reader (open, get, scan), manifest loader and WAL
 # recovery (replay, then a store opened on the log takes a write that
-# survives the next crash).
+# survives the next crash), and the store itself against a map model
+# (put, delete, batch, flush, crash and reopen steps; Get and Scan agree
+# with the map after each).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchFrame$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime 3s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime 3s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 3s ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreAgainstMap$$' -fuzztime 3s ./internal/kvstore
 
 # bench/ is a module of its own, so `go build ./...` at the root cannot
 # see an API break there; this can.

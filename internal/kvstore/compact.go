@@ -3,11 +3,13 @@ package kvstore
 // Compaction in fragmented (PebblesDB) mode never merges with the tables
 // already present in the destination level: the merged output of the source
 // run is split at the destination's guard boundaries and simply prepended
-// to each destination run. Only the final level merges in place (and drops
-// tombstones), bounding space. The PlainLeveled option switches to classic
-// leveled behaviour — merge with the destination run and rewrite it — which
-// the ablation benchmark uses to quantify the write-amplification the
-// fragmented design saves.
+// to each destination run. Only the final level merges in place, bounding
+// space. Any merge drops a tombstone once nothing beneath its output
+// holds a live version of the key; beneath the final level nothing ever
+// does. The PlainLeveled option switches to classic leveled behaviour —
+// merge with the destination run and rewrite it — which the ablation
+// benchmark uses to quantify the write-amplification the fragmented
+// design saves.
 //
 // Simplification vs. PebblesDB: a level's guard partition is chosen when
 // the level first receives data and is not re-split afterwards. At
@@ -43,10 +45,11 @@ func (db *DB) maybeCompactLocked() error {
 
 // mergeInto streams the newest-wins merge of tables (ordered newest
 // first), restricted to keys in [lo, hi), into one fresh table; nil when
-// nothing survives. Tombstones are retained unless dropTombstones is set.
-// Entries go from the cursors' read buffers straight into the builder, so
-// a compaction holds a few chunks in memory, never the merged run.
-func (db *DB) mergeInto(tables []*sstable, lo, hi []byte, dropTombstones bool) (*sstable, error) {
+// nothing survives. below names the tables the output will sit on; a
+// tombstone survives only if they still hold a value for its key.
+// Entries go from the cursors' read buffers straight into the builder,
+// so a compaction holds a few chunks in memory, never the merged run.
+func (db *DB) mergeInto(tables []*sstable, lo, hi []byte, below beneath) (*sstable, error) {
 	cursors := make([]cursor, 0, len(tables))
 	for _, t := range tables {
 		if t.overlaps(lo, hi) {
@@ -76,7 +79,7 @@ func (db *DB) mergeInto(tables []*sstable, lo, hi []byte, dropTombstones bool) (
 		if !ok {
 			break
 		}
-		if tombstone && dropTombstones {
+		if tombstone && !db.needsTombstone(below, key) {
 			continue
 		}
 		if b == nil {
@@ -129,7 +132,8 @@ func (l *dbLevel) populated() bool {
 // level's guard boundaries and one table per non-empty segment goes to
 // the front of its guard's run. In PlainLeveled mode, and on the last
 // level, a segment is instead merged with the tables already in the run,
-// which is rewritten as a single table; the last level drops tombstones.
+// which is rewritten as a single table. Either way the output sits on the
+// run's tables it does not replace and on every deeper level.
 func (db *DB) compactInto(li int, src []*sstable) error {
 	db.ensureGuardsLocked(li)
 	lvl := db.levels[li]
@@ -154,7 +158,11 @@ func (db *DB) compactInto(li int, src []*sstable) error {
 		if rewrite {
 			inputs = append(append([]*sstable(nil), src...), run.tables...)
 		}
-		t, err := db.mergeInto(inputs, lo, hi, lastLevel)
+		below := beneath{tables: run.tables, level: li + 1}
+		if rewrite {
+			below.tables = nil
+		}
+		t, err := db.mergeInto(inputs, lo, hi, below)
 		if err != nil {
 			return err
 		}
@@ -189,11 +197,12 @@ func (db *DB) compactL0Locked() error {
 }
 
 // compactRunLocked pushes one over-full run of level li into level li+1,
-// or merges it in place (dropping tombstones) when li is the last level.
+// or merges it in place when li is the last level, where nothing lies
+// beneath and so no tombstone survives.
 func (db *DB) compactRunLocked(li int, run *guardRun) error {
 	old := run.tables
 	if li == len(db.levels)-1 {
-		t, err := db.mergeInto(old, nil, nil, true)
+		t, err := db.mergeInto(old, nil, nil, beneath{level: len(db.levels)})
 		if err != nil {
 			return err
 		}

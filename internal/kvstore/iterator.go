@@ -154,10 +154,11 @@ type mergeItem struct {
 // mergeIterator drains cursors with newest-wins semantics through a
 // binary min-heap ordered by (key, src).
 type mergeIterator struct {
-	h       []mergeItem
-	all     []cursor
-	last    []byte // copy of the key emitted by the previous next
-	emitted bool
+	h        []mergeItem
+	all      []cursor
+	last     []byte // copy of the key emitted by the previous next
+	emitted  bool
+	shadowed int // older versions stepped past behind an emitted key
 }
 
 // newMergeIterator takes ownership of cursors: close releases them, also
@@ -210,7 +211,10 @@ func (m *mergeIterator) next() (key, value []byte, tombstone bool, ok bool, err 
 	// Step every source still sitting on the previously emitted key past
 	// it — the winner, whose slices the caller has finished with by now,
 	// and any older duplicates.
-	for m.emitted && len(m.h) > 0 && bytes.Equal(m.h[0].key, m.last) {
+	for stepped := 0; m.emitted && len(m.h) > 0 && bytes.Equal(m.h[0].key, m.last); stepped++ {
+		if stepped > 0 {
+			m.shadowed++
+		}
 		top := &m.h[0]
 		k, v, t, more, err := top.cur.next()
 		if err != nil {

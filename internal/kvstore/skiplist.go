@@ -18,6 +18,14 @@
 // durability uses group commit: concurrent writers share WAL fsyncs.
 // Flush and compaction run inline under both locks at well-defined points
 // so that tests and the discrete-event simulator stay deterministic.
+//
+// A tombstone exists only while the tables beneath it still hold a live
+// version of its key, as a point read of those tables finds it. A delete
+// whose key they do not hold cancels the key's memtable node instead,
+// charged to the memtable's size as an in-place tombstone would be, so
+// the flush cadence does not change; WAL replay applies records through
+// the same function. Compaction drops a tombstone once nothing beneath
+// its output holds a live version of the key.
 package kvstore
 
 import (
@@ -46,7 +54,7 @@ type skiplist struct {
 	head   *skipNode
 	height int
 	rnd    *rand.Rand
-	n      int // number of live nodes
+	n      int // number of nodes, tombstones included
 	bytes  int // approximate memory footprint of keys+values
 }
 
@@ -105,6 +113,27 @@ func (s *skiplist) put(key, value []byte, tombstone bool) {
 	}
 	s.n++
 	s.bytes += len(key) + len(value) + 48 // rough per-node overhead
+}
+
+// cancel applies a delete that needs no tombstone: no table below the
+// memtable holds a live version of the key, so its node, if any, is
+// unlinked, and an absent key inserts nothing. The footprint is charged
+// as an in-place tombstone would be charged (a node's value goes, an
+// absent key costs a node), so a memtable of create/remove churn still
+// fills, flushes and retires its log at the pace it did when every
+// delete left a node.
+func (s *skiplist) cancel(key []byte) {
+	prev := make([]*skipNode, skiplistMaxHeight)
+	n := s.findGreaterOrEqual(key, prev)
+	if n == nil || !bytes.Equal(n.key, key) {
+		s.bytes += len(key) + 48
+		return
+	}
+	for level := range n.next {
+		prev[level].next[level] = n.next[level]
+	}
+	s.n--
+	s.bytes -= len(n.value)
 }
 
 // get returns the value for key. found reports whether the key is present

@@ -121,6 +121,38 @@ func TestSkiplistBytesAccounting(t *testing.T) {
 	}
 }
 
+// A cancelled delete is charged exactly as the in-place tombstone it
+// replaces: the node's value leaves, and an absent key costs a node.
+func TestSkiplistCancelChargesLikeTombstone(t *testing.T) {
+	tomb, cancelled := newSkiplist(1), newSkiplist(1)
+	for _, s := range []*skiplist{tomb, cancelled} {
+		for _, k := range []string{"a", "b", "c"} {
+			s.put([]byte(k), []byte("value-"+k), false)
+		}
+	}
+	for _, k := range []string{"b", "absent"} {
+		tomb.put([]byte(k), nil, true)
+		cancelled.cancel([]byte(k))
+		if tomb.sizeBytes() != cancelled.sizeBytes() {
+			t.Fatalf("after deleting %q: tombstone charges %d bytes, cancel %d", k, tomb.sizeBytes(), cancelled.sizeBytes())
+		}
+	}
+	if cancelled.len() != 2 {
+		t.Fatalf("%d nodes left, want a and c", cancelled.len())
+	}
+	var keys []string
+	cancelled.scan(nil, nil, func(k, _ []byte, _ bool) bool {
+		keys = append(keys, string(k))
+		return true
+	})
+	if fmt.Sprint(keys) != "[a c]" {
+		t.Fatalf("scan after cancel = %v, want [a c]", keys)
+	}
+	if _, found, _ := cancelled.get([]byte("b")); found {
+		t.Fatal("cancelled key still found")
+	}
+}
+
 func TestSkiplistRandomizedAgainstMap(t *testing.T) {
 	s := newSkiplist(3)
 	model := map[string]string{}
@@ -128,15 +160,29 @@ func TestSkiplistRandomizedAgainstMap(t *testing.T) {
 	rnd := rand.New(rand.NewSource(99))
 	for i := 0; i < 5000; i++ {
 		k := fmt.Sprintf("k%03d", rnd.Intn(300))
-		if rnd.Intn(4) == 0 {
+		switch r := rnd.Intn(8); {
+		case r < 2:
 			s.put([]byte(k), nil, true)
 			delete(model, k)
 			deleted[k] = true
-		} else {
+		case r < 3: // a delete that needs no tombstone: the node goes
+			s.cancel([]byte(k))
+			delete(model, k)
+			delete(deleted, k)
+		default:
 			v := fmt.Sprintf("v%d", i)
 			s.put([]byte(k), []byte(v), false)
 			model[k] = v
 			delete(deleted, k)
+		}
+	}
+	if s.len() != len(model)+len(deleted) {
+		t.Fatalf("%d nodes, want %d live + %d tombstones", s.len(), len(model), len(deleted))
+	}
+	for i := 0; i < 300; i++ {
+		k := fmt.Sprintf("k%03d", i)
+		if _, found, _ := s.get([]byte(k)); found != (model[k] != "" || deleted[k]) {
+			t.Fatalf("get(%q) found=%v, model has it: %v, tombstone: %v", k, found, model[k] != "", deleted[k])
 		}
 	}
 	for k, want := range model {

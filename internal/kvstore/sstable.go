@@ -51,6 +51,7 @@ type readStats struct {
 	tableProbes atomic.Int64 // tables whose key range covered a Get's key
 	bloomSkips  atomic.Int64 // probes the filter answered "not here"
 	blockReads  atomic.Int64 // data ReadAt calls (point reads and cursor chunks)
+	scanSkips   atomic.Int64 // entries Scans walked without yielding
 }
 
 // decodeEntry decodes the entry at the head of b. key and value alias b;

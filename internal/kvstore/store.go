@@ -119,6 +119,10 @@ type Stats struct {
 	TableProbes int64
 	BloomSkips  int64
 	BlockReads  int64
+	// ScanSkips counts the entries Scans walked without yielding:
+	// tombstones, and older versions a newer one shadows. Per readdir it
+	// is the dead weight a directory's history adds to listing it.
+	ScanSkips int64
 }
 
 // dbStats is the live counter set behind Stats. The counters are
@@ -171,6 +175,8 @@ type DB struct {
 	guards      guardSet
 	nextFileNum uint64
 	stats       dbStats
+	keep        []bool       // tombstone decisions of the record being applied; guarded by writeMu
+	probe       []byte       // needsTombstone's value scratch; guarded by writeMu
 	hook        CommitHook   // guarded by writeMu
 	committer   Committer    // guarded by writeMu
 	tracer      atomic.Value // tracerBox
@@ -269,9 +275,11 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	// Replay mutations that were logged but never flushed, then resume the
-	// log where the intact records end.
+	// log where the intact records end. The table set is the one the
+	// records were first applied against — it changes only by a flush,
+	// which retires the log — so replay rebuilds the same memtable.
 	end, err := replayWAL(db.walPath(), func(ops []byte, n int) {
-		ForEachOp(ops, n, db.mem.put)
+		db.applyToMemtable(ops, n, db.tombstonesNeeded(ops, n))
 	})
 	if err != nil {
 		return nil, err
@@ -326,15 +334,13 @@ func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) err
 		return err
 	}
 	seq := db.walSeq.Add(1)
+	// The table set changes only under writeMu and mu together, so the
+	// tombstone decisions made here, before mu, still hold at the insert.
+	keep := db.tombstonesNeeded(ops, n)
 	db.mu.Lock()
-	ForEachOp(ops, n, func(key, value []byte, tombstone bool) {
-		if tombstone {
-			db.stats.deletes.Add(1)
-		} else {
-			db.stats.puts.Add(1)
-		}
-		db.mem.put(key, value, tombstone)
-	})
+	puts, deletes := db.applyToMemtable(ops, n, keep)
+	db.stats.puts.Add(puts)
+	db.stats.deletes.Add(deletes)
 	var ferr error
 	flushed := false
 	if db.mem.sizeBytes() >= db.opts.MemtableBytes {
@@ -376,6 +382,92 @@ func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) err
 		return wait()
 	}
 	return nil
+}
+
+// beneath names the tables under some point of the tree, newest first:
+// tables, then one guard run per level from levels[level] down.
+type beneath struct {
+	tables []*sstable
+	level  int
+}
+
+// lookup reads key from the tables beneath b the way a point read does:
+// per table, key range, then filter, then one block read, newest table
+// first, stopping at the first version found. A tombstone reads as not
+// found. A found value is appended to dst.
+func (db *DB) lookup(b beneath, key, dst []byte, rs *readStats) (value []byte, found bool, err error) {
+	h := bloomHash(key)
+	for li := b.level - 1; li < len(db.levels); li++ {
+		tables := b.tables
+		if li >= b.level {
+			lvl := db.levels[li]
+			tables = lvl.run(guardIndexFor(lvl.guardKeys, key)).tables
+		}
+		for _, t := range tables {
+			v, f, tomb, err := t.get(key, h, dst, rs)
+			if err != nil || tomb {
+				return nil, false, err
+			}
+			if f {
+				return v, true, nil
+			}
+		}
+	}
+	return nil, false, nil
+}
+
+// needsTombstone reports whether a delete of key must leave a tombstone
+// above the tables beneath b: whether, without one, reading key from
+// them would still find a value. With nothing beneath holding a live
+// version, deleting the key and forgetting it read the same. A failed
+// read keeps the tombstone, which is never wrong. The probe's block
+// reads count in BlockReads; its probes and filter skips stay out of
+// the point-read counters. The caller holds writeMu, which pins the
+// table set (only a holder of both locks changes it) and the scratch
+// buffer.
+func (db *DB) needsTombstone(b beneath, key []byte) bool {
+	var rs readStats
+	v, found, err := db.lookup(b, key, db.probe[:0], &rs)
+	if found {
+		db.probe = v[:0]
+	}
+	db.stats.reads.blockReads.Add(rs.blockReads.Load())
+	return found || err != nil
+}
+
+// tombstonesNeeded decides, for each of a record's n ops, whether it must
+// reach the memtable as a tombstone: a delete whose key the tables still
+// hold a value for. The slice is scratch reused by the next record.
+func (db *DB) tombstonesNeeded(ops []byte, n int) []bool {
+	keep := db.keep[:0]
+	ForEachOp(ops, n, func(key, _ []byte, tombstone bool) {
+		keep = append(keep, tombstone && db.needsTombstone(beneath{tables: db.l0}, key))
+	})
+	db.keep = keep
+	return keep
+}
+
+// applyToMemtable is the one way a record reaches the memtable, live and
+// in WAL replay. A put inserts; a delete in keep leaves a tombstone; any
+// other delete cancels the key's memtable node, if it has one, and leaves
+// nothing. It returns the puts and deletes applied.
+func (db *DB) applyToMemtable(ops []byte, n int, keep []bool) (puts, deletes int64) {
+	i := 0
+	ForEachOp(ops, n, func(key, value []byte, tombstone bool) {
+		switch {
+		case !tombstone:
+			db.mem.put(key, value, false)
+			puts++
+		case keep[i]:
+			db.mem.put(key, nil, true)
+			deletes++
+		default:
+			db.mem.cancel(key)
+			deletes++
+		}
+		i++
+	})
+	return puts, deletes
 }
 
 // waitSynced blocks until the WAL is durable through seq. The first
@@ -563,24 +655,7 @@ func (db *DB) GetInto(key, dst []byte) (value []byte, found bool, err error) {
 		}
 		return append(dst, v...), true, nil
 	}
-	h := bloomHash(key)
-	for li := -1; li < len(db.levels); li++ {
-		tables := db.l0
-		if li >= 0 {
-			lvl := db.levels[li]
-			tables = lvl.run(guardIndexFor(lvl.guardKeys, key)).tables
-		}
-		for _, t := range tables {
-			v, f, tomb, err := t.get(key, h, dst, &db.stats.reads)
-			if err != nil || tomb {
-				return nil, false, err
-			}
-			if f {
-				return v, true, nil
-			}
-		}
-	}
-	return nil, false, nil
+	return db.lookup(beneath{tables: db.l0}, key, dst, &db.stats.reads)
 }
 
 // run returns the run of guard slot gi; -1 is the sentinel.
@@ -638,7 +713,11 @@ func (db *DB) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	if err != nil {
 		return err
 	}
-	defer m.close()
+	tombstones := 0
+	defer func() {
+		m.close()
+		db.stats.reads.scanSkips.Add(int64(tombstones + m.shadowed))
+	}()
 	for {
 		key, value, tombstone, ok, err := m.next()
 		if err != nil {
@@ -648,6 +727,7 @@ func (db *DB) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 			return nil
 		}
 		if tombstone {
+			tombstones++
 			continue
 		}
 		if !fn(key, value) {
@@ -670,6 +750,17 @@ func (db *DB) Flush() error {
 // Caller holds both writeMu (the WAL is swapped) and mu exclusively.
 func (db *DB) flushLocked() error {
 	if db.mem.len() == 0 {
+		if db.mem.sizeBytes() == 0 {
+			return nil
+		}
+		// Every logged op cancelled out against tables that hold none of
+		// its keys — replay would rebuild this same empty memtable — so
+		// the log retires without a table.
+		db.mem = newSkiplist(db.opts.Seed + db.stats.flushes.Load())
+		if err := db.resetWALLocked(); err != nil {
+			return err
+		}
+		db.markSynced(db.walSeq.Load())
 		return nil
 	}
 	b, err := newTableBuilder(db.newTablePath())
@@ -830,6 +921,7 @@ func (db *DB) Stats() Stats {
 		TableProbes:    db.stats.reads.tableProbes.Load(),
 		BloomSkips:     db.stats.reads.bloomSkips.Load(),
 		BlockReads:     db.stats.reads.blockReads.Load(),
+		ScanSkips:      db.stats.reads.scanSkips.Load(),
 	}
 	s.MemtableEntries = db.mem.len()
 	s.WALBytes = db.wal.size

@@ -388,12 +388,7 @@ func TestStoreRandomizedAgainstMap(t *testing.T) {
 			}
 			scan([]byte(key(390)), nil)
 
-			tables := append([]*sstable(nil), db.l0...)
-			for _, lvl := range db.levels {
-				for _, run := range lvl.allRuns() {
-					tables = append(tables, run.tables...)
-				}
-			}
+			tables := allTables(db)
 			if len(tables) < 2 {
 				t.Fatalf("only %d table(s) on disk", len(tables))
 			}
@@ -421,11 +416,20 @@ func TestStoreStats(t *testing.T) {
 	if st.Puts != 1 || st.Deletes != 1 || st.Gets != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.MemtableEntries != 1 {
-		t.Errorf("memtable entries = %d", st.MemtableEntries)
+	// No table holds "a", so the delete cancels the put outright.
+	if st.MemtableEntries != 0 {
+		t.Errorf("memtable entries = %d, want 0", st.MemtableEntries)
 	}
 	if len(st.TablesPerLevel) == 0 {
 		t.Error("TablesPerLevel empty")
+	}
+	// A flushed key is deleted by a tombstone, which the memtable keeps.
+	db.Put([]byte("b"), []byte("2"))
+	db.Flush()
+	db.Delete([]byte("b"))
+	if st := db.Stats(); st.MemtableEntries != 1 || st.Deletes != 2 {
+		t.Errorf("after deleting a flushed key: memtable entries = %d, deletes = %d; want 1, 2",
+			st.MemtableEntries, st.Deletes)
 	}
 }
 

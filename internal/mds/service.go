@@ -371,7 +371,9 @@ func (s *Service) Registry() *telemetry.Registry { return s.reg }
 // refreshStoreGauges publishes the shard store's point-in-time numbers:
 // the inode count and the kvstore read path's cumulative attempts vs.
 // useful work (probes per get = kvstore.table.probes / kvstore.get.calls,
-// filter hit rate = kvstore.bloom.skips / kvstore.table.probes).
+// filter hit rate = kvstore.bloom.skips / kvstore.table.probes), and the
+// dead entries — tombstones and shadowed versions — readdir scans walked
+// past without listing (kvstore.scan.skips).
 func (s *Service) refreshStoreGauges() {
 	st := s.store.DBStats()
 	s.reg.Gauge("mds.store.inodes").Set(float64(s.store.Count()))
@@ -379,6 +381,7 @@ func (s *Service) refreshStoreGauges() {
 	s.reg.Gauge("kvstore.table.probes").Set(float64(st.TableProbes))
 	s.reg.Gauge("kvstore.bloom.skips").Set(float64(st.BloomSkips))
 	s.reg.Gauge("kvstore.block.reads").Set(float64(st.BlockReads))
+	s.reg.Gauge("kvstore.scan.skips").Set(float64(st.ScanSkips))
 }
 
 // handleMetrics serves the registry snapshot as JSON. It deliberately

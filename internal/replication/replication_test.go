@@ -26,6 +26,13 @@ type backupNode struct {
 
 func startBackup(t testing.TB, id int) *backupNode {
 	t.Helper()
+	return startBackupWith(t, id, kvstore.Options{})
+}
+
+// startBackupWith is startBackup whose replica stores open with
+// replicaOpts.
+func startBackupWith(t testing.TB, id int, replicaOpts kvstore.Options) *backupNode {
+	t.Helper()
 	store, err := mds.OpenStore(t.TempDir(), id, kvstore.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +42,7 @@ func startBackup(t testing.TB, id int) *backupNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcv := NewReceiver(id, t.TempDir(), store, kvstore.Options{}, telemetry.NewRegistry())
+	rcv := NewReceiver(id, t.TempDir(), store, replicaOpts, telemetry.NewRegistry())
 	rcv.Register(svc.Server())
 	t.Cleanup(func() {
 		rcv.Close()
@@ -344,6 +351,75 @@ func TestReplicaNeverHoldsHalfARecord(t *testing.T) {
 	if hasOld == hasNew {
 		t.Fatalf("replica holds old=%v new=%v after the one Append that got through (%+v): a rename arrives whole or not at all",
 			hasOld, hasNew, sh.Status())
+	}
+}
+
+// TestDeleteElisionIsPerStore: primary and backup apply the same records,
+// but each decides against its own tables whether a delete needs a
+// tombstone. The primary, whose copy of f never left its memtable, cancels
+// the put; the backup, whose tables hold f, keeps a tombstone — and the
+// promoted backup serves f as gone.
+func TestDeleteElisionIsPerStore(t *testing.T) {
+	primary := openPrimary(t, 1) // a default memtable: nothing flushes here
+	// The backup's replica flushes every few records and never compacts,
+	// so a tombstone it writes stays visible to its scans.
+	node := startBackupWith(t, 2, kvstore.Options{MemtableBytes: 512, MaxL0Tables: 1 << 10})
+	base := namespace.Ino(1) << 48
+	putFile(t, primary, base, "f")
+	sh := shipRing(t, primary, Options{
+		Primary: 1, Backup: 2,
+		RetryBackoff: 5 * time.Millisecond,
+		Dial:         dialerTo(t, node, nil),
+	})
+	for i := 1; i <= 32; i++ {
+		putFile(t, primary, base+namespace.Ino(i), fmt.Sprintf("pad%02d", i))
+	}
+	requireConverged(t, sh, primary, node)
+	rep := node.rcv.ReplicaStore(1)
+	if p, r := primary.DBStats().Flushes, rep.DBStats().Flushes; p != 0 || r == 0 {
+		t.Fatalf("flushes: primary %d, replica %d; want f memtable-only on the primary and in the replica's tables", p, r)
+	}
+
+	// The dead entries one readdir walks past. The replica's count before
+	// the remove is not 0: records the stream re-sent over its snapshot
+	// left older copies of some pads in its tables.
+	skips := func(s *mds.Store) int64 {
+		t.Helper()
+		before := s.DBStats().ScanSkips
+		if _, err := s.ReadDir(namespace.RootIno); err != nil {
+			t.Fatal(err)
+		}
+		return s.DBStats().ScanSkips - before
+	}
+	primaryBase, repBase := skips(primary), skips(rep)
+	if _, err := primary.RemoveEntry(namespace.RootIno, "f"); err != nil {
+		t.Fatal(err)
+	}
+	requireConverged(t, sh, primary, node)
+	if n := skips(primary) - primaryBase; n != 0 {
+		t.Errorf("primary readdir walks %d more dead entries; its delete of a memtable-only f should leave none", n)
+	}
+	if n := skips(rep) - repBase; n != 2 {
+		t.Errorf("replica readdir walks %d more dead entries, want 2: f's tombstone and the version it hides", n)
+	}
+
+	cli, err := rpc.Dial(node.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	resp, err := cli.Call(MethodPromote, EncodePromote(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := DecodePromoteResp(resp); err != nil || n != 32 {
+		t.Fatalf("promotion absorbed %d inode records (err %v), want the 32 pads", n, err)
+	}
+	if _, found, err := node.store.Lookup(namespace.RootIno, "f"); err != nil || found {
+		t.Fatalf("promoted backup serves f: found=%v err=%v", found, err)
+	}
+	if _, found, err := node.store.Lookup(namespace.RootIno, "pad07"); err != nil || !found {
+		t.Fatalf("promoted backup lost pad07: found=%v err=%v", found, err)
 	}
 }
 
