@@ -29,7 +29,7 @@ func buildCluster(t *testing.T, numMDS int) (*namespace.Tree, *cluster.Partition
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
-		coll.Record(op, &res, params.RCT(op.Type, res.Profile, 0))
+		coll.Record(op, &res)
 	}
 	for i := 0; i < 6; i++ {
 		apply(trace.Op{Type: costmodel.OpMkdir, Path: fmt.Sprintf("/d%d", i)})

@@ -9,15 +9,18 @@ import (
 	"origami/internal/trace"
 )
 
-// dirAccum is the per-directory raw tally the Data Collector maintains
-// during an epoch. Directories, not files, are the collection unit (§4.1),
-// which keeps the dump small.
-type dirAccum struct {
-	reads     int64 // read-type ops targeting entries in this directory
-	writes    int64 // write-type ops targeting entries in this directory
-	serviceNS int64 // MDS busy time attributable to those ops
-	through   int64 // resolutions that traversed this directory
-	lsdirs    int64 // lsdir ops listing this directory
+// DirRow is one directory's epoch tally, the input of the Data
+// Collector's aggregation. Directories, not files, are the collection
+// unit (§4.1), which keeps the dump small.
+type DirRow struct {
+	Ino       namespace.Ino
+	Parent    namespace.Ino
+	Files     int   // files directly in this directory
+	Reads     int64 // read-type ops targeting entries in this directory
+	Writes    int64 // write-type ops targeting entries in this directory
+	ServiceNS int64 // MDS busy time attributable to those ops
+	Through   int64 // resolutions that traversed this directory
+	Lsdirs    int64 // lsdir ops listing this directory
 }
 
 // DirStat is one row of an epoch dump: the per-subtree statistics Meta-OPT
@@ -52,7 +55,8 @@ type DirStat struct {
 	OwnedInodes int
 	// Through counts resolutions traversing this directory; together
 	// with ParentLsdirs it prices the o_s crossing overhead a cut here
-	// would introduce.
+	// would introduce. A live dump has no lsdir tally, so ParentLsdirs
+	// is 0 on the live cluster.
 	Through      int64
 	ParentLsdirs int64
 	// Owner is the MDS serving this directory under the current map.
@@ -69,114 +73,144 @@ type EpochStats struct {
 	Index map[namespace.Ino]int
 	// Service is each MDS's total busy time this epoch.
 	Service []time.Duration
-	// RCT is each MDS's summed request completion time for the requests
-	// it executed — Alg. 1's m.rct.
-	RCT []time.Duration
-	// QPS, RPCs, and Forwards are per-MDS request, RPC, and forwarded-
-	// RPC counts.
-	QPS      []int64
-	RPCs     []int64
-	Forwards []int64
+	// QPS and RPCs are per-MDS request and RPC counts.
+	QPS  []int64
+	RPCs []int64
 	// Inodes is the number of inodes each MDS owns at dump time.
 	Inodes []int
-	// Ops is the total number of requests executed this epoch.
-	Ops int64
 }
 
 // Collector accumulates per-directory and per-MDS statistics during an
 // epoch and produces EpochStats dumps.
 type Collector struct {
-	n        int
-	dirs     map[namespace.Ino]*dirAccum
-	service  []time.Duration
-	rct      []time.Duration
-	qps      []int64
-	rpcs     []int64
-	forwards []int64
-	ops      int64
+	n       int
+	dirs    map[namespace.Ino]*DirRow
+	service []time.Duration
+	qps     []int64
+	rpcs    []int64
 }
 
 // NewCollector creates a collector for an n-MDS cluster.
 func NewCollector(n int) *Collector {
 	return &Collector{
-		n:        n,
-		dirs:     make(map[namespace.Ino]*dirAccum),
-		service:  make([]time.Duration, n),
-		rct:      make([]time.Duration, n),
-		qps:      make([]int64, n),
-		rpcs:     make([]int64, n),
-		forwards: make([]int64, n),
+		n:       n,
+		dirs:    make(map[namespace.Ino]*DirRow),
+		service: make([]time.Duration, n),
+		qps:     make([]int64, n),
+		rpcs:    make([]int64, n),
 	}
 }
 
-func (c *Collector) accum(ino namespace.Ino) *dirAccum {
+func (c *Collector) accum(ino namespace.Ino) *DirRow {
 	a, ok := c.dirs[ino]
 	if !ok {
-		a = &dirAccum{}
+		a = &DirRow{}
 		c.dirs[ino] = a
 	}
 	return a
 }
 
 // Record ingests one executed operation.
-func (c *Collector) Record(op trace.Op, res *OpResult, rct time.Duration) {
-	c.ops++
+func (c *Collector) Record(op trace.Op, res *OpResult) {
 	a := c.accum(res.TargetDir)
 	if op.Type.IsWrite() {
-		a.writes++
+		a.Writes++
 	} else {
-		a.reads++
+		a.Reads++
 	}
-	a.serviceNS += int64(res.ServiceSum())
+	a.ServiceNS += int64(res.ServiceSum())
 	if op.Type == costmodel.OpLsdir {
-		c.accum(res.TargetDir).lsdirs++
+		a.Lsdirs++
 	}
 	for _, d := range res.PathDirs {
-		c.accum(d).through++
+		c.accum(d).Through++
 	}
 	for _, v := range res.Visits {
 		c.service[v.MDS] += v.Service
 		c.rpcs[v.MDS]++
 	}
-	c.forwards[res.Exec] += int64(len(res.Visits) - 1)
 	c.qps[res.Exec]++
-	c.rct[res.Exec] += rct
 }
 
 // Reset clears the epoch counters (structure stays with the namespace).
 func (c *Collector) Reset() {
-	c.dirs = make(map[namespace.Ino]*dirAccum)
+	c.dirs = make(map[namespace.Ino]*DirRow)
 	for i := 0; i < c.n; i++ {
 		c.service[i] = 0
-		c.rct[i] = 0
 		c.qps[i] = 0
 		c.rpcs[i] = 0
-		c.forwards[i] = 0
 	}
-	c.ops = 0
 }
 
-// Snapshot produces the epoch dump: per-directory subtree aggregates
-// (computed bottom-up over the namespace) plus the per-MDS tallies.
+// Snapshot produces the epoch dump: one row per directory of the
+// namespace with its tallies, aggregated by BuildEpochStats, plus the
+// per-MDS tallies.
 func (c *Collector) Snapshot(epoch int, t *namespace.Tree, pm *PartitionMap) *EpochStats {
 	dirs := t.DirList()
-	sort.Slice(dirs, func(i, j int) bool { return dirs[i] < dirs[j] })
-	es := &EpochStats{
-		Epoch:    epoch,
-		Dirs:     make([]DirStat, len(dirs)),
-		Index:    make(map[namespace.Ino]int, len(dirs)),
-		Service:  append([]time.Duration(nil), c.service...),
-		RCT:      append([]time.Duration(nil), c.rct...),
-		QPS:      append([]int64(nil), c.qps...),
-		RPCs:     append([]int64(nil), c.rpcs...),
-		Forwards: append([]int64(nil), c.forwards...),
-		Inodes:   pm.InodeCounts(t),
-		Ops:      c.ops,
-	}
+	rows := make([]DirRow, len(dirs))
 	for i, ino := range dirs {
-		es.Index[ino] = i
+		r := &rows[i]
+		if a, ok := c.dirs[ino]; ok {
+			*r = *a
+		}
+		r.Ino = ino
+		if in, err := t.Get(ino); err == nil {
+			r.Parent = in.Parent
+		}
+		t.ForEachChild(ino, func(in *namespace.Inode) {
+			if !in.IsDir() {
+				r.Files++
+			}
+		})
 	}
-	// One DFS computes depth, subtree aggregates, and owners.
+	es := BuildEpochStats(rows, pm)
+	es.Epoch = epoch
+	es.Service = append([]time.Duration(nil), c.service...)
+	es.QPS = append([]int64(nil), c.qps...)
+	es.RPCs = append([]int64(nil), c.rpcs...)
+	es.Inodes = pm.InodeCounts(t)
+	return es
+}
+
+// BuildEpochStats is the Data Collector's aggregation, the one the
+// simulator and the live coordinator share: it turns per-directory rows
+// into DirStats sorted by inode — depth, owner under pm, and the subtree
+// aggregates, computed top-down and bottom-up over the rows' parent
+// links. It reorders rows. The caller fills in Epoch and the per-MDS
+// slices.
+//
+// The rows of a degraded live epoch need not form one tree. A directory
+// listed twice keeps its later row (a shard's stale copy after a failed
+// evict). A row whose parent has no row (that shard's dump was skipped)
+// heads its own subtree: depth 1 if the missing parent is the root, else
+// 2, owned by its own pin, else its parent's, else MDS 0. Rows on a
+// parent cycle are headed the same way.
+func BuildEpochStats(rows []DirRow, pm *PartitionMap) *EpochStats {
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Ino < rows[j].Ino })
+	n := 0
+	for i := range rows {
+		if i+1 < len(rows) && rows[i+1].Ino == rows[i].Ino {
+			continue // a later row of the same directory follows
+		}
+		rows[n] = rows[i]
+		n++
+	}
+	rows = rows[:n]
+	es := &EpochStats{Dirs: make([]DirStat, n), Index: make(map[namespace.Ino]int, n)}
+	for i, r := range rows {
+		es.Index[r.Ino] = i
+	}
+	parent := make([]int, n) // row index of the parent's row, -1 if none
+	kids := make([][]int, n)
+	for i, r := range rows {
+		p, ok := es.Index[r.Parent]
+		if !ok || r.Ino == namespace.RootIno {
+			p = -1
+		} else {
+			kids[p] = append(kids[p], i)
+		}
+		parent[i] = p
+	}
 	type agg struct {
 		files, subdirs int
 		reads, writes  int64
@@ -184,62 +218,72 @@ func (c *Collector) Snapshot(epoch int, t *namespace.Tree, pm *PartitionMap) *Ep
 		ownedService   int64
 		ownedInodes    int
 	}
-	var walk func(ino namespace.Ino, depth int, owner MDSID) agg
-	walk = func(ino namespace.Ino, depth int, owner MDSID) agg {
-		owner = pm.OwnerBelow(owner, ino)
-		var a agg
-		if da, ok := c.dirs[ino]; ok {
-			a.reads, a.writes, a.service = da.reads, da.writes, da.serviceNS
-			a.ownedService = da.serviceNS
-		}
-		a.ownedInodes = 1
-		t.ForEachChild(ino, func(in *namespace.Inode) {
-			if in.IsDir() {
-				ca := walk(in.Ino, depth+1, owner)
-				a.files += ca.files
-				a.subdirs += ca.subdirs + 1
-				a.reads += ca.reads
-				a.writes += ca.writes
-				a.service += ca.service
-				if pm.OwnerBelow(owner, in.Ino) == owner {
-					a.ownedService += ca.ownedService
-					a.ownedInodes += ca.ownedInodes
-				}
-			} else {
-				a.files++
-				a.ownedInodes++
+	visited := make([]bool, n)
+	var walk func(i, depth int, owner MDSID) agg
+	walk = func(i, depth int, owner MDSID) agg {
+		visited[i] = true
+		r := &rows[i]
+		owner = pm.OwnerBelow(owner, r.Ino)
+		a := agg{files: r.Files, reads: r.Reads, writes: r.Writes, service: r.ServiceNS,
+			ownedService: r.ServiceNS, ownedInodes: 1 + r.Files}
+		for _, k := range kids[i] {
+			if visited[k] {
+				continue
 			}
-		})
-		i := es.Index[ino]
-		ds := &es.Dirs[i]
-		ds.Ino = ino
-		ds.Depth = depth
-		ds.SubFiles = a.files
-		ds.SubDirs = a.subdirs
-		ds.SubtreeReads = a.reads
-		ds.SubtreeWrites = a.writes
-		ds.SubtreeService = time.Duration(a.service)
-		ds.OwnedService = time.Duration(a.ownedService)
-		ds.OwnedInodes = a.ownedInodes
-		ds.Owner = owner
-		if da, ok := c.dirs[ino]; ok {
-			ds.Through = da.through
-			ds.OwnReads = da.reads
-			ds.OwnWrites = da.writes
+			ka := walk(k, depth+1, owner)
+			a.files += ka.files
+			a.subdirs += ka.subdirs + 1
+			a.reads += ka.reads
+			a.writes += ka.writes
+			a.service += ka.service
+			if es.Dirs[k].Owner == owner {
+				a.ownedService += ka.ownedService
+				a.ownedInodes += ka.ownedInodes
+			}
 		}
-		if in, err := t.Get(ino); err == nil {
-			ds.Parent = in.Parent
+		ds := DirStat{
+			Ino:            r.Ino,
+			Parent:         r.Parent,
+			Depth:          depth,
+			SubFiles:       a.files,
+			SubDirs:        a.subdirs,
+			SubtreeReads:   a.reads,
+			SubtreeWrites:  a.writes,
+			OwnReads:       r.Reads,
+			OwnWrites:      r.Writes,
+			SubtreeService: time.Duration(a.service),
+			OwnedService:   time.Duration(a.ownedService),
+			OwnedInodes:    a.ownedInodes,
+			Through:        r.Through,
+			Owner:          owner,
 		}
+		if p := parent[i]; p >= 0 {
+			ds.ParentLsdirs = rows[p].Lsdirs
+		}
+		es.Dirs[i] = ds
 		return a
 	}
-	walk(namespace.RootIno, 0, 0)
-	// Second pass wires in parent lsdir counts.
-	for i := range es.Dirs {
-		if es.Dirs[i].Ino == namespace.RootIno {
-			continue
+	head := func(i int) {
+		r := &rows[i]
+		if r.Ino == namespace.RootIno {
+			walk(i, 0, 0)
+			return
 		}
-		if a, ok := c.dirs[es.Dirs[i].Parent]; ok {
-			es.Dirs[i].ParentLsdirs = a.lsdirs
+		depth := 2
+		if r.Parent == namespace.RootIno {
+			depth = 1
+		}
+		owner, _ := pm.PinOf(r.Parent)
+		walk(i, depth, owner)
+	}
+	for i := range rows {
+		if parent[i] < 0 {
+			head(i)
+		}
+	}
+	for i := range rows {
+		if !visited[i] {
+			head(i)
 		}
 	}
 	return es

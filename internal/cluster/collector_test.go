@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"origami/internal/costmodel"
+	"origami/internal/namespace"
 	"origami/internal/trace"
 )
 
@@ -15,8 +16,7 @@ func runOps(t *testing.T, e *Executor, c *Collector, ops []trace.Op) {
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
-		rct := e.Params.RCT(op.Type, res.Profile, 0)
-		c.Record(op, &res, rct)
+		c.Record(op, &res)
 	}
 }
 
@@ -43,9 +43,6 @@ func TestCollectorReadWriteCounts(t *testing.T) {
 	}
 	if es.TotalReads() != 3 || es.TotalWrites() != 1 {
 		t.Errorf("totals = %d/%d, want 3/1", es.TotalReads(), es.TotalWrites())
-	}
-	if es.Ops != 4 {
-		t.Errorf("Ops = %d", es.Ops)
 	}
 }
 
@@ -121,14 +118,8 @@ func TestCollectorPerMDSTallies(t *testing.T) {
 	if es.RPCs[0] != 2 || es.RPCs[1] != 1 {
 		t.Errorf("RPCs = %v", es.RPCs)
 	}
-	if es.Forwards[1] != 1 {
-		t.Errorf("Forwards = %v", es.Forwards)
-	}
 	if es.Service[0] <= 0 || es.Service[1] <= 0 {
 		t.Errorf("Service = %v", es.Service)
-	}
-	if es.RCT[1] <= es.RCT[0] {
-		t.Errorf("RCT = %v: cross-partition stat should cost more", es.RCT)
 	}
 	// Inode ownership: mod0 subtree = 4 inodes (mod0, f0, f1, plus the
 	// created f2? no f2 here) -> mod0 + 2 files = 3.
@@ -143,8 +134,8 @@ func TestCollectorReset(t *testing.T) {
 	runOps(t, e, c, []trace.Op{{Type: costmodel.OpStat, Path: "/proj/include/h0"}})
 	c.Reset()
 	es := c.Snapshot(2, e.Tree, e.PM)
-	if es.Ops != 0 || es.TotalReads() != 0 {
-		t.Errorf("reset did not clear: ops=%d reads=%d", es.Ops, es.TotalReads())
+	if es.QPS[0] != 0 || es.RPCs[0] != 0 || es.Service[0] != 0 || es.TotalReads() != 0 {
+		t.Errorf("reset did not clear: qps=%v rpcs=%v service=%v reads=%d", es.QPS, es.RPCs, es.Service, es.TotalReads())
 	}
 	if es.Epoch != 2 {
 		t.Errorf("epoch = %d", es.Epoch)
@@ -228,5 +219,26 @@ func TestDecisionString(t *testing.T) {
 	d := Decision{Subtree: 7, From: 0, To: 2, PredictedBenefit: time.Second}
 	if d.String() == "" {
 		t.Error("empty decision string")
+	}
+}
+
+// TestBuildEpochStatsParentCycle: rows whose parent links loop — dumps
+// taken on either side of cross-shard renames can disagree that way —
+// still get one DirStat each, and the aggregation terminates.
+func TestBuildEpochStatsParentCycle(t *testing.T) {
+	es := BuildEpochStats([]DirRow{
+		{Ino: namespace.RootIno, Files: 1},
+		{Ino: 2, Parent: 3, Files: 2, Reads: 1},
+		{Ino: 3, Parent: 2, Files: 3, Reads: 2},
+	}, NewPartitionMap(2))
+	if len(es.Dirs) != 3 {
+		t.Fatalf("%d rows, want 3", len(es.Dirs))
+	}
+	two, three := es.Dir(2), es.Dir(3)
+	if two.Depth != 2 || two.SubDirs != 1 || two.SubFiles != 5 || two.SubtreeReads != 3 {
+		t.Errorf("cycle head = %+v, want depth 2 over both rows", *two)
+	}
+	if three.Depth != 3 || three.SubDirs != 0 || three.SubFiles != 3 {
+		t.Errorf("cycle member = %+v, want depth 3 and only itself", *three)
 	}
 }

@@ -23,8 +23,8 @@ type Visit struct {
 type OpResult struct {
 	Profile costmodel.Profile
 	Visits  []Visit
-	// Exec is the MDS that executed the operation; Alg. 1's per-MDS RCT
-	// sums attribute the whole request here.
+	// Exec is the MDS that executed the operation; the per-MDS request
+	// count (EpochStats.QPS) attributes the whole request here.
 	Exec MDSID
 	// TargetDir is the directory containing the target entry; per-dir
 	// read/write/load accounting attributes the op here.

@@ -26,7 +26,7 @@ func buildDump(t *testing.T) (*cluster.EpochStats, map[string]namespace.Ino) {
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
-		coll.Record(op, &res, params.RCT(op.Type, res.Profile, 0))
+		coll.Record(op, &res)
 	}
 	for _, d := range []string{"/hot", "/cold", "/hot/sub"} {
 		apply(trace.Op{Type: costmodel.OpMkdir, Path: d})

@@ -128,7 +128,7 @@ func FuzzDecodeMap(f *testing.F) {
 // panic, never decode more rows than the body has bytes for, and every
 // body it accepts must be exactly what EncodeDump writes for the result.
 func FuzzDecodeDump(f *testing.F) {
-	for _, rows := range [][]DumpRow{nil, {{Ino: 5, Parent: 1, Reads: 3, ServiceNS: 900, ChildFiles: 2}}, {{Ino: 1}, {Ino: 1<<48 + 7, Parent: 1, Lookups: -1, ChildDirs: 4}}} {
+	for _, rows := range [][]DumpRow{nil, {{Ino: 5, Parent: 1, Reads: 3, ServiceNS: 900, ChildFiles: 2}}, {{Ino: 1}, {Ino: 1<<48 + 7, Parent: 1, Lookups: -1, ChildFiles: -4}}} {
 		body := EncodeDump(StatsSnapshot{Ops: 10, RPCs: 12, ServiceNS: 5000, Inodes: 3}, rows)
 		f.Add(body)
 		f.Add(body[:len(body)-1])

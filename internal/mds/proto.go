@@ -15,7 +15,6 @@ const (
 	MethodPing rpc.Method = iota + 1
 	MethodGetattr
 	MethodReaddir
-	MethodStats
 	MethodDump
 	// MethodIngest carries a record list of puts: the copy a migration
 	// prepare ships to its destination.
@@ -85,7 +84,6 @@ var methodNames = map[rpc.Method]string{
 	MethodPing:           "ping",
 	MethodGetattr:        "getattr",
 	MethodReaddir:        "readdir",
-	MethodStats:          "stats",
 	MethodDump:           "dump",
 	MethodIngest:         "ingest",
 	MethodGetMap:         "getmap",
@@ -248,7 +246,6 @@ type DumpRow struct {
 	Lookups    int64 // path resolutions through this directory
 	ServiceNS  int64
 	ChildFiles int32
-	ChildDirs  int32
 }
 
 // StatsSnapshot is the per-MDS tally block of a dump.
@@ -267,14 +264,14 @@ func EncodeDump(st StatsSnapshot, rows []DumpRow) []byte {
 	for _, row := range rows {
 		w.U64(uint64(row.Ino)).U64(uint64(row.Parent))
 		w.I64(row.Reads).I64(row.Writes).I64(row.Lookups).I64(row.ServiceNS)
-		w.U32(uint32(row.ChildFiles)).U32(uint32(row.ChildDirs))
+		w.U32(uint32(row.ChildFiles))
 	}
 	return w.Bytes()
 }
 
 // dumpRowSize is one DumpRow's wire size: two inos, four int64
-// tallies and two uint32 child counts.
-const dumpRowSize = 2*8 + 4*8 + 2*4
+// tallies and a uint32 child-file count.
+const dumpRowSize = 2*8 + 4*8 + 4
 
 // DecodeDump parses EncodeDump output. The coordinator decodes one dump
 // from every MDS each epoch, so the row count is checked against the
@@ -301,7 +298,6 @@ func DecodeDump(body []byte) (StatsSnapshot, []DumpRow, error) {
 			Lookups:    r.I64(),
 			ServiceNS:  r.I64(),
 			ChildFiles: int32(r.U32()),
-			ChildDirs:  int32(r.U32()),
 		}
 	}
 	if r.Remaining() != 0 {

@@ -214,7 +214,6 @@ func (s *Service) Serve(addr string) (string, error) {
 	// A frame's service time is charged to its sub-ops' kinds by
 	// handleBatch, so the frame itself records no histogram.
 	srv.HandleInfo(MethodBatch, s.frozen("batch", nil, s.handleBatch))
-	srv.Handle(MethodStats, s.handleStats)
 	srv.Handle(MethodDump, s.handleDump)
 	srv.HandleInfo(MethodIngest, s.handleIngest)
 	srv.Handle(MethodMigratePrepare, s.handleMigratePrepare)
@@ -574,17 +573,6 @@ func (s *Service) handleReaddir(ctx context.Context, body []byte, resp *rpc.Wire
 	s.recordRead(ino, time.Since(start).Nanoseconds())
 	s.appendTrailer(resp, ino)
 	return nil
-}
-
-func (s *Service) handleStats(body []byte) ([]byte, error) {
-	st := StatsSnapshot{
-		Ops:       s.ops.Load(),
-		RPCs:      s.rpcs.Load(),
-		ServiceNS: s.serviceNS.Load(),
-		Inodes:    int64(s.store.Count()),
-	}
-	s.refreshStoreGauges()
-	return EncodeDump(st, nil), nil
 }
 
 // handleDump emits the epoch's Data Collector rows and resets the epoch

@@ -260,21 +260,10 @@ func TestLookupOnFakeRedirects(t *testing.T) {
 	}
 }
 
-func TestPingAndStats(t *testing.T) {
+func TestPing(t *testing.T) {
 	s := localService(t)
 	out, err := s.handlePing(nil)
 	if err != nil || string(out) != "pong" {
 		t.Errorf("ping = %q, %v", out, err)
-	}
-	body, err := s.handleStats(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _, err := DecodeDump(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Inodes < 1 {
-		t.Errorf("stats inodes = %d", st.Inodes)
 	}
 }

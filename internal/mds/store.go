@@ -442,11 +442,11 @@ func (s *Store) Count() int {
 }
 
 // dirRows returns one Data Collector row per directory held on this
-// shard — its ino, its parent and its child file and directory counts,
-// access counters zero — built in one pass over the inode index under
-// inoMu: no kvstore read and no decode, so a dump costs a walk of the
-// index rather than a scan of every directory's records. An entry counts
-// toward its parent only when the parent is a directory here too.
+// shard — its ino, its parent and its child file count, access counters
+// zero — built in one pass over the inode index under inoMu: no kvstore
+// read and no decode, so a dump costs a walk of the index rather than a
+// scan of every directory's records. A file counts toward its parent
+// only when the parent is a directory here too.
 func (s *Store) dirRows() []DumpRow {
 	s.inoMu.RLock()
 	defer s.inoMu.RUnlock()
@@ -463,7 +463,6 @@ func (s *Store) dirRows() []DumpRow {
 	}
 	for ino, ref := range s.byIno {
 		if ref.isDir {
-			slot(ref.parent).ChildDirs++
 			r := slot(ino)
 			r.Ino, r.Parent = ino, ref.parent
 		} else {

@@ -242,7 +242,7 @@ func TestErrCodeParsing(t *testing.T) {
 func TestDumpRoundTrip(t *testing.T) {
 	st := StatsSnapshot{Ops: 10, RPCs: 12, ServiceNS: 999, Inodes: 3}
 	rows := []DumpRow{
-		{Ino: 2, Parent: 1, Reads: 5, Writes: 1, Lookups: 7, ServiceNS: 100, ChildFiles: 2, ChildDirs: 1},
+		{Ino: 2, Parent: 1, Reads: 5, Writes: 1, Lookups: 7, ServiceNS: 100, ChildFiles: 2},
 	}
 	gotSt, gotRows, err := DecodeDump(EncodeDump(st, rows))
 	if err != nil {

@@ -44,8 +44,7 @@ func (f *fixture) apply(t *testing.T, op trace.Op) {
 	if err != nil {
 		t.Fatalf("%v: %v", op, err)
 	}
-	rct := f.exec.Params.RCT(op.Type, res.Profile, 0)
-	f.coll.Record(op, &res, rct)
+	f.coll.Record(op, &res)
 }
 
 func (f *fixture) mkdir(t *testing.T, path string) {

@@ -105,35 +105,6 @@ func resolveFaults(fs []Fault) (delay time.Duration, term Fault, fired int) {
 	return delay, term, fired
 }
 
-// Chain composes independent injectors into one: each is consulted in
-// order and every fault they yield applies to the frame (MultiInjector
-// semantics). This is how orthogonal behaviours — say a partition
-// injector and a latency injector on the same link — stack without
-// knowing about each other.
-func Chain(fis ...FaultInjector) FaultInjector {
-	return chainInjector(fis)
-}
-
-type chainInjector []FaultInjector
-
-// Intercept implements FaultInjector: the first non-zero fault wins.
-func (c chainInjector) Intercept(point InjectPoint, method Method) Fault {
-	if fs := c.InterceptAll(point, method); len(fs) > 0 {
-		return fs[0]
-	}
-	return Fault{}
-}
-
-// InterceptAll implements MultiInjector by concatenating every member's
-// fault stack in chain order.
-func (c chainInjector) InterceptAll(point InjectPoint, method Method) []Fault {
-	var out []Fault
-	for _, fi := range c {
-		out = append(out, faultsFor(fi, point, method)...)
-	}
-	return out
-}
-
 // InjectorFunc adapts a function to the FaultInjector interface.
 type InjectorFunc func(point InjectPoint, method Method) Fault
 
@@ -157,24 +128,19 @@ type Rule struct {
 	Err    error
 }
 
-// RuleInjector is a seeded, scripted FaultInjector. In the default
-// (first-wins) mode the first matching rule that fires decides the frame
-// and later rules are not consulted. In stacked mode
-// (NewStackedRuleInjector) every rule is evaluated and all that fire
-// apply to the frame — delays accumulate ahead of the first terminal
-// action — so one injector can express, say, 5ms of latency plus a 20%
-// drop on the same link. The seed makes probabilistic rules reproducible
-// for a fixed interleaving of calls.
+// RuleInjector is a seeded, scripted FaultInjector: the first matching
+// rule that fires decides the frame and later rules are not consulted.
+// The seed makes probabilistic rules reproducible for a fixed
+// interleaving of calls.
 type RuleInjector struct {
-	mu      sync.Mutex
-	rnd     *rand.Rand
-	rules   []Rule
-	seen    []int // matching frames observed per rule
-	fired   []int // faults fired per rule
-	stacked bool
+	mu    sync.Mutex
+	rnd   *rand.Rand
+	rules []Rule
+	seen  []int // matching frames observed per rule
+	fired []int // faults fired per rule
 }
 
-// NewRuleInjector builds a first-wins RuleInjector over the given rules.
+// NewRuleInjector builds a RuleInjector over the given rules.
 func NewRuleInjector(seed int64, rules ...Rule) *RuleInjector {
 	return &RuleInjector{
 		rnd:   rand.New(rand.NewSource(seed)),
@@ -184,36 +150,10 @@ func NewRuleInjector(seed int64, rules ...Rule) *RuleInjector {
 	}
 }
 
-// NewStackedRuleInjector builds a RuleInjector whose rules all apply to
-// each frame (MultiInjector semantics) instead of first-wins.
-func NewStackedRuleInjector(seed int64, rules ...Rule) *RuleInjector {
-	ri := NewRuleInjector(seed, rules...)
-	ri.stacked = true
-	return ri
-}
-
-// Intercept implements FaultInjector. For a stacked injector it returns
-// the first fired fault (the transport uses InterceptAll instead).
+// Intercept implements FaultInjector.
 func (ri *RuleInjector) Intercept(point InjectPoint, method Method) Fault {
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
-	fs := ri.interceptLocked(point, method, ri.stacked)
-	if len(fs) == 0 {
-		return Fault{}
-	}
-	return fs[0]
-}
-
-// InterceptAll implements MultiInjector: every fired fault in rule order
-// for a stacked injector, at most one for a first-wins injector.
-func (ri *RuleInjector) InterceptAll(point InjectPoint, method Method) []Fault {
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	return ri.interceptLocked(point, method, ri.stacked)
-}
-
-func (ri *RuleInjector) interceptLocked(point InjectPoint, method Method, all bool) []Fault {
-	var out []Fault
 	for i := range ri.rules {
 		r := &ri.rules[i]
 		if r.Point != point {
@@ -233,12 +173,9 @@ func (ri *RuleInjector) interceptLocked(point InjectPoint, method Method, all bo
 			continue
 		}
 		ri.fired[i]++
-		out = append(out, Fault{Action: r.Action, Delay: r.Delay, Err: r.Err})
-		if !all {
-			return out
-		}
+		return Fault{Action: r.Action, Delay: r.Delay, Err: r.Err}
 	}
-	return out
+	return Fault{}
 }
 
 // Fired returns how many faults rule i has injected so far.

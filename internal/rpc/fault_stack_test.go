@@ -32,57 +32,3 @@ func TestResolveFaultsStacking(t *testing.T) {
 		t.Errorf("pure delay resolved to (%v, %+v, %d)", delay, term, fired)
 	}
 }
-
-// TestChainStacks checks Chain gives MultiInjector semantics over plain
-// injectors: every member's fault applies to the frame, in chain order.
-func TestChainStacks(t *testing.T) {
-	latency := InjectorFunc(func(p InjectPoint, m Method) Fault {
-		return Fault{Action: FaultDelay, Delay: time.Millisecond}
-	})
-	drop := InjectorFunc(func(p InjectPoint, m Method) Fault {
-		return Fault{Action: FaultDrop}
-	})
-	fi := Chain(latency, nil, drop)
-	fs := faultsFor(fi, PointClientSend, 0)
-	if len(fs) != 2 {
-		t.Fatalf("chain yielded %d faults, want 2", len(fs))
-	}
-	if fs[0].Action != FaultDelay || fs[1].Action != FaultDrop {
-		t.Errorf("chain order lost: %+v", fs)
-	}
-	delay, term, _ := resolveFaults(fs)
-	if delay != time.Millisecond || term.Action != FaultDrop {
-		t.Errorf("slow lossy link resolved to (%v, %+v), want 1ms + drop", delay, term)
-	}
-	// Plain Intercept keeps the historical single-fault view.
-	if f := fi.Intercept(PointClientSend, 0); f.Action != FaultDelay {
-		t.Errorf("Intercept = %+v, want the first fault", f)
-	}
-}
-
-// TestStackedRuleInjector pins the difference between first-wins and
-// stacked rule evaluation on the same rule set.
-func TestStackedRuleInjector(t *testing.T) {
-	rules := []Rule{
-		{Point: PointClientSend, Action: FaultDelay, Delay: time.Millisecond},
-		{Point: PointClientSend, Action: FaultDrop},
-	}
-	first := NewRuleInjector(1, rules...)
-	if fs := first.InterceptAll(PointClientSend, 0); len(fs) != 1 || fs[0].Action != FaultDelay {
-		t.Errorf("first-wins yielded %+v, want just the delay", fs)
-	}
-	stacked := NewStackedRuleInjector(1, rules...)
-	fs := stacked.InterceptAll(PointClientSend, 0)
-	if len(fs) != 2 || fs[0].Action != FaultDelay || fs[1].Action != FaultDrop {
-		t.Errorf("stacked yielded %+v, want delay then drop", fs)
-	}
-	if stacked.Fired(0) != 1 || stacked.Fired(1) != 1 {
-		t.Errorf("fired counts = (%d, %d), want (1, 1)",
-			stacked.Fired(0), stacked.Fired(1))
-	}
-	// A plain-FaultInjector consumer still works against a stacked
-	// injector: it sees the first fired fault.
-	if f := stacked.Intercept(PointClientSend, 0); f.Action != FaultDelay {
-		t.Errorf("Intercept on stacked injector = %+v", f)
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -301,141 +300,31 @@ func (co *Coordinator) collect() (stats []mds.StatsSnapshot, rows [][]mds.DumpRo
 	return stats, rows, skipped
 }
 
-// merge builds a cluster.EpochStats from the per-shard dumps, computing
-// depths, owners, and subtree aggregates from the parent links.
-func (co *Coordinator) merge(epoch int, stats []mds.StatsSnapshot, shardRows [][]mds.DumpRow) *cluster.EpochStats {
-	type rec struct {
-		row   mds.DumpRow
-		shard int
-	}
-	byIno := make(map[namespace.Ino]*rec)
-	for shard, rows := range shardRows {
-		for _, row := range rows {
-			r := row
-			byIno[row.Ino] = &rec{row: r, shard: shard}
+// epochStatsFromDumps builds the epoch's EpochStats from the per-shard
+// dumps with the Data Collector's one aggregation, rows in shard order so
+// a directory two shards report keeps the later shard's row. A row's
+// Lookups are its Through; a dump carries no lsdir tally, so every
+// ParentLsdirs is 0.
+func epochStatsFromDumps(stats []mds.StatsSnapshot, shardRows [][]mds.DumpRow, pm *cluster.PartitionMap) *cluster.EpochStats {
+	var rows []cluster.DirRow
+	for _, sr := range shardRows {
+		for _, r := range sr {
+			rows = append(rows, cluster.DirRow{
+				Ino: r.Ino, Parent: r.Parent, Files: int(r.ChildFiles),
+				Reads: r.Reads, Writes: r.Writes, ServiceNS: r.ServiceNS, Through: r.Lookups,
+			})
 		}
 	}
-	inos := make([]namespace.Ino, 0, len(byIno))
-	for ino := range byIno {
-		inos = append(inos, ino)
-	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-
-	es := &cluster.EpochStats{
-		Epoch:    epoch,
-		Dirs:     make([]cluster.DirStat, len(inos)),
-		Index:    make(map[namespace.Ino]int, len(inos)),
-		Service:  make([]time.Duration, len(stats)),
-		RCT:      make([]time.Duration, len(stats)),
-		QPS:      make([]int64, len(stats)),
-		RPCs:     make([]int64, len(stats)),
-		Forwards: make([]int64, len(stats)),
-		Inodes:   make([]int, len(stats)),
-	}
+	es := cluster.BuildEpochStats(rows, pm)
+	es.Service = make([]time.Duration, len(stats))
+	es.QPS = make([]int64, len(stats))
+	es.RPCs = make([]int64, len(stats))
+	es.Inodes = make([]int, len(stats))
 	for i, st := range stats {
 		es.Service[i] = time.Duration(st.ServiceNS)
 		es.QPS[i] = st.Ops
 		es.RPCs[i] = st.RPCs
 		es.Inodes[i] = int(st.Inodes)
-		es.Ops += st.Ops
-	}
-	for i, ino := range inos {
-		es.Index[ino] = i
-	}
-	// Owners: nearest pinned ancestor via parent links; default MDS 0.
-	var ownerOf func(ino namespace.Ino, hops int) cluster.MDSID
-	ownerOf = func(ino namespace.Ino, hops int) cluster.MDSID {
-		if hops > 64 {
-			return 0
-		}
-		if m, ok := co.pins[ino]; ok {
-			return cluster.MDSID(m)
-		}
-		if ino == namespace.RootIno {
-			return 0
-		}
-		r, ok := byIno[ino]
-		if !ok {
-			return 0
-		}
-		return ownerOf(r.row.Parent, hops+1)
-	}
-	var depthOf func(ino namespace.Ino, hops int) int
-	depthOf = func(ino namespace.Ino, hops int) int {
-		if ino == namespace.RootIno || hops > 64 {
-			return 0
-		}
-		r, ok := byIno[ino]
-		if !ok {
-			return 1
-		}
-		return depthOf(r.row.Parent, hops+1) + 1
-	}
-	// Children lists for subtree aggregation.
-	children := make(map[namespace.Ino][]namespace.Ino)
-	for _, ino := range inos {
-		r := byIno[ino]
-		if ino != namespace.RootIno {
-			children[r.row.Parent] = append(children[r.row.Parent], ino)
-		}
-	}
-	type agg struct {
-		files, dirs   int
-		reads, writes int64
-		service       int64
-		owned         int64
-		ownedInodes   int
-	}
-	memo := make(map[namespace.Ino]agg)
-	var walk func(ino namespace.Ino) agg
-	walk = func(ino namespace.Ino) agg {
-		if a, ok := memo[ino]; ok {
-			return a
-		}
-		r := byIno[ino]
-		a := agg{
-			files:       int(r.row.ChildFiles),
-			reads:       r.row.Reads,
-			writes:      r.row.Writes,
-			service:     r.row.ServiceNS,
-			owned:       r.row.ServiceNS,
-			ownedInodes: 1 + int(r.row.ChildFiles),
-		}
-		owner := ownerOf(ino, 0)
-		for _, ch := range children[ino] {
-			ca := walk(ch)
-			a.files += ca.files
-			a.dirs += ca.dirs + 1
-			a.reads += ca.reads
-			a.writes += ca.writes
-			a.service += ca.service
-			if ownerOf(ch, 0) == owner {
-				a.owned += ca.owned
-				a.ownedInodes += ca.ownedInodes
-			}
-		}
-		memo[ino] = a
-		return a
-	}
-	for i, ino := range inos {
-		r := byIno[ino]
-		a := walk(ino)
-		es.Dirs[i] = cluster.DirStat{
-			Ino:            ino,
-			Parent:         r.row.Parent,
-			Depth:          depthOf(ino, 0),
-			SubFiles:       a.files,
-			SubDirs:        a.dirs,
-			SubtreeReads:   a.reads,
-			SubtreeWrites:  a.writes,
-			OwnReads:       r.row.Reads,
-			OwnWrites:      r.row.Writes,
-			SubtreeService: time.Duration(a.service),
-			OwnedService:   time.Duration(a.owned),
-			OwnedInodes:    a.ownedInodes,
-			Through:        r.row.Lookups,
-			Owner:          ownerOf(ino, 0),
-		}
 	}
 	return es
 }
@@ -540,13 +429,13 @@ func (co *Coordinator) RunEpoch() (*EpochResult, error) {
 	for _, i := range skipped {
 		reachable[i] = false
 	}
-	es := co.merge(0, stats, rows)
 	pm := cluster.NewPartitionMap(len(co.cluster.Addrs))
 	for ino, m := range co.pins {
 		if err := pm.Pin(ino, cluster.MDSID(m)); err != nil {
 			return res, err
 		}
 	}
+	es := epochStatsFromDumps(stats, rows, pm)
 	var plan []cluster.Decision
 	if co.strategy != nil {
 		if !co.strategyReady {

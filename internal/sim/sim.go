@@ -421,7 +421,7 @@ func (s *Sim) completeOp(client int) {
 	simReg.Histogram("sim.op.latency_ns").Record(rct.Nanoseconds())
 	s.rpcTotal += int64(len(cs.visits))
 	s.fwdTotal += int64(len(cs.visits) - 1)
-	s.coll.Record(cs.op, &cs.res, rct)
+	s.coll.Record(cs.op, &cs.res)
 	if s.openLoop {
 		s.freeFlows = append(s.freeFlows, client)
 		return
