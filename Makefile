@@ -34,12 +34,13 @@ test-race:
 	$(GO) test -race ./internal/telemetry/... ./internal/rpc/... ./internal/kvstore/... ./internal/lease/... ./internal/mds/... ./internal/replication/... ./internal/server/... ./internal/client/... ./internal/ml/... ./internal/balancer/...
 
 # The failure-injection suites: primary kills mid-write-storm, failover
-# promotion, replication gap/overflow resyncs, and the scenario harness
-# itself — all under the race detector, plus the live online learning
-# loop. The failover tests are thin wrappers over
-# scenarios/kill-primary-{sync,async}.yaml.
+# promotion, replication gap/overflow resyncs, the migration freeze
+# (sibling traffic served, frozen mutations parked across commit and
+# abort), and the scenario harness itself — all under the race detector,
+# plus the live online learning loop. The failover tests are thin
+# wrappers over scenarios/kill-primary-{sync,async}.yaml.
 chaos:
-	$(GO) test -race -run 'Chaos|Failover|Resync|OnlineLoop' ./internal/server/... ./internal/replication/...
+	$(GO) test -race -run 'Chaos|Failover|Resync|OnlineLoop|Freeze' ./internal/server/... ./internal/replication/... ./internal/mds/...
 	$(GO) test -race ./internal/scenario/...
 
 # The full scenario library under its fixed seeds: every run must go

@@ -691,11 +691,39 @@ func (s *Service) admit(op *batchOp, owns func(namespace.Ino) bool, now int64) {
 	}
 }
 
+// frozenBy reports whether an unresolved op of a frame writes an entry
+// in p's frozen set. Caller holds opMu shared, so p's subtree cannot
+// change shape under the check: a setattr's binding is stable there.
+func (s *Service) frozenBy(p *preparedMigration, ops []batchOp) bool {
+	for i := range ops {
+		op := &ops[i]
+		if op.resolved() {
+			continue
+		}
+		var frozen bool
+		switch op.kind {
+		case BatchOpCreate, BatchOpInsert:
+			frozen = p.holds(op.in.Parent, op.in.Name)
+		case BatchOpRemove:
+			frozen = p.holds(op.parent, op.name)
+		case BatchOpRename:
+			frozen = p.holds(op.parent, op.name) || p.holds(op.dstParent, op.dstName)
+		case BatchOpSetattr:
+			ref, ok := s.store.refOf(op.ino)
+			frozen = ok && p.holds(ref.parent, ref.name)
+		}
+		if frozen {
+			return true
+		}
+	}
+	return false
+}
+
 // handleBatch serves MethodBatch, the one mutation handler: decode the
-// frame, answer duplicates from the replay table, check ownership per
-// op, apply everything valid as one atomic WAL batch record, and answer
-// per-op with one grant trailer covering every mutated directory. It
-// runs under the shared side of the migration freeze (see frozen).
+// frame, answer duplicates from the replay table, wait out a migration
+// freeze the frame touches, check ownership per op, apply everything
+// valid as one atomic WAL batch record, and answer per-op with one grant
+// trailer covering every mutated directory.
 func (s *Service) handleBatch(ctx context.Context, body []byte, resp *rpc.Wire) error {
 	start := time.Now()
 	r := rpc.NewReader(body)
@@ -735,11 +763,23 @@ func (s *Service) handleBatch(ctx context.Context, body []byte, resp *rpc.Wire) 
 		}
 		return v
 	}
-	now := s.now()
 	for i, sub := range subs {
+		if err := decodeBatchOp(sub, &ops[i]); err != nil {
+			ops[i].err = CodedError(CodeInvalid, "bad batch op: %v", err)
+		}
+	}
+	s.opMu.RLock()
+	// A frame touching a migrating subtree waits out its freeze whole,
+	// then is admitted against whatever the commit or abort left.
+	for p := s.freeze.Load(); p != nil && s.frozenBy(p, ops); p = s.freeze.Load() {
+		s.opMu.RUnlock()
+		<-p.thawed
+		s.opMu.RLock()
+	}
+	now := s.now()
+	for i := range ops {
 		op := &ops[i]
-		if err := decodeBatchOp(sub, op); err != nil {
-			op.err = CodedError(CodeInvalid, "bad batch op: %v", err)
+		if op.resolved() {
 			continue
 		}
 		// Replay hit: a re-sent frame repeated an op this shard already
@@ -752,6 +792,7 @@ func (s *Service) handleBatch(ctx context.Context, body []byte, resp *rpc.Wire) 
 		s.admit(op, owns, now)
 	}
 	s.store.applyBatchOps(ctx, ops)
+	s.opMu.RUnlock()
 
 	// Charge each op an equal share of the frame's service time — the
 	// Data Collector and the per-kind histograms see ops, not frames.

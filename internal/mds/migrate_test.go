@@ -350,3 +350,108 @@ func TestMigrateCommitWithoutPrepare(t *testing.T) {
 		t.Errorf("commit without prepare err = %v, want EINVAL", err)
 	}
 }
+
+// asyncOne sends one sub-op through handleBatch on its own goroutine and
+// delivers its outcome on the returned channel.
+func asyncOne(s *Service, sub []byte) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		body, err := callCtx(s.handleBatch, EncodeBatchRequest(0, [][]byte{sub}))
+		if err == nil {
+			var res []BatchResult
+			if res, _, err = DecodeBatchResponse(body); err == nil {
+				err = res[0].Err
+			}
+		}
+		done <- err
+	}()
+	return done
+}
+
+// TestMigrateFreezeHoldsTheSubtreeOnly: a prepared migration freezes the
+// subtree's directories and the root's own entry, nothing else. A
+// mutation touching them waits — without an error — until the abort or
+// commit lifts the freeze and is then admitted against what it left:
+// applied after an abort, redirected after a commit. Everything else on
+// the shard, reads of the subtree included, is served meanwhile, and
+// every lifted freeze lands in mds.migration.freeze_ns.
+func TestMigrateFreezeHoldsTheSubtreeOnly(t *testing.T) {
+	src, _ := twoServices(t)
+	root := namespace.RootIno
+	proj := mustCreate(t, src, root, "proj", namespace.TypeDir)
+	sub := mustCreate(t, src, proj.Ino, "sub", namespace.TypeDir)
+	f := mustCreate(t, src, proj.Ino, "f", namespace.TypeFile)
+	side := mustCreate(t, src, root, "side", namespace.TypeDir)
+	mustCreate(t, src, side.Ino, "x", namespace.TypeFile)
+	mustCreate(t, src, side.Ino, "w", namespace.TypeFile)
+	prepare := func() {
+		t.Helper()
+		var w rpc.Wire
+		w.U64(uint64(proj.Ino)).U32(1)
+		if _, err := src.handleMigratePrepare(w.Bytes()); err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
+	}
+	var rootBody rpc.Wire
+	rootBody.U64(uint64(proj.Ino))
+	freezes := src.reg.Histogram("mds.migration.freeze_ns")
+
+	prepare()
+	frozen := map[string]<-chan error{
+		"create under the root":   asyncOne(src, EncodeBatchCreate(0, proj.Ino, "new", namespace.TypeFile)),
+		"create under a subdir":   asyncOne(src, EncodeBatchCreate(0, sub.Ino, "new", namespace.TypeFile)),
+		"setattr inside":          asyncOne(src, EncodeBatchSetattr(0, f.Ino, 7, 0o600)),
+		"setattr of the root":     asyncOne(src, EncodeBatchSetattr(0, proj.Ino, 0, 0o700)),
+		"rename into the subtree": asyncOne(src, EncodeBatchRename(0, side.Ino, "x", proj.Ino, "x")),
+	}
+	for what, sub := range map[string][]byte{
+		"create beside the subtree": EncodeBatchCreate(0, side.Ino, "y", namespace.TypeFile),
+		"create beside the root":    EncodeBatchCreate(0, root, "proj2", namespace.TypeDir),
+		"rename beside the subtree": EncodeBatchRename(0, side.Ino, "w", side.Ino, "w2"),
+	} {
+		if res := applyOne(t, src, sub); res.Err != nil {
+			t.Errorf("%s during the freeze: %v", what, res.Err)
+		}
+	}
+	var g rpc.Wire
+	g.U64(uint64(f.Ino))
+	if _, err := callCtx(src.handleGetattr, g.Bytes()); err != nil {
+		t.Errorf("getattr inside the frozen subtree: %v", err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	for what, done := range frozen {
+		select {
+		case err := <-done:
+			t.Fatalf("%s answered during the freeze: %v", what, err)
+		default:
+		}
+	}
+	if _, err := src.handleMigrateAbort(rootBody.Bytes()); err != nil {
+		t.Fatalf("abort: %v", err)
+	}
+	for what, done := range frozen {
+		if err := <-done; err != nil {
+			t.Errorf("%s after the abort: %v", what, err)
+		}
+	}
+	if n := freezes.Count(); n != 1 {
+		t.Errorf("freeze_ns holds %d samples after an abort, want 1", n)
+	}
+
+	prepare()
+	parked := asyncOne(src, EncodeBatchCreate(0, proj.Ino, "late", namespace.TypeFile))
+	select {
+	case err := <-parked:
+		t.Fatalf("create answered during the second freeze: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := src.handleMigrateCommit(rootBody.Bytes()); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if err := <-parked; ErrCode(err) != CodeNotOwner {
+		t.Errorf("create parked across the commit: %v, want ENOTOWNER", err)
+	}
+	if n := freezes.Count(); n != 2 {
+		t.Errorf("freeze_ns holds %d samples after a commit, want 2", n)
+	}
+}

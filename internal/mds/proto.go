@@ -142,9 +142,6 @@ func ErrCode(err error) string {
 // IsNotOwner reports whether the error is a not-owner redirect.
 func IsNotOwner(err error) bool { return ErrCode(err) == CodeNotOwner }
 
-// IsNotFound reports whether the error is a missing-entry failure.
-func IsNotFound(err error) bool { return ErrCode(err) == CodeNoEnt }
-
 // appendInodeBlob appends in's record to w as a blob — a single-inode
 // response body, or one element of a list. nil is the empty blob.
 func appendInodeBlob(w *rpc.Wire, in *namespace.Inode) {

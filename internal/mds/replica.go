@@ -20,7 +20,7 @@ import (
 
 // SetCommitHook installs h on the underlying kvstore so every committed
 // record (creates, removes, renames, attr updates, meta records) is
-// observed in WAL order. Used by the replication fan-out.
+// observed in WAL order. Used by the replication shipper.
 func (s *Store) SetCommitHook(h kvstore.CommitHook) {
 	s.db.SetCommitHook(h)
 }

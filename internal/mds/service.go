@@ -25,15 +25,22 @@ type Service struct {
 	store *Store
 	srv   *rpc.Server
 
-	// opMu freezes metadata operations during a migration: normal ops
-	// hold it shared, a migration holds it exclusively while it
-	// collects, ships, and swaps the subtree for a fake-inode (§4.1's
-	// freeze-copy-switch). Without the freeze, a create landing between
-	// collect and delete would be orphaned on the source. opMu sits at
-	// the top of the shard's lock hierarchy:
+	// opMu orders a migration's freeze against in-flight mutations:
+	// MethodBatch holds it shared from its freeze check through its
+	// apply, and a prepare holds it exclusively only while it installs
+	// the frozen set, so once the set is in place no mutation admitted
+	// without seeing it is still applying. Reads never take it. opMu sits
+	// at the top of the shard's lock hierarchy:
 	//
 	//	opMu → Store stripe(s) → Store.inoMu → kvstore.DB
 	opMu sync.RWMutex
+
+	// freeze is the in-flight migration, nil when there is none. A
+	// mutation that touches its frozen set waits until the commit or
+	// abort that lifts it (§4.1's freeze-copy-switch, one subtree wide):
+	// without the freeze, a create landing between collect and commit
+	// would be orphaned on the source.
+	freeze atomic.Pointer[preparedMigration]
 
 	// mu guards the low-rate control state: the partition map, the
 	// prepared migration, and the abort count. The hot-path Data
@@ -57,10 +64,9 @@ type Service struct {
 	now   func() int64
 	peers func(id int) (*rpc.Client, error) // for migration pushes
 
-	// prep is the in-flight two-phase migration, if any. While it is
-	// non-nil the service holds opMu exclusively (the freeze spans
-	// prepare → commit/abort); PrepareTimeout bounds how long an
-	// abandoned prepare may hold the freeze before auto-abort.
+	// prep is the shipped migration awaiting its commit or abort;
+	// PrepareTimeout bounds how long an abandoned prepare may hold its
+	// freeze before auto-abort.
 	prep            *preparedMigration
 	PrepareTimeout  time.Duration
 	MigrationAborts int64 // auto- or explicit aborts (observability)
@@ -129,13 +135,25 @@ func (s *Service) AddBuildFeature(f string) {
 	s.featMu.Unlock()
 }
 
-// preparedMigration is the source-side state between MigratePrepare and
-// MigrateCommit/Abort.
+// preparedMigration is the source-side state of one migration, from
+// MigratePrepare until MigrateCommit or MigrateAbort. Its frozen set —
+// every directory of the subtree plus the root's own entry — is fixed
+// when the prepare installs it.
 type preparedMigration struct {
-	root  namespace.Ino
-	dest  int
-	inos  []*namespace.Inode
-	timer *time.Timer
+	root       namespace.Ino
+	dest       int
+	dirs       map[namespace.Ino]bool
+	rootParent namespace.Ino
+	rootName   string
+	frozenAt   time.Time
+	thawed     chan struct{} // closed when the freeze lifts
+	inos       []*namespace.Inode
+	timer      *time.Timer
+}
+
+// holds reports whether the entry (parent, name) is in the frozen set.
+func (p *preparedMigration) holds(parent namespace.Ino, name string) bool {
+	return p.dirs[parent] || (parent == p.rootParent && name == p.rootName)
 }
 
 // dirAccShards splits the per-directory counter map; 16 shards are
@@ -213,7 +231,7 @@ func (s *Service) Serve(addr string) (string, error) {
 	srv.HandleInfo(MethodReaddir, s.timed("readdir", s.handleReaddir))
 	// A frame's service time is charged to its sub-ops' kinds by
 	// handleBatch, so the frame itself records no histogram.
-	srv.HandleInfo(MethodBatch, s.frozen("batch", nil, s.handleBatch))
+	srv.HandleInfo(MethodBatch, s.instrument("batch", nil, s.handleBatch))
 	srv.Handle(MethodDump, s.handleDump)
 	srv.HandleInfo(MethodIngest, s.handleIngest)
 	srv.Handle(MethodMigratePrepare, s.handleMigratePrepare)
@@ -233,7 +251,7 @@ func (s *Service) Serve(addr string) (string, error) {
 	return srv.Listen(addr)
 }
 
-// Close stops the RPC server and the store, releasing any migration
+// Close stops the RPC server and the store, lifting any migration
 // freeze left by an uncommitted prepare.
 func (s *Service) Close() error {
 	var err error
@@ -241,12 +259,13 @@ func (s *Service) Close() error {
 		err = s.srv.Close()
 	}
 	s.mu.Lock()
-	p := s.prep
-	s.prep = nil
+	if s.prep != nil {
+		s.prep.timer.Stop()
+		s.prep = nil
+	}
 	s.mu.Unlock()
-	if p != nil {
-		p.timer.Stop()
-		s.opMu.Unlock()
+	if p := s.freeze.Load(); p != nil {
+		s.thaw(p)
 	}
 	if cerr := s.store.Close(); err == nil {
 		err = cerr
@@ -257,9 +276,6 @@ func (s *Service) Close() error {
 // Server exposes the underlying RPC server (fault injection, tests,
 // replication handler registration).
 func (s *Service) Server() *rpc.Server { return s.srv }
-
-// LeaseTable exposes the shard's lease table (tests, admin).
-func (s *Service) LeaseTable() *lease.Table { return s.leases }
 
 // SetLeaseTTL adjusts the validity window stamped on lease grants
 // (the -lease-ttl flag). Safe while serving.
@@ -312,17 +328,17 @@ func (s *Service) MapVersion() uint64 { return s.mapVersion.Load() }
 // response to resp and keeps neither body nor resp.
 type ctxHandler func(ctx context.Context, body []byte, resp *rpc.Wire) error
 
-// timed is frozen with the per-op-type service latency histogram
+// timed instruments h with the per-op-type service latency histogram
 // mds.op.<op>.latency_ns.
 func (s *Service) timed(op string, h ctxHandler) rpc.InfoHandler {
-	return s.frozen(op, s.reg.Histogram("mds.op."+op+".latency_ns"), h)
+	return s.instrument(op, s.reg.Histogram("mds.op."+op+".latency_ns"), h)
 }
 
-// frozen wraps a handler with the migration freeze (shared side),
-// busy-time and RPC accounting, a service latency histogram (nil = none),
-// an "mds.op.<op>" span under the request's propagated trace, and — at
-// debug level — a per-request span log line.
-func (s *Service) frozen(op string, hist *telemetry.Histogram, h ctxHandler) rpc.InfoHandler {
+// instrument wraps a handler with busy-time and RPC accounting, a service
+// latency histogram (nil = none), an "mds.op.<op>" span under the
+// request's propagated trace, and — at debug level — a per-request span
+// log line.
+func (s *Service) instrument(op string, hist *telemetry.Histogram, h ctxHandler) rpc.InfoHandler {
 	spanName := "mds.op." + op
 	return func(info rpc.CallInfo, body []byte, resp *rpc.Wire) error {
 		ctx := context.Background()
@@ -339,11 +355,9 @@ func (s *Service) frozen(op string, hist *telemetry.Histogram, h ctxHandler) rpc
 				ctx = telemetry.WithSpanContext(ctx, sc)
 			}
 		}
-		s.opMu.RLock()
 		start := time.Now()
 		err := h(ctx, body, resp)
 		el := time.Since(start).Nanoseconds()
-		s.opMu.RUnlock()
 		span.Finish(err)
 		s.rpcs.Add(1)
 		s.serviceNS.Add(el)
@@ -383,9 +397,7 @@ func (s *Service) refreshStoreGauges() {
 	s.reg.Gauge("kvstore.scan.skips").Set(float64(st.ScanSkips))
 }
 
-// handleMetrics serves the registry snapshot as JSON. It deliberately
-// skips the migration freeze: metrics stay readable while a prepared
-// migration holds the shard frozen.
+// handleMetrics serves the registry snapshot as JSON.
 func (s *Service) handleMetrics(body []byte) ([]byte, error) {
 	s.refreshStoreGauges()
 	var buf bytes.Buffer
@@ -397,8 +409,7 @@ func (s *Service) handleMetrics(body []byte) ([]byte, error) {
 
 // handleTraces serves the shard's span store: an optional 8-byte
 // big-endian trace ID in the body selects one trace (empty or zero =
-// recent spans). The response is the tracer's TraceDump as JSON. Like
-// handleMetrics it skips the migration freeze.
+// recent spans). The response is the tracer's TraceDump as JSON.
 func (s *Service) handleTraces(body []byte) ([]byte, error) {
 	var traceID uint64
 	if len(body) >= 8 {
@@ -530,6 +541,11 @@ func (s *Service) handleResolvePath(ctx context.Context, body []byte, resp *rpc.
 	}
 	resp.PatchU32(count, chain)
 	if negative {
+		if !s.ownsEntry(cur) {
+			// A migration committed mid-walk: the miss is the subtree
+			// leaving, not an answer.
+			return CodedError(CodeNotOwner, "dir %d not on MDS %d", cur, s.ID)
+		}
 		grantDirs = append(grantDirs, cur) // the directory proven not to hold the name
 		resp.U8(1)
 	} else {
@@ -567,8 +583,14 @@ func (s *Service) handleReaddir(ctx context.Context, body []byte, resp *rpc.Wire
 	if !s.ownsEntry(ino) {
 		return CodedError(CodeNotOwner, "dir %d not on MDS %d", ino, s.ID)
 	}
-	if err := s.store.readDirRaw(ino, resp); err != nil {
+	n, err := s.store.readDirRaw(ino, resp)
+	if err != nil {
 		return err
+	}
+	if n == 0 && !s.ownsEntry(ino) {
+		// A migration committed between the ownership check and the
+		// scan: the directory is empty because it left.
+		return CodedError(CodeNotOwner, "dir %d not on MDS %d", ino, s.ID)
 	}
 	s.recordRead(ino, time.Since(start).Nanoseconds())
 	s.appendTrailer(resp, ino)
@@ -677,12 +699,11 @@ func addSubtree(b *kvstore.Batch, inos []*namespace.Inode, put bool) {
 }
 
 // handleMigratePrepare is phase one of a two-phase migration: freeze the
-// shard, collect the subtree, ship a copy to the destination, and hold
-// the freeze until MigrateCommit or MigrateAbort (or the PrepareTimeout
-// auto-abort, which also rolls the destination copy back). The source
-// keeps serving nothing during the freeze — exactly the §4.1
-// freeze-copy-switch window, but now survivable if the coordinator dies
-// between phases.
+// subtree, collect it, ship a copy to the destination, and hold the
+// freeze until MigrateCommit or MigrateAbort (or the PrepareTimeout
+// auto-abort, which also rolls the destination copy back). The freeze
+// covers the subtree's directories and the root's own entry only: the
+// rest of the shard, and every read, keeps being served.
 func (s *Service) handleMigratePrepare(body []byte) ([]byte, error) {
 	start := time.Now()
 	r := rpc.NewReader(body)
@@ -697,18 +718,13 @@ func (s *Service) handleMigratePrepare(body []byte) ([]byte, error) {
 	if destID == s.ID {
 		return nil, CodedError(CodeInvalid, "migration dest %d is the source", destID)
 	}
-	s.opMu.Lock()
-	s.mu.Lock()
-	if s.prep != nil {
-		busy := s.prep.root
-		s.mu.Unlock()
-		s.opMu.Unlock()
-		return nil, CodedError(CodeBusy, "migration of %d already prepared on MDS %d", busy, s.ID)
+	p, err := s.freezeSubtree(root, destID)
+	if err != nil {
+		return nil, err
 	}
-	s.mu.Unlock()
 	inos, err := s.store.CollectSubtree(root)
 	if err != nil {
-		s.opMu.Unlock()
+		s.thaw(p)
 		return nil, CodedError(CodeNoEnt, "%v", err)
 	}
 	peer, err := s.peers(destID)
@@ -720,13 +736,13 @@ func (s *Service) handleMigratePrepare(body []byte) ([]byte, error) {
 		if peer != nil {
 			s.evictFrom(peer, inos)
 		}
-		s.opMu.Unlock()
+		s.thaw(p)
 		return nil, err
 	}
-	p := &preparedMigration{root: root, dest: destID, inos: inos}
-	p.timer = time.AfterFunc(s.PrepareTimeout, func() { s.abortPrepared(root) })
+	p.inos = inos
 	s.mu.Lock()
 	s.prep = p
+	p.timer = time.AfterFunc(s.PrepareTimeout, func() { s.abortPrepared(root) })
 	s.mu.Unlock()
 	s.reg.Histogram("mds.migration.prepare_ns").Record(time.Since(start).Nanoseconds())
 	s.log.Info("migration prepared", "root", uint64(root), "dest", destID, "inodes", len(inos))
@@ -735,9 +751,39 @@ func (s *Service) handleMigratePrepare(body []byte) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// freezeSubtree installs the frozen set of a migration of root: with
+// opMu held exclusively, so every mutation either finished applying
+// before it or is admitted against it.
+func (s *Service) freezeSubtree(root namespace.Ino, dest int) (*preparedMigration, error) {
+	s.opMu.Lock()
+	defer s.opMu.Unlock()
+	if busy := s.freeze.Load(); busy != nil {
+		return nil, CodedError(CodeBusy, "migration of %d already prepared on MDS %d", busy.root, s.ID)
+	}
+	dirs, ref, ok := s.store.subtreeDirs(root)
+	if !ok {
+		return nil, CodedError(CodeNoEnt, "subtree root %d not on MDS %d", root, s.ID)
+	}
+	p := &preparedMigration{
+		root: root, dest: dest, dirs: dirs,
+		rootParent: ref.parent, rootName: ref.name,
+		frozenAt: time.Now(), thawed: make(chan struct{}),
+	}
+	s.freeze.Store(p)
+	return p, nil
+}
+
+// thaw lifts p's freeze, waking the mutations parked on it, and records
+// how long it held. Lifting a freeze twice is a no-op.
+func (s *Service) thaw(p *preparedMigration) {
+	if s.freeze.CompareAndSwap(p, nil) {
+		s.reg.Histogram("mds.migration.freeze_ns").Record(time.Since(p.frozenAt).Nanoseconds())
+		close(p.thawed)
+	}
+}
+
 // takePrepared claims the prepared migration for root, stopping its
-// auto-abort timer. The caller inherits ownership of the exclusive opMu
-// hold and must release it.
+// auto-abort timer. The caller inherits its freeze and must thaw it.
 func (s *Service) takePrepared(root namespace.Ino) (*preparedMigration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -763,7 +809,7 @@ func (s *Service) handleMigrateCommit(body []byte) ([]byte, error) {
 	if !ok {
 		return nil, CodedError(CodeInvalid, "no prepared migration for subtree %d on MDS %d", root, s.ID)
 	}
-	defer s.opMu.Unlock()
+	defer s.thaw(p)
 	// One record deletes every key of the subtree and leaves a fake-inode
 	// behind (§3.1): the boundary dirent stays resolvable on the source
 	// and records the destination MDS in Size, so clients with stale maps
@@ -817,7 +863,7 @@ func (s *Service) abortPrepared(root namespace.Ino) {
 	s.mu.Unlock()
 	s.reg.Counter("mds.migration.aborts").Inc()
 	s.log.Warn("migration aborted", "root", uint64(root), "dest", p.dest, "inodes", len(p.inos))
-	s.opMu.Unlock()
+	s.thaw(p)
 }
 
 // evictFrom asks a migration destination to drop shipped inodes

@@ -14,7 +14,7 @@
 // ops touch in index order, keeping multi-directory ops deadlock-free.
 // The lock hierarchy, top to bottom, is:
 //
-//	Service.opMu (migration freeze) → Store stripe(s) → Store.inoMu → kvstore.DB
+//	Service.opMu (mutations vs. a migration's freeze) → Store stripe(s) → Store.inoMu → kvstore.DB
 //
 // A lock is only ever taken below one already held, never above.
 package mds
@@ -396,7 +396,8 @@ func (s *Store) unindexLocked(ino, parent namespace.Ino, name string) {
 // readDirRaw appends dir's listing to w the way an inode-list response
 // carries it — a count, then every child's stored record as a blob —
 // without decoding a single one: what the store keeps IS the wire record.
-func (s *Store) readDirRaw(dir namespace.Ino, w *rpc.Wire) error {
+// It returns the number of children listed.
+func (s *Store) readDirRaw(dir namespace.Ino, w *rpc.Wire) (int, error) {
 	mu := s.stripe(dir)
 	mu.RLock()
 	defer mu.RUnlock()
@@ -408,7 +409,7 @@ func (s *Store) readDirRaw(dir namespace.Ino, w *rpc.Wire) error {
 		return true
 	})
 	w.PatchU32(count, n)
-	return err
+	return int(n), err
 }
 
 // ReadDir lists the direct children of a directory held on this shard.
@@ -479,10 +480,37 @@ func (s *Store) dirRows() []DumpRow {
 	return out
 }
 
+// subtreeDirs returns the directories of the subtree rooted at root,
+// root included, and root's own binding — a migration's frozen set —
+// from the ino index alone, so installing a freeze reads no kvstore
+// record. ok is false when root is not bound here.
+func (s *Store) subtreeDirs(root namespace.Ino) (dirs map[namespace.Ino]bool, ref inoRef, ok bool) {
+	s.inoMu.RLock()
+	defer s.inoMu.RUnlock()
+	if ref, ok = s.byIno[root]; !ok {
+		return nil, ref, false
+	}
+	children := make(map[namespace.Ino][]namespace.Ino)
+	for ino, r := range s.byIno {
+		if r.isDir && ino != r.parent {
+			children[r.parent] = append(children[r.parent], ino)
+		}
+	}
+	dirs = map[namespace.Ino]bool{root: true}
+	for queue := []namespace.Ino{root}; len(queue) > 0; {
+		cur := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, c := range children[cur] {
+			dirs[c] = true
+			queue = append(queue, c)
+		}
+	}
+	return dirs, ref, true
+}
+
 // CollectSubtree gathers every inode in the subtree rooted at root that
 // this shard holds, in breadth-first order — the migration source's copy
-// set (collected under the Service's exclusive migration freeze, so the
-// walk sees a quiesced shard) and a subtree replica's snapshot.
+// set, collected while the subtree is frozen, so the walk sees it still.
 func (s *Store) CollectSubtree(root namespace.Ino) ([]*namespace.Inode, error) {
 	rootIn, ok, err := s.Getattr(root)
 	if err != nil {
@@ -508,23 +536,6 @@ func (s *Store) CollectSubtree(root namespace.Ino) ([]*namespace.Inode, error) {
 		}
 	}
 	return out, nil
-}
-
-// SnapshotSubtree hands emit the encoded (key, value) pair of every inode
-// of the subtree rooted at root, in CollectSubtree's order — the
-// bootstrap export of a subtree replication unit. It needs no quiesced
-// shard: each directory is read under its stripe, and mutations racing
-// the walk are caught by the replication tail (replay is idempotent, and
-// the shipper buffers the tail across the export). Returning false from
-// emit stops it.
-func (s *Store) SnapshotSubtree(root namespace.Ino, emit func(k, v []byte) bool) error {
-	inos, err := s.CollectSubtree(root)
-	for _, in := range inos {
-		if !emit(namespace.EncodeKey(in.Parent, in.Name), namespace.EncodeInode(in)) {
-			break
-		}
-	}
-	return err
 }
 
 // SavePinMap durably records the serialised partition map (MDS 0 is the

@@ -232,16 +232,6 @@ func (t *Tree) Touch(ino Ino, now int64) {
 	}
 }
 
-// NumChildren returns the number of direct children of a directory, or 0
-// for files and unknown inodes.
-func (t *Tree) NumChildren(ino Ino) int {
-	n, ok := t.nodes[ino]
-	if !ok || n.children == nil {
-		return 0
-	}
-	return len(n.children)
-}
-
 // ReadDir returns the direct children of a directory sorted by name.
 func (t *Tree) ReadDir(ino Ino) ([]*Inode, error) {
 	n, ok := t.nodes[ino]

@@ -17,11 +17,11 @@ const (
 	fuzzIngest
 )
 
-// Streams the fuzzed receiver hosts: one live (tail appends accepted),
-// one mid-snapshot (chunks accepted).
-var (
-	fuzzLive     = streamID{Primary: 1}
-	fuzzSnapshot = streamID{Primary: 1, Unit: 9}
+// The primaries whose streams the fuzzed receiver hosts: one live (tail
+// appends accepted), one mid-snapshot (chunks accepted).
+const (
+	fuzzLive     = 1
+	fuzzSnapshot = 3
 )
 
 const fuzzSession = 7
@@ -83,9 +83,9 @@ func FuzzReceiverFrames(f *testing.F) {
 	}
 	rc := NewReceiver(2, f.TempDir(), nil, kvstore.Options{}, nil)
 	f.Cleanup(func() { rc.Close() })
-	for _, id := range []streamID{fuzzLive, fuzzSnapshot} {
+	for _, primary := range []int{fuzzLive, fuzzSnapshot} {
 		var w rpc.Wire
-		appendHeader(&w, id, fuzzSession)
+		appendHeader(&w, primary, fuzzSession)
 		if err := rc.handleSnapBegin(rpc.CallInfo{}, w.Bytes(), nil); err != nil {
 			f.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func FuzzReceiverFrames(f *testing.F) {
 			rc.mu.Unlock()
 			st = rep.store
 		case fuzzSnapChunk:
-			st = rc.UnitStore(fuzzSnapshot.Primary, fuzzSnapshot.Unit)
+			st = rc.ReplicaStore(fuzzSnapshot)
 		}
 		before := st.DBStats().Batches
 		switch method {

@@ -1,21 +1,17 @@
 // Package replication implements primary–backup replication for the
-// OrigamiFS metadata servers. The granularity of replication is a
-// *unit*: unit 0 is the whole shard store (the ring backup every MDS
-// ships to its neighbour — the failover path), and any other unit id is
-// the root inode of a subtree whose records are fanned out to warm
-// copies on other MDSs (what a migration will stream ahead of its
-// freeze). A unit's primary streams
-// its kvstore WAL records — the op bodies the commit hook hands out,
-// unchanged — to each replica host over the existing RPC layer, where a
-// Receiver applies them whole into a warm replica mds.Store. A fresh or
-// lagging replica first catches up from a snapshot of the unit's state,
-// shipped as records of puts, then switches to tail streaming. On
-// failover the coordinator promotes a unit-0 backup: the replica is
-// absorbed into the promotee's serving store and the cluster map is
-// repointed at it. Subtree units are not promoted yet.
+// OrigamiFS metadata servers: every MDS ships its whole shard store to
+// the next MDS of a ring, which keeps it as a warm replica — the
+// failover path. The primary's Shipper is its store's commit hook: it
+// streams the kvstore WAL records the hook hands out, unchanged, to the
+// backup over the existing RPC layer, where a Receiver applies them whole
+// into a replica mds.Store. A fresh or lagging replica first catches up
+// from a snapshot of the store, shipped as records of puts, then switches
+// to tail streaming. On failover the coordinator promotes the backup: the
+// replica is absorbed into the promotee's serving store and the cluster
+// map is repointed at it.
 //
 // The shipping protocol is a single-writer stream identified by a
-// (primary, unit, session) tuple. Sessions restart from scratch — a new
+// (primary, session) pair. Sessions restart from scratch — a new
 // session always begins with a snapshot — and records within a session
 // carry densely increasing sequence numbers, so the receiver can detect
 // any gap and force a resync. A frame carries whole records only, and the
@@ -73,31 +69,23 @@ const CodeGap = "EREPLGAP"
 // IsGap reports whether err is a receiver gap/session-mismatch error.
 func IsGap(err error) bool { return mds.ErrCode(err) == CodeGap }
 
-// streamID names one replication stream on the wire: the shipping MDS
-// and the unit it ships (0 = whole store, else the subtree root inode).
-type streamID struct {
-	Primary int
-	Unit    uint64
+// Every replication body opens with the stream's primary and session:
+//
+//	SnapBegin  [primary][session]
+//	SnapChunk  [primary][session][record list of one record of puts]
+//	SnapEnd    [primary][session][base seq]
+//	Append     [primary][session][head][from seq][record list]
+//
+// where [primary] is 4 bytes and a record list is the mds.DecodeRecords
+// form shared with migration. An Append's records carry sequence numbers
+// from, from+1, ...; an empty Append only updates the head.
+func appendHeader(w *rpc.Wire, primary int, session uint64) {
+	w.U32(uint32(primary)).U64(session)
 }
 
-// Every replication body opens with the stream and its session:
-//
-//	SnapBegin  [stream][session]
-//	SnapChunk  [stream][session][record list of one record of puts]
-//	SnapEnd    [stream][session][base seq]
-//	Append     [stream][session][head][from seq][record list]
-//
-// where [stream] is [4B primary][8B unit] and a record list is the
-// mds.DecodeRecords form shared with migration. An Append's records carry
-// sequence numbers from, from+1, ...; an empty Append only updates the
-// head.
-func appendHeader(w *rpc.Wire, id streamID, session uint64) {
-	w.U32(uint32(id.Primary)).U64(id.Unit).U64(session)
-}
-
-func readHeader(r *rpc.Reader) (id streamID, session uint64) {
-	id = streamID{Primary: int(r.U32()), Unit: r.U64()}
-	return id, r.U64()
+func readHeader(r *rpc.Reader) (primary int, session uint64) {
+	primary = int(r.U32())
+	return primary, r.U64()
 }
 
 func decodeAppliedResp(body []byte) (uint64, error) {

@@ -13,12 +13,10 @@ import (
 )
 
 // Receiver is the replica side of replication: it hosts one warm replica
-// mds.Store per (primary, unit) stream it protects, applies shipped
-// snapshot chunks and WAL records into it — each frame as one atomic
-// batch through mds.Store.ApplyRecord — and, on coordinator failover,
-// absorbs a whole-store (unit 0) replica into the host MDS's own serving
-// store (promotion). Subtree units are warm copies of one subtree; they
-// are never promoted yet.
+// mds.Store per primary it protects, applies shipped snapshot chunks and
+// WAL records into it — each frame as one atomic batch through
+// mds.Store.ApplyRecord — and, on coordinator failover, absorbs the
+// replica into the host MDS's own serving store (promotion).
 //
 // A receiver registers its handlers on the host MDS's RPC server, so
 // replication shares the data-plane connections, fault injection, and
@@ -28,14 +26,14 @@ import (
 // neither the request body nor the response buffer outlives the call.
 type Receiver struct {
 	hostID  int
-	dir     string // replica stores live at dir/replica-<primary>[-u<unit>]
+	dir     string // replica stores live at dir/replica-<primary>
 	serving *mds.Store
 	kvOpts  kvstore.Options
 	reg     *telemetry.Registry
 	log     *telemetry.Logger
 
 	mu       sync.Mutex
-	replicas map[streamID]*replica
+	replicas map[int]*replica // keyed by primary
 	closed   bool
 
 	recordsC    *telemetry.Counter
@@ -44,7 +42,7 @@ type Receiver struct {
 	gapsC       *telemetry.Counter
 }
 
-// replica is the state of one protected stream. All fields are guarded
+// replica is the state of one protected primary. All fields are guarded
 // by the receiver mutex; the shipper serialises its stream, so holding
 // it across the store apply costs nothing in the common case.
 type replica struct {
@@ -71,7 +69,7 @@ func NewReceiver(hostID int, dir string, serving *mds.Store, kvOpts kvstore.Opti
 		kvOpts:      kvOpts,
 		reg:         reg,
 		log:         telemetry.L("repl").With("mds", hostID),
-		replicas:    make(map[streamID]*replica),
+		replicas:    make(map[int]*replica),
 		recordsC:    reg.Counter("repl.receiver.records_applied"),
 		snapshotsC:  reg.Counter("repl.receiver.snapshots_installed"),
 		promotionsC: reg.Counter("repl.receiver.promotions"),
@@ -89,33 +87,21 @@ func (rc *Receiver) Register(srv *rpc.Server) {
 	srv.HandleInfo(MethodReplStatus, rc.handleReplStatus)
 }
 
-func (rc *Receiver) appliedGauge(id streamID) *telemetry.Gauge {
-	if id.Unit == 0 {
-		return rc.reg.Gauge(fmt.Sprintf("repl.receiver.applied_seq.p%d", id.Primary))
-	}
-	return rc.reg.Gauge(fmt.Sprintf("replica.receiver.applied_seq.u%d", id.Unit))
-}
-
-// replicaDirName names a replica store directory; unit 0 keeps the
-// pre-fan-out name so ring-backup layouts are unchanged on disk.
-func replicaDirName(id streamID) string {
-	if id.Unit == 0 {
-		return fmt.Sprintf("replica-%d", id.Primary)
-	}
-	return fmt.Sprintf("replica-%d-u%d", id.Primary, id.Unit)
+func (rc *Receiver) appliedGauge(primary int) *telemetry.Gauge {
+	return rc.reg.Gauge(fmt.Sprintf("repl.receiver.applied_seq.p%d", primary))
 }
 
 // invalid reports an undecodable request body: the frame is refused
 // whole, before anything applies.
 func invalid(err error) error { return mds.CodedError(mds.CodeInvalid, "%v", err) }
 
-func noSnapshot(id streamID, session uint64) error {
-	return mds.CodedError(CodeGap, "no open snapshot for primary %d unit %d session %d", id.Primary, id.Unit, session)
+func noSnapshot(primary int, session uint64) error {
+	return mds.CodedError(CodeGap, "no open snapshot for primary %d session %d", primary, session)
 }
 
 func (rc *Receiver) handleSnapBegin(_ rpc.CallInfo, body []byte, _ *rpc.Wire) error {
 	r := rpc.NewReader(body)
-	id, session := readHeader(r)
+	primary, session := readHeader(r)
 	if err := r.Err(); err != nil {
 		return invalid(err)
 	}
@@ -124,72 +110,72 @@ func (rc *Receiver) handleSnapBegin(_ rpc.CallInfo, body []byte, _ *rpc.Wire) er
 	if rc.closed {
 		return fmt.Errorf("replication: receiver closed")
 	}
-	rep, ok := rc.replicas[id]
+	rep, ok := rc.replicas[primary]
 	if ok {
 		// Resync: reuse the open store, dropping its contents.
 		if err := rep.store.WipeForInstall(); err != nil {
 			return err
 		}
 	} else {
-		dir := filepath.Join(rc.dir, replicaDirName(id))
+		dir := filepath.Join(rc.dir, fmt.Sprintf("replica-%d", primary))
 		// Leftovers from a previous process are stale — a new session
 		// always starts from an empty replica.
 		if err := os.RemoveAll(dir); err != nil {
 			return err
 		}
-		st, err := mds.OpenStore(dir, id.Primary, rc.kvOpts)
+		st, err := mds.OpenStore(dir, primary, rc.kvOpts)
 		if err != nil {
 			return err
 		}
 		rep = &replica{store: st, dir: dir}
-		rc.replicas[id] = rep
+		rc.replicas[primary] = rep
 	}
 	rep.session = session
 	rep.applied = 0
 	rep.head = 0
 	rep.live = false
-	rc.appliedGauge(id).Set(0)
-	rc.log.Info("replica session started", "primary", id.Primary, "unit", id.Unit, "session", session)
+	rc.appliedGauge(primary).Set(0)
+	rc.log.Info("replica session started", "primary", primary, "session", session)
 	return nil
 }
 
 func (rc *Receiver) handleSnapChunk(_ rpc.CallInfo, body []byte, _ *rpc.Wire) error {
 	r := rpc.NewReader(body)
-	id, session := readHeader(r)
+	primary, session := readHeader(r)
 	var b kvstore.Batch
 	if _, err := mds.DecodeRecords(r, &b); err != nil {
 		return invalid(err)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rep, ok := rc.replicas[id]
+	rep, ok := rc.replicas[primary]
 	if !ok || rep.session != session || rep.live {
 		rc.gapsC.Inc()
-		return noSnapshot(id, session)
+		return noSnapshot(primary, session)
 	}
 	return rep.store.ApplyRecord(nil, &b)
 }
 
 func (rc *Receiver) handleSnapEnd(_ rpc.CallInfo, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
-	id, session := readHeader(r)
+	primary, session := readHeader(r)
 	baseSeq := r.U64()
 	if err := r.Err(); err != nil {
 		return invalid(err)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rep, ok := rc.replicas[id]
+	rep, ok := rc.replicas[primary]
 	if !ok || rep.session != session || rep.live {
 		rc.gapsC.Inc()
-		return noSnapshot(id, session)
+		return noSnapshot(primary, session)
 	}
 	rep.live = true
 	rep.applied = baseSeq
 	rep.head = baseSeq
 	rc.snapshotsC.Inc()
-	rc.appliedGauge(id).Set(float64(baseSeq))
-	rc.log.Info("replica snapshot sealed", "primary", id.Primary, "unit", id.Unit, "base_seq", baseSeq)
+	rc.appliedGauge(primary).Set(float64(baseSeq))
+	rc.log.Info("replica snapshot sealed", "primary", primary, "base_seq", baseSeq)
 	resp.U64(rep.applied)
 	return nil
 }
@@ -199,7 +185,7 @@ func (rc *Receiver) handleSnapEnd(_ rpc.CallInfo, body []byte, resp *rpc.Wire) e
 // never holds part of a record.
 func (rc *Receiver) handleAppend(_ rpc.CallInfo, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
-	id, session := readHeader(r)
+	primary, session := readHeader(r)
 	head := r.U64()
 	fromSeq := r.U64()
 	var b kvstore.Batch
@@ -209,10 +195,10 @@ func (rc *Receiver) handleAppend(_ rpc.CallInfo, body []byte, resp *rpc.Wire) er
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rep, ok := rc.replicas[id]
+	rep, ok := rc.replicas[primary]
 	if !ok || !rep.live || rep.session != session || (records > 0 && fromSeq != rep.applied+1) {
 		rc.gapsC.Inc()
-		return mds.CodedError(CodeGap, "append does not extend replica of primary %d unit %d (session %d from %d)", id.Primary, id.Unit, session, fromSeq)
+		return mds.CodedError(CodeGap, "append does not extend replica of primary %d (session %d from %d)", primary, session, fromSeq)
 	}
 	// An empty append extends nothing; it only updates the head.
 	if records > 0 {
@@ -221,7 +207,7 @@ func (rc *Receiver) handleAppend(_ rpc.CallInfo, body []byte, resp *rpc.Wire) er
 		}
 		rep.applied += uint64(records)
 		rc.recordsC.Add(int64(records))
-		rc.appliedGauge(id).Set(float64(rep.applied))
+		rc.appliedGauge(primary).Set(float64(rep.applied))
 	}
 	rep.head = head
 	resp.U64(rep.applied)
@@ -234,10 +220,9 @@ func (rc *Receiver) handlePromote(_ rpc.CallInfo, body []byte, resp *rpc.Wire) e
 	if err := r.Err(); err != nil {
 		return invalid(err)
 	}
-	id := streamID{Primary: primary} // only whole-store units promote
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rep, ok := rc.replicas[id]
+	rep, ok := rc.replicas[primary]
 	if !ok {
 		return mds.CodedError(mds.CodeInvalid, "no replica of primary %d on mds %d", primary, rc.hostID)
 	}
@@ -248,11 +233,11 @@ func (rc *Receiver) handlePromote(_ rpc.CallInfo, body []byte, resp *rpc.Wire) e
 	if err != nil {
 		return fmt.Errorf("replication: absorb replica of %d: %w", primary, err)
 	}
-	delete(rc.replicas, id)
+	delete(rc.replicas, primary)
 	rep.store.Close()
 	os.RemoveAll(rep.dir)
 	rc.promotionsC.Inc()
-	rc.appliedGauge(id).Set(0)
+	rc.appliedGauge(primary).Set(0)
 	rc.log.Info("replica promoted", "primary", primary, "absorbed", absorbed, "applied_seq", rep.applied)
 	resp.U64(uint64(absorbed))
 	return nil
@@ -266,7 +251,7 @@ func (rc *Receiver) handleReplStatus(_ rpc.CallInfo, body []byte, resp *rpc.Wire
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rep, ok := rc.replicas[streamID{Primary: primary}]
+	rep, ok := rc.replicas[primary]
 	if !ok {
 		resp.U8(0).U8(0).U64(0).U64(0)
 		return nil
@@ -279,29 +264,9 @@ func (rc *Receiver) handleReplStatus(_ rpc.CallInfo, body []byte, resp *rpc.Wire
 	return nil
 }
 
-// DropUnit closes and removes the replica of one subtree unit. Unknown units are a no-op. The next
-// session for the unit bootstraps from scratch.
-func (rc *Receiver) DropUnit(primary int, unit uint64) {
-	id := streamID{Primary: primary, Unit: unit}
-	rc.mu.Lock()
-	rep, ok := rc.replicas[id]
-	if ok {
-		delete(rc.replicas, id)
-	}
-	rc.mu.Unlock()
-	if !ok {
-		return
-	}
-	rep.store.Close()
-	os.RemoveAll(rep.dir)
-	rc.appliedGauge(id).Set(0)
-	rc.log.Info("replica unit dropped", "primary", primary, "unit", unit)
-}
-
 // ReplicaStatus is one replica's state as reported on the admin surface.
 type ReplicaStatus struct {
 	Primary int    `json:"primary"`
-	Unit    uint64 `json:"unit,omitempty"`
 	Session uint64 `json:"session"`
 	Applied uint64 `json:"applied_seq"`
 	Head    uint64 `json:"head_seq"`
@@ -314,10 +279,9 @@ func (rc *Receiver) Status() []ReplicaStatus {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	out := make([]ReplicaStatus, 0, len(rc.replicas))
-	for id, rep := range rc.replicas {
+	for primary, rep := range rc.replicas {
 		out = append(out, ReplicaStatus{
-			Primary: id.Primary,
-			Unit:    id.Unit,
+			Primary: primary,
 			Session: rep.session,
 			Applied: rep.applied,
 			Head:    rep.head,
@@ -328,22 +292,12 @@ func (rc *Receiver) Status() []ReplicaStatus {
 	return out
 }
 
-// ReplicaStore exposes a hosted whole-store replica's store (tests), or
+// ReplicaStore exposes the replica store hosted for primary (tests), or
 // nil.
 func (rc *Receiver) ReplicaStore(primary int) *mds.Store {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if rep, ok := rc.replicas[streamID{Primary: primary}]; ok {
-		return rep.store
-	}
-	return nil
-}
-
-// UnitStore exposes a hosted subtree unit's store (tests), or nil.
-func (rc *Receiver) UnitStore(primary int, unit uint64) *mds.Store {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rep, ok := rc.replicas[streamID{Primary: primary, Unit: unit}]; ok {
+	if rep, ok := rc.replicas[primary]; ok {
 		return rep.store
 	}
 	return nil
@@ -358,11 +312,11 @@ func (rc *Receiver) Close() error {
 	}
 	rc.closed = true
 	var err error
-	for id, rep := range rc.replicas {
+	for primary, rep := range rc.replicas {
 		if cerr := rep.store.Close(); err == nil {
 			err = cerr
 		}
-		delete(rc.replicas, id)
+		delete(rc.replicas, primary)
 	}
 	return err
 }

@@ -76,15 +76,12 @@ func dialerTo(t testing.TB, node *backupNode, down *atomic.Bool) func(int) (*rpc
 	}
 }
 
-// shipRing streams primary's whole store the way a cluster does: a
-// Fanout holds the commit hook and the shipper rides it as unit 0.
+// shipRing streams primary's whole store the way a cluster does, and
+// stops the shipper when the test ends.
 func shipRing(t testing.TB, primary *mds.Store, opts Options) *Shipper {
 	t.Helper()
 	sh := NewShipper(primary, opts)
-	fan := NewFanout(primary)
-	fan.Start()
-	fan.AttachRing(sh)
-	t.Cleanup(fan.Stop)
+	t.Cleanup(sh.Stop)
 	return sh
 }
 
@@ -432,100 +429,6 @@ func waitStatus(t *testing.T, sh *Shipper, cond func(Status) bool) {
 			t.Fatalf("stream never reached the awaited state: %+v", sh.Status())
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestAttachSubtreeStreamsUnit: a subtree unit bootstraps its warm store
-// on the host from a snapshot of the subtree alone, then tails only the
-// records inside the subtree; dropping the unit on both ends removes the
-// stream and the host's store.
-func TestAttachSubtreeStreamsUnit(t *testing.T) {
-	primary := openPrimary(t, 1)
-	node := startBackup(t, 2)
-	base := namespace.Ino(1) << 48
-	put := func(ino, parent namespace.Ino, name string, typ namespace.FileType) {
-		t.Helper()
-		if err := primary.Put(&namespace.Inode{Ino: ino, Parent: parent, Name: name, Type: typ}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hot := base + 1
-	put(hot, namespace.RootIno, "hot", namespace.TypeDir)
-	put(base+2, hot, "pre", namespace.TypeFile)
-	put(base+3, namespace.RootIno, "out", namespace.TypeFile)
-
-	fan := NewFanout(primary)
-	fan.Start()
-	t.Cleanup(fan.Stop)
-	sh, err := fan.AttachSubtree(hot, Options{
-		Primary: 1, Backup: 2,
-		RetryBackoff: 5 * time.Millisecond,
-		Dial:         dialerTo(t, node, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitStatus(t, sh, func(st Status) bool { return !st.Syncing && st.Session != 0 })
-	boot := sh.Status().LastSeq
-	put(base+4, hot, "tail", namespace.TypeFile)
-	put(base+5, namespace.RootIno, "out2", namespace.TypeFile)
-	waitStatus(t, sh, func(st Status) bool { return st.AckedSeq > boot && st.Lag == 0 })
-
-	unit := node.rcv.UnitStore(1, uint64(hot))
-	if unit == nil {
-		t.Fatal("no unit store on the host")
-	}
-	for _, e := range []struct {
-		dir  namespace.Ino
-		name string
-		want bool
-	}{{hot, "pre", true}, {hot, "tail", true}, {namespace.RootIno, "out", false}, {namespace.RootIno, "out2", false}} {
-		if _, found, err := unit.Lookup(e.dir, e.name); err != nil || found != e.want {
-			t.Errorf("unit store has %q = %v (err %v), want %v", e.name, found, err, e.want)
-		}
-	}
-
-	fan.DropSubtree(hot)
-	node.rcv.DropUnit(1, uint64(hot))
-	if units := fan.Units(); len(units) != 0 {
-		t.Errorf("fanout still holds units %v", units)
-	}
-	if node.rcv.UnitStore(1, uint64(hot)) != nil {
-		t.Error("host still holds the dropped unit's store")
-	}
-}
-
-// TestSubtreeFilterKeepsRecordsWhole: a subtree unit gets the part of a
-// record inside its subtree as ONE record — never split, never reordered —
-// the whole record when all of it is inside, and nothing when none is.
-func TestSubtreeFilterKeepsRecordsWhole(t *testing.T) {
-	const dir, other = namespace.Ino(50), namespace.Ino(60)
-	flt := &subtreeFilter{dirs: map[namespace.Ino]bool{dir: true}, rootKey: namespace.EncodeKey(1, "d")}
-	sub := &namespace.Inode{Ino: 51, Parent: dir, Name: "sub", Type: namespace.TypeDir}
-	var b kvstore.Batch
-	b.Put(namespace.EncodeKey(dir, "sub"), namespace.EncodeInode(sub))
-	b.Delete(namespace.EncodeKey(other, "x"))
-	b.Delete(namespace.EncodeKey(sub.Ino, "y")) // under a directory the record itself created
-	ops, n := b.Ops()
-	got, gotN := flt.apply(ops, n)
-	var keys []string
-	kvstore.ForEachOp(got, gotN, func(key, _ []byte, _ bool) { keys = append(keys, fmt.Sprintf("%x", key)) })
-	want := []string{fmt.Sprintf("%x", namespace.EncodeKey(dir, "sub")), fmt.Sprintf("%x", namespace.EncodeKey(sub.Ino, "y"))}
-	if fmt.Sprint(keys) != fmt.Sprint(want) {
-		t.Errorf("filtered record keys %v, want %v", keys, want)
-	}
-	var inside kvstore.Batch
-	inside.Delete(namespace.EncodeKey(dir, "a"))
-	inside.Delete(namespace.EncodeKey(1, "d"))
-	ops, n = inside.Ops()
-	if got, gotN := flt.apply(ops, n); gotN != n || &got[0] != &ops[0] {
-		t.Errorf("a record wholly inside came back as %d ops of a copy, want itself", gotN)
-	}
-	var outside kvstore.Batch
-	outside.Delete(namespace.EncodeKey(other, "a"))
-	ops, n = outside.Ops()
-	if _, gotN := flt.apply(ops, n); gotN != 0 {
-		t.Errorf("a record wholly outside kept %d ops", gotN)
 	}
 }
 

@@ -19,15 +19,6 @@ type Options struct {
 	Primary int
 	// Backup is the MDS id hosting the replica.
 	Backup int
-	// Unit identifies what is shipped: 0 replicates the whole store (the
-	// ring backup), any other value is the root inode of a streamed
-	// subtree. The receiver keys its replica stores by
-	// (primary, unit).
-	Unit uint64
-	// Snapshot overrides the bootstrap export (nil = the whole store via
-	// SnapshotPairs). Subtree units export only their subtree. The slices
-	// handed to emit are only valid until it returns.
-	Snapshot func(emit func(k, v []byte) bool) error
 	// Sync makes Feed hand every record an ack wait that blocks until the
 	// record is applied on the backup. Whether the writer actually blocks
 	// on it before acknowledging is the commit pipeline's decision, not
@@ -102,18 +93,19 @@ type record struct {
 	n   int
 }
 
-// Shipper is the primary side of one replication stream: the records of
-// one unit flowing to one replica host. Its Fanout feeds it the unit's
-// WAL records in WAL order; it buffers them, and a background sender
-// streams them to the backup in frames of whole records. A new (or
-// retargeted, or gapped, or overflowed) stream starts with a snapshot:
-// the shipper exports the unit's state, ships it as records of puts under
-// a fresh session, and resumes tail appends from the sequence number the
-// snapshot covers. In Sync mode Feed hands each writer a wait that blocks
-// until the backup has applied its record (or SyncTimeout).
+// Shipper is the primary side of one replication stream: a shard's
+// store flowing to one replica host. It is the store's commit hook, so
+// it sees every committed WAL record in WAL order; it buffers them, and
+// a background sender streams them to the backup in frames of whole
+// records. A new (or retargeted, or gapped, or overflowed) stream starts
+// with a snapshot: the shipper exports the store, ships it as records of
+// puts under a fresh session, and resumes tail appends from the sequence
+// number the snapshot covers. In Sync mode Feed hands each writer a wait
+// that blocks until the backup has applied its record (or SyncTimeout).
 type Shipper struct {
-	opts Options
-	log  *telemetry.Logger
+	store *mds.Store
+	opts  Options
+	log   *telemetry.Logger
 
 	mu       sync.Mutex
 	cond     *sync.Cond    // wakes the sender: work or state change
@@ -148,57 +140,47 @@ type Shipper struct {
 	droppedC     *telemetry.Counter
 }
 
-// NewShipper creates a shipper for store. A Fanout starts it
-// (AttachRing, AttachSubtree) and feeds it.
+// NewShipper starts streaming store to opts.Backup: the shipper takes
+// the store's commit hook, then its sender bootstraps the backup with a
+// snapshot. Stop releases both.
 func NewShipper(store *mds.Store, opts Options) *Shipper {
 	opts = opts.withDefaults()
-	if opts.Snapshot == nil {
-		opts.Snapshot = store.SnapshotPairs
-	}
 	reg := opts.Registry
-	// The ring backup (unit 0) keeps its historical repl.shipper.* metric
-	// names; subtree units get per-unit replica.stream.* names so
-	// several streams can share one registry.
-	name := func(leaf string) string {
-		if opts.Unit == 0 {
-			return "repl.shipper." + leaf
-		}
-		return fmt.Sprintf("replica.stream.%s.u%d.b%d", leaf, opts.Unit, opts.Backup)
-	}
 	sh := &Shipper{
+		store:        store,
 		opts:         opts,
 		log:          telemetry.L("repl").With("mds", opts.Primary),
 		ackCh:        make(chan struct{}),
 		backup:       opts.Backup,
 		needSnap:     true, // a new stream always starts with a snapshot
 		stopCh:       make(chan struct{}),
-		backlogG:     reg.Gauge(name("backlog")),
-		lastSeqG:     reg.Gauge(name("last_seq")),
-		ackedG:       reg.Gauge(name("acked_seq")),
-		lagG:         reg.Gauge(name("lag")),
-		shippedC:     reg.Counter(name("shipped_records")),
-		resyncC:      reg.Counter(name("resyncs")),
-		syncTimeoutC: reg.Counter(name("sync_timeouts")),
-		shipErrC:     reg.Counter(name("ship_errors")),
-		droppedC:     reg.Counter(name("dropped_records")),
+		backlogG:     reg.Gauge("repl.shipper.backlog"),
+		lastSeqG:     reg.Gauge("repl.shipper.last_seq"),
+		ackedG:       reg.Gauge("repl.shipper.acked_seq"),
+		lagG:         reg.Gauge("repl.shipper.lag"),
+		shippedC:     reg.Counter("repl.shipper.shipped_records"),
+		resyncC:      reg.Counter("repl.shipper.resyncs"),
+		syncTimeoutC: reg.Counter("repl.shipper.sync_timeouts"),
+		shipErrC:     reg.Counter("repl.shipper.ship_errors"),
+		droppedC:     reg.Counter("repl.shipper.dropped_records"),
 	}
 	sh.cond = sync.NewCond(&sh.mu)
 	// Seed sessions off the clock so a restarted primary never reuses a
 	// session id against a backup that outlived it.
 	sh.sessGen = uint64(time.Now().UnixNano())
+	// The hook goes in before the sender starts: every record committed
+	// from here on is either fed or covered by the first snapshot.
+	store.SetCommitHook(sh.Feed)
+	sh.wg.Add(1)
+	go sh.run()
 	return sh
 }
 
-// start launches the sender. The first thing the sender does is
-// bootstrap the backup with a snapshot.
-func (sh *Shipper) start() {
-	sh.wg.Add(1)
-	go sh.run()
-}
-
-// Stop releases any sync waiters (with an error) and waits for the
-// sender to exit. Idempotent.
+// Stop releases the store's commit hook and any sync waiters (with an
+// error) and waits for the sender to exit. Idempotent.
 func (sh *Shipper) Stop() {
+	// Before mu: the hook runs under the DB write lock and takes mu.
+	sh.store.SetCommitHook(nil)
 	sh.mu.Lock()
 	if sh.stopped {
 		sh.mu.Unlock()
@@ -228,7 +210,6 @@ func (sh *Shipper) Retarget(newBackup int) {
 // Sequence numbers, lag and drops count records; the backlog counts ops.
 type Status struct {
 	Primary  int    `json:"primary"`
-	Unit     uint64 `json:"unit,omitempty"`
 	Backup   int    `json:"backup"`
 	Sync     bool   `json:"sync"`
 	Session  uint64 `json:"session"`
@@ -246,7 +227,6 @@ func (sh *Shipper) Status() Status {
 	defer sh.mu.Unlock()
 	return Status{
 		Primary:  sh.opts.Primary,
-		Unit:     sh.opts.Unit,
 		Backup:   sh.backup,
 		Sync:     sh.opts.Sync,
 		Session:  sh.session,
@@ -260,10 +240,9 @@ func (sh *Shipper) Status() Status {
 }
 
 // Feed ingests one committed WAL record — n op bodies in ops — in WAL
-// order. The Fanout calls it from the store's commit hook, under the DB
-// write lock, so it must not take store locks. It keeps ops (the
-// memtable's immutable copy, or a sub-record the unit filter built),
-// assigns the record its sequence number, and in Sync mode returns its
+// order. It is the store's commit hook, run under the DB write lock, so
+// it must not take store locks. It keeps ops (the memtable's immutable
+// copy), assigns the record its sequence number, and in Sync mode returns its
 // ack wait, which the commit pipeline either awaits inline (sync-repl)
 // or drives to completion in the background (async).
 func (sh *Shipper) Feed(ctx context.Context, ops []byte, n int) func() error {
@@ -476,10 +455,6 @@ func (sh *Shipper) run() {
 	}
 }
 
-func (sh *Shipper) streamID() streamID {
-	return streamID{Primary: sh.opts.Primary, Unit: sh.opts.Unit}
-}
-
 // call sends the body built in sh.wire and returns the response, which
 // lives in sh.resp until the next call. Sender goroutine only.
 func (sh *Shipper) call(backup int, m rpc.Method) ([]byte, error) {
@@ -512,12 +487,12 @@ func (sh *Shipper) ship(backup int, session, head, fromSeq uint64, recs []record
 // body starts the next request body in sh.wire with the stream header.
 func (sh *Shipper) body(session uint64) *rpc.Wire {
 	sh.wire.Reset()
-	appendHeader(&sh.wire, sh.streamID(), session)
+	appendHeader(&sh.wire, sh.opts.Primary, session)
 	return &sh.wire
 }
 
-// bootstrap ships a unit snapshot under a fresh session: SnapBegin, the
-// unit's pairs as records of at most SnapChunk puts, SnapEnd carrying the
+// bootstrap ships a store snapshot under a fresh session: SnapBegin, the
+// store's pairs as records of at most SnapChunk puts, SnapEnd carrying the
 // base seq the tail resumes from. The export is copied into those records
 // under the store's read lock before the first chunk is sent, so writers
 // are never blocked behind the backup.
@@ -527,7 +502,7 @@ func (sh *Shipper) bootstrap(backup int, session uint64, base uint64) error {
 		return err
 	}
 	chunks := make([]kvstore.Batch, 1)
-	err := sh.opts.Snapshot(func(k, v []byte) bool {
+	err := sh.store.SnapshotPairs(func(k, v []byte) bool {
 		if chunks[len(chunks)-1].Len() == sh.opts.SnapChunk {
 			chunks = append(chunks, kvstore.Batch{})
 		}

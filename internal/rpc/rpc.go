@@ -78,7 +78,7 @@ const (
 
 	// DefaultConcurrency is the default per-server bound on in-flight
 	// handler goroutines. It is sized well above the paper's 50 client
-	// threads so a migration freeze (handlers parked on the MDS opMu)
+	// threads so a migration freeze (mutations parked until the commit)
 	// cannot starve the commit RPC of a worker slot.
 	DefaultConcurrency = 256
 )

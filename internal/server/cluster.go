@@ -152,28 +152,11 @@ func StartClusterConfig(n int, baseDir string, cfg ClusterConfig) (*Cluster, err
 		c.throttles[i] = &kvstore.Throttle{}
 	}
 	for i := 0; i < n; i++ {
-		dir := filepath.Join(baseDir, fmt.Sprintf("mds%d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		svc, addr, err := c.startMDS(i)
+		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		store, err := mds.OpenStore(dir, i, c.shardOpts(i))
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("server: open store %d: %w", i, err)
-		}
-		svc := mds.NewService(i, store, c.peerResolverFor(i))
-		if c.leaseTTL > 0 {
-			svc.SetLeaseTTL(c.leaseTTL)
-		}
-		c.installCommit(i, svc)
-		addr, err := svc.Serve("127.0.0.1:0")
-		if err != nil {
-			store.Close()
-			c.Close()
-			return nil, fmt.Errorf("server: serve MDS %d: %w", i, err)
-		}
-		c.attachTracer(i, svc)
 		c.Services = append(c.Services, svc)
 		c.Addrs = append(c.Addrs, addr)
 	}
@@ -186,6 +169,33 @@ func StartClusterConfig(n int, baseDir string, cfg ClusterConfig) (*Cluster, err
 		c.conns = append(c.conns, conn)
 	}
 	return c, nil
+}
+
+// startMDS brings MDS id up from its shard directory — the one path for
+// a fresh shard and a restarted one alike: open the store, build the
+// service with the cluster's lease TTL and commit pipeline, serve on a
+// fresh loopback port, and attach a span tracer.
+func (c *Cluster) startMDS(id int) (*mds.Service, string, error) {
+	dir := filepath.Join(c.dir, fmt.Sprintf("mds%d", id))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, "", err
+	}
+	store, err := mds.OpenStore(dir, id, c.shardOpts(id))
+	if err != nil {
+		return nil, "", fmt.Errorf("server: open store %d: %w", id, err)
+	}
+	svc := mds.NewService(id, store, c.peerResolverFor(id))
+	if c.leaseTTL > 0 {
+		svc.SetLeaseTTL(c.leaseTTL)
+	}
+	c.installCommit(id, svc)
+	addr, err := svc.Serve("127.0.0.1:0")
+	if err != nil {
+		store.Close()
+		return nil, "", fmt.Errorf("server: serve MDS %d: %w", id, err)
+	}
+	c.attachTracer(id, svc)
+	return svc, addr, nil
 }
 
 // newTracer builds a span tracer with the cluster's sampling config,
@@ -341,22 +351,10 @@ func (c *Cluster) RestartMDS(id int) error {
 	if c.Services[id] != nil {
 		return fmt.Errorf("server: MDS %d still running", id)
 	}
-	dir := filepath.Join(c.dir, fmt.Sprintf("mds%d", id))
-	store, err := mds.OpenStore(dir, id, c.shardOpts(id))
+	svc, addr, err := c.startMDS(id)
 	if err != nil {
-		return fmt.Errorf("server: reopen store %d: %w", id, err)
+		return err
 	}
-	svc := mds.NewService(id, store, c.peerResolverFor(id))
-	if c.leaseTTL > 0 {
-		svc.SetLeaseTTL(c.leaseTTL)
-	}
-	c.installCommit(id, svc)
-	addr, err := svc.Serve("127.0.0.1:0")
-	if err != nil {
-		store.Close()
-		return fmt.Errorf("server: reserve MDS %d: %w", id, err)
-	}
-	c.attachTracer(id, svc)
 	c.mu.Lock()
 	c.Services[id] = svc
 	c.Addrs[id] = addr

@@ -198,14 +198,6 @@ func (co *Coordinator) SetStrategy(s cluster.Strategy) {
 	co.strategyReady = false
 }
 
-// StrategyInUse returns the installed strategy (nil = built-in
-// Meta-OPT planner).
-func (co *Coordinator) StrategyInUse() cluster.Strategy {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.strategy
-}
-
 // StartAutoBalance launches the background balance loop: every interval
 // it runs one epoch (collect → plan → migrate → publish), logging
 // outcomes and pressing on after degraded rounds. It mirrors

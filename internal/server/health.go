@@ -119,16 +119,3 @@ func (h *HealthTracker) CheckAll() []HealthState {
 	}
 	return out
 }
-
-// Reachable lists the MDSs currently not Down, in id order.
-func (h *HealthTracker) Reachable() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int, 0, len(h.status))
-	for i := range h.status {
-		if h.status[i].state != Down {
-			out = append(out, i)
-		}
-	}
-	return out
-}

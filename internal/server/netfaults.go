@@ -69,13 +69,6 @@ func NewLinkFaults(seed int64) *LinkFaults {
 	}
 }
 
-// Reseed replaces the drop RNG (scenario runners pin it to the run seed).
-func (lf *LinkFaults) Reseed(seed int64) {
-	lf.mu.Lock()
-	defer lf.mu.Unlock()
-	lf.rnd = rand.New(rand.NewSource(seed))
-}
-
 // Partition splits the fleet into groups: links inside a group stay up,
 // links between groups fail with ErrPartitioned. Nodes not listed keep
 // side 0 (the first group's side, where MDS 0 conventionally lives).

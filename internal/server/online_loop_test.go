@@ -17,39 +17,47 @@ import (
 // fits only once its window holds 200 rows, so these tests grow the
 // namespace until an epoch's dump carries enough directories.
 
-// buildHotTree creates four hot directories (all owned by MDS 0, since
-// subtrees inherit the root's owner), each with twelve subdirectories
-// holding two files: 52 labelled rows per epoch.
-func buildHotTree(t *testing.T, sdk *client.Client) {
+// buildHotDir creates the directory name — owned by MDS 0, since new
+// subtrees inherit the root's owner — with twelve subdirectories holding
+// two files each: 13 more labelled rows per epoch.
+func buildHotDir(t *testing.T, sdk *client.Client, name string) {
 	t.Helper()
-	for h := 0; h < 4; h++ {
-		if _, err := sdk.Mkdir(fmt.Sprintf("/hot%d", h)); err != nil {
+	if _, err := sdk.Mkdir(name); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 12; d++ {
+		if _, err := sdk.Mkdir(fmt.Sprintf("%s/d%d", name, d)); err != nil {
 			t.Fatal(err)
 		}
-		for d := 0; d < 12; d++ {
-			if _, err := sdk.Mkdir(fmt.Sprintf("/hot%d/d%d", h, d)); err != nil {
+		for f := 0; f < 2; f++ {
+			if _, err := sdk.Create(fmt.Sprintf("%s/d%d/f%d", name, d, f)); err != nil {
 				t.Fatal(err)
-			}
-			for f := 0; f < 2; f++ {
-				if _, err := sdk.Create(fmt.Sprintf("/hot%d/d%d/f%d", h, d, f)); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 	}
 }
 
-// hotTreeTraffic is one epoch of stats over the hot tree. The client
-// runs without a cache, so every stat reaches the owning shards.
-func hotTreeTraffic(sdk *client.Client) {
+// shiftingTraffic is one epoch of stats: two thirds on hot, the epoch's
+// fresh hot subtree, and one third over the four /hot<h> directories.
+// The client runs without a cache, so every stat reaches the owning
+// shards.
+func shiftingTraffic(sdk *client.Client, hot string) {
 	for i := 0; i < 480; i++ {
-		sdk.Stat(fmt.Sprintf("/hot%d/d%d/f%d", i%4, i%12, i%2)) //nolint:errcheck // load generation
+		path := fmt.Sprintf("%s/d%d/f%d", hot, i%12, i%2)
+		if i%3 == 0 {
+			path = fmt.Sprintf("/hot%d/d%d/f%d", i%4, i%12, i%2)
+		}
+		sdk.Stat(path) //nolint:errcheck // load generation
 	}
 }
 
 // TestOnlineLoopFitsAndCheckpoints is the end-to-end loop: skewed load
 // → labelled window → a fit inside a rebalancing epoch → a loadable
-// checkpoint in ModelDir → a lower imbalance.
+// checkpoint in ModelDir → a lower imbalance. The hotspot shifts: every
+// epoch most of the load lands on a fresh subtree of MDS 0, so no epoch's
+// migrations balance the next one's load — a static hot tree can be
+// balanced by the first epoch's migrations, after which a correct
+// balancer plans, and fits, nothing.
 func TestOnlineLoopFitsAndCheckpoints(t *testing.T) {
 	cl, _ := startTestCluster(t, 3)
 	sdk, err := client.Dial(client.Config{Addrs: cl.Addrs, Cache: "off"})
@@ -60,12 +68,16 @@ func TestOnlineLoopFitsAndCheckpoints(t *testing.T) {
 	co := NewCoordinator(cl)
 	dir := t.TempDir()
 	co.SetStrategy(&balancer.Origami{ModelDir: dir})
-	buildHotTree(t, sdk)
+	for h := 0; h < 4; h++ {
+		buildHotDir(t, sdk, fmt.Sprintf("/hot%d", h))
+	}
 
 	applied := 0
 	var firstImbalance float64
 	for epoch := 0; epoch < 8; epoch++ {
-		hotTreeTraffic(sdk)
+		hot := fmt.Sprintf("/shift%d", epoch)
+		buildHotDir(t, sdk, hot)
+		shiftingTraffic(sdk, hot)
 		res, err := co.RunEpoch()
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)

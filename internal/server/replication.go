@@ -27,7 +27,6 @@ type replGroup struct {
 	tweak     func(*replication.Options) // EnableReplication's, reapplied on restart
 	backups   []int                      // backups[i] = backup MDS of primary i
 	shippers  []*replication.Shipper
-	fanouts   []*replication.Fanout
 	receivers []*replication.Receiver
 	regs      []*telemetry.Registry
 }
@@ -52,7 +51,6 @@ func (c *Cluster) EnableReplication(tweak func(*replication.Options)) error {
 		tweak:     tweak,
 		backups:   make([]int, n),
 		shippers:  make([]*replication.Shipper, n),
-		fanouts:   make([]*replication.Fanout, n),
 		receivers: make([]*replication.Receiver, n),
 		regs:      make([]*telemetry.Registry, n),
 	}
@@ -76,9 +74,8 @@ func (c *Cluster) startReceiver(id int) {
 	c.repl.receivers[id] = rcv
 }
 
-// startShipper takes MDS id's commit hook with a Fanout and attaches the
-// ring shipper to it as unit 0, leaving room for subtree units on the
-// same shard. The shipper bootstraps its backup from a snapshot.
+// startShipper starts MDS id's ring shipper, which takes the shard's
+// commit hook and bootstraps its backup from a snapshot.
 func (c *Cluster) startShipper(id int) {
 	svc := c.Services[id]
 	opts := replication.Options{
@@ -96,12 +93,7 @@ func (c *Cluster) startShipper(id int) {
 	if c.repl.tweak != nil {
 		c.repl.tweak(&opts)
 	}
-	sh := replication.NewShipper(svc.Store(), opts)
-	c.repl.shippers[id] = sh
-	fan := replication.NewFanout(svc.Store())
-	c.repl.fanouts[id] = fan
-	fan.Start()
-	fan.AttachRing(sh)
+	c.repl.shippers[id] = replication.NewShipper(svc.Store(), opts)
 	svc.AddBuildFeature("replication")
 }
 
@@ -127,14 +119,6 @@ func (c *Cluster) ShipperOf(id int) *replication.Shipper {
 		return nil
 	}
 	return c.repl.shippers[id]
-}
-
-// ReceiverOf returns an MDS's receiver (tests, status), or nil.
-func (c *Cluster) ReceiverOf(id int) *replication.Receiver {
-	if c.repl == nil {
-		return nil
-	}
-	return c.repl.receivers[id]
 }
 
 // ReplRegistry returns the replication telemetry registry of one MDS, or
@@ -211,10 +195,6 @@ func (c *Cluster) stopReplicationFor(id int) {
 	if c.repl == nil {
 		return
 	}
-	if fan := c.repl.fanouts[id]; fan != nil {
-		fan.Stop() // releases the hook, stops ring + subtree shippers
-		c.repl.fanouts[id] = nil
-	}
 	if sh := c.repl.shippers[id]; sh != nil {
 		sh.Stop()
 		c.repl.shippers[id] = nil
@@ -234,15 +214,6 @@ func (c *Cluster) startReplicationFor(id int) {
 	}
 	c.startReceiver(id)
 	c.startShipper(id)
-}
-
-// FanoutOf returns a primary's replication fanout (tests, status), or
-// nil.
-func (c *Cluster) FanoutOf(id int) *replication.Fanout {
-	if c.repl == nil {
-		return nil
-	}
-	return c.repl.fanouts[id]
 }
 
 // Failover handles a confirmed-dead primary: promote its backup (the
