@@ -37,11 +37,13 @@ test-race:
 # promotion, replication gap/overflow resyncs, the migration freeze
 # (sibling traffic served, frozen mutations parked across commit and
 # abort), and the scenario harness itself — all under the race detector,
-# plus the live online learning loop. The failover tests are thin
-# wrappers over scenarios/kill-primary-{sync,async}.yaml.
+# plus the live online learning loop, and twenty rounds of the RPC
+# server's worker-pool handoff and Close races. The failover tests are
+# thin wrappers over scenarios/kill-primary-{sync,async}.yaml.
 chaos:
 	$(GO) test -race -run 'Chaos|Failover|Resync|OnlineLoop|Freeze' ./internal/server/... ./internal/replication/... ./internal/mds/...
 	$(GO) test -race ./internal/scenario/...
+	$(GO) test -race -count=20 -run 'Dispatch|WorkerLimit|Close' ./internal/rpc/...
 
 # The full scenario library under its fixed seeds: every run must go
 # green, and same-seed reruns replay their event logs bit for bit.

@@ -286,9 +286,10 @@ func (s *Origami) Rebalance(es *cluster.EpochStats, t *namespace.Tree, pm *clust
 	return decisions
 }
 
-// MetaOPTOracle drives rebalancing with Algorithm 1 directly on each
-// epoch's dump — the future-blind upper bound the trained model
-// approximates, and the label generator of the offline pipeline.
+// MetaOPTOracle drives rebalancing with Algorithm 1 run directly on the
+// same epoch's dump the move is planned from. It is also the offline
+// pipeline's label generator. It is not an upper bound: the trained model
+// can beat it (on Trace-WI it does).
 type MetaOPTOracle struct {
 	// Trigger is the rebalance-arming imbalance factor (default 0.05).
 	Trigger float64

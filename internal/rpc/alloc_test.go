@@ -10,9 +10,9 @@ import (
 // loopback may allocate, both ends together (testing.AllocsPerRun counts
 // the whole process): the response body Call hands its caller — and
 // nothing with CallInto, which receives into the caller's buffer. Frame
-// buffers, headers, call records, reply channels and the dispatch
-// goroutine's closure are all recycled. This is the number the repository
-// benchmark reports as rpc.echo_allocs_per_call.
+// buffers, headers, call records and reply channels are all recycled, and
+// the handler goroutine is a reused worker. This is the number the
+// repository benchmark reports as rpc.echo_allocs_per_call.
 func TestEchoAllocBudget(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")

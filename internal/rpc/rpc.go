@@ -1,8 +1,9 @@
 // Package rpc is the wire layer of the networked OrigamiFS: length-
 // prefixed binary frames over TCP, with request multiplexing on the
 // client side and concurrent request dispatch on the server side: one
-// goroutine reads frames per connection and hands each request to its
-// own handler goroutine, bounded by a per-server worker limit.
+// goroutine reads frames per connection and hands each request to an idle
+// long-lived handler goroutine — a worker — from a per-server pool, which
+// starts workers up to its limit and otherwise makes the reader wait.
 //
 // Frame layout:
 //
@@ -76,10 +77,11 @@ const (
 	// MaxFrame bounds a single frame (16 MiB).
 	MaxFrame = 16 << 20
 
-	// DefaultConcurrency is the default per-server bound on in-flight
-	// handler goroutines. It is sized well above the paper's 50 client
-	// threads so a migration freeze (mutations parked until the commit)
-	// cannot starve the commit RPC of a worker slot.
+	// DefaultConcurrency is the default size of a server's worker pool,
+	// which bounds its in-flight requests. It is sized well above the
+	// paper's 50 client threads so a migration freeze (mutations parked
+	// until the commit, each holding its worker) cannot starve the commit
+	// RPC of a worker.
 	DefaultConcurrency = 256
 )
 
@@ -228,6 +230,10 @@ type methodTable struct {
 
 	mu sync.RWMutex
 	m  map[Method]*methodMetrics
+
+	// The server's worker-pool signals (nil on the client side).
+	workers      *telemetry.Gauge
+	dispatchWait *telemetry.Histogram
 }
 
 func newMethodTable(reg *telemetry.Registry, namer func(Method) string, side, counts string) *methodTable {
@@ -271,9 +277,12 @@ func (t *methodTable) record(mm *methodMetrics, start time.Time, failed bool) {
 }
 
 // Server dispatches incoming requests to registered handlers. Each
-// parsed request runs in its own goroutine (bounded by the worker
-// limit); frame writes on a connection are serialised by a per-
-// connection write mutex.
+// parsed request runs on a worker: a handler goroutine that serves one
+// request at a time and then waits for the next, so the stack it grew on
+// the handler path is reused instead of grown again per request. Workers
+// are started on demand up to the pool's limit and live until Close; the
+// most recently idled one takes the next request. Frame writes on a
+// connection are serialised by a per-connection write mutex.
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[Method]InfoHandler
@@ -286,8 +295,15 @@ type Server struct {
 	telem    atomic.Pointer[methodTable]
 	tracer   atomic.Value // tracerBox
 
-	// sem bounds in-flight handler goroutines across all connections.
-	sem chan struct{}
+	// The worker pool, shared by all connections: idle is a LIFO stack,
+	// started counts the workers started (each lives until Close), limit
+	// caps it, and freed wakes a reader waiting for a worker (or, at
+	// Close, every waiting reader).
+	poolMu  sync.Mutex
+	idle    []*worker
+	started int
+	limit   int
+	freed   sync.Cond
 	// BadFrames counts frames dropped because their kind was not a
 	// request (also exported as rpc.server.bad_frames).
 	BadFrames atomic.Int64
@@ -299,20 +315,19 @@ type tracerBox struct{ t *telemetry.Tracer }
 
 // NewServer creates an empty server with the default worker limit.
 func NewServer() *Server {
-	return &Server{
+	s := &Server{
 		handlers: make(map[Method]InfoHandler),
 		conns:    make(map[net.Conn]struct{}),
-		sem:      make(chan struct{}, DefaultConcurrency),
+		limit:    DefaultConcurrency,
 	}
+	s.freed.L = &s.poolMu
+	return s
 }
 
-// SetConcurrency bounds the number of in-flight handler goroutines
-// across all connections. It must be called before Listen.
+// SetConcurrency sets the size of the worker pool, the bound on in-flight
+// requests across all connections. It must be called before Listen.
 func (s *Server) SetConcurrency(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.sem = make(chan struct{}, n)
+	s.limit = max(n, 1)
 }
 
 // Handle registers a handler; it must be called before Serve.
@@ -346,11 +361,22 @@ func (s *Server) faultInjector() FaultInjector {
 }
 
 // SetTelemetry instruments the server: per-method request counts,
-// handler latency, error and injected-fault tallies land in reg. namer
-// maps method numbers to metric-name segments (nil falls back to "m<N>").
-// Safe to call while serving.
+// handler latency, error and injected-fault tallies land in reg, and so
+// do the pool's rpc.server.workers (workers started) and
+// rpc.server.dispatch_wait_ns (how long a reader waited for a worker,
+// recorded only when it had to). namer maps method numbers to
+// metric-name segments (nil falls back to "m<N>"). Safe to call while
+// serving.
 func (s *Server) SetTelemetry(reg *telemetry.Registry, namer func(Method) string) {
-	s.telem.Store(newMethodTable(reg, namer, "rpc.server", "requests"))
+	t := newMethodTable(reg, namer, "rpc.server", "requests")
+	s.poolMu.Lock() // the gauge follows started from here on
+	if t != nil {
+		t.workers = reg.Gauge("rpc.server.workers")
+		t.workers.Set(float64(s.started))
+		t.dispatchWait = reg.Histogram("rpc.server.dispatch_wait_ns")
+	}
+	s.telem.Store(t)
+	s.poolMu.Unlock()
 }
 
 // SetTracer installs the server's span tracer: every traced request
@@ -409,30 +435,20 @@ type serverConn struct {
 	wmu  sync.Mutex
 }
 
-// request is one in-flight server request: its header, the buffer its
-// body was read into, the buffer its response frame is built in, and the
-// connection to answer on. Requests — buffers included — are recycled
-// through requestPool once the response frame is written, which is why a
-// handler may keep neither body nor resp.
-type request struct {
-	s    *Server
+// worker is one handler goroutine and the request record it owns: the
+// request's header, the buffer its body was read into, the buffer its
+// response frame is built in, and the connection to answer on. The record
+// — buffers included — is reused for the worker's next request once the
+// response frame is written, which is why a handler may keep neither body
+// nor resp.
+type worker struct {
 	c    *serverConn
 	hdr  frameHeader
 	body []byte
 	resp Wire
-	// run is serve bound once at construction: `go r.run()` then starts
-	// the handler goroutine without allocating a closure per request.
-	run func()
-}
-
-var requestPool sync.Pool
-
-func init() {
-	requestPool.New = func() any {
-		r := &request{}
-		r.run = r.serve
-		return r
-	}
+	// wake hands the worker's goroutine the request just loaded into the
+	// record; closing it ends the goroutine.
+	wake chan struct{}
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -474,39 +490,90 @@ func (s *Server) serveConn(conn net.Conn) {
 				"kind", hdr.kind, "method", uint16(hdr.method), "req", hdr.reqID)
 			continue
 		}
-		// Each request gets its own goroutine so slow handlers (or
-		// injected delays) stall only themselves. The semaphore bounds
-		// in-flight work across all connections; acquiring it here
-		// applies backpressure to the read loop.
-		req := requestPool.Get().(*request)
-		if req.body, err = readBody(r, req.body[:0], hdr.bodyLen); err != nil {
+		// Each request runs on a worker of its own, so a slow handler (or
+		// an injected delay) stalls only itself. The pool bounds in-flight
+		// work across all connections: with every worker busy, acquire
+		// blocks, which applies backpressure to the read loop.
+		w := s.acquire()
+		if w == nil {
+			return // closing
+		}
+		if w.body, err = readBody(r, w.body[:0], hdr.bodyLen); err != nil {
+			s.release(w)
 			return
 		}
-		req.s, req.c, req.hdr = s, c, hdr
-		s.sem <- struct{}{}
-		s.wg.Add(1)
-		go req.run()
+		w.c, w.hdr = c, hdr
+		w.wake <- struct{}{}
 	}
 }
 
-// serve runs the request on its own goroutine and recycles it.
-func (r *request) serve() {
-	s, c := r.s, r.c
-	if !s.handleRequest(r) {
-		// A disconnect fault (or write failure) severs the
-		// connection; the read loop exits on its next read.
-		c.conn.Close()
+// acquire returns the worker for the next request: the most recently
+// idled one, else a new one while fewer than the limit exist, else the
+// first to come free. It returns nil once the server is closing.
+func (s *Server) acquire() *worker {
+	s.poolMu.Lock()
+	var waitStart time.Time
+	for len(s.idle) == 0 && s.started >= s.limit && !s.closed.Load() {
+		if waitStart.IsZero() {
+			waitStart = time.Now()
+		}
+		s.freed.Wait()
 	}
-	r.s, r.c = nil, nil
-	if cap(r.body) > maxPooledBuffer {
-		r.body = nil
+	var w *worker
+	switch n := len(s.idle); {
+	case s.closed.Load():
+	case n > 0:
+		w, s.idle = s.idle[n-1], s.idle[:n-1]
+	default:
+		w = &worker{wake: make(chan struct{}, 1)}
+		s.started++
+		if tl := s.telem.Load(); tl != nil {
+			tl.workers.Set(float64(s.started))
+		}
+		s.wg.Add(1)
+		go s.work(w)
 	}
-	if cap(r.resp.buf) > maxPooledBuffer {
-		r.resp.buf = nil
+	s.poolMu.Unlock()
+	if !waitStart.IsZero() {
+		if tl := s.telem.Load(); tl != nil {
+			tl.dispatchWait.Record(time.Since(waitStart).Nanoseconds())
+		}
 	}
-	requestPool.Put(r)
-	<-s.sem
-	s.wg.Done()
+	return w
+}
+
+// release puts w on top of the idle stack once its request is done (or
+// was never loaded), or ends its goroutine when the server is closing.
+func (s *Server) release(w *worker) {
+	w.c = nil
+	if cap(w.body) > maxPooledBuffer {
+		w.body = nil
+	}
+	if cap(w.resp.buf) > maxPooledBuffer {
+		w.resp.buf = nil
+	}
+	s.poolMu.Lock()
+	if s.closed.Load() {
+		close(w.wake)
+	} else {
+		s.idle = append(s.idle, w)
+		s.freed.Signal()
+	}
+	s.poolMu.Unlock()
+}
+
+// work is a worker's goroutine: it serves each request handed to it, then
+// goes back to the pool, until Close ends it.
+func (s *Server) work(w *worker) {
+	defer s.wg.Done()
+	for range w.wake {
+		if !s.handleRequest(w) {
+			// A disconnect fault (or write failure) severs the
+			// connection; the read loop exits on its next read.
+			w.c.conn.Close()
+		}
+		s.release(w)
+	}
 }
 
 // respStatus is where a response frame's status byte sits in the buffer
@@ -517,8 +584,8 @@ const respStatus = frameHeaderSize
 // injection, handler dispatch, telemetry, and the response write
 // (serialised on the connection's wmu). It reports false when the
 // connection must be severed (disconnect fault or failed write).
-func (s *Server) handleRequest(r *request) bool {
-	method := r.hdr.method
+func (s *Server) handleRequest(w *worker) bool {
+	method := w.hdr.method
 	tl := s.telem.Load()
 	var injectedErr error
 	if fi := s.faultInjector(); fi != nil {
@@ -527,7 +594,7 @@ func (s *Server) handleRequest(r *request) bool {
 			tl.reg.Counter("rpc.server.faults_injected").Add(int64(fired))
 		}
 		if delay > 0 {
-			time.Sleep(delay) // stalls only this request's goroutine
+			time.Sleep(delay) // stalls only this request's worker
 		}
 		switch f.Action {
 		case FaultDrop:
@@ -551,7 +618,7 @@ func (s *Server) handleRequest(r *request) bool {
 	}
 	// Open the dispatch span: it brackets the handler (not the response
 	// write) and becomes the parent for every span the handler starts.
-	info := CallInfo{Method: method, TraceID: r.hdr.trace, SpanID: r.hdr.span}
+	info := CallInfo{Method: method, TraceID: w.hdr.trace, SpanID: w.hdr.span}
 	var dispatch *telemetry.ActiveSpan
 	if tr := s.spanTracer(); tr != nil && info.TraceID != 0 {
 		var name string
@@ -567,7 +634,7 @@ func (s *Server) handleRequest(r *request) bool {
 	}
 	// The whole response frame is built in place: room for the header,
 	// the OK status byte, then whatever the handler appends.
-	resp := &r.resp
+	resp := &w.resp
 	resp.buf = append(resp.buf[:0], make([]byte, respStatus+1)...)
 	start := time.Now()
 	err := injectedErr
@@ -576,7 +643,7 @@ func (s *Server) handleRequest(r *request) bool {
 	case h == nil:
 		err = fmt.Errorf("unknown method %d", method)
 	default:
-		err = safeCall(h, info, r.body, resp)
+		err = safeCall(h, info, w.body, resp)
 	}
 	if err != nil {
 		resp.setError(err)
@@ -606,16 +673,16 @@ func (s *Server) handleRequest(r *request) bool {
 			return false
 		}
 	}
-	hdr := r.hdr
+	hdr := w.hdr
 	hdr.kind, hdr.bodyLen = kindResponse, len(resp.buf)-frameHeaderSize
 	if frameOverhead+hdr.bodyLen > MaxFrame {
 		resp.setError(fmt.Errorf("rpc: response too large (%d bytes)", hdr.bodyLen))
 		hdr.bodyLen = len(resp.buf) - frameHeaderSize
 	}
 	hdr.put(resp.buf)
-	r.c.wmu.Lock()
-	_, werr := r.c.conn.Write(resp.buf)
-	r.c.wmu.Unlock()
+	w.c.wmu.Lock()
+	_, werr := w.c.conn.Write(resp.buf)
+	w.c.wmu.Unlock()
 	return werr == nil
 }
 
@@ -649,8 +716,8 @@ func safeCall(h InfoHandler, info CallInfo, body []byte, resp *Wire) (err error)
 	return h(info, body, resp)
 }
 
-// Close stops the listener, force-closes active connections, and waits
-// for the handler goroutines to drain.
+// Close stops the listener, force-closes active connections, ends the
+// workers, and waits for the requests in flight to finish.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -664,6 +731,15 @@ func (s *Server) Close() error {
 		conn.Close()
 	}
 	s.connMu.Unlock()
+	// Idle workers end now, busy ones once their request is done, and a
+	// reader waiting for a worker gives up.
+	s.poolMu.Lock()
+	for _, w := range s.idle {
+		close(w.wake)
+	}
+	s.idle = nil
+	s.freed.Broadcast()
+	s.poolMu.Unlock()
 	s.wg.Wait()
 	return err
 }
