@@ -79,9 +79,12 @@ commit-smoke:
 # The decoders that read bytes off a socket or a disk, against arbitrary
 # input: the MethodBatch frame handler on a scratch shard (never panics;
 # answers every sub-op or rejects the frame with EINVAL), the SDK's
-# response decoder, the partition map (SetMap, GetMap and the persisted
-# pin map) and the coordinator's per-shard dump (neither allocates past
-# its body), the record list every replication append, snapshot chunk
+# batch response decoder and its read-path decoder (the inode list of a
+# resolve or readdir response, then the grant and map-version trailer:
+# never allocates past its body, returns exactly the encoded names), the
+# partition map (SetMap, GetMap and the persisted pin map) and the
+# coordinator's per-shard dump (neither allocates past its body), the
+# record list every replication append, snapshot chunk
 # and migration ingest carries (never panics; a refused body applies
 # nothing), the batch envelope codec, and
 # the kvstore's SSTable reader (open, get, scan), manifest loader and WAL
@@ -94,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMap$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDump$$' -fuzztime 3s ./internal/mds
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInodes$$' -fuzztime 3s ./internal/client
 	$(GO) test -run '^$$' -fuzz '^FuzzReceiverFrames$$' -fuzztime 3s ./internal/replication
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 3s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime 3s ./internal/kvstore

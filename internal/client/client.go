@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,6 +82,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Client is an OrigamiFS SDK handle. It is safe for concurrent use.
+//
+// Every *namespace.Inode it returns — from Stat, Readdir, Resolve,
+// Create, Mkdir and Setattr — is shared with its lease cache, and so
+// with every later call that hits the same entry: it is read-only.
+// Copy an inode before changing a field.
 type Client struct {
 	cfg    Config
 	conns  []*rpc.Client
@@ -584,28 +590,41 @@ func decodeInode(body []byte) (*namespace.Inode, error) {
 	return namespace.DecodeInode(blob)
 }
 
-// decodeInodes reads an inode list — a count, then one record blob each —
-// into inodes that share one allocation.
+// decodeInodes reads an inode list — a count, then one record blob each.
+// Whatever the count, it makes three allocations: the inodes share one
+// slab, the pointers one slice and the names one string. The first pass
+// validates every record and sums the name lengths, so a malformed body
+// allocates nothing; the second decodes.
 func decodeInodes(r *rpc.Reader) ([]*namespace.Inode, error) {
 	n := int(r.U32())
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if n > r.Remaining()/4 { // every inode costs at least its blob prefix
-		return nil, rpc.ErrTruncated
-	}
-	slab := make([]namespace.Inode, n)
-	out := make([]*namespace.Inode, n)
-	for i := range slab {
+	first := *r
+	var scan namespace.Inode
+	total := 0
+	for i := 0; i < n; i++ {
 		blob := r.Blob()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		name, err := namespace.DecodeInodeInto(&slab[i], blob)
+		name, err := namespace.DecodeInodeInto(&scan, blob)
 		if err != nil {
 			return nil, err
 		}
-		slab[i].Name = string(name)
+		total += len(name)
+	}
+	slab := make([]namespace.Inode, n)
+	out := make([]*namespace.Inode, n)
+	var names strings.Builder
+	names.Grow(total)
+	for i := range slab {
+		name, _ := namespace.DecodeInodeInto(&slab[i], first.Blob()) // validated above
+		start := names.Len()
+		names.Write(name)
+		// The builder never regrows past Grow(total), so every name is a
+		// view of the one string the listing shares.
+		slab[i].Name = names.String()[start:]
 		out[i] = &slab[i]
 	}
 	return out, nil
@@ -1007,11 +1026,8 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 			// child at once.
 			c.observeGrants(grants, false)
 			for _, g := range grants {
-				if g.Dir != dir.Ino {
-					continue
-				}
-				for _, ch := range children {
-					c.cache.Put(g, ch.Name, ch)
+				if g.Dir == dir.Ino {
+					c.cache.PutListing(g, children)
 				}
 			}
 		}

@@ -1,11 +1,14 @@
 package client_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"origami/internal/client"
+	"origami/internal/namespace"
 	"origami/internal/rpc"
 	"origami/internal/server"
 )
@@ -426,5 +429,102 @@ func TestSucceedingClientLearnsNewMapVersion(t *testing.T) {
 	}
 	if extra := sdk.RPCCount.Load() - rpcs - 5; extra != 0 {
 		t.Fatalf("5 stats on a current map cost %d extra RPCs", extra)
+	}
+}
+
+// TestReturnedInodesAreReadOnly: the SDK hands out the inodes its lease
+// cache holds and never writes one afterwards. Two forks Stat and Readdir
+// one directory while a third client creates and removes in it, flushing
+// their leases; every inode they get back is read on another goroutine
+// while they keep calling, so under -race any later write by the SDK —
+// re-seeding, revalidation, a flush — shows as a race.
+func TestReturnedInodesAreReadOnly(t *testing.T) {
+	cl, sdk := startOne(t, 1, "leases")
+	writer, err := client.Dial(client.Config{Addrs: cl.Addrs, Cache: "leases"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { writer.Close() })
+	dir, err := sdk.Mkdir("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stable = 16
+	for i := 0; i < stable; i++ {
+		if _, err := sdk.Create(fmt.Sprintf("/d/f%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	seen := make(chan *namespace.Inode, 64)
+	checked := make(chan error)
+	go func() {
+		var bad error
+		for in := range seen {
+			if in.Ino == 0 || in.Name == "" || (in.Type == namespace.TypeFile && in.Parent != dir.Ino) {
+				bad = fmt.Errorf("returned inode reads as %+v", *in)
+			}
+			_ = in.Size + in.Atime + in.Mtime + in.Ctime + int64(in.Mode) + int64(in.Nlink) // read the rest
+		}
+		checked <- bad
+	}()
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p := fmt.Sprintf("/d/x%d", i%4)
+			if _, err := writer.Create(p); err != nil {
+				t.Errorf("create %s: %v", p, err)
+				return
+			}
+			if err := writer.Remove(p); err != nil {
+				t.Errorf("remove %s: %v", p, err)
+				return
+			}
+		}
+	}()
+
+	var readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		fork := sdk.Fork()
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 150; i++ {
+				list, err := fork.Readdir("/d")
+				if err != nil {
+					t.Errorf("readdir: %v", err)
+					return
+				}
+				for _, in := range list {
+					seen <- in
+				}
+				in, err := fork.Stat(fmt.Sprintf("/d/f%02d", i%stable))
+				if err != nil {
+					t.Errorf("stat: %v", err)
+					return
+				}
+				seen <- in
+				// Churned names come and go; only what a stat returns matters.
+				if in, err := fork.Stat(fmt.Sprintf("/d/x%d", i%4)); err == nil {
+					seen <- in
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	churn.Wait()
+	close(seen)
+	if err := <-checked; err != nil {
+		t.Error(err)
 	}
 }

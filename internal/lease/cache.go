@@ -9,19 +9,22 @@ import (
 	"origami/internal/telemetry"
 )
 
-// ClientCache is the SDK-side dentry/inode cache. Entries are grouped
-// by parent directory and are only served while that directory's lease
-// grant is unexpired; a grant observed on any RPC response with a
-// different ID or a newer epoch flushes the directory. Negative
-// entries (name proven absent by the owner) are cached the same way,
-// so a warm miss costs zero RPCs too.
+// ClientCache is the SDK-side dentry/inode cache. It holds the inode
+// pointers it is handed, not copies: an inode put into the cache is
+// read-only from then on, for the cache and for whoever else holds it.
+// Entries are grouped by parent directory and are only served while
+// that directory's lease grant is unexpired; a grant observed on any RPC
+// response with a different ID or a newer epoch flushes the directory.
+// Negative entries (name proven absent by the owner) are cached the same
+// way, so a warm miss costs zero RPCs too.
 //
-// Writes are epoch-conditional: Put and PutNegative carry the grant
-// that rode the same response as the data, and the cache accepts the
-// entry only while that grant is still current. Responses processed
-// out of order (two goroutines sharing one client) therefore cannot
-// seed data the server has already moved past — a stale response's
-// grant is ignored by Observe and its entries are rejected by Put.
+// Writes are epoch-conditional: Put, PutListing and PutNegative carry
+// the grant that rode the same response as the data, and the cache
+// accepts the entry only while that grant is still current. Responses
+// processed out of order (two goroutines sharing one client) therefore
+// cannot seed data the server has already moved past — a stale
+// response's grant is ignored by Observe and its entries are rejected
+// by Put.
 //
 // A cache holds nothing it could no longer serve: a directory whose
 // lease ran out is dropped even if this client never calls again. Lookup
@@ -252,7 +255,7 @@ func (c *ClientCache) flushLocked(d *dirState) {
 }
 
 // current returns dir's state if it matches the grant's (ID, epoch)
-// and the lease is live — the admission check for Put/PutNegative.
+// and the lease is live — the admission check for every Put.
 func (c *ClientCache) current(g Grant) *dirState {
 	d := c.dirs[g.Dir]
 	if d == nil || d.id != g.ID || d.epoch != g.Epoch || c.now().After(d.expires) {
@@ -261,17 +264,45 @@ func (c *ClientCache) current(g Grant) *dirState {
 	return d
 }
 
-// Put caches a positive entry under the grant's directory, but only
-// while the grant is still the directory's current state: data that
-// rode an already-overtaken response must not be served as fresh.
+// Put caches in as name's positive entry under the grant's directory,
+// but only while the grant is still the directory's current state: data
+// that rode an already-overtaken response must not be served as fresh.
+// The cache keeps the pointer it is given, so in is shared from then on
+// and nobody may write it. The entry is filed under name, not in.Name:
+// the resolve walk files each inode under the component it looked up,
+// including one fetched by ino behind a fake-inode redirect.
 func (c *ClientCache) Put(g Grant, name string, in *namespace.Inode) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if d := c.current(g); d != nil {
+		c.addEntriesLocked(d.put(name, in))
+	}
+}
+
+// PutListing seeds a directory listing under the grant that rode it:
+// Put for every inode, each under its own name, with one lock, one
+// clock read and one admission check. An empty directory's map is sized
+// to the listing first, so the map grows once instead of entry by entry.
+func (c *ClientCache) PutListing(g Grant, list []*namespace.Inode) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d := c.current(g)
 	if d == nil {
 		return
 	}
+	if len(d.pos) == 0 {
+		d.pos = make(map[string]*namespace.Inode, len(list))
+	}
 	delta := 0
+	for _, in := range list {
+		delta += d.put(in.Name, in)
+	}
+	c.addEntriesLocked(delta)
+}
+
+// put files in under name, replacing a negative, and returns how the
+// entry count moved.
+func (d *dirState) put(name string, in *namespace.Inode) (delta int) {
 	if _, ok := d.neg[name]; ok {
 		delete(d.neg, name)
 		delta--
@@ -279,9 +310,8 @@ func (c *ClientCache) Put(g Grant, name string, in *namespace.Inode) {
 	if _, ok := d.pos[name]; !ok {
 		delta++
 	}
-	cp := *in
-	d.pos[name] = &cp
-	c.addEntriesLocked(delta)
+	d.pos[name] = in
+	return delta
 }
 
 // PutNegative caches "name is absent", under the same admission rule.

@@ -167,6 +167,34 @@ func TestClientCacheOwnMutationKeepsEntries(t *testing.T) {
 	}
 }
 
+// TestClientCachePutListing: a listing is admitted or refused whole by
+// the grant that rode it, replaces cached negatives for its names, and is
+// served by pointer — the inodes the caller handed in, not copies.
+func TestClientCachePutListing(t *testing.T) {
+	cc := NewClientCache(telemetry.NewRegistry())
+	g := Grant{Dir: 2, ID: 1, Epoch: 5, TTLms: 60_000}
+	cc.Observe(g)
+	cc.PutNegative(g, "b")
+	a, b := mkInode(11), mkInode(12)
+	a.Name, b.Name = "a", "b"
+	stale := g
+	stale.Epoch = 4
+	cc.PutListing(stale, []*namespace.Inode{a, b})
+	if _, _, ok := cc.Lookup(2, "a"); ok {
+		t.Fatal("a listing under an overtaken grant was admitted")
+	}
+	cc.PutListing(g, []*namespace.Inode{a, b})
+	for _, want := range []*namespace.Inode{a, b} {
+		got, neg, ok := cc.Lookup(2, want.Name)
+		if !ok || neg || got != want {
+			t.Errorf("Lookup(%q) = %p neg=%v ok=%v, want the seeded %p", want.Name, got, neg, ok, want)
+		}
+	}
+	if got := cc.Entries(); got != 2 {
+		t.Errorf("Entries = %d, want 2 (the negative for b replaced)", got)
+	}
+}
+
 func TestClientCacheTTLExpiry(t *testing.T) {
 	cc := NewClientCache(telemetry.NewRegistry())
 	now := time.Unix(3000, 0)

@@ -11,6 +11,9 @@ import (
 // so appending it is wire-compatible in both directions: an old client
 // skips it, and a missing trailer decodes as no grants.
 
+// grantSize is one grant's bytes on the wire.
+const grantSize = 8 + 8 + 8 + 4
+
 // AppendGrants writes the grant trailer onto w.
 func AppendGrants(w *rpc.Wire, grants []Grant) {
 	w.U32(uint32(len(grants)))
@@ -27,8 +30,8 @@ func DecodeGrants(r *rpc.Reader, dst []Grant) []Grant {
 		return dst
 	}
 	n := int(r.U32())
-	if r.Err() != nil || n > 4096 {
-		return dst
+	if r.Err() != nil || n > 4096 || n*grantSize > r.Remaining() {
+		return dst // no room for n grants: allocate nothing for them
 	}
 	grants := dst
 	for i := 0; i < n; i++ {
