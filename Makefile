@@ -91,7 +91,9 @@ commit-smoke:
 # recovery (replay, then a store opened on the log takes a write that
 # survives the next crash), and the store itself against a map model
 # (put, delete, batch, flush, crash and reopen steps; Get and Scan agree
-# with the map after each).
+# with the map after each), and the SDK's lease cache against a map model
+# of a directory (listing, patch, drop, observe, expiry and revocation
+# steps; every listing it serves is the owner's at the vouching epoch).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchFrame$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
@@ -104,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime 3s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 3s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreAgainstMap$$' -fuzztime 3s ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzListingCoherence$$' -fuzztime 3s ./internal/lease
 
 # bench/ is a module of its own, so `go build ./...` at the root cannot
 # see an API break there; this can.

@@ -314,35 +314,54 @@ func (c *Client) submit(ctx context.Context, owner int, so *mds.SubOp, lost *boo
 	if out.res.Err != nil {
 		return nil, out.res.Err
 	}
-	// Adopt our own bump (epoch+1, cache intact).
-	c.observeGrants(out.grants, true)
+	c.observeOwnGrants(so, out.grants)
 	if in := out.res.Inode; in != nil {
 		c.cacheEntry(out.grants, in.Parent, in.Name, in)
-	} else {
-		if c.cache != nil {
-			c.cache.DropEntry(so.Parent, so.Name)
-		}
-		c.cacheEntry(out.grants, so.Parent, so.Name, nil)
+	} else if !c.cacheEntry(out.grants, so.Parent, so.Name, nil) && c.cache != nil {
+		// No grant vouched the negative: the name is gone all the same.
+		// Dropping it also ends the directory's completeness, which an
+		// admitted negative keeps.
+		c.cache.DropEntry(so.Parent, so.Name)
 	}
 	return out.res.Inode, nil
 }
 
-// cacheEntry patches (dir, name) in the lease cache under the grant for
-// dir that rode the mutation's response: in when the entry now exists,
-// a negative when in is nil (the name is proven absent).
-func (c *Client) cacheEntry(grants []lease.Grant, dir namespace.Ino, name string, in *namespace.Inode) {
+// observeOwnGrants folds a mutation's grant trailer into the cache. The
+// directories so wrote adopt their own bump (epoch+1, cache intact); the
+// frame's other grants are the bumps of sibling ops — other forks' or
+// other goroutines' — and are foreign news to this cache.
+func (c *Client) observeOwnGrants(so *mds.SubOp, grants []lease.Grant) {
 	if c.cache == nil {
 		return
 	}
 	for _, g := range grants {
+		if g.Dir == so.Dir() || (so.Kind == mds.BatchOpRename && g.Dir == so.DstParent) {
+			c.cache.ObserveMutation(g)
+		} else {
+			c.cache.Observe(g)
+		}
+	}
+}
+
+// cacheEntry patches (dir, name) in the lease cache under the grant for
+// dir that rode the mutation's response: in when the entry now exists,
+// a negative when in is nil (the name is proven absent). It reports
+// whether the cache admitted the patch.
+func (c *Client) cacheEntry(grants []lease.Grant, dir namespace.Ino, name string, in *namespace.Inode) bool {
+	if c.cache == nil {
+		return false
+	}
+	admitted := false
+	for _, g := range grants {
 		switch {
 		case g.Dir != dir:
 		case in != nil:
-			c.cache.Put(g, name, in)
+			admitted = c.cache.Put(g, name, in) || admitted
 		default:
-			c.cache.PutNegative(g, name)
+			admitted = c.cache.PutNegative(g, name) || admitted
 		}
 	}
+	return admitted
 }
 
 // lookupOwn fetches (parent, name) from its owner with a one-component

@@ -2,8 +2,8 @@
 // calls into metadata RPCs against the MDS cluster, resolving paths
 // recursively, following fake-inode redirects left by migrations, and
 // short-circuiting resolution through the lease-coherent dentry cache —
-// a warm Stat (positive or negative) costs zero RPCs, a warm Create
-// exactly one.
+// a warm Stat (positive or negative) or Readdir costs zero RPCs, a warm
+// Create exactly one.
 package client
 
 import (
@@ -86,7 +86,8 @@ func (c Config) withDefaults() Config {
 // Every *namespace.Inode it returns — from Stat, Readdir, Resolve,
 // Create, Mkdir and Setattr — is shared with its lease cache, and so
 // with every later call that hits the same entry: it is read-only.
-// Copy an inode before changing a field.
+// Copy an inode before changing a field. The slice Readdir returns is
+// shared the same way.
 type Client struct {
 	cfg    Config
 	conns  []*rpc.Client
@@ -565,17 +566,13 @@ func (c *Client) sawMapVersion(v uint64) {
 	}()
 }
 
-// observeGrants folds a response's grant trailer into the cache.
-func (c *Client) observeGrants(grants []lease.Grant, ownMutation bool) {
+// observeGrants folds a read response's grant trailer into the cache.
+func (c *Client) observeGrants(grants []lease.Grant) {
 	if c.cache == nil {
 		return
 	}
 	for _, g := range grants {
-		if ownMutation {
-			c.cache.ObserveMutation(g)
-		} else {
-			c.cache.Observe(g)
-		}
+		c.cache.Observe(g)
 	}
 }
 
@@ -757,7 +754,7 @@ func (c *Client) resolvePath(ctx context.Context, path string, chain *[]*namespa
 		owner = newOwner
 		// Fold the grants in before seeding: each Put below is vouched
 		// by the grant that rode this same response.
-		c.observeGrants(res.grants, false)
+		c.observeGrants(res.grants)
 		grantOf := func(dir namespace.Ino) (lease.Grant, bool) {
 			for _, g := range res.grants {
 				if g.Dir == dir {
@@ -996,7 +993,11 @@ func (c *Client) Remove(path string) error {
 	return nil
 }
 
-// Readdir lists a directory.
+// Readdir lists a directory, in the owner's key order (by name). A
+// directory whose complete listing the lease cache holds is answered
+// from it with no RPC, stale by at most what a cached Stat may be: one
+// RPC touching the directory or one lease TTL. The returned slice, like
+// the inodes in it, is shared with the cache and read-only.
 func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 	ctx, op := c.op(opReaddir)
 	var out []*namespace.Inode
@@ -1004,6 +1005,12 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 		dir, owner, err := c.resolvePath(ctx, path, nil)
 		if err != nil {
 			return err
+		}
+		if c.cache != nil {
+			if list, ok := c.cache.Listing(dir.Ino); ok {
+				out = list
+				return nil
+			}
 		}
 		sc := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(sc)
@@ -1023,8 +1030,8 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 		c.sawMapVersion(mapVersion)
 		if c.cache != nil {
 			// A listing seeds the whole directory: the grant vouches every
-			// child at once.
-			c.observeGrants(grants, false)
+			// child at once, and the directory is complete from then on.
+			c.observeGrants(grants)
 			for _, g := range grants {
 				if g.Dir == dir.Ino {
 					c.cache.PutListing(g, children)

@@ -2,6 +2,8 @@ package client_test
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -106,7 +108,7 @@ func TestRenameMissingSource(t *testing.T) {
 
 // TestWarmCacheRPCCounts is the headline lease-cache property, proven by
 // counting RPC frames: once the lease cache is warm, Stat (positive and
-// negative) costs zero RPCs and Create costs exactly one.
+// negative) and Readdir cost zero RPCs and Create costs exactly one.
 func TestWarmCacheRPCCounts(t *testing.T) {
 	_, sdk := startOne(t, 1, "leases")
 	p := ""
@@ -175,6 +177,65 @@ func TestWarmCacheRPCCounts(t *testing.T) {
 	if got := sdk.RPCCount.Load() - before; got != 0 {
 		t.Errorf("stats after own creates cost %d RPCs, want 0", got)
 	}
+
+	// Warm listing: one Readdir from the owner leaves the directory
+	// complete; repeats cost nothing, and so do listings after the
+	// client's own create, remove and mkdir in it, each showing the change.
+	want := map[string]bool{"leaf": true}
+	for i := 0; i < n; i++ {
+		want["new"+string(rune('a'+i))] = true
+	}
+	if _, err := sdk.Readdir(p); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		what string
+		do   func() error
+		name string
+		adds bool
+	}{
+		{"warm", func() error { return nil }, "", false},
+		{"own create", func() error { _, err := sdk.Create(p + "/zz"); return err }, "zz", true},
+		{"own remove", func() error { return sdk.Remove(p + "/leaf") }, "leaf", false},
+		{"own mkdir", func() error { _, err := sdk.Mkdir(p + "/sub"); return err }, "sub", true},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		if step.name != "" {
+			want[step.name] = step.adds
+		}
+		before = sdk.RPCCount.Load()
+		list, err := sdk.Readdir(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sdk.RPCCount.Load() - before; got != 0 {
+			t.Errorf("readdir after %s cost %d RPCs, want 0", step.what, got)
+		}
+		if err := sameListing(list, want); err != nil {
+			t.Errorf("readdir after %s: %v", step.what, err)
+		}
+	}
+}
+
+// sameListing checks that list names exactly the names want marks true,
+// in the owner's key order (by name).
+func sameListing(list []*namespace.Inode, want map[string]bool) error {
+	var got, exp []string
+	for _, in := range list {
+		got = append(got, in.Name)
+	}
+	for name, ok := range want {
+		if ok {
+			exp = append(exp, name)
+		}
+	}
+	sort.Strings(exp)
+	if !slices.Equal(got, exp) {
+		return fmt.Errorf("lists %q, want %q", got, exp)
+	}
+	return nil
 }
 
 // TestStalenessBoundAcrossClients: a mutation through one client must
@@ -209,8 +270,8 @@ func TestStalenessBoundAcrossClients(t *testing.T) {
 	}
 
 	// One RPC of any kind under the directory carries the bumped epoch.
-	// Readdir goes to the server (it always does) and its grant trailer
-	// must flush the reader's stale entry.
+	// The reader holds no listing of the directory, so its Readdir goes
+	// to the server, and the grant trailer must flush the stale entry.
 	if _, err := reader.Readdir("/shared"); err != nil {
 		t.Fatal(err)
 	}
@@ -432,12 +493,13 @@ func TestSucceedingClientLearnsNewMapVersion(t *testing.T) {
 	}
 }
 
-// TestReturnedInodesAreReadOnly: the SDK hands out the inodes its lease
-// cache holds and never writes one afterwards. Two forks Stat and Readdir
-// one directory while a third client creates and removes in it, flushing
-// their leases; every inode they get back is read on another goroutine
-// while they keep calling, so under -race any later write by the SDK —
-// re-seeding, revalidation, a flush — shows as a race.
+// TestReturnedInodesAreReadOnly: the SDK hands out the inodes and the
+// listing slices its lease cache holds and never writes one afterwards.
+// Two forks Stat and Readdir one directory while a third client creates
+// and removes in it, flushing their leases; every slice and inode they get
+// back is read on another goroutine while they keep calling, so under
+// -race any later write by the SDK — re-seeding, revalidation, a flush, a
+// patch of a cached listing — shows as a race.
 func TestReturnedInodesAreReadOnly(t *testing.T) {
 	cl, sdk := startOne(t, 1, "leases")
 	writer, err := client.Dial(client.Config{Addrs: cl.Addrs, Cache: "leases"})
@@ -456,15 +518,17 @@ func TestReturnedInodesAreReadOnly(t *testing.T) {
 		}
 	}
 
-	seen := make(chan *namespace.Inode, 64)
+	seen := make(chan []*namespace.Inode, 64)
 	checked := make(chan error)
 	go func() {
 		var bad error
-		for in := range seen {
-			if in.Ino == 0 || in.Name == "" || (in.Type == namespace.TypeFile && in.Parent != dir.Ino) {
-				bad = fmt.Errorf("returned inode reads as %+v", *in)
+		for list := range seen {
+			for _, in := range list {
+				if in.Ino == 0 || in.Name == "" || (in.Type == namespace.TypeFile && in.Parent != dir.Ino) {
+					bad = fmt.Errorf("returned inode reads as %+v", *in)
+				}
+				_ = in.Size + in.Atime + in.Mtime + in.Ctime + int64(in.Mode) + int64(in.Nlink) // read the rest
 			}
-			_ = in.Size + in.Atime + in.Mtime + in.Ctime + int64(in.Mode) + int64(in.Nlink) // read the rest
 		}
 		checked <- bad
 	}()
@@ -492,6 +556,37 @@ func TestReturnedInodesAreReadOnly(t *testing.T) {
 		}
 	}()
 
+	// Each fork also creates and removes a file of its own, so the
+	// listings it holds complete are patched and served from cache.
+	// readOnce returns what the Readdir cost in RPCs.
+	readOnce := func(fork *client.Client, i int, own string) (int64, error) {
+		rpcs := fork.RPCCount.Load()
+		list, err := fork.Readdir("/d")
+		if err != nil {
+			return 0, err
+		}
+		cost := fork.RPCCount.Load() - rpcs
+		seen <- list // the slice itself, not just its inodes
+		switch i % 3 {
+		case 0:
+			_, err = fork.Create(own)
+		case 1:
+			err = fork.Remove(own)
+		}
+		if err != nil {
+			return 0, err
+		}
+		in, err := fork.Stat(fmt.Sprintf("/d/f%02d", i%stable))
+		if err != nil {
+			return 0, err
+		}
+		seen <- []*namespace.Inode{in}
+		// Churned names come and go; only what a stat returns matters.
+		if in, err := fork.Stat(fmt.Sprintf("/d/x%d", i%4)); err == nil {
+			seen <- []*namespace.Inode{in}
+		}
+		return cost, nil
+	}
 	var readers sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		fork := sdk.Fork()
@@ -499,23 +594,9 @@ func TestReturnedInodesAreReadOnly(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 150; i++ {
-				list, err := fork.Readdir("/d")
-				if err != nil {
-					t.Errorf("readdir: %v", err)
+				if _, err := readOnce(fork, i, fmt.Sprintf("/d/own%d", w)); err != nil {
+					t.Error(err)
 					return
-				}
-				for _, in := range list {
-					seen <- in
-				}
-				in, err := fork.Stat(fmt.Sprintf("/d/f%02d", i%stable))
-				if err != nil {
-					t.Errorf("stat: %v", err)
-					return
-				}
-				seen <- in
-				// Churned names come and go; only what a stat returns matters.
-				if in, err := fork.Stat(fmt.Sprintf("/d/x%d", i%4)); err == nil {
-					seen <- in
 				}
 			}
 		}()
@@ -523,6 +604,22 @@ func TestReturnedInodesAreReadOnly(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	churn.Wait()
+	// Quiet now: listings are served from cache, patched by the fork's own
+	// create and remove, while the checker still reads earlier ones.
+	fork := sdk.Fork()
+	cached := 0
+	for i := 0; i < 30; i++ {
+		cost, err := readOnce(fork, i, "/d/own")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost == 0 {
+			cached++
+		}
+	}
+	if cached == 0 {
+		t.Error("no listing was served from cache in a quiet directory")
+	}
 	close(seen)
 	if err := <-checked; err != nil {
 		t.Error(err)

@@ -10,6 +10,7 @@ import (
 	"origami/internal/namespace"
 	"origami/internal/racedetect"
 	"origami/internal/rpc"
+	"origami/internal/server"
 	"origami/internal/telemetry"
 )
 
@@ -159,5 +160,44 @@ func BenchmarkReaddirSeed(b *testing.B) {
 				cache.PutListing(grants[0], children)
 			}
 		})
+	}
+}
+
+// BenchmarkReaddirWarm is a warm Readdir end to end in the SDK: a
+// 100-entry directory on a one-MDS loopback cluster whose complete listing
+// the lease cache holds, so every iteration is served with no RPC.
+func BenchmarkReaddirWarm(b *testing.B) {
+	cl, err := server.StartCluster(1, b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	c, err := Dial(Config{Addrs: cl.Addrs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Mkdir("/w"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := c.Create(fmt.Sprintf("/w/f%05d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := c.Readdir("/w"); err != nil {
+		b.Fatal(err)
+	}
+	rpcs := c.RPCCount.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Readdir("/w"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := c.RPCCount.Load() - rpcs; got != 0 {
+		b.Fatalf("%d warm readdirs cost %d RPCs", b.N, got)
 	}
 }

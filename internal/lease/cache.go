@@ -1,6 +1,8 @@
 package lease
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +19,17 @@ import (
 // response with a different ID or a newer epoch flushes the directory.
 // Negative entries (name proven absent by the owner) are cached the same
 // way, so a warm miss costs zero RPCs too.
+//
+// A directory is also cached *complete* once a listing of it is admitted
+// that accounts for every positive entry held; Listing then serves the
+// whole directory, so a warm Readdir costs zero RPCs as a warm Stat does.
+// Completeness survives revalidation, the client's own mutations adopted
+// as exactly one epoch step (their Put and PutNegative patch the
+// listing) and a refresh of a listed name that keeps its ino and type.
+// It is lost with the entries (a flush, expiry, Forget, Flush), by a
+// DropEntry of a positive name, by a Put that changes a listed name's
+// ino or type, and by a patch refused because the directory already moved
+// past its epoch — the cache no longer knows what the owner lists.
 //
 // Writes are epoch-conditional: Put, PutListing and PutNegative carry
 // the grant that rode the same response as the data, and the cache
@@ -55,6 +68,11 @@ type dirState struct {
 	expires time.Time
 	pos     map[string]*namespace.Inode
 	neg     map[string]struct{}
+	// complete: pos holds every name the directory has at (id, epoch).
+	// listing is then pos in the owner's key order, shared with every
+	// caller Listing served it to; nil until it is next built.
+	complete bool
+	listing  []*namespace.Inode
 }
 
 // sweepGroup is the set of sibling caches (a root and its forks) that
@@ -112,15 +130,8 @@ func (c *ClientCache) SetNow(now func() time.Time) {
 func (c *ClientCache) Lookup(dir namespace.Ino, name string) (in *namespace.Inode, negative, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := c.dirs[dir]
+	d := c.liveLocked(dir)
 	if d == nil {
-		c.misses.Inc()
-		return nil, false, false
-	}
-	if c.now().After(d.expires) {
-		// The grant that vouched for these entries ran out; drop them
-		// rather than serve data past the staleness bound.
-		c.dropLocked(dir, d)
 		c.misses.Inc()
 		return nil, false, false
 	}
@@ -134,6 +145,45 @@ func (c *ClientCache) Lookup(dir namespace.Ino, name string) (in *namespace.Inod
 	}
 	c.misses.Inc()
 	return nil, false, false
+}
+
+// Listing serves dir's complete listing from cache: every positive
+// entry, in the owner's key order (by name). ok is false — a miss — unless
+// a PutListing under a still-live lease made the directory complete and
+// nothing since cast doubt on it. The slice is shared with the cache and
+// with every other caller it was served to: it is read-only, and a warm
+// listing allocates nothing.
+func (c *ClientCache) Listing(dir namespace.Ino) (list []*namespace.Inode, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d := c.liveLocked(dir)
+	if d == nil || !d.complete {
+		c.misses.Inc()
+		return nil, false
+	}
+	if d.listing == nil {
+		// Never written once served: a patch since the last serve builds
+		// a fresh slice instead.
+		d.listing = make([]*namespace.Inode, 0, len(d.pos))
+		for _, in := range d.pos {
+			d.listing = append(d.listing, in)
+		}
+		slices.SortFunc(d.listing, func(a, b *namespace.Inode) int { return strings.Compare(a.Name, b.Name) })
+	}
+	c.hits.Inc()
+	return d.listing, true
+}
+
+// liveLocked returns dir's state while its lease is live. An expired one
+// is dropped: the grant that vouched for its entries ran out, and they
+// must not be served past the staleness bound.
+func (c *ClientCache) liveLocked(dir namespace.Ino) *dirState {
+	d := c.dirs[dir]
+	if d != nil && c.now().After(d.expires) {
+		c.dropLocked(dir, d)
+		return nil
+	}
+	return d
 }
 
 // Peek is Lookup without the hit/miss accounting, for bookkeeping
@@ -252,13 +302,22 @@ func (c *ClientCache) flushLocked(d *dirState) {
 	c.invalidations.Add(int64(len(d.pos) + len(d.neg)))
 	d.pos = make(map[string]*namespace.Inode)
 	d.neg = make(map[string]struct{})
+	d.complete, d.listing = false, nil
 }
 
 // current returns dir's state if it matches the grant's (ID, epoch)
-// and the lease is live — the admission check for every Put.
+// and the lease is live — the admission check for every Put. Data
+// refused because the directory already moved past its epoch under the
+// same ID lost a race to a later response: another goroutine's mutation
+// can adopt the next step before this one's patch lands, so a listing
+// held complete may lack the change the refused data carried, and stops
+// being complete.
 func (c *ClientCache) current(g Grant) *dirState {
 	d := c.dirs[g.Dir]
 	if d == nil || d.id != g.ID || d.epoch != g.Epoch || c.now().After(d.expires) {
+		if d != nil && d.id == g.ID && d.epoch > g.Epoch {
+			d.complete, d.listing = false, nil
+		}
 		return nil
 	}
 	return d
@@ -270,19 +329,31 @@ func (c *ClientCache) current(g Grant) *dirState {
 // The cache keeps the pointer it is given, so in is shared from then on
 // and nobody may write it. The entry is filed under name, not in.Name:
 // the resolve walk files each inode under the component it looked up,
-// including one fetched by ino behind a fake-inode redirect.
-func (c *ClientCache) Put(g Grant, name string, in *namespace.Inode) {
+// including one fetched by ino behind a fake-inode redirect. It reports
+// whether the entry was admitted.
+//
+// In a complete directory a new name joins the listing (the grant vouches
+// that it exists now), as does a listed name refreshed with the same ino
+// and type; a listed name that comes back as another ino or type (a
+// redirect target filed over its fake inode) ends completeness.
+func (c *ClientCache) Put(g Grant, name string, in *namespace.Inode) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d := c.current(g); d != nil {
+	d := c.current(g)
+	if d != nil {
 		c.addEntriesLocked(d.put(name, in))
 	}
+	return d != nil
 }
 
 // PutListing seeds a directory listing under the grant that rode it:
 // Put for every inode, each under its own name, with one lock, one
 // clock read and one admission check. An empty directory's map is sized
 // to the listing first, so the map grows once instead of entry by entry.
+// list must hold each name once, in the owner's key order, as a
+// MethodReaddir response does. When it accounts for every positive entry
+// the directory holds, the directory becomes complete and Listing serves
+// list itself — shared, so nobody may write list from then on.
 func (c *ClientCache) PutListing(g Grant, list []*namespace.Inode) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -298,33 +369,48 @@ func (c *ClientCache) PutListing(g Grant, list []*namespace.Inode) {
 		delta += d.put(in.Name, in)
 	}
 	c.addEntriesLocked(delta)
+	d.complete = len(d.pos) == len(list)
+	d.listing = nil
+	if d.complete {
+		d.listing = list
+	}
 }
 
 // put files in under name, replacing a negative, and returns how the
-// entry count moved.
+// entry count moved. It keeps a complete directory's listing in step.
 func (d *dirState) put(name string, in *namespace.Inode) (delta int) {
 	if _, ok := d.neg[name]; ok {
 		delete(d.neg, name)
 		delta--
 	}
-	if _, ok := d.pos[name]; !ok {
+	old, held := d.pos[name]
+	if !held {
 		delta++
+	}
+	if d.complete && old != in {
+		if held && (old.Ino != in.Ino || old.Type != in.Type) {
+			d.complete = false
+		}
+		d.listing = nil
 	}
 	d.pos[name] = in
 	return delta
 }
 
-// PutNegative caches "name is absent", under the same admission rule.
-func (c *ClientCache) PutNegative(g Grant, name string) {
+// PutNegative caches "name is absent", under the same admission rule,
+// and reports whether it was admitted. A complete directory stays
+// complete: the grant vouches that the name is gone now.
+func (c *ClientCache) PutNegative(g Grant, name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d := c.current(g)
 	if d == nil {
-		return
+		return false
 	}
 	delta := 0
 	if _, ok := d.pos[name]; ok {
 		delete(d.pos, name)
+		d.listing = nil
 		delta--
 	}
 	if _, ok := d.neg[name]; !ok {
@@ -332,9 +418,12 @@ func (c *ClientCache) PutNegative(g Grant, name string) {
 	}
 	d.neg[name] = struct{}{}
 	c.addEntriesLocked(delta)
+	return true
 }
 
-// DropEntry removes one name from dir's cache (both polarities).
+// DropEntry removes one name from dir's cache (both polarities). No grant
+// says what became of a dropped positive name, so its directory is no
+// longer complete.
 func (c *ClientCache) DropEntry(dir namespace.Ino, name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -345,6 +434,7 @@ func (c *ClientCache) DropEntry(dir namespace.Ino, name string) {
 	delta := 0
 	if _, ok := d.pos[name]; ok {
 		delete(d.pos, name)
+		d.complete, d.listing = false, nil
 		delta--
 	}
 	if _, ok := d.neg[name]; ok {

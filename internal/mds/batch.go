@@ -361,7 +361,7 @@ func (r *round) del(parent namespace.Ino, name string) {
 
 func (s *Store) liveDir(dir namespace.Ino) bool {
 	ref, ok := s.refOf(dir)
-	return ok && ref.isDir
+	return ok && ref.isDir()
 }
 
 // unlinkable decides whether op may unlink victim. A directory must be
@@ -551,7 +551,7 @@ round:
 				s.unindexLocked(op.gone.Ino, op.gone.Parent, op.gone.Name)
 			}
 			if op.hasIn {
-				s.byIno[op.in.Ino] = inoRef{parent: op.in.Parent, name: op.in.Name, isDir: op.in.IsDir()}
+				s.byIno[op.in.Ino] = inoRef{parent: op.in.Parent, name: op.in.Name, typ: op.in.Type}
 			}
 		}
 	}
@@ -665,7 +665,7 @@ func (s *Service) opError(op *batchOp) error {
 // admit gives a decoded op the service's verdict before it reaches the
 // store: every directory it writes under must be served by this shard,
 // and a create gets its inode built.
-func (s *Service) admit(op *batchOp, owns func(namespace.Ino) bool, now int64) {
+func (s *Service) admit(op *batchOp, now int64) {
 	op.now = now
 	dst := op.dstParent
 	if op.hasIn {
@@ -675,7 +675,7 @@ func (s *Service) admit(op *batchOp, owns func(namespace.Ino) bool, now int64) {
 		dst = 0 // a rename within one directory: check it once
 	}
 	for _, dir := range [2]namespace.Ino{op.parent, dst} {
-		if dir != 0 && !owns(dir) {
+		if dir != 0 && !s.ownsEntry(dir) {
 			op.err = CodedError(CodeNotOwner, "dir %d not on MDS %d", dir, s.ID)
 			return
 		}
@@ -746,23 +746,6 @@ func (s *Service) handleBatch(ctx context.Context, body []byte, resp *rpc.Wire) 
 	if len(subs) > 1 {
 		ops = make([]batchOp, len(subs))
 	}
-	// Ownership memo: a frame often repeats parents, and ownsEntry costs
-	// a store read — pay it once per distinct directory, not once per op.
-	var owned map[namespace.Ino]bool
-	owns := func(dir namespace.Ino) bool {
-		if len(ops) == 1 {
-			return s.ownsEntry(dir)
-		}
-		v, ok := owned[dir]
-		if !ok {
-			if owned == nil {
-				owned = make(map[namespace.Ino]bool)
-			}
-			v = s.ownsEntry(dir)
-			owned[dir] = v
-		}
-		return v
-	}
 	for i, sub := range subs {
 		if err := decodeBatchOp(sub, &ops[i]); err != nil {
 			ops[i].err = CodedError(CodeInvalid, "bad batch op: %v", err)
@@ -789,7 +772,7 @@ func (s *Service) handleBatch(ctx context.Context, body []byte, resp *rpc.Wire) 
 			op.replayed, op.payload = true, payload
 			continue
 		}
-		s.admit(op, owns, now)
+		s.admit(op, now)
 	}
 	s.store.applyBatchOps(ctx, ops)
 	s.opMu.RUnlock()

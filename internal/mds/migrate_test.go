@@ -455,3 +455,79 @@ func TestMigrateFreezeHoldsTheSubtreeOnly(t *testing.T) {
 		t.Errorf("freeze_ns holds %d samples after a commit, want 2", n)
 	}
 }
+
+// TestOwnershipFlipsAtCommitAndRmdir: ownsEntry answers from the ino
+// index, so the index must flip with the store — at a migration commit,
+// where the subtree root turns into a fake and everything below it goes,
+// at an rmdir, and across a reopen that rebuilds the index from disk.
+// At every step it must agree with the same question read from the store.
+func TestOwnershipFlipsAtCommitAndRmdir(t *testing.T) {
+	src, dst := twoServices(t)
+	d := mustCreate(t, src, namespace.RootIno, "proj", namespace.TypeDir)
+	sub := mustCreate(t, src, d.Ino, "sub", namespace.TypeDir)
+	f := mustCreate(t, src, sub.Ino, "f", namespace.TypeFile)
+	check := func(step string, s *Service, ino namespace.Ino, want bool) {
+		t.Helper()
+		if got := s.ownsEntry(ino); got != want {
+			t.Errorf("%s: MDS %d ownsEntry(%d) = %v, want %v", step, s.ID, ino, got, want)
+		}
+		if got := s.ownsStored(ino); got != want {
+			t.Errorf("%s: MDS %d ownsStored(%d) = %v, want %v", step, s.ID, ino, got, want)
+		}
+	}
+	for _, ino := range []namespace.Ino{namespace.RootIno, d.Ino, sub.Ino} {
+		check("before", src, ino, true)
+	}
+	check("before", dst, d.Ino, false)
+
+	var w rpc.Wire
+	w.U64(uint64(d.Ino)).U32(1)
+	if _, err := src.handleMigratePrepare(w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	check("prepared", src, d.Ino, true)
+	var cw rpc.Wire
+	cw.U64(uint64(d.Ino))
+	if _, err := src.handleMigrateCommit(cw.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	check("committed", src, d.Ino, false) // the fake redirect
+	check("committed", src, sub.Ino, false)
+	check("committed", src, namespace.RootIno, true)
+	check("committed", dst, d.Ino, true)
+	check("committed", dst, sub.Ino, true)
+
+	for _, rm := range []struct {
+		parent namespace.Ino
+		name   string
+	}{{sub.Ino, f.Name}, {d.Ino, sub.Name}} {
+		if res := applyOne(t, dst, EncodeBatchRemove(0, rm.parent, rm.name)); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	check("rmdir", dst, sub.Ino, false)
+	check("rmdir", dst, d.Ino, true)
+
+	// The index OpenStore rebuilds carries the fake's type too.
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 0, kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := &namespace.Inode{Ino: 77, Parent: namespace.RootIno, Name: "moved", Type: namespace.TypeDir}
+	commitRecord(t, st, nil, moved)
+	fake := *moved
+	fake.Type, fake.Size = namespace.TypeFake, 1
+	commitRecord(t, st, []*namespace.Inode{moved}, &fake)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenStore(dir, 0, kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s := NewService(0, st, nil)
+	check("reopened", s, moved.Ino, false)
+	check("reopened", s, namespace.RootIno, true)
+}

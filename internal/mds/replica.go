@@ -150,7 +150,7 @@ func (s *Store) bindingsAt(ops []byte, n int, dst []binding) ([]binding, error) 
 		var in namespace.Inode
 		if v, found, err = s.db.GetInto(key, vb[:0]); found {
 			if _, derr := namespace.DecodeInodeInto(&in, v); derr == nil {
-				ref := inoRef{parent: namespace.Ino(binary.BigEndian.Uint64(key)), name: string(key[8:]), isDir: in.IsDir()}
+				ref := inoRef{parent: namespace.Ino(binary.BigEndian.Uint64(key)), name: string(key[8:]), typ: in.Type}
 				dst = append(dst, binding{ino: in.Ino, ref: ref})
 			}
 		}

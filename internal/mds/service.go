@@ -469,10 +469,20 @@ func (s *Service) recordLookup(dir namespace.Ino) {
 }
 
 // ownsEntry reports whether this shard should serve entries under parent:
-// parent is a directory it authoritatively holds. A missing inode or a
+// parent is an inode it authoritatively holds. A missing inode or a
 // fake-inode left by a migration is not — the caller answers with a
-// not-owner redirect so the client refreshes its partition map.
+// not-owner redirect so the client refreshes its partition map. The
+// answer comes from the ino index, which every store write keeps in
+// step, so it costs no store read.
 func (s *Service) ownsEntry(parent namespace.Ino) bool {
+	ref, ok := s.store.refOf(parent)
+	return ok && ref.typ != namespace.TypeFake
+}
+
+// ownsStored is ownsEntry read from the store itself. The re-checks that
+// catch a migration committing mid-request use it: the commit's record
+// lands in the store before the index follows.
+func (s *Service) ownsStored(parent namespace.Ino) bool {
 	in, found, err := s.store.getattr(parent)
 	return err == nil && found && in.Type != namespace.TypeFake
 }
@@ -541,7 +551,7 @@ func (s *Service) handleResolvePath(ctx context.Context, body []byte, resp *rpc.
 	}
 	resp.PatchU32(count, chain)
 	if negative {
-		if !s.ownsEntry(cur) {
+		if !s.ownsStored(cur) {
 			// A migration committed mid-walk: the miss is the subtree
 			// leaving, not an answer.
 			return CodedError(CodeNotOwner, "dir %d not on MDS %d", cur, s.ID)
@@ -587,7 +597,7 @@ func (s *Service) handleReaddir(ctx context.Context, body []byte, resp *rpc.Wire
 	if err != nil {
 		return err
 	}
-	if n == 0 && !s.ownsEntry(ino) {
+	if n == 0 && !s.ownsStored(ino) {
 		// A migration committed between the ownership check and the
 		// scan: the directory is empty because it left.
 		return CodedError(CodeNotOwner, "dir %d not on MDS %d", ino, s.ID)

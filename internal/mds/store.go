@@ -89,8 +89,10 @@ const inoChunk = 64
 type inoRef struct {
 	parent namespace.Ino
 	name   string
-	isDir  bool
+	typ    namespace.FileType
 }
+
+func (r inoRef) isDir() bool { return r.typ == namespace.TypeDir }
 
 // inoRangeBits shifts the MDS id into the top bits of allocated inode
 // numbers so shards never collide.
@@ -129,7 +131,7 @@ func OpenStore(dir string, mdsID int, opts kvstore.Options) (*Store, error) {
 		if _, derr := namespace.DecodeInodeInto(&in, v); derr != nil {
 			return true
 		}
-		s.byIno[in.Ino] = inoRef{parent: parent, name: name, isDir: in.IsDir()}
+		s.byIno[in.Ino] = inoRef{parent: parent, name: name, typ: in.Type}
 		if u := uint64(in.Ino); u >= s.idBase && u >= s.nextIno.Load() {
 			s.nextIno.Store(u + 1)
 		}
@@ -463,7 +465,7 @@ func (s *Store) dirRows() []DumpRow {
 		return &rows[i]
 	}
 	for ino, ref := range s.byIno {
-		if ref.isDir {
+		if ref.isDir() {
 			r := slot(ino)
 			r.Ino, r.Parent = ino, ref.parent
 		} else {
@@ -492,7 +494,7 @@ func (s *Store) subtreeDirs(root namespace.Ino) (dirs map[namespace.Ino]bool, re
 	}
 	children := make(map[namespace.Ino][]namespace.Ino)
 	for ino, r := range s.byIno {
-		if r.isDir && ino != r.parent {
+		if r.isDir() && ino != r.parent {
 			children[r.parent] = append(children[r.parent], ino)
 		}
 	}
