@@ -45,15 +45,16 @@ chaos:
 	$(GO) test -race ./internal/scenario/...
 	$(GO) test -race -count=20 -run 'Dispatch|WorkerLimit|Close' ./internal/rpc/...
 
-# The full scenario library under its fixed seeds: every run must go
-# green, and same-seed reruns replay their event logs bit for bit.
+# The full scenario library (16 files, each a real in-process cluster)
+# under its fixed seeds: every run must go green (16/16), and same-seed
+# reruns replay their event logs bit for bit.
 sim:
 	$(GO) run ./cmd/origami-sim run -q scenarios/*.yaml
 
-# The fast subset for `make check`: the 1000-shard virtual-clock stress
-# run plus one real-cluster kill-the-primary scenario (~3s total).
+# The fast subset for `make check`: one real-cluster kill-the-primary
+# scenario under sync replication (~2s).
 sim-smoke:
-	$(GO) run ./cmd/origami-sim run -q scenarios/stress-1000.yaml scenarios/kill-primary-sync.yaml
+	$(GO) run ./cmd/origami-sim run -q scenarios/kill-primary-sync.yaml
 
 # Seconds-long live-cluster smoke of the online learning loop under the
 # race detector: skewed load → the self-training Origami balancer's
@@ -93,7 +94,9 @@ commit-smoke:
 # (put, delete, batch, flush, crash and reopen steps; Get and Scan agree
 # with the map after each), and the SDK's lease cache against a map model
 # of a directory (listing, patch, drop, observe, expiry and revocation
-# steps; every listing it serves is the owner's at the vouching epoch).
+# steps; every listing it serves is the owner's at the vouching epoch),
+# and the scenario-file decoder (never panics; a scenario it accepts is a
+# fixed point of Validate, and its timeline resolves without panicking).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchFrame$$' -fuzztime 3s ./internal/mds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatchResponse$$' -fuzztime 3s ./internal/mds
@@ -107,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 3s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreAgainstMap$$' -fuzztime 3s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzListingCoherence$$' -fuzztime 3s ./internal/lease
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 3s ./internal/scenario
 
 # bench/ is a module of its own, so `go build ./...` at the root cannot
 # see an API break there; this can.

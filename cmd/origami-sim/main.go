@@ -8,7 +8,6 @@
 //	origami-sim run scenarios/cascading-failover.yaml
 //	origami-sim run -seed 42 -report out.json scenarios/*.yaml
 //	origami-sim list scenarios
-//	origami-sim stress -fleet 1000 -chaos-rate 0.05 -duration 10m
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"origami/internal/scenario"
 	"origami/internal/telemetry"
@@ -38,8 +36,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "list":
 		err = cmdList(os.Args[2:])
-	case "stress":
-		err = cmdStress(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -58,7 +54,6 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   origami-sim run [-seed N] [-report file.json] [-q] <scenario.yaml>...
   origami-sim list [dir]
-  origami-sim stress -fleet N -chaos-rate R -duration D [-seed N] [-mode sync|async]
 `)
 }
 
@@ -144,52 +139,7 @@ func cmdList(args []string) error {
 			fmt.Printf("%-28s INVALID: %v\n", filepath.Base(path), err)
 			continue
 		}
-		kind := "cluster"
-		if sc.Stress != nil {
-			kind = fmt.Sprintf("stress %d", sc.Stress.Fleet)
-		}
-		fmt.Printf("%-28s %-12s %s\n", filepath.Base(path), kind, sc.Description)
-	}
-	return nil
-}
-
-func cmdStress(args []string) error {
-	fs := flag.NewFlagSet("stress", flag.ExitOnError)
-	fleet := fs.Int("fleet", 1000, "emulated shard count")
-	rate := fs.Float64("chaos-rate", 0.05, "fraction of the fleet killed per virtual minute")
-	dur := fs.Duration("duration", 10*time.Minute, "virtual run time")
-	tick := fs.Duration("tick", 100*time.Millisecond, "virtual tick")
-	seed := fs.Int64("seed", 1, "run seed")
-	mode := fs.String("mode", "sync", "replication mode: sync|async")
-	avail := fs.Float64("availability-min", 0.95, "required availability")
-	fs.Parse(args)
-
-	sc := &scenario.Scenario{
-		Name:        fmt.Sprintf("stress-%d", *fleet),
-		Description: "ad-hoc large-fleet stress run",
-		Seed:        *seed,
-		Stress: &scenario.StressSpec{
-			Fleet:     *fleet,
-			ChaosRate: *rate,
-			Duration:  *dur,
-			Tick:      *tick,
-			Mode:      *mode,
-		},
-		Assertions: []scenario.Assertion{
-			{Kind: scenario.AssertAvailMin, Value: *avail},
-			{Kind: scenario.AssertFailoversMin, Value: 1},
-		},
-	}
-	if *mode == "sync" {
-		sc.Assertions = append(sc.Assertions, scenario.Assertion{Kind: scenario.AssertNoAckedLoss})
-	}
-	res, err := scenario.Run(sc, scenario.Options{Log: os.Stdout})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Text())
-	if !res.Passed() {
-		return fmt.Errorf("stress assertions failed")
+		fmt.Printf("%-28s %s\n", filepath.Base(path), sc.Description)
 	}
 	return nil
 }

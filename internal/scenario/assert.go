@@ -12,43 +12,22 @@ import (
 
 // Assertion evaluation. Convergence assertions poll with a bounded wait
 // (their "within" is the deadline); everything else reads final state.
-// Loss assertions re-read every acknowledged create through a fresh
+// The loss assertion re-reads every acknowledged create through a fresh
 // SDK client — cold cache, fresh map — which is the only honest way to
 // ask "did the cluster keep what it promised".
 
 func evaluateAssertions(sc *Scenario, res *RunResult, cl *server.Cluster, co *server.Coordinator, drv *driver) {
-	var lost, lossChecked = 0, false
-	countLost := func() int {
-		if lossChecked {
-			return lost
-		}
-		lossChecked = true
-		lost = countMissing(cl, drv.ackedPaths())
-		res.Workload.Lost = lost
-		return lost
-	}
-
 	for _, a := range sc.Assertions {
 		r := AssertionResult{Kind: a.Kind}
 		switch a.Kind {
-		case AssertNoAckedLoss:
-			n := countLost()
-			r.Passed = n == 0
-			r.Detail = fmt.Sprintf("%d of %d acked creates lost", n, res.Workload.Acked)
-		case AssertBoundedLoss:
-			n := countLost()
-			r.Passed = float64(n) <= a.Value
-			r.Detail = fmt.Sprintf("%d acked creates lost (bound %s)", n, trimFloat(a.Value))
 		case AssertLossWindow:
 			// The per-mode durability claim, checked against the budget the
 			// fleet's own config promises rather than a hand-picked number.
-			n := countLost()
+			n := countMissing(cl, drv.ackedPaths())
+			res.Workload.Lost = n
 			bound := lossWindowBound(sc)
-			if a.Value > 0 {
-				bound = int(a.Value)
-			}
 			r.Passed = n <= bound
-			r.Detail = fmt.Sprintf("%d acked creates lost (commit-mode %s budget %d)", n, commitModeName(sc), bound)
+			r.Detail = fmt.Sprintf("%d acked creates lost (commit-mode %s, replication %s: budget %d)", n, commitModeName(sc), sc.Fleet.Replication, bound)
 		case AssertOpsMin:
 			r.Passed = float64(res.Workload.Ops) >= a.Value
 			r.Detail = fmt.Sprintf("%d ops completed (want >= %s)", res.Workload.Ops, trimFloat(a.Value))
@@ -92,13 +71,6 @@ func evaluateAssertions(sc *Scenario, res *RunResult, cl *server.Cluster, co *se
 			}
 			r.Passed = res.Workload.Ops > 0 && per <= a.Value
 			r.Detail = fmt.Sprintf("%.4f RPCs per op over %d ops (ceiling %s)", per, res.Workload.Ops, trimFloat(a.Value))
-		case AssertAvailMin:
-			avail := 1.0
-			if res.Workload.Attempted > 0 {
-				avail = float64(res.Workload.Ops) / float64(res.Workload.Attempted)
-			}
-			r.Passed = avail >= a.Value
-			r.Detail = fmt.Sprintf("availability %.4f (want >= %s)", avail, trimFloat(a.Value))
 		}
 		res.Assertions = append(res.Assertions, r)
 	}
@@ -201,7 +173,7 @@ func replConverged(cl *server.Cluster) bool {
 }
 
 // countMissing stats every acknowledged path through a fresh client and
-// returns how many are gone. Exported to the ported chaos tests via
+// returns how many are gone. The ported chaos tests read it as
 // RunResult.Workload.Lost.
 func countMissing(cl *server.Cluster, acked []string) int {
 	sdk, err := client.Dial(client.Config{

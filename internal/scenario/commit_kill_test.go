@@ -41,9 +41,8 @@ func TestChaosAsyncCommitKill(t *testing.T) {
 
 // TestChaosSyncCommitLossWindow pins the other side of the per-mode
 // claim: the same kill under the sync policies must lose nothing acked.
-// kill-primary-sync already asserts no-acked-loss; this checks that the
-// computed loss-window budget agrees (it must be exactly zero for a
-// sync-replication fleet, so the assertion kinds cannot drift apart).
+// kill-primary-sync asserts loss-window; this checks that the budget it
+// computes is exactly zero for a sync-replication fleet.
 func TestChaosSyncCommitLossWindow(t *testing.T) {
 	sc, err := ParseFile(filepath.Join("..", "..", "scenarios", "kill-primary-sync.yaml"))
 	if err != nil {
@@ -54,5 +53,63 @@ func TestChaosSyncCommitLossWindow(t *testing.T) {
 	}
 	if got := commitModeName(sc); got != "sync-repl" {
 		t.Errorf("effective commit mode %q, want sync-repl", got)
+	}
+}
+
+// TestLibraryLossWindowBounds pins the budget loss-window computes for
+// every library scenario, and which of them assert it. The assertion
+// takes no hand-written bound, so this table is where a scenario's
+// promise is written down: a fleet-config edit that loosens a budget
+// fails here.
+func TestLibraryLossWindowBounds(t *testing.T) {
+	want := map[string]struct {
+		bound   int
+		asserts bool
+	}{
+		"async-commit-kill.yaml":      {64 + 2048 + 256, true}, // commit window + backlog + ship window
+		"backup-promotion-chain.yaml": {0, true},
+		"cascading-failover.yaml":     {0, true},
+		"flash-crowd-hot-dir.yaml":    {0, false},
+		"kill-owner-warm-cache.yaml":  {0, true},
+		"kill-primary-async.yaml":     {2048 + 256, true}, // backlog + ship window
+		"kill-primary-sync.yaml":      {0, true},
+		"migration-storm-churn.yaml":  {0, false},
+		"packet-drop-degraded.yaml":   {0, false},
+		"partition-latency.yaml":      {0, false},
+		"partition-stale-map.yaml":    {0, false},
+		"read-flash-crowd.yaml":       {0, true},
+		"retrain-under-kill.yaml":     {0, false},
+		"slow-disk-tail.yaml":         {0, false},
+		"stat-storm-warm-cache.yaml":  {0, false},
+		"trace-replay-churn.yaml":     {0, false},
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("library has %d scenarios, table has %d", len(files), len(want))
+	}
+	for _, file := range files {
+		name := filepath.Base(file)
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: not in the table", name)
+			continue
+		}
+		sc, err := ParseFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lossWindowBound(sc); got != w.bound {
+			t.Errorf("%s: loss-window budget %d, want %d", name, got, w.bound)
+		}
+		asserts := false
+		for _, a := range sc.Assertions {
+			asserts = asserts || a.Kind == AssertLossWindow
+		}
+		if asserts != w.asserts {
+			t.Errorf("%s: asserts loss-window = %v, want %v", name, asserts, w.asserts)
+		}
 	}
 }

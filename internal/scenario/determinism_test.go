@@ -74,59 +74,3 @@ func TestScheduleLinesStable(t *testing.T) {
 		t.Errorf("first event log line = %q, want %q", a[0], want)
 	}
 }
-
-// TestStressRunDeterministic runs the virtual-clock emulator twice with
-// the same seed and demands an identical run: event log, workload
-// numbers, assertion verdicts. This is the stress half of the
-// "bit-identical replay" acceptance criterion, cheap enough for every
-// `go test`.
-func TestStressRunDeterministic(t *testing.T) {
-	run := func() *RunResult {
-		sc, err := ParseFile(filepath.Join("testdata", "stress.yaml"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(sc, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a.EventLog, b.EventLog) {
-		t.Fatalf("same seed produced different stress event logs (%d vs %d lines)",
-			len(a.EventLog), len(b.EventLog))
-	}
-	if len(a.EventLog) == 0 {
-		t.Fatal("10%/min chaos over a virtual minute produced no events")
-	}
-	if a.Workload != b.Workload {
-		t.Errorf("same seed produced different workload stats:\n%+v\n%+v", a.Workload, b.Workload)
-	}
-	if !reflect.DeepEqual(a.Assertions, b.Assertions) {
-		t.Errorf("same seed produced different verdicts:\n%v\n%v", a.Assertions, b.Assertions)
-	}
-	if a.Failovers == 0 {
-		t.Error("stress run recorded no failovers")
-	}
-}
-
-// TestStressSeedChangesRun guards against the emulator quietly ignoring
-// its seed (a constant run would pass the determinism test trivially).
-func TestStressSeedChangesRun(t *testing.T) {
-	sc, err := ParseFile(filepath.Join("testdata", "stress.yaml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Run(sc, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(sc, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.EventLog, b.EventLog) {
-		t.Error("seeds 1 and 2 produced identical stress event logs")
-	}
-}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -25,7 +26,7 @@ func Parse(src string) (*Scenario, error) {
 	}
 	d := &decoder{}
 	sc := &Scenario{}
-	d.strict(m, "name", "description", "seed", "duration", "fleet", "workload", "events", "assertions", "stress")
+	d.strict(m, "name", "description", "seed", "duration", "fleet", "workload", "events", "assertions")
 	sc.Name = d.str(m, "name")
 	sc.Description = d.str(m, "description")
 	sc.Seed = d.i64(m, "seed")
@@ -90,18 +91,6 @@ func Parse(src string) (*Scenario, error) {
 			Dur:    d.dur(am, "dur"),
 			Within: d.dur(am, "within"),
 		})
-	}
-	if sm := d.child(m, "stress"); sm != nil {
-		d.strict(sm, "fleet", "chaos-rate", "duration", "tick", "mode", "ops-per-tick", "skew")
-		sc.Stress = &StressSpec{
-			Fleet:      d.num(sm, "fleet"),
-			ChaosRate:  d.f64(sm, "chaos-rate"),
-			Duration:   d.dur(sm, "duration"),
-			Tick:       d.dur(sm, "tick"),
-			Mode:       d.str(sm, "mode"),
-			OpsPerTick: d.num(sm, "ops-per-tick"),
-			Skew:       d.f64(sm, "skew"),
-		}
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -200,7 +189,7 @@ func (d *decoder) f64(m *yMap, key string) float64 {
 		return 0
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 		d.fail(line, "%s: bad number %q", key, v)
 		return 0
 	}

@@ -1,20 +1,25 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// TestGoldenRoundTrip pins the parser and encoder against golden files:
-// Parse(file) -> Encode must match the .golden byte for byte, re-parsing
-// that output must yield the same scenario, and Encode must be a fixed
-// point of the round trip.
+// TestGoldenRoundTrip pins the parser against golden files: the parsed
+// scenario, defaults applied, marshalled as JSON must match the .golden
+// byte for byte — every field the decoder fills and every default
+// Validate applies. Validating the parsed scenario again must change
+// nothing.
 func TestGoldenRoundTrip(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.yaml"))
 	if err != nil || len(files) == 0 {
@@ -26,10 +31,14 @@ func TestGoldenRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc := sc.Encode()
+			got, err := json.MarshalIndent(sc, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
 			golden := strings.TrimSuffix(file, ".yaml") + ".golden"
 			if *update {
-				if err := os.WriteFile(golden, []byte(enc), 0o644); err != nil {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -37,22 +46,30 @@ func TestGoldenRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run with -update to regenerate)", err)
 			}
-			if enc != string(want) {
-				t.Errorf("Encode drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, enc, want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("parsed scenario drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 			}
 
-			sc2, err := Parse(enc)
-			if err != nil {
-				t.Fatalf("re-parse of Encode output: %v", err)
-			}
-			if !reflect.DeepEqual(sc, sc2) {
-				t.Errorf("round trip changed the scenario:\nfirst:  %+v\nsecond: %+v", sc, sc2)
-			}
-			if enc2 := sc2.Encode(); enc2 != enc {
-				t.Errorf("Encode is not a fixed point:\nfirst:\n%s\nsecond:\n%s", enc, enc2)
+			if err := revalidate(sc); err != nil {
+				t.Error(err)
 			}
 		})
 	}
+}
+
+// revalidate runs Validate on a deep copy of an accepted scenario and
+// reports whether it was refused or changed: defaults apply once.
+func revalidate(sc *Scenario) error {
+	again := *sc
+	again.Events = append([]Event(nil), sc.Events...)
+	again.Assertions = append([]Assertion(nil), sc.Assertions...)
+	if err := again.Validate(); err != nil {
+		return fmt.Errorf("second Validate refused an accepted scenario: %v", err)
+	}
+	if !reflect.DeepEqual(sc, &again) {
+		return fmt.Errorf("second Validate changed the scenario:\nfirst:  %+v\nsecond: %+v", sc, &again)
+	}
+	return nil
 }
 
 // TestEverythingCoversVocabulary fails when a new event action or
@@ -114,21 +131,20 @@ func TestParseRejects(t *testing.T) {
 		{"unknown action", mutate("assertions:", "events:\n  - at: 1ms\n    action: explode\nassertions:"), `unknown action "explode"`},
 		{"unknown assertion", mutate("kind: ops-min", "kind: ops-max"), `unknown assertion "ops-max"`},
 		{"event past duration", mutate("assertions:", "events:\n  - at: 2s\n    action: heal\nassertions:"), "outside the 1s run"},
+		{"jitter overflows the run", mutate("duration: 1s", "duration: 2562047h") + "events:\n  - at: 2562047h\n    jitter: 2562047h\n    action: heal\n", "outside the"},
+		{"non-finite number", mutate("value: 1", "value: NaN"), `bad number "NaN"`},
 		{"bad mds target", mutate("assertions:", "events:\n  - at: 1ms\n    action: kill\n    target: mds-7\nassertions:"), "no such MDS"},
 		{"duplicate partition node", mutate("assertions:", "events:\n  - at: 1ms\n    action: partition\n    groups: \"0,1|1,2\"\nassertions:"), "node 1 appears twice"},
 		{"single partition group", mutate("assertions:", "events:\n  - at: 1ms\n    action: partition\n    groups: \"0,1,2\"\nassertions:"), ">= 2 groups"},
 		{"no assertions", strings.Replace(minimalScenario, "assertions:\n  - kind: ops-min\n    value: 1\n", "", 1), "no assertions"},
-		{"loss without mix", mutate("kind: mix", "kind: none") + "  - kind: no-acked-loss\n", "needs the mix workload"},
+		{"loss without mix", mutate("kind: mix", "kind: none") + "  - kind: loss-window\n", "needs the mix workload"},
+		{"loss-window with value", minimalScenario + "  - kind: loss-window\n    value: 10\n", "loss-window takes no value"},
 		{"p95 without dur", mutate("kind: ops-min\n    value: 1", "kind: p95-le"), "needs a duration"},
 		{"convergence without within", mutate("kind: ops-min\n    value: 1", "kind: map-converged"), "needs within"},
 		{"bad replication mode", mutate("mds: 3", "mds: 3\n  replication: paxos"), `replication "paxos"`},
-		{"stress with events", "name: t\nseed: 1\nstress:\n  fleet: 10\n  chaos-rate: 0.1\n  duration: 1m\nevents:\n  - at: 1ms\n    action: heal\nassertions:\n  - kind: ops-min\n    value: 1\n", "chaos-rate, not events"},
-		{"stress-only assertion outside stress", mutate("kind: ops-min\n    value: 1", "kind: map-converged\n    within: 5s") + "", ""},
+		{"stress block", mutate("seed: 1", "seed: 1\nstress:\n  fleet: 10"), `unknown key "stress"`},
 	}
 	for _, tc := range cases {
-		if tc.wantErr == "" {
-			continue // placeholder rows document allowed forms
-		}
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse(tc.src)
 			if err == nil {
@@ -138,6 +154,34 @@ func TestParseRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestValidateAppliesDefaultsOnce pins Validate as a fixed point on the
+// workload defaults: "pre-files: -1" (none) must survive Run's second
+// Validate instead of turning into the default 50, and a stat workload
+// with nothing to stat is refused up front — Run must return the error
+// rather than start workers that draw from an empty target set.
+func TestValidateAppliesDefaultsOnce(t *testing.T) {
+	sc, err := Parse(mutate("kind: mix", "kind: mix\n  pre-files: -1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := revalidate(sc); err != nil {
+		t.Error(err)
+	}
+	if n := sc.Workload.PreFiles; n > 0 {
+		t.Errorf("pre-files: -1 validated to %d pre-created files, want none", n)
+	}
+
+	stat := &Scenario{
+		Name: "stat-nothing", Duration: time.Second,
+		Fleet:      FleetSpec{MDS: 1},
+		Workload:   WorkloadSpec{Kind: "stat", PreFiles: -1},
+		Assertions: []Assertion{{Kind: AssertOpsMin, Value: 1}},
+	}
+	if _, err := Run(stat, Options{}); err == nil || !strings.Contains(err.Error(), "pre-files") {
+		t.Fatalf("Run of a stat workload with no pre-files: err %v, want a validation error", err)
 	}
 }
 

@@ -27,8 +27,7 @@ type Options struct {
 	Log io.Writer
 	// Inspect, when non-nil, runs after the assertions with the cluster
 	// still up. The ported chaos tests use it for checks the assertion
-	// vocabulary does not cover (shipper topology, role strings). Ignored
-	// by stress runs, which have no real cluster.
+	// vocabulary does not cover (shipper topology, role strings).
 	Inspect func(cl *server.Cluster, co *server.Coordinator)
 }
 
@@ -102,7 +101,7 @@ type WorkloadStats struct {
 	Ops       int64         `json:"ops"`
 	Errors    int64         `json:"errors"`
 	Acked     int           `json:"acked_creates"`
-	Lost      int           `json:"acked_lost"` // filled by loss assertions
+	Lost      int           `json:"acked_lost"` // filled by the loss-window assertion
 	P50       time.Duration `json:"p50_ns"`
 	P95       time.Duration `json:"p95_ns"`
 	P99       time.Duration `json:"p99_ns"`
@@ -113,7 +112,6 @@ type WorkloadStats struct {
 type RunResult struct {
 	Name       string            `json:"name"`
 	Seed       int64             `json:"seed"`
-	Stress     bool              `json:"stress"`
 	EventLog   []string          `json:"event_log"`
 	Workload   WorkloadStats     `json:"workload"`
 	Failovers  int64             `json:"failovers"`
@@ -169,13 +167,6 @@ func Run(sc *Scenario, opts Options) (*RunResult, error) {
 			fmt.Fprintf(opts.Log, format+"\n", args...)
 		}
 	}
-	if sc.Stress != nil {
-		return runStress(sc, seed, logf)
-	}
-	return runCluster(sc, seed, opts, logf)
-}
-
-func runCluster(sc *Scenario, seed int64, opts Options, logf func(string, ...interface{})) (*RunResult, error) {
 	start := time.Now()
 	baseDir := opts.BaseDir
 	if baseDir == "" {

@@ -32,7 +32,7 @@ events:
 assertions:
   - kind: ops-min
     value: 20
-  - kind: no-acked-loss
+  - kind: loss-window
   - kind: map-converged
     within: 5s
 `

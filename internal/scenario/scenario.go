@@ -2,8 +2,8 @@
 // files (a small YAML subset), runs them end-to-end against real
 // in-process clusters — fleet template, workload, fault timeline,
 // machine-checkable assertions — and replays bit-identically under a
-// fixed seed. A stress mode emulates 1000-shard fleets on a virtual
-// clock without real sockets. cmd/origami-sim is the CLI front end;
+// fixed seed. Every run drives the real product over loopback TCP; there
+// is no emulated fleet. cmd/origami-sim is the CLI front end;
 // the repo's chaos tests are thin wrappers over library scenarios, so
 // the CLI, the tests, and ad-hoc experiments share one harness.
 package scenario
@@ -30,10 +30,6 @@ type Scenario struct {
 	Workload   WorkloadSpec
 	Events     []Event
 	Assertions []Assertion
-
-	// Stress, when non-nil, switches the run to the virtual-clock
-	// large-fleet emulator; Fleet and Workload are ignored.
-	Stress *StressSpec
 }
 
 // FleetSpec is the cluster template.
@@ -78,7 +74,8 @@ type WorkloadSpec struct {
 	// WritePct is the mix driver's create share in percent (default 30).
 	WritePct int
 	// PreFiles pre-creates this many files before the timeline starts so
-	// read-heavy mixes have something to stat (default 50).
+	// read-heavy mixes have something to stat (0 = default 50; negative
+	// = none, which a stat workload rejects).
 	PreFiles int
 	// Root is the namespace directory the workload lives under
 	// (default "sim").
@@ -148,41 +145,18 @@ type Assertion struct {
 
 // Assertion kinds.
 const (
-	AssertNoAckedLoss   = "no-acked-loss"    // every acked create readable post-run (sync-mode invariant)
-	AssertBoundedLoss   = "bounded-loss"     // acked-but-lost creates <= Value (async bound)
-	AssertLossWindow    = "loss-window"      // acked-but-lost creates <= the fleet's durability budget (commit window + unshipped tail); Value > 0 overrides the computed bound
-	AssertOpsMin        = "ops-min"          // completed ops >= Value
-	AssertErrorsMax     = "errors-max"       // workload errors <= Value
-	AssertErrRateLE     = "err-rate-le"      // errors/attempts <= Value (0..1)
-	AssertFailoversMin  = "failovers-min"    // coordinator failovers >= Value
-	AssertFailoversMax  = "failovers-max"    // coordinator failovers <= Value
-	AssertMigrationsMin = "migrations-min"   // applied migrations >= Value
-	AssertMapConverged  = "map-converged"    // every live MDS reaches the coordinator map version within Within
-	AssertReplConverged = "repl-converged"   // every live shipper drains (Lag == 0) within Within
-	AssertP95LE         = "p95-le"           // workload p95 latency <= Dur
-	AssertAvailMin      = "availability-min" // acked/attempted >= Value (0..1; stress mode)
-	AssertRPCPerOp      = "rpc-per-op"       // workload RPC frames per completed op <= Value (warm-cache bound)
+	AssertLossWindow    = "loss-window"    // acked-but-lost creates <= the fleet's durability budget (0 for sync modes; commit window + unshipped tail for async); takes no value
+	AssertOpsMin        = "ops-min"        // completed ops >= Value
+	AssertErrorsMax     = "errors-max"     // workload errors <= Value
+	AssertErrRateLE     = "err-rate-le"    // errors/attempts <= Value (0..1)
+	AssertFailoversMin  = "failovers-min"  // coordinator failovers >= Value
+	AssertFailoversMax  = "failovers-max"  // coordinator failovers <= Value
+	AssertMigrationsMin = "migrations-min" // applied migrations >= Value
+	AssertMapConverged  = "map-converged"  // every live MDS reaches the coordinator map version within Within
+	AssertReplConverged = "repl-converged" // every live shipper drains (Lag == 0) within Within
+	AssertP95LE         = "p95-le"         // workload p95 latency <= Dur
+	AssertRPCPerOp      = "rpc-per-op"     // workload RPC frames per completed op <= Value (warm-cache bound)
 )
-
-// StressSpec configures the virtual-clock large-fleet emulator.
-type StressSpec struct {
-	// Fleet is the emulated shard count (e.g. 1000).
-	Fleet int
-	// ChaosRate is the fraction of the fleet killed per virtual minute
-	// (0.05 = 5%/min).
-	ChaosRate float64
-	// Duration is virtual run time; Tick the virtual step (default
-	// 100ms).
-	Duration time.Duration
-	Tick     time.Duration
-	// Mode: "sync" (default; failover loses nothing acked) or "async"
-	// (failover loses up to Window acked writes).
-	Mode string
-	// OpsPerTick is offered load per tick across the fleet (default
-	// 1000); Skew its Zipf exponent (default 1.1).
-	OpsPerTick int
-	Skew       float64
-}
 
 // knownActions / knownAsserts index the vocabulary for validation.
 var knownActions = map[string]bool{
@@ -193,11 +167,10 @@ var knownActions = map[string]bool{
 }
 
 var knownAsserts = map[string]bool{
-	AssertNoAckedLoss: true, AssertBoundedLoss: true, AssertLossWindow: true, AssertOpsMin: true,
-	AssertErrorsMax: true, AssertErrRateLE: true, AssertFailoversMin: true,
-	AssertFailoversMax: true, AssertMigrationsMin: true,
-	AssertMapConverged: true, AssertReplConverged: true, AssertP95LE: true,
-	AssertAvailMin: true, AssertRPCPerOp: true,
+	AssertLossWindow: true, AssertOpsMin: true, AssertErrorsMax: true,
+	AssertErrRateLE: true, AssertFailoversMin: true, AssertFailoversMax: true,
+	AssertMigrationsMin: true, AssertMapConverged: true,
+	AssertReplConverged: true, AssertP95LE: true, AssertRPCPerOp: true,
 }
 
 func (f *FleetSpec) withDefaults() {
@@ -216,9 +189,7 @@ func (w *WorkloadSpec) withDefaults() {
 	if w.WritePct <= 0 {
 		w.WritePct = 30
 	}
-	if w.PreFiles < 0 {
-		w.PreFiles = 0
-	} else if w.PreFiles == 0 {
+	if w.PreFiles == 0 {
 		w.PreFiles = 50
 	}
 	if w.Root == "" {
@@ -229,24 +200,9 @@ func (w *WorkloadSpec) withDefaults() {
 	}
 }
 
-func (s *StressSpec) withDefaults() {
-	if s.Tick <= 0 {
-		s.Tick = 100 * time.Millisecond
-	}
-	if s.Mode == "" {
-		s.Mode = "sync"
-	}
-	if s.OpsPerTick <= 0 {
-		s.OpsPerTick = 1000
-	}
-	if s.Skew <= 0 {
-		s.Skew = 1.1
-	}
-}
-
 // Validate checks the scenario's internal consistency, applying
-// defaults in place. Parse calls it; programmatically built scenarios
-// should call it before Run.
+// defaults in place. Parse calls it, and so does Run; a scenario it
+// accepts is a fixed point, so validating twice changes nothing.
 func (sc *Scenario) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("scenario: missing name")
@@ -254,41 +210,6 @@ func (sc *Scenario) Validate() error {
 	if sc.Seed == 0 {
 		sc.Seed = 1
 	}
-	if sc.Stress != nil {
-		sc.Stress.withDefaults()
-		st := sc.Stress
-		if st.Fleet < 3 {
-			return fmt.Errorf("scenario %s: stress fleet %d (need >= 3)", sc.Name, st.Fleet)
-		}
-		if st.ChaosRate < 0 || st.ChaosRate > 1 {
-			return fmt.Errorf("scenario %s: chaos-rate %v out of [0,1]", sc.Name, st.ChaosRate)
-		}
-		if st.Duration <= 0 {
-			return fmt.Errorf("scenario %s: stress needs a duration", sc.Name)
-		}
-		if st.Mode != "sync" && st.Mode != "async" {
-			return fmt.Errorf("scenario %s: stress mode %q (want sync|async)", sc.Name, st.Mode)
-		}
-		stressKinds := map[string]bool{
-			AssertAvailMin: true, AssertNoAckedLoss: true,
-			AssertBoundedLoss: true, AssertFailoversMin: true,
-			AssertFailoversMax: true, AssertOpsMin: true,
-			AssertErrorsMax: true, AssertErrRateLE: true,
-		}
-		for _, a := range sc.Assertions {
-			if err := a.validate(sc.Name); err != nil {
-				return err
-			}
-			if !stressKinds[a.Kind] {
-				return fmt.Errorf("scenario %s: assertion %s not applicable in stress mode", sc.Name, a.Kind)
-			}
-		}
-		if len(sc.Events) > 0 {
-			return fmt.Errorf("scenario %s: stress scenarios use chaos-rate, not events", sc.Name)
-		}
-		return nil
-	}
-
 	sc.Fleet.withDefaults()
 	sc.Workload.withDefaults()
 	f := &sc.Fleet
@@ -325,6 +246,9 @@ func (sc *Scenario) Validate() error {
 	default:
 		return fmt.Errorf("scenario %s: workload kind %q", sc.Name, sc.Workload.Kind)
 	}
+	if sc.Workload.Kind == "stat" && sc.Workload.PreFiles < 0 {
+		return fmt.Errorf("scenario %s: a stat workload needs pre-files to stat", sc.Name)
+	}
 	if sc.Workload.Pin != "" {
 		if _, err := parseMDSTarget(sc.Workload.Pin, f.MDS); err != nil {
 			return fmt.Errorf("scenario %s: workload pin: %v", sc.Name, err)
@@ -345,7 +269,7 @@ func (sc *Scenario) Validate() error {
 		if err := a.validate(sc.Name); err != nil {
 			return err
 		}
-		if (a.Kind == AssertNoAckedLoss || a.Kind == AssertBoundedLoss || a.Kind == AssertLossWindow) && sc.Workload.Kind != "mix" {
+		if a.Kind == AssertLossWindow && sc.Workload.Kind != "mix" {
 			return fmt.Errorf("scenario %s: %s needs the mix workload (it tracks acked creates)", sc.Name, a.Kind)
 		}
 	}
@@ -357,7 +281,7 @@ func (e *Event) validate(sc *Scenario, i int) error {
 	if !knownActions[e.Action] {
 		return fmt.Errorf("scenario %s: event %d: unknown action %q", sc.Name, i, e.Action)
 	}
-	if e.At < 0 || e.At+e.Jitter > sc.Duration {
+	if e.At < 0 || e.Jitter < 0 || e.At > sc.Duration || e.Jitter > sc.Duration-e.At {
 		return fmt.Errorf("%s: fires at %v+%v, outside the %v run", where, e.At, e.Jitter, sc.Duration)
 	}
 	needMDS := func() error {
@@ -429,7 +353,11 @@ func (a Assertion) validate(name string) error {
 		if a.Dur <= 0 {
 			return fmt.Errorf("scenario %s: p95-le needs a duration value", name)
 		}
-	case AssertErrRateLE, AssertAvailMin:
+	case AssertLossWindow:
+		if a.Value != 0 {
+			return fmt.Errorf("scenario %s: loss-window takes no value (its bound is the fleet's own durability budget)", name)
+		}
+	case AssertErrRateLE:
 		if a.Value < 0 || a.Value > 1 {
 			return fmt.Errorf("scenario %s: %s value %v out of [0,1]", name, a.Kind, a.Value)
 		}
@@ -523,126 +451,7 @@ func atoiStrict(s string) (int, error) {
 	return n, nil
 }
 
-// Encode renders the scenario back to canonical scenario YAML: fixed key
-// order, canonical duration strings, defaults omitted only when the zero
-// value. Parse(Encode(sc)) round-trips, which the golden-file tests pin.
-func (sc *Scenario) Encode() string {
-	var b strings.Builder
-	w := func(format string, args ...interface{}) { fmt.Fprintf(&b, format+"\n", args...) }
-	w("name: %s", sc.Name)
-	if sc.Description != "" {
-		w("description: %q", sc.Description)
-	}
-	w("seed: %d", sc.Seed)
-	if sc.Stress == nil {
-		w("duration: %s", sc.Duration)
-		w("fleet:")
-		w("  mds: %d", sc.Fleet.MDS)
-		w("  replication: %s", sc.Fleet.Replication)
-		if sc.Fleet.Heartbeat > 0 {
-			w("  heartbeat: %s", sc.Fleet.Heartbeat)
-		}
-		if sc.Fleet.BalanceEvery > 0 {
-			w("  balance-every: %s", sc.Fleet.BalanceEvery)
-		}
-		if sc.Fleet.CallTimeout > 0 {
-			w("  call-timeout: %s", sc.Fleet.CallTimeout)
-		}
-		if sc.Fleet.Backlog > 0 {
-			w("  backlog: %d", sc.Fleet.Backlog)
-		}
-		if sc.Fleet.Window > 0 {
-			w("  window: %d", sc.Fleet.Window)
-		}
-		if sc.Fleet.CommitMode != "" {
-			w("  commit-mode: %s", sc.Fleet.CommitMode)
-		}
-		if sc.Fleet.CommitWindow > 0 {
-			w("  commit-window: %d", sc.Fleet.CommitWindow)
-		}
-		w("workload:")
-		w("  kind: %s", sc.Workload.Kind)
-		w("  workers: %d", sc.Workload.Workers)
-		if sc.Workload.Kind == "mix" || sc.Workload.Kind == "stat" {
-			w("  write-pct: %d", sc.Workload.WritePct)
-			w("  pre-files: %d", sc.Workload.PreFiles)
-		}
-		if sc.Workload.Kind != "none" {
-			w("  root: %s", sc.Workload.Root)
-		}
-		if sc.Workload.Pin != "" {
-			w("  pin: %s", sc.Workload.Pin)
-		}
-		if strings.HasPrefix(sc.Workload.Kind, "trace-") {
-			w("  ops: %d", sc.Workload.Ops)
-		}
-		if sc.Workload.Batch > 0 {
-			w("  batch: %d", sc.Workload.Batch)
-		}
-	}
-	if len(sc.Events) > 0 {
-		w("events:")
-		for _, e := range sc.Events {
-			w("  - at: %s", e.At)
-			if e.Jitter > 0 {
-				w("    jitter: %s", e.Jitter)
-			}
-			w("    action: %s", e.Action)
-			if e.Target != "" {
-				w("    target: %s", e.Target)
-			}
-			if e.Groups != "" {
-				w("    groups: %q", e.Groups)
-			}
-			if e.Pct > 0 {
-				w("    pct: %s", trimFloat(e.Pct))
-			}
-			if e.Delay > 0 {
-				w("    delay: %s", e.Delay)
-			}
-			if e.Path != "" {
-				w("    path: %s", e.Path)
-			}
-			if e.For > 0 {
-				w("    for: %s", e.For)
-			}
-			if e.Count > 0 {
-				w("    count: %d", e.Count)
-			}
-		}
-	}
-	if len(sc.Assertions) > 0 {
-		w("assertions:")
-		for _, a := range sc.Assertions {
-			w("  - kind: %s", a.Kind)
-			if a.Value > 0 {
-				w("    value: %s", trimFloat(a.Value))
-			}
-			if a.Dur > 0 {
-				w("    dur: %s", a.Dur)
-			}
-			if a.Within > 0 {
-				w("    within: %s", a.Within)
-			}
-		}
-	}
-	if st := sc.Stress; st != nil {
-		w("stress:")
-		w("  fleet: %d", st.Fleet)
-		w("  chaos-rate: %s", trimFloat(st.ChaosRate))
-		w("  duration: %s", st.Duration)
-		w("  tick: %s", st.Tick)
-		w("  mode: %s", st.Mode)
-		w("  ops-per-tick: %d", st.OpsPerTick)
-		w("  skew: %s", trimFloat(st.Skew))
-	}
-	return b.String()
-}
-
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
-}
+func trimFloat(f float64) string { return fmt.Sprintf("%g", f) }
 
 // SortEvents orders events by At (stable), which Parse enforces so event
 // indices — and therefore jitter draws — are deterministic.

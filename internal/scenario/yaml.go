@@ -8,10 +8,9 @@ import (
 // A deliberately small YAML-subset parser — the repo is stdlib-only, and
 // scenario files need exactly this much YAML: block mappings, block
 // lists, scalars, comments, and double-quoted strings. No flow style, no
-// anchors, no multi-document streams. Keys keep their file order so a
-// parsed scenario re-encodes canonically (golden-file round-trips), and
-// every node carries its line number so validation errors point at the
-// offending line.
+// anchors, no multi-document streams. Keys keep their file order so the
+// strict decoder reports the first unknown key, and every node carries
+// its line number so validation errors point at the offending line.
 
 // yNode is one parsed YAML node: *yMap, *yList, or yScalar.
 type yNode interface{ lineNo() int }

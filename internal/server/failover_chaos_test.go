@@ -39,7 +39,8 @@ func runScenario(t *testing.T, name string, inspect func(cl *server.Cluster, co 
 // TestChaosFailoverSyncZeroLoss kills the primary of a write storm in
 // sync mode: every acknowledged create must be readable from the
 // promoted backup. This is the mode's headline guarantee, declared in
-// kill-primary-sync.yaml as a no-acked-loss assertion.
+// kill-primary-sync.yaml as a loss-window assertion, whose budget for a
+// sync fleet is zero.
 func TestChaosFailoverSyncZeroLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test")

@@ -13,10 +13,10 @@ import (
 // Distributed tracing: a Span records one timed step of a traced
 // operation (a client op, an RPC dispatch, a kvstore commit, a
 // replication ack wait), linked to its parent by span IDs and to the
-// whole operation by the trace ID that PR 3 already carries on the RPC
-// wire. Each node keeps its spans in a bounded ring buffer behind a
-// Tracer; cross-node assembly happens at read time (AssembleTrace) from
-// the per-node dumps, so the hot path never ships span data anywhere.
+// whole operation by the trace ID every RPC frame header carries. Each
+// node keeps its spans in a bounded ring buffer behind a Tracer;
+// cross-node assembly happens at read time (AssembleTrace) from the
+// per-node dumps, so the hot path never ships span data anywhere.
 //
 // Sampling is head-based and deterministic: whether a trace is kept is a
 // pure function of its trace ID, so every node makes the same keep/drop
@@ -86,10 +86,8 @@ func SpanContextFrom(ctx context.Context) SpanContext {
 	if ctx == nil {
 		return SpanContext{}
 	}
-	if sc, ok := ctx.Value(spanKey{}).(SpanContext); ok {
-		return sc
-	}
-	return SpanContext{TraceID: TraceIDFrom(ctx)}
+	sc, _ := ctx.Value(spanKey{}).(SpanContext)
+	return sc
 }
 
 // NewSpanID mints a span ID (same generator as trace IDs).

@@ -40,20 +40,15 @@ func NewTraceID() uint64 {
 // FormatTraceID renders an ID the way span records log it.
 func FormatTraceID(id uint64) string { return fmt.Sprintf("%016x", id) }
 
-type traceKey struct{}
-
-// WithTraceID attaches a trace ID to a context.
+// WithTraceID attaches a trace ID to a context: a span context with no
+// current span, so the next span started from it is a root.
 func WithTraceID(ctx context.Context, id uint64) context.Context {
-	return context.WithValue(ctx, traceKey{}, id)
+	return WithSpanContext(ctx, SpanContext{TraceID: id})
 }
 
 // TraceIDFrom extracts the context's trace ID, or 0 when none is attached.
 func TraceIDFrom(ctx context.Context) uint64 {
-	if ctx == nil {
-		return 0
-	}
-	id, _ := ctx.Value(traceKey{}).(uint64)
-	return id
+	return SpanContextFrom(ctx).TraceID
 }
 
 // EnsureTraceID returns a context that carries a trace ID, minting a new
