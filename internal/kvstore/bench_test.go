@@ -2,7 +2,10 @@ package kvstore
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // benchFill writes n sequential keys through a store configured to
@@ -163,6 +166,50 @@ func BenchmarkWALAppendSync(b *testing.B) {
 		batch.Put([]byte(fmt.Sprintf("\x00\x00\x00\x00\x00\x00\x00\x02file%08d", i)), val)
 		if err := db.ApplyBatch(&batch); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGroupCommitWriters is the group-commit layer alone: w
+// closed-loop SyncWAL writers, each pausing for a turnaround (a client
+// round trip) between puts. ns/op is wall time per acknowledged put
+// across all writers; puts/fsync is how many records one fsync carried.
+func BenchmarkGroupCommitWriters(b *testing.B) {
+	for _, writers := range []int{1, 2, 8, 32} {
+		for _, pause := range []time.Duration{0, 40 * time.Microsecond} {
+			name := fmt.Sprintf("w%d/turnaround=%v", writers, pause)
+			b.Run(name, func(b *testing.B) {
+				db, err := Open(b.TempDir(), Options{SyncWAL: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer db.Close()
+				val := make([]byte, 80)
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				before := db.Stats()
+				b.ResetTimer()
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+							if err := db.Put([]byte(fmt.Sprintf("w%02d/%010d", w, i)), val); err != nil {
+								b.Error(err)
+								return
+							}
+							turnaround(pause)
+						}
+					}(w)
+				}
+				wg.Wait()
+				b.StopTimer()
+				st := db.Stats()
+				// A flush makes its records durable without a WAL fsync.
+				if syncs := st.WALSyncs - before.WALSyncs; syncs > 0 && st.Flushes == before.Flushes {
+					b.ReportMetric(float64(st.Puts-before.Puts)/float64(syncs), "puts/fsync")
+				}
+			})
 		}
 	}
 }

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +110,124 @@ func TestGroupCommitDurability(t *testing.T) {
 				t.Fatalf("acknowledged write %s lost after crash: found=%v err=%v", k, found, err)
 			}
 		}
+	}
+}
+
+// turnaround stands in for the time a closed-loop writer spends between
+// an acknowledged write and its next one — a client round trip. It
+// yields rather than sleeps: a sleep this short overshoots to the
+// runtime's timer granularity, which on an idle Linux process is about
+// a millisecond.
+func turnaround(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+		runtime.Gosched()
+	}
+}
+
+// measureFsync times single-writer durable puts on db: one WAL append
+// and one unshared fsync each.
+func measureFsync(t testing.TB, db *DB) time.Duration {
+	const n = 20
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("probe%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return time.Since(start) / n
+}
+
+// TestGroupCommitSharesClosedLoopWriters runs two SyncWAL writers that,
+// like the two workers of a create storm, pause between puts for a
+// turnaround shorter than half an fsync. Each fsync must carry both
+// writers' records: when one fsync completes, the writer it released is
+// on its way back while the other, queued behind it, would lead the
+// next fsync alone unless it waits for its cohort. A run can only show
+// that if the writers overlap, so a host that ran them one after the
+// other gets two more tries.
+func TestGroupCommitSharesClosedLoopWriters(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		// A short fsync syscall keeps the only P (the runtime hands
+		// it on only after a monitor tick), so the other writer never
+		// appends while it runs and no cohort forms.
+		t.Skip("needs GOMAXPROCS >= 2")
+	}
+	db, err := Open(t.TempDir(), Options{SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	pause := measureFsync(t, db) / 4
+	const writers, perWriter = 2, 200
+	per := 0.0
+	for try := 0; try < 3 && per < 1.6; try++ {
+		before := db.Stats()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					if err := db.Put([]byte(fmt.Sprintf("w%d/k%03d", w, i)), []byte("v")); err != nil {
+						t.Error(err)
+						return
+					}
+					turnaround(pause)
+				}
+			}(w)
+		}
+		wg.Wait()
+		st := db.Stats()
+		puts, syncs := st.Puts-before.Puts, st.WALSyncs-before.WALSyncs
+		if st.Flushes != before.Flushes || syncs == 0 {
+			t.Fatalf("run flushed %d times over %d fsyncs: the ratio would not measure group commit",
+				st.Flushes-before.Flushes, syncs)
+		}
+		per = float64(puts) / float64(syncs)
+		t.Logf("%d puts over %d fsyncs (%.2f per fsync), turnaround %v, leaders waited %v",
+			puts, syncs, per, pause, time.Duration(st.WALSyncWaitNs-before.WALSyncWaitNs))
+	}
+	if per < 1.6 {
+		t.Errorf("%.2f puts per fsync, want >= 1.6: the writer an fsync released missed the next one", per)
+	}
+}
+
+// TestCloseReleasesWaitingLeader closes the store while an fsync leader
+// waits for a cohort that will not come (the deadline is a minute away).
+// Close must wake it: the write returns at once, acknowledged because
+// Close's flush made its record durable, and later writes get the
+// closed error.
+func TestCloseReleasesWaitingLeader(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// As if the last fsync had served two writers and taken two
+	// minutes: the next leader waits for one more record.
+	db.gc.mu.Lock()
+	db.gc.cohort, db.gc.cohortSeq, db.gc.cohortWait = 2, db.walSeq.Load(), time.Minute
+	db.gc.mu.Unlock()
+	put := make(chan error, 1)
+	go func() { put <- db.Put([]byte("k"), []byte("v")) }()
+	for deadline := time.Now().Add(5 * time.Second); db.gc.wakeAt.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never became a waiting leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case err := <-put:
+		if err != nil {
+			t.Fatalf("put whose record Close flushed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the waiting leader parked")
+	}
+	if err := db.Put([]byte("late"), nil); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("put after Close: err %v, want the closed error", err)
 	}
 }
 

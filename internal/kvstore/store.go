@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,10 +102,14 @@ type Stats struct {
 	MemtableEntries int
 	TablesPerLevel  []int
 	WALBytes        int64
-	// WALSyncs counts group-commit fsyncs. Under SyncWAL with
-	// concurrent writers it runs well below Puts+Deletes — the batching
-	// factor is (writes / syncs).
-	WALSyncs int64
+	// WALRecords counts records appended to the WAL since Open, and
+	// WALSyncs the group-commit fsyncs: under SyncWAL with concurrent
+	// writers, WALRecords/WALSyncs is the records one fsync carries.
+	// WALSyncWaitNs is the time fsync leaders spent waiting for their
+	// cohort before pinning the WAL.
+	WALRecords    int64
+	WALSyncs      int64
+	WALSyncWaitNs int64
 	// Batches counts atomic multi-op applies (ApplyBatch calls that
 	// reached the WAL). Each is ONE record and one commit ack no matter
 	// how many ops it carries; Puts and Deletes still count the ops.
@@ -133,7 +136,7 @@ type dbStats struct {
 	batches                      atomic.Int64
 	flushes, compactions         atomic.Int64
 	bytesFlushed, bytesCompacted atomic.Int64
-	walSyncs                     atomic.Int64
+	walSyncs, walSyncWaitNs      atomic.Int64
 	reads                        readStats
 }
 
@@ -148,10 +151,12 @@ type dbStats struct {
 // waits for a WAL fsync covering its sequence number. One writer at a
 // time leads an fsync; every record appended before the sync rides the
 // same fsync, so N concurrent writers share ~one fsync instead of
-// paying one each. A write is acknowledged only after its record is
-// durable, but a concurrent reader may observe it slightly earlier —
-// the standard trade (a crash can lose data a reader saw but whose
-// writer was never acknowledged).
+// paying one each. The leader first waits for its cohort (see
+// awaitCohort): the writers the last fsync served are usually on their
+// way back with their next record. A write is acknowledged only after
+// its record is durable, but a concurrent reader may observe it
+// slightly earlier — the standard trade (a crash can lose data a reader
+// saw but whose writer was never acknowledged).
 type DB struct {
 	// writeMu serialises the write path so WAL append order, memtable
 	// insert order, and crash-replay order all agree. Lock hierarchy:
@@ -165,8 +170,8 @@ type DB struct {
 	mem     *skiplist
 	wal     *wal
 	// walSeq counts records appended to the WAL. Writers advance it
-	// under writeMu; the group-commit leader also polls it locklessly
-	// in its gather loop, hence the atomic.
+	// under writeMu; the group-commit leader also reads it locklessly
+	// while it waits for its cohort, hence the atomic.
 	walSeq      atomic.Uint64
 	walGen      uint64 // bumped when a flush swaps the WAL; guarded by writeMu
 	gc          groupCommit
@@ -253,6 +258,19 @@ type groupCommit struct {
 	synced  uint64 // highest WAL seq known durable
 	leading bool   // an fsync is in flight
 	err     error  // sticky sync failure
+	waiters int    // goroutines inside waitSynced
+	// What the last fsync saw when it completed: cohort is waiters at
+	// that moment (the writers it released and those already queued),
+	// cohortSeq the seq it covered, cohortWait half its duration.
+	cohort     int
+	cohortSeq  uint64
+	cohortWait time.Duration
+	// wakeAt is the walSeq that completes a waiting leader's cohort, 0
+	// when no leader waits; writers read it locklessly after appending
+	// and kick the leader once they reach it.
+	wakeAt atomic.Uint64
+	kick   chan struct{} // buffered 1: Close and writers wake the leader
+	timer  *time.Timer   // the leader's cohort deadline, stopped between uses
 }
 
 // Open opens or creates a DB rooted at dir, replaying any WAL left by a
@@ -290,6 +308,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	db.wal = w
 	db.gc.cond = sync.NewCond(&db.gc.mu)
+	db.gc.kick = make(chan struct{}, 1)
+	db.gc.timer = time.NewTimer(time.Hour)
+	db.gc.timer.Stop()
 	return db, nil
 }
 
@@ -334,6 +355,9 @@ func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) err
 		return err
 	}
 	seq := db.walSeq.Add(1)
+	if w := db.gc.wakeAt.Load(); w != 0 && seq >= w {
+		db.gc.wake()
+	}
 	// The table set changes only under writeMu and mu together, so the
 	// tombstone decisions made here, before mu, still hold at the insert.
 	keep := db.tombstonesNeeded(ops, n)
@@ -478,6 +502,8 @@ func (db *DB) waitSynced(seq uint64) error {
 	g := &db.gc
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.waiters++
+	defer func() { g.waiters-- }()
 	for g.synced < seq {
 		if g.err != nil {
 			return g.err
@@ -487,20 +513,12 @@ func (db *DB) waitSynced(seq uint64) error {
 			continue
 		}
 		g.leading = true
-		g.mu.Unlock()
-		// Gather: yield while concurrent writers are still appending,
-		// so one fsync covers as many records as the scheduler can
-		// deliver. A lone writer pays a single yield — the first
-		// re-read sees no progress and breaks.
-		cur := db.walSeq.Load()
-		for i := 0; i < 16; i++ {
-			runtime.Gosched()
-			next := db.walSeq.Load()
-			if next == cur {
-				break
-			}
-			cur = next
+		cohortEnd, wait := g.cohortSeq+uint64(g.cohort), g.cohortWait
+		if g.cohort <= 1 {
+			wait = 0
 		}
+		g.mu.Unlock()
+		db.awaitCohort(cohortEnd, wait)
 		// Pin the WAL file under writeMu, then fsync WITHOUT holding it:
 		// writers keep appending during the sync and ride the next one —
 		// that window is where the group-commit batch forms. Every record
@@ -513,6 +531,7 @@ func (db *DB) waitSynced(seq uint64) error {
 		closed := db.closed
 		db.writeMu.Unlock()
 		var err error
+		start := time.Now()
 		if closed {
 			err = fmt.Errorf("kvstore: DB closed awaiting WAL sync")
 		} else if err = syncFile(f); err != nil {
@@ -525,6 +544,7 @@ func (db *DB) waitSynced(seq uint64) error {
 			}
 			db.writeMu.Unlock()
 		}
+		took := time.Since(start)
 		if err == nil {
 			db.stats.walSyncs.Add(1)
 		}
@@ -534,12 +554,62 @@ func (db *DB) waitSynced(seq uint64) error {
 			if g.err == nil {
 				g.err = err
 			}
-		} else if target > g.synced {
-			g.synced = target
+		} else {
+			if target > g.synced {
+				g.synced = target
+			}
+			g.cohort, g.cohortSeq, g.cohortWait = g.waiters, target, took/2
 		}
 		g.cond.Broadcast()
 	}
 	return nil
+}
+
+// awaitCohort holds an fsync leader, before it pins the WAL, until the
+// WAL reaches seq end — the last fsync's cohort has appended again — or
+// until d passes, whichever comes first. A closed-loop writer released
+// by the last fsync is a client round trip away from its next record;
+// leading without it gives every fsync one record. d is half the last
+// fsync, so a cohort member that never returns costs at most that (plus
+// the runtime's timer slack). A cohort of one (a lone writer, the
+// commit pipeline's background syncer) passes d = 0 and never waits.
+func (db *DB) awaitCohort(end uint64, d time.Duration) {
+	g := &db.gc
+	if d <= 0 || db.walSeq.Load() >= end {
+		return
+	}
+	start := time.Now()
+	select { // a kick meant for an earlier leader
+	case <-g.kick:
+	default:
+	}
+	g.wakeAt.Store(end)
+	// A writer that appended before wakeAt was set did not kick.
+	if db.walSeq.Load() < end {
+		g.timer.Reset(d)
+		select {
+		case <-g.kick:
+		case <-g.timer.C:
+		}
+		// go.mod's language version keeps the pre-1.23 timer: a fire
+		// racing the kick must be drained before the next Reset.
+		if !g.timer.Stop() {
+			select {
+			case <-g.timer.C:
+			default:
+			}
+		}
+	}
+	g.wakeAt.Store(0)
+	db.stats.walSyncWaitNs.Add(int64(time.Since(start)))
+}
+
+// wake kicks a leader waiting in awaitCohort, if any; it never blocks.
+func (g *groupCommit) wake() {
+	select {
+	case g.kick <- struct{}{}:
+	default:
+	}
 }
 
 // markSynced records that the WAL is durable through seq (a flush made
@@ -886,6 +956,9 @@ func (db *DB) Close() error {
 		return err
 	}
 	db.closed = true
+	// A leader waiting for its cohort would otherwise sit out its
+	// deadline before finding the store closed.
+	db.gc.wake()
 	if err := db.wal.close(); err != nil {
 		return err
 	}
@@ -916,7 +989,9 @@ func (db *DB) Stats() Stats {
 		Compactions:    db.stats.compactions.Load(),
 		BytesFlushed:   db.stats.bytesFlushed.Load(),
 		BytesCompacted: db.stats.bytesCompacted.Load(),
+		WALRecords:     int64(db.walSeq.Load()),
 		WALSyncs:       db.stats.walSyncs.Load(),
+		WALSyncWaitNs:  db.stats.walSyncWaitNs.Load(),
 		Batches:        db.stats.batches.Load(),
 		TableProbes:    db.stats.reads.tableProbes.Load(),
 		BloomSkips:     db.stats.reads.bloomSkips.Load(),

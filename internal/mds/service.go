@@ -384,9 +384,11 @@ func (s *Service) Registry() *telemetry.Registry { return s.reg }
 // refreshStoreGauges publishes the shard store's point-in-time numbers:
 // the inode count and the kvstore read path's cumulative attempts vs.
 // useful work (probes per get = kvstore.table.probes / kvstore.get.calls,
-// filter hit rate = kvstore.bloom.skips / kvstore.table.probes), and the
+// filter hit rate = kvstore.bloom.skips / kvstore.table.probes), the
 // dead entries — tombstones and shadowed versions — readdir scans walked
-// past without listing (kvstore.scan.skips).
+// past without listing (kvstore.scan.skips), and group commit's
+// cumulative WAL records, fsyncs and leader cohort wait (records per
+// fsync = kvstore.wal.records / kvstore.wal.syncs).
 func (s *Service) refreshStoreGauges() {
 	st := s.store.DBStats()
 	s.reg.Gauge("mds.store.inodes").Set(float64(s.store.Count()))
@@ -395,6 +397,9 @@ func (s *Service) refreshStoreGauges() {
 	s.reg.Gauge("kvstore.bloom.skips").Set(float64(st.BloomSkips))
 	s.reg.Gauge("kvstore.block.reads").Set(float64(st.BlockReads))
 	s.reg.Gauge("kvstore.scan.skips").Set(float64(st.ScanSkips))
+	s.reg.Gauge("kvstore.wal.records").Set(float64(st.WALRecords))
+	s.reg.Gauge("kvstore.wal.syncs").Set(float64(st.WALSyncs))
+	s.reg.Gauge("kvstore.wal.leader_wait_ns").Set(float64(st.WALSyncWaitNs))
 }
 
 // handleMetrics serves the registry snapshot as JSON.

@@ -2,8 +2,10 @@ package mds
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"origami/internal/kvstore"
 	"origami/internal/namespace"
@@ -266,4 +268,68 @@ func TestPing(t *testing.T) {
 	if err != nil || string(out) != "pong" {
 		t.Errorf("ping = %q, %v", out, err)
 	}
+}
+
+// TestGroupCommitGauges reads group commit off the shard registry, the
+// way /metrics shows it: a lone writer's leaders never wait for a
+// cohort, and two concurrent writers share fsyncs (records per fsync =
+// kvstore.wal.records / kvstore.wal.syncs above 1).
+func TestGroupCommitGauges(t *testing.T) {
+	store, err := OpenStore(t.TempDir(), 0, kvstore.Options{SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	s := NewService(0, store, nil)
+	gauge := func(name string) float64 {
+		s.refreshStoreGauges()
+		return s.Registry().Gauge(name).Value()
+	}
+	var dirs [2]*namespace.Inode
+	for i := range dirs {
+		dirs[i] = mustCreate(t, s, namespace.RootIno, fmt.Sprintf("d%d", i), namespace.TypeDir)
+	}
+	for i := 0; i < 20; i++ {
+		mustCreate(t, s, dirs[0].Ino, fmt.Sprintf("lone%02d", i), namespace.TypeFile)
+	}
+	if w := gauge("kvstore.wal.leader_wait_ns"); w != 0 {
+		t.Errorf("one writer: kvstore.wal.leader_wait_ns = %v, want 0", w)
+	}
+	records, syncs := gauge("kvstore.wal.records"), gauge("kvstore.wal.syncs")
+	if syncs == 0 || records < 22 {
+		t.Fatalf("after 22 durable creates: kvstore.wal.records = %v, kvstore.wal.syncs = %v", records, syncs)
+	}
+
+	const perWriter = 100
+	errs := make(chan error, len(dirs))
+	for _, d := range dirs {
+		go func(dir namespace.Ino) {
+			for i := 0; i < perWriter; i++ {
+				sub := EncodeBatchCreate(0, dir, fmt.Sprintf("pair%03d", i), namespace.TypeFile)
+				body, err := callCtx(s.handleBatch, EncodeBatchRequest(0, [][]byte{sub}))
+				if err == nil {
+					var res []BatchResult
+					if res, _, err = DecodeBatchResponse(body); err == nil && res[0].Err != nil {
+						err = res[0].Err
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(d.Ino)
+	}
+	for range dirs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := (gauge("kvstore.wal.records") - records) / (gauge("kvstore.wal.syncs") - syncs)
+	if per <= 1 {
+		t.Errorf("two writers: %.2f WAL records per fsync, want > 1", per)
+	}
+	t.Logf("two writers: %.2f WAL records per fsync, leaders waited %v", per,
+		time.Duration(gauge("kvstore.wal.leader_wait_ns")))
 }

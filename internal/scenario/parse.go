@@ -14,6 +14,10 @@ import (
 // keys it does not know — a typoed "hearbeat:" fails the parse instead
 // of silently running a scenario without failover.
 
+// defaultWritePct is the mix workload's create share when the file names
+// none.
+const defaultWritePct = 30
+
 // Parse decodes, validates, and canonicalises one scenario document.
 func Parse(src string) (*Scenario, error) {
 	root, err := parseYAML(src)
@@ -25,7 +29,7 @@ func Parse(src string) (*Scenario, error) {
 		return nil, fmt.Errorf("line %d: scenario must be a mapping", root.lineNo())
 	}
 	d := &decoder{}
-	sc := &Scenario{}
+	sc := &Scenario{Workload: WorkloadSpec{WritePct: defaultWritePct}}
 	d.strict(m, "name", "description", "seed", "duration", "fleet", "workload", "events", "assertions")
 	sc.Name = d.str(m, "name")
 	sc.Description = d.str(m, "description")
@@ -50,7 +54,7 @@ func Parse(src string) (*Scenario, error) {
 		sc.Workload = WorkloadSpec{
 			Kind:     d.str(wm, "kind"),
 			Workers:  d.num(wm, "workers"),
-			WritePct: d.num(wm, "write-pct"),
+			WritePct: d.numOr(wm, "write-pct", defaultWritePct),
 			PreFiles: d.num(wm, "pre-files"),
 			Root:     d.str(wm, "root"),
 			Pin:      d.str(wm, "pin"),
@@ -168,6 +172,15 @@ func (d *decoder) num(m *yMap, key string) int {
 		return 0
 	}
 	return n
+}
+
+// numOr is num with a default for an absent or empty key, so that an
+// explicit 0 reads as 0.
+func (d *decoder) numOr(m *yMap, key string, def int) int {
+	if v, _, ok := d.scalar(m, key); !ok || v == "" {
+		return def
+	}
+	return d.num(m, key)
 }
 
 func (d *decoder) i64(m *yMap, key string) int64 {

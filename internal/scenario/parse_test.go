@@ -143,6 +143,8 @@ func TestParseRejects(t *testing.T) {
 		{"convergence without within", mutate("kind: ops-min\n    value: 1", "kind: map-converged"), "needs within"},
 		{"bad replication mode", mutate("mds: 3", "mds: 3\n  replication: paxos"), `replication "paxos"`},
 		{"stress block", mutate("seed: 1", "seed: 1\nstress:\n  fleet: 10"), `unknown key "stress"`},
+		{"negative write-pct", mutate("kind: mix", "kind: mix\n  write-pct: -1"), "write-pct -1 outside 0..100"},
+		{"write-pct over 100", mutate("kind: mix", "kind: mix\n  write-pct: 101"), "write-pct 101 outside 0..100"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -182,6 +184,34 @@ func TestValidateAppliesDefaultsOnce(t *testing.T) {
 	}
 	if _, err := Run(stat, Options{}); err == nil || !strings.Contains(err.Error(), "pre-files") {
 		t.Fatalf("Run of a stat workload with no pre-files: err %v, want a validation error", err)
+	}
+}
+
+// TestWritePctZeroIsReadOnly pins the write-pct rule: a file that names
+// no write-pct gets the default 30, an explicit 0 is a read-only mix and
+// survives a second Validate, and so does 100.
+func TestWritePctZeroIsReadOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      int
+	}{
+		{"absent", minimalScenario, defaultWritePct},
+		{"no workload block", strings.Replace(minimalScenario, "workload:\n  kind: mix\n", "", 1), defaultWritePct},
+		{"explicit 0", mutate("kind: mix", "kind: mix\n  write-pct: 0"), 0},
+		{"explicit 100", mutate("kind: mix", "kind: mix\n  write-pct: 100"), 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := Parse(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Workload.WritePct != tc.want {
+				t.Errorf("WritePct = %d, want %d", sc.Workload.WritePct, tc.want)
+			}
+			if err := revalidate(sc); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -71,7 +71,9 @@ type WorkloadSpec struct {
 	Kind string
 	// Workers is the client goroutine count (default 4).
 	Workers int
-	// WritePct is the mix driver's create share in percent (default 30).
+	// WritePct is the mix driver's create share in percent, 0 to 100;
+	// 0 is a read-only mix. Parse fills the default 30 when the file
+	// names no write-pct.
 	WritePct int
 	// PreFiles pre-creates this many files before the timeline starts so
 	// read-heavy mixes have something to stat (0 = default 50; negative
@@ -186,9 +188,6 @@ func (w *WorkloadSpec) withDefaults() {
 	if w.Workers <= 0 {
 		w.Workers = 4
 	}
-	if w.WritePct <= 0 {
-		w.WritePct = 30
-	}
 	if w.PreFiles == 0 {
 		w.PreFiles = 50
 	}
@@ -245,6 +244,9 @@ func (sc *Scenario) Validate() error {
 	case "mix", "stat", "trace-rw", "trace-ro", "trace-wi", "none":
 	default:
 		return fmt.Errorf("scenario %s: workload kind %q", sc.Name, sc.Workload.Kind)
+	}
+	if p := sc.Workload.WritePct; p < 0 || p > 100 {
+		return fmt.Errorf("scenario %s: write-pct %d outside 0..100", sc.Name, p)
 	}
 	if sc.Workload.Kind == "stat" && sc.Workload.PreFiles < 0 {
 		return fmt.Errorf("scenario %s: a stat workload needs pre-files to stat", sc.Name)
