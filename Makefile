@@ -118,8 +118,11 @@ bench-build:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
-# One testing.B benchmark per paper table/figure, plus ablations and
-# kvstore micro-benchmarks.
+# One testing.B benchmark per paper table/figure, plus ablations, the
+# per-layer micro-benchmarks (kvstore, rpc, replication, client, ml)
+# and the live loopback-cluster ones in internal/server:
+# BenchmarkDurableCreate's sync-fsync worker sweep (w1…w128, with ops/s
+# and records/fsync) and its sync-repl input, and BenchmarkBalancingEpoch.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -129,14 +132,14 @@ experiments:
 
 # Profile the live durable-create path — SDK, rpc, mds, kvstore, WAL and
 # fsync over loopback TCP, the shape of the repository benchmark's
-# create-storm (the sync-fsync half of BenchmarkDurableCreate): a CPU
+# create-storm (BenchmarkDurableCreate's sync-fsync/w2 input): a CPU
 # profile, then every allocation site (rate 1, which is why the two are
 # separate runs). Then the same pair for the control plane: Origami
 # balancing epochs on a 5-MDS cluster taking Trace-RW traffic, the shape
 # of trace-rw-balance.
 profile:
-	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$/^sync-fsync$$' -benchtime 20000x -cpuprofile cpu.pprof ./internal/server
-	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$/^sync-fsync$$' -benchtime 20000x -memprofile allocs.pprof -memprofilerate 1 ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$/^sync-fsync$$/^w2$$' -benchtime 20000x -cpuprofile cpu.pprof ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkDurableCreate$$/^sync-fsync$$/^w2$$' -benchtime 20000x -memprofile allocs.pprof -memprofilerate 1 ./internal/server
 	$(GO) test -run '^$$' -bench '^BenchmarkBalancingEpoch$$' -benchtime 60x -cpuprofile epoch-cpu.pprof ./internal/server
 	$(GO) test -run '^$$' -bench '^BenchmarkBalancingEpoch$$' -benchtime 60x -memprofile epoch-allocs.pprof -memprofilerate 1 ./internal/server
 	@echo "next: $(GO) tool pprof -top server.test cpu.pprof"

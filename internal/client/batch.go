@@ -36,11 +36,11 @@ import (
 // — and the shard's replay table (or the namespace itself, via EEXIST +
 // lookup) deduplicates ops an earlier attempt already applied.
 
-// DefaultBatchDelay is the safety-net linger: a queued op is flushed
+// batchDelay is the safety-net linger: a queued op is flushed
 // after at most this long even if the leader/follower handoff it
 // normally rides is lost. In practice the leader's completion drain
 // always beats it.
-const DefaultBatchDelay = 200 * time.Microsecond
+const batchDelay = 200 * time.Microsecond
 
 // batchOutcome is what one submitted op's waiter receives.
 type batchOutcome struct {
@@ -78,7 +78,6 @@ type batcher struct {
 	c        *Client // root client owning the shared transports
 	window   int
 	target   int // queue depth that spawns an extra leader frame
-	delay    time.Duration
 	clientID uint64
 	opSeq    atomic.Uint64
 
@@ -92,10 +91,7 @@ type batcher struct {
 	leading map[int]int // leader frames in flight per owner
 }
 
-func newBatcher(c *Client, window int, delay time.Duration) *batcher {
-	if delay <= 0 {
-		delay = DefaultBatchDelay
-	}
+func newBatcher(c *Client, window int) *batcher {
 	target := window
 	if target > 16 {
 		// Medium frames beat maximal ones: a frame's sub-ops usually touch
@@ -109,7 +105,6 @@ func newBatcher(c *Client, window int, delay time.Duration) *batcher {
 		c:        c,
 		window:   window,
 		target:   target,
-		delay:    delay,
 		clientID: newBatchClientID(),
 		framesC:  c.reg.Counter("client.batch.frames"),
 		queues:   make(map[int][]*pendingOp),
@@ -174,7 +169,7 @@ func (b *batcher) do(owner int, op *pendingOp) batchOutcome {
 			// Safety net only: the leader's completion drain fires first in
 			// every normal schedule; the timer bounds the wait if it ever
 			// does not.
-			b.timers[owner] = time.AfterFunc(b.delay, func() { b.flushOwner(owner) })
+			b.timers[owner] = time.AfterFunc(batchDelay, func() { b.flushOwner(owner) })
 		}
 		b.mu.Unlock()
 	}

@@ -30,7 +30,7 @@ type Config struct {
 	// Cache selects the metadata cache mode: "leases" (default, also
 	// the empty string) enables the lease-coherent dentry/inode cache,
 	// "off" disables client-side caching entirely (every resolution
-	// goes to the servers — the A/B baseline of origami-bench).
+	// goes to the servers).
 	Cache string
 	// CallTimeout bounds each metadata RPC (0 = no deadline). Timed-out
 	// idempotent reads are retried against the reconnecting transport.
@@ -63,9 +63,6 @@ type Config struct {
 	// MethodBatch frame (applied there as one atomic WAL batch record).
 	// 0 or 1 sends every mutation as a frame of its own.
 	BatchWindow int
-	// BatchDelay is how long a partial batch frame lingers for company
-	// before flushing (default DefaultBatchDelay).
-	BatchDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -188,7 +185,7 @@ func Dial(cfg Config) (*Client, error) {
 	if cfg.Cache != "off" {
 		c.cache = lease.NewClientCache(reg)
 	}
-	c.batch = newBatcher(c, cfg.BatchWindow, cfg.BatchDelay)
+	c.batch = newBatcher(c, cfg.BatchWindow)
 	if cfg.TraceSampleRate >= 0 {
 		c.tracer = telemetry.NewTracer("client", telemetry.TracerConfig{
 			SampleRate:    cfg.TraceSampleRate,
@@ -222,10 +219,11 @@ func Dial(cfg Config) (*Client, error) {
 }
 
 // Fork returns a virtual client that shares this client's transports
-// but owns its cache, partition-map view, and counters — how loadgen
-// simulates thousands of clients without thousands of TCP connections
-// (the rpc layer is safe for concurrent callers). Closing a fork is a
-// no-op on the shared connections; close the parent to tear them down.
+// but owns its cache, partition-map view, and counters — how one
+// process runs many closed-loop workers, each a client of its own,
+// without a TCP connection apiece (the rpc layer is safe for concurrent
+// callers). Closing a fork is a no-op on the shared connections; close
+// the parent to tear them down.
 func (c *Client) Fork() *Client {
 	n := &Client{
 		cfg:    c.cfg,

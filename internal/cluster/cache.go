@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"container/list"
-
-	"origami/internal/namespace"
-)
+import "origami/internal/namespace"
 
 // Cache is the client-side near-root metadata cache interface (§4.2). The
 // SDK consults it during path resolution: a cached prefix of the path is
@@ -22,69 +18,37 @@ type Cache interface {
 	Len() int
 }
 
-// NearRootCache caches directories with depth below a threshold, bounded
-// by an optional capacity with LRU eviction. Because near-root metadata
-// is typically far less than 1% of the namespace and nearly immutable,
-// this needs no lease or synchronisation machinery (§4.2); local
-// invalidation on observed mutations suffices.
+// NearRootCache caches directories with depth below a threshold.
+// Because near-root metadata is typically far less than 1% of the
+// namespace and nearly immutable, this needs no capacity bound, lease or
+// synchronisation machinery (§4.2); local invalidation on observed
+// mutations suffices.
 type NearRootCache struct {
 	threshold int
-	capacity  int // 0 = unbounded
-	entries   map[namespace.Ino]*list.Element
-	lru       *list.List // front = most recently used; values are Ino
+	entries   map[namespace.Ino]struct{}
 }
 
 // NewNearRootCache creates a cache admitting directories with
 // depth < threshold. Threshold 0 disables caching entirely.
 func NewNearRootCache(threshold int) *NearRootCache {
-	return &NearRootCache{
-		threshold: threshold,
-		entries:   make(map[namespace.Ino]*list.Element),
-		lru:       list.New(),
-	}
+	return &NearRootCache{threshold: threshold, entries: make(map[namespace.Ino]struct{})}
 }
 
-// NewBoundedNearRootCache additionally caps the entry count, evicting the
-// least recently used directory on overflow.
-func NewBoundedNearRootCache(threshold, capacity int) *NearRootCache {
-	c := NewNearRootCache(threshold)
-	c.capacity = capacity
-	return c
-}
-
-// Contains implements Cache and refreshes recency.
+// Contains implements Cache.
 func (c *NearRootCache) Contains(ino namespace.Ino) bool {
-	el, ok := c.entries[ino]
-	if ok {
-		c.lru.MoveToFront(el)
-	}
+	_, ok := c.entries[ino]
 	return ok
 }
 
 // Insert implements Cache, admitting only near-root directories.
 func (c *NearRootCache) Insert(ino namespace.Ino, depth int) {
-	if depth >= c.threshold {
-		return
-	}
-	if el, ok := c.entries[ino]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[ino] = c.lru.PushFront(ino)
-	if c.capacity > 0 && c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(namespace.Ino))
+	if depth < c.threshold {
+		c.entries[ino] = struct{}{}
 	}
 }
 
 // Invalidate implements Cache.
-func (c *NearRootCache) Invalidate(ino namespace.Ino) {
-	if el, ok := c.entries[ino]; ok {
-		c.lru.Remove(el)
-		delete(c.entries, ino)
-	}
-}
+func (c *NearRootCache) Invalidate(ino namespace.Ino) { delete(c.entries, ino) }
 
 // Len implements Cache.
 func (c *NearRootCache) Len() int { return len(c.entries) }

@@ -6,47 +6,6 @@ import (
 	"origami/internal/namespace"
 )
 
-func TestBoundedCacheEvictsLRU(t *testing.T) {
-	c := NewBoundedNearRootCache(10, 3)
-	c.Insert(1, 0)
-	c.Insert(2, 1)
-	c.Insert(3, 1)
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	// Touch 1 so it becomes most recent; inserting 4 must evict 2.
-	if !c.Contains(1) {
-		t.Fatal("1 missing")
-	}
-	c.Insert(4, 1)
-	if c.Len() != 3 {
-		t.Fatalf("Len after eviction = %d", c.Len())
-	}
-	if c.Contains(2) {
-		t.Error("LRU entry 2 not evicted")
-	}
-	for _, ino := range []namespace.Ino{1, 3, 4} {
-		if !c.Contains(ino) {
-			t.Errorf("entry %d lost", ino)
-		}
-	}
-}
-
-func TestBoundedCacheReinsertRefreshes(t *testing.T) {
-	c := NewBoundedNearRootCache(10, 2)
-	c.Insert(1, 0)
-	c.Insert(2, 0)
-	c.Insert(1, 0) // refresh, not duplicate
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	c.Insert(3, 0) // evicts 2 (LRU), not 1
-	if c.Contains(2) || !c.Contains(1) || !c.Contains(3) {
-		t.Errorf("refresh on reinsert broken: 1=%v 2=%v 3=%v",
-			c.Contains(1), c.Contains(2), c.Contains(3))
-	}
-}
-
 func TestUnboundedCacheNeverEvicts(t *testing.T) {
 	c := NewNearRootCache(100)
 	for i := namespace.Ino(1); i <= 1000; i++ {
@@ -57,8 +16,9 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 	}
 }
 
+// The bound is the depth threshold: the cache holds no capacity bound.
 func TestBoundedCacheInvalidate(t *testing.T) {
-	c := NewBoundedNearRootCache(10, 5)
+	c := NewNearRootCache(10)
 	c.Insert(1, 0)
 	c.Invalidate(1)
 	if c.Contains(1) || c.Len() != 0 {

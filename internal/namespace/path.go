@@ -82,16 +82,3 @@ func ParentPath(p string) (dir, name string) {
 // Depth returns the number of components of an absolute path: Depth("/")
 // is 0, Depth("/a/b") is 2.
 func Depth(p string) int { return len(SplitPath(p)) }
-
-// IsPathPrefix reports whether prefix is an ancestor path of p (or equal to
-// it), comparing whole components: "/a/b" is a prefix of "/a/b/c" but not of
-// "/a/bc".
-func IsPathPrefix(prefix, p string) bool {
-	if prefix == "/" {
-		return true
-	}
-	if p == prefix {
-		return true
-	}
-	return strings.HasPrefix(p, prefix) && len(p) > len(prefix) && p[len(prefix)] == '/'
-}

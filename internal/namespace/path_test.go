@@ -68,25 +68,6 @@ func TestDepth(t *testing.T) {
 	}
 }
 
-func TestIsPathPrefix(t *testing.T) {
-	cases := []struct {
-		prefix, p string
-		want      bool
-	}{
-		{"/", "/a/b", true},
-		{"/a", "/a/b", true},
-		{"/a/b", "/a/b", true},
-		{"/a/b", "/a/bc", false},
-		{"/a/bc", "/a/b", false},
-		{"/x", "/a", false},
-	}
-	for _, c := range cases {
-		if got := IsPathPrefix(c.prefix, c.p); got != c.want {
-			t.Errorf("IsPathPrefix(%q, %q) = %v, want %v", c.prefix, c.p, got, c.want)
-		}
-	}
-}
-
 // Property: JoinPath(SplitPath(p)) normalises any well-formed join output
 // back to itself.
 func TestSplitJoinRoundTrip(t *testing.T) {

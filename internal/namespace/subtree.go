@@ -97,14 +97,3 @@ func (t *Tree) IsAncestor(a, b Ino) bool {
 		cur = n.inode.Parent
 	}
 }
-
-// SubtreeInos returns all inode numbers in the subtree rooted at root,
-// including root itself.
-func (t *Tree) SubtreeInos(root Ino) []Ino {
-	var out []Ino
-	_ = t.WalkSubtree(root, func(in *Inode, _ int) bool {
-		out = append(out, in.Ino)
-		return true
-	})
-	return out
-}

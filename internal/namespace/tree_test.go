@@ -312,14 +312,6 @@ func TestIsAncestor(t *testing.T) {
 	}
 }
 
-func TestSubtreeInos(t *testing.T) {
-	tr, m := buildSample(t)
-	inos := tr.SubtreeInos(m["b"])
-	if len(inos) != 3 {
-		t.Errorf("SubtreeInos(b) = %v, want 3 entries", inos)
-	}
-}
-
 func TestDirList(t *testing.T) {
 	tr, _ := buildSample(t)
 	dirs := tr.DirList()

@@ -11,65 +11,42 @@ import (
 	"origami/internal/client"
 	"origami/internal/costmodel"
 	"origami/internal/kvstore"
-	"origami/internal/loadgen"
 	"origami/internal/trace"
 	"origami/internal/workload"
 )
 
-// BenchmarkTCPClusterThroughput measures closed-loop metadata throughput
-// against a live loopback cluster at several worker counts. The workload
-// is an mdtest-style create storm with durable (group-committed) writes,
-// where overlapped requests batch onto a single WAL fsync.
+// BenchmarkDurableCreate is the live durable-mutation path: closed-loop
+// SDK forks over loopback TCP, each creating in its own directory with a
+// remove trailing every create once 16 files are live. sync-fsync is one
+// shard acking after its WAL fsync; its w2 input is the shape of the
+// repository benchmark's create-storm, so a profile of it (`make
+// profile`) is a profile of that; its worker counts together trace the
+// group-commit scaling curve. Every input reports ops/s and
+// records/fsync, the WAL records one fsync carried on all shards
+// together. sync-repl is the same two-worker storm on two
+// shards acking after the ring backup applied each record, the path no
+// repository workload covers: allocs/op counts both ends.
 //
-//	go test ./internal/server -bench TCPClusterThroughput -benchtime 5000x
-//
-// The scaling curve is recorded in EXPERIMENTS.md; `origami-bench -tcp`
-// produces the same comparison with wall-clock-bounded runs.
-func BenchmarkTCPClusterThroughput(b *testing.B) {
-	for _, workers := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cl, err := StartClusterOpts(1, b.TempDir(), kvstore.Options{SyncWAL: true})
-			if err != nil {
-				b.Fatal(err)
+//	go test -run '^$' -bench 'DurableCreate/sync-fsync' -benchtime 6000x ./internal/server
+func BenchmarkDurableCreate(b *testing.B) {
+	inputs := []struct {
+		mode    string
+		workers []int
+	}{
+		{"sync-fsync", []int{1, 2, 8, 32, 128}},
+		{"sync-repl", []int{2}},
+	}
+	for _, in := range inputs {
+		b.Run(in.mode, func(b *testing.B) {
+			for _, w := range in.workers {
+				b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) { benchDurableCreate(b, in.mode, w) })
 			}
-			defer cl.Close()
-			b.ResetTimer()
-			res, err := loadgen.Run(loadgen.Config{
-				Addrs:    cl.Addrs,
-				Workers:  workers,
-				TotalOps: int64(b.N),
-				Root:     "bench",
-				WritePct: 100,
-				Seed:     1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if res.Errors > 0 {
-				b.Fatalf("%d of %d ops failed", res.Errors, res.Ops)
-			}
-			b.ReportMetric(res.Throughput(), "ops/s")
 		})
 	}
 }
 
-// BenchmarkDurableCreate is the live durable-mutation path: two
-// closed-loop SDK forks over loopback TCP, each creating in its own
-// directory with a remove trailing every create once 16 files are live.
-// sync-fsync is one shard acking after its WAL fsync — the shape of the
-// repository benchmark's create-storm, so a profile of it (`make
-// profile`) is a profile of that. sync-repl is the same storm on two
-// shards acking after the ring backup applied each record, the path no
-// repository workload covers: allocs/op counts both ends.
-func BenchmarkDurableCreate(b *testing.B) {
-	for _, mode := range []string{"sync-fsync", "sync-repl"} {
-		b.Run(mode, func(b *testing.B) { benchDurableCreate(b, mode) })
-	}
-}
-
-func benchDurableCreate(b *testing.B, mode string) {
-	const workers, live = 2, 16
+func benchDurableCreate(b *testing.B, mode string, workers int) {
+	const live = 16
 	n := 1
 	if mode == "sync-repl" {
 		n = 2 // the ack rides the backup
@@ -93,22 +70,35 @@ func benchDurableCreate(b *testing.B, mode string) {
 		b.Fatal(err)
 	}
 	defer root.Close()
-	var sdk [workers]*client.Client
+	sdk := make([]*client.Client, workers)
 	for w := range sdk {
 		if _, err := root.Mkdir(fmt.Sprintf("/w%d", w)); err != nil {
 			b.Fatal(err)
 		}
 		sdk[w] = root.Fork()
 	}
+	walTotals := func() (records, syncs int64) {
+		for _, svc := range cl.Services {
+			st := svc.StoreStats()
+			records += st.WALRecords
+			syncs += st.WALSyncs
+		}
+		return records, syncs
+	}
+	records0, syncs0 := walTotals()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for w := range sdk {
+		ops := b.N / workers
+		if w < b.N%workers {
+			ops++
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func(w, ops int) {
 			defer wg.Done()
 			created, removed := 0, 0
-			for i := 0; i < b.N/workers; i++ {
+			for i := 0; i < ops; i++ {
 				var err error
 				if created-removed >= live {
 					err = sdk[w].Remove(fmt.Sprintf("/w%d/t%08d", w, removed))
@@ -122,9 +112,14 @@ func benchDurableCreate(b *testing.B, mode string) {
 					return
 				}
 			}
-		}(w)
+		}(w, ops)
 	}
 	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+	if records, syncs := walTotals(); syncs > syncs0 {
+		b.ReportMetric(float64(records-records0)/float64(syncs-syncs0), "records/fsync")
+	}
 }
 
 // BenchmarkBalancingEpoch is the control plane under the profiler (`make

@@ -110,13 +110,6 @@ func StartCluster(n int, baseDir string) (*Cluster, error) {
 	return StartClusterConfig(n, baseDir, ClusterConfig{})
 }
 
-// StartClusterOpts is StartCluster with explicit store options for every
-// shard — e.g. SyncWAL for durable-write benchmarks. Restarted MDSs
-// reopen their shards with the same options.
-func StartClusterOpts(n int, baseDir string, kvOpts kvstore.Options) (*Cluster, error) {
-	return StartClusterConfig(n, baseDir, ClusterConfig{KvOpts: kvOpts})
-}
-
 // StartClusterConfig is the fully configurable constructor.
 func StartClusterConfig(n int, baseDir string, cfg ClusterConfig) (*Cluster, error) {
 	if n < 1 {

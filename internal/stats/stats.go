@@ -165,12 +165,3 @@ type Series struct {
 
 // Add appends a sample.
 func (s *Series) Add(t, v float64) { s.Points = append(s.Points, Point{t, v}) }
-
-// Values returns just the sample values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
-}

@@ -119,8 +119,4 @@ func TestSeries(t *testing.T) {
 	if len(s.Points) != 2 || s.Points[1].V != 20 {
 		t.Errorf("series = %+v", s)
 	}
-	vs := s.Values()
-	if len(vs) != 2 || vs[0] != 10 {
-		t.Errorf("values = %v", vs)
-	}
 }
