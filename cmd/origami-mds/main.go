@@ -1,14 +1,14 @@
-// Command origami-mds runs one OrigamiFS metadata server, or, with
-// -cluster, a whole multi-MDS development cluster in a single process
-// (plus the coordinator balancing it every epoch). Without -model the
+// Command origami-mds runs an OrigamiFS metadata cluster in a single
+// process: -cluster MDSs (default 1) plus the coordinator balancing them
+// every epoch. MDS i serves RPC on -addr's port + i. Without -model the
 // coordinator plans with the self-training Origami balancer, the same
 // loop the simulator runs; -model-dir checkpoints its model.
 //
-// Single server:
+// One MDS:
 //
-//	origami-mds -id 0 -addr 127.0.0.1:7201 -peers 127.0.0.1:7201,127.0.0.1:7202 -data /var/lib/origami/mds0 -admin 127.0.0.1:7301
+//	origami-mds -addr 127.0.0.1:7201 -data /var/lib/origami -admin 127.0.0.1:7301
 //
-// Development cluster:
+// Development cluster (RPC on 7201-7205):
 //
 //	origami-mds -cluster 5 -data /tmp/origami -epoch 10s -admin 127.0.0.1:7301
 //
@@ -16,28 +16,28 @@
 //
 //	origami-mds -cluster 3 -repl -heartbeat 1s -data /tmp/origami -admin 127.0.0.1:7301
 //
-// Durability is picked with -commit-mode {sync-fsync,sync-repl,async};
-// sync-repl acks a write only after the backup applied it, async acks
-// from the memtable and bounds the crash-loss tail to -commit-window
-// acknowledged ops per shard (see DESIGN.md §15):
+// Durability is picked with -commit-mode {sync-fsync,sync-repl,async}:
+// sync-fsync acks after the WAL fsync, sync-repl after the backup
+// applied the write, and async from the memtable, bounding the
+// crash-loss tail to -commit-window acknowledged ops per shard (see
+// DESIGN.md §15):
 //
 //	origami-mds -cluster 3 -repl -commit-mode async -commit-window 128 -data /tmp/origami
 //
-// With -admin each MDS serves an HTTP endpoint (consecutive ports in
-// -cluster mode): /metrics returns the telemetry registry as JSON,
-// /healthz the liveness document, and -pprof additionally mounts
-// net/http/pprof under /debug/pprof/. MDS 0's admin endpoint also
-// exports the coordinator registry (epoch durations, migration
-// outcomes, per-shard health gauges) in -cluster mode.
+// With -admin each MDS serves an HTTP endpoint (consecutive ports, like
+// -addr): /metrics returns the telemetry registry as JSON, /healthz the
+// liveness document, /buildinfo the same document as the MDS's
+// buildinfo RPC, and -pprof additionally mounts net/http/pprof under
+// /debug/pprof/. MDS 0's admin endpoint also exports the coordinator
+// registry (epoch durations, migration outcomes, per-shard health
+// gauges).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -46,27 +46,23 @@ import (
 	"origami/internal/commit"
 	"origami/internal/features"
 	"origami/internal/kvstore"
-	"origami/internal/mds"
 	"origami/internal/ml"
-	"origami/internal/rpc"
 	"origami/internal/server"
 	"origami/internal/telemetry"
 )
 
 func main() {
 	var (
-		id        = flag.Int("id", 0, "MDS id (index into -peers)")
-		addr      = flag.String("addr", "127.0.0.1:7201", "listen address")
-		peers     = flag.String("peers", "", "comma-separated addresses of every MDS, in id order")
-		dataDir   = flag.String("data", "./origami-data", "storage directory")
-		clusterN  = flag.Int("cluster", 0, "run an n-MDS development cluster in-process")
-		epoch     = flag.Duration("epoch", 10*time.Second, "rebalance epoch for -cluster mode")
-		model     = flag.String("model", "", "trained benefit model (origami-train output) driving the balancer in -cluster mode; without it the balancer trains its own")
-		autoBal   = flag.Bool("auto-balance", true, "run the background balance loop every -epoch in -cluster mode (off: epochs only via 'origami-cli epoch')")
+		addr      = flag.String("addr", "127.0.0.1:7201", "RPC listen address of MDS 0; MDS i listens on its port + i (port 0: ephemeral ports)")
+		dataDir   = flag.String("data", "./origami-data", "storage directory (one sub-directory per MDS)")
+		clusterN  = flag.Int("cluster", 1, "number of MDSs to run in-process")
+		epoch     = flag.Duration("epoch", 10*time.Second, "rebalance epoch")
+		model     = flag.String("model", "", "trained benefit model (origami-train output) driving the balancer; without it the balancer trains its own")
+		autoBal   = flag.Bool("auto-balance", true, "run the background balance loop every -epoch (off: epochs only via 'origami-cli epoch')")
 		modelDir  = flag.String("model-dir", "", "directory for the self-trained model's checkpoints (the newest two are kept); the newest one warm-starts the balancer")
-		repl      = flag.Bool("repl", false, "enable ring replication between the MDSs in -cluster mode (WAL shipping; -commit-mode sync-repl acks after the backup applied)")
+		repl      = flag.Bool("repl", false, "enable ring replication between the MDSs (WAL shipping; -commit-mode sync-repl acks after the backup applied)")
 		heartbeat = flag.Duration("heartbeat", 2*time.Second, "health-probe interval of the auto-failover loop when replication is on")
-		adminAddr = flag.String("admin", "", "HTTP admin address serving /metrics, /traces, /buildinfo, and /healthz (consecutive ports per MDS in -cluster mode; empty disables)")
+		adminAddr = flag.String("admin", "", "HTTP admin address serving /metrics, /traces, /buildinfo, and /healthz (consecutive ports per MDS; empty disables)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof on the admin endpoint (requires -admin)")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		traceRate = flag.Float64("trace-sample", 1.0, "span head-sampling rate in [0,1] (slow ops always kept; negative disables tracing)")
@@ -87,35 +83,124 @@ func main() {
 		os.Exit(2)
 	}
 	telemetry.SetLogLevel(parseLevel(*logLevel))
-	if *clusterN > 0 {
-		runCluster(clusterOpts{
-			n:            *clusterN,
-			dataDir:      *dataDir,
-			epoch:        *epoch,
-			modelPath:    *model,
-			modelDir:     *modelDir,
-			autoBalance:  *autoBal,
-			adminAddr:    *adminAddr,
-			pprofOn:      *pprofOn,
-			replOn:       *repl,
-			heartbeat:    *heartbeat,
-			traceRate:    *traceRate,
-			slowOp:       *slowOp,
-			leaseTTL:     *leaseTTL,
-			commitMode:   *commitMd,
-			commitWindow: *commitWin,
-		})
-		return
+	log := telemetry.L("origami-mds")
+	cl, err := server.StartClusterConfig(*clusterN, *dataDir, server.ClusterConfig{
+		// The sync modes fsync regardless; async fsyncs off the ack path.
+		KvOpts:          kvstore.Options{SyncWAL: true},
+		ListenAddr:      *addr,
+		TraceSampleRate: *traceRate,
+		SlowOpThreshold: *slowOp,
+		LeaseTTL:        *leaseTTL,
+		CommitMode:      *commitMd,
+		CommitWindow:    *commitWin,
+	})
+	if err != nil {
+		log.Error("start cluster failed", "err", err)
+		os.Exit(1)
 	}
+	defer cl.Close()
+	co := server.NewCoordinator(cl)
 	if *repl {
-		fmt.Fprintln(os.Stderr, "origami-mds: -repl needs -cluster (replication is wired by the in-process cluster)")
-		os.Exit(2)
+		if err := cl.EnableReplication(nil); err != nil {
+			log.Error("enable replication failed", "err", err)
+			os.Exit(1)
+		}
+		stopFailover := co.StartAutoFailover(*heartbeat)
+		defer stopFailover()
+		log.Info("replication on", "commit_mode", cl.CommitMode().String(), "heartbeat", *heartbeat)
 	}
-	if *commitMd != "" {
-		fmt.Fprintln(os.Stderr, "origami-mds: -commit-mode needs -cluster (the pipeline is wired by the in-process cluster)")
-		os.Exit(2)
+	if *model != "" {
+		// Frozen model: no online learning, the checkpointed (or
+		// origami-train) model drives every epoch.
+		f, err := os.Open(*model)
+		if err != nil {
+			log.Error("open model failed", "path", *model, "err", err)
+			os.Exit(1)
+		}
+		m, err := ml.LoadGBDT(f)
+		f.Close()
+		if err != nil {
+			log.Error("load model failed", "path", *model, "err", err)
+			os.Exit(1)
+		}
+		if err := m.CheckCompatible(features.NumFeatures); err != nil {
+			log.Error("model incompatible with feature schema", "path", *model, "err", err)
+			os.Exit(1)
+		}
+		co.SetStrategy(&balancer.Origami{Model: m})
+		log.Info("balancer using trained model", "path", *model, "trees", len(m.Trees))
+	} else {
+		// No model: the §4.3 loop on the live cluster. Set up now so a
+		// checkpoint the balancer cannot use fails the start.
+		og := &balancer.Origami{ModelDir: *modelDir}
+		if err := og.Setup(nil, nil); err != nil {
+			log.Error("balancer setup failed", "model_dir", *modelDir, "err", err)
+			os.Exit(1)
+		}
+		co.SetStrategy(og)
+		log.Info("self-training balancer on", "model_dir", *modelDir)
 	}
-	runSingle(*id, *addr, *peers, *dataDir, *adminAddr, *pprofOn, *traceRate, *slowOp, *leaseTTL)
+	// Coordinator admin protocol (origami-cli epoch / model) rides on
+	// MDS 0's RPC server.
+	co.RegisterAdmin(cl.Services[0].Server())
+	if *model == "" {
+		for _, svc := range cl.Services {
+			svc.AddBuildFeature("online-learning")
+		}
+	}
+	if *adminAddr != "" {
+		for i, svc := range cl.Services {
+			// MDS 0's endpoint carries the coordinator registry too: one
+			// curl shows epoch outcomes and per-shard health gauges.
+			regs := map[string]*telemetry.Registry{"mds": svc.Registry()}
+			if i == 0 {
+				regs["coordinator"] = co.Registry()
+			}
+			if reg := cl.ReplRegistry(i); reg != nil {
+				regs["replication"] = reg
+			}
+			rpcAddr := cl.Addrs[i]
+			var replFn func() map[string]interface{}
+			if *repl {
+				replFn = func() map[string]interface{} { return cl.ReplicationStatus(i) }
+			}
+			at := server.OffsetAddr(*adminAddr, i)
+			admin, err := telemetry.StartAdmin(at, telemetry.AdminConfig{
+				Registries: regs,
+				Health: func() map[string]interface{} {
+					h := map[string]interface{}{
+						"mds_id":      i,
+						"rpc_addr":    rpcAddr,
+						"map_version": svc.MapVersion(),
+					}
+					if i == 0 {
+						h["model"] = co.ModelInfo()
+					}
+					return h
+				},
+				Replication: replFn,
+				Pprof:       *pprofOn,
+				Tracer:      svc.Tracer(),
+				BuildInfo:   svc.BuildInfo,
+			})
+			if err != nil {
+				log.Error("admin endpoint failed", "addr", at, "err", err)
+				os.Exit(1)
+			}
+			log.Info("admin endpoint up", "mds", i, "addr", admin.Addr(), "pprof", *pprofOn)
+			defer admin.Close()
+		}
+	}
+	log.Info("cluster up", "mds_count", *clusterN, "epoch", *epoch, "auto_balance", *autoBal)
+	for i, a := range cl.Addrs {
+		log.Info("shard", "mds", i, "addr", a)
+	}
+	if *autoBal {
+		stopBalance := co.StartAutoBalance(*epoch)
+		defer stopBalance()
+	}
+	waitForSignal()
+	log.Info("shutting down")
 }
 
 func parseLevel(s string) telemetry.Level {
@@ -129,233 +214,6 @@ func parseLevel(s string) telemetry.Level {
 	default:
 		return telemetry.LevelInfo
 	}
-}
-
-// adminAddrFor offsets the admin base address's port by i, so -cluster
-// mode gives each MDS its own endpoint. A zero port stays zero (every
-// MDS binds an ephemeral port).
-func adminAddrFor(base string, i int) string {
-	host, portStr, err := net.SplitHostPort(base)
-	if err != nil {
-		return base
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil || port == 0 {
-		return base
-	}
-	return net.JoinHostPort(host, strconv.Itoa(port+i))
-}
-
-// startAdmin brings up one MDS's admin endpoint. extra registries (the
-// coordinator's, on MDS 0 in cluster mode) are merged into the export;
-// the service's span tracer backs /traces and features feed /buildinfo.
-func startAdmin(log *telemetry.Logger, addr string, pprofOn bool, svc *mds.Service, extra map[string]*telemetry.Registry, health, replFn func() map[string]interface{}, features []string) *telemetry.Admin {
-	regs := map[string]*telemetry.Registry{"mds": svc.Registry()}
-	for name, reg := range extra {
-		regs[name] = reg
-	}
-	if svc.Tracer() != nil {
-		features = append(append([]string(nil), features...), "tracing")
-	}
-	admin, err := telemetry.StartAdmin(addr, telemetry.AdminConfig{
-		Registries:  regs,
-		Health:      health,
-		Replication: replFn,
-		Pprof:       pprofOn,
-		Tracer:      svc.Tracer(),
-		Features:    features,
-	})
-	if err != nil {
-		log.Error("admin endpoint failed", "addr", addr, "err", err)
-		os.Exit(1)
-	}
-	log.Info("admin endpoint up", "addr", admin.Addr(), "pprof", pprofOn)
-	return admin
-}
-
-func runSingle(id int, addr, peers, dataDir, adminAddr string, pprofOn bool, traceRate float64, slowOp, leaseTTL time.Duration) {
-	log := telemetry.L("origami-mds").With("mds", id)
-	peerAddrs := strings.Split(peers, ",")
-	if peers == "" {
-		peerAddrs = []string{addr}
-	}
-	conns := make([]*rpc.Client, len(peerAddrs))
-	resolve := func(pid int) (*rpc.Client, error) {
-		if pid < 0 || pid >= len(peerAddrs) {
-			return nil, fmt.Errorf("peer %d out of range", pid)
-		}
-		if conns[pid] == nil {
-			c, err := rpc.Dial(peerAddrs[pid])
-			if err != nil {
-				return nil, err
-			}
-			conns[pid] = c
-		}
-		return conns[pid], nil
-	}
-	store, err := mds.OpenStore(dataDir, id, kvstore.Options{})
-	if err != nil {
-		log.Error("open store failed", "dir", dataDir, "err", err)
-		os.Exit(1)
-	}
-	svc := mds.NewService(id, store, resolve)
-	if leaseTTL > 0 {
-		svc.SetLeaseTTL(leaseTTL)
-	}
-	if traceRate >= 0 {
-		svc.SetTracer(telemetry.NewTracer(fmt.Sprintf("mds%d", id), telemetry.TracerConfig{
-			SampleRate:    traceRate,
-			SlowThreshold: slowOp,
-			Registry:      svc.Registry(),
-		}))
-	}
-	bound, err := svc.Serve(addr)
-	if err != nil {
-		log.Error("serve failed", "addr", addr, "err", err)
-		os.Exit(1)
-	}
-	if adminAddr != "" {
-		admin := startAdmin(log, adminAddr, pprofOn, svc, nil, func() map[string]interface{} {
-			return map[string]interface{}{
-				"mds_id":      id,
-				"rpc_addr":    bound,
-				"map_version": svc.MapVersion(),
-			}
-		}, nil, nil)
-		defer admin.Close()
-	}
-	log.Info("serving", "addr", bound, "data", dataDir)
-	waitForSignal()
-	if err := svc.Close(); err != nil {
-		log.Warn("shutdown error", "err", err)
-	}
-}
-
-// clusterOpts bundles the -cluster mode configuration.
-type clusterOpts struct {
-	n            int
-	dataDir      string
-	epoch        time.Duration
-	modelPath    string
-	modelDir     string
-	autoBalance  bool
-	adminAddr    string
-	pprofOn      bool
-	replOn       bool
-	heartbeat    time.Duration
-	traceRate    float64
-	slowOp       time.Duration
-	leaseTTL     time.Duration
-	commitMode   string
-	commitWindow int
-}
-
-func runCluster(o clusterOpts) {
-	log := telemetry.L("origami-mds")
-	cl, err := server.StartClusterConfig(o.n, o.dataDir, server.ClusterConfig{
-		TraceSampleRate: o.traceRate,
-		SlowOpThreshold: o.slowOp,
-		LeaseTTL:        o.leaseTTL,
-		CommitMode:      o.commitMode,
-		CommitWindow:    o.commitWindow,
-	})
-	if err != nil {
-		log.Error("start cluster failed", "err", err)
-		os.Exit(1)
-	}
-	defer cl.Close()
-	co := server.NewCoordinator(cl)
-	if o.replOn {
-		if err := cl.EnableReplication(nil); err != nil {
-			log.Error("enable replication failed", "err", err)
-			os.Exit(1)
-		}
-		stopFailover := co.StartAutoFailover(o.heartbeat)
-		defer stopFailover()
-		log.Info("replication on", "commit_mode", cl.CommitMode().String(), "heartbeat", o.heartbeat)
-	}
-	if o.modelPath != "" {
-		// Frozen model: no online learning, the checkpointed (or
-		// origami-train) model drives every epoch.
-		f, err := os.Open(o.modelPath)
-		if err != nil {
-			log.Error("open model failed", "path", o.modelPath, "err", err)
-			os.Exit(1)
-		}
-		m, err := ml.LoadGBDT(f)
-		f.Close()
-		if err != nil {
-			log.Error("load model failed", "path", o.modelPath, "err", err)
-			os.Exit(1)
-		}
-		if err := m.CheckCompatible(features.NumFeatures); err != nil {
-			log.Error("model incompatible with feature schema", "path", o.modelPath, "err", err)
-			os.Exit(1)
-		}
-		co.SetStrategy(&balancer.Origami{Model: m})
-		log.Info("balancer using trained model", "path", o.modelPath, "trees", len(m.Trees))
-	} else {
-		// No model: the §4.3 loop on the live cluster. Set up now so a
-		// checkpoint the balancer cannot use fails the start.
-		og := &balancer.Origami{ModelDir: o.modelDir}
-		if err := og.Setup(nil, nil); err != nil {
-			log.Error("balancer setup failed", "model_dir", o.modelDir, "err", err)
-			os.Exit(1)
-		}
-		co.SetStrategy(og)
-		log.Info("self-training balancer on", "model_dir", o.modelDir)
-	}
-	// Coordinator admin protocol (origami-cli epoch / model) rides on
-	// MDS 0's RPC server.
-	co.RegisterAdmin(cl.Services[0].Server())
-	features := []string{"cluster"}
-	if o.replOn {
-		features = append(features, "replication")
-	}
-	features = append(features, "commit-"+cl.CommitMode().String())
-	if o.modelPath == "" {
-		features = append(features, "online-learning")
-	}
-	if o.adminAddr != "" {
-		for i, svc := range cl.Services {
-			// MDS 0's endpoint carries the coordinator registry too: one
-			// curl shows epoch outcomes and per-shard health gauges.
-			extra := map[string]*telemetry.Registry{}
-			if i == 0 {
-				extra["coordinator"] = co.Registry()
-			}
-			if reg := cl.ReplRegistry(i); reg != nil {
-				extra["replication"] = reg
-			}
-			id, rpcAddr, s := i, cl.Addrs[i], svc
-			var replFn func() map[string]interface{}
-			if o.replOn {
-				replFn = func() map[string]interface{} { return cl.ReplicationStatus(id) }
-			}
-			admin := startAdmin(log, adminAddrFor(o.adminAddr, i), o.pprofOn, svc, extra, func() map[string]interface{} {
-				h := map[string]interface{}{
-					"mds_id":      id,
-					"rpc_addr":    rpcAddr,
-					"map_version": s.MapVersion(),
-				}
-				if id == 0 {
-					h["model"] = co.ModelInfo()
-				}
-				return h
-			}, replFn, features)
-			defer admin.Close()
-		}
-	}
-	log.Info("cluster up", "mds_count", o.n, "epoch", o.epoch, "auto_balance", o.autoBalance)
-	for i, a := range cl.Addrs {
-		log.Info("shard", "mds", i, "addr", a)
-	}
-	if o.autoBalance {
-		stopBalance := co.StartAutoBalance(o.epoch)
-		defer stopBalance()
-	}
-	waitForSignal()
-	log.Info("shutting down")
 }
 
 func waitForSignal() {

@@ -1,22 +1,25 @@
 // Package commit is the single place that answers "when is a write
-// acknowledged, and what does that acknowledgement promise". Before it
-// existed the answer was scattered across three layers: the kvstore's
-// SyncWAL flag (fsync before ack), the replication shipper's Sync option
-// (backup ack before ack), and the server wiring that combined them.
-// A Pipeline folds those decisions into one policy object that the
-// kvstore write path consults on every committed mutation.
+// acknowledged, and what does that acknowledgement promise". A Pipeline
+// is one policy object that the kvstore write path consults on every
+// committed mutation: the store offers it a local fsync wait and a
+// replication ack wait, and the policy alone decides which gate the ack.
 //
 // Three policies exist:
 //
 //	sync-fsync  ack after the local WAL fsync (group commit). The
-//	            historical default: durability = the local disk.
+//	            default: durability = the local disk.
 //	sync-repl   ack after the backup replica applied the record; the
-//	            local fsync rides the OS flush off the critical path.
-//	            Durability = the replication domain.
+//	            local fsync runs on the background syncer, off the
+//	            critical path. Durability = the replication domain.
 //	async       ack from the memtable immediately, bounded by an
 //	            in-flight window; replication (or the local fsync)
 //	            completes in the background. A crash can lose at most
 //	            the window's worth of acknowledged writes.
+//
+// A cluster (server.StartClusterConfig) always turns the store's
+// SyncWAL on in the two sync modes, so their local wait exists; async
+// is the one mode that runs with whatever SyncWAL its caller chose, and
+// without it an async write is never fsynced by its own path.
 //
 // The pipeline also owns the commit telemetry vocabulary
 // (commit.ops.acked, commit.ops.durable, commit.window.inflight,
@@ -146,8 +149,9 @@ func (p *Pipeline) Window() int { return p.window }
 
 // Commit gates one write's acknowledgement. local waits for the local
 // WAL fsync covering the write (nil when the store already made it
-// durable, or when SyncWAL is off). repl waits for the replication ack
-// (nil when no replication is attached). Returning nil IS the
+// durable, or when SyncWAL is off — only ever in async mode on a
+// cluster). repl waits for the replication ack (nil when no replication
+// is attached). Returning nil IS the
 // acknowledgement; what it promises depends on the mode.
 func (p *Pipeline) Commit(ctx context.Context, local, repl func() error) error {
 	switch p.mode {

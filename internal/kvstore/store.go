@@ -39,10 +39,11 @@ type Options struct {
 	MaxTablesPerGuard int
 	// MaxLevels is the number of guarded levels below L0. Default 4.
 	MaxLevels int
-	// SyncWAL makes every write durable before it is acknowledged: the
-	// writer waits for a WAL fsync covering its record. Concurrent
-	// writers share fsyncs (group commit). Default false — durability
-	// rides the OS flush, standard for benchmarks.
+	// SyncWAL gives every write a WAL fsync covering its record
+	// (concurrent writers share fsyncs: group commit); the installed
+	// Committer decides whether the ack waits for it. A cluster's
+	// sync commit modes always set it; only async reads it, and without
+	// it an async write is never fsynced by its own path. Default false.
 	SyncWAL bool
 	// Seed seeds the memtable skiplist's height generator so runs are
 	// reproducible. Default 1.
@@ -212,9 +213,9 @@ func (db *DB) spanTracer() *telemetry.Tracer {
 // ops is the memtable's own copy, which nothing ever writes to again: the
 // hook may keep it without copying, but must not modify it. The hook must
 // be fast and must not call back into the DB. It may return a non-nil
-// wait func, which the writer runs after releasing the DB locks (and
-// after its own durability wait): this is where a synchronous replication
-// ack blocks without stalling other writers. ctx is the writer's request
+// wait func, which the installed Committer may run after the DB locks
+// are released: this is where a synchronous replication ack blocks
+// without stalling other writers. ctx is the writer's request
 // context (trace/span propagation); it may be nil for untraced writes and
 // must not be retained past the wait func.
 type CommitHook func(ctx context.Context, ops []byte, n int) (wait func() error)
@@ -235,8 +236,8 @@ func (db *DB) SetCommitHook(h CommitHook) {
 // returning nil acknowledges the write; the policy decides which waits
 // that implies. Commit runs outside every DB lock.
 //
-// Without a committer the store keeps its historical behaviour: wait
-// for the local fsync (under SyncWAL), then for the hook wait.
+// Without a committer the store waits for the local fsync (under
+// SyncWAL) alone: a hook's wait is only ever awaited by a committer.
 type Committer interface {
 	Commit(ctx context.Context, local, repl func() error) error
 }
@@ -373,8 +374,8 @@ func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) err
 	}
 	db.mu.Unlock()
 	// The hook runs under writeMu so its invocation order is the WAL
-	// order; its wait func (if any) runs only after every lock is
-	// released and the local durability wait is done.
+	// order; its wait func (if any) is the committer's to run, after
+	// every lock is released.
 	var wait func() error
 	if db.hook != nil {
 		wait = db.hook(ctx, ops, n)
@@ -395,15 +396,8 @@ func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) err
 	if committer != nil {
 		return committer.Commit(ctx, local, wait)
 	}
-	// No policy installed: historical behaviour — local fsync first,
-	// then the hook (replication) wait.
 	if local != nil {
-		if err := local(); err != nil {
-			return err
-		}
-	}
-	if wait != nil {
-		return wait()
+		return local()
 	}
 	return nil
 }

@@ -99,7 +99,7 @@ type Service struct {
 	replays replayTable
 
 	// featMu guards features, the extra feature flags reported by
-	// MethodBuildInfo.
+	// BuildInfo.
 	featMu   sync.Mutex
 	features []string
 }
@@ -128,7 +128,7 @@ func (s *Service) spanTracer() *telemetry.Tracer {
 func (s *Service) Tracer() *telemetry.Tracer { return s.spanTracer() }
 
 // AddBuildFeature records an enabled feature flag ("replication",
-// "online-learning") for the MethodBuildInfo report.
+// "commit-async", "online-learning") for BuildInfo.
 func (s *Service) AddBuildFeature(f string) {
 	s.featMu.Lock()
 	s.features = append(s.features, f)
@@ -431,16 +431,22 @@ func (s *Service) handleTraces(body []byte) ([]byte, error) {
 	return json.Marshal(dump)
 }
 
-// handleBuildInfo serves the process build info (version, go runtime,
-// uptime, enabled features) as JSON.
-func (s *Service) handleBuildInfo(body []byte) ([]byte, error) {
+// BuildInfo is the process build info (version, go runtime, uptime)
+// with the features recorded on this service, plus "tracing" while a
+// span tracer is installed. MethodBuildInfo and the admin endpoint's
+// /buildinfo both serve it.
+func (s *Service) BuildInfo() telemetry.BuildInfo {
 	s.featMu.Lock()
 	feats := append([]string(nil), s.features...)
 	s.featMu.Unlock()
 	if s.spanTracer() != nil {
 		feats = append(feats, "tracing")
 	}
-	return json.Marshal(telemetry.CollectBuildInfo(feats...))
+	return telemetry.CollectBuildInfo(feats...)
+}
+
+func (s *Service) handleBuildInfo(body []byte) ([]byte, error) {
+	return json.Marshal(s.BuildInfo())
 }
 
 func (s *Service) dirAccum(ino namespace.Ino) *dirCounters {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"origami/internal/commit"
 	"origami/internal/kvstore"
 	"origami/internal/mds"
 	"origami/internal/namespace"
@@ -196,13 +197,14 @@ func entryName(i int) string {
 	return fmt.Sprintf("tail%03d", i)
 }
 
-// TestSyncModeAcksAfterBackupApply verifies sync-mode semantics: by the
+// TestSyncModeAcksAfterBackupApply verifies sync-repl semantics: by the
 // time a write returns, its record is applied on the backup replica.
 func TestSyncModeAcksAfterBackupApply(t *testing.T) {
 	primary := openPrimary(t, 1)
+	primary.SetCommitter(commit.NewPipeline(commit.SyncRepl, 0, nil))
 	node := startBackup(t, 2)
 	shipRing(t, primary, Options{
-		Primary: 1, Backup: 2, Sync: true,
+		Primary: 1, Backup: 2,
 		RetryBackoff: 5 * time.Millisecond,
 		SyncTimeout:  5 * time.Second,
 		Dial:         dialerTo(t, node, nil),
@@ -433,15 +435,15 @@ func waitStatus(t *testing.T, sh *Shipper, cond func(Status) bool) {
 }
 
 // BenchmarkReplicationAppend is one shipped record on the sync-repl ack
-// path: a one-put record fed to a Sync shipper, framed, sent over
-// loopback, decoded and applied on the backup, and acked back. ns/op and
+// path: a one-put record fed to a shipper, framed, sent over loopback,
+// decoded and applied on the backup, and its ack awaited. ns/op and
 // allocs/op are per record, both ends together; the primary's own write
 // is not in it.
 func BenchmarkReplicationAppend(b *testing.B) {
 	primary := openPrimary(b, 1)
 	node := startBackup(b, 2)
 	sh := shipRing(b, primary, Options{
-		Primary: 1, Backup: 2, Sync: true,
+		Primary: 1, Backup: 2,
 		SyncTimeout: 10 * time.Second,
 		Dial:        dialerTo(b, node, nil),
 	})

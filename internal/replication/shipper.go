@@ -19,26 +19,19 @@ type Options struct {
 	Primary int
 	// Backup is the MDS id hosting the replica.
 	Backup int
-	// Sync makes Feed hand every record an ack wait that blocks until the
-	// record is applied on the backup. Whether the writer actually blocks
-	// on it before acknowledging is the commit pipeline's decision, not
-	// the shipper's: sync-repl mode awaits it inline (zero acknowledged-
-	// write loss across a primary crash), async mode completes it in the
-	// background under a bounded window. Default false — fire-and-forget
-	// shipping with a bounded backlog, no per-record ack tracking.
-	Sync bool
 	// Window is the op budget of one Append frame. A frame carries whole
 	// records only: it closes on the record that reaches Window, and a
 	// record larger than Window travels alone. Default DefaultWindow.
 	Window int
 	// MaxBacklog is the max ops buffered unshipped; past it the buffer is
 	// dropped and the backup is resynced by snapshot. This bounds both
-	// shipper memory and the async-mode loss window. Default
+	// shipper memory and the unshipped tail a failover can lose when
+	// acks do not wait for the backup. Default
 	// DefaultMaxBacklog.
 	MaxBacklog int
 	// SnapChunk is the max puts per snapshot chunk record. Default 512.
 	SnapChunk int
-	// SyncTimeout bounds a sync-mode ack wait; past it the write is
+	// SyncTimeout bounds one record's ack wait; past it the write is
 	// reported failed to its issuer (it is still applied locally — the
 	// conservative side of the no-loss guarantee). Default 2s.
 	SyncTimeout time.Duration
@@ -48,7 +41,7 @@ type Options struct {
 	// private registry.
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, records a "repl.sync_ack" span for every
-	// sync-mode ack wait under a traced write.
+	// ack wait run under a traced write.
 	Tracer *telemetry.Tracer
 	// Dial resolves an MDS id to an RPC client for its current address.
 	Dial func(id int) (*rpc.Client, error)
@@ -56,7 +49,7 @@ type Options struct {
 
 // DefaultWindow and DefaultMaxBacklog are the shipper's batching and
 // buffering defaults, in ops. Exported because the scenario harness's
-// loss-window assertion derives the async unshipped-tail budget
+// loss-window assertion derives the unshipped-tail budget
 // (MaxBacklog + Window) from them when a fleet leaves them unset.
 const (
 	DefaultWindow     = 256
@@ -100,8 +93,9 @@ type record struct {
 // records. A new (or retargeted, or gapped, or overflowed) stream starts
 // with a snapshot: the shipper exports the store, ships it as records of
 // puts under a fresh session, and resumes tail appends from the sequence
-// number the snapshot covers. In Sync mode Feed hands each writer a wait
-// that blocks until the backup has applied its record (or SyncTimeout).
+// number the snapshot covers. Feed hands each writer a wait that blocks
+// until the backup has applied its record (or SyncTimeout); the commit
+// pipeline alone decides whether anyone runs it.
 type Shipper struct {
 	store *mds.Store
 	opts  Options
@@ -211,7 +205,6 @@ func (sh *Shipper) Retarget(newBackup int) {
 type Status struct {
 	Primary  int    `json:"primary"`
 	Backup   int    `json:"backup"`
-	Sync     bool   `json:"sync"`
 	Session  uint64 `json:"session"`
 	LastSeq  uint64 `json:"last_seq"`
 	AckedSeq uint64 `json:"acked_seq"`
@@ -228,7 +221,6 @@ func (sh *Shipper) Status() Status {
 	return Status{
 		Primary:  sh.opts.Primary,
 		Backup:   sh.backup,
-		Sync:     sh.opts.Sync,
 		Session:  sh.session,
 		LastSeq:  sh.lastSeq,
 		AckedSeq: sh.acked,
@@ -242,9 +234,9 @@ func (sh *Shipper) Status() Status {
 // Feed ingests one committed WAL record — n op bodies in ops — in WAL
 // order. It is the store's commit hook, run under the DB write lock, so
 // it must not take store locks. It keeps ops (the memtable's immutable
-// copy), assigns the record its sequence number, and in Sync mode returns its
-// ack wait, which the commit pipeline either awaits inline (sync-repl)
-// or drives to completion in the background (async).
+// copy), assigns the record its sequence number, and returns its ack
+// wait, which the commit pipeline awaits inline (sync-repl), drives to
+// completion in the background (async) or drops (sync-fsync).
 func (sh *Shipper) Feed(ctx context.Context, ops []byte, n int) func() error {
 	sh.mu.Lock()
 	if sh.stopped {
@@ -272,11 +264,8 @@ func (sh *Shipper) Feed(ctx context.Context, ops []byte, n int) func() error {
 	sh.lagG.Set(float64(sh.lastSeq - sh.acked))
 	sh.cond.Signal()
 	sh.mu.Unlock()
-	if !sh.opts.Sync {
-		return nil
-	}
 	return func() error {
-		// The ack wait is where sync-mode latency hides; give it its own
+		// The ack wait is where sync-repl latency hides; give it its own
 		// span under the writer's kvstore.commit span.
 		_, span := sh.opts.Tracer.StartSpan(ctx, "repl.sync_ack")
 		err := sh.waitAcked(seq)
@@ -285,7 +274,7 @@ func (sh *Shipper) Feed(ctx context.Context, ops []byte, n int) func() error {
 	}
 }
 
-// ackTimers recycles waitAcked's timeout timers: every sync-mode write
+// ackTimers recycles waitAcked's timeout timers: every awaited record
 // waits once, and a fresh timer per wait is three allocations.
 var ackTimers sync.Pool
 

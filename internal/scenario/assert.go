@@ -27,7 +27,7 @@ func evaluateAssertions(sc *Scenario, res *RunResult, cl *server.Cluster, co *se
 			res.Workload.Lost = n
 			bound := lossWindowBound(sc)
 			r.Passed = n <= bound
-			r.Detail = fmt.Sprintf("%d acked creates lost (commit-mode %s, replication %s: budget %d)", n, commitModeName(sc), sc.Fleet.Replication, bound)
+			r.Detail = fmt.Sprintf("%d acked creates lost (commit-mode %s, replication %s: budget %d)", n, sc.Fleet.CommitMode, sc.Fleet.Replication, bound)
 		case AssertOpsMin:
 			r.Passed = float64(res.Workload.Ops) >= a.Value
 			r.Detail = fmt.Sprintf("%d ops completed (want >= %s)", res.Workload.Ops, trimFloat(a.Value))
@@ -79,12 +79,13 @@ func evaluateAssertions(sc *Scenario, res *RunResult, cl *server.Cluster, co *se
 // lossWindowBound computes the acked-loss budget the fleet's durability
 // config promises. Sync commit modes promise zero loss from the ack
 // path itself; async commit adds its in-flight window (acked writes the
-// crash may catch before they are durable). An async shipper adds its
-// unshipped tail on top — backlog plus one ship window — because a
-// failover promotes a backup that never saw those records. Replication
-// "sync" and "off" add nothing: sync acks waited for the backup, and
-// with replication off a kill/restart revives the primary's own
-// (fsynced or torn-tail-recovered) WAL.
+// crash may catch before they are durable). With replication on, every
+// mode but sync-repl adds the shipper's unshipped tail on top — backlog
+// plus one ship window — because a failover promotes a backup that
+// never saw those records. sync-repl and replication off add nothing:
+// sync-repl acks waited for the backup, and with replication off a
+// kill/restart revives the primary's own (fsynced or
+// torn-tail-recovered) WAL.
 //
 // The shipper frames whole records, but the budget still holds in ops:
 // MaxBacklog and Window both count ops, an in-flight frame stays in the
@@ -102,7 +103,7 @@ func lossWindowBound(sc *Scenario) int {
 			bound += commit.DefaultWindow
 		}
 	}
-	if sc.Fleet.Replication == "async" {
+	if sc.Fleet.Replication == "on" && sc.Fleet.CommitMode != "sync-repl" {
 		backlog, window := sc.Fleet.Backlog, sc.Fleet.Window
 		if backlog <= 0 {
 			backlog = replication.DefaultMaxBacklog
@@ -113,19 +114,6 @@ func lossWindowBound(sc *Scenario) int {
 		bound += backlog + window
 	}
 	return bound
-}
-
-// commitModeName is the fleet's effective commit mode: its commit-mode,
-// else sync-repl under "replication: sync", else sync-fsync. The runner
-// starts the cluster with it, and the loss-window verdict reports it.
-func commitModeName(sc *Scenario) string {
-	if sc.Fleet.CommitMode != "" {
-		return sc.Fleet.CommitMode
-	}
-	if sc.Fleet.Replication == "sync" {
-		return "sync-repl"
-	}
-	return "sync-fsync"
 }
 
 func cmpWord(kind string) string {

@@ -51,8 +51,8 @@ func TestChaosSyncCommitLossWindow(t *testing.T) {
 	if got := lossWindowBound(sc); got != 0 {
 		t.Errorf("sync-replication fleet computed loss budget %d, want 0", got)
 	}
-	if got := commitModeName(sc); got != "sync-repl" {
-		t.Errorf("effective commit mode %q, want sync-repl", got)
+	if got := sc.Fleet.CommitMode; got != "sync-repl" {
+		t.Errorf("commit mode %q, want sync-repl", got)
 	}
 }
 

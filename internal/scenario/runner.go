@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"origami/internal/balancer"
+	"origami/internal/kvstore"
 	"origami/internal/replication"
 	"origami/internal/server"
 	"origami/internal/telemetry"
@@ -179,10 +180,11 @@ func Run(sc *Scenario, opts Options) (*RunResult, error) {
 	}
 
 	cl, err := server.StartClusterConfig(sc.Fleet.MDS, baseDir, server.ClusterConfig{
-		CallTimeout: sc.Fleet.CallTimeout,
-		FaultSeed:   seed,
-		// "replication: sync" with no commit-mode means sync-repl.
-		CommitMode:   commitModeName(sc),
+		// The sync modes fsync regardless; async fsyncs off the ack path.
+		KvOpts:       kvstore.Options{SyncWAL: true},
+		CallTimeout:  sc.Fleet.CallTimeout,
+		FaultSeed:    seed,
+		CommitMode:   sc.Fleet.CommitMode,
 		CommitWindow: sc.Fleet.CommitWindow,
 	})
 	if err != nil {
@@ -190,7 +192,7 @@ func Run(sc *Scenario, opts Options) (*RunResult, error) {
 	}
 	defer cl.Close()
 
-	if sc.Fleet.Replication != "off" {
+	if sc.Fleet.Replication == "on" {
 		err := cl.EnableReplication(func(o *replication.Options) {
 			o.RetryBackoff = 5 * time.Millisecond
 			if sc.Fleet.Backlog > 0 {

@@ -36,7 +36,8 @@ type Scenario struct {
 type FleetSpec struct {
 	// MDS is the fleet size (>= 1, >= 2 when replication is on).
 	MDS int
-	// Replication: "off" (default), "async", or "sync".
+	// Replication: "off" (default) or "on" (ring WAL shipping). What an
+	// ack waits for is CommitMode's alone.
 	Replication string
 	// Heartbeat > 0 starts the coordinator's auto-failover loop at that
 	// probe interval.
@@ -53,8 +54,7 @@ type FleetSpec struct {
 	Window  int
 	// CommitMode selects every shard's durability policy — "sync-fsync"
 	// (default), "sync-repl", or "async" — the commit pipeline's
-	// vocabulary. sync-repl needs replication on; replication "sync"
-	// implies sync-repl and may not be combined with another mode.
+	// vocabulary. sync-repl needs replication on.
 	CommitMode string
 	// CommitWindow bounds async commit's acknowledged-but-not-durable
 	// in-flight set (0 = commit.DefaultWindow). Only valid with
@@ -179,6 +179,9 @@ func (f *FleetSpec) withDefaults() {
 	if f.Replication == "" {
 		f.Replication = "off"
 	}
+	if f.CommitMode == "" {
+		f.CommitMode = "sync-fsync"
+	}
 }
 
 func (w *WorkloadSpec) withDefaults() {
@@ -216,23 +219,20 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: fleet needs mds >= 1", sc.Name)
 	}
 	switch f.Replication {
-	case "off", "async", "sync":
+	case "off", "on":
 	default:
-		return fmt.Errorf("scenario %s: replication %q (want off|async|sync)", sc.Name, f.Replication)
+		return fmt.Errorf("scenario %s: replication %q (want off|on)", sc.Name, f.Replication)
 	}
-	if f.Replication != "off" && f.MDS < 2 {
+	if f.Replication == "on" && f.MDS < 2 {
 		return fmt.Errorf("scenario %s: replication needs mds >= 2", sc.Name)
 	}
 	switch f.CommitMode {
-	case "", "sync-fsync", "sync-repl", "async":
+	case "sync-fsync", "sync-repl", "async":
 	default:
 		return fmt.Errorf("scenario %s: commit-mode %q (want sync-fsync|sync-repl|async)", sc.Name, f.CommitMode)
 	}
 	if f.CommitMode == "sync-repl" && f.Replication == "off" {
 		return fmt.Errorf("scenario %s: commit-mode sync-repl needs replication on (its ack rides the backup)", sc.Name)
-	}
-	if f.Replication == "sync" && f.CommitMode != "" && f.CommitMode != "sync-repl" {
-		return fmt.Errorf("scenario %s: replication sync implies commit-mode sync-repl, not %q", sc.Name, f.CommitMode)
 	}
 	if f.CommitWindow != 0 && f.CommitMode != "async" {
 		return fmt.Errorf("scenario %s: commit-window only applies to commit-mode async", sc.Name)

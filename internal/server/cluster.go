@@ -1,5 +1,5 @@
 // Package server assembles networked OrigamiFS clusters: it can start N
-// in-process MDS services (used by tests, examples, and the CLI dev mode)
+// in-process MDS services (used by tests, examples, and origami-mds)
 // and runs the Coordinator — the §4.2 Metadata Balancer on MDS 0 that
 // pulls Data Collector dumps every epoch, plans migrations with Meta-OPT
 // (or a trained model), executes them through the Migrator RPCs, and
@@ -8,8 +8,10 @@ package server
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -27,8 +29,14 @@ const DefaultCallTimeout = 3 * time.Second
 // ClusterConfig tunes a cluster beyond the store options. The zero value
 // reproduces StartCluster's defaults.
 type ClusterConfig struct {
-	// KvOpts are the store options of every shard (SyncWAL etc.).
+	// KvOpts are the store options of every shard and hosted replica.
+	// Their SyncWAL is the commit mode's to set: sync-fsync and
+	// sync-repl always turn it on, and only async reads the caller's
+	// value (off: an async write is never fsynced by its own path).
 	KvOpts kvstore.Options
+	// ListenAddr is the base RPC address: MDS i listens on its port + i.
+	// Empty, or port 0, binds every MDS to an ephemeral loopback port.
+	ListenAddr string
 	// CallTimeout bounds coordinator and peer RPCs (default
 	// DefaultCallTimeout). Chaos scenarios shrink it so dropped frames
 	// resolve quickly.
@@ -53,7 +61,8 @@ type ClusterConfig struct {
 	// "sync-repl" (ack after the backup replica applied; requires
 	// EnableReplication, else it degrades to the local fsync), or
 	// "async" (ack from the memtable under CommitWindow). It is the one
-	// durability setting: EnableReplication never changes it.
+	// durability setting: EnableReplication never changes it, and it
+	// overrides KvOpts.SyncWAL in the sync modes.
 	CommitMode string
 	// CommitWindow bounds the async mode's acknowledged-but-not-durable
 	// in-flight set (0 = commit.DefaultWindow). It is the loss window a
@@ -71,10 +80,11 @@ type Cluster struct {
 	// peerConns[from][to] is MDS from's connection to MDS to, dialed
 	// lazily. Keeping the matrix per-caller lets link faults (partitions,
 	// loss, latency) apply to exactly one direction of one link.
-	peerConns [][]*rpc.Client
-	dir       string
-	timeout   time.Duration
-	kvOpts    kvstore.Options
+	peerConns  [][]*rpc.Client
+	dir        string
+	listenAddr string
+	timeout    time.Duration
+	kvOpts     kvstore.Options
 
 	// faults is the live network-fault table every cluster-owned
 	// connection consults (see netfaults.go).
@@ -125,8 +135,16 @@ func StartClusterConfig(n int, baseDir string, cfg ClusterConfig) (*Cluster, err
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	if mode != commit.Async {
+		// A sync ack waits for an fsync, so there must be one to wait for.
+		cfg.KvOpts.SyncWAL = true
+	}
+	if cfg.ListenAddr == "" {
+		cfg.ListenAddr = "127.0.0.1:0"
+	}
 	c := &Cluster{
 		dir:          baseDir,
+		listenAddr:   cfg.ListenAddr,
 		peerConns:    make([][]*rpc.Client, n),
 		timeout:      cfg.CallTimeout,
 		kvOpts:       cfg.KvOpts,
@@ -166,8 +184,8 @@ func StartClusterConfig(n int, baseDir string, cfg ClusterConfig) (*Cluster, err
 
 // startMDS brings MDS id up from its shard directory — the one path for
 // a fresh shard and a restarted one alike: open the store, build the
-// service with the cluster's lease TTL and commit pipeline, serve on a
-// fresh loopback port, and attach a span tracer.
+// service with the cluster's lease TTL and commit pipeline, serve on its
+// port of the listen address, and attach a span tracer.
 func (c *Cluster) startMDS(id int) (*mds.Service, string, error) {
 	dir := filepath.Join(c.dir, fmt.Sprintf("mds%d", id))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -182,7 +200,7 @@ func (c *Cluster) startMDS(id int) (*mds.Service, string, error) {
 		svc.SetLeaseTTL(c.leaseTTL)
 	}
 	c.installCommit(id, svc)
-	addr, err := svc.Serve("127.0.0.1:0")
+	addr, err := svc.Serve(OffsetAddr(c.listenAddr, id))
 	if err != nil {
 		store.Close()
 		return nil, "", fmt.Errorf("server: serve MDS %d: %w", id, err)
@@ -232,7 +250,23 @@ func (c *Cluster) Tracer(id int) *telemetry.Tracer {
 func (c *Cluster) installCommit(id int, svc *mds.Service) {
 	p := commit.NewPipeline(c.commitMode, c.commitWindow, svc.Registry())
 	svc.Store().SetCommitter(p)
+	svc.AddBuildFeature("commit-" + c.commitMode.String())
 	c.pipelines[id] = p
+}
+
+// OffsetAddr offsets base's port by i, giving MDS i its own port of a
+// consecutive range. A zero port stays zero (every MDS binds an
+// ephemeral port), and an unparsable base is returned unchanged.
+func OffsetAddr(base string, i int) string {
+	host, portStr, err := net.SplitHostPort(base)
+	if err != nil {
+		return base
+	}
+	port, err := strconv.Atoi(portStr)
+	if err != nil || port == 0 {
+		return base
+	}
+	return net.JoinHostPort(host, strconv.Itoa(port+i))
 }
 
 // CommitMode returns the cluster's durability policy.
@@ -335,8 +369,8 @@ func (c *Cluster) StopMDS(id int) error {
 }
 
 // RestartMDS revives a stopped MDS from its shard directory, rebinding it
-// to a fresh address and re-dialing the coordinator connection. Peer
-// connections re-resolve lazily.
+// (to a fresh port unless ListenAddr fixed one) and re-dialing the
+// coordinator connection. Peer connections re-resolve lazily.
 func (c *Cluster) RestartMDS(id int) error {
 	if id < 0 || id >= len(c.Addrs) {
 		return fmt.Errorf("server: MDS %d out of range", id)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,15 +17,23 @@ import (
 // pipeline drains to zero in-flight, and the commit.* telemetry adds
 // up. Run under -race this sweeps the whole pipelined-submission path:
 // client coalescing, the multi-op frame, the atomic shard apply, the
-// WAL batch record, and the per-mode ack plumbing.
+// WAL batch record, and the per-mode ack plumbing. Only the commit
+// mode decides whether an ack was fsynced: the sync modes (the default
+// "" among them) must lead WAL fsyncs without any store option, and
+// async with SyncWAL unset leads none.
 func TestCommitSmokeClusterModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up real clusters")
 	}
-	for _, mode := range commit.ModeNames {
-		t.Run(mode, func(t *testing.T) {
+	for _, mode := range append([]string{""}, commit.ModeNames...) {
+		want, _ := commit.ParseMode(mode)
+		name := mode
+		if name == "" {
+			name = "default"
+		}
+		t.Run(name, func(t *testing.T) {
 			n := 1
-			if mode == "sync-repl" {
+			if want == commit.SyncRepl {
 				n = 2 // the ack rides the backup
 			}
 			cl, err := StartClusterConfig(n, t.TempDir(), ClusterConfig{
@@ -51,6 +60,7 @@ func TestCommitSmokeClusterModes(t *testing.T) {
 			defer sdk.Close()
 
 			const workers, perWorker = 4, 32
+			walBefore := cl.Services[0].StoreStats()
 			if _, err := sdk.Mkdir("/smoke"); err != nil {
 				t.Fatal(err)
 			}
@@ -84,12 +94,20 @@ func TestCommitSmokeClusterModes(t *testing.T) {
 			}
 
 			p := cl.PipelineOf(0)
-			if p.Mode().String() != mode {
-				t.Fatalf("pipeline mode %s, want %s", p.Mode(), mode)
+			if p.Mode() != want {
+				t.Fatalf("pipeline mode %s, want %s", p.Mode(), want)
 			}
 			p.Drain()
 			if p.Inflight() != 0 {
 				t.Errorf("inflight %d after drain", p.Inflight())
+			}
+			wal := cl.Services[0].StoreStats()
+			records, syncs := wal.WALRecords-walBefore.WALRecords, wal.WALSyncs-walBefore.WALSyncs
+			if want != commit.Async && syncs == 0 {
+				t.Errorf("%s acked %d WAL records with no fsync", want, records)
+			}
+			if want == commit.Async && syncs != 0 {
+				t.Errorf("async without SyncWAL led %d WAL fsyncs, want 0", syncs)
 			}
 			reg := cl.Services[0].Registry()
 			acked := reg.Counter("commit.ops.acked").Value()
@@ -108,16 +126,16 @@ func TestCommitSmokeClusterModes(t *testing.T) {
 			if st.BatchFrames == 0 {
 				t.Error("no batched frames — the smoke never exercised pipelined submission")
 			}
-			t.Logf("mode=%s acked=%d durable=%d frames=%d batched_ops=%d",
-				mode, acked, durable, st.BatchFrames, st.BatchedOps)
+			t.Logf("mode=%s acked=%d durable=%d frames=%d batched_ops=%d wal_records=%d wal_syncs=%d",
+				want, acked, durable, st.BatchFrames, st.BatchedOps, records, syncs)
 		})
 	}
 }
 
 // TestCommitSmokeReplicationKeepsCommitMode pins the one durability
 // spelling: the commit mode is the cluster's configuration alone.
-// Enabling replication leaves it as configured: a sync-fsync cluster
-// ships fire-and-forget, a sync-repl one hands its writers ack waits.
+// Enabling replication leaves it as configured, and each shard's build
+// info (the buildinfo RPC and the admin /buildinfo alike) names both.
 func TestCommitSmokeReplicationKeepsCommitMode(t *testing.T) {
 	for mode, want := range map[string]commit.Mode{"": commit.SyncFsync, "sync-repl": commit.SyncRepl} {
 		cl, err := StartClusterConfig(2, t.TempDir(), ClusterConfig{CommitMode: mode})
@@ -131,8 +149,9 @@ func TestCommitSmokeReplicationKeepsCommitMode(t *testing.T) {
 		if got := cl.CommitMode(); got != want {
 			t.Errorf("CommitMode %q: mode %s after EnableReplication, want %s", mode, got, want)
 		}
-		if got := cl.ShipperOf(0).Status().Sync; got != (want == commit.SyncRepl) {
-			t.Errorf("CommitMode %q: shipper Sync = %v", mode, got)
+		feats := strings.Join(cl.Services[0].BuildInfo().Features, ",")
+		if wantFeats := "commit-" + want.String() + ",replication,tracing"; feats != wantFeats {
+			t.Errorf("CommitMode %q: build features %s, want %s", mode, feats, wantFeats)
 		}
 	}
 }

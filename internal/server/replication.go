@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"origami/internal/commit"
 	"origami/internal/namespace"
 	"origami/internal/replication"
 	"origami/internal/telemetry"
@@ -23,7 +22,6 @@ import (
 // the matching MDS is stopped. Mutated only by the single-threaded admin
 // operations (Enable/Stop/Restart/Retarget/Close), like Services itself.
 type replGroup struct {
-	sync      bool
 	tweak     func(*replication.Options) // EnableReplication's, reapplied on restart
 	backups   []int                      // backups[i] = backup MDS of primary i
 	shippers  []*replication.Shipper
@@ -47,7 +45,6 @@ func (c *Cluster) EnableReplication(tweak func(*replication.Options)) error {
 		return fmt.Errorf("server: replication already enabled")
 	}
 	c.repl = &replGroup{
-		sync:      c.commitMode == commit.SyncRepl,
 		tweak:     tweak,
 		backups:   make([]int, n),
 		shippers:  make([]*replication.Shipper, n),
@@ -79,13 +76,8 @@ func (c *Cluster) startReceiver(id int) {
 func (c *Cluster) startShipper(id int) {
 	svc := c.Services[id]
 	opts := replication.Options{
-		Primary: id,
-		Backup:  c.repl.backups[id],
-		// The shipper must surface per-record ack waits whenever the
-		// commit policy consumes them: sync-repl awaits them inline,
-		// async retires them in the background. Only sync-fsync ships
-		// fire-and-forget.
-		Sync:     c.commitMode != commit.SyncFsync,
+		Primary:  id,
+		Backup:   c.repl.backups[id],
 		Registry: c.repl.regs[id],
 		Dial:     c.peerResolverFor(id),
 		Tracer:   c.Tracer(id),
@@ -164,7 +156,7 @@ func (c *Cluster) ReplicationStatus(id int) map[string]interface{} {
 	if c.repl == nil || id < 0 || id >= len(c.repl.shippers) {
 		return nil
 	}
-	doc := map[string]interface{}{"sync": c.repl.sync}
+	doc := map[string]interface{}{}
 	role := ""
 	if sh := c.repl.shippers[id]; sh != nil {
 		role = "primary"

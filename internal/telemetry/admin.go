@@ -29,8 +29,10 @@ type AdminConfig struct {
 	// Tracer, when non-nil, serves the node's span store and slow-op log
 	// under /traces (?trace=<hex id> selects one trace).
 	Tracer *Tracer
-	// Features lists enabled feature flags for /buildinfo.
-	Features []string
+	// BuildInfo, when non-nil, is the node's /buildinfo document (an
+	// MDS serves the same one over MethodBuildInfo); nil serves the bare
+	// process build info.
+	BuildInfo func() BuildInfo
 }
 
 // Admin is a running HTTP admin server exposing /metrics (JSON registry
@@ -94,7 +96,11 @@ func StartAdmin(addr string, cfg AdminConfig) (*Admin, error) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(CollectBuildInfo(cfg.Features...)) //nolint:errcheck // client went away
+		bi := CollectBuildInfo()
+		if cfg.BuildInfo != nil {
+			bi = cfg.BuildInfo()
+		}
+		enc.Encode(bi) //nolint:errcheck // client went away
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		doc := map[string]interface{}{

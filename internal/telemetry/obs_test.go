@@ -272,7 +272,7 @@ func TestObsSmokeAdminEndpoints(t *testing.T) {
 	admin, err := StartAdmin("127.0.0.1:0", AdminConfig{
 		Registries: map[string]*Registry{"mds": reg},
 		Tracer:     tr,
-		Features:   []string{"tracing", "cluster"},
+		BuildInfo:  func() BuildInfo { return CollectBuildInfo("tracing", "cluster", "tracing") },
 	})
 	if err != nil {
 		t.Fatal(err)
