@@ -41,8 +41,8 @@ test-race:
 # server's worker-pool handoff and Close races. The failover tests are
 # thin wrappers over scenarios/kill-primary-{sync,async}.yaml.
 chaos:
-	$(GO) test -race -run 'Chaos|Failover|Resync|OnlineLoop|Freeze' ./internal/server/... ./internal/replication/... ./internal/mds/...
-	$(GO) test -race ./internal/scenario/...
+	$(GO) test -race -count=1 -run 'Chaos|Failover|Resync|OnlineLoop|Freeze' ./internal/server/... ./internal/replication/... ./internal/mds/...
+	$(GO) test -race -count=1 ./internal/scenario/...
 	$(GO) test -race -count=20 -run 'Dispatch|WorkerLimit|Close' ./internal/rpc/...
 
 # The full scenario library (16 files, each a real in-process cluster)

@@ -317,3 +317,89 @@ func TestReplayBoundsRecordLength(t *testing.T) {
 		t.Errorf("log resumed at %d, want %d (the last intact record's end)", got, want)
 	}
 }
+
+// TestReopenMidSectorThenCrashKeepsRecords: a log reopened at an end
+// inside a sector writes that sector back, zero-padded, and zero-fills
+// from the next sector boundary on. Zero-filling from the recovered end's
+// own sector would wipe the records in front of the end; a crash before
+// any new write would then lose them. The value sizes put the end inside
+// the first sector, inside a later one, and on a boundary.
+func TestReopenMidSectorThenCrashKeepsRecords(t *testing.T) {
+	for _, vals := range [][]int{{40}, {300, 300, 100}, {512 - 19}} {
+		t.Run(fmt.Sprint(vals), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, Options{SyncWAL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range vals {
+				if err := db.Put([]byte(fmt.Sprintf("k%d", i)), make([]byte, n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			end := db.wal.size
+			db.wal.f.Close() // crash
+			re, err := Open(dir, Options{SyncWAL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := re.wal.size; got != end {
+				t.Fatalf("log resumed at %d, want %d", got, end)
+			}
+			re.wal.f.Close() // crash before any write
+			re2, err := Open(dir, Options{SyncWAL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re2.Close()
+			for i := range vals {
+				if _, found, err := re2.Get([]byte(fmt.Sprintf("k%d", i))); err != nil || !found {
+					t.Errorf("k%d lost by reopening at %d (sector offset %d) and crashing (found=%v err=%v)",
+						i, end, end%walSector, found, err)
+				}
+			}
+		})
+	}
+}
+
+// TestAckedWritesInOneSectorSurviveCrashes: twenty acked SyncWAL writes
+// small enough to share the log's first sector. Each sync rewrites that
+// sector with one more record in it; a crash taken after any of them —
+// the log file as it stands, opened in a directory of its own — must
+// hold every write acked so far.
+func TestAckedWritesInOneSectorSurviveCrashes(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const writes = 20
+	for i := 0; i < writes; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashed := t.TempDir()
+		if err := os.WriteFile(filepath.Join(crashed, "wal.log"), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(crashed, Options{SyncWAL: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j <= i; j++ {
+			k := []byte(fmt.Sprintf("k%02d", j))
+			if _, found, err := re.Get(k); err != nil || !found {
+				t.Fatalf("crash after write %d: acked %s lost (found=%v err=%v)", i, k, found, err)
+			}
+		}
+		re.Close()
+	}
+	if db.wal.size > walSector {
+		t.Fatalf("%d records take %d bytes, more than one sector", writes, db.wal.size)
+	}
+}

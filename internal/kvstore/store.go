@@ -111,6 +111,9 @@ type Stats struct {
 	WALRecords    int64
 	WALSyncs      int64
 	WALSyncWaitNs int64
+	// WALWriteBytes counts the bytes the WAL wrote since Open: its sector
+	// write-outs and the zero-fill of the size set ahead of its tail.
+	WALWriteBytes int64
 	// Batches counts atomic multi-op applies (ApplyBatch calls that
 	// reached the WAL). Each is ONE record and one commit ack no matter
 	// how many ops it carries; Puts and Deletes still count the ops.
@@ -138,6 +141,7 @@ type dbStats struct {
 	flushes, compactions         atomic.Int64
 	bytesFlushed, bytesCompacted atomic.Int64
 	walSyncs, walSyncWaitNs      atomic.Int64
+	walWriteBytes                atomic.Int64
 	reads                        readStats
 }
 
@@ -148,16 +152,19 @@ type dbStats struct {
 // place, and may flush or compact — hold the lock exclusively.
 //
 // With SyncWAL enabled, durability uses group commit: a writer appends
-// its record and inserts into the memtable under short locks, then
-// waits for a WAL fsync covering its sequence number. One writer at a
-// time leads an fsync; every record appended before the sync rides the
-// same fsync, so N concurrent writers share ~one fsync instead of
-// paying one each. The leader first waits for its cohort (see
-// awaitCohort): the writers the last fsync served are usually on their
-// way back with their next record. A write is acknowledged only after
-// its record is durable, but a concurrent reader may observe it
-// slightly earlier — the standard trade (a crash can lose data a reader
-// saw but whose writer was never acknowledged).
+// its record to the WAL's in-memory tail and inserts into the memtable
+// under short locks, then waits for a WAL sync covering its sequence
+// number. One writer at a time leads a sync: it cuts the tail's dirty
+// 512-byte sectors, writes them with one direct write and fdatasyncs.
+// Every record appended before the cut rides the same sync, so N
+// concurrent writers share ~one sync instead of paying one each, and a
+// sync writes the sectors its records filled, not a page. The leader
+// first waits for its cohort (see awaitCohort): the writers the last
+// sync served are usually on their way back with their next record. A
+// write is acknowledged only after its record is durable, but a
+// concurrent reader may observe it slightly earlier — the standard trade
+// (a crash can lose data a reader saw but whose writer was never
+// acknowledged).
 type DB struct {
 	// writeMu serialises the write path so WAL append order, memtable
 	// insert order, and crash-replay order all agree. Lock hierarchy:
@@ -303,7 +310,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := openWAL(db.walPath(), end)
+	w, err := openWAL(db.walPath(), end, opts.SyncWAL, &db.stats.walWriteBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -513,22 +520,23 @@ func (db *DB) waitSynced(seq uint64) error {
 		}
 		g.mu.Unlock()
 		db.awaitCohort(cohortEnd, wait)
-		// Pin the WAL file under writeMu, then fsync WITHOUT holding it:
-		// writers keep appending during the sync and ride the next one —
-		// that window is where the group-commit batch forms. Every record
-		// counted in walSeq has reached the OS (writeRecord flushes its
-		// buffered writer), so the fsync covers all of them.
+		// Cut the WAL's dirty sectors under writeMu, then write and
+		// fdatasync them WITHOUT holding it: writers keep appending to the
+		// tail during the sync and ride the next one — that window is
+		// where the group-commit batch forms. The cut holds every record
+		// counted in walSeq, so the sync covers all of them.
 		db.writeMu.Lock()
 		target := db.walSeq.Load()
 		gen := db.walGen
-		f := db.wal.f
+		w := db.wal
+		sectors, off := w.cut()
 		closed := db.closed
 		db.writeMu.Unlock()
 		var err error
 		start := time.Now()
 		if closed {
 			err = fmt.Errorf("kvstore: DB closed awaiting WAL sync")
-		} else if err = syncFile(f); err != nil {
+		} else if err = w.sync(sectors, off); err != nil {
 			// A concurrent flush may have swapped (and closed) the WAL
 			// mid-sync. If so, the flush fsynced an SSTable covering
 			// every record through target — the failure is benign.
@@ -871,7 +879,7 @@ func (db *DB) resetWALLocked() error {
 	if err := os.Remove(db.walPath()); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	w, err := openWAL(db.walPath(), 0)
+	w, err := openWAL(db.walPath(), 0, db.opts.SyncWAL, &db.stats.walWriteBytes)
 	if err != nil {
 		return err
 	}
@@ -986,6 +994,7 @@ func (db *DB) Stats() Stats {
 		WALRecords:     int64(db.walSeq.Load()),
 		WALSyncs:       db.stats.walSyncs.Load(),
 		WALSyncWaitNs:  db.stats.walSyncWaitNs.Load(),
+		WALWriteBytes:  db.stats.walWriteBytes.Load(),
 		Batches:        db.stats.batches.Load(),
 		TableProbes:    db.stats.reads.tableProbes.Load(),
 		BloomSkips:     db.stats.reads.bloomSkips.Load(),

@@ -545,3 +545,38 @@ func TestApplyBatchAllocBudget(t *testing.T) {
 		t.Errorf("one-put ApplyBatch allocates %.1f objects, budget %d", got, budget)
 	}
 }
+
+// TestWALWritesSectors pins what the log writes, in Stats.WALWriteBytes.
+// A SyncWAL store's open zero-fills the first extend step (one sector
+// written back, the rest filled); a synced 200-byte record then writes at
+// most the two sectors it can straddle, not a page. Without SyncWAL the
+// tail stays sparse and a record is written out at append, rounded to
+// sectors the same way.
+func TestWALWritesSectors(t *testing.T) {
+	record := func(db *DB, key string) {
+		t.Helper()
+		// 8 header + 9 op framing + 4 key + 179 value = 200 bytes.
+		if err := db.Put([]byte(key), make([]byte, 179)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sync := range []bool{true, false} {
+		db := openTest(t, Options{SyncWAL: sync})
+		opened := db.Stats().WALWriteBytes
+		if want := map[bool]int64{true: walExtendStep, false: 0}[sync]; opened != want {
+			t.Errorf("SyncWAL=%v: open wrote %d bytes, want %d", sync, opened, want)
+		}
+		for i := 0; i < 8; i++ {
+			before := db.Stats()
+			record(db, fmt.Sprintf("k%03d", i))
+			after := db.Stats()
+			if got := after.WALBytes - before.WALBytes; got != 200 {
+				t.Fatalf("record is %d bytes, want 200", got)
+			}
+			if got := after.WALWriteBytes - before.WALWriteBytes; got < walSector || got > 2*walSector {
+				t.Errorf("SyncWAL=%v: a 200-byte record at %d wrote %d bytes, want 1 or 2 sectors",
+					sync, before.WALBytes, got)
+			}
+		}
+	}
+}

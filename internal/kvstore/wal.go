@@ -9,6 +9,9 @@ import (
 	"io"
 	"os"
 	"slices"
+	"sync/atomic"
+	"syscall"
+	"unsafe"
 )
 
 // The write-ahead log is a sequence of CRC-framed records. Each record is
@@ -19,15 +22,27 @@ import (
 // payload = [1B kind][4B keyLen][key][4B valLen][value]  for single ops
 // payload = [1B kindBatch][4B count] followed by count single-op bodies
 //
-// The file's size is set ahead of the log's tail: it grows by
-// walExtendStep at a time (a sparse ftruncate — no block is written, so
-// none is charged to the device), and records are written positionally at
-// the logical end inside it. An fsync of an append that moves the file
-// size has to commit the inode as well as the data; with the size already
-// past the tail it commits the data alone, which is most of what a durable
-// write costs. The tail past the logical end reads as zeros, and a zero
-// header ends the log. (Zero-FILLING the tail instead dirties whole large
-// folios per commit on current kernels; the sparse tail costs nothing.)
+// The log writes sectors, not records. Its tail — the bytes from the last
+// 512-byte boundary written out to the logical end — lives in an aligned
+// buffer, and append only copies a record into it. A write-out writes the
+// tail's sectors (the last one zero-padded) at their offset with one
+// positional write, then keeps only the last, partial sector: the next
+// write-out starts there again. Under SyncWAL the group-commit leader does
+// the write-out, on a handle opened O_DIRECT, and fdatasyncs: a durable
+// ack costs the sectors its cohort dirtied, not the 4 KiB page a buffered
+// write re-dirties after every fsync. Without SyncWAL append writes every
+// record out at once, through the page cache.
+//
+// The file's size is set ahead of the log's tail, walExtendStep at a time.
+// Under SyncWAL the step is zero-filled with direct writes, so a sync
+// overwrites blocks that are already allocated and written: fdatasync
+// commits the data alone (the file size moves once per step), with no
+// unwritten extent to convert in the journal, and every byte the device
+// takes is counted as written. Without SyncWAL the step is a sparse
+// ftruncate: no block is written. Either way the tail past the logical
+// end reads as zeros, and a zero header ends the log. A filesystem or
+// device that refuses O_DIRECT, or a 512-byte direct write, gets the same
+// code on a plain handle.
 //
 // Replay stops at the first zero, torn or corrupt record — the standard
 // crash-recovery contract: everything before it was acknowledged, nothing
@@ -44,45 +59,143 @@ const (
 
 	// walExtendStep is how far ahead of the tail the file size is set.
 	walExtendStep = 1 << 20
+	// walSector is the unit the log writes in: a write-out covers whole
+	// sectors at sector offsets. walAlign is the memory alignment of the
+	// buffers direct writes are made from.
+	walSector = 512
+	walAlign  = 4096
+	// walTailCap is the tail buffer's starting size; the zero-fill writes
+	// walZeros' walZeroChunk bytes at a time.
+	walTailCap   = 4096
+	walZeroChunk = 64 << 10
 )
+
+// walZeros is the zero-fill's source. Nothing writes to it.
+var walZeros = alignedBuf(walZeroChunk)
 
 type wal struct {
 	f *os.File
+	// syncWAL is Options.SyncWAL: the group-commit leader writes the
+	// tail out, rather than append at once, and f bypasses the page cache
+	// where the filesystem lets it.
+	syncWAL bool
 	// size is the logical end of the log, where the next record goes;
 	// alloc the file size, kept ahead of it.
 	size, alloc int64
-	// rec is the scratch one record (header + payload) is assembled in.
-	// Like every field it is guarded by the DB's writeMu.
-	rec []byte
+	// tail holds the log's bytes from base, a sector boundary, to size.
+	// It is aligned, and zero from its length to its capacity, a whole
+	// number of sectors, so it can be written out rounded up.
+	base int64
+	tail []byte
+	// out is the sync leader's copy of the sectors it writes out: the
+	// tail keeps taking appends while the leader writes. Every field but
+	// out and ds is guarded by the DB's writeMu; those two belong to the
+	// one leader.
+	out []byte
+	ds  *datasyncer
+	// written counts the bytes the log wrote: write-outs and zero-fill.
+	written *atomic.Int64
 }
+
+// alignedBuf returns n zeroed bytes, starting on a walAlign boundary.
+func alignedBuf(n int) []byte {
+	b := make([]byte, n+walAlign)
+	off := int(-uintptr(unsafe.Pointer(&b[0])) & (walAlign - 1))
+	return b[off : off+n : off+n]
+}
+
+// sectorCeil rounds n up to whole sectors.
+func sectorCeil(n int64) int64 { return (n + walSector - 1) &^ (walSector - 1) }
 
 // openWAL opens (or creates) the log at path and resumes it at end — the
 // offset replayWAL returned, 0 for a new log. Whatever the file holds
-// past end is cut off before the size is set ahead again.
-func openWAL(path string, end int64) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+// past end is cut off before the size is set ahead again. sync is the
+// store's SyncWAL; written counts what the log writes.
+func openWAL(path string, end int64, sync bool, written *atomic.Int64) (*wal, error) {
+	w := &wal{syncWAL: sync, size: end, base: end &^ (walSector - 1), written: written}
+	var err error
+	direct := false
+	if sync {
+		w.f, err = openDirect(path)
+		direct = err == nil
+	}
+	if !direct {
+		w.f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open wal: %w", err)
 	}
-	w := &wal{f: f, size: end}
-	if err := f.Truncate(end); err == nil {
-		err = w.extend(end)
+	err = w.resume()
+	if direct && errors.Is(err, syscall.EINVAL) {
+		// The direct write was refused: a device with larger sectors, or a
+		// filesystem that takes O_DIRECT opens but not the writes.
+		w.f.Close()
+		if w.f, err = os.OpenFile(path, os.O_RDWR, 0o644); err == nil {
+			err = w.resume()
+		}
+	}
+	if err == nil {
+		w.ds, err = newDatasyncer(w.f)
 	}
 	if err != nil {
-		f.Close()
+		w.f.Close()
 		return nil, fmt.Errorf("kvstore: size wal: %w", err)
 	}
 	return w, nil
 }
 
-// extend sets the file size one step past the step boundary below need.
-func (w *wal) extend(need int64) error {
-	alloc := (need/walExtendStep + 1) * walExtendStep
-	if err := w.f.Truncate(alloc); err != nil {
+// resume cuts the file at the log's end, loads the end's partial sector
+// into the tail and sets the size ahead. Under SyncWAL it first writes
+// that sector back, zero-padded — it is where the zero-fill, which covers
+// whole sectors only, has to start from — and that write is the probe of
+// whether the handle takes 512-byte writes.
+func (w *wal) resume() error {
+	if err := w.f.Truncate(w.size); err != nil {
 		return err
 	}
-	w.alloc = alloc
+	w.tail = alignedBuf(walTailCap)
+	n, err := w.f.ReadAt(w.tail[:walSector], w.base)
+	if int64(n) < w.size-w.base {
+		return fmt.Errorf("reading the tail: %w", err)
+	}
+	w.tail = w.tail[:w.size-w.base]
+	clear(w.tail[len(w.tail):walSector])
+	w.alloc = w.size
+	if w.syncWAL {
+		if err := w.write(w.tail[:walSector], w.base); err != nil {
+			return err
+		}
+		w.alloc = w.base + walSector
+	}
+	return w.extend(w.size)
+}
+
+// extend sets the file size one step past the step boundary below need,
+// zero-filling the new space under SyncWAL.
+func (w *wal) extend(need int64) error {
+	alloc := (need/walExtendStep + 1) * walExtendStep
+	if !w.syncWAL {
+		if err := w.f.Truncate(alloc); err != nil {
+			return err
+		}
+		w.alloc = alloc
+	}
+	for w.alloc < alloc {
+		n := min(alloc-w.alloc, walZeroChunk)
+		if err := w.write(walZeros[:n], w.alloc); err != nil {
+			return err
+		}
+		w.alloc += n
+	}
 	return nil
+}
+
+// write is the log's one write-out: p, whole sectors from an aligned
+// buffer, at sector offset off.
+func (w *wal) write(p []byte, off int64) error {
+	n, err := w.f.WriteAt(p, off)
+	w.written.Add(int64(n))
+	return err
 }
 
 // appendOpBody appends one op body to buf, growing it at most once.
@@ -96,46 +209,97 @@ func appendOpBody(buf []byte, kind byte, key, value []byte) []byte {
 	return buf
 }
 
-// append writes one record at the logical end: n op bodies laid out back
-// to back in ops. One op is a record of its own kind; more (or an explicit
-// batch of one) are wrapped in a batch record. The record reaches the OS
-// before append returns; making it durable is the group-commit layer's
-// call (syncFile), on a handle pinned while appends continue.
+// append adds one record at the logical end: n op bodies laid out back to
+// back in ops. One op is a record of its own kind; more (or an explicit
+// batch of one) are wrapped in a batch record. Without SyncWAL the record
+// reaches the OS before append returns; under SyncWAL it waits in the
+// tail for the group-commit leader (cut, then sync).
 func (w *wal) append(ops []byte, n int, batch bool) error {
-	rec := append(w.rec[:0], make([]byte, walHeaderSize)...)
+	start := len(w.tail)
+	w.reserve(walHeaderSize + 5 + len(ops))
+	rec := w.tail[:start+walHeaderSize]
 	if batch {
 		rec = append(rec, walKindBatch)
 		rec = binary.BigEndian.AppendUint32(rec, uint32(n))
 	}
 	rec = append(rec, ops...)
-	binary.BigEndian.PutUint32(rec[0:], uint32(len(rec)-walHeaderSize))
-	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[walHeaderSize:]))
-	if cap(rec) <= walExtendStep {
-		w.rec = rec // an outsized record's scratch is not worth keeping
-	}
-	end := w.size + int64(len(rec))
+	binary.BigEndian.PutUint32(rec[start:], uint32(len(rec)-start-walHeaderSize))
+	binary.BigEndian.PutUint32(rec[start+4:], crc32.ChecksumIEEE(rec[start+walHeaderSize:]))
+	end := w.size + int64(len(rec)-start)
+	var err error
 	if end > w.alloc {
-		if err := w.extend(end); err != nil {
-			return fmt.Errorf("kvstore: wal extend: %w", err)
-		}
+		err = w.extend(end)
 	}
-	if _, err := w.f.WriteAt(rec, w.size); err != nil {
-		return fmt.Errorf("kvstore: wal write: %w", err)
+	if err == nil && !w.syncWAL {
+		err = w.write(rec[:sectorCeil(int64(len(rec)))], w.base)
 	}
-	w.size = end
+	if err != nil {
+		clear(rec[start:]) // the tail stays zero past its length
+		return fmt.Errorf("kvstore: wal append: %w", err)
+	}
+	w.tail, w.size = rec, end
+	if !w.syncWAL {
+		w.retire()
+	}
 	return nil
 }
 
-// syncFile fsyncs a log file handle, making every record written so far
-// durable.
-func syncFile(f *os.File) error {
-	if err := f.Sync(); err != nil {
+// reserve makes room in the tail for n more bytes, keeping it aligned.
+func (w *wal) reserve(n int) {
+	if len(w.tail)+n <= cap(w.tail) {
+		return
+	}
+	t := alignedBuf(int(sectorCeil(int64(max(2*cap(w.tail), len(w.tail)+n)))))
+	w.tail = t[:copy(t, w.tail)]
+}
+
+// retire drops the tail's whole sectors once they are written out (or
+// handed to a leader to write), keeping the last, partial one. An outsized
+// tail is not worth keeping.
+func (w *wal) retire() {
+	whole := len(w.tail) &^ (walSector - 1)
+	rest := w.tail[whole:]
+	if cap(w.tail) > walExtendStep {
+		t := alignedBuf(walTailCap)
+		w.tail = t[:copy(t, rest)]
+	} else {
+		n := copy(w.tail, rest)
+		clear(w.tail[n:len(w.tail)])
+		w.tail = w.tail[:n]
+	}
+	w.base += int64(whole)
+}
+
+// cut hands the group-commit leader the tail's sectors — a copy, and the
+// offset it goes at — and retires them. Called under writeMu; the leader
+// passes the copy to sync once it has let go.
+func (w *wal) cut() ([]byte, int64) {
+	n := int(sectorCeil(int64(len(w.tail))))
+	if cap(w.out) < n {
+		w.out = alignedBuf(max(n, walTailCap))
+	}
+	p, off := w.out[:copy(w.out[:n], w.tail[:n])], w.base
+	if cap(w.out) > walExtendStep {
+		w.out = nil
+	}
+	w.retire()
+	return p, off
+}
+
+// sync writes sectors p, cut from the tail, at off and fdatasyncs the log:
+// every record appended before the cut is durable when it returns.
+func (w *wal) sync(p []byte, off int64) error {
+	if err := w.write(p, off); err != nil {
+		return fmt.Errorf("kvstore: wal write: %w", err)
+	}
+	if err := w.ds.sync(); err != nil {
 		return fmt.Errorf("kvstore: wal sync: %w", err)
 	}
 	return nil
 }
 
-// close gives the size-ahead tail back and closes the file.
+// close gives the size-ahead tail back and closes the file. A store
+// closes its log only once a flush has made every record in it durable.
 func (w *wal) close() error {
 	if err := w.f.Truncate(w.size); err != nil {
 		w.f.Close()

@@ -386,9 +386,10 @@ func (s *Service) Registry() *telemetry.Registry { return s.reg }
 // useful work (probes per get = kvstore.table.probes / kvstore.get.calls,
 // filter hit rate = kvstore.bloom.skips / kvstore.table.probes), the
 // dead entries — tombstones and shadowed versions — readdir scans walked
-// past without listing (kvstore.scan.skips), and group commit's
-// cumulative WAL records, fsyncs and leader cohort wait (records per
-// fsync = kvstore.wal.records / kvstore.wal.syncs).
+// past without listing (kvstore.scan.skips), group commit's cumulative
+// WAL records, fsyncs and leader cohort wait (records per fsync =
+// kvstore.wal.records / kvstore.wal.syncs), and the bytes the WAL wrote:
+// its sector write-outs and zero-fill (kvstore.wal.write_bytes).
 func (s *Service) refreshStoreGauges() {
 	st := s.store.DBStats()
 	s.reg.Gauge("mds.store.inodes").Set(float64(s.store.Count()))
@@ -400,6 +401,7 @@ func (s *Service) refreshStoreGauges() {
 	s.reg.Gauge("kvstore.wal.records").Set(float64(st.WALRecords))
 	s.reg.Gauge("kvstore.wal.syncs").Set(float64(st.WALSyncs))
 	s.reg.Gauge("kvstore.wal.leader_wait_ns").Set(float64(st.WALSyncWaitNs))
+	s.reg.Gauge("kvstore.wal.write_bytes").Set(float64(st.WALWriteBytes))
 }
 
 // handleMetrics serves the registry snapshot as JSON.

@@ -299,6 +299,10 @@ func TestGroupCommitGauges(t *testing.T) {
 	if syncs == 0 || records < 22 {
 		t.Fatalf("after 22 durable creates: kvstore.wal.records = %v, kvstore.wal.syncs = %v", records, syncs)
 	}
+	// The open zero-fills one extend step; every sync writes sectors.
+	if wrote := gauge("kvstore.wal.write_bytes"); wrote <= 1<<20 {
+		t.Errorf("after %v WAL syncs: kvstore.wal.write_bytes = %v, want past the 1 MiB zero-fill", syncs, wrote)
+	}
 
 	const perWriter = 100
 	errs := make(chan error, len(dirs))
