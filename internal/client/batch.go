@@ -1,7 +1,6 @@
 package client
 
 import (
-	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"sync"
@@ -51,8 +50,8 @@ type batchOutcome struct {
 }
 
 type pendingOp struct {
-	ctx    context.Context // the submitting SDK operation's trace context
-	sub    rpc.Wire        // the encoded sub-op
+	tc     telemetry.SpanContext // the submitting SDK operation's span
+	sub    rpc.Wire              // the encoded sub-op
 	parent namespace.Ino
 	done   chan batchOutcome
 	// grants is the waiter's own copy of its frame's grant trailer, so
@@ -222,7 +221,7 @@ func (b *batcher) flushOwner(owner int) {
 }
 
 // flush sends one MethodBatch frame and fans results out to the waiters.
-// The frame travels under its leading op's context, so that op's trace
+// The frame travels under its leading op's span, so that op's trace
 // keeps its server-side children. The frame is built in, and answered
 // into, a recycled scratch: the decoded results reference neither.
 func (b *batcher) flush(owner int, ops []*pendingOp) {
@@ -233,14 +232,14 @@ func (b *batcher) flush(owner int, ops []*pendingOp) {
 	for _, op := range ops {
 		subs = append(subs, op.sub.Bytes())
 	}
-	ctx := ops[0].ctx
+	tc := ops[0].tc
 	sc.req.Reset()
 	mds.AppendBatchRequest(&sc.req, b.clientID, subs)
 	frame := sc.req.Bytes()
 	b.frames.Add(1)
 	b.ops.Add(int64(len(ops)))
 	b.framesC.Inc()
-	body, err := b.c.call(ctx, owner, mds.MethodBatch, frame, sc.resp[:0])
+	body, err := b.c.call(tc, owner, mds.MethodBatch, frame, sc.resp[:0])
 	resent := false
 	if err != nil && rpc.IsRetryable(err) {
 		// The owner may be mid-failover. Refresh the map and re-send the
@@ -248,7 +247,7 @@ func (b *batcher) flush(owner int, ops []*pendingOp) {
 		// directory now; the shard's replay table answers any op the
 		// first attempt already applied.
 		time.Sleep(b.c.cfg.RetryBackoff)
-		_ = b.c.refreshMap(ctx)
+		_ = b.c.refreshMap(tc)
 		target := owner
 		if p, ok := b.c.pinOf(ops[0].parent); ok {
 			target = p
@@ -256,7 +255,7 @@ func (b *batcher) flush(owner int, ops []*pendingOp) {
 		resent = true
 		b.frames.Add(1)
 		b.c.reg.Counter("client.batch.resends").Inc()
-		body, err = b.c.call(ctx, target, mds.MethodBatch, frame, sc.resp[:0])
+		body, err = b.c.call(tc, target, mds.MethodBatch, frame, sc.resp[:0])
 	}
 	var oneResult [1]mds.BatchResult
 	var fewGrants [2]lease.Grant
@@ -290,16 +289,13 @@ func (b *batcher) flush(owner int, ops []*pendingOp) {
 // one SDK operation, whether any attempt may have reached a shard before
 // its connection died — the caller then reads EEXIST/ENOENT as the echo
 // of its own earlier write.
-func (c *Client) submit(ctx context.Context, owner int, so *mds.SubOp, lost *bool) (*namespace.Inode, error) {
+func (c *Client) submit(tc telemetry.SpanContext, owner int, so *mds.SubOp, lost *bool) (*namespace.Inode, error) {
 	op := pendingOpPool.Get().(*pendingOp)
-	op.ctx, op.parent = ctx, so.Dir()
+	op.tc, op.parent = tc, so.Dir()
 	op.sub.Reset()
 	so.AppendTo(&op.sub)
 	out := c.batch.do(owner, op)
-	defer func() {
-		op.ctx = nil
-		pendingOpPool.Put(op)
-	}()
+	defer pendingOpPool.Put(op)
 	if out.resent || rpc.IsRetryable(out.err) {
 		*lost = true
 	}
@@ -363,10 +359,10 @@ func (c *Client) cacheEntry(grants []lease.Grant, dir namespace.Ino, name string
 // resolve: the entry behind a replayed create's EEXIST (this client's own
 // earlier write), or the source inode of a cross-shard rename. A name the
 // owner proves absent fails with ENOENT, as the owner's own error would.
-func (c *Client) lookupOwn(ctx context.Context, owner int, parent namespace.Ino, name string) (*namespace.Inode, error) {
+func (c *Client) lookupOwn(tc telemetry.SpanContext, owner int, parent namespace.Ino, name string) (*namespace.Inode, error) {
 	var lw rpc.Wire
 	lw.U64(uint64(parent)).U32(1).Str(name)
-	body, err := c.callIdem(ctx, owner, mds.MethodResolvePath, lw.Bytes(), nil)
+	body, err := c.callIdem(tc, owner, mds.MethodResolvePath, lw.Bytes(), nil)
 	if err != nil {
 		return nil, err
 	}

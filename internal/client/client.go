@@ -7,7 +7,6 @@
 package client
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -268,7 +267,7 @@ func (c *Client) NumMDS() int { return len(c.conns) }
 // the MethodMetrics RPC (the transport-level twin of the HTTP admin
 // /metrics endpoint).
 func (c *Client) FetchMetrics(mdsID int) ([]byte, error) {
-	return c.callIdem(context.Background(), mdsID, mds.MethodMetrics, nil, nil)
+	return c.callIdem(telemetry.SpanContext{}, mdsID, mds.MethodMetrics, nil, nil)
 }
 
 // FetchTraces pulls one MDS's span store via MethodTraces. A non-zero
@@ -276,7 +275,7 @@ func (c *Client) FetchMetrics(mdsID int) ([]byte, error) {
 func (c *Client) FetchTraces(mdsID int, traceID uint64) (telemetry.TraceDump, error) {
 	var w rpc.Wire
 	w.U64(traceID)
-	body, err := c.callIdem(context.Background(), mdsID, mds.MethodTraces, w.Bytes(), nil)
+	body, err := c.callIdem(telemetry.SpanContext{}, mdsID, mds.MethodTraces, w.Bytes(), nil)
 	if err != nil {
 		return telemetry.TraceDump{}, err
 	}
@@ -290,14 +289,14 @@ func (c *Client) FetchTraces(mdsID int, traceID uint64) (telemetry.TraceDump, er
 // FetchBuildInfo pulls one MDS's build info (version, go runtime,
 // uptime, enabled features) as JSON via MethodBuildInfo.
 func (c *Client) FetchBuildInfo(mdsID int) ([]byte, error) {
-	return c.callIdem(context.Background(), mdsID, mds.MethodBuildInfo, nil, nil)
+	return c.callIdem(telemetry.SpanContext{}, mdsID, mds.MethodBuildInfo, nil, nil)
 }
 
 // FetchClusterMetrics pulls the coordinator's merged cluster snapshot
 // (every live MDS registry plus the coordinator's own) as JSON via
 // MethodClusterMetrics on MDS 0.
 func (c *Client) FetchClusterMetrics() ([]byte, error) {
-	return c.callIdem(context.Background(), 0, mds.MethodClusterMetrics, nil, nil)
+	return c.callIdem(telemetry.SpanContext{}, 0, mds.MethodClusterMetrics, nil, nil)
 }
 
 // GatherTrace assembles one distributed trace: the SDK's own spans plus
@@ -328,13 +327,13 @@ func (c *Client) GatherTrace(traceID uint64) ([]telemetry.Span, error) {
 // balancing round and returns its JSON summary. Not idempotent — an
 // epoch migrates subtrees — so it gets exactly one attempt.
 func (c *Client) TriggerEpoch() ([]byte, error) {
-	return c.call(context.Background(), 0, mds.MethodEpochRun, nil, nil)
+	return c.call(telemetry.SpanContext{}, 0, mds.MethodEpochRun, nil, nil)
 }
 
 // ModelInfo returns the coordinator's planner and its model status
 // (source, version, window rows, fits) as JSON.
 func (c *Client) ModelInfo() ([]byte, error) {
-	return c.callIdem(context.Background(), 0, mds.MethodModelInfo, nil, nil)
+	return c.callIdem(telemetry.SpanContext{}, 0, mds.MethodModelInfo, nil, nil)
 }
 
 // opKind names an SDK operation for its metrics and spans.
@@ -387,16 +386,24 @@ type opRun struct {
 	trace uint64
 }
 
-// op starts one SDK operation: it allocates the operation's trace ID
+// op starts one SDK operation: it mints the operation's trace ID
 // (propagated to every MDS the operation touches), opens the root span
-// of the operation's trace tree, and returns the context plus the run
-// whose done records end-to-end latency and — at debug level — the span.
-func (c *Client) op(k opKind) (context.Context, opRun) {
-	ctx, trace := telemetry.EnsureTraceID(context.Background())
-	c.lastTrace.Store(trace)
+// of the operation's trace tree, and returns the span context the
+// operation's RPCs carry — a plain value, as on the server's dispatch
+// path: nothing cancels an SDK operation, so it needs no context.Context —
+// plus the run whose done records end-to-end latency and, at debug
+// level, the span.
+func (c *Client) op(k opKind) (telemetry.SpanContext, opRun) {
+	tc := telemetry.SpanContext{TraceID: telemetry.NewTraceID()}
+	c.lastTrace.Store(tc.TraceID)
 	m := c.opMetrics(k)
-	ctx, span := c.tracer.StartSpan(ctx, m.span)
-	return ctx, opRun{c: c, m: m, span: span, start: time.Now(), trace: trace}
+	span := c.tracer.StartSpanFrom(tc, m.span)
+	if id := span.ID(); id != 0 {
+		// Sampled: the op's RPCs are children of its root span. Untraced
+		// or slow-capture-only, they carry the bare trace ID.
+		tc.SpanID = id
+	}
+	return tc, opRun{c: c, m: m, span: span, start: time.Now(), trace: tc.TraceID}
 }
 
 func (o *opRun) done(err error) {
@@ -438,14 +445,15 @@ func (c *Client) Close() error {
 	return err
 }
 
-// call issues one RPC to an MDS, appending the response to dst (see
-// rpc.CallInto; nil receives it in a buffer of its own).
-func (c *Client) call(ctx context.Context, mdsID int, m rpc.Method, body, dst []byte) ([]byte, error) {
+// call issues one RPC to an MDS on behalf of the span tc, appending the
+// response to dst (see rpc.CallInto; nil receives it in a buffer of its
+// own).
+func (c *Client) call(tc telemetry.SpanContext, mdsID int, m rpc.Method, body, dst []byte) ([]byte, error) {
 	if mdsID < 0 || mdsID >= len(c.conns) {
 		return nil, fmt.Errorf("client: MDS id %d out of range", mdsID)
 	}
 	c.RPCCount.Add(1)
-	return c.conns[mdsID].CallInto(ctx, m, body, dst)
+	return c.conns[mdsID].CallInto(tc, m, body, dst)
 }
 
 // scratch is the pair of buffers one RPC of the hot paths is built in and
@@ -464,8 +472,8 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // failures — lost connection, expired deadline — with exponential backoff
 // inside the retry budget. Mutations never come through here: they are
 // MethodBatch sub-ops, retried under their replay identity (batch.go).
-func (c *Client) callIdem(ctx context.Context, mdsID int, m rpc.Method, body, dst []byte) ([]byte, error) {
-	out, err := c.call(ctx, mdsID, m, body, dst)
+func (c *Client) callIdem(tc telemetry.SpanContext, mdsID int, m rpc.Method, body, dst []byte) ([]byte, error) {
+	out, err := c.call(tc, mdsID, m, body, dst)
 	if err == nil || !rpc.IsRetryable(err) {
 		return out, err
 	}
@@ -475,7 +483,7 @@ func (c *Client) callIdem(ctx context.Context, mdsID int, m rpc.Method, body, ds
 		backoff *= 2
 		c.Retries.Add(1)
 		c.reg.Counter("client.retry.attempts").Inc()
-		out, err = c.call(ctx, mdsID, m, body, dst)
+		out, err = c.call(tc, mdsID, m, body, dst)
 		if err == nil || !rpc.IsRetryable(err) {
 			return out, err
 		}
@@ -487,10 +495,10 @@ func (c *Client) callIdem(ctx context.Context, mdsID int, m rpc.Method, body, ds
 }
 
 // RefreshMap pulls the partition map from MDS 0.
-func (c *Client) RefreshMap() error { return c.refreshMap(context.Background()) }
+func (c *Client) RefreshMap() error { return c.refreshMap(telemetry.SpanContext{}) }
 
-func (c *Client) refreshMap(ctx context.Context) error {
-	body, err := c.callIdem(ctx, 0, mds.MethodGetMap, nil, nil)
+func (c *Client) refreshMap(tc telemetry.SpanContext) error {
+	body, err := c.callIdem(tc, 0, mds.MethodGetMap, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -523,10 +531,12 @@ func (c *Client) pinOf(ino namespace.Ino) (int, bool) {
 }
 
 // decodeTrailer reads what follows the payload of a read response: the
-// lease grants, then the partition-map version the serving MDS holds (0
-// when absent).
-func decodeTrailer(r *rpc.Reader) (grants []lease.Grant, mapVersion uint64) {
-	grants = lease.DecodeGrants(r, nil)
+// lease grants, appended to dst, then the partition-map version the
+// serving MDS holds (0 when absent). A caller passes a small buffer of its
+// own as dst, so a response vouching for a few directories allocates no
+// grant slice.
+func decodeTrailer(r *rpc.Reader, dst []lease.Grant) (grants []lease.Grant, mapVersion uint64) {
+	grants = lease.DecodeGrants(r, dst)
 	if r.Err() == nil && r.Remaining() >= 8 {
 		mapVersion = r.U64()
 	}
@@ -556,7 +566,7 @@ func (c *Client) sawMapVersion(v uint64) {
 	c.bg.Add(1)
 	go func() {
 		defer c.bg.Done()
-		if err := c.refreshMap(context.Background()); err != nil || c.MapVersion() < v {
+		if err := c.refreshMap(telemetry.SpanContext{}); err != nil || c.MapVersion() < v {
 			// MDS 0 unreachable or itself behind: let a later response
 			// with this version try again.
 			c.mapSeen.CompareAndSwap(v, 0)
@@ -636,8 +646,9 @@ type resolveResult struct {
 
 // resolveAt resolves the components of rest — a run of them under parent
 // — in one RPC, following not-owner redirects by refreshing the partition
-// map.
-func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino, rest string) (resolveResult, int, error) {
+// map. The response's grants are appended to grants, the caller's buffer:
+// the scratch the response arrives in goes back to the pool on return.
+func (c *Client) resolveAt(tc telemetry.SpanContext, owner int, parent namespace.Ino, rest string, grants []lease.Grant) (resolveResult, int, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	w := &sc.req
@@ -655,10 +666,10 @@ func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino,
 	}
 	w.PatchU32(count, n)
 	for attempt := 0; attempt < 4; attempt++ {
-		body, err := c.callIdem(ctx, owner, mds.MethodResolvePath, w.Bytes(), sc.resp[:0])
+		body, err := c.callIdem(tc, owner, mds.MethodResolvePath, w.Bytes(), sc.resp[:0])
 		if err != nil {
 			if mds.IsNotOwner(err) {
-				if rerr := c.refreshMap(ctx); rerr != nil {
+				if rerr := c.refreshMap(tc); rerr != nil {
 					return resolveResult{}, 0, rerr
 				}
 				if p, ok := c.pinOf(parent); ok && p != owner {
@@ -679,7 +690,7 @@ func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino,
 			return resolveResult{}, 0, err
 		}
 		var mapVersion uint64
-		res.grants, mapVersion = decodeTrailer(r)
+		res.grants, mapVersion = decodeTrailer(r, grants)
 		c.sawMapVersion(mapVersion)
 		return res, owner, nil
 	}
@@ -694,7 +705,7 @@ func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino,
 // chain.
 func (c *Client) Resolve(path string) ([]*namespace.Inode, int, error) {
 	var chain []*namespace.Inode
-	_, owner, err := c.resolvePath(context.Background(), path, &chain)
+	_, owner, err := c.resolvePath(telemetry.SpanContext{}, path, &chain)
 	return chain, owner, err
 }
 
@@ -704,12 +715,9 @@ var rootInode = &namespace.Inode{Ino: namespace.RootIno, Type: namespace.TypeDir
 
 // resolvePath walks path and returns its last inode and that inode's
 // owner; chain, when non-nil, also collects every inode on the way (root
-// first). The path is walked in place, component by component.
-func (c *Client) resolvePath(ctx context.Context, path string, chain *[]*namespace.Inode) (*namespace.Inode, int, error) {
-	owner := 0
-	if p, ok := c.pinOf(namespace.RootIno); ok {
-		owner = p
-	}
+// first). The path is walked in place: its cached prefix in one cache
+// walk, the rest one ownership run per RPC.
+func (c *Client) resolvePath(tc telemetry.SpanContext, path string, chain *[]*namespace.Inode) (*namespace.Inode, int, error) {
 	cur := rootInode
 	step := func(in *namespace.Inode) {
 		if chain != nil {
@@ -721,31 +729,44 @@ func (c *Client) resolvePath(ctx context.Context, path string, chain *[]*namespa
 		root := *rootInode
 		*chain = append(*chain, &root)
 	}
-	// name is the next unresolved component, ending at byte end of path.
-	name, end, more := namespace.NextComponent(path, 0)
 	// Cached prefix — including the final component: the lease protocol
 	// keeps these entries coherent (within the TTL staleness bound), so
 	// a fully warm path costs zero RPCs, negatives included.
-	for c.cache != nil && more {
-		in, negative, ok := c.cache.Lookup(cur.Ino, name)
-		if !ok {
-			break
-		}
-		if negative {
-			return nil, 0, fmt.Errorf("client: resolve %q at %q: %s",
-				path, name, mds.CodedError(mds.CodeNoEnt, "%q not in dir %d (cached)", name, cur.Ino))
-		}
+	var prefix [16]*namespace.Inode
+	walked, end, negative := prefix[:0], 0, false
+	if c.cache != nil {
+		walked, end, negative = c.cache.Walk(namespace.RootIno, path, walked)
+	}
+	for _, in := range walked {
 		step(in)
-		if p, ok := c.pinOf(in.Ino); ok {
+	}
+	// name is the next unresolved component, ending at byte end of path.
+	name, end, more := namespace.NextComponent(path, end)
+	if negative {
+		return nil, 0, fmt.Errorf("client: resolve %q at %q: %s",
+			path, name, mds.CodedError(mds.CodeNoEnt, "%q not in dir %d (cached)", name, cur.Ino))
+	}
+	// The deepest pinned directory on the way owns what follows it; the
+	// root's pin, or MDS 0, until one is.
+	owner := 0
+	c.mu.Lock()
+	if p, ok := c.pins[namespace.RootIno]; ok {
+		owner = p
+	}
+	for _, in := range walked {
+		if p, ok := c.pins[in.Ino]; ok {
 			owner = p
 		}
-		name, end, more = namespace.NextComponent(path, end)
 	}
+	c.mu.Unlock()
+	// Each resolve response's grants are decoded into this buffer; a
+	// response rarely vouches for more than four directories.
+	var fewGrants [4]lease.Grant
 	for more {
 		if p, ok := c.pinOf(cur.Ino); ok {
 			owner = p
 		}
-		res, newOwner, err := c.resolveAt(ctx, owner, cur.Ino, path[end-len(name):])
+		res, newOwner, err := c.resolveAt(tc, owner, cur.Ino, path[end-len(name):], fewGrants[:0])
 		if err != nil {
 			return nil, 0, fmt.Errorf("client: resolve %q at %q: %w", path, name, err)
 		}
@@ -779,7 +800,7 @@ func (c *Client) resolvePath(ctx context.Context, path string, chain *[]*namespa
 				}
 				var gw rpc.Wire
 				gw.U64(uint64(in.Ino))
-				gbody, gerr := c.callIdem(ctx, dest, mds.MethodGetattr, gw.Bytes(), nil)
+				gbody, gerr := c.callIdem(tc, dest, mds.MethodGetattr, gw.Bytes(), nil)
 				if gerr != nil {
 					return nil, 0, fmt.Errorf("client: resolve %q: redirect for %q: %w", path, in.Name, gerr)
 				}
@@ -863,7 +884,7 @@ const opRetryAttempts = 6
 // of the involved paths. When the refreshed map has not moved — the
 // migration's publish or the failover has not landed yet — the retry
 // backs off instead of burning the remaining attempts on the same answer.
-func (c *Client) retryOp(ctx context.Context, paths []string, fn func() error) error {
+func (c *Client) retryOp(tc telemetry.SpanContext, paths []string, fn func() error) error {
 	var err error
 	backoff := c.cfg.RetryBackoff
 	for attempt := 0; attempt < opRetryAttempts; attempt++ {
@@ -873,7 +894,7 @@ func (c *Client) retryOp(ctx context.Context, paths []string, fn func() error) e
 		}
 		c.reg.Counter("client.op.retries").Inc()
 		prev := c.MapVersion()
-		if rerr := c.refreshMap(ctx); rerr != nil {
+		if rerr := c.refreshMap(tc); rerr != nil {
 			// MDS 0 may itself be mid-recovery; keep retrying on the
 			// stale map rather than giving up the whole operation.
 			time.Sleep(backoff)
@@ -891,10 +912,10 @@ func (c *Client) retryOp(ctx context.Context, paths []string, fn func() error) e
 
 // Stat returns the inode at path.
 func (c *Client) Stat(path string) (*namespace.Inode, error) {
-	ctx, op := c.op(opStat)
+	tc, op := c.op(opStat)
 	var out *namespace.Inode
-	err := c.retryOp(ctx, []string{path}, func() (err error) {
-		out, _, err = c.resolvePath(ctx, path, nil)
+	err := c.retryOp(tc, []string{path}, func() (err error) {
+		out, _, err = c.resolvePath(tc, path, nil)
 		return err
 	})
 	op.done(err)
@@ -920,25 +941,25 @@ func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.In
 	if typ == namespace.TypeDir {
 		kind = opMkdir
 	}
-	ctx, op := c.op(kind)
+	tc, op := c.op(kind)
 	dir, name := namespace.ParentPath(path)
 	so := mds.SubOp{ID: c.batch.nextOpID(), Kind: mds.BatchOpCreate, Name: name, Type: typ}
 	var out *namespace.Inode
 	lost := false
-	err := c.retryOp(ctx, []string{dir}, func() error {
-		parent, owner, err := c.resolvePath(ctx, dir, nil)
+	err := c.retryOp(tc, []string{dir}, func() error {
+		parent, owner, err := c.resolvePath(tc, dir, nil)
 		if err != nil {
 			return err
 		}
 		so.Parent = parent.Ino
-		in, err := c.submit(ctx, owner, &so, &lost)
+		in, err := c.submit(tc, owner, &so, &lost)
 		if err != nil {
 			if lost && mds.ErrCode(err) == mds.CodeExist {
 				// The connection died after a previous attempt reached the
 				// shard (or its promoted backup replayed the write): the
 				// entry is ours. Fetch it instead of surfacing a spurious
 				// EEXIST for our own create.
-				if own, lerr := c.lookupOwn(ctx, owner, so.Parent, name); lerr == nil {
+				if own, lerr := c.lookupOwn(tc, owner, so.Parent, name); lerr == nil {
 					out = own
 					return nil
 				}
@@ -961,17 +982,17 @@ func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.In
 
 // Remove unlinks a file or removes an empty directory.
 func (c *Client) Remove(path string) error {
-	ctx, op := c.op(opRemove)
+	tc, op := c.op(opRemove)
 	dir, name := namespace.ParentPath(path)
 	so := mds.SubOp{ID: c.batch.nextOpID(), Kind: mds.BatchOpRemove, Name: name}
 	lost := false
-	err := c.retryOp(ctx, []string{dir}, func() error {
-		parent, owner, err := c.resolvePath(ctx, dir, nil)
+	err := c.retryOp(tc, []string{dir}, func() error {
+		parent, owner, err := c.resolvePath(tc, dir, nil)
 		if err != nil {
 			return err
 		}
 		so.Parent = parent.Ino
-		_, err = c.submit(ctx, owner, &so, &lost)
+		_, err = c.submit(tc, owner, &so, &lost)
 		if err != nil && lost && mds.ErrCode(err) == mds.CodeNoEnt {
 			// ENOENT after a lost connection: a previous attempt's remove
 			// reached the shard, which is the outcome the caller asked for.
@@ -997,10 +1018,10 @@ func (c *Client) Remove(path string) error {
 // RPC touching the directory or one lease TTL. The returned slice, like
 // the inodes in it, is shared with the cache and read-only.
 func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
-	ctx, op := c.op(opReaddir)
+	tc, op := c.op(opReaddir)
 	var out []*namespace.Inode
-	err := c.retryOp(ctx, []string{path}, func() error {
-		dir, owner, err := c.resolvePath(ctx, path, nil)
+	err := c.retryOp(tc, []string{path}, func() error {
+		dir, owner, err := c.resolvePath(tc, path, nil)
 		if err != nil {
 			return err
 		}
@@ -1014,7 +1035,7 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 		defer scratchPool.Put(sc)
 		sc.req.Reset()
 		req := sc.req.U64(uint64(dir.Ino)).Bytes()
-		body, err := c.callIdem(ctx, owner, mds.MethodReaddir, req, sc.resp[:0])
+		body, err := c.callIdem(tc, owner, mds.MethodReaddir, req, sc.resp[:0])
 		if err != nil {
 			return err
 		}
@@ -1024,7 +1045,8 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 		if derr != nil {
 			return derr
 		}
-		grants, mapVersion := decodeTrailer(r)
+		var fewGrants [2]lease.Grant // a listing vouches for its directory
+		grants, mapVersion := decodeTrailer(r, fewGrants[:0])
 		c.sawMapVersion(mapVersion)
 		if c.cache != nil {
 			// A listing seeds the whole directory: the grant vouches every
@@ -1051,17 +1073,17 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 // naturally idempotent (absolute size/mode), so a retried attempt needs
 // no special casing beyond the shard's replay table.
 func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode, error) {
-	ctx, op := c.op(opSetattr)
+	tc, op := c.op(opSetattr)
 	so := mds.SubOp{ID: c.batch.nextOpID(), Kind: mds.BatchOpSetattr, Size: size, Mode: mode}
 	var out *namespace.Inode
 	lost := false
-	err := c.retryOp(ctx, []string{path}, func() error {
-		in, owner, err := c.resolvePath(ctx, path, nil)
+	err := c.retryOp(tc, []string{path}, func() error {
+		in, owner, err := c.resolvePath(tc, path, nil)
 		if err != nil {
 			return err
 		}
 		so.Ino, so.Parent = in.Ino, in.Parent
-		upd, err := c.submit(ctx, owner, &so, &lost)
+		upd, err := c.submit(tc, owner, &so, &lost)
 		if err != nil {
 			return err
 		}
@@ -1086,17 +1108,17 @@ func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode
 // system would wrap this in the T_coor transaction the cost model
 // prices).
 func (c *Client) Rename(src, dst string) error {
-	ctx, op := c.op(opRename)
+	tc, op := c.op(opRename)
 	sdir, sname := namespace.ParentPath(src)
 	ddir, dname := namespace.ParentPath(dst)
 	id, removeID := c.batch.nextOpID(), c.batch.nextOpID()
 	lost := false
-	err := c.retryOp(ctx, []string{sdir, ddir}, func() error {
-		sin, sowner, err := c.resolvePath(ctx, sdir, nil)
+	err := c.retryOp(tc, []string{sdir, ddir}, func() error {
+		sin, sowner, err := c.resolvePath(tc, sdir, nil)
 		if err != nil {
 			return err
 		}
-		din, downer, err := c.resolvePath(ctx, ddir, nil)
+		din, downer, err := c.resolvePath(tc, ddir, nil)
 		if err != nil {
 			return err
 		}
@@ -1108,20 +1130,20 @@ func (c *Client) Rename(src, dst string) error {
 			defer c.cache.DropEntry(dparent, dname)
 		}
 		if sowner == downer {
-			_, err := c.submit(ctx, sowner, &mds.SubOp{ID: id, Kind: mds.BatchOpRename,
+			_, err := c.submit(tc, sowner, &mds.SubOp{ID: id, Kind: mds.BatchOpRename,
 				Parent: sparent, Name: sname, DstParent: dparent, DstName: dname}, &lost)
 			return err
 		}
-		in, err := c.lookupOwn(ctx, sowner, sparent, sname)
+		in, err := c.lookupOwn(tc, sowner, sparent, sname)
 		if err != nil {
 			return err
 		}
 		moved := *in
 		moved.Parent, moved.Name = dparent, dname
-		if _, err := c.submit(ctx, downer, &mds.SubOp{ID: id, Kind: mds.BatchOpInsert, Inode: &moved}, &lost); err != nil {
+		if _, err := c.submit(tc, downer, &mds.SubOp{ID: id, Kind: mds.BatchOpInsert, Inode: &moved}, &lost); err != nil {
 			return err
 		}
-		_, err = c.submit(ctx, sowner, &mds.SubOp{ID: removeID, Kind: mds.BatchOpRemove, Parent: sparent, Name: sname}, &lost)
+		_, err = c.submit(tc, sowner, &mds.SubOp{ID: removeID, Kind: mds.BatchOpRemove, Parent: sparent, Name: sname}, &lost)
 		return err
 	})
 	op.done(err)

@@ -83,7 +83,7 @@ func FuzzDecodeInodes(f *testing.F) {
 		allocated := heapBytes(func() {
 			r := rpc.NewReader(recv)
 			if chain, err = decodeInodes(r); err == nil {
-				grants, _ = decodeTrailer(r)
+				grants, _ = decodeTrailer(r, nil)
 			}
 		})
 		if limit := 4*len(body) + 1024; allocated > limit {
@@ -152,7 +152,8 @@ func BenchmarkReaddirSeed(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				grants, _ := decodeTrailer(r)
+				var few [2]lease.Grant
+				grants, _ := decodeTrailer(r, few[:0])
 				if fresh {
 					cache.Forget(testGrant.Dir)
 				}

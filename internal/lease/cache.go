@@ -126,25 +126,78 @@ func (c *ClientCache) SetNow(now func() time.Time) {
 // Lookup serves name under dir from cache. It returns (inode, false,
 // true) on a positive hit, (nil, true, true) on a cached negative, and
 // ok=false when the cache cannot answer — no lease, an expired lease,
-// or simply no entry for the name.
+// or simply no entry for the name. Walk applies the same rule to every
+// component of a path.
 func (c *ClientCache) Lookup(dir namespace.Ino, name string) (in *namespace.Inode, negative, ok bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.liveLocked(dir)
+	in, negative, ok = c.lookupLocked(dir, name, c.now())
+	c.mu.Unlock()
+	hits := 0
+	if ok && !negative {
+		hits = 1
+	}
+	c.tally(hits, negative, !ok)
+	return in, negative, ok
+}
+
+// Walk serves the cached prefix of path, its first component under dir
+// and each next one under the inode the one before it named: Lookup
+// repeated down the path under one lock hold and one clock read, with
+// the hits and the miss those Lookups would count added once. It appends
+// every inode served to out and returns it, plus end, the offset in path
+// just past the last component served, and negative: whether the
+// component after end is a cached negative, so the path does not exist.
+// Otherwise the walk ended at a miss or at the end of path.
+func (c *ClientCache) Walk(dir namespace.Ino, path string, out []*namespace.Inode) (_ []*namespace.Inode, end int, negative bool) {
+	hits, missed := 0, false
+	c.mu.Lock()
+	now := c.now()
+	for {
+		name, next, more := namespace.NextComponent(path, end)
+		if !more {
+			break
+		}
+		in, neg, ok := c.lookupLocked(dir, name, now)
+		if !ok || neg {
+			missed, negative = !ok, neg
+			break
+		}
+		out = append(out, in)
+		hits++
+		dir, end = in.Ino, next
+	}
+	c.mu.Unlock()
+	c.tally(hits, negative, missed)
+	return out, end, negative
+}
+
+// lookupLocked is the rule every cached lookup follows: a directory
+// whose lease ran out by now answers nothing (and is dropped), a cached
+// negative answers as one, and a name with neither entry is a miss.
+func (c *ClientCache) lookupLocked(dir namespace.Ino, name string, now time.Time) (in *namespace.Inode, negative, ok bool) {
+	d := c.liveLocked(dir, now)
 	if d == nil {
-		c.misses.Inc()
 		return nil, false, false
 	}
 	if _, bad := d.neg[name]; bad {
-		c.negHits.Inc()
 		return nil, true, true
 	}
-	if in := d.pos[name]; in != nil {
-		c.hits.Inc()
-		return in, false, true
+	in = d.pos[name]
+	return in, false, in != nil
+}
+
+// tally adds one lookup's or walk's outcome to the counters: the
+// positive entries it served, then the negative or the miss it ended at.
+func (c *ClientCache) tally(hits int, negative, missed bool) {
+	if hits > 0 {
+		c.hits.Add(int64(hits))
 	}
-	c.misses.Inc()
-	return nil, false, false
+	if negative {
+		c.negHits.Inc()
+	}
+	if missed {
+		c.misses.Inc()
+	}
 }
 
 // Listing serves dir's complete listing from cache: every positive
@@ -156,7 +209,7 @@ func (c *ClientCache) Lookup(dir namespace.Ino, name string) (in *namespace.Inod
 func (c *ClientCache) Listing(dir namespace.Ino) (list []*namespace.Inode, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := c.liveLocked(dir)
+	d := c.liveLocked(dir, c.now())
 	if d == nil || !d.complete {
 		c.misses.Inc()
 		return nil, false
@@ -174,12 +227,12 @@ func (c *ClientCache) Listing(dir namespace.Ino) (list []*namespace.Inode, ok bo
 	return d.listing, true
 }
 
-// liveLocked returns dir's state while its lease is live. An expired one
-// is dropped: the grant that vouched for its entries ran out, and they
-// must not be served past the staleness bound.
-func (c *ClientCache) liveLocked(dir namespace.Ino) *dirState {
+// liveLocked returns dir's state while its lease is live at now. An
+// expired one is dropped: the grant that vouched for its entries ran out,
+// and they must not be served past the staleness bound.
+func (c *ClientCache) liveLocked(dir namespace.Ino, now time.Time) *dirState {
 	d := c.dirs[dir]
-	if d != nil && c.now().After(d.expires) {
+	if d != nil && now.After(d.expires) {
 		c.dropLocked(dir, d)
 		return nil
 	}
@@ -300,8 +353,11 @@ func (c *ClientCache) addEntriesLocked(delta int) {
 func (c *ClientCache) flushLocked(d *dirState) {
 	c.addEntriesLocked(-(len(d.pos) + len(d.neg)))
 	c.invalidations.Add(int64(len(d.pos) + len(d.neg)))
-	d.pos = make(map[string]*namespace.Inode)
-	d.neg = make(map[string]struct{})
+	// Cleared in place: the maps are the cache's alone (a served listing
+	// is a slice of its own), and a directory flushed by every foreign
+	// bump would otherwise allocate two maps per bump.
+	clear(d.pos)
+	clear(d.neg)
 	d.complete, d.listing = false, nil
 }
 

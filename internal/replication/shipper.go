@@ -451,7 +451,7 @@ func (sh *Shipper) call(backup int, m rpc.Method) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cli.CallInto(context.Background(), m, sh.wire.Bytes(), sh.resp[:0])
+	resp, err := cli.CallInto(telemetry.SpanContext{}, m, sh.wire.Bytes(), sh.resp[:0])
 	if err == nil {
 		sh.resp = resp
 	}

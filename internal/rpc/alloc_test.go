@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"origami/internal/racedetect"
+	"origami/internal/telemetry"
 )
 
 // TestEchoAllocBudget pins what one request/response round trip over
@@ -39,7 +40,7 @@ func TestEchoAllocBudget(t *testing.T) {
 	}
 	var buf []byte
 	callInto := func() {
-		out, err := cli.CallInto(nil, 1, req, buf[:0])
+		out, err := cli.CallInto(telemetry.SpanContext{}, 1, req, buf[:0])
 		if err != nil {
 			t.Fatal(err)
 		}

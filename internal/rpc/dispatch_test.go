@@ -353,7 +353,7 @@ func BenchmarkServerDispatch(b *testing.B) {
 					defer wg.Done()
 					var buf []byte
 					for i := 0; i < n; i++ {
-						out, err := c.CallInto(nil, 1, req, buf[:0])
+						out, err := c.CallInto(telemetry.SpanContext{}, 1, req, buf[:0])
 						if err != nil {
 							b.Error(err)
 							return

@@ -1115,33 +1115,40 @@ func (c *Client) redial() {
 }
 
 // Call issues one request and waits for its response, honouring the
-// client's CallTimeout. The request carries no trace ID; use CallCtx
-// with telemetry.WithTraceID to propagate one.
+// client's CallTimeout. The request carries no trace ID; use CallInto
+// with a span context, or CallCtx, to propagate one.
 func (c *Client) Call(m Method, body []byte) ([]byte, error) {
-	return c.CallInto(nil, m, body, nil)
+	return c.CallInto(telemetry.SpanContext{}, m, body, nil)
 }
 
 // CallCtx is Call with an explicit context: the call fails with the
-// context's error when it is cancelled, and a trace ID attached with
-// telemetry.WithTraceID rides the request frame to the server. The
-// client CallTimeout still applies as an upper bound.
+// context's error when it is cancelled, and the span context attached to
+// ctx (telemetry.WithSpanContext / WithTraceID) rides the request frame to
+// the server. The client CallTimeout still applies as an upper bound.
 func (c *Client) CallCtx(ctx context.Context, m Method, body []byte) ([]byte, error) {
-	return c.CallInto(ctx, m, body, nil)
+	return c.callInto(ctx, telemetry.SpanContextFrom(ctx), m, body, nil)
 }
 
-// CallInto is CallCtx appending the response body to dst and returning
-// the extended slice, so a caller that is done with the previous response
-// receives the next one in the same buffer. ctx may be nil. dst belongs
-// to the client until CallInto returns; after an error its contents are
-// unspecified.
-func (c *Client) CallInto(ctx context.Context, m Method, body, dst []byte) ([]byte, error) {
+// CallInto issues one request on behalf of the span sc — its trace and
+// span IDs ride the request frame, zero for none — appending the response
+// body to dst and returning the extended slice, so a caller that is done
+// with the previous response receives the next one in the same buffer.
+// The span context is a plain value: nothing can cancel the call but the
+// client's CallTimeout. dst belongs to the client until CallInto returns;
+// after an error its contents are unspecified.
+func (c *Client) CallInto(sc telemetry.SpanContext, m Method, body, dst []byte) ([]byte, error) {
+	return c.callInto(nil, sc, m, body, dst)
+}
+
+// callInto is the one call path: ctx, when non-nil, can cancel the wait.
+func (c *Client) callInto(ctx context.Context, sc telemetry.SpanContext, m Method, body, dst []byte) ([]byte, error) {
 	if c.stats == nil {
-		return c.doCall(ctx, m, body, dst)
+		return c.doCall(ctx, sc, m, body, dst)
 	}
 	mm := c.stats.get(m)
 	mm.calls.Inc()
 	start := time.Now()
-	out, err := c.doCall(ctx, m, body, dst)
+	out, err := c.doCall(ctx, sc, m, body, dst)
 	c.stats.record(mm, start, err != nil)
 	if errors.Is(err, ErrTimeout) {
 		c.stats.reg.Counter("rpc.client.timeouts").Inc()
@@ -1149,7 +1156,7 @@ func (c *Client) CallInto(ctx context.Context, m Method, body, dst []byte) ([]by
 	return out, err
 }
 
-func (c *Client) doCall(ctx context.Context, m Method, body, dst []byte) ([]byte, error) {
+func (c *Client) doCall(ctx context.Context, sc telemetry.SpanContext, m Method, body, dst []byte) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -1186,7 +1193,6 @@ func (c *Client) doCall(ctx context.Context, m Method, body, dst []byte) ([]byte
 			return nil, ErrClosed
 		}
 	}
-	sc := telemetry.SpanContextFrom(ctx)
 	id := c.nextID.Add(1)
 	pc := pendingPool.Get().(*pendingCall)
 	pc.trace, pc.dst = sc.TraceID, dst

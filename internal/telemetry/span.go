@@ -65,8 +65,9 @@ type SlowOp struct {
 }
 
 // SpanContext is the propagated identity of the current span: what a
-// child span uses as its parent link. It rides contexts locally and the
-// RPC frame header across nodes.
+// child span uses as its parent link. It rides the RPC frame header
+// across nodes. Locally the SDK and the RPC dispatch path pass it as a
+// plain value; layers below an MDS handler find it on a context.
 type SpanContext struct {
 	TraceID uint64
 	SpanID  uint64
