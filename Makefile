@@ -66,9 +66,13 @@ train-smoke:
 # Observability-plane smoke: boot a sync-replicated cluster, issue
 # operations, and assert one assembled multi-node trace tree, a merged
 # cluster snapshot covering every live MDS, a parseable Prometheus
-# scrape, and the component.noun.verb metric vocabulary.
+# scrape, and the component.noun.verb metric vocabulary — plus every
+# span-propagation test from the SDK through rpc and the MDS to the WAL,
+# and the sampled-write allocation budget.
 obs-smoke:
-	$(GO) test -count=1 -timeout 120s -run 'ObsSmoke' ./internal/server/... ./internal/telemetry/...
+	$(GO) test -count=1 -timeout 120s \
+		-run 'ObsSmoke|KeepsItsTrace|TraceID|SampledWrite|TraceContext|TracePropagation|TraceSurvives' \
+		./internal/server/... ./internal/telemetry/... ./internal/client/... ./internal/mds/... ./internal/rpc/...
 
 # Commit-pipeline smoke under the race detector: the three durability
 # policies end to end on real TCP clusters (batched SDK → multi-op

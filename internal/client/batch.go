@@ -35,12 +35,6 @@ import (
 // — and the shard's replay table (or the namespace itself, via EEXIST +
 // lookup) deduplicates ops an earlier attempt already applied.
 
-// batchDelay is the safety-net linger: a queued op is flushed
-// after at most this long even if the leader/follower handoff it
-// normally rides is lost. In practice the leader's completion drain
-// always beats it.
-const batchDelay = 200 * time.Microsecond
-
 // batchOutcome is what one submitted op's waiter receives.
 type batchOutcome struct {
 	res    mds.BatchResult
@@ -86,7 +80,6 @@ type batcher struct {
 
 	mu      sync.Mutex
 	queues  map[int][]*pendingOp
-	timers  map[int]*time.Timer
 	leading map[int]int // leader frames in flight per owner
 }
 
@@ -107,7 +100,6 @@ func newBatcher(c *Client, window int) *batcher {
 		clientID: newBatchClientID(),
 		framesC:  c.reg.Counter("client.batch.frames"),
 		queues:   make(map[int][]*pendingOp),
-		timers:   make(map[int]*time.Timer),
 		leading:  make(map[int]int),
 	}
 }
@@ -140,6 +132,12 @@ func (b *batcher) nextOpID() uint64 { return b.opSeq.Add(1) }
 // immediately; otherwise it queues and rides the next frame (dispatched
 // by the leader's completion drain). A full window always flushes inline,
 // concurrently with any leader frame.
+//
+// A queued op never waits without a leader, so it needs no timer: do
+// queues an op only while leading[owner] > 0, under b.mu, and a leader
+// gives up leadership only after re-reading the queue under b.mu and
+// finding it empty. So every queued op is taken by a leader still in
+// flight, or by a full window's inline flush.
 func (b *batcher) do(owner int, op *pendingOp) batchOutcome {
 	if b.window <= 1 {
 		one := [1]*pendingOp{op}
@@ -150,7 +148,6 @@ func (b *batcher) do(owner int, op *pendingOp) batchOutcome {
 	q := append(b.queues[owner], op)
 	switch {
 	case len(q) >= b.window:
-		b.stopTimerLocked(owner)
 		delete(b.queues, owner)
 		b.mu.Unlock()
 		b.flush(owner, q)
@@ -164,12 +161,6 @@ func (b *batcher) do(owner int, op *pendingOp) batchOutcome {
 		go b.lead(owner, q)
 	default:
 		b.queues[owner] = q
-		if len(q) == 1 {
-			// Safety net only: the leader's completion drain fires first in
-			// every normal schedule; the timer bounds the wait if it ever
-			// does not.
-			b.timers[owner] = time.AfterFunc(batchDelay, func() { b.flushOwner(owner) })
-		}
 		b.mu.Unlock()
 	}
 	return <-op.done
@@ -190,33 +181,7 @@ func (b *batcher) lead(owner int, q []*pendingOp) {
 			return
 		}
 		delete(b.queues, owner)
-		b.stopTimerLocked(owner)
 		b.mu.Unlock()
-	}
-}
-
-func (b *batcher) stopTimerLocked(owner int) {
-	if t := b.timers[owner]; t != nil {
-		t.Stop()
-		delete(b.timers, owner)
-	}
-}
-
-// flushOwner drains owner's queue on safety-timer expiry. With an
-// active leader it does nothing — the completion drain owns the queue.
-func (b *batcher) flushOwner(owner int) {
-	b.mu.Lock()
-	if b.leading[owner] > 0 {
-		delete(b.timers, owner)
-		b.mu.Unlock()
-		return
-	}
-	q := b.queues[owner]
-	delete(b.queues, owner)
-	delete(b.timers, owner)
-	b.mu.Unlock()
-	if len(q) > 0 {
-		b.flush(owner, q)
 	}
 }
 

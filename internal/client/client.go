@@ -398,11 +398,9 @@ func (c *Client) op(k opKind) (telemetry.SpanContext, opRun) {
 	c.lastTrace.Store(tc.TraceID)
 	m := c.opMetrics(k)
 	span := c.tracer.StartSpanFrom(tc, m.span)
-	if id := span.ID(); id != 0 {
-		// Sampled: the op's RPCs are children of its root span. Untraced
-		// or slow-capture-only, they carry the bare trace ID.
-		tc.SpanID = id
-	}
+	// Sampled: the op's RPCs are children of its root span. Untraced or
+	// slow-capture-only, they carry the bare trace ID.
+	tc = span.Propagate(tc)
 	return tc, opRun{c: c, m: m, span: span, start: time.Now(), trace: tc.TraceID}
 }
 

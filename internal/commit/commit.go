@@ -152,7 +152,8 @@ func (p *Pipeline) Window() int { return p.window }
 // durable, or when SyncWAL is off — only ever in async mode on a
 // cluster). repl waits for the replication ack (nil when no replication
 // is attached). Returning nil IS the
-// acknowledgement; what it promises depends on the mode.
+// acknowledgement; what it promises depends on the mode. ctx, when
+// non-nil, can cancel the async window wait; the kvstore passes nil.
 func (p *Pipeline) Commit(ctx context.Context, local, repl func() error) error {
 	switch p.mode {
 	case SyncRepl:
@@ -311,9 +312,9 @@ func (p *Pipeline) runLocal() {
 	}
 }
 
-// ctxDone tolerates the nil contexts the kvstore write path passes for
-// untraced writes: a nil channel never fires, so a nil ctx never
-// cancels the window wait.
+// ctxDone tolerates a nil ctx, which is what the kvstore write path
+// always passes: a nil channel never fires, so a nil ctx never cancels
+// the window wait.
 func ctxDone(ctx context.Context) <-chan struct{} {
 	if ctx == nil {
 		return nil

@@ -199,10 +199,10 @@ type DB struct {
 type tracerBox struct{ t *telemetry.Tracer }
 
 // SetTracer installs the span tracer consulted by the write path: every
-// traced write (a context carrying a trace ID reaches PutCtx /
-// DeleteCtx / ApplyBatchCtx) records a "kvstore.commit" span covering
-// the WAL append, memtable insert, durability wait, and any commit-hook
-// wait. Nil removes it. Safe to call while serving.
+// traced write (an ApplyBatch whose Batch.Span carries a trace ID)
+// records a "kvstore.commit" span covering the WAL append, memtable
+// insert, durability wait, and any commit-hook wait. Nil removes it.
+// Safe to call while serving.
 func (db *DB) SetTracer(t *telemetry.Tracer) { db.tracer.Store(tracerBox{t}) }
 
 func (db *DB) spanTracer() *telemetry.Tracer {
@@ -222,10 +222,10 @@ func (db *DB) spanTracer() *telemetry.Tracer {
 // be fast and must not call back into the DB. It may return a non-nil
 // wait func, which the installed Committer may run after the DB locks
 // are released: this is where a synchronous replication ack blocks
-// without stalling other writers. ctx is the writer's request
-// context (trace/span propagation); it may be nil for untraced writes and
-// must not be retained past the wait func.
-type CommitHook func(ctx context.Context, ops []byte, n int) (wait func() error)
+// without stalling other writers. sc is the writer's span context — the
+// kvstore.commit span, or the request's span when the store records
+// none — and is zero for untraced writes.
+type CommitHook func(sc telemetry.SpanContext, ops []byte, n int) (wait func() error)
 
 // SetCommitHook installs (or, with nil, removes) the commit hook.
 func (db *DB) SetCommitHook(h CommitHook) {
@@ -245,6 +245,7 @@ func (db *DB) SetCommitHook(h CommitHook) {
 //
 // Without a committer the store waits for the local fsync (under
 // SyncWAL) alone: a hook's wait is only ever awaited by a committer.
+// The store always passes a nil ctx: nothing cancels a store write.
 type Committer interface {
 	Commit(ctx context.Context, local, repl func() error) error
 }
@@ -336,18 +337,18 @@ func (db *DB) newTablePath() string {
 // inserts (and an inline flush when the memtable is full). The memtable
 // keeps slices of ops, so the caller hands ops over. With SyncWAL, the
 // writer then waits on the group-commit fsync covering its record —
-// unless a flush already made it durable via the SSTable sync. ctx
-// (nilable) carries the request's trace: traced writes record a
+// unless a flush already made it durable via the SSTable sync. sc (zero
+// for none) is the request's span: traced writes record a
 // "kvstore.commit" span spanning the whole path, including the durability
 // and commit-hook waits.
-func (db *DB) write(ctx context.Context, ops []byte, n int, batch bool) error {
-	ctx, span := db.spanTracer().StartSpan(ctx, "kvstore.commit")
-	err := db.writeInner(ctx, ops, n, batch)
+func (db *DB) write(sc telemetry.SpanContext, ops []byte, n int, batch bool) error {
+	span := db.spanTracer().StartSpanFrom(sc, "kvstore.commit")
+	err := db.writeInner(span.Propagate(sc), ops, n, batch)
 	span.Finish(err)
 	return err
 }
 
-func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) error {
+func (db *DB) writeInner(sc telemetry.SpanContext, ops []byte, n int, batch bool) error {
 	db.writeMu.Lock()
 	if db.closed {
 		db.writeMu.Unlock()
@@ -385,7 +386,7 @@ func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) err
 	// every lock is released.
 	var wait func() error
 	if db.hook != nil {
-		wait = db.hook(ctx, ops, n)
+		wait = db.hook(sc, ops, n)
 	}
 	committer := db.committer
 	db.writeMu.Unlock()
@@ -401,7 +402,7 @@ func (db *DB) writeInner(ctx context.Context, ops []byte, n int, batch bool) err
 		local = func() error { return db.waitSynced(seq) }
 	}
 	if committer != nil {
-		return committer.Commit(ctx, local, wait)
+		return committer.Commit(nil, local, wait)
 	}
 	if local != nil {
 		return local()
@@ -628,22 +629,12 @@ func (db *DB) markSynced(seq uint64) {
 
 // Put inserts or replaces the value for key.
 func (db *DB) Put(key, value []byte) error {
-	return db.PutCtx(nil, key, value)
-}
-
-// PutCtx is Put carrying the request context for trace propagation.
-func (db *DB) PutCtx(ctx context.Context, key, value []byte) error {
-	return db.write(ctx, appendOpBody(nil, walKindPut, key, value), 1, false)
+	return db.write(telemetry.SpanContext{}, appendOpBody(nil, walKindPut, key, value), 1, false)
 }
 
 // Delete removes key. Deleting an absent key is not an error.
 func (db *DB) Delete(key []byte) error {
-	return db.DeleteCtx(nil, key)
-}
-
-// DeleteCtx is Delete carrying the request context for trace propagation.
-func (db *DB) DeleteCtx(ctx context.Context, key []byte) error {
-	return db.write(ctx, appendOpBody(nil, walKindDelete, key, nil), 1, false)
+	return db.write(telemetry.SpanContext{}, appendOpBody(nil, walKindDelete, key, nil), 1, false)
 }
 
 // Batch collects mutations to be applied atomically by ApplyBatch. It
@@ -652,6 +643,10 @@ func (db *DB) DeleteCtx(ctx context.Context, key []byte) error {
 type Batch struct {
 	ops []byte
 	n   int
+	// Span is the span context of the request the batch commits for: a
+	// traced one records its kvstore.commit span under it. Zero, the
+	// default, is untraced.
+	Span telemetry.SpanContext
 }
 
 // Put adds an insert/replace to the batch.
@@ -690,19 +685,13 @@ func (b *Batch) AppendOps(ops []byte, n int) error {
 // survive a crash or none do. The store keeps the batch's bytes, so b is
 // left empty.
 func (db *DB) ApplyBatch(b *Batch) error {
-	return db.ApplyBatchCtx(nil, b)
-}
-
-// ApplyBatchCtx is ApplyBatch carrying the request context for trace
-// propagation.
-func (db *DB) ApplyBatchCtx(ctx context.Context, b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
 	db.stats.batches.Add(1)
-	ops, n := b.ops, b.n
+	ops, n, sc := b.ops, b.n, b.Span
 	*b = Batch{}
-	return db.write(ctx, ops, n, true)
+	return db.write(sc, ops, n, true)
 }
 
 // Get returns the value stored for key in a buffer of its own.

@@ -1,7 +1,6 @@
 package mds
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -12,6 +11,7 @@ import (
 	"origami/internal/lease"
 	"origami/internal/namespace"
 	"origami/internal/rpc"
+	"origami/internal/telemetry"
 )
 
 // MethodBatch is the one namespace mutation on the wire. A frame carries
@@ -292,9 +292,9 @@ func decodeBatchOp(sub []byte, op *batchOp) error {
 // whose target changed shape between the unlocked pre-pass and the locks
 // is not failed either: the round commits what precedes it and the next
 // round retries from that op with fresh locks, keeping frame order.
-func (s *Store) applyBatchOps(ctx context.Context, ops []batchOp) {
+func (s *Store) applyBatchOps(sc telemetry.SpanContext, ops []batchOp) {
 	for from := 0; from < len(ops); {
-		from = s.applyRound(ctx, ops, from)
+		from = s.applyRound(sc, ops, from)
 	}
 }
 
@@ -384,7 +384,7 @@ func (r *round) unlinkable(op *batchOp, victim *namespace.Inode) (wait bool, err
 
 // applyRound applies ops[from:] up to the first op that must wait for a
 // fresh pre-pass and returns that op's index (len(ops) when none).
-func (s *Store) applyRound(ctx context.Context, ops []batchOp, from int) int {
+func (s *Store) applyRound(sc telemetry.SpanContext, ops []batchOp, from int) int {
 	// Unlocked pre-pass: gather the stripe set. An unlink target that is
 	// a directory needs its own stripe (no create may slip under it
 	// between the emptiness check and the delete); setattr locks the
@@ -538,7 +538,8 @@ round:
 	if r.b.Len() == 0 {
 		return i
 	}
-	err := s.db.ApplyBatchCtx(ctx, &r.b)
+	r.b.Span = sc
+	err := s.db.ApplyBatch(&r.b)
 	s.inoMu.Lock()
 	for j := from; j < i; j++ {
 		op := &ops[j]
@@ -724,7 +725,7 @@ func (s *Service) frozenBy(p *preparedMigration, ops []batchOp) bool {
 // freeze the frame touches, check ownership per op, apply everything
 // valid as one atomic WAL batch record, and answer per-op with one grant
 // trailer covering every mutated directory.
-func (s *Service) handleBatch(ctx context.Context, body []byte, resp *rpc.Wire) error {
+func (s *Service) handleBatch(sc telemetry.SpanContext, body []byte, resp *rpc.Wire) error {
 	start := time.Now()
 	r := rpc.NewReader(body)
 	clientID := r.U64()
@@ -774,7 +775,7 @@ func (s *Service) handleBatch(ctx context.Context, body []byte, resp *rpc.Wire) 
 		}
 		s.admit(op, now)
 	}
-	s.store.applyBatchOps(ctx, ops)
+	s.store.applyBatchOps(sc, ops)
 	s.opMu.RUnlock()
 
 	// Charge each op an equal share of the frame's service time — the

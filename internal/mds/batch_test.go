@@ -12,6 +12,7 @@ import (
 	"origami/internal/kvstore"
 	"origami/internal/namespace"
 	"origami/internal/rpc"
+	"origami/internal/telemetry"
 )
 
 // MethodBatch semantics: atomic multi-op apply, per-op validation, and
@@ -20,7 +21,7 @@ import (
 
 func batchCall(t *testing.T, s *Service, clientID uint64, subs [][]byte) []BatchResult {
 	t.Helper()
-	body, err := callCtx(s.handleBatch, EncodeBatchRequest(clientID, subs))
+	body, err := callOp(s.handleBatch, EncodeBatchRequest(clientID, subs))
 	if err != nil {
 		t.Fatalf("handleBatch: %v", err)
 	}
@@ -190,10 +191,10 @@ func TestBatchRejectsOversizedFrame(t *testing.T) {
 	}
 	// Handler errors are coded strings on this side of the wire (ErrCode
 	// only decodes RemoteErrors, which the RPC layer materialises).
-	if _, err := callCtx(s.handleBatch, EncodeBatchRequest(1, subs)); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
+	if _, err := callOp(s.handleBatch, EncodeBatchRequest(1, subs)); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
 		t.Errorf("oversized frame: %v, want %s", err, CodeInvalid)
 	}
-	if _, err := callCtx(s.handleBatch, EncodeBatchRequest(1, nil)); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
+	if _, err := callOp(s.handleBatch, EncodeBatchRequest(1, nil)); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
 		t.Errorf("empty frame: %v, want %s", err, CodeInvalid)
 	}
 }
@@ -404,7 +405,7 @@ func TestTornRenameRecordRecoversOldXorNew(t *testing.T) {
 	// The log's logical size: the file's own is set ahead of it.
 	recordStart := s.DBStats().WALBytes
 	op := [1]batchOp{{kind: BatchOpRename, parent: d.Ino, name: "old", dstParent: d.Ino, dstName: "new"}}
-	s.applyBatchOps(nil, op[:])
+	s.applyBatchOps(telemetry.SpanContext{}, op[:])
 	if op[0].err != nil {
 		t.Fatal(op[0].err)
 	}
@@ -457,7 +458,7 @@ func TestBatchShapeChangeRetriesInsideStore(t *testing.T) {
 	run := func(subs func(i int) [][]byte) func() error {
 		return func() error {
 			for i := 0; i < rounds; i++ {
-				body, err := callCtx(s.handleBatch, EncodeBatchRequest(0, subs(i)))
+				body, err := callOp(s.handleBatch, EncodeBatchRequest(0, subs(i)))
 				if err != nil {
 					return err
 				}

@@ -45,7 +45,7 @@ func FuzzBatchFrame(f *testing.F) {
 	f.Cleanup(func() { store.Close() })
 	s := NewService(0, store, nil)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		resp, err := callCtx(s.handleBatch, body)
+		resp, err := callOp(s.handleBatch, body)
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), CodeInvalid) {
 				t.Fatalf("frame rejected with %v, want %s", err, CodeInvalid)
@@ -79,7 +79,7 @@ func FuzzDecodeBatchResponse(f *testing.F) {
 	}
 	s := NewService(0, store, nil)
 	for _, frame := range fuzzFrames() {
-		if resp, err := callCtx(s.handleBatch, frame); err == nil {
+		if resp, err := callOp(s.handleBatch, frame); err == nil {
 			f.Add(resp)
 			f.Add(resp[:len(resp)/2])
 		}

@@ -333,7 +333,7 @@ func TestIngestRefusesMetadataKeys(t *testing.T) {
 	AppendRecordList(&w, 1)
 	AppendRecord(&w, ops, n)
 	before := s.store.DBStats().Batches
-	if _, err := callCtx(infoCtx(s.handleIngest), w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
+	if _, err := callOp(infoOp(s.handleIngest), w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
 		t.Fatalf("ingest of a metadata key: err = %v, want EINVAL", err)
 	}
 	if got := s.store.DBStats().Batches; got != before || s.store.HasIno(77) {
@@ -356,7 +356,7 @@ func TestMigrateCommitWithoutPrepare(t *testing.T) {
 func asyncOne(s *Service, sub []byte) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		body, err := callCtx(s.handleBatch, EncodeBatchRequest(0, [][]byte{sub}))
+		body, err := callOp(s.handleBatch, EncodeBatchRequest(0, [][]byte{sub}))
 		if err == nil {
 			var res []BatchResult
 			if res, _, err = DecodeBatchResponse(body); err == nil {
@@ -415,7 +415,7 @@ func TestMigrateFreezeHoldsTheSubtreeOnly(t *testing.T) {
 	}
 	var g rpc.Wire
 	g.U64(uint64(f.Ino))
-	if _, err := callCtx(src.handleGetattr, g.Bytes()); err != nil {
+	if _, err := callOp(src.handleGetattr, g.Bytes()); err != nil {
 		t.Errorf("getattr inside the frozen subtree: %v", err)
 	}
 	time.Sleep(50 * time.Millisecond)

@@ -2,7 +2,6 @@ package mds
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -82,7 +81,7 @@ type binding struct {
 // bound. Replay is idempotent (puts are last-writer-wins, deletes of
 // absent keys no-ops), so a resync may double-apply safely. Once the
 // checks pass the store keeps b's bytes, and b is left empty.
-func (s *Store) ApplyRecord(ctx context.Context, b *kvstore.Batch) error {
+func (s *Store) ApplyRecord(b *kvstore.Batch) error {
 	ops, n := b.Ops()
 	var set stripeSet
 	var bad error
@@ -116,7 +115,7 @@ func (s *Store) ApplyRecord(ctx context.Context, b *kvstore.Batch) error {
 	var beforeBuf, afterBuf [2]binding
 	before, err := s.bindingsAt(ops, n, beforeBuf[:0])
 	if err == nil {
-		err = s.db.ApplyBatchCtx(ctx, b)
+		err = s.db.ApplyBatch(b)
 	}
 	var after []binding
 	if err == nil {
@@ -173,7 +172,7 @@ func (s *Store) AbsorbFrom(src *Store) (absorbed int, err error) {
 	var b kvstore.Batch
 	apply := func() {
 		absorbed += b.Len()
-		err = s.ApplyRecord(nil, &b)
+		err = s.ApplyRecord(&b)
 	}
 	scanErr := src.SnapshotPairs(func(k, v []byte) bool {
 		if !isMetaKey(k) {

@@ -2,7 +2,6 @@ package mds
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -322,15 +321,16 @@ func (s *Service) StoreStats() kvstore.Stats { return s.store.DBStats() }
 // MapVersion returns the partition-map version this MDS currently serves.
 func (s *Service) MapVersion() uint64 { return s.mapVersion.Load() }
 
-// ctxHandler is a metadata-op handler receiving the request context,
-// which carries the propagated trace/span identity for the store layers
-// beneath it. Like the rpc.InfoHandler it runs inside, it appends its
-// response to resp and keeps neither body nor resp.
-type ctxHandler func(ctx context.Context, body []byte, resp *rpc.Wire) error
+// opHandler is a metadata-op handler receiving the span context the
+// store layers beneath it parent their spans on: the op's span when the
+// trace is sampled, zero otherwise. Like the rpc.InfoHandler it runs
+// inside, it appends its response to resp and keeps neither body nor
+// resp.
+type opHandler func(sc telemetry.SpanContext, body []byte, resp *rpc.Wire) error
 
 // timed instruments h with the per-op-type service latency histogram
 // mds.op.<op>.latency_ns.
-func (s *Service) timed(op string, h ctxHandler) rpc.InfoHandler {
+func (s *Service) timed(op string, h opHandler) rpc.InfoHandler {
 	return s.instrument(op, s.reg.Histogram("mds.op."+op+".latency_ns"), h)
 }
 
@@ -338,25 +338,21 @@ func (s *Service) timed(op string, h ctxHandler) rpc.InfoHandler {
 // latency histogram (nil = none), an "mds.op.<op>" span under the
 // request's propagated trace, and — at debug level — a per-request span
 // log line.
-func (s *Service) instrument(op string, hist *telemetry.Histogram, h ctxHandler) rpc.InfoHandler {
+func (s *Service) instrument(op string, hist *telemetry.Histogram, h opHandler) rpc.InfoHandler {
 	spanName := "mds.op." + op
 	return func(info rpc.CallInfo, body []byte, resp *rpc.Wire) error {
-		ctx := context.Background()
-		var span *telemetry.ActiveSpan
-		if info.TraceID != 0 {
-			span = s.spanTracer().StartSpanFrom(telemetry.SpanContext{
-				TraceID: info.TraceID, SpanID: info.SpanID}, spanName)
-			if sc := span.Context(); sc.SpanID != 0 {
-				// Sampled: thread the span context so the kvstore and
-				// replication layers hang child spans off this op.
-				// Unsampled ops skip the context allocation entirely —
-				// their inner spans could never be retained anyway, and
-				// slow capture still sees this op-level span.
-				ctx = telemetry.WithSpanContext(ctx, sc)
-			}
+		span := s.spanTracer().StartSpanFrom(telemetry.SpanContext{
+			TraceID: info.TraceID, SpanID: info.SpanID}, spanName)
+		// Sampled: the kvstore and replication layers hang child spans
+		// off this op. Unsampled ops hand them the zero span context —
+		// their inner spans could never be retained, so they start none,
+		// and slow capture still sees this op-level span.
+		var sc telemetry.SpanContext
+		if id := span.ID(); id != 0 {
+			sc = telemetry.SpanContext{TraceID: info.TraceID, SpanID: id}
 		}
 		start := time.Now()
-		err := h(ctx, body, resp)
+		err := h(sc, body, resp)
 		el := time.Since(start).Nanoseconds()
 		span.Finish(err)
 		s.rpcs.Add(1)
@@ -515,7 +511,7 @@ func (s *Service) handlePing(body []byte) ([]byte, error) {
 // for could never be cached. The response also carries a lease grant for
 // every owned directory the walk read under, seeding the client's cache
 // for the whole prefix in one round trip.
-func (s *Service) handleResolvePath(ctx context.Context, body []byte, resp *rpc.Wire) error {
+func (s *Service) handleResolvePath(_ telemetry.SpanContext, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
 	parent := namespace.Ino(r.U64())
 	n := int(r.U32())
@@ -578,7 +574,7 @@ func (s *Service) handleResolvePath(ctx context.Context, body []byte, resp *rpc.
 	return nil
 }
 
-func (s *Service) handleGetattr(ctx context.Context, body []byte, resp *rpc.Wire) error {
+func (s *Service) handleGetattr(_ telemetry.SpanContext, body []byte, resp *rpc.Wire) error {
 	r := rpc.NewReader(body)
 	ino := namespace.Ino(r.U64())
 	if err := r.Err(); err != nil {
@@ -596,7 +592,7 @@ func (s *Service) handleGetattr(ctx context.Context, body []byte, resp *rpc.Wire
 	return nil
 }
 
-func (s *Service) handleReaddir(ctx context.Context, body []byte, resp *rpc.Wire) error {
+func (s *Service) handleReaddir(_ telemetry.SpanContext, body []byte, resp *rpc.Wire) error {
 	start := time.Now()
 	r := rpc.NewReader(body)
 	ino := namespace.Ino(r.U64())
@@ -677,7 +673,7 @@ func (s *Service) handleIngest(_ rpc.CallInfo, body []byte, _ *rpc.Wire) error {
 	if meta {
 		return CodedError(CodeInvalid, "migration record holds a metadata key")
 	}
-	err := s.store.ApplyRecord(nil, &b)
+	err := s.store.ApplyRecord(&b)
 	if errors.Is(err, ErrBadRecord) {
 		return CodedError(CodeInvalid, "%v", err)
 	}
@@ -844,7 +840,7 @@ func (s *Service) handleMigrateCommit(body []byte) ([]byte, error) {
 	var b kvstore.Batch
 	addSubtree(&b, p.inos, false)
 	addSubtree(&b, []*namespace.Inode{&fake}, true)
-	if err := s.store.ApplyRecord(nil, &b); err != nil {
+	if err := s.store.ApplyRecord(&b); err != nil {
 		return nil, err
 	}
 	// Commit point: the subtree now lives on the destination, so its

@@ -1,7 +1,6 @@
 package mds
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"origami/internal/kvstore"
 	"origami/internal/namespace"
 	"origami/internal/rpc"
+	"origami/internal/telemetry"
 )
 
 // localService builds a service without a listener: handlers are invoked
@@ -24,19 +24,19 @@ func localService(t *testing.T) *Service {
 	return NewService(0, store, nil)
 }
 
-// callCtx runs a handler the way the rpc layer does — appending to a
+// callOp runs a handler the way the rpc layer does — appending to a
 // response Wire — and returns the body it built.
-func callCtx(h ctxHandler, body []byte) ([]byte, error) {
+func callOp(h opHandler, body []byte) ([]byte, error) {
 	var resp rpc.Wire
-	if err := h(context.Background(), body, &resp); err != nil {
+	if err := h(telemetry.SpanContext{}, body, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Bytes(), nil
 }
 
-// infoCtx adapts an rpc.InfoHandler to callCtx.
-func infoCtx(h rpc.InfoHandler) ctxHandler {
-	return func(_ context.Context, body []byte, resp *rpc.Wire) error {
+// infoOp adapts an rpc.InfoHandler to callOp.
+func infoOp(h rpc.InfoHandler) opHandler {
+	return func(_ telemetry.SpanContext, body []byte, resp *rpc.Wire) error {
 		return h(rpc.CallInfo{}, body, resp)
 	}
 }
@@ -51,7 +51,7 @@ func commitRecord(t *testing.T, st *Store, inos []*namespace.Inode, fake *namesp
 	if fake != nil {
 		addSubtree(&b, []*namespace.Inode{fake}, true)
 	}
-	if err := st.ApplyRecord(nil, &b); err != nil {
+	if err := st.ApplyRecord(&b); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,8 +104,8 @@ func mustCreate(t *testing.T, s *Service, parent namespace.Ino, name string, typ
 
 func TestHandlersRejectTruncatedBodies(t *testing.T) {
 	s := localService(t)
-	noCtx := func(h ctxHandler) rpc.Handler {
-		return func(body []byte) ([]byte, error) { return callCtx(h, body) }
+	noCtx := func(h opHandler) rpc.Handler {
+		return func(body []byte) ([]byte, error) { return callOp(h, body) }
 	}
 	handlers := map[string]rpc.Handler{
 		"getattr":         noCtx(s.handleGetattr),
@@ -114,7 +114,7 @@ func TestHandlersRejectTruncatedBodies(t *testing.T) {
 		"batch":           noCtx(s.handleBatch),
 		"migrate_prepare": s.handleMigratePrepare,
 		"migrate_commit":  s.handleMigrateCommit,
-		"ingest":          noCtx(infoCtx(s.handleIngest)),
+		"ingest":          noCtx(infoOp(s.handleIngest)),
 		"setmap":          s.handleSetMap,
 	}
 	for name, h := range handlers {
@@ -177,7 +177,7 @@ func TestDumpResetsCounters(t *testing.T) {
 	d := mustCreate(t, s, namespace.RootIno, "dir", namespace.TypeDir)
 	var w rpc.Wire
 	w.U64(uint64(d.Ino))
-	if _, err := callCtx(s.handleReaddir, w.Bytes()); err != nil {
+	if _, err := callOp(s.handleReaddir, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	body, err := s.handleDump(nil)
@@ -242,7 +242,7 @@ func TestLookupOnFakeRedirects(t *testing.T) {
 	resolveOne := func(parent namespace.Ino, name string) ([]byte, error) {
 		var w rpc.Wire
 		w.U64(uint64(parent)).U32(1).Str(name)
-		return callCtx(s.handleResolvePath, w.Bytes())
+		return callOp(s.handleResolvePath, w.Bytes())
 	}
 	body, err := resolveOne(namespace.RootIno, "moved")
 	if err != nil {
@@ -310,7 +310,7 @@ func TestGroupCommitGauges(t *testing.T) {
 		go func(dir namespace.Ino) {
 			for i := 0; i < perWriter; i++ {
 				sub := EncodeBatchCreate(0, dir, fmt.Sprintf("pair%03d", i), namespace.TypeFile)
-				body, err := callCtx(s.handleBatch, EncodeBatchRequest(0, [][]byte{sub}))
+				body, err := callOp(s.handleBatch, EncodeBatchRequest(0, [][]byte{sub}))
 				if err == nil {
 					var res []BatchResult
 					if res, _, err = DecodeBatchResponse(body); err == nil && res[0].Err != nil {

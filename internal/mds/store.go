@@ -235,7 +235,7 @@ func (s *Store) AllocIno() namespace.Ino {
 func (s *Store) Put(in *namespace.Inode) error {
 	var b kvstore.Batch
 	addSubtree(&b, []*namespace.Inode{in}, true)
-	return s.ApplyRecord(nil, &b)
+	return s.ApplyRecord(&b)
 }
 
 // keyScratch and recordScratch size the stack buffers keys and inode
@@ -294,7 +294,7 @@ func (s *Store) hasChildLocked(dir namespace.Ino) (bool, error) {
 // Returns ErrNotDir or ErrExist otherwise.
 func (s *Store) CreateEntry(in *namespace.Inode) error {
 	op := [1]batchOp{{kind: BatchOpCreate, in: *in, hasIn: true}}
-	s.applyBatchOps(nil, op[:])
+	s.applyBatchOps(telemetry.SpanContext{}, op[:])
 	return op[0].err
 }
 
@@ -302,7 +302,7 @@ func (s *Store) CreateEntry(in *namespace.Inode) error {
 // directory victim is empty. Returns the removed inode.
 func (s *Store) RemoveEntry(parent namespace.Ino, name string) (*namespace.Inode, error) {
 	op := [1]batchOp{{kind: BatchOpRemove, parent: parent, name: name}}
-	s.applyBatchOps(nil, op[:])
+	s.applyBatchOps(telemetry.SpanContext{}, op[:])
 	if op[0].err != nil {
 		return nil, op[0].err
 	}

@@ -156,7 +156,7 @@ func TestApplyRecordKeepsIndexInStep(t *testing.T) {
 	d := &namespace.Inode{Ino: 12, Parent: 1, Name: "d", Type: namespace.TypeDir}
 	apply := func(b *kvstore.Batch) {
 		t.Helper()
-		if err := s.ApplyRecord(nil, b); err != nil {
+		if err := s.ApplyRecord(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestApplyRecordRefusesBadRecords(t *testing.T) {
 	garbage.Put(namespace.EncodeKey(1, "z"), []byte("not an inode"))
 	for name, b := range map[string]*kvstore.Batch{"misplaced inode": misplacedRec, "short key": shortKey, "garbage value": garbage} {
 		before := s.DBStats().Batches
-		if err := s.ApplyRecord(nil, b); !errors.Is(err, ErrBadRecord) {
+		if err := s.ApplyRecord(b); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("%s: err = %v, want ErrBadRecord", name, err)
 		}
 		if got := s.DBStats().Batches; got != before || s.HasIno(20) {
@@ -213,7 +213,7 @@ func TestApplyRecordRefusesBadRecords(t *testing.T) {
 	// Metadata keys travel verbatim and are never indexed.
 	meta := record(good)
 	meta.Put(metaPinMapKey, []byte("map"))
-	if err := s.ApplyRecord(nil, meta); err != nil {
+	if err := s.ApplyRecord(meta); err != nil {
 		t.Fatal(err)
 	}
 	if data, _ := s.LoadPinMap(); string(data) != "map" || s.Count() != 1 {

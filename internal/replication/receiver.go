@@ -153,7 +153,7 @@ func (rc *Receiver) handleSnapChunk(_ rpc.CallInfo, body []byte, _ *rpc.Wire) er
 		rc.gapsC.Inc()
 		return noSnapshot(primary, session)
 	}
-	return rep.store.ApplyRecord(nil, &b)
+	return rep.store.ApplyRecord(&b)
 }
 
 func (rc *Receiver) handleSnapEnd(_ rpc.CallInfo, body []byte, resp *rpc.Wire) error {
@@ -202,7 +202,7 @@ func (rc *Receiver) handleAppend(_ rpc.CallInfo, body []byte, resp *rpc.Wire) er
 	}
 	// An empty append extends nothing; it only updates the head.
 	if records > 0 {
-		if err := rep.store.ApplyRecord(nil, &b); err != nil {
+		if err := rep.store.ApplyRecord(&b); err != nil {
 			return err
 		}
 		rep.applied += uint64(records)

@@ -460,7 +460,7 @@ func BenchmarkReplicationAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, ops := range recs {
-		if err := sh.Feed(nil, ops, 1)(); err != nil {
+		if err := sh.Feed(telemetry.SpanContext{}, ops, 1)(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -237,7 +236,7 @@ func (sh *Shipper) Status() Status {
 // copy), assigns the record its sequence number, and returns its ack
 // wait, which the commit pipeline awaits inline (sync-repl), drives to
 // completion in the background (async) or drops (sync-fsync).
-func (sh *Shipper) Feed(ctx context.Context, ops []byte, n int) func() error {
+func (sh *Shipper) Feed(sc telemetry.SpanContext, ops []byte, n int) func() error {
 	sh.mu.Lock()
 	if sh.stopped {
 		sh.mu.Unlock()
@@ -267,7 +266,7 @@ func (sh *Shipper) Feed(ctx context.Context, ops []byte, n int) func() error {
 	return func() error {
 		// The ack wait is where sync-repl latency hides; give it its own
 		// span under the writer's kvstore.commit span.
-		_, span := sh.opts.Tracer.StartSpan(ctx, "repl.sync_ack")
+		span := sh.opts.Tracer.StartSpanFrom(sc, "repl.sync_ack")
 		err := sh.waitAcked(seq)
 		span.Finish(err)
 		return err

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -48,23 +47,6 @@ func TestCallTimeoutOnDroppedRequest(t *testing.T) {
 	srv.SetFaultInjector(nil)
 	if out, err := c.Call(1, []byte("ok")); err != nil || string(out) != "ok" {
 		t.Fatalf("call after injector cleared: %q, %v", out, err)
-	}
-}
-
-func TestCallCtxCancel(t *testing.T) {
-	srv, addr := startFaultEcho(t)
-	srv.SetFaultInjector(NewRuleInjector(1, Rule{
-		Point: PointServerRecv, Action: FaultDrop,
-	}))
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := c.CallCtx(ctx, 1, nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled call returned %v", err)
 	}
 }
 

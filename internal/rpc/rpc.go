@@ -20,8 +20,8 @@
 // CallInfo.SpanID, so cross-node trace trees assemble without any extra
 // wire round trips.
 //
-// The layer is fault-aware: calls can carry deadlines (CallTimeout /
-// CallCtx), a dropped connection is redialed automatically with
+// The layer is fault-aware: calls are bounded by the client's
+// CallTimeout, a dropped connection is redialed automatically with
 // exponential backoff plus jitter (ClientOptions.Reconnect), and both
 // ends accept a FaultInjector that drops, delays, fails, or severs
 // frames for chaos testing.
@@ -48,7 +48,6 @@ package rpc
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -1116,17 +1115,9 @@ func (c *Client) redial() {
 
 // Call issues one request and waits for its response, honouring the
 // client's CallTimeout. The request carries no trace ID; use CallInto
-// with a span context, or CallCtx, to propagate one.
+// with a span context to propagate one.
 func (c *Client) Call(m Method, body []byte) ([]byte, error) {
 	return c.CallInto(telemetry.SpanContext{}, m, body, nil)
-}
-
-// CallCtx is Call with an explicit context: the call fails with the
-// context's error when it is cancelled, and the span context attached to
-// ctx (telemetry.WithSpanContext / WithTraceID) rides the request frame to
-// the server. The client CallTimeout still applies as an upper bound.
-func (c *Client) CallCtx(ctx context.Context, m Method, body []byte) ([]byte, error) {
-	return c.callInto(ctx, telemetry.SpanContextFrom(ctx), m, body, nil)
 }
 
 // CallInto issues one request on behalf of the span sc — its trace and
@@ -1137,18 +1128,13 @@ func (c *Client) CallCtx(ctx context.Context, m Method, body []byte) ([]byte, er
 // client's CallTimeout. dst belongs to the client until CallInto returns;
 // after an error its contents are unspecified.
 func (c *Client) CallInto(sc telemetry.SpanContext, m Method, body, dst []byte) ([]byte, error) {
-	return c.callInto(nil, sc, m, body, dst)
-}
-
-// callInto is the one call path: ctx, when non-nil, can cancel the wait.
-func (c *Client) callInto(ctx context.Context, sc telemetry.SpanContext, m Method, body, dst []byte) ([]byte, error) {
 	if c.stats == nil {
-		return c.doCall(ctx, sc, m, body, dst)
+		return c.doCall(sc, m, body, dst)
 	}
 	mm := c.stats.get(m)
 	mm.calls.Inc()
 	start := time.Now()
-	out, err := c.doCall(ctx, sc, m, body, dst)
+	out, err := c.doCall(sc, m, body, dst)
 	c.stats.record(mm, start, err != nil)
 	if errors.Is(err, ErrTimeout) {
 		c.stats.reg.Counter("rpc.client.timeouts").Inc()
@@ -1156,7 +1142,7 @@ func (c *Client) callInto(ctx context.Context, sc telemetry.SpanContext, m Metho
 	return out, err
 }
 
-func (c *Client) doCall(ctx context.Context, sc telemetry.SpanContext, m Method, body, dst []byte) ([]byte, error) {
+func (c *Client) doCall(sc telemetry.SpanContext, m Method, body, dst []byte) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -1199,7 +1185,7 @@ func (c *Client) doCall(ctx context.Context, sc telemetry.SpanContext, m Method,
 	c.pmu.Lock()
 	c.pending[id] = pc
 	c.pmu.Unlock()
-	out, err := c.await(ctx, gen, w, dropped, id, pc,
+	out, err := c.await(gen, w, dropped, id, pc,
 		frameHeader{reqID: id, kind: kindRequest, method: m, trace: sc.TraceID, span: sc.SpanID}, body)
 	// Whichever way the call ended, nobody else holds the record now.
 	pc.dst = nil
@@ -1210,7 +1196,7 @@ func (c *Client) doCall(ctx context.Context, sc telemetry.SpanContext, m Method,
 // await sends the request and waits for the record's outcome. Every exit
 // either received the one response the read loop sends for a record it
 // took, or took the record back itself.
-func (c *Client) await(ctx context.Context, gen *connGen, w *bufio.Writer, dropped bool, id uint64, pc *pendingCall, h frameHeader, body []byte) ([]byte, error) {
+func (c *Client) await(gen *connGen, w *bufio.Writer, dropped bool, id uint64, pc *pendingCall, h frameHeader, body []byte) ([]byte, error) {
 	// giveUp ends the wait with err — unless the read loop has taken the
 	// record already, in which case its response is imminent and wins.
 	giveUp := func(err error) ([]byte, error) {
@@ -1241,10 +1227,6 @@ func (c *Client) await(ctx context.Context, gen *connGen, w *bufio.Writer, dropp
 		defer pc.timer.Stop()
 		deadline = pc.timer.C
 	}
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
 	for {
 		select {
 		case resp := <-pc.ch:
@@ -1256,8 +1238,6 @@ func (c *Client) await(ctx context.Context, gen *connGen, w *bufio.Writer, dropp
 				continue // a tick the record's previous call left behind
 			}
 			return giveUp(fmt.Errorf("%w: method %d after %v", ErrTimeout, h.method, timeout))
-		case <-ctxDone:
-			return giveUp(ctx.Err())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,7 +10,7 @@ import (
 	"origami/internal/telemetry"
 )
 
-// TestTracePropagation sends a request with a context-attached trace ID
+// TestTracePropagation sends a request on behalf of a traced span
 // and asserts the handler sees the same ID via CallInfo and the response
 // echo matches (trace_mismatch stays zero).
 func TestTracePropagation(t *testing.T) {
@@ -36,8 +35,7 @@ func TestTracePropagation(t *testing.T) {
 	defer c.Close()
 
 	const trace = uint64(0xdeadbeefcafe)
-	ctx := telemetry.WithTraceID(context.Background(), trace)
-	if _, err := c.CallCtx(ctx, 7, []byte("x")); err != nil {
+	if _, err := c.CallInto(telemetry.SpanContext{TraceID: trace}, 7, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := <-seen; got != trace {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -325,45 +324,40 @@ func epochStatsFromDumps(stats []mds.StatsSnapshot, shardRows [][]mds.DumpRow, p
 // an abort if the commit fails. The partition pin moves only after a
 // successful commit. Each migration gets its own trace: a root
 // coordinator.migrate span with one child per 2PC phase, the trace ID
-// propagated over the wire so source-MDS dispatch spans join the tree.
-func (co *Coordinator) migrate2PC(subtree namespace.Ino, from, to int) error {
-	ctx, _ := telemetry.EnsureTraceID(context.Background())
-	ctx, root := co.tracer.StartSpan(ctx, "coordinator.migrate")
+// propagated over the wire so source-MDS dispatch spans join the tree —
+// even with no coordinator tracer, when the frames carry the bare ID.
+func (co *Coordinator) migrate2PC(subtree namespace.Ino, from, to int) (err error) {
+	tc := telemetry.SpanContext{TraceID: telemetry.NewTraceID()}
+	root := co.tracer.StartSpanFrom(tc, "coordinator.migrate")
 	root.Annotate("subtree", fmt.Sprintf("%d", subtree))
 	root.Annotate("from", fmt.Sprintf("%d", from))
 	root.Annotate("to", fmt.Sprintf("%d", to))
-	err := co.migrate2PCTraced(ctx, subtree, from, to)
-	root.Finish(err)
-	return err
-}
-
-func (co *Coordinator) migrate2PCTraced(ctx context.Context, subtree namespace.Ino, from, to int) error {
+	defer func() { root.Finish(err) }()
+	tc = root.Propagate(tc)
+	conn := co.cluster.Conn(from)
+	phase := func(name string, m rpc.Method, body []byte) error {
+		span := co.tracer.StartSpanFrom(tc, name)
+		_, err := conn.CallInto(span.Propagate(tc), m, body, nil)
+		span.Finish(err)
+		return err
+	}
 	var w rpc.Wire
 	w.U64(uint64(subtree)).U32(uint32(to))
-	conn := co.cluster.Conn(from)
-	pctx, prep := co.tracer.StartSpan(ctx, "coordinator.migrate.prepare")
-	_, err := conn.CallCtx(pctx, mds.MethodMigratePrepare, w.Bytes())
-	prep.Finish(err)
-	if err != nil {
+	if err := phase("coordinator.migrate.prepare", mds.MethodMigratePrepare, w.Bytes()); err != nil {
 		co.reportOutcome(from, err)
 		co.log.Warn("migration prepare failed", "subtree", uint64(subtree), "from", from, "to", to, "err", err)
 		return fmt.Errorf("server: prepare migrate %d from MDS %d: %w", subtree, from, err)
 	}
 	var cw rpc.Wire
 	cw.U64(uint64(subtree))
-	cctx, commit := co.tracer.StartSpan(ctx, "coordinator.migrate.commit")
-	_, err = conn.CallCtx(cctx, mds.MethodMigrateCommit, cw.Bytes())
-	commit.Finish(err)
-	if err != nil {
+	if err := phase("coordinator.migrate.commit", mds.MethodMigrateCommit, cw.Bytes()); err != nil {
 		co.reportOutcome(from, err)
 		co.log.Warn("migration commit failed, aborting", "subtree", uint64(subtree), "from", from, "to", to, "err", err)
 		// Roll back: lift the freeze and evict the destination copy. If
 		// the source is unreachable its PrepareTimeout auto-abort fires.
 		var aw rpc.Wire
 		aw.U64(uint64(subtree))
-		actx, abort := co.tracer.StartSpan(ctx, "coordinator.migrate.abort")
-		_, aerr := conn.CallCtx(actx, mds.MethodMigrateAbort, aw.Bytes()) //nolint:errcheck // best-effort
-		abort.Finish(aerr)
+		phase("coordinator.migrate.abort", mds.MethodMigrateAbort, aw.Bytes()) //nolint:errcheck // best-effort
 		return fmt.Errorf("server: commit migrate %d from MDS %d: %w", subtree, from, err)
 	}
 	co.Health.ReportSuccess(from)

@@ -100,6 +100,32 @@ func TestObsSmokeTraceTree(t *testing.T) {
 	if got := count(roots[0]); got != len(spans) {
 		t.Errorf("tree holds %d spans, gathered %d — orphaned parent links", got, len(spans))
 	}
+
+	// Below the handler the chain is mds.op.* → kvstore.commit →
+	// repl.sync_ack: each layer parents its span on the one above.
+	byID := map[uint64]telemetry.Span{}
+	for _, s := range spans {
+		byID[s.SpanID] = s
+	}
+	chained := map[string]int{}
+	for _, s := range spans {
+		parent := byID[s.ParentID].Name
+		switch s.Name {
+		case "kvstore.commit":
+			if !strings.HasPrefix(parent, "mds.op.") {
+				t.Errorf("kvstore.commit parented on %q, want an mds.op.* span", parent)
+			}
+		case "repl.sync_ack":
+			if parent != "kvstore.commit" {
+				t.Errorf("repl.sync_ack parented on %q, want kvstore.commit", parent)
+			}
+		}
+		chained[s.Name]++
+	}
+	if chained["kvstore.commit"] == 0 || chained["repl.sync_ack"] == 0 {
+		t.Errorf("create recorded %d kvstore.commit and %d repl.sync_ack spans, want both",
+			chained["kvstore.commit"], chained["repl.sync_ack"])
+	}
 }
 
 func TestObsSmokeTraceCLIRoundTrip(t *testing.T) {
@@ -253,5 +279,35 @@ func TestObsSmokeScenarioArtifacts(t *testing.T) {
 	}
 	if !phases["coordinator.migrate.prepare"] || !phases["coordinator.migrate.commit"] {
 		t.Errorf("migrate phases = %v, want prepare and commit children", phases)
+	}
+}
+
+// TestMigrationKeepsItsTraceWithoutCoordinatorTracer: a coordinator that
+// records nothing still mints the migration's trace ID and sends it with
+// every 2PC frame, so the source shard's dispatch spans share one trace.
+func TestMigrationKeepsItsTraceWithoutCoordinatorTracer(t *testing.T) {
+	cl, sdk := startObsCluster(t, 2)
+	co := NewCoordinator(cl)
+	co.tracer = nil
+	in, err := sdk.Mkdir("/move")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Migrate(in.Ino, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	traces := map[uint64]bool{}
+	phases := map[string]bool{}
+	for _, s := range cl.Services[0].Tracer().RecentSpans(0) {
+		if strings.HasPrefix(s.Name, "rpc.server.migrate_") {
+			traces[s.TraceID] = true
+			phases[s.Name] = true
+		}
+	}
+	if !phases["rpc.server.migrate_prepare"] || !phases["rpc.server.migrate_commit"] {
+		t.Fatalf("source recorded migrate spans %v, want prepare and commit", phases)
+	}
+	if len(traces) != 1 || traces[0] {
+		t.Errorf("source migrate spans span trace IDs %v, want one nonzero ID", traces)
 	}
 }

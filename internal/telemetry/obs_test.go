@@ -7,7 +7,6 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -233,8 +232,8 @@ func TestObsSmokeSpanRingWraparound(t *testing.T) {
 // sampled-out fast span vanishes.
 func TestObsSmokeSlowOpTailCapture(t *testing.T) {
 	tr := NewTracer("node", TracerConfig{SampleRate: -1, SlowThreshold: time.Nanosecond})
-	ctx := WithTraceID(context.Background(), 99)
-	_, span := tr.StartSpan(ctx, "mds.op.create")
+	sc := SpanContext{TraceID: 99}
+	span := tr.StartSpanFrom(sc, "mds.op.create")
 	time.Sleep(time.Millisecond)
 	span.Finish(nil)
 
@@ -248,7 +247,7 @@ func TestObsSmokeSlowOpTailCapture(t *testing.T) {
 
 	// Same tracer config but slow capture disabled: the span is dropped.
 	tr2 := NewTracer("node", TracerConfig{SampleRate: -1, SlowThreshold: -1})
-	_, span2 := tr2.StartSpan(ctx, "mds.op.create")
+	span2 := tr2.StartSpanFrom(sc, "mds.op.create")
 	span2.Finish(nil)
 	if got := tr2.TraceSpans(99); len(got) != 0 {
 		t.Errorf("sampled-out span retained: %+v", got)
@@ -265,8 +264,7 @@ func TestObsSmokeAdminEndpoints(t *testing.T) {
 	reg.Counter("mds.op.stat.calls").Add(11)
 	reg.Histogram("mds.op.stat.latency_ns").Record(1500)
 	tr := NewTracer("mds0", TracerConfig{Registry: reg})
-	ctx := WithTraceID(context.Background(), 0xabcd)
-	_, span := tr.StartSpan(ctx, "mds.op.stat")
+	span := tr.StartSpanFrom(SpanContext{TraceID: 0xabcd}, "mds.op.stat")
 	span.Finish(nil)
 
 	admin, err := StartAdmin("127.0.0.1:0", AdminConfig{

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -66,29 +65,12 @@ type SlowOp struct {
 
 // SpanContext is the propagated identity of the current span: what a
 // child span uses as its parent link. It rides the RPC frame header
-// across nodes. Locally the SDK and the RPC dispatch path pass it as a
-// plain value; layers below an MDS handler find it on a context.
+// across nodes; locally every layer, from the SDK to the WAL, passes it
+// as a plain value. The zero value is "untraced": a span started from it
+// records nothing.
 type SpanContext struct {
 	TraceID uint64
 	SpanID  uint64
-}
-
-type spanKey struct{}
-
-// WithSpanContext attaches a span context (trace + current span) to ctx.
-func WithSpanContext(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanKey{}, sc)
-}
-
-// SpanContextFrom extracts the context's span context. A context
-// carrying only a trace ID (WithTraceID / EnsureTraceID) yields that
-// trace with a zero span ID — the caller becomes a root span.
-func SpanContextFrom(ctx context.Context) SpanContext {
-	if ctx == nil {
-		return SpanContext{}
-	}
-	sc, _ := ctx.Value(spanKey{}).(SpanContext)
-	return sc
 }
 
 // NewSpanID mints a span ID (same generator as trace IDs).
@@ -208,8 +190,8 @@ func (t *Tracer) Sampled(traceID uint64) bool {
 	return sampleHash(traceID)%sampleBasis < t.basisPts
 }
 
-// ActiveSpan is an in-flight span started by StartSpan. All methods are
-// nil-safe: a nil *ActiveSpan (untraced request, nil tracer) absorbs
+// ActiveSpan is an in-flight span started by StartSpanFrom. All methods
+// are nil-safe: a nil *ActiveSpan (untraced request, nil tracer) absorbs
 // every call.
 type ActiveSpan struct {
 	t     *Tracer
@@ -217,27 +199,11 @@ type ActiveSpan struct {
 	start time.Time
 }
 
-// StartSpan begins a span named name under the context's span context,
-// returning a child context carrying the new span as current. With a
-// nil tracer or an untraced context (zero trace ID) it returns the
-// context unchanged and a nil span — nothing is recorded.
-func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *ActiveSpan) {
-	if t == nil {
-		return ctx, nil
-	}
-	as := t.StartSpanFrom(SpanContextFrom(ctx), name)
-	if as == nil || as.span.SpanID == 0 {
-		// Untraced, sampled-out, or slow-capture-only: the context stays
-		// as-is — child spans keep parenting on the original span.
-		return ctx, as
-	}
-	return WithSpanContext(ctx, SpanContext{TraceID: as.span.TraceID, SpanID: as.span.SpanID}), as
-}
-
-// StartSpanFrom begins a span directly under parent sc, with no context
-// threading — the RPC dispatch and MDS handler paths, which carry span
-// identity in the frame header / CallInfo rather than a context, use it
-// to avoid allocating throwaway contexts on every request.
+// StartSpanFrom begins a span named name under parent sc. With a nil
+// tracer or an untraced parent (zero trace ID) it returns a nil span and
+// nothing is recorded. It is the one way to open a span: span identity
+// travels as a SpanContext value, and a layer hands its children the
+// span's Propagate(sc).
 func (t *Tracer) StartSpanFrom(sc SpanContext, name string) *ActiveSpan {
 	if t == nil || sc.TraceID == 0 {
 		return nil
@@ -281,10 +247,13 @@ func (s *ActiveSpan) ID() uint64 {
 	return s.span.SpanID
 }
 
-// Context returns the span's propagation context (zero for nil spans).
-func (s *ActiveSpan) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
+// Propagate returns the span context this span's children parent on:
+// the span's own identity once it has an ID, else parent unchanged — so
+// a layer that records nothing (nil tracer, untraced or sampled-out
+// trace, slow-capture-only span) still hands its children its parent.
+func (s *ActiveSpan) Propagate(parent SpanContext) SpanContext {
+	if s == nil || s.span.SpanID == 0 {
+		return parent
 	}
 	return SpanContext{TraceID: s.span.TraceID, SpanID: s.span.SpanID}
 }
@@ -327,8 +296,8 @@ func (s *ActiveSpan) Finish(err error) {
 		}
 	}
 	if s.span.SpanID == 0 {
-		// Slow-capture-only span (trace unsampled, see StartSpan): kept
-		// only when it actually crossed the slow threshold.
+		// Slow-capture-only span (trace unsampled, see StartSpanFrom):
+		// kept only when it actually crossed the slow threshold.
 		if !slow {
 			if t.sampledOutC != nil {
 				t.sampledOutC.Inc()

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,21 +25,34 @@ func TestTraceIDsNonzeroAndUnique(t *testing.T) {
 	}
 }
 
+// TestTraceContext: a span parents on the SpanContext it was started
+// from, and Propagate hands children the span's identity when it has one
+// and the parent unchanged when it records nothing.
 func TestTraceContext(t *testing.T) {
-	if TraceIDFrom(context.Background()) != 0 {
-		t.Error("empty context carries a trace ID")
+	parent := SpanContext{TraceID: 42, SpanID: 7}
+	tr := NewTracer("node", TracerConfig{})
+	span := tr.StartSpanFrom(parent, "mds.op.create")
+	child := span.Propagate(parent)
+	if child.TraceID != 42 || child.SpanID == 0 || child.SpanID != span.ID() {
+		t.Fatalf("sampled span propagates %+v, want trace 42 and span %d", child, span.ID())
 	}
-	ctx := WithTraceID(context.Background(), 42)
-	if TraceIDFrom(ctx) != 42 {
-		t.Error("trace ID lost in context")
+	span.Finish(nil)
+	if got := tr.TraceSpans(42); len(got) != 1 || got[0].ParentID != 7 {
+		t.Fatalf("recorded %+v, want one span under parent 7", got)
 	}
-	ctx2, id := EnsureTraceID(context.Background())
-	if id == 0 || TraceIDFrom(ctx2) != id {
-		t.Errorf("EnsureTraceID: id=%d ctx=%d", id, TraceIDFrom(ctx2))
+
+	// Recording nothing — nil tracer, sampled out, untraced — passes the
+	// parent on unchanged.
+	var none *Tracer
+	if got := none.StartSpanFrom(parent, "x").Propagate(parent); got != parent {
+		t.Errorf("nil tracer propagates %+v, want %+v", got, parent)
 	}
-	ctx3, id3 := EnsureTraceID(ctx)
-	if id3 != 42 || TraceIDFrom(ctx3) != 42 {
-		t.Error("EnsureTraceID replaced an existing trace ID")
+	off := NewTracer("node", TracerConfig{SampleRate: -1})
+	if got := off.StartSpanFrom(parent, "x").Propagate(parent); got != parent {
+		t.Errorf("sampled-out span propagates %+v, want %+v", got, parent)
+	}
+	if tr.StartSpanFrom(SpanContext{}, "x") != nil {
+		t.Error("untraced parent opened a span")
 	}
 }
 

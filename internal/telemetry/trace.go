@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -39,27 +38,3 @@ func NewTraceID() uint64 {
 
 // FormatTraceID renders an ID the way span records log it.
 func FormatTraceID(id uint64) string { return fmt.Sprintf("%016x", id) }
-
-// WithTraceID attaches a trace ID to a context: a span context with no
-// current span, so the next span started from it is a root.
-func WithTraceID(ctx context.Context, id uint64) context.Context {
-	return WithSpanContext(ctx, SpanContext{TraceID: id})
-}
-
-// TraceIDFrom extracts the context's trace ID, or 0 when none is attached.
-func TraceIDFrom(ctx context.Context) uint64 {
-	return SpanContextFrom(ctx).TraceID
-}
-
-// EnsureTraceID returns a context that carries a trace ID, minting a new
-// one when the input has none, plus the ID itself.
-func EnsureTraceID(ctx context.Context) (context.Context, uint64) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if id := TraceIDFrom(ctx); id != 0 {
-		return ctx, id
-	}
-	id := NewTraceID()
-	return WithTraceID(ctx, id), id
-}
