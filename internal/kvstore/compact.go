@@ -168,7 +168,7 @@ func (db *DB) compactInto(li int, src []*sstable) error {
 		}
 		if rewrite {
 			// Also when nothing survived: tombstones cancelled the run out.
-			db.removeTables(run.tables)
+			db.retire(run.tables)
 			run.tables = nil
 		}
 		if t != nil {
@@ -178,19 +178,12 @@ func (db *DB) compactInto(li int, src []*sstable) error {
 	return nil
 }
 
-func (db *DB) removeTables(ts []*sstable) {
-	for _, t := range ts {
-		t.close()
-		_ = removeFile(t.path)
-	}
-}
-
 // compactL0Locked merges every L0 table into L1.
 func (db *DB) compactL0Locked() error {
 	if err := db.compactInto(0, db.l0); err != nil {
 		return err
 	}
-	db.removeTables(db.l0)
+	db.retire(db.l0)
 	db.l0 = nil
 	db.stats.compactions.Add(1)
 	return nil
@@ -216,7 +209,7 @@ func (db *DB) compactRunLocked(li int, run *guardRun) error {
 		}
 		run.tables = nil
 	}
-	db.removeTables(old)
+	db.retire(old)
 	db.stats.compactions.Add(1)
 	return nil
 }

@@ -3,7 +3,9 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -124,15 +126,17 @@ func FuzzLoadManifest(f *testing.F) {
 	})
 }
 
-// FuzzReplayWAL feeds arbitrary bytes to recovery as a write-ahead log.
-// Whatever the bytes: replay does not panic and allocates in proportion
-// to the file, never to a length the file claims; it hands apply whole
-// records only (a batch entirely or not at all); the offset it reports
-// is a fixed point (replaying the log cut there finds the same records);
-// and a store opened on the log holds exactly what replay applied,
-// accepts a write, and still has that write after the next crash — which
-// is what resuming the log behind a torn tail used to lose. Seeds are a
-// real log whole, torn, zero-tailed and bit-flipped.
+// FuzzReplayWAL feeds arbitrary bytes to recovery as a write-ahead log of
+// generation gen, which a manifest beside it names. Whatever the bytes:
+// replay does not panic and allocates in proportion to the file, never to
+// a length the file claims; it hands apply whole records only (a batch
+// entirely or not at all); the offset it reports is a fixed point
+// (replaying the log cut there finds the same records); and a store
+// opened on the log holds exactly what replay applied, accepts a write,
+// and still has that write after the next crash — which is what resuming
+// the log behind a torn tail used to lose. Seeds are a real log whole,
+// torn, zero-tailed and bit-flipped, and a recycled one: a second
+// generation written over the first's longer log.
 func FuzzReplayWAL(f *testing.F) {
 	seedDir := f.TempDir()
 	db, err := Open(seedDir, Options{})
@@ -152,19 +156,21 @@ func FuzzReplayWAL(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	log = log[:db.wal.size]
-	f.Add(log, false)
-	f.Add(append(append([]byte(nil), log...), make([]byte, 4096)...), false) // size-ahead tail
-	for _, cut := range []int{3, walHeaderSize, 40, len(log) - 300, len(log) - 1} {
-		f.Add(append([]byte(nil), log[:cut]...), false)
-	}
+	log = log[:db.wal.size] // a size-ahead tail is the second seed
 	flipped := append([]byte(nil), log...)
 	flipped[30] ^= 0x40
-	f.Add(flipped, true)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1}, false)
-	f.Add(make([]byte, 64), true)
+	for _, seed := range [][]byte{log, append(append([]byte(nil), log...), make([]byte, 4096)...)} {
+		f.Add(seed, uint32(0), false)
+	}
+	for _, cut := range []int{3, walHeaderSize, 40, len(log) - 300, len(log) - 1} {
+		f.Add(append([]byte(nil), log[:cut]...), uint32(0), false)
+	}
+	f.Add(flipped, uint32(0), true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1}, uint32(0), false)
+	f.Add(make([]byte, 64), uint32(0), true)
+	f.Add(recycledLog(f), uint32(1), false)
 
-	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+	f.Fuzz(func(t *testing.T, data []byte, gen uint32, fixCRC bool) {
 		// With fixCRC every record the lengths delimit gets a valid
 		// checksum, so payload mutations reach the op parser behind it.
 		for off := 0; fixCRC && len(data)-off >= walHeaderSize; {
@@ -173,12 +179,19 @@ func FuzzReplayWAL(f *testing.F) {
 				break
 			}
 			end := off + walHeaderSize + int(n)
-			binary.BigEndian.PutUint32(data[off+4:], crc32.ChecksumIEEE(data[off+walHeaderSize:end]))
+			binary.BigEndian.PutUint32(data[off+4:], walChecksum(gen, data[off+walHeaderSize:end]))
 			off = end
 		}
 		dir := t.TempDir()
 		path := filepath.Join(dir, "wal.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := json.Marshal(manifest{WALGen: gen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), m, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
@@ -203,7 +216,7 @@ func FuzzReplayWAL(f *testing.F) {
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		end, err := replayWAL(path, apply)
+		end, err := replayWAL(path, gen, apply)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +231,7 @@ func FuzzReplayWAL(f *testing.F) {
 			t.Fatal(err)
 		}
 		again := 0
-		if end2, err := replayWAL(path, func([]byte, int) { again++ }); err != nil || end2 != end || again != records {
+		if end2, err := replayWAL(path, gen, func([]byte, int) { again++ }); err != nil || end2 != end || again != records {
 			t.Fatalf("log cut at its end %d replays to %d with %d records (was %d), err %v", end, end2, again, records, err)
 		}
 
@@ -256,4 +269,30 @@ func FuzzReplayWAL(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// recycledLog is a real recycled log, cut where its first generation
+// ended: generation 1's records at its head, then the zero pad of their
+// last sector, then the rest of generation 0's longer log.
+func recycledLog(f *testing.F) []byte {
+	dir := f.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		db.Put([]byte(fmt.Sprintf("old%d", i)), make([]byte, 100))
+	}
+	oldEnd := db.wal.size
+	if err := db.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	db.Put([]byte("new"), []byte("1"))
+	db.Delete([]byte("old3"))
+	db.wal.f.Close() // crash
+	log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return log[:oldEnd]
 }

@@ -10,10 +10,15 @@ import (
 )
 
 // The manifest records the durable shape of the store — guard keys, the
-// table files of every run, and the file-number counter — as a JSON
-// document written atomically (temp file + rename) after every flush or
-// compaction. On open, the manifest is the source of truth; the WAL then
-// replays whatever the last manifest missed.
+// table files of every run, the file-number counter, and the generation
+// the WAL's records are written in — as a JSON document installed after
+// every flush, compaction and Wipe: written to a temp file and fsynced,
+// renamed over the last one, and the directory fsynced. Only then does the
+// store retire what the new manifest replaces: the log restarts in the
+// named generation, and replaced tables are deleted (DB.installLocked).
+// On open, the manifest is the source of truth; the WAL then replays
+// whatever the last manifest missed, and files it does not name are
+// swept.
 
 const manifestName = "MANIFEST.json"
 
@@ -34,6 +39,7 @@ type manifestGuard struct {
 
 type manifest struct {
 	NextFileNum uint64          `json:"next_file_num"`
+	WALGen      uint32          `json:"wal_gen"`
 	L0          []string        `json:"l0"`
 	Levels      []manifestLevel `json:"levels"`
 	Guards      []manifestGuard `json:"guards"`
@@ -49,8 +55,10 @@ func removeFile(path string) error {
 
 func (db *DB) manifestPath() string { return filepath.Join(db.dir, manifestName) }
 
-func (db *DB) saveManifest() error {
-	m := manifest{NextFileNum: db.nextFileNum}
+// saveManifest durably installs the manifest of the current table set,
+// naming walGen as the log's generation.
+func (db *DB) saveManifest(walGen uint32) error {
+	m := manifest{NextFileNum: db.nextFileNum, WALGen: walGen}
 	for _, t := range db.l0 {
 		m.L0 = append(m.L0, filepath.Base(t.path))
 	}
@@ -82,23 +90,45 @@ func (db *DB) saveManifest() error {
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("kvstore: write manifest: %w", err)
 	}
+	if err := fsyncPath(tmp); err != nil {
+		return fmt.Errorf("kvstore: write manifest: %w", err)
+	}
 	if err := os.Rename(tmp, db.manifestPath()); err != nil {
+		return fmt.Errorf("kvstore: install manifest: %w", err)
+	}
+	if err := fsyncPath(db.dir); err != nil {
 		return fmt.Errorf("kvstore: install manifest: %w", err)
 	}
 	return nil
 }
 
-func (db *DB) loadManifest() error {
+// fsyncPath fsyncs the file or directory at path: a file's data, or the
+// entries created, renamed or removed in a directory.
+func fsyncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// loadManifest opens the tables the manifest names and returns the log
+// generation it names; a store with no manifest yet is empty, generation 0.
+func (db *DB) loadManifest() (walGen uint32, err error) {
 	data, err := os.ReadFile(db.manifestPath())
 	if errors.Is(err, os.ErrNotExist) {
-		return nil // fresh store
+		return 0, nil // fresh store
 	}
 	if err != nil {
-		return fmt.Errorf("kvstore: read manifest: %w", err)
+		return 0, fmt.Errorf("kvstore: read manifest: %w", err)
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("kvstore: parse manifest: %w", err)
+		return 0, fmt.Errorf("kvstore: parse manifest: %w", err)
 	}
 	db.nextFileNum = m.NextFileNum
 	openAll := func(names []string) ([]*sstable, error) {
@@ -113,7 +143,7 @@ func (db *DB) loadManifest() error {
 		return out, nil
 	}
 	if db.l0, err = openAll(m.L0); err != nil {
-		return err
+		return 0, err
 	}
 	for i, ml := range m.Levels {
 		if i >= len(db.levels) {
@@ -123,12 +153,12 @@ func (db *DB) loadManifest() error {
 		for _, hk := range ml.GuardKeys {
 			k, err := hex.DecodeString(hk)
 			if err != nil {
-				return fmt.Errorf("kvstore: bad guard key in manifest: %w", err)
+				return 0, fmt.Errorf("kvstore: bad guard key in manifest: %w", err)
 			}
 			lvl.guardKeys = append(lvl.guardKeys, k)
 		}
 		if lvl.sentinel.tables, err = openAll(ml.Sentinel.Tables); err != nil {
-			return err
+			return 0, err
 		}
 		lvl.guards = make([]guardRun, len(lvl.guardKeys))
 		for gi := range ml.Guards {
@@ -136,16 +166,16 @@ func (db *DB) loadManifest() error {
 				break
 			}
 			if lvl.guards[gi].tables, err = openAll(ml.Guards[gi].Tables); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
 	for _, mg := range m.Guards {
 		k, err := hex.DecodeString(mg.Key)
 		if err != nil {
-			return fmt.Errorf("kvstore: bad guard in manifest: %w", err)
+			return 0, fmt.Errorf("kvstore: bad guard in manifest: %w", err)
 		}
 		db.guards.keys = append(db.guards.keys, guardKey{key: k, minLevel: mg.MinLevel})
 	}
-	return nil
+	return m.WALGen, nil
 }

@@ -112,7 +112,8 @@ type Stats struct {
 	WALSyncs      int64
 	WALSyncWaitNs int64
 	// WALWriteBytes counts the bytes the WAL wrote since Open: its sector
-	// write-outs and the zero-fill of the size set ahead of its tail.
+	// write-outs, and the zero-fill of the size set ahead of its tail at
+	// Open and whenever one generation outgrows the file.
 	WALWriteBytes int64
 	// Batches counts atomic multi-op applies (ApplyBatch calls that
 	// reached the WAL). Each is ONE record and one commit ack no matter
@@ -168,9 +169,10 @@ type dbStats struct {
 type DB struct {
 	// writeMu serialises the write path so WAL append order, memtable
 	// insert order, and crash-replay order all agree. Lock hierarchy:
-	// writeMu → mu → gc.mu; a group-commit sync leader holds writeMu
-	// alone while fsyncing, so readers (mu shared) are never blocked
-	// behind an fsync.
+	// writeMu → mu → gc.mu, and writeMu → mu → wal.outMu; a group-commit
+	// sync leader holds writeMu only while it cuts, then wal.outMu alone
+	// while it writes and no lock while it fsyncs, so readers (mu shared)
+	// are never blocked behind an fsync.
 	writeMu sync.Mutex
 	mu      sync.RWMutex
 	dir     string
@@ -181,12 +183,12 @@ type DB struct {
 	// under writeMu; the group-commit leader also reads it locklessly
 	// while it waits for its cohort, hence the atomic.
 	walSeq      atomic.Uint64
-	walGen      uint64 // bumped when a flush swaps the WAL; guarded by writeMu
 	gc          groupCommit
 	l0          []*sstable // newest first
 	levels      []*dbLevel // levels[0] is L1
 	guards      guardSet
 	nextFileNum uint64
+	retired     []string // paths of tables replaced since the last install: closed, deleted by the next
 	stats       dbStats
 	keep        []bool       // tombstone decisions of the record being applied; guarded by writeMu
 	probe       []byte       // needsTombstone's value scratch; guarded by writeMu
@@ -298,20 +300,25 @@ func Open(dir string, opts Options) (*DB, error) {
 	for i := range db.levels {
 		db.levels[i] = &dbLevel{}
 	}
-	if err := db.loadManifest(); err != nil {
+	gen, err := db.loadManifest()
+	if err != nil {
+		return nil, err
+	}
+	if err := db.sweep(); err != nil {
 		return nil, err
 	}
 	// Replay mutations that were logged but never flushed, then resume the
 	// log where the intact records end. The table set is the one the
 	// records were first applied against — it changes only by a flush,
-	// which retires the log — so replay rebuilds the same memtable.
-	end, err := replayWAL(db.walPath(), func(ops []byte, n int) {
+	// which restarts the log in a new generation — so replay rebuilds the
+	// same memtable.
+	end, err := replayWAL(db.walPath(), gen, func(ops []byte, n int) {
 		db.applyToMemtable(ops, n, db.tombstonesNeeded(ops, n))
 	})
 	if err != nil {
 		return nil, err
 	}
-	w, err := openWAL(db.walPath(), end, opts.SyncWAL, &db.stats.walWriteBytes)
+	w, err := openWAL(db.walPath(), gen, end, opts.SyncWAL, &db.stats.walWriteBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -525,27 +532,24 @@ func (db *DB) waitSynced(seq uint64) error {
 		// fdatasync them WITHOUT holding it: writers keep appending to the
 		// tail during the sync and ride the next one — that window is
 		// where the group-commit batch forms. The cut holds every record
-		// counted in walSeq, so the sync covers all of them.
+		// counted in walSeq, so the sync covers all of them. A flush that
+		// restarts the log meanwhile waits until the cut sectors are
+		// written (wal.recycle); those records are in its table anyway.
 		db.writeMu.Lock()
 		target := db.walSeq.Load()
-		gen := db.walGen
-		w := db.wal
-		sectors, off := w.cut()
 		closed := db.closed
+		var sectors []byte
+		var off int64
+		if !closed {
+			sectors, off = db.wal.cut()
+		}
 		db.writeMu.Unlock()
 		var err error
 		start := time.Now()
 		if closed {
 			err = fmt.Errorf("kvstore: DB closed awaiting WAL sync")
-		} else if err = w.sync(sectors, off); err != nil {
-			// A concurrent flush may have swapped (and closed) the WAL
-			// mid-sync. If so, the flush fsynced an SSTable covering
-			// every record through target — the failure is benign.
-			db.writeMu.Lock()
-			if db.walGen != gen {
-				err = nil
-			}
-			db.writeMu.Unlock()
+		} else {
+			err = db.wal.sync(sectors, off)
 		}
 		took := time.Since(start)
 		if err == nil {
@@ -615,8 +619,8 @@ func (g *groupCommit) wake() {
 	}
 }
 
-// markSynced records that the WAL is durable through seq (a flush made
-// everything durable via the SSTable fsync) and releases any waiters.
+// markSynced records that the WAL is durable through seq (a flush
+// installed a table holding everything) and releases any waiters.
 func (db *DB) markSynced(seq uint64) {
 	g := &db.gc
 	g.mu.Lock()
@@ -807,8 +811,9 @@ func (db *DB) Flush() error {
 	return db.flushLocked()
 }
 
-// flushLocked writes the memtable to an L0 table and resets the WAL.
-// Caller holds both writeMu (the WAL is swapped) and mu exclusively.
+// flushLocked writes the memtable to an L0 table, runs any due
+// compactions and installs the result (installLocked), which restarts
+// the log. Caller holds both writeMu and mu exclusively.
 func (db *DB) flushLocked() error {
 	if db.mem.len() == 0 {
 		if db.mem.sizeBytes() == 0 {
@@ -816,13 +821,9 @@ func (db *DB) flushLocked() error {
 		}
 		// Every logged op cancelled out against tables that hold none of
 		// its keys — replay would rebuild this same empty memtable — so
-		// the log retires without a table.
+		// the log restarts without a table.
 		db.mem = newSkiplist(db.opts.Seed + db.stats.flushes.Load())
-		if err := db.resetWALLocked(); err != nil {
-			return err
-		}
-		db.markSynced(db.walSeq.Load())
-		return nil
+		return db.installLocked()
 	}
 	b, err := newTableBuilder(db.newTablePath())
 	if err != nil {
@@ -849,31 +850,77 @@ func (db *DB) flushLocked() error {
 	flushes := db.stats.flushes.Add(1)
 	db.stats.bytesFlushed.Add(t.size)
 	db.mem = newSkiplist(db.opts.Seed + flushes)
-	if err := db.resetWALLocked(); err != nil {
-		return err
-	}
-	// The SSTable build fsynced everything the old WAL covered, so any
-	// group-commit waiters are durable now.
-	db.markSynced(db.walSeq.Load())
 	if err := db.maybeCompactLocked(); err != nil {
 		return err
 	}
-	return db.saveManifest()
+	return db.installLocked()
 }
 
-func (db *DB) resetWALLocked() error {
-	if err := db.wal.close(); err != nil {
+// installLocked makes the table set durable and only then retires what
+// it replaces. Every table is already fsynced; the manifest naming them
+// and the log's next generation is written, fsynced and renamed into
+// place, and the directory fsynced. Then the group-commit waiters are
+// released (the tables hold every record logged so far), the log restarts
+// in that generation, and the tables a compaction or Wipe replaced are
+// deleted. A failed install retires nothing: the log and the replaced
+// tables stay what the last manifest recovers from, and a crash between
+// the install and the deletions leaves orphans that Open sweeps.
+func (db *DB) installLocked() error {
+	gen := db.wal.gen + 1
+	if err := db.saveManifest(gen); err != nil {
 		return err
 	}
-	if err := os.Remove(db.walPath()); err != nil && !os.IsNotExist(err) {
-		return err
+	db.markSynced(db.walSeq.Load())
+	db.wal.recycle(gen)
+	for _, path := range db.retired {
+		_ = removeFile(path) // one left behind is an orphan Open sweeps
 	}
-	w, err := openWAL(db.walPath(), 0, db.opts.SyncWAL, &db.stats.walWriteBytes)
+	db.retired = nil
+	return nil
+}
+
+// retire closes tables that left the table set; installLocked deletes
+// them.
+func (db *DB) retire(ts []*sstable) {
+	for _, t := range ts {
+		t.close()
+		db.retired = append(db.retired, t.path)
+	}
+}
+
+// tables returns every table in the store, L0 first.
+func (db *DB) tables() []*sstable {
+	ts := append([]*sstable(nil), db.l0...)
+	for _, lvl := range db.levels {
+		for _, run := range lvl.allRuns() {
+			ts = append(ts, run.tables...)
+		}
+	}
+	return ts
+}
+
+// sweep deletes what a crash can leave beside the manifest: tables it
+// does not name — written but never installed, or retired but not yet
+// deleted — and a manifest that was never renamed into place.
+func (db *DB) sweep() error {
+	live := map[string]bool{}
+	for _, t := range db.tables() {
+		live[t.path] = true
+	}
+	paths, err := filepath.Glob(filepath.Join(db.dir, "*.sst"))
 	if err != nil {
 		return err
 	}
-	db.wal = w
-	db.walGen++
+	for _, p := range paths {
+		if !live[p] {
+			if err := removeFile(p); err != nil {
+				return fmt.Errorf("kvstore: sweep: %w", err)
+			}
+		}
+	}
+	if err := removeFile(db.manifestPath() + ".tmp"); err != nil {
+		return fmt.Errorf("kvstore: sweep: %w", err)
+	}
 	return nil
 }
 
@@ -903,35 +950,17 @@ func (db *DB) Wipe() error {
 	if db.closed {
 		return fmt.Errorf("kvstore: wipe on closed DB")
 	}
-	for _, t := range db.l0 {
-		t.close()
-		if err := removeFile(t.path); err != nil {
-			return err
-		}
-	}
+	db.retire(db.tables())
 	db.l0 = nil
-	for _, lvl := range db.levels {
-		for _, run := range lvl.allRuns() {
-			for _, t := range run.tables {
-				t.close()
-				if err := removeFile(t.path); err != nil {
-					return err
-				}
-			}
-		}
-	}
 	db.levels = make([]*dbLevel, db.opts.MaxLevels)
 	for i := range db.levels {
 		db.levels[i] = &dbLevel{}
 	}
 	db.guards = guardSet{}
 	db.mem = newSkiplist(db.opts.Seed)
-	if err := db.resetWALLocked(); err != nil {
-		return err
-	}
-	// Nothing is pending anymore; release any group-commit waiters.
-	db.markSynced(db.walSeq.Load())
-	return db.saveManifest()
+	// Nothing is pending anymore: the install releases any group-commit
+	// waiters.
+	return db.installLocked()
 }
 
 // Close flushes and releases all resources.
@@ -953,15 +982,8 @@ func (db *DB) Close() error {
 	if err := db.wal.close(); err != nil {
 		return err
 	}
-	for _, t := range db.l0 {
+	for _, t := range db.tables() {
 		t.close()
-	}
-	for _, lvl := range db.levels {
-		for _, run := range lvl.allRuns() {
-			for _, t := range run.tables {
-				t.close()
-			}
-		}
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
@@ -17,7 +18,7 @@ import (
 // The write-ahead log is a sequence of CRC-framed records. Each record is
 // one logical mutation (or one atomic batch):
 //
-//	[4B payloadLen][4B crc32(payload)][payload]
+//	[4B payloadLen][4B crc32(payload, seeded with the log's generation)][payload]
 //
 // payload = [1B kind][4B keyLen][key][4B valLen][value]  for single ops
 // payload = [1B kindBatch][4B count] followed by count single-op bodies
@@ -33,22 +34,31 @@ import (
 // write re-dirties after every fsync. Without SyncWAL append writes every
 // record out at once, through the page cache.
 //
-// The file's size is set ahead of the log's tail, walExtendStep at a time.
-// Under SyncWAL the step is zero-filled with direct writes, so a sync
+// The log is one file, recycled. A flush, once the manifest naming its
+// table and the next generation is durable, restarts the log at offset 0
+// as that generation, over the blocks the last one wrote. Each record's
+// CRC is seeded with its generation, so a record of an older one fails
+// the check and ends replay exactly as a zero header does; no byte is
+// added per record.
+//
+// The file's size is set ahead of the log's tail, walExtendStep at a time,
+// when a store opens and when a generation outgrows the file. Under
+// SyncWAL the step is zero-filled with direct writes, so a sync
 // overwrites blocks that are already allocated and written: fdatasync
 // commits the data alone (the file size moves once per step), with no
 // unwritten extent to convert in the journal, and every byte the device
-// takes is counted as written. Without SyncWAL the step is a sparse
-// ftruncate: no block is written. Either way the tail past the logical
-// end reads as zeros, and a zero header ends the log. A filesystem or
-// device that refuses O_DIRECT, or a 512-byte direct write, gets the same
-// code on a plain handle.
+// takes is counted as written. Recycling keeps that true for every later
+// generation without writing the step again. Without SyncWAL the step is
+// a sparse ftruncate: no block is written. A filesystem or device that
+// refuses O_DIRECT, or a 512-byte direct write, gets the same code on a
+// plain handle.
 //
-// Replay stops at the first zero, torn or corrupt record — the standard
-// crash-recovery contract: everything before it was acknowledged, nothing
-// after it ever was — and reports where that is. The log is reopened AT
-// that offset with everything past it cut, so a record acknowledged after
-// recovery can never sit behind bytes the next replay stops at.
+// Replay stops at the first zero, torn, corrupt or older-generation
+// record — the standard crash-recovery contract: everything before it was
+// acknowledged, nothing after it ever was — and reports where that is.
+// The log is reopened AT that offset with everything past it cut, so a
+// record acknowledged after recovery can never sit behind bytes the next
+// replay stops at.
 
 const (
 	walKindPut    byte = 1
@@ -75,6 +85,9 @@ var walZeros = alignedBuf(walZeroChunk)
 
 type wal struct {
 	f *os.File
+	// gen is the generation the log's records are written in: it seeds
+	// their CRCs. The manifest names it.
+	gen uint32
 	// syncWAL is Options.SyncWAL: the group-commit leader writes the
 	// tail out, rather than append at once, and f bypasses the page cache
 	// where the filesystem lets it.
@@ -89,10 +102,14 @@ type wal struct {
 	tail []byte
 	// out is the sync leader's copy of the sectors it writes out: the
 	// tail keeps taking appends while the leader writes. Every field but
-	// out and ds is guarded by the DB's writeMu; those two belong to the
-	// one leader.
+	// out, ds and outMu is guarded by the DB's writeMu; out and ds belong
+	// to the one leader.
 	out []byte
 	ds  *datasyncer
+	// outMu fences a leader's write-out: held from its cut to the end of
+	// its write, so that recycle and close, which take it, never let a
+	// write of sectors cut from one generation land over the next.
+	outMu sync.Mutex
 	// written counts the bytes the log wrote: write-outs and zero-fill.
 	written *atomic.Int64
 }
@@ -107,12 +124,12 @@ func alignedBuf(n int) []byte {
 // sectorCeil rounds n up to whole sectors.
 func sectorCeil(n int64) int64 { return (n + walSector - 1) &^ (walSector - 1) }
 
-// openWAL opens (or creates) the log at path and resumes it at end — the
-// offset replayWAL returned, 0 for a new log. Whatever the file holds
-// past end is cut off before the size is set ahead again. sync is the
-// store's SyncWAL; written counts what the log writes.
-func openWAL(path string, end int64, sync bool, written *atomic.Int64) (*wal, error) {
-	w := &wal{syncWAL: sync, size: end, base: end &^ (walSector - 1), written: written}
+// openWAL opens (or creates) the log at path and resumes generation gen
+// at end — the offset replayWAL returned, 0 for a new log. Whatever the
+// file holds past end is cut off before the size is set ahead again.
+// sync is the store's SyncWAL; written counts what the log writes.
+func openWAL(path string, gen uint32, end int64, sync bool, written *atomic.Int64) (*wal, error) {
+	w := &wal{gen: gen, syncWAL: sync, size: end, base: end &^ (walSector - 1), written: written}
 	var err error
 	direct := false
 	if sync {
@@ -224,7 +241,7 @@ func (w *wal) append(ops []byte, n int, batch bool) error {
 	}
 	rec = append(rec, ops...)
 	binary.BigEndian.PutUint32(rec[start:], uint32(len(rec)-start-walHeaderSize))
-	binary.BigEndian.PutUint32(rec[start+4:], crc32.ChecksumIEEE(rec[start+walHeaderSize:]))
+	binary.BigEndian.PutUint32(rec[start+4:], walChecksum(w.gen, rec[start+walHeaderSize:]))
 	end := w.size + int64(len(rec)-start)
 	var err error
 	if end > w.alloc {
@@ -272,8 +289,10 @@ func (w *wal) retire() {
 
 // cut hands the group-commit leader the tail's sectors — a copy, and the
 // offset it goes at — and retires them. Called under writeMu; the leader
-// passes the copy to sync once it has let go.
+// passes the copy to sync once it has let go. The leader holds the
+// write-out fence from here until sync has written the copy.
 func (w *wal) cut() ([]byte, int64) {
+	w.outMu.Lock()
 	n := int(sectorCeil(int64(len(w.tail))))
 	if cap(w.out) < n {
 		w.out = alignedBuf(max(n, walTailCap))
@@ -286,10 +305,13 @@ func (w *wal) cut() ([]byte, int64) {
 	return p, off
 }
 
-// sync writes sectors p, cut from the tail, at off and fdatasyncs the log:
-// every record appended before the cut is durable when it returns.
+// sync writes sectors p, cut from the tail, at off, lets go of the
+// write-out fence and fdatasyncs the log: every record appended before the
+// cut is durable when it returns.
 func (w *wal) sync(p []byte, off int64) error {
-	if err := w.write(p, off); err != nil {
+	err := w.write(p, off)
+	w.outMu.Unlock()
+	if err != nil {
 		return fmt.Errorf("kvstore: wal write: %w", err)
 	}
 	if err := w.ds.sync(); err != nil {
@@ -298,9 +320,26 @@ func (w *wal) sync(p []byte, off int64) error {
 	return nil
 }
 
-// close gives the size-ahead tail back and closes the file. A store
-// closes its log only once a flush has made every record in it durable.
+// recycle restarts the log at offset 0 as generation gen, over the blocks
+// the last generation wrote: nothing is unlinked, truncated or zero-filled.
+// The caller holds writeMu, so no leader can cut; one that cut before may
+// still be writing sectors of the old generation, which would land over
+// the new one, so recycle waits that write out first. The manifest must
+// name gen, durably, before the first record of it is written.
+func (w *wal) recycle(gen uint32) {
+	w.outMu.Lock()
+	defer w.outMu.Unlock()
+	w.gen = gen
+	clear(w.tail)
+	w.tail, w.size, w.base = w.tail[:0], 0, 0
+}
+
+// close gives the size-ahead tail back and closes the file, once any
+// write-out in flight is done. A store closes its log only once a flush
+// has made every record in it durable.
 func (w *wal) close() error {
+	w.outMu.Lock()
+	defer w.outMu.Unlock()
 	if err := w.f.Truncate(w.size); err != nil {
 		w.f.Close()
 		return err
@@ -346,13 +385,22 @@ func recordOps(payload []byte) (ops []byte, n int, ok bool) {
 	return payload[5:], int(count), true
 }
 
-// replayWAL hands the op bodies of every intact record of the log at path
-// to apply, in order, and returns the offset just past the last of them —
-// where the log resumes. A missing file is an empty log. The walk ends at
-// the first record that is zero (the size-ahead tail), torn, corrupt, or
-// does not parse whole: a batch is applied entirely or not at all. ops is
-// a buffer of the record's own; apply may keep it.
-func replayWAL(path string, apply func(ops []byte, n int)) (end int64, err error) {
+// walChecksum is a record's CRC: crc32 of its payload, seeded with the
+// generation it was written in. Generation 0 is the plain IEEE CRC. Two
+// generations' sums over the same payload always differ, so a record
+// recycling left behind never passes for one of the current generation.
+func walChecksum(gen uint32, payload []byte) uint32 {
+	return crc32.Update(gen, crc32.IEEETable, payload)
+}
+
+// replayWAL hands the op bodies of every intact record of generation gen
+// in the log at path to apply, in order, and returns the offset just past
+// the last of them — where the log resumes. A missing file is an empty
+// log. The walk ends at the first record that is zero (the size-ahead
+// tail), torn, corrupt, of another generation (what recycling left behind
+// the current one), or does not parse whole: a batch is applied entirely
+// or not at all. ops is a buffer of the record's own; apply may keep it.
+func replayWAL(path string, gen uint32, apply func(ops []byte, n int)) (end int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -383,7 +431,7 @@ func replayWAL(path string, apply func(ops []byte, n int)) (end int64, err error
 		if _, err := io.ReadFull(r, payload); err != nil {
 			break
 		}
-		if crc32.ChecksumIEEE(payload) != sum {
+		if walChecksum(gen, payload) != sum {
 			break
 		}
 		ops, count, ok := recordOps(payload)
