@@ -761,6 +761,9 @@ func (c *Client) resolvePath(tc telemetry.SpanContext, path string, chain *[]*na
 	// response rarely vouches for more than four directories.
 	var fewGrants [4]lease.Grant
 	for more {
+		if !cur.IsDir() {
+			return nil, 0, fmt.Errorf("client: resolve %q: %w", path, errNotDir)
+		}
 		if p, ok := c.pinOf(cur.Ino); ok {
 			owner = p
 		}
@@ -845,6 +848,19 @@ func (c *Client) resolvePath(tc telemetry.SpanContext, path string, chain *[]*na
 	}
 	return cur, owner, nil
 }
+
+// resolveDir is resolvePath for a path an op uses as a directory. A shard
+// knows a file only by (parent, name), so it would take a file's ino for
+// a directory it does not own: the SDK answers ENOTDIR itself.
+func (c *Client) resolveDir(tc telemetry.SpanContext, path string) (*namespace.Inode, int, error) {
+	in, owner, err := c.resolvePath(tc, path, nil)
+	if err == nil && !in.IsDir() {
+		err = fmt.Errorf("client: resolve %q: %w", path, errNotDir)
+	}
+	return in, owner, err
+}
+
+var errNotDir = mds.CodedError(mds.CodeNotDir, "not a directory")
 
 // dropPathCache forgets every directory along path (entries and lease
 // state), so the next resolution walks through the MDSs and discovers
@@ -945,7 +961,7 @@ func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.In
 	var out *namespace.Inode
 	lost := false
 	err := c.retryOp(tc, []string{dir}, func() error {
-		parent, owner, err := c.resolvePath(tc, dir, nil)
+		parent, owner, err := c.resolveDir(tc, dir)
 		if err != nil {
 			return err
 		}
@@ -985,7 +1001,7 @@ func (c *Client) Remove(path string) error {
 	so := mds.SubOp{ID: c.batch.nextOpID(), Kind: mds.BatchOpRemove, Name: name}
 	lost := false
 	err := c.retryOp(tc, []string{dir}, func() error {
-		parent, owner, err := c.resolvePath(tc, dir, nil)
+		parent, owner, err := c.resolveDir(tc, dir)
 		if err != nil {
 			return err
 		}
@@ -1019,7 +1035,7 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 	tc, op := c.op(opReaddir)
 	var out []*namespace.Inode
 	err := c.retryOp(tc, []string{path}, func() error {
-		dir, owner, err := c.resolvePath(tc, path, nil)
+		dir, owner, err := c.resolveDir(tc, path)
 		if err != nil {
 			return err
 		}
@@ -1067,9 +1083,10 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 	return out, nil
 }
 
-// Setattr updates size and mode of the entry at path. Setattr is
-// naturally idempotent (absolute size/mode), so a retried attempt needs
-// no special casing beyond the shard's replay table.
+// Setattr updates size and mode of the entry at path by its (parent,
+// name); Setattr("/") is invalid. Setattr is naturally idempotent
+// (absolute size/mode), so a retried attempt needs no special casing
+// beyond the shard's replay table.
 func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode, error) {
 	tc, op := c.op(opSetattr)
 	so := mds.SubOp{ID: c.batch.nextOpID(), Kind: mds.BatchOpSetattr, Size: size, Mode: mode}
@@ -1080,7 +1097,7 @@ func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode
 		if err != nil {
 			return err
 		}
-		so.Ino, so.Parent = in.Ino, in.Parent
+		so.Parent, so.Name = in.Parent, in.Name
 		upd, err := c.submit(tc, owner, &so, &lost)
 		if err != nil {
 			return err
@@ -1112,11 +1129,11 @@ func (c *Client) Rename(src, dst string) error {
 	id, removeID := c.batch.nextOpID(), c.batch.nextOpID()
 	lost := false
 	err := c.retryOp(tc, []string{sdir, ddir}, func() error {
-		sin, sowner, err := c.resolvePath(tc, sdir, nil)
+		sin, sowner, err := c.resolveDir(tc, sdir)
 		if err != nil {
 			return err
 		}
-		din, downer, err := c.resolvePath(tc, ddir, nil)
+		din, downer, err := c.resolveDir(tc, ddir)
 		if err != nil {
 			return err
 		}

@@ -106,6 +106,43 @@ func TestRenameMissingSource(t *testing.T) {
 	}
 }
 
+// TestOpsUnderAFileAreNotDir: an op that uses a file as a directory —
+// as a parent, as a listing, or as a step of a longer path — fails with
+// ENOTDIR at once, cached or not. No shard is asked to retry: a shard
+// knows a file only by (parent, name), so it would answer the file's ino
+// with a not-owner redirect.
+func TestOpsUnderAFileAreNotDir(t *testing.T) {
+	for _, cache := range []string{"off", "leases"} {
+		t.Run(cache, func(t *testing.T) {
+			_, sdk := startOne(t, 2, cache)
+			if _, err := sdk.Mkdir("/d"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sdk.Create("/d/f"); err != nil {
+				t.Fatal(err)
+			}
+			ops := map[string]func() error{
+				"create":     func() error { _, err := sdk.Create("/d/f/x"); return err },
+				"mkdir":      func() error { _, err := sdk.Mkdir("/d/f/x"); return err },
+				"readdir":    func() error { _, err := sdk.Readdir("/d/f"); return err },
+				"stat":       func() error { _, err := sdk.Stat("/d/f/x"); return err },
+				"setattr":    func() error { _, err := sdk.Setattr("/d/f/x", 1, 0o600); return err },
+				"remove":     func() error { return sdk.Remove("/d/f/x") },
+				"rename out": func() error { return sdk.Rename("/d/f/x", "/d/y") },
+				"rename in":  func() error { return sdk.Rename("/d/f", "/d/f/y") },
+			}
+			for name, op := range ops {
+				if err := op(); err == nil || !strings.Contains(err.Error(), "ENOTDIR") {
+					t.Errorf("%s under a file: %v, want ENOTDIR", name, err)
+				}
+			}
+			if n := sdk.Registry().Counter("client.op.retries").Value(); n != 0 {
+				t.Errorf("%d retries, want none", n)
+			}
+		})
+	}
+}
+
 // TestWarmCacheRPCCounts is the headline lease-cache property, proven by
 // counting RPC frames: once the lease cache is warm, Stat (positive and
 // negative) and Readdir cost zero RPCs and Create costs exactly one.

@@ -31,7 +31,7 @@ const (
 	BatchOpCreate BatchOpKind = iota + 1
 	// BatchOpRemove unlinks a file or removes an empty directory.
 	BatchOpRemove
-	// BatchOpSetattr updates size and mode of an inode.
+	// BatchOpSetattr updates size and mode of an entry.
 	BatchOpSetattr
 	// BatchOpRename moves an entry between two directories of this shard,
 	// replacing a destination that is a file or an empty directory.
@@ -64,7 +64,7 @@ const batchMaxOps = 4096
 // SubOp is one sub-operation as a client states it; AppendTo is the one
 // encoder of the sub-op wire form (decodeBatchOp its decoder). Which
 // fields matter depends on Kind: a create names (Parent, Name) and Type; a
-// remove (Parent, Name); a setattr Ino, Size and Mode; a rename moves
+// remove (Parent, Name); a setattr (Parent, Name), Size and Mode; a rename moves
 // (Parent, Name) to (DstParent, DstName); an insert ships Inode, which
 // lands at (Inode.Parent, Inode.Name) on the shard owning that parent.
 type SubOp struct {
@@ -73,7 +73,6 @@ type SubOp struct {
 	Parent    namespace.Ino
 	Name      string
 	Type      namespace.FileType
-	Ino       namespace.Ino
 	Size      int64
 	Mode      uint16
 	DstParent namespace.Ino
@@ -81,8 +80,7 @@ type SubOp struct {
 	Inode     *namespace.Inode
 }
 
-// Dir is the directory the op writes under — what routes it to a shard.
-// (A setattr's Parent is that routing hint alone; it is not encoded.)
+// Dir is the directory the op writes under.
 func (o *SubOp) Dir() namespace.Ino {
 	if o.Kind == BatchOpInsert {
 		return o.Inode.Parent
@@ -99,7 +97,7 @@ func (o *SubOp) AppendTo(w *rpc.Wire) {
 	case BatchOpRemove:
 		w.U64(uint64(o.Parent)).Str(o.Name)
 	case BatchOpSetattr:
-		w.U64(uint64(o.Ino)).I64(o.Size).U32(uint32(o.Mode))
+		w.U64(uint64(o.Parent)).Str(o.Name).I64(o.Size).U32(uint32(o.Mode))
 	case BatchOpRename:
 		w.U64(uint64(o.Parent)).Str(o.Name).U64(uint64(o.DstParent)).Str(o.DstName)
 	case BatchOpInsert:
@@ -195,14 +193,13 @@ type batchOp struct {
 	id   uint64
 	kind BatchOpKind
 
-	// Request. parent/name address an existing entry (the victim of a
-	// remove, the source of a rename); dstParent/dstName is where a
+	// Request. parent/name address an existing entry (a remove's victim,
+	// a setattr's target, a rename's source); dstParent/dstName is where a
 	// rename lands; in is the inode to install (built by the service for
 	// a create, shipped by the client for an insert) and lands at
 	// (in.Parent, in.Name); now stamps the ctime of a setattr or move.
 	parent, dstParent namespace.Ino
 	name, dstName     string
-	ino               namespace.Ino
 	size              int64
 	mode              uint16
 	now               int64
@@ -211,10 +208,8 @@ type batchOp struct {
 
 	// What the applier's unlocked pre-pass saw and locked for,
 	// re-verified under the locks: the directory at the op's unlink
-	// target (its stripe is held for the emptiness check) and a
-	// setattr's ino binding.
+	// target (its stripe is held for the emptiness check).
 	emptyDir namespace.Ino
-	ref      inoRef
 
 	// Outcome. An op is resolved once err is set or replayed is true;
 	// the applier skips resolved ops. After a successful apply, in is
@@ -231,7 +226,7 @@ type batchOp struct {
 func (op *batchOp) resolved() bool { return op.err != nil || op.replayed }
 
 // decodeBatchOp parses one sub-op body into op. The names are copied out
-// of sub — the ino index keeps them, and sub is a recycled request buffer.
+// of sub — the index keeps them, and sub is a recycled request buffer.
 func decodeBatchOp(sub []byte, op *batchOp) error {
 	r := rpc.NewReader(sub)
 	op.id = r.U64()
@@ -243,7 +238,7 @@ func decodeBatchOp(sub []byte, op *batchOp) error {
 	case BatchOpRemove:
 		op.parent, op.name = namespace.Ino(r.U64()), r.Str()
 	case BatchOpSetattr:
-		op.ino, op.size, op.mode = namespace.Ino(r.U64()), r.I64(), uint16(r.U32())
+		op.parent, op.name, op.size, op.mode = namespace.Ino(r.U64()), r.Str(), r.I64(), uint16(r.U32())
 	case BatchOpRename:
 		op.parent, op.name = namespace.Ino(r.U64()), r.Str()
 		op.dstParent, op.dstName = namespace.Ino(r.U64()), r.Str()
@@ -268,8 +263,7 @@ func decodeBatchOp(sub []byte, op *batchOp) error {
 	}
 	// (dir, "") is no entry: the root's own record lives at such a key.
 	switch {
-	case op.hasIn && op.in.Name == "",
-		(kind == BatchOpRemove || kind == BatchOpRename) && op.name == "",
+	case op.hasIn && op.in.Name == "", !op.hasIn && op.name == "",
 		kind == BatchOpRename && op.dstName == "":
 		return errors.New("empty name")
 	}
@@ -359,11 +353,6 @@ func (r *round) del(parent namespace.Ino, name string) {
 	r.stage(k, nil)
 }
 
-func (s *Store) liveDir(dir namespace.Ino) bool {
-	ref, ok := s.refOf(dir)
-	return ok && ref.isDir()
-}
-
 // unlinkable decides whether op may unlink victim. A directory must be
 // empty, which is only decidable when the pre-pass took its stripe and
 // nothing staged earlier in the round may have changed what is under it;
@@ -387,8 +376,7 @@ func (r *round) unlinkable(op *batchOp, victim *namespace.Inode) (wait bool, err
 func (s *Store) applyRound(sc telemetry.SpanContext, ops []batchOp, from int) int {
 	// Unlocked pre-pass: gather the stripe set. An unlink target that is
 	// a directory needs its own stripe (no create may slip under it
-	// between the emptiness check and the delete); setattr locks the
-	// parent of the ino's current binding.
+	// between the emptiness check and the delete).
 	var set stripeSet
 	for i := from; i < len(ops); i++ {
 		op := &ops[i]
@@ -398,6 +386,8 @@ func (s *Store) applyRound(sc telemetry.SpanContext, ops []batchOp, from int) in
 		switch op.kind {
 		case BatchOpCreate:
 			set.add(op.in.Parent)
+		case BatchOpSetattr:
+			set.add(op.parent)
 		case BatchOpInsert:
 			set.add(op.in.Parent)
 			op.emptyDir = s.dirAt(op.in.Parent, op.in.Name)
@@ -408,14 +398,6 @@ func (s *Store) applyRound(sc telemetry.SpanContext, ops []batchOp, from int) in
 			set.add(op.parent)
 			set.add(op.dstParent)
 			op.emptyDir = s.dirAt(op.dstParent, op.dstName)
-		case BatchOpSetattr:
-			ref, ok := s.refOf(op.ino)
-			if !ok {
-				op.err = ErrNoEnt
-				continue
-			}
-			op.ref = ref
-			set.add(ref.parent)
 		default:
 			op.err = fmt.Errorf("mds: unknown batch op kind %d", op.kind)
 			continue
@@ -440,7 +422,7 @@ round:
 		}
 		switch op.kind {
 		case BatchOpCreate:
-			if !s.liveDir(op.in.Parent) {
+			if !s.HasIno(op.in.Parent) {
 				op.err = ErrNotDir
 				continue
 			}
@@ -470,16 +452,8 @@ round:
 			r.del(op.parent, op.name)
 			op.gone = victim
 		case BatchOpSetattr:
-			cur, ok := s.refOf(op.ino)
-			if !ok {
-				op.err = ErrNoEnt
-				continue
-			}
-			if cur != op.ref {
-				break round // moved while locking; retry against the new home
-			}
-			in, found, err := r.get(cur.parent, cur.name)
-			if err == nil && (!found || in.Ino != op.ino) {
+			in, found, err := r.get(op.parent, op.name)
+			if err == nil && !found {
 				err = ErrNoEnt
 			}
 			if err != nil {
@@ -503,7 +477,7 @@ round:
 				}
 				op.in = src
 			}
-			if !s.liveDir(dstParent) {
+			if !s.HasIno(dstParent) {
 				op.err = ErrNotDir
 				continue
 			}
@@ -530,7 +504,7 @@ round:
 		}
 		if op.gone.Ino != 0 && op.gone.IsDir() {
 			// A directory left the namespace: ops after it must not
-			// trust the ino index for it, so they get a later round.
+			// trust the directory index for it, so they get a later round.
 			i++
 			break
 		}
@@ -549,10 +523,14 @@ round:
 			op.err = err
 		default:
 			if op.gone.Ino != 0 {
-				s.unindexLocked(op.gone.Ino, op.gone.Parent, op.gone.Name)
+				s.indexLocked(refOfInode(&op.gone), -1)
+			}
+			if op.kind == BatchOpRename || op.kind == BatchOpSetattr {
+				// It left (parent, name): moved, or rewritten in place.
+				s.indexLocked(inoRef{op.in.Ino, op.parent, op.name, op.in.Type}, -1)
 			}
 			if op.hasIn {
-				s.byIno[op.in.Ino] = inoRef{parent: op.in.Parent, name: op.in.Name, typ: op.in.Type}
+				s.indexLocked(refOfInode(&op.in), 1)
 			}
 		}
 	}
@@ -644,13 +622,8 @@ func (t *replayTable) store(client, op uint64, in *namespace.Inode) {
 }
 
 // opError maps a failed op's store sentinel onto its wire error code.
-func (s *Service) opError(op *batchOp) error {
-	err := op.err
+func opError(err error) error {
 	switch {
-	case errors.Is(err, ErrNoEnt) && op.kind == BatchOpSetattr:
-		// The ino is not bound on this shard: not-owner, so the client
-		// refreshes its map and re-resolves.
-		return CodedError(CodeNotOwner, "ino %d not on MDS %d", op.ino, s.ID)
 	case errors.Is(err, ErrNotDir):
 		return CodedError(CodeNotDir, "%v", err)
 	case errors.Is(err, ErrExist):
@@ -665,9 +638,19 @@ func (s *Service) opError(op *batchOp) error {
 
 // admit gives a decoded op the service's verdict before it reaches the
 // store: every directory it writes under must be served by this shard,
-// and a create gets its inode built.
+// and a create gets its inode built. A setattr is admitted where its
+// entry is stored and no fake, whoever owns the parent: a migrated
+// subtree root's record lives under a parent its shard does not own.
 func (s *Service) admit(op *batchOp, now int64) {
 	op.now = now
+	if op.kind == BatchOpSetattr {
+		if in, found, _ := s.store.lookup(op.parent, op.name); found {
+			if in.Type == namespace.TypeFake {
+				op.err = CodedError(CodeNotOwner, "(%d, %q) not on MDS %d", op.parent, op.name, s.ID)
+			}
+			return
+		}
+	}
 	dst := op.dstParent
 	if op.hasIn {
 		dst = op.in.Parent
@@ -693,27 +676,15 @@ func (s *Service) admit(op *batchOp, now int64) {
 }
 
 // frozenBy reports whether an unresolved op of a frame writes an entry
-// in p's frozen set. Caller holds opMu shared, so p's subtree cannot
-// change shape under the check: a setattr's binding is stable there.
-func (s *Service) frozenBy(p *preparedMigration, ops []batchOp) bool {
+// in p's frozen set: an insert or create at (in.Parent, in.Name), others
+// at (parent, name) and a rename at (dstParent, dstName) too. Caller
+// holds opMu shared, so p's subtree cannot change shape under the check.
+func (p *preparedMigration) frozenBy(ops []batchOp) bool {
 	for i := range ops {
 		op := &ops[i]
-		if op.resolved() {
-			continue
-		}
-		var frozen bool
-		switch op.kind {
-		case BatchOpCreate, BatchOpInsert:
-			frozen = p.holds(op.in.Parent, op.in.Name)
-		case BatchOpRemove:
-			frozen = p.holds(op.parent, op.name)
-		case BatchOpRename:
-			frozen = p.holds(op.parent, op.name) || p.holds(op.dstParent, op.dstName)
-		case BatchOpSetattr:
-			ref, ok := s.store.refOf(op.ino)
-			frozen = ok && p.holds(ref.parent, ref.name)
-		}
-		if frozen {
+		if !op.resolved() && (op.hasIn && p.holds(op.in.Parent, op.in.Name) ||
+			!op.hasIn && p.holds(op.parent, op.name) ||
+			op.kind == BatchOpRename && p.holds(op.dstParent, op.dstName)) {
 			return true
 		}
 	}
@@ -755,7 +726,7 @@ func (s *Service) handleBatch(sc telemetry.SpanContext, body []byte, resp *rpc.W
 	s.opMu.RLock()
 	// A frame touching a migrating subtree waits out its freeze whole,
 	// then is admitted against whatever the commit or abort left.
-	for p := s.freeze.Load(); p != nil && s.frozenBy(p, ops); p = s.freeze.Load() {
+	for p := s.freeze.Load(); p != nil && p.frozenBy(ops); p = s.freeze.Load() {
 		s.opMu.RUnlock()
 		<-p.thawed
 		s.opMu.RLock()
@@ -796,7 +767,7 @@ func (s *Service) handleBatch(sc telemetry.SpanContext, body []byte, resp *rpc.W
 		case op.replayed:
 			resp.U8(batchStatusReplayed).Blob(op.payload)
 		case op.err != nil:
-			resp.U8(batchStatusErr).Str(s.opError(op).Error())
+			resp.U8(batchStatusErr).Str(opError(op.err).Error())
 		default:
 			// Applied. dir is the directory the op is charged to; a rename
 			// across directories also touched moved.

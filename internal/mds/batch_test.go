@@ -233,7 +233,7 @@ func TestBatchRenameSemantics(t *testing.T) {
 		moved  entry    // where /a/f (or /a/d) must have landed, same ino
 		from   entry    // which entry moved
 		absent []entry
-		gone   *entry // entry whose inode must have left the ino index
+		gone   *entry // entry the rename replaced
 	}{
 		{
 			name:   "same dir",
@@ -317,13 +317,15 @@ func TestBatchRenameSemantics(t *testing.T) {
 			if err != nil || !found {
 				t.Fatalf("fixture entry %v: found=%v err=%v", tc.from, found, err)
 			}
-			var goneIno namespace.Ino
+			var goneDir namespace.Ino
 			if tc.gone != nil {
 				in, found, _ := s.store.Lookup(dir(*tc.gone), tc.gone.name)
 				if !found {
 					t.Fatalf("fixture entry %v missing", *tc.gone)
 				}
-				goneIno = in.Ino
+				if in.IsDir() {
+					goneDir = in.Ino
+				}
 			}
 			before := s.store.DBStats()
 			res := batchCall(t, s, 9, tc.frame(a.Ino, b.Ino))
@@ -349,17 +351,18 @@ func TestBatchRenameSemantics(t *testing.T) {
 			if err != nil || !found || in.Ino != src.Ino {
 				t.Errorf("entry at %v = %+v (found=%v err=%v), want ino %d", tc.moved, in, found, err, src.Ino)
 			}
-			if got, found, _ := s.store.Getattr(src.Ino); !found || got.Name != tc.moved.name || got.Parent != dir(tc.moved) {
-				t.Errorf("ino index binds %d to %+v, want %v", src.Ino, got, tc.moved)
+			if got, found, _ := s.store.getattr(src.Ino); src.IsDir() && (!found || got.Name != tc.moved.name || got.Parent != dir(tc.moved)) {
+				t.Errorf("directory index binds %d to %+v, want %v", src.Ino, got, tc.moved)
 			}
 			for _, e := range tc.absent {
 				if _, found, _ := s.store.Lookup(dir(e), e.name); found {
 					t.Errorf("entry %v survived", e)
 				}
 			}
-			if goneIno != 0 && s.store.HasIno(goneIno) {
-				t.Errorf("replaced inode %d still indexed", goneIno)
+			if goneDir != 0 && s.store.HasIno(goneDir) {
+				t.Errorf("replaced directory %d still indexed", goneDir)
 			}
+			checkDump(t, tc.name, s)
 		})
 	}
 }
@@ -437,8 +440,8 @@ func TestTornRenameRecordRecoversOldXorNew(t *testing.T) {
 		if newFound && in.Ino != f.Ino {
 			t.Fatalf("cut %d: new name holds ino %d, want %d", cut, in.Ino, f.Ino)
 		}
-		if !re.HasIno(f.Ino) {
-			t.Fatalf("cut %d: inode %d fell out of the rebuilt index", cut, f.Ino)
+		if n := re.Count(); n != 2 {
+			t.Fatalf("cut %d: the rebuilt index counts %d inodes, want 2 (d and its file)", cut, n)
 		}
 		re.Close()
 	}
@@ -497,19 +500,21 @@ func TestBatchShapeChangeRetriesInsideStore(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	// The ino index and the keyspace must still agree entry for entry.
+	// The directory index and the keyspace must still agree entry for
+	// entry: each directory bound where it is stored, each file counted.
 	kids, err := s.store.ReadDir(d.Ino)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, in := range kids {
-		if got, found, _ := s.store.Getattr(in.Ino); !found || got.Name != in.Name {
-			t.Errorf("entry %q (ino %d) not reachable through the ino index: %+v", in.Name, in.Ino, got)
+		if got, found, _ := s.store.getattr(in.Ino); in.IsDir() && (!found || got.Name != in.Name) {
+			t.Errorf("directory %q (ino %d) not reachable through the index: %+v", in.Name, in.Ino, got)
 		}
 	}
 	if want := len(kids) + 2; s.store.Count() != want { // + root and d
-		t.Errorf("ino index holds %d inodes, keyspace %d", s.store.Count(), want)
+		t.Errorf("index counts %d inodes, keyspace %d", s.store.Count(), want)
 	}
+	checkDump(t, "shape churn", s)
 }
 
 // TestBatchDirectoryUnlinkSeesFrameSiblings: an emptiness check only sees
@@ -597,7 +602,7 @@ func TestBatchInsertChecksOwnershipUnderTheFreeze(t *testing.T) {
 	if got := ErrCode(r.res[0].Err); got != CodeNotOwner {
 		t.Fatalf("insert on the old owner: %v, want ENOTOWNER", r.res[0].Err)
 	}
-	if _, found, _ := old.store.Lookup(dst.Ino, "x"); found || old.store.HasIno(moved.Ino) {
+	if _, found, _ := old.store.Lookup(dst.Ino, "x"); found {
 		t.Error("refused insert left an entry on the old owner")
 	}
 	// The new owner accepts the same op.

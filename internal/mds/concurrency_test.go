@@ -126,9 +126,9 @@ func TestConcurrentRequestsDuringMigration(t *testing.T) {
 				}
 				created[w] = append(created[w], in.Ino)
 				var g rpc.Wire
-				g.U64(uint64(in.Ino))
+				g.U64(uint64(dir))
 				if _, err := c.Call(MethodGetattr, g.Bytes()); err != nil {
-					t.Errorf("worker %d getattr %d: %v", w, in.Ino, err)
+					t.Errorf("worker %d getattr %d: %v", w, dir, err)
 					return
 				}
 				var r rpc.Wire

@@ -12,14 +12,17 @@ import (
 
 // recordRows is what the dump must say about a shard, read the slow way:
 // every directory found by a scan of all of the shard's records, with
-// its files counted through ReadDir. The index is never consulted.
-func recordRows(t *testing.T, st *Store) map[namespace.Ino]DumpRow {
+// its files counted through ReadDir, and the number of inode records.
+// The index is never consulted.
+func recordRows(t *testing.T, st *Store) (map[namespace.Ino]DumpRow, int) {
 	t.Helper()
 	var dirs []*namespace.Inode
+	records := 0
 	err := st.SnapshotPairs(func(k, v []byte) bool {
 		if len(k) > 0 && k[0] == 0xff {
 			return true
 		}
+		records++
 		in, err := namespace.DecodeInode(v)
 		if err != nil {
 			t.Errorf("undecodable record under key %x: %v", k, err)
@@ -50,11 +53,11 @@ func recordRows(t *testing.T, st *Store) map[namespace.Ino]DumpRow {
 		}
 		rows[d.Ino] = row
 	}
-	return rows
+	return rows, records
 }
 
-// checkDump compares a shard's dump rows, access counters aside, with
-// recordRows.
+// checkDump compares a shard's dump rows, access counters aside, and its
+// inode count with recordRows.
 func checkDump(t *testing.T, stage string, s *Service) {
 	t.Helper()
 	body, err := s.handleDump(nil)
@@ -65,7 +68,10 @@ func checkDump(t *testing.T, stage string, s *Service) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := recordRows(t, s.store)
+	want, records := recordRows(t, s.store)
+	if n := s.store.Count(); n != records {
+		t.Errorf("%s: MDS %d counts %d inodes, its records %d", stage, s.ID, n, records)
+	}
 	got := make(map[namespace.Ino]DumpRow, len(rows))
 	for _, r := range rows {
 		if _, dup := got[r.Ino]; dup {
@@ -91,10 +97,12 @@ func checkDump(t *testing.T, stage string, s *Service) {
 }
 
 // churn applies n random frames of one to four sub-ops — creates of files
-// and directories, removes, and renames within and across directories —
-// under the directories in dirs, adding the directories it creates. Names
-// come from a small pool, so creates collide, renames overwrite and
-// removes hit non-empty directories; failed ops are part of the mix.
+// and directories, removes, renames within and across directories,
+// setattrs, and inserts (a cross-shard rename's landing leg) of fresh
+// files and directories — under the directories in dirs, adding the
+// directories it creates. Names come from a small pool, so creates
+// collide, renames and inserts overwrite and removes hit non-empty
+// directories; failed ops are part of the mix.
 func churn(t *testing.T, s *Service, rnd *rand.Rand, dirs *[]namespace.Ino, n int) {
 	t.Helper()
 	name := func() string { return fmt.Sprintf("n%02d", rnd.Intn(24)) }
@@ -102,15 +110,21 @@ func churn(t *testing.T, s *Service, rnd *rand.Rand, dirs *[]namespace.Ino, n in
 	for i := 0; i < n; i++ {
 		subs := make([][]byte, 1+rnd.Intn(4))
 		for j := range subs {
-			switch k := rnd.Intn(10); {
+			switch k := rnd.Intn(12); {
 			case k < 4:
 				subs[j] = EncodeBatchCreate(0, dir(), name(), namespace.TypeFile)
 			case k < 6:
 				subs[j] = EncodeBatchCreate(0, dir(), name(), namespace.TypeDir)
 			case k < 8:
 				subs[j] = EncodeBatchRemove(0, dir(), name())
-			default:
+			case k < 10:
 				subs[j] = EncodeBatchRename(0, dir(), name(), dir(), name())
+			case k < 11:
+				subs[j] = EncodeBatchSetattr(0, dir(), name(), rnd.Int63n(1<<20), 0o600)
+			default:
+				in := &namespace.Inode{Ino: s.store.AllocIno(), Parent: dir(), Name: name(),
+					Type: namespace.FileType(rnd.Intn(2)), Nlink: 1} // a directory or a file
+				subs[j] = EncodeBatchInsert(0, in)
 			}
 		}
 		for _, res := range batchCall(t, s, 0, subs) {
@@ -164,10 +178,46 @@ func TestDumpMatchesStore(t *testing.T) {
 	if res := applyOne(t, s, EncodeBatchRemove(0, a.Ino, "f")); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if in, found, _ := s.store.Getattr(f.Ino); !found || in.Parent != b.Ino || in.Name != "g" {
-		t.Errorf("ino %d after the two legs: found=%v %+v, want it at (%d, g)", f.Ino, found, in, b.Ino)
+	if in, found, _ := s.store.Lookup(b.Ino, "g"); !found || in.Ino != f.Ino {
+		t.Errorf("(%d, g) after the two legs: found=%v %+v, want ino %d", b.Ino, found, in, f.Ino)
+	}
+	if _, found, _ := s.store.Lookup(a.Ino, "f"); found {
+		t.Errorf("(%d, f) survived the remove leg", a.Ino)
 	}
 	checkDump(t, "two-leg rename", s)
+
+	// A directory renamed under a parent of higher ino: its files' keys
+	// now sort before its own record.
+	lo := mustCreate(t, s, namespace.RootIno, "lo", namespace.TypeDir)
+	mustCreate(t, s, lo.Ino, "f", namespace.TypeFile)
+	hi := mustCreate(t, s, namespace.RootIno, "hi", namespace.TypeDir)
+	if res := applyOne(t, s, EncodeBatchRename(0, namespace.RootIno, "lo", hi.Ino, "lo")); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	checkDump(t, "rename under a higher ino", s)
+
+	// A replica: the shard's snapshot installed in key order, a few pairs
+	// per record, so lo's files arrive in a record before lo's own.
+	replica, err := OpenStore(t.TempDir(), 0, kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { replica.Close() })
+	var rec kvstore.Batch
+	var applyErr error
+	err = s.store.SnapshotPairs(func(k, v []byte) bool {
+		if rec.Put(k, v); rec.Len() == 3 {
+			applyErr = replica.ApplyRecord(&rec)
+		}
+		return applyErr == nil
+	})
+	if err == nil && applyErr == nil {
+		applyErr = replica.ApplyRecord(&rec)
+	}
+	if err != nil || applyErr != nil {
+		t.Fatal(err, applyErr)
+	}
+	checkDump(t, "replica", NewService(0, replica, nil))
 
 	// Two shards: migrate a churned subtree, checking both ends.
 	src, dst := twoServices(t)

@@ -21,11 +21,13 @@ func fuzzFrames() [][]byte {
 			EncodeBatchCreate(2, root, "d", namespace.TypeDir),
 			EncodeBatchCreate(3, root, "g", namespace.TypeFile),
 			EncodeBatchRename(4, root, "g", root, "h"),
-			EncodeBatchSetattr(5, 2, 4096, 0o600),
+			EncodeBatchSetattr(5, root, "d", 4096, 0o600),
 			EncodeBatchRemove(6, root, "h"),
 			EncodeBatchInsert(7, moved),
 		}),
 		EncodeBatchRequest(0, [][]byte{EncodeBatchRemove(1, root, "missing"), {0, 0, 0, 0, 0, 0, 0, 9, 42}}),
+		// The root's own record sits at (root, ""), which no op may name.
+		EncodeBatchRequest(2, [][]byte{EncodeBatchSetattr(1, root, "", 1, 0o600)}),
 		EncodeBatchRequest(0, nil),
 	}
 }

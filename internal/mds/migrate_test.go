@@ -313,8 +313,11 @@ func TestMigrateCommitIsOneWALRecord(t *testing.T) {
 	if puts, dels := after.Puts-before.Puts, after.Deletes-before.Deletes; puts != 1 || dels != 4 {
 		t.Errorf("commit wrote %d puts and %d deletes, want the fake and the 4 keys of the subtree", puts, dels)
 	}
-	if in, found, _ := src.store.Getattr(d.Ino); !found || in.Type != namespace.TypeFake {
-		t.Errorf("root ino after commit = %+v (found=%v), want the fake", in, found)
+	if in, found, _ := src.store.Lookup(namespace.RootIno, d.Name); !found || in.Type != namespace.TypeFake || in.Ino != d.Ino {
+		t.Errorf("root's key after commit holds %+v (found=%v), want the fake", in, found)
+	}
+	if src.store.HasIno(d.Ino) {
+		t.Error("the fake is bound in the directory index")
 	}
 }
 
@@ -336,8 +339,8 @@ func TestIngestRefusesMetadataKeys(t *testing.T) {
 	if _, err := callOp(infoOp(s.handleIngest), w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
 		t.Fatalf("ingest of a metadata key: err = %v, want EINVAL", err)
 	}
-	if got := s.store.DBStats().Batches; got != before || s.store.HasIno(77) {
-		t.Errorf("a refused record applied: batches %d -> %d, ino indexed %v", before, got, s.store.HasIno(77))
+	if _, found, _ := s.store.Lookup(namespace.RootIno, "f"); found || s.store.DBStats().Batches != before {
+		t.Errorf("a refused record applied: batches %d -> %d, (root, f) stored %v", before, s.store.DBStats().Batches, found)
 	}
 }
 
@@ -400,8 +403,8 @@ func TestMigrateFreezeHoldsTheSubtreeOnly(t *testing.T) {
 	frozen := map[string]<-chan error{
 		"create under the root":   asyncOne(src, EncodeBatchCreate(0, proj.Ino, "new", namespace.TypeFile)),
 		"create under a subdir":   asyncOne(src, EncodeBatchCreate(0, sub.Ino, "new", namespace.TypeFile)),
-		"setattr inside":          asyncOne(src, EncodeBatchSetattr(0, f.Ino, 7, 0o600)),
-		"setattr of the root":     asyncOne(src, EncodeBatchSetattr(0, proj.Ino, 0, 0o700)),
+		"setattr inside":          asyncOne(src, EncodeBatchSetattr(0, proj.Ino, f.Name, 7, 0o600)),
+		"setattr of the root":     asyncOne(src, EncodeBatchSetattr(0, root, proj.Name, 0, 0o700)),
 		"rename into the subtree": asyncOne(src, EncodeBatchRename(0, side.Ino, "x", proj.Ino, "x")),
 	}
 	for what, sub := range map[string][]byte{
@@ -414,7 +417,7 @@ func TestMigrateFreezeHoldsTheSubtreeOnly(t *testing.T) {
 		}
 	}
 	var g rpc.Wire
-	g.U64(uint64(f.Ino))
+	g.U64(uint64(sub.Ino))
 	if _, err := callOp(src.handleGetattr, g.Bytes()); err != nil {
 		t.Errorf("getattr inside the frozen subtree: %v", err)
 	}
@@ -456,7 +459,7 @@ func TestMigrateFreezeHoldsTheSubtreeOnly(t *testing.T) {
 	}
 }
 
-// TestOwnershipFlipsAtCommitAndRmdir: ownsEntry answers from the ino
+// TestOwnershipFlipsAtCommitAndRmdir: ownsEntry answers from the directory
 // index, so the index must flip with the store — at a migration commit,
 // where the subtree root turns into a fake and everything below it goes,
 // at an rmdir, and across a reopen that rebuilds the index from disk.
@@ -508,7 +511,7 @@ func TestOwnershipFlipsAtCommitAndRmdir(t *testing.T) {
 	check("rmdir", dst, sub.Ino, false)
 	check("rmdir", dst, d.Ino, true)
 
-	// The index OpenStore rebuilds carries the fake's type too.
+	// The index OpenStore rebuilds binds no fake either.
 	dir := t.TempDir()
 	st, err := OpenStore(dir, 0, kvstore.Options{})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"origami/internal/kvstore"
 	"origami/internal/namespace"
@@ -15,7 +16,7 @@ import (
 // migration copies are records of puts, a migration's eviction and its
 // commit are records of deletes. Whatever arrives, from a socket or from
 // a replica being promoted, is applied by ApplyRecord — one atomic batch
-// with the ino index kept in step.
+// with the directory index kept in step.
 
 // SetCommitHook installs h on the underlying kvstore so every committed
 // record (creates, removes, renames, attr updates, meta records) is
@@ -47,6 +48,8 @@ func (s *Store) SnapshotPairs(fn func(key, value []byte) bool) error {
 func (s *Store) WipeForInstall() error {
 	s.inoMu.Lock()
 	s.byIno = make(map[namespace.Ino]inoRef)
+	s.files = make(map[namespace.Ino]int32)
+	s.nFiles = 0
 	s.inoMu.Unlock()
 	return s.db.Wipe()
 }
@@ -59,14 +62,8 @@ var ErrBadRecord = errors.New("mds: bad record")
 // isMetaKey reports whether key is a store-internal metadata key.
 func isMetaKey(key []byte) bool { return len(key) > 0 && key[0] == 0xff }
 
-// binding is one inode's entry in the ino index.
-type binding struct {
-	ino namespace.Ino
-	ref inoRef
-}
-
 // ApplyRecord applies b — whole WAL records from another store — as ONE
-// atomic kvstore batch, keeping the ino index in step. Every op is
+// atomic kvstore batch, keeping the directory index in step. Every op is
 // checked before anything is applied: a key is a metadata key (0xff
 // prefix; written verbatim and never indexed, which keeps replicas
 // byte-identical to their primary) or a (parent, name) key, and a put
@@ -77,14 +74,18 @@ type binding struct {
 // beside request traffic (a migration destination keeps serving). The
 // index follows the keys: what each held before the record is unbound,
 // what each holds after it is bound — so a put over an entry unbinds the
-// ino it replaced, and a put then a delete of one key leaves nothing
-// bound. Replay is idempotent (puts are last-writer-wins, deletes of
-// absent keys no-ops), so a resync may double-apply safely. Once the
-// checks pass the store keeps b's bytes, and b is left empty.
+// ino it replaced, a put then a delete of one key leaves nothing bound,
+// and a put over a file, a setattr's, nets its parent's count zero; a
+// key the record writes twice is read once on each side. Replay is
+// idempotent (puts are last-writer-wins, deletes of absent keys no-ops),
+// so a resync may double-apply safely. Once the checks pass the store
+// keeps b's bytes, and b is left empty.
 func (s *Store) ApplyRecord(b *kvstore.Batch) error {
 	ops, n := b.Ops()
 	var set stripeSet
 	var bad error
+	var keyBuf [2][]byte
+	keys := keyBuf[:0]
 	kvstore.ForEachOp(ops, n, func(key, value []byte, tombstone bool) {
 		if bad != nil || isMetaKey(key) {
 			return
@@ -106,55 +107,52 @@ func (s *Store) ApplyRecord(b *kvstore.Batch) error {
 			}
 		}
 		set.add(parent)
+		keys = append(keys, key)
 	})
 	if bad != nil {
 		return bad
 	}
+	slices.SortFunc(keys, bytes.Compare)
+	keys = slices.CompactFunc(keys, bytes.Equal)
 	s.lockStripes(set)
 	defer s.unlockStripes(set)
-	var beforeBuf, afterBuf [2]binding
-	before, err := s.bindingsAt(ops, n, beforeBuf[:0])
+	var beforeBuf, afterBuf [2]inoRef
+	before, err := s.refsAt(keys, beforeBuf[:0])
 	if err == nil {
 		err = s.db.ApplyBatch(b)
 	}
-	var after []binding
+	var after []inoRef
 	if err == nil {
-		after, err = s.bindingsAt(ops, n, afterBuf[:0])
+		after, err = s.refsAt(keys, afterBuf[:0])
 	}
 	if err != nil {
 		return err
 	}
 	s.inoMu.Lock()
-	for _, g := range before {
-		s.unindexLocked(g.ino, g.ref.parent, g.ref.name)
+	for _, r := range before {
+		s.indexLocked(r, -1)
 	}
-	for _, g := range after {
-		s.byIno[g.ino] = g.ref
+	for _, r := range after {
+		s.indexLocked(r, 1)
 	}
 	s.inoMu.Unlock()
 	return nil
 }
 
-// bindingsAt appends to dst the binding of the inode each (parent, name)
-// key of a record holds in the store now. Caller holds the keys' stripes.
-func (s *Store) bindingsAt(ops []byte, n int, dst []binding) ([]binding, error) {
-	var err error
-	kvstore.ForEachOp(ops, n, func(key, _ []byte, _ bool) {
-		if err != nil || isMetaKey(key) {
-			return
-		}
+// refsAt appends to dst the inoRef of what each (parent, name) key holds
+// in the store now. Caller holds the keys' stripes.
+func (s *Store) refsAt(keys [][]byte, dst []inoRef) ([]inoRef, error) {
+	for _, key := range keys {
 		var vb [recordScratch]byte
-		var v []byte
-		var found bool
-		var in namespace.Inode
-		if v, found, err = s.db.GetInto(key, vb[:0]); found {
-			if _, derr := namespace.DecodeInodeInto(&in, v); derr == nil {
-				ref := inoRef{parent: namespace.Ino(binary.BigEndian.Uint64(key)), name: string(key[8:]), typ: in.Type}
-				dst = append(dst, binding{ino: in.Ino, ref: ref})
-			}
+		v, found, err := s.db.GetInto(key, vb[:0])
+		if err != nil {
+			return dst, err
 		}
-	})
-	return dst, err
+		if r, ok := refAt(key, v); found && ok {
+			dst = append(dst, r)
+		}
+	}
+	return dst, nil
 }
 
 // absorbChunk is the record size of a promotion: one WAL record — and in

@@ -477,15 +477,12 @@ func (s *Service) recordLookup(dir namespace.Ino) {
 	s.dirAccum(dir).lookups.Add(1)
 }
 
-// ownsEntry reports whether this shard should serve entries under parent:
-// parent is an inode it authoritatively holds. A missing inode or a
-// fake-inode left by a migration is not — the caller answers with a
-// not-owner redirect so the client refreshes its partition map. The
-// answer comes from the ino index, which every store write keeps in
-// step, so it costs no store read.
+// ownsEntry reports whether this shard serves entries under parent: a
+// directory the index binds here. A missing inode, a migration's fake or
+// a file is not — the caller answers not-owner so the client refreshes
+// its map. The index is kept in step by every write: no store read.
 func (s *Service) ownsEntry(parent namespace.Ino) bool {
-	ref, ok := s.store.refOf(parent)
-	return ok && ref.typ != namespace.TypeFake
+	return s.store.HasIno(parent)
 }
 
 // ownsStored is ownsEntry read from the store itself. The re-checks that
@@ -584,7 +581,7 @@ func (s *Service) handleGetattr(_ telemetry.SpanContext, body []byte, resp *rpc.
 	if err != nil {
 		return err
 	}
-	if !found {
+	if !found || in.Type == namespace.TypeFake { // a fake: the caller's map is stale
 		return CodedError(CodeNotOwner, "ino %d not on MDS %d", ino, s.ID)
 	}
 	s.recordRead(in.Parent, 0)
@@ -641,7 +638,7 @@ func (s *Service) handleDump(body []byte) ([]byte, error) {
 
 	// Every directory on the shard appears in the dump (idle ones with
 	// zero counters) so the coordinator can reconstruct parent chains
-	// and subtree aggregates. The rows come from the inode index.
+	// and subtree aggregates. The rows come from the directory index.
 	rows := s.store.dirRows()
 	for i := range rows {
 		r := &rows[i]

@@ -71,8 +71,8 @@ func EncodeBatchRemove(opID uint64, parent namespace.Ino, name string) []byte {
 }
 
 // EncodeBatchSetattr encodes one setattr sub-op.
-func EncodeBatchSetattr(opID uint64, ino namespace.Ino, size int64, mode uint16) []byte {
-	return encodeSubOp(SubOp{ID: opID, Kind: BatchOpSetattr, Ino: ino, Size: size, Mode: mode})
+func EncodeBatchSetattr(opID uint64, parent namespace.Ino, name string, size int64, mode uint16) []byte {
+	return encodeSubOp(SubOp{ID: opID, Kind: BatchOpSetattr, Parent: parent, Name: name, Size: size, Mode: mode})
 }
 
 // EncodeBatchRename encodes one same-shard rename sub-op.
@@ -138,8 +138,11 @@ func TestCreateSemantics(t *testing.T) {
 	}{
 		{"duplicate", d.Ino, "f", CodeExist},
 		{"empty name", d.Ino, "", CodeInvalid},
-		{"under a file", f.Ino, "x", CodeNotDir},
-		// Under an unknown dir: not-owner redirect.
+		// A shard knows a file only by (parent, name), so a file's ino is
+		// as unknown to it as a foreign directory's: both draw the
+		// not-owner redirect. The SDK answers ENOTDIR for an op under a
+		// file without sending it (client.TestOpsUnderAFileAreNotDir).
+		{"under a file", f.Ino, "x", CodeNotOwner},
 		{"under a foreign dir", 99999, "x", CodeNotOwner},
 	} {
 		res := applyOne(t, s, EncodeBatchCreate(0, tc.parent, tc.name, namespace.TypeFile))

@@ -10,16 +10,17 @@
 // for mutations), so operations on different directories proceed in
 // parallel while same-directory check-then-act sequences (create's
 // exists check, remove's emptiness check) stay atomic. Every mutation
-// goes through applyBatchOps (batch.go), which takes all the stripes its
-// ops touch in index order, keeping multi-directory ops deadlock-free.
-// The lock hierarchy, top to bottom, is:
+// goes through applyBatchOps (batch.go) or ApplyRecord (replica.go),
+// which take all the stripes their ops touch in index order, keeping
+// multi-directory ops deadlock-free. The lock hierarchy, top to bottom, is:
 //
-//	Service.opMu (mutations vs. a migration's freeze) → Store stripe(s) → Store.inoMu → kvstore.DB
+//	Service.opMu (mutations vs. a migration's freeze) → Store stripe(s) → Store.inoMu (directory index) → kvstore.DB
 //
 // A lock is only ever taken below one already held, never above.
 package mds
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -54,7 +55,7 @@ const storeStripes = 64
 
 // Store is the durable inode shard of one MDS: inodes keyed by
 // (parent, name) in the local fragmented-LSM store, with an in-memory
-// inode-number index for attribute lookups.
+// index of its directories.
 type Store struct {
 	db *kvstore.DB
 
@@ -62,10 +63,14 @@ type Store struct {
 	// stripe of the parent whose entries it touches (shared for reads).
 	stripes [storeStripes]sync.RWMutex
 
-	// inoMu guards the ino → (parent, name) index. It nests strictly
-	// below the stripes and is never held across a db call that blocks.
-	inoMu sync.RWMutex
-	byIno map[namespace.Ino]inoRef
+	// inoMu guards the directory index: byIno binds each directory here to
+	// its (parent, name); any other entry adds one to files[its parent],
+	// here or not, and nFiles is their sum. It nests strictly below the
+	// stripes and is never held across a db call that blocks.
+	inoMu  sync.RWMutex
+	byIno  map[namespace.Ino]inoRef
+	files  map[namespace.Ino]int32
+	nFiles int
 
 	// nextIno allocates inode numbers from this MDS's private range.
 	// inoWatermark is the durably persisted upper bound: every ino
@@ -86,13 +91,61 @@ type Store struct {
 // write covers this many subsequent AllocIno calls.
 const inoChunk = 64
 
+// inoRef is an entry as the directory index sees it. A directory is
+// bound by its ino to its (parent, name). Any other entry — a file, or
+// the fake inode a migration leaves — only counts toward its parent.
 type inoRef struct {
-	parent namespace.Ino
-	name   string
-	typ    namespace.FileType
+	ino, parent namespace.Ino
+	name        string
+	typ         namespace.FileType
 }
 
 func (r inoRef) isDir() bool { return r.typ == namespace.TypeDir }
+
+func refOfInode(in *namespace.Inode) inoRef {
+	return inoRef{ino: in.Ino, parent: in.Parent, name: in.Name, typ: in.Type}
+}
+
+// refAt reads the inoRef of the record v stored under key: the key's
+// parent and the record's type byte, and only for a directory its ino.
+// ok is false for a metadata key or an undecodable record.
+func refAt(key, v []byte) (r inoRef, ok bool) {
+	if len(key) < 8 || isMetaKey(key) {
+		return r, false
+	}
+	r.parent = namespace.Ino(binary.BigEndian.Uint64(key))
+	if r.typ, ok = namespace.RecordType(v); !ok || !r.isDir() {
+		return r, ok
+	}
+	var in namespace.Inode
+	if _, err := namespace.DecodeInodeInto(&in, v); err != nil {
+		return r, false
+	}
+	r.ino, r.name = in.Ino, string(key[8:])
+	return r, true
+}
+
+// indexLocked enters r into the index (n > 0) or takes it out (n < 0).
+// A directory is bound, or unbound if it is still bound to r's (parent,
+// name): an ino bound elsewhere since keeps that live binding, as when a
+// cross-shard rename's destination directory migrates onto the source's
+// shard between the rename's insert and its remove. Any other entry moves
+// its parent's count by n. Caller holds inoMu.
+func (s *Store) indexLocked(r inoRef, n int32) {
+	switch {
+	case !r.isDir():
+		s.nFiles += int(n)
+		if s.files[r.parent] += n; n <= 0 && s.files[r.parent] == 0 {
+			delete(s.files, r.parent)
+		}
+	case n > 0:
+		s.byIno[r.ino] = r
+	default:
+		if cur, ok := s.byIno[r.ino]; ok && cur.parent == r.parent && cur.name == r.name {
+			delete(s.byIno, r.ino)
+		}
+	}
+}
 
 // inoRangeBits shifts the MDS id into the top bits of allocated inode
 // numbers so shards never collide.
@@ -115,28 +168,33 @@ func OpenStore(dir string, mdsID int, opts kvstore.Options) (*Store, error) {
 	s := &Store{
 		db:     db,
 		byIno:  make(map[namespace.Ino]inoRef),
+		files:  make(map[namespace.Ino]int32),
 		idBase: uint64(mdsID) << inoRangeBits,
 	}
 	s.nextIno.Store(s.idBase + 2) // skip 0 (invalid) and 1 (root)
-	// Rebuild the ino index and the allocation watermark.
+	// Rebuild the directory index, counting a parent's other entries as
+	// one run: they are contiguous in key order. The watermark covers
+	// every ino this MDS handed out; a directory of its range above it (a
+	// store written before the watermark was) moves it up.
+	run, runLen := inoRef{typ: namespace.TypeFile}, int32(0)
 	err = db.Scan(nil, nil, func(k, v []byte) bool {
-		if len(k) > 0 && k[0] == 0xff { // metadata keys
-			return true
-		}
-		parent, name, kerr := namespace.DecodeKey(k)
-		if kerr != nil {
-			return true
-		}
-		var in namespace.Inode
-		if _, derr := namespace.DecodeInodeInto(&in, v); derr != nil {
-			return true
-		}
-		s.byIno[in.Ino] = inoRef{parent: parent, name: name, typ: in.Type}
-		if u := uint64(in.Ino); u >= s.idBase && u >= s.nextIno.Load() {
-			s.nextIno.Store(u + 1)
+		r, ok := refAt(k, v)
+		switch {
+		case !ok:
+		case !r.isDir() && r.parent == run.parent:
+			runLen++
+		case !r.isDir():
+			s.indexLocked(run, runLen)
+			run, runLen = r, 1
+		default:
+			s.indexLocked(r, 1)
+			if u := uint64(r.ino); u>>inoRangeBits == s.idBase>>inoRangeBits && u >= s.nextIno.Load() {
+				s.nextIno.Store(u + 1)
+			}
 		}
 		return true
 	})
+	s.indexLocked(run, runLen)
 	if err != nil {
 		db.Close()
 		return nil, err
@@ -357,7 +415,7 @@ func (s *Store) dirAt(parent namespace.Ino, name string) namespace.Ino {
 	return 0
 }
 
-// refOf returns the (parent, name) binding of an inode held here.
+// refOf returns the (parent, name) binding of a directory held here.
 func (s *Store) refOf(ino namespace.Ino) (inoRef, bool) {
 	s.inoMu.RLock()
 	defer s.inoMu.RUnlock()
@@ -365,34 +423,14 @@ func (s *Store) refOf(ino namespace.Ino) (inoRef, bool) {
 	return ref, ok
 }
 
-// getattr fetches an inode by number, by value.
+// getattr fetches a directory by number, by value; a file is addressed
+// by (parent, name) only.
 func (s *Store) getattr(ino namespace.Ino) (namespace.Inode, bool, error) {
 	ref, ok := s.refOf(ino)
 	if !ok {
 		return namespace.Inode{}, false, nil
 	}
 	return s.lookup(ref.parent, ref.name)
-}
-
-// Getattr fetches an inode by number.
-func (s *Store) Getattr(ino namespace.Ino) (*namespace.Inode, bool, error) {
-	in, found, err := s.getattr(ino)
-	if !found {
-		return nil, false, err
-	}
-	return &in, true, nil
-}
-
-// unindexLocked drops ino from the index if it is still bound to
-// (parent, name). An ino bound elsewhere since keeps that live binding:
-// when a cross-shard rename's destination directory migrates onto the
-// source's shard between the rename's insert and its remove, the remove
-// deletes the old key of an ino the migration already bound at the new
-// one. Caller holds inoMu.
-func (s *Store) unindexLocked(ino, parent namespace.Ino, name string) {
-	if ref, ok := s.byIno[ino]; ok && ref.parent == parent && ref.name == name {
-		delete(s.byIno, ino)
-	}
 }
 
 // readDirRaw appends dir's listing to w the way an inode-list response
@@ -429,63 +467,40 @@ func (s *Store) ReadDir(parent namespace.Ino) ([]*namespace.Inode, error) {
 	return out, err
 }
 
-// HasIno reports whether this shard holds the inode.
+// HasIno reports whether this shard holds the directory.
 func (s *Store) HasIno(ino namespace.Ino) bool {
-	s.inoMu.RLock()
-	defer s.inoMu.RUnlock()
-	_, ok := s.byIno[ino]
+	_, ok := s.refOf(ino)
 	return ok
 }
 
-// Count returns the number of inodes held.
+// Count returns the number of inodes held: the directories bound and the
+// other entries counted.
 func (s *Store) Count() int {
 	s.inoMu.RLock()
 	defer s.inoMu.RUnlock()
-	return len(s.byIno)
+	return len(s.byIno) + s.nFiles
 }
 
 // dirRows returns one Data Collector row per directory held on this
 // shard — its ino, its parent and its child file count, access counters
-// zero — built in one pass over the inode index under inoMu: no kvstore
-// read and no decode, so a dump costs a walk of the index rather than a
-// scan of every directory's records. A file counts toward its parent
-// only when the parent is a directory here too.
+// zero — built in one pass over the directory index under inoMu: no
+// kvstore read and no decode, so a dump costs a walk of the directories
+// rather than a scan of every record. A directory's child files are its
+// entries that are not directories: files and fake inodes.
 func (s *Store) dirRows() []DumpRow {
 	s.inoMu.RLock()
 	defer s.inoMu.RUnlock()
-	var rows []DumpRow
-	at := make(map[namespace.Ino]int)
-	slot := func(ino namespace.Ino) *DumpRow {
-		i, ok := at[ino]
-		if !ok {
-			i = len(rows)
-			at[ino] = i
-			rows = append(rows, DumpRow{})
-		}
-		return &rows[i]
+	rows := make([]DumpRow, 0, len(s.byIno))
+	for ino, r := range s.byIno {
+		rows = append(rows, DumpRow{Ino: ino, Parent: r.parent, ChildFiles: s.files[ino]})
 	}
-	for ino, ref := range s.byIno {
-		if ref.isDir() {
-			r := slot(ino)
-			r.Ino, r.Parent = ino, ref.parent
-		} else {
-			slot(ref.parent).ChildFiles++
-		}
-	}
-	// A slot opened for a parent that is not a directory here has no Ino.
-	out := rows[:0]
-	for _, r := range rows {
-		if r.Ino != 0 {
-			out = append(out, r)
-		}
-	}
-	return out
+	return rows
 }
 
 // subtreeDirs returns the directories of the subtree rooted at root,
 // root included, and root's own binding — a migration's frozen set —
-// from the ino index alone, so installing a freeze reads no kvstore
-// record. ok is false when root is not bound here.
+// from the directory index alone: no kvstore read, no file walked. ok
+// is false when root is no directory here.
 func (s *Store) subtreeDirs(root namespace.Ino) (dirs map[namespace.Ino]bool, ref inoRef, ok bool) {
 	s.inoMu.RLock()
 	defer s.inoMu.RUnlock()
@@ -494,7 +509,7 @@ func (s *Store) subtreeDirs(root namespace.Ino) (dirs map[namespace.Ino]bool, re
 	}
 	children := make(map[namespace.Ino][]namespace.Ino)
 	for ino, r := range s.byIno {
-		if r.isDir() && ino != r.parent {
+		if ino != r.parent {
 			children[r.parent] = append(children[r.parent], ino)
 		}
 	}
@@ -514,14 +529,14 @@ func (s *Store) subtreeDirs(root namespace.Ino) (dirs map[namespace.Ino]bool, re
 // this shard holds, in breadth-first order — the migration source's copy
 // set, collected while the subtree is frozen, so the walk sees it still.
 func (s *Store) CollectSubtree(root namespace.Ino) ([]*namespace.Inode, error) {
-	rootIn, ok, err := s.Getattr(root)
+	rootIn, ok, err := s.getattr(root)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("mds: subtree root %d not on this shard", root)
 	}
-	out := []*namespace.Inode{rootIn}
+	out := []*namespace.Inode{&rootIn}
 	queue := []namespace.Ino{root}
 	for len(queue) > 0 {
 		cur := queue[0]

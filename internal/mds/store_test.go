@@ -34,12 +34,20 @@ func TestStorePutLookupGetattr(t *testing.T) {
 	if got.Size != 42 {
 		t.Errorf("size = %d", got.Size)
 	}
-	got, found, err = s.Getattr(100)
-	if err != nil || !found || got.Name != "f" {
-		t.Errorf("Getattr = %+v found=%v err=%v", got, found, err)
+	// Only a directory is found by number; a file only by its key.
+	d := &namespace.Inode{Ino: 101, Parent: 1, Name: "d", Type: namespace.TypeDir}
+	if err := s.Put(d); err != nil {
+		t.Fatal(err)
 	}
-	if !s.HasIno(100) || s.HasIno(101) {
+	dir, found, err := s.getattr(101)
+	if err != nil || !found || dir.Name != "d" {
+		t.Errorf("getattr = %+v found=%v err=%v", dir, found, err)
+	}
+	if !s.HasIno(101) || s.HasIno(102) {
 		t.Error("HasIno wrong")
+	}
+	if s.Count() != 2 {
+		t.Errorf("Count = %d, want 2", s.Count())
 	}
 }
 
@@ -74,6 +82,30 @@ func TestStoreAllocSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestStoreAllocAfterRestartStaysInRange: a directory that another MDS
+// allocated, migrated in, does not move this MDS's allocation into that
+// MDS's range when a restart rebuilds the index.
+func TestStoreAllocAfterRestartStaysInRange(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 0, kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := &namespace.Inode{Ino: 1<<inoRangeBits + 5, Parent: namespace.RootIno, Name: "in", Type: namespace.TypeDir}
+	if err := s.ApplyRecord(record(foreign)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	re, err := OpenStore(dir, 0, kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if ino := re.AllocIno(); uint64(ino)>>inoRangeBits != 0 {
+		t.Errorf("MDS 0 allocated ino %#x after a restart, in MDS %d's range", ino, uint64(ino)>>inoRangeBits)
+	}
+}
+
 func TestStoreReadDir(t *testing.T) {
 	s := openTestStore(t, 0)
 	for i := 0; i < 5; i++ {
@@ -102,8 +134,8 @@ func TestStoreDelete(t *testing.T) {
 	if _, found, _ := s.Lookup(1, "x"); found {
 		t.Error("deleted entry still found")
 	}
-	if s.HasIno(7) {
-		t.Error("ino index not cleaned")
+	if s.Count() != 0 {
+		t.Errorf("index still counts %d inodes", s.Count())
 	}
 }
 
@@ -125,10 +157,13 @@ func TestStoreCollectSubtree(t *testing.T) {
 		t.Errorf("first collected = %d, want subtree root", inos[0].Ino)
 	}
 	commitRecord(t, s, inos, nil)
-	for _, in := range []namespace.Ino{2, 3, 4, 5} {
-		if s.HasIno(in) {
-			t.Errorf("ino %d survived the subtree's delete record", in)
+	for _, in := range inos {
+		if _, found, _ := s.Lookup(in.Parent, in.Name); found || s.HasIno(in.Ino) {
+			t.Errorf("%v survived the subtree's delete record", in)
 		}
+	}
+	if s.Count() != 0 {
+		t.Errorf("index counts %d inodes after the delete record", s.Count())
 	}
 }
 
@@ -147,8 +182,9 @@ func record(ops ...any) *kvstore.Batch {
 	return &b
 }
 
-// TestApplyRecordKeepsIndexInStep: the ino index follows each key's last
-// op in record order, and a put over an entry unbinds the ino it replaced.
+// TestApplyRecordKeepsIndexInStep: the directory index and the file
+// counts follow each key's last op in record order, and a put over an
+// entry unbinds what it replaced.
 func TestApplyRecordKeepsIndexInStep(t *testing.T) {
 	s := openTestStore(t, 0)
 	f := &namespace.Inode{Ino: 10, Parent: 1, Name: "f", Type: namespace.TypeFile}
@@ -166,25 +202,30 @@ func TestApplyRecordKeepsIndexInStep(t *testing.T) {
 	moved := *f
 	moved.Name = "g"
 	apply(record(namespace.EncodeKey(1, "f"), &moved))
-	if got, found, _ := s.Getattr(10); !found || got.Name != "g" {
-		t.Errorf("renamed ino = %+v (found=%v), want it at (1, g)", got, found)
+	if got, found, _ := s.Lookup(1, "g"); !found || got.Ino != 10 {
+		t.Errorf("(1, g) = %+v (found=%v), want the renamed ino 10", got, found)
 	}
-	if s.HasIno(11) {
-		t.Error("the replaced ino is still indexed")
+	if _, found, _ := s.Lookup(1, "f"); found {
+		t.Error("the renamed file is still at (1, f)")
 	}
 	// A put then a delete of one key inside a record leaves it unbound; a
 	// delete then a put leaves it bound.
 	h := &namespace.Inode{Ino: 13, Parent: d.Ino, Name: "h", Type: namespace.TypeFile}
 	apply(record(h, namespace.EncodeKey(d.Ino, "h")))
-	if s.HasIno(13) {
-		t.Error("a put and a delete of one key left its ino indexed")
+	if _, found, _ := s.Lookup(d.Ino, "h"); found {
+		t.Error("a put and a delete of one key left it stored")
 	}
 	apply(record(namespace.EncodeKey(1, "d"), d))
-	if got, found, _ := s.Getattr(12); !found || !got.IsDir() {
+	if got, found, _ := s.getattr(12); !found || !got.IsDir() {
 		t.Errorf("a delete then a put of one key: ino = %+v (found=%v), want the directory", got, found)
 	}
 	if s.Count() != 2 {
 		t.Errorf("index holds %d inodes, want 2 (g, d)", s.Count())
+	}
+	// A file key written three times in one record counts once.
+	apply(record(h, namespace.EncodeKey(d.Ino, "h"), h))
+	if s.Count() != 3 {
+		t.Errorf("index counts %d inodes, want 3 (g, d, h)", s.Count())
 	}
 }
 
@@ -206,7 +247,7 @@ func TestApplyRecordRefusesBadRecords(t *testing.T) {
 		if err := s.ApplyRecord(b); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("%s: err = %v, want ErrBadRecord", name, err)
 		}
-		if got := s.DBStats().Batches; got != before || s.HasIno(20) {
+		if _, found, _ := s.Lookup(1, "ok"); found || s.DBStats().Batches != before {
 			t.Errorf("%s: a refused record applied", name)
 		}
 	}

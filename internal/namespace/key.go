@@ -104,6 +104,16 @@ func DecodeInodeInto(in *Inode, buf []byte) (name []byte, err error) {
 	return buf[o : o+nameLen], nil
 }
 
+// RecordType returns the type of the inode a record produced by
+// AppendInode holds, reading its type byte alone; ok is false for a
+// record too short to be one.
+func RecordType(buf []byte) (t FileType, ok bool) {
+	if len(buf) < inodeRecordSize+2 {
+		return 0, false
+	}
+	return FileType(buf[16]), true
+}
+
 // DecodeInode parses a record produced by AppendInode into a new inode.
 func DecodeInode(buf []byte) (*Inode, error) {
 	in := &Inode{}

@@ -260,8 +260,10 @@ func (co *Coordinator) MapVersion() uint64 {
 }
 
 // collect pulls one epoch dump from every reachable MDS. Shards whose
-// dump fails are skipped (and demoted in the health tracker) instead of
-// failing the round; their slots stay zero so index positions hold.
+// dump fails are skipped instead of failing the round, and their slots
+// stay zero so index positions hold. Only a transport failure demotes a
+// shard in the health tracker (reportOutcome): one that answered with an
+// error, or with a dump that does not decode, is alive.
 func (co *Coordinator) collect() (stats []mds.StatsSnapshot, rows [][]mds.DumpRow, skipped []int) {
 	n := len(co.cluster.Addrs)
 	stats = make([]mds.StatsSnapshot, n)
@@ -272,15 +274,14 @@ func (co *Coordinator) collect() (stats []mds.StatsSnapshot, rows [][]mds.DumpRo
 			continue
 		}
 		body, err := co.cluster.Conn(i).Call(mds.MethodDump, nil)
-		if err != nil {
-			co.Health.ReportFailure(i, err)
-			co.log.Warn("dump failed, skipping shard this epoch", "mds", i, "err", err)
-			skipped = append(skipped, i)
-			continue
+		var st mds.StatsSnapshot
+		var r []mds.DumpRow
+		if err == nil {
+			st, r, err = mds.DecodeDump(body)
 		}
-		st, r, err := mds.DecodeDump(body)
 		if err != nil {
-			co.Health.ReportFailure(i, err)
+			co.reportOutcome(i, err)
+			co.log.Warn("dump failed, skipping shard this epoch", "mds", i, "err", err)
 			skipped = append(skipped, i)
 			continue
 		}
@@ -365,9 +366,9 @@ func (co *Coordinator) migrate2PC(subtree namespace.Ino, from, to int) (err erro
 	return nil
 }
 
-// reportOutcome feeds a migration RPC failure into the health tracker,
-// but only for transport-level failures — a RemoteError means the shard
-// is alive and answering.
+// reportOutcome feeds a dump or migration RPC failure into the health
+// tracker, but only for transport-level failures — a RemoteError means
+// the shard is alive and answering.
 func (co *Coordinator) reportOutcome(id int, err error) {
 	if rpc.IsRetryable(err) {
 		co.Health.ReportFailure(id, err)

@@ -2,11 +2,38 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"origami/internal/mds"
 	"origami/internal/rpc"
 )
+
+// TestDumpErrorSkipsShardWithoutDemotingIt: a shard that answers its dump
+// with an error, as one past the 16 MiB response limit does, is alive.
+// The epoch skips it, and only a transport failure would demote it.
+func TestDumpErrorSkipsShardWithoutDemotingIt(t *testing.T) {
+	cl, _ := startTestCluster(t, 2)
+	co := NewCoordinator(cl)
+	const victim = 1
+	cl.Services[victim].Server().SetFaultInjector(rpc.InjectorFunc(func(p rpc.InjectPoint, m rpc.Method) rpc.Fault {
+		if p == rpc.PointServerRecv && m == mds.MethodDump {
+			return rpc.Fault{Action: rpc.FaultError}
+		}
+		return rpc.Fault{}
+	}))
+	res, err := co.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(res.SkippedMDS, victim) {
+		t.Errorf("SkippedMDS = %v, want it to hold MDS %d", res.SkippedMDS, victim)
+	}
+	if st := co.Health.State(victim); st != Up {
+		t.Errorf("MDS %d health = %v after answering its dump with an error, want up", victim, st)
+	}
+}
 
 // TestDegradedEpochAndReconciliation is the fault-tolerance acceptance
 // scenario: with one of five MDSs down, a balancing epoch must complete

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"origami/internal/client"
@@ -98,6 +99,57 @@ func TestSetattr(t *testing.T) {
 	}
 	if in.Size != 4096 || in.Mode != 0o600 {
 		t.Errorf("setattr result = %+v", in)
+	}
+	// The root's own record sits at (root, ""), which no sub-op may name.
+	if _, err := sdk.Setattr("/", 1, 0o700); err == nil || !strings.Contains(err.Error(), "EINVAL") {
+		t.Errorf("setattr of the root: %v, want EINVAL", err)
+	}
+}
+
+// TestSetattrAfterMigration: a setattr of a migrated subtree's root and
+// of a file inside it lands on the destination. The root's record lives
+// there under a parent that shard does not own, and the source keeps only
+// a fake at its key, which no setattr may touch. The SDK's cache still
+// routes the root to the source, so its first attempt is redirected.
+func TestSetattrAfterMigration(t *testing.T) {
+	cl, sdk := startTestCluster(t, 2)
+	co := NewCoordinator(cl)
+	m, err := sdk.Mkdir("/m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sdk.Create("/m/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Migrate(m.Ino, 0, 1); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	want := map[string]struct {
+		size int64
+		mode uint16
+	}{"/m": {4096, 0o700}, "/m/f": {8192, 0o600}}
+	for path, w := range want {
+		in, err := sdk.Setattr(path, w.size, w.mode)
+		if err != nil {
+			t.Fatalf("setattr %s: %v", path, err)
+		}
+		if in.Size != w.size || in.Mode != w.mode {
+			t.Errorf("setattr %s = %+v", path, in)
+		}
+	}
+	fresh, err := client.Dial(client.Config{Addrs: cl.Addrs, Cache: "off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for path, w := range want {
+		in, err := fresh.Stat(path)
+		if err != nil {
+			t.Fatalf("stat %s: %v", path, err)
+		}
+		if in.Size != w.size || in.Mode != w.mode {
+			t.Errorf("stat %s after setattr = size %d mode %o, want %d %o", path, in.Size, in.Mode, w.size, w.mode)
+		}
 	}
 }
 
